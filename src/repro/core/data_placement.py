@@ -15,7 +15,7 @@ the hottest set clusters like the single-device prefix — the
 horizontal scale-out the paper sketches.
 
 :class:`PlacementPrefetcher` turns the same ranking into *background*
-traffic: with the asynchronous copy engine on, it fills idle h2d
+traffic: on the async link topology it fills idle h2d
 windows with the next-ranked hot columns, yielding the channel to
 demand copies at chunk boundaries.
 """
@@ -180,14 +180,14 @@ class PlacementPrefetcher:
 
     def __init__(self, hardware, placement: DataPlacementManager,
                  depth: int = 2):
-        if hardware.copy_engine is None:
-            raise ValueError("the prefetcher needs the copy engine")
+        if not hardware.bus.asynchronous:
+            raise ValueError("the prefetcher needs the async link topology")
         if depth < 1:
             raise ValueError("prefetch depth must be >= 1")
         self.hardware = hardware
         self.placement = placement
         self.depth = depth
-        self.engine = hardware.copy_engine
+        self.engine = hardware.bus
         self._skip: Dict[str, Set[str]] = {}
         _prefetchers.add(self)
 

@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
 
-from repro.engine.execution.context import ExecutionContext
+# estimate_runtime / processor_kind live beside the context so the
+# executors can use them too (core.placement imports engine.execution,
+# never the reverse); re-exported here for placement code
+from repro.engine.execution.context import (  # noqa: F401
+    ExecutionContext,
+    estimate_runtime,
+    processor_kind,
+)
 from repro.engine.intermediates import OperatorResult
 from repro.engine.operators import PhysicalOperator, PhysicalPlan
 from repro.hardware.processor import ProcessorKind
 
 PROCESSOR_KINDS = {"cpu": ProcessorKind.CPU, "gpu": ProcessorKind.GPU}
-
-
-def processor_kind(name: str) -> ProcessorKind:
-    """Kind of a processor by name ('cpu' or any 'gpuN')."""
-    return ProcessorKind.CPU if name == "cpu" else ProcessorKind.GPU
 
 
 class PlacementStrategy:
@@ -68,11 +70,30 @@ class PlacementStrategy:
         return "<strategy {}>".format(getattr(self, "name", "?"))
 
 
-def estimate_runtime(ctx: ExecutionContext, op: PhysicalOperator,
-                     child_results: List[OperatorResult],
-                     processor_name: str) -> float:
-    """HyPE runtime estimate for load tracking and placement costing."""
-    input_bytes = op.input_nominal_bytes(ctx.database, child_results)
-    return ctx.cost_model.estimate(
-        op.kind, processor_kind(processor_name), input_bytes
-    )
+def pending_transfer_seconds(
+    ctx: ExecutionContext, op: PhysicalOperator, cache,
+    moved_children: Iterable[Tuple[float, float]],
+    contended: bool = True,
+) -> float:
+    """PCIe seconds to bring ``op``'s inputs to one processor: the base
+    columns missing from ``cache`` (None = the host, which holds every
+    column) plus ``moved_children`` — ``(nominal bytes, bus crossings)``
+    per child intermediate living elsewhere.
+
+    ``contended`` scales the sum by the link's current queue length:
+    under contention every copy waits behind the transfers already in
+    flight, so chasing the faster processor across a congested bus is a
+    losing move.  Compile-time costing passes False.
+    """
+    link = ctx.hardware.bus
+    transfer = 0.0
+    if cache is not None:
+        for key in op.required_columns():
+            if key not in cache:
+                column = ctx.database.column(key)
+                transfer += link.transfer_time(column.nominal_bytes)
+    for nbytes, crossings in moved_children:
+        transfer += crossings * link.transfer_time(nbytes)
+    if contended:
+        transfer *= 1 + link.queue_length
+    return transfer

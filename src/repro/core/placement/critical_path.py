@@ -16,7 +16,11 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, NamedTuple
 
-from repro.core.placement.base import PROCESSOR_KINDS, PlacementStrategy
+from repro.core.placement.base import (
+    PROCESSOR_KINDS,
+    PlacementStrategy,
+    pending_transfer_seconds,
+)
 from repro.engine.cardinality import estimate_selectivity
 from repro.engine.operators import (
     GroupByAggregate,
@@ -197,22 +201,14 @@ class CriticalPath(PlacementStrategy):
             execution = ctx.cost_model.estimate(
                 op.kind, PROCESSOR_KINDS[processor], estimate.input_bytes
             )
-            transfer = 0.0
-            if processor == "gpu":
-                for key in op.required_columns():
-                    if key not in ctx.gpu_cache:
-                        column = ctx.database.column(key)
-                        transfer += ctx.bus.transfer_time(column.nominal_bytes)
-                for child in op.children:
-                    if placement[child.op_id] != "gpu":
-                        transfer += ctx.bus.transfer_time(
-                            estimates[child.op_id].out_bytes
-                        )
-            else:
-                for child in op.children:
-                    if placement[child.op_id] == "gpu":
-                        transfer += ctx.bus.transfer_time(
-                            estimates[child.op_id].out_bytes
-                        )
+            # compile time: no queue to read, so the estimate is
+            # uncontended
+            transfer = pending_transfer_seconds(
+                ctx, op, ctx.gpu_cache if processor == "gpu" else None,
+                [(estimates[child.op_id].out_bytes, 1.0)
+                 for child in op.children
+                 if placement[child.op_id] != processor],
+                contended=False,
+            )
             finish[op.op_id] = ready + transfer + execution
         return finish[plan.root.op_id]

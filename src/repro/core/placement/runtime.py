@@ -9,7 +9,11 @@ co-processors (Sec. 6.3) every device is a candidate.
 
 from __future__ import annotations
 
-from repro.core.placement.base import PlacementStrategy, processor_kind
+from repro.core.placement.base import (
+    PlacementStrategy,
+    pending_transfer_seconds,
+    processor_kind,
+)
 
 
 class RuntimeHype(PlacementStrategy):
@@ -53,31 +57,18 @@ class RuntimeHype(PlacementStrategy):
                         device):
         """exec estimate + pending transfers + ready-queue load.
 
-        Transfers are scaled by the current PCIe queue length: under
-        contention every copy waits behind the transfers already in
-        flight, so chasing the faster processor across a congested bus
-        is a losing move.
+        A child on *another* co-processor crosses the bus twice (device
+        to host, then host to this device).
         """
         execution = ctx.cost_model.estimate(
             op.kind, processor_kind(name), input_bytes
         )
-        transfer = 0.0
-        if device is not None:
-            for key in op.required_columns():
-                if key not in device.cache:
-                    column = ctx.database.column(key)
-                    transfer += ctx.bus.transfer_time(column.nominal_bytes)
-            for child in child_results:
-                if child.location != name:
-                    factor = 2.0 if child.location != "cpu" else 1.0
-                    transfer += factor * ctx.bus.transfer_time(
-                        child.nominal_bytes
-                    )
-        else:
-            for child in child_results:
-                if child.location != "cpu":
-                    transfer += ctx.bus.transfer_time(child.nominal_bytes)
-        transfer *= 1 + ctx.bus.queue_length
+        transfer = pending_transfer_seconds(
+            ctx, op, device.cache if device is not None else None,
+            [(child.nominal_bytes,
+              2.0 if device is not None and child.location != "cpu" else 1.0)
+             for child in child_results if child.location != name],
+        )
         load = ctx.load.estimated_completion(name)
         return execution + transfer + load
 
@@ -134,14 +125,11 @@ class SplitHype(RuntimeHype):
             op.kind, processor_kind(device.name), input_bytes)
         transfer = 0.0
         if not ctx.hardware.config.coupled:
-            for key in op.required_columns():
-                if key not in device.cache:
-                    column = ctx.database.column(key)
-                    transfer += ctx.bus.transfer_time(column.nominal_bytes)
-            for child in child_results:
-                if child.location != device.name:
-                    transfer += ctx.bus.transfer_time(child.nominal_bytes)
-            transfer *= 1 + ctx.bus.queue_length
+            transfer = pending_transfer_seconds(
+                ctx, op, device.cache,
+                [(child.nominal_bytes, 1.0) for child in child_results
+                 if child.location != device.name],
+            )
         from repro.hype.models import SplitCostModel
 
         ratio = min(SplitCostModel.balance(t_cpu, t_gpu, transfer),

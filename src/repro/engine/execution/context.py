@@ -6,6 +6,7 @@ from typing import Optional
 
 from repro.engine.execution.resilience import ResilienceManager
 from repro.hardware import HardwareSystem
+from repro.hardware.processor import ProcessorKind
 from repro.hype import LearnedCostModel, LoadTracker
 from repro.storage import Database
 
@@ -76,3 +77,17 @@ class ExecutionContext:
     @property
     def bus(self):
         return self.hardware.bus
+
+
+def processor_kind(name: str) -> ProcessorKind:
+    """Kind of a processor by name ('cpu' or any 'gpuN')."""
+    return ProcessorKind.CPU if name == "cpu" else ProcessorKind.GPU
+
+
+def estimate_runtime(ctx: ExecutionContext, op, child_results,
+                     processor_name: str) -> float:
+    """HyPE runtime estimate for load tracking and placement costing."""
+    input_bytes = op.input_nominal_bytes(ctx.database, child_results)
+    return ctx.cost_model.estimate(
+        op.kind, processor_kind(processor_name), input_bytes
+    )

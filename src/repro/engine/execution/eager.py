@@ -16,20 +16,11 @@ from __future__ import annotations
 
 from typing import Dict, Generator
 
-from repro.engine.execution.context import ExecutionContext
+from repro.engine.execution.context import ExecutionContext, estimate_runtime
 from repro.engine.execution.operator_task import execute_operator
 from repro.engine.intermediates import OperatorResult
 from repro.engine.operators import PhysicalPlan
-from repro.hardware.processor import ProcessorKind
 from repro.sim import Process
-
-
-def _estimate(ctx, op, child_results, processor_name) -> float:
-    """HyPE runtime estimate used for load tracking."""
-    kind = (ProcessorKind.CPU if processor_name == "cpu"
-            else ProcessorKind.GPU)
-    input_bytes = op.input_nominal_bytes(ctx.database, child_results)
-    return ctx.cost_model.estimate(op.kind, kind, input_bytes)
 
 
 def run_plan_eager(ctx: ExecutionContext, plan: PhysicalPlan,
@@ -58,7 +49,8 @@ def run_plan_eager(ctx: ExecutionContext, plan: PhysicalPlan,
             processor_name = strategy.choose_processor(
                 ctx, op, child_results
             )
-        estimate = _estimate(ctx, op, child_results, processor_name)
+        estimate = estimate_runtime(ctx, op, child_results,
+                                    processor_name)
         ctx.load.assign(processor_name, estimate)
         try:
             result = yield from execute_operator(

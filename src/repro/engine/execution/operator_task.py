@@ -35,6 +35,7 @@ from __future__ import annotations
 from typing import Generator, List, Optional
 
 from repro.engine.execution.context import ExecutionContext
+from repro.engine.execution.resilience import account_abort
 from repro.engine.intermediates import OperatorResult
 from repro.engine.operators import PhysicalOperator
 from repro.hardware import DeviceFault
@@ -79,9 +80,13 @@ def execute_operator(
                 ctx, device, op, child_results, input_bytes, qctx,
             )
         if result is None:
-            result = yield from _try_gpu_with_recovery(
-                ctx, device, op, child_results, input_bytes,
-                admit_to_cache, qctx,
+            # device attempts under the retry policy and the device's
+            # circuit breaker; None = restart on the CPU
+            result = yield from ctx.resilience.attempts(
+                ctx.env, device.name,
+                lambda: _try_gpu(ctx, device, op, child_results,
+                                 input_bytes, admit_to_cache, qctx),
+                op.plan_name, qctx,
             )
     if result is None:
         if qctx is not None:
@@ -92,46 +97,6 @@ def execute_operator(
     if qctx is not None:
         qctx.track(result)
     return result
-
-
-def _try_gpu_with_recovery(ctx, device, op, child_results, input_bytes,
-                           admit_to_cache, qctx=None):
-    """Device attempts under the retry policy and circuit breaker.
-
-    Returns the :class:`OperatorResult` on success, or None once the
-    operator must restart on the CPU — after a genuine out-of-memory
-    abort, after exhausting the transient-fault retry budget, or when
-    the device's breaker denies the attempt outright.
-    """
-    resilience = ctx.resilience
-    env = ctx.env
-    attempt = 0
-    while True:
-        if not resilience.admit(device.name, env.now):
-            ctx.metrics.record_breaker_skip(device.name)
-            return None
-        outcome = yield from _try_gpu(ctx, device, op, child_results,
-                                      input_bytes, admit_to_cache, qctx)
-        if not isinstance(outcome, DeviceFault):
-            # success, or a non-fault abort — either way the device
-            # itself behaved, so the breaker sees a success
-            resilience.record_success(device.name, env.now)
-            return outcome
-        if not outcome.transient:
-            # out of memory: the allocator answered as specified under
-            # contention — fall back immediately, breaker unaffected
-            resilience.record_success(device.name, env.now)
-            return None
-        resilience.record_failure(device.name, env.now)
-        if attempt >= resilience.policy.max_retries:
-            return None
-        ctx.metrics.record_retry(device=device.name,
-                                 fault=outcome.fault_class,
-                                 query=op.plan_name,
-                                 tenant=qctx.tenant if qctx else None)
-        # a cancelled query's backoff aborts early instead of retrying
-        yield from resilience.backoff(env, attempt, qctx)
-        attempt += 1
 
 
 def _try_gpu(ctx, device, op, child_results, input_bytes, admit_to_cache,
@@ -151,19 +116,15 @@ def _try_gpu(ctx, device, op, child_results, input_bytes, admit_to_cache,
     cache = device.cache
     heap = device.heap
     gpu = device.processor
-    engine = ctx.hardware.copy_engine
-    #: the copy engine always overlaps staging copies with the kernel
-    #: (that is what its channels are for); without it, the
-    #: streaming_transfers flag opts into the same shape on the
-    #: serialized bus (Sec. 5.5)
-    streaming = ctx.hardware.config.streaming_transfers or engine is not None
+    link = ctx.bus
+    #: copies run as background processes overlapping the kernel; the
+    #: operator completes once both its compute and its transfers
+    #: have finished
+    overlap = ctx.hardware.overlap_transfers
     start = env.now
     staged = []
     acquired = []
     working = []
-    #: with streaming transfers copies run as background processes
-    #: overlapping the kernel; the operator completes once both its
-    #: compute and its transfers have finished
     inflight = []
 
     def spawn(generator):
@@ -176,14 +137,11 @@ def _try_gpu(ctx, device, op, child_results, input_bytes, admit_to_cache,
         inflight.append(transfer)
 
     def move(nbytes, direction, key=None):
-        if engine is not None:
-            spawn(engine.transfer(nbytes, direction, device=device.name,
-                                  key=key))
-        elif streaming:
-            spawn(ctx.bus.transfer(nbytes, direction, device=device.name))
+        copy = link.transfer(nbytes, direction, device=device.name, key=key)
+        if overlap:
+            spawn(copy)
         else:
-            yield from ctx.bus.transfer(nbytes, direction,
-                                        device=device.name)
+            yield from copy
 
     try:
         # 1. Stage base columns.
@@ -193,15 +151,14 @@ def _try_gpu(ctx, device, op, child_results, input_bytes, admit_to_cache,
                 cache.touch(key)
                 cache.acquire(key)
                 acquired.append(key)
-                if engine is not None:
-                    if engine.was_prefetched(device.name, key):
-                        ctx.metrics.record_prefetch_hit()
-                    # cache content can still be on the wire (another
-                    # operator or the prefetcher admitted it while its
-                    # copy is in flight): coalesce onto that copy
-                    pending = engine.attach(device.name, "h2d", key)
-                    if pending is not None:
-                        inflight.append(pending)
+                if link.was_prefetched(device.name, key):
+                    ctx.metrics.record_prefetch_hit()
+                # cache content can still be on the wire (another
+                # operator or the prefetcher admitted it while its
+                # copy is in flight): coalesce onto that copy
+                pending = link.attach(device.name, "h2d", key)
+                if pending is not None:
+                    inflight.append(pending)
                 continue
             cache.record_miss()
             yield from move(column.nominal_bytes, "h2d", key=key)
@@ -217,12 +174,12 @@ def _try_gpu(ctx, device, op, child_results, input_bytes, admit_to_cache,
         #    host, then host to this device).
         for child in child_results:
             if child.location != device.name:
-                if engine is not None:
+                if link.asynchronous:
                     # full-duplex channels no longer serialise the two
                     # hops; chain them explicitly in one background copy
                     staged.append(heap.allocate(child.nominal_bytes,
                                                 owner=op.label))
-                    spawn(_relay_child(engine, child, device.name))
+                    spawn(_relay_child(link, child, device.name))
                     continue
                 if child.location != "cpu":
                     yield from move(child.nominal_bytes, "d2h")
@@ -285,14 +242,7 @@ def _try_gpu(ctx, device, op, child_results, input_bytes, admit_to_cache,
                              start, env.now)
         return result
     except DeviceFault as fault:
-        ctx.metrics.record_abort(env.now - start, query=op.plan_name,
-                                 device=fault.device or device.name,
-                                 fault=fault.fault_class,
-                                 tenant=qctx.tenant if qctx else None)
-        if ctx.trace is not None:
-            ctx.trace.record(op.label, op.kind, device.name, op.plan_name,
-                             start, env.now, aborted=True,
-                             fault=fault.fault_class)
+        account_abort(ctx, op, device.name, fault, start, qctx)
         return fault
     finally:
         for key in acquired:
@@ -303,17 +253,17 @@ def _try_gpu(ctx, device, op, child_results, input_bytes, admit_to_cache,
             allocation.free()
 
 
-def _relay_child(engine, child, target_device):
+def _relay_child(link, child, target_device):
     """DES process: relay a child intermediate to ``target_device``.
 
     On a different co-processor the result hops device-to-host first,
-    then host-to-device; the engine's channels would otherwise let the
-    two hops run concurrently, so they are chained in one process."""
+    then host-to-device; the async link's channels would otherwise let
+    the two hops run concurrently, so they are chained in one process."""
     if child.location != "cpu":
-        yield from engine.transfer(child.nominal_bytes, "d2h",
-                                   device=child.location)
-    yield from engine.transfer(child.nominal_bytes, "h2d",
-                               device=target_device)
+        yield from link.transfer(child.nominal_bytes, "d2h",
+                                 device=child.location)
+    yield from link.transfer(child.nominal_bytes, "h2d",
+                             device=target_device)
 
 
 def _run_cpu(ctx, op, child_results, input_bytes):

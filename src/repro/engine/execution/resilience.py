@@ -24,6 +24,10 @@ Genuine :class:`~repro.hardware.errors.DeviceOutOfMemory` aborts never
 count against a breaker: a full heap is the *allocator working as
 specified* under contention (the paper's core effect), not flakiness.
 
+Both mechanisms live in one loop, :meth:`ResilienceManager.attempts`,
+which every executor's device attempt runs under; an attempt that dies
+books its wasted time through :func:`account_abort`.
+
 With no fault config installed the manager is inert: ``admit`` and
 ``available`` answer True without touching any state, the recording
 hooks return immediately, and simulated timings are byte-identical to
@@ -33,7 +37,9 @@ a build without this module.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Generator, Optional
+
+from repro.hardware.errors import DeviceFault
 
 
 class BreakerState(enum.Enum):
@@ -240,6 +246,49 @@ class ResilienceManager:
             return
         self.breaker(device).record_failure(now)
 
+    def attempts(self, env, device: str,
+                 attempt_once: Callable[[], Generator],
+                 plan_name: Optional[str] = None, qctx=None) -> Generator:
+        """DES generator: run device attempts until one settles.
+
+        ``attempt_once()`` starts one attempt — a generator returning
+        the result, or the :class:`DeviceFault` it aborted with after
+        rolling the device back and booking the abort
+        (:func:`account_abort`).  Returns the result on success, or None
+        once the work must restart on the CPU: after a genuine
+        out-of-memory abort (retrying a full heap is pointless,
+        Sec. 2.5.1), after exhausting the transient-fault retry budget,
+        or when the device's breaker denies the attempt outright.
+        """
+        attempt = 0
+        while True:
+            if not self.admit(device, env.now):
+                self.metrics.record_breaker_skip(device)
+                return None
+            outcome = yield from attempt_once()
+            if not isinstance(outcome, DeviceFault):
+                # success, or a non-fault abort — either way the device
+                # itself behaved, so the breaker sees a success
+                self.record_success(device, env.now)
+                return outcome
+            if not outcome.transient:
+                # out of memory: the allocator answered as specified
+                # under contention — fall back immediately, breaker
+                # unaffected
+                self.record_success(device, env.now)
+                return None
+            self.record_failure(device, env.now)
+            if attempt >= self.policy.max_retries:
+                return None
+            self.metrics.record_retry(device=device,
+                                      fault=outcome.fault_class,
+                                      query=plan_name,
+                                      tenant=qctx.tenant if qctx else None)
+            # a cancelled query's backoff aborts early instead of
+            # retrying
+            yield from self.backoff(env, attempt, qctx)
+            attempt += 1
+
     def backoff(self, env, attempt: int, qctx=None):
         """DES generator: sleep one retry backoff, honouring cancellation.
 
@@ -253,9 +302,29 @@ class ResilienceManager:
             qctx.check()
 
 
+def account_abort(ctx, op, device: str, fault: DeviceFault, start: float,
+                  qctx=None) -> float:
+    """Book one aborted device attempt of ``op``: the time since
+    ``start`` is wasted (the paper's metric, Sec. 2.5.1), attributed to
+    the query, the faulting device, the fault class and the owning
+    tenant, and shown on the trace as an aborted span of ``device``.
+    Returns the wasted seconds."""
+    now = ctx.env.now
+    wasted = now - start
+    ctx.metrics.record_abort(wasted, query=op.plan_name,
+                             device=fault.device or device,
+                             fault=fault.fault_class,
+                             tenant=qctx.tenant if qctx else None)
+    if ctx.trace is not None:
+        ctx.trace.record(op.label, op.kind, device, op.plan_name,
+                         start, now, aborted=True, fault=fault.fault_class)
+    return wasted
+
+
 __all__ = [
     "BreakerState",
     "CircuitBreaker",
     "ResilienceManager",
     "RetryPolicy",
+    "account_abort",
 ]

@@ -53,6 +53,7 @@ from typing import Generator, List, Optional, Tuple
 
 from repro.engine import morsel
 from repro.engine.execution.functional import execute_functional
+from repro.engine.execution.resilience import account_abort
 from repro.hardware import DeviceFault
 from repro.hardware.processor import ProcessorKind
 from repro.hype.models import SplitCostModel
@@ -159,11 +160,7 @@ class SplitState:
 
     def _transfer_seconds(self, ctx, nbytes: float) -> float:
         """PCIe time for ``nbytes`` (zero on a coupled platform)."""
-        if self.config.coupled:
-            return 0.0
-        config = ctx.hardware.config
-        return (nbytes / config.pcie_bandwidth_bytes_per_second
-                + config.pcie_latency_seconds)
+        return 0.0 if self.config.coupled else ctx.bus.transfer_time(nbytes)
 
     @staticmethod
     def _resident_fraction(ctx, op, device) -> float:
@@ -305,11 +302,8 @@ class SplitState:
             """GPU faulted mid-round: the round's GPU share is wasted;
             the rest of the operator runs pure-CPU."""
             nonlocal ratio, degraded
-            wasted = env.now - round_start
-            ctx.metrics.record_abort(wasted, query=op.plan_name,
-                                     device=fault.device or device.name,
-                                     fault=fault.fault_class,
-                                     tenant=qctx.tenant if qctx else None)
+            wasted = account_abort(ctx, op, device.name, fault,
+                                   round_start, qctx)
             ctx.metrics.record_split_wasted(wasted)
             if fault.transient:
                 ctx.resilience.record_failure(device.name, env.now)
@@ -340,15 +334,15 @@ class SplitState:
                         if share > 0:
                             # Partial columns never enter the cache: a
                             # later full-column hit must mean full bytes.
-                            yield from hardware.device_transfer(
-                                share, "h2d", device.name)
+                            yield from hardware.bus.transfer(
+                                share, "h2d", device=device.name)
                         staged.append(heap.allocate(share, owner=op.label))
                     for child in child_results:
                         if child.location != device.name:
                             share = int(child.nominal_bytes * ratio)
                             if share > 0:
-                                yield from hardware.device_transfer(
-                                    share, "h2d", device.name)
+                                yield from hardware.bus.transfer(
+                                    share, "h2d", device=device.name)
                             staged.append(
                                 heap.allocate(share, owner=op.label))
                 staged_bytes = sum(a.nbytes for a in staged)

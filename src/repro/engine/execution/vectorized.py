@@ -35,6 +35,7 @@ from typing import Dict, Generator, List, Optional, Set
 
 from repro.engine.execution.context import ExecutionContext
 from repro.engine.execution.lifecycle import QueryCancelled
+from repro.engine.execution.resilience import account_abort
 from repro.engine.intermediates import OperatorResult
 from repro.engine.operators import (
     HashJoin,
@@ -234,8 +235,15 @@ class VectorizedExecutor:
                                        qctx)
         placed = None
         if device_name is not None:
-            placed = yield from self._attempt_device(
-                pipeline, results, result, device_name, start, qctx
+            # transient injected faults are retried with backoff under
+            # the device's circuit breaker; a genuine out-of-memory
+            # abort falls back immediately, as in the
+            # operator-at-a-time engine
+            placed = yield from ctx.resilience.attempts(
+                env, device_name,
+                lambda: self._attempt_device_once(
+                    pipeline, results, result, device_name, start, qctx),
+                pipeline.terminal.plan_name, qctx,
             )
         if placed is None:
             yield from self._run_on_cpu(pipeline, results, result)
@@ -286,46 +294,6 @@ class VectorizedExecutor:
             compute[kind] = total
         return stream_bytes, compute
 
-    def _attempt_device(self, pipeline: Pipeline,
-                        results: Dict[int, OperatorResult],
-                        result: OperatorResult,
-                        device_name: str, start: float,
-                        qctx=None) -> Generator:
-        """Run the pipeline on a device; None once it must go to CPU.
-
-        Transient injected faults are retried with backoff under the
-        device's circuit breaker; a genuine out-of-memory abort falls
-        back immediately, as in the operator-at-a-time engine.
-        """
-        ctx = self.ctx
-        env = ctx.env
-        resilience = ctx.resilience
-        attempt = 0
-        while True:
-            if not resilience.admit(device_name, env.now):
-                ctx.metrics.record_breaker_skip(device_name)
-                return None
-            outcome = yield from self._attempt_device_once(
-                pipeline, results, result, device_name, start, qctx
-            )
-            if not isinstance(outcome, DeviceFault):
-                resilience.record_success(device_name, env.now)
-                return outcome
-            if not outcome.transient:
-                resilience.record_success(device_name, env.now)
-                return None
-            resilience.record_failure(device_name, env.now)
-            if attempt >= resilience.policy.max_retries:
-                return None
-            ctx.metrics.record_retry(
-                device=device_name, fault=outcome.fault_class,
-                query=pipeline.terminal.plan_name,
-                tenant=qctx.tenant if qctx else None,
-            )
-            # a cancelled query's backoff aborts early (QueryCancelled)
-            yield from resilience.backoff(env, attempt, qctx)
-            attempt += 1
-
     def _attempt_device_once(self, pipeline: Pipeline,
                              results: Dict[int, OperatorResult],
                              result: OperatorResult,
@@ -360,14 +328,13 @@ class VectorizedExecutor:
         breaker = None
         delivered = False
         transfers = None
-        engine = ctx.hardware.copy_engine
         try:
             # the breaker's materialised output (or hash table) is the
             # pipeline's only heap demand — vectors themselves stream
             breaker = device.heap.allocate(result.nominal_bytes,
                                            owner=pipeline.terminal.label)
-            if engine is not None and stream_bytes:
-                # double-buffered streaming: the copy engine moves
+            if ctx.bus.asynchronous and stream_bytes:
+                # double-buffered streaming: the async link moves
                 # vector k+1 while the kernel consumes vector k
                 gpu_done = env.process(self._stream_vectors(
                     device, int(stream_bytes * (1 - split)),
@@ -396,18 +363,8 @@ class VectorizedExecutor:
             delivered = True
             return result
         except DeviceFault as fault:
-            ctx.metrics.record_abort(
-                env.now - start, query=pipeline.terminal.plan_name,
-                device=fault.device or device_name,
-                fault=fault.fault_class,
-                tenant=qctx.tenant if qctx else None,
-            )
-            if ctx.trace is not None:
-                ctx.trace.record(
-                    pipeline.terminal.label, pipeline.terminal.kind,
-                    device_name, pipeline.terminal.plan_name,
-                    start, env.now, aborted=True, fault=fault.fault_class,
-                )
+            account_abort(ctx, pipeline.terminal, device_name, fault, start,
+                          qctx)
             return fault
         finally:
             # covers the fault path *and* a cancellation interrupt while
@@ -426,9 +383,8 @@ class VectorizedExecutor:
         fill latency.  An injected PCIe fault or a kernel fault fails
         this process, which the caller observes through ``all_of``.
         """
-        ctx = self.ctx
-        engine = ctx.hardware.copy_engine
-        chunk = engine.chunk_bytes
+        link = self.ctx.bus
+        chunk = link.chunk_bytes
         remaining = int(stream_bytes)
         vectors = max(1, -(-remaining // chunk))
         per_compute = compute_seconds / vectors
@@ -436,8 +392,8 @@ class VectorizedExecutor:
         for _ in range(vectors):
             vector_bytes = min(chunk, remaining)
             remaining -= vector_bytes
-            yield from engine.transfer(vector_bytes, "h2d",
-                                       device=device.name)
+            yield from link.transfer(vector_bytes, "h2d",
+                                     device=device.name)
             if pending is not None:
                 yield pending
             pending = device.processor.submit(per_compute)

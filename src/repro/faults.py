@@ -17,8 +17,8 @@ Design:
   uniform rate to every class).
 * :class:`FaultInjector` — one per workload run, holding an independent
   seeded RNG stream *per fault class*.  Each injection site in the
-  hardware layer (:mod:`repro.hardware.bus`, ``processor``, ``memory``)
-  rolls its class's stream; because the DES executes events in a fixed
+  hardware layer (:mod:`repro.hardware.copy_engine`, ``processor``,
+  ``memory``) rolls its class's stream; because the DES executes events in a fixed
   deterministic order, the same seed always produces the same fault
   schedule.  The injector keeps an order-sensitive digest of every
   injected fault so two runs can be compared exactly.

@@ -9,10 +9,11 @@ inside the DES kernel:
   :class:`DeviceOutOfMemory`, which drives the paper's abort/fallback path.
 * :class:`DeviceCache` — the co-processor column cache with LRU/LFU
   eviction, pinning, and reference counts.
-* :class:`PCIeBus` — a shared, contended transfer channel.
-* :class:`CopyEngine` — optional asynchronous per-device DMA channels
-  with in-flight transfer coalescing and prefetch support
-  (``SystemConfig.copy_engine``); the serialized bus stays the default.
+* :class:`CopyEngine` — the one PCIe link model, in one of two
+  topologies chosen by ``SystemConfig.copy_engine``: *serialized* (the
+  default; a shared, contended channel — ``PCIeBus`` constructs it) or
+  *async* (per-device DMA channels with in-flight transfer coalescing
+  and prefetch support).
 * :class:`HardwareSystem` — wires everything to one environment, based
   on a :class:`SystemConfig` mirroring the paper's platform.
 """
@@ -30,8 +31,7 @@ from repro.hardware.errors import (
 )
 from repro.hardware.memory import Allocation, DeviceHeap
 from repro.hardware.cache import CacheEntry, DeviceCache
-from repro.hardware.bus import PCIeBus
-from repro.hardware.copy_engine import CopyEngine, TransferHandle
+from repro.hardware.copy_engine import CopyEngine, PCIeBus, TransferHandle
 from repro.hardware.processor import Processor, ProcessorKind
 from repro.hardware.calibration import (
     COGADB_PROFILE,

@@ -1,12 +1,26 @@
-"""Asynchronous per-device copy engine.
+"""The PCIe link: one transfer model, two topologies.
 
-The baseline :class:`~repro.hardware.bus.PCIeBus` serialises *every*
-copy — both directions, all devices, demand and background — on one
-blocking channel, the way CoGaDB's synchronous ``cudaMemcpy`` path
-behaves.  Real PCIe is full duplex and modern GPUs expose independent
-DMA engines per direction; engines built around that (asynchronous
-streams, Sec. 2.5.3) overlap data movement with compute and with the
-opposite direction.  This module models that machinery:
+Every byte to or from a co-processor crosses one PCIe link (Sec. 2.1),
+and :class:`CopyEngine` is the only model of it.  Per-copy cost is the
+same everywhere — ``latency + nbytes / bandwidth``, with the paper's
+transfer optimizations (page-locked staging buffers, asynchronous CUDA
+streams, Sec. 2.5.3) folded into the *achieved* effective bandwidth —
+so the topology changes *scheduling*, never per-copy cost, and query
+results are byte-identical in both.
+
+**Serialized** (``SystemConfig.copy_engine=False``, the paper-faithful
+default; ``PCIeBus(...)`` constructs it).  One blocking channel shared
+by every device and both directions, the way CoGaDB's synchronous
+``cudaMemcpy`` path behaves: concurrent queries queue up, which is
+exactly the contention that amplifies cache thrashing under parallel
+load.  Nothing is keyed, so nothing coalesces; no wire time is
+classified as overlapped; a faulted copy books ``int(nbytes *
+fraction)`` bytes (1-byte fault granularity).
+
+**Async** (``SystemConfig.copy_engine=True``).  Real PCIe is full
+duplex and modern GPUs expose independent DMA engines per direction;
+engines built around that (asynchronous streams, Sec. 2.5.3) overlap
+data movement with compute and with the opposite direction:
 
 * **Independent channels.**  One serialised channel per
   ``(device, direction)`` pair: host-to-device copies no longer block
@@ -29,17 +43,16 @@ opposite direction.  This module models that machinery:
   that want overlap wrap it in a background process and join it later,
   and the per-key handles double as futures for attached waiters.
 
-The engine is constructed by :class:`~repro.hardware.system
-.HardwareSystem` only when ``SystemConfig.copy_engine`` is set; the
-default remains the serialized single-channel bus, which is the
-paper-faithful baseline.  Timing is calibrated identically to the bus
-(``latency + nbytes / bandwidth`` per copy), so enabling the engine
-changes *scheduling*, never per-copy cost — query results are
-byte-identical in both modes.
+In both topologies only the wire time (not the queueing delay) is
+charged to the transfer counters, matching how the paper reports copy
+times; time spent waiting for a channel is recorded separately
+(``record_transfer_queueing``), so contention is measurable instead of
+silently folded into copy time.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, Generator, Optional, Set, Tuple
 
 from repro.hardware.errors import PCIeTransferFault
@@ -48,6 +61,10 @@ from repro.sim import Environment, Event, Resource
 
 #: channel key for transfers that name no device endpoint
 _HOST = "host"
+
+#: link topologies (see the module docstring)
+SERIALIZED = "serialized"
+ASYNC = "async"
 
 
 class _Channel:
@@ -113,7 +130,7 @@ class TransferHandle:
 
 
 class CopyEngine:
-    """Per-device asynchronous DMA channels over one PCIe link model."""
+    """The PCIe link model: DMA channels in one of two topologies."""
 
     def __init__(
         self,
@@ -124,11 +141,23 @@ class CopyEngine:
         coalescing: bool = True,
         metrics: Optional[MetricsCollector] = None,
         busy_probe: Optional[Callable[[str], bool]] = None,
+        topology: str = ASYNC,
     ):
         if bandwidth_bytes_per_second <= 0:
             raise ValueError("bandwidth must be positive")
+        if latency_seconds < 0:
+            raise ValueError("latency must be >= 0")
         if chunk_bytes <= 0:
             raise ValueError("chunk size must be positive")
+        if topology not in (SERIALIZED, ASYNC):
+            raise ValueError("unknown link topology {!r}".format(topology))
+        #: the one channel every copy shares (serialized topology only)
+        self._shared: Optional[_Channel] = None
+        if topology == SERIALIZED:
+            # the topology fixes the engine knobs: nothing to coalesce
+            # onto, no overlap classification, byte-exact fault progress
+            chunk_bytes, coalescing, busy_probe = 1, False, None
+            self._shared = _Channel(env)
         self.env = env
         self.bandwidth = float(bandwidth_bytes_per_second)
         self.latency = float(latency_seconds)
@@ -146,10 +175,28 @@ class CopyEngine:
         self._inflight: Dict[Tuple[str, str, object], TransferHandle] = {}
         self._prefetched: Dict[str, Set] = {}
 
+    @property
+    def asynchronous(self) -> bool:
+        """True in the async topology — asked only where the topologies
+        *schedule* differently (relay ordering, vector streaming,
+        prefetch); moving bytes never needs to."""
+        return self._shared is None
+
+    @property
+    def queue_length(self) -> int:
+        """Transfers waiting for the shared channel — the contention
+        signal run-time placement scales its transfer estimates by.
+        Always 0 in the async topology: placement there has always read
+        an uncontended link, and summing the per-channel queues would
+        move placements (docs/copy_engine.md)."""
+        return self._shared.queue_length if self._shared is not None else 0
+
     # -- channel / handle lookups --------------------------------------
 
     def channel(self, device: Optional[str], direction: str) -> _Channel:
         """The DMA channel serving ``(device, direction)``."""
+        if self._shared is not None:
+            return self._shared
         key = (device if device is not None else _HOST, direction)
         chan = self._channels.get(key)
         if chan is None:
@@ -179,7 +226,7 @@ class CopyEngine:
     # -- transfers ------------------------------------------------------
 
     def transfer_time(self, nbytes: int) -> float:
-        """Pure wire time for ``nbytes`` (identical to the bus model)."""
+        """Pure wire time for ``nbytes`` (excluding queueing)."""
         return self.latency + nbytes / self.bandwidth
 
     def transfer(self, nbytes: int, direction: str,
@@ -188,14 +235,22 @@ class CopyEngine:
         """DES process: move ``nbytes`` on the ``(device, direction)``
         channel.
 
+        ``direction`` is ``"h2d"`` (host to device) or ``"d2h"``.
+        ``device`` names the co-processor endpoint: it selects the
+        channel (async topology) and attributes injected transient
+        :class:`PCIeTransferFault`s — a copy that names no device never
+        faults.
+
         ``key`` (a column key) makes the copy coalescable: a concurrent
         ``transfer()`` or :meth:`attach` for the same key on the same
-        channel rides this copy instead of queueing its own.
+        channel rides this copy instead of queueing its own.  The
+        serialized topology keeps no keyed futures and ignores it.
 
         ``inject=False`` marks guaranteed transfers (the CPU fallback
-        path) that must never fault; ``prefetch=True`` uses the
+        path and result delivery) that must never fault, so the
+        CPU-only floor stays reachable; ``prefetch=True`` uses the
         chunk-preemptible pump that yields the channel to queued demand
-        copies at chunk boundaries.
+        copies at chunk boundaries (async topology only).
         """
         if nbytes < 0:
             raise ValueError("cannot transfer a negative volume")
@@ -204,6 +259,8 @@ class CopyEngine:
                 "unknown transfer direction {!r}".format(direction))
         if nbytes == 0:
             return
+        if self._shared is not None:
+            key, prefetch = None, False
         event = self.attach(device, direction, key)
         if event is not None:
             yield event
@@ -384,3 +441,7 @@ class CopyEngine:
 
     def was_prefetched(self, device: str, key) -> bool:
         return key in self._prefetched.get(device, ())
+
+
+#: the serialized link under its historical name
+PCIeBus = functools.partial(CopyEngine, topology=SERIALIZED)

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Generator, Optional
 
-from repro.hardware.bus import PCIeBus
 from repro.hardware.cache import DeviceCache
 from repro.hardware.calibration import COGADB_PROFILE, GIB, MIB, EngineProfile
-from repro.hardware.copy_engine import CopyEngine
+from repro.hardware.copy_engine import ASYNC, SERIALIZED, CopyEngine
 from repro.hardware.memory import DeviceHeap
 from repro.hardware.processor import Processor, ProcessorKind
 from repro.metrics import MetricsCollector
@@ -48,20 +47,21 @@ class SystemConfig:
     #: transfer and computation on the co-processor"); CoGaDB's
     #: operator-at-a-time engine stages first, so the default is off
     streaming_transfers: bool = False
-    #: asynchronous copy engine (repro.hardware.copy_engine):
+    #: PCIe link topology (repro.hardware.copy_engine).  True = async:
     #: independent h2d/d2h DMA channels per device, in-flight transfer
     #: coalescing, double-buffered vector streaming, and
-    #: placement-driven prefetch.  Off by default — the serialized
-    #: single-channel bus is the paper-faithful baseline.
+    #: placement-driven prefetch.  False (default) = serialized: one
+    #: blocking channel for everything, the paper-faithful baseline.
     copy_engine: bool = False
     #: DMA chunk size: fault granularity, prefetch preemption points,
-    #: and the vector size of double-buffered streaming
+    #: and the vector size of double-buffered streaming (async
+    #: topology only, like the two knobs below)
     copy_chunk_bytes: int = 32 * MIB
     #: attach concurrent operators to an in-flight copy of the same
     #: column instead of queueing a duplicate transfer
     copy_coalescing: bool = True
     #: columns the prefetcher pulls per idle bus window (0 disables the
-    #: prefetcher; only meaningful with the copy engine on)
+    #: prefetcher)
     prefetch_depth: int = 2
     #: fused morsel-driven functional execution (repro.engine.morsel):
     #: scan→join→aggregate chains run as per-morsel pipelines over
@@ -178,7 +178,7 @@ class HardwareSystem:
 
     With ``config.gpu_count > 1`` the system carries several identical
     co-processors (named ``gpu``, ``gpu2``, ``gpu3``, ...) sharing one
-    PCIe bus; ``gpu``/``gpu_heap``/``gpu_cache`` keep referring to the
+    PCIe link; ``gpu``/``gpu_heap``/``gpu_cache`` keep referring to the
     first device so single-GPU code is unaffected.
     """
 
@@ -192,12 +192,24 @@ class HardwareSystem:
         self.config = config if config is not None else SystemConfig()
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.cpu = Processor(env, "cpu", ProcessorKind.CPU, metrics=self.metrics)
-        self.bus = PCIeBus(
+        #: the one PCIe link every copy crosses; ``SystemConfig
+        #: .copy_engine`` picks its topology
+        self.bus = CopyEngine(
             env,
             bandwidth_bytes_per_second=self.config.pcie_bandwidth_bytes_per_second,
             latency_seconds=self.config.pcie_latency_seconds,
+            chunk_bytes=self.config.copy_chunk_bytes,
+            coalescing=self.config.copy_coalescing,
             metrics=self.metrics,
+            busy_probe=self._device_computing,
+            topology=ASYNC if self.config.copy_engine else SERIALIZED,
         )
+        #: staging copies run in the background and are joined after
+        #: the kernel.  The async topology always overlaps (that is
+        #: what its channels are for); ``streaming_transfers`` opts the
+        #: serialized link into the same shape (Sec. 5.5)
+        self.overlap_transfers = (self.config.streaming_transfers
+                                  or self.config.copy_engine)
         self.gpus = []
         for index in range(self.config.gpu_count):
             name = "gpu" if index == 0 else "gpu{}".format(index + 1)
@@ -217,26 +229,12 @@ class HardwareSystem:
                 )
             )
         self.profile = self.config.profile
-        #: asynchronous copy engine; None in the (default) serialized
-        #: baseline mode, so disabled runs construct nothing extra
-        self.copy_engine = None
-        if self.config.copy_engine:
-            self.copy_engine = CopyEngine(
-                env,
-                bandwidth_bytes_per_second=(
-                    self.config.pcie_bandwidth_bytes_per_second),
-                latency_seconds=self.config.pcie_latency_seconds,
-                chunk_bytes=self.config.copy_chunk_bytes,
-                coalescing=self.config.copy_coalescing,
-                metrics=self.metrics,
-                busy_probe=self._device_computing,
-            )
         #: fault injector shared by every device (None = faults off)
         self.injector = None
 
     def _device_computing(self, name: str) -> bool:
-        """True while the named device has kernels in flight (the copy
-        engine's overlap classifier)."""
+        """True while the named device has kernels in flight (the async
+        link's overlap classifier)."""
         try:
             return self.processor(name).active_jobs > 0
         except KeyError:
@@ -244,45 +242,25 @@ class HardwareSystem:
 
     # -- transfers ------------------------------------------------------
 
-    def device_transfer(self, nbytes: int, direction: str, device: str,
-                        key=None) -> Generator:
-        """DES process: a demand transfer to/from the named device.
-
-        Routed over the copy engine's per-device channel when the
-        engine is on (``key`` makes it coalescable), or the serialized
-        bus otherwise.  Either way the copy is a PCIe fault-injection
-        site attributed to ``device``."""
-        if self.copy_engine is not None:
-            yield from self.copy_engine.transfer(nbytes, direction,
-                                                 device=device, key=key)
-        else:
-            yield from self.bus.transfer(nbytes, direction, device=device)
-
     def host_transfer(self, nbytes: int, direction: str = "d2h",
                       device: Optional[str] = None) -> Generator:
         """DES process: a guaranteed (never fault-injected) transfer —
-        the CPU fallback path and final result delivery.
-
-        With the copy engine on and a device named, the copy contends
-        on that device's channel for the direction; it still cannot
-        fault, so the CPU-only floor stays reachable."""
-        if self.copy_engine is not None and device is not None:
-            yield from self.copy_engine.transfer(nbytes, direction,
-                                                 device=device, inject=False)
-        else:
-            yield from self.bus.transfer(nbytes, direction)
+        the CPU fallback path and final result delivery.  It contends
+        for ``device``'s channel like any copy but cannot fault, so the
+        CPU-only floor stays reachable.  (Demand copies, which can
+        fault, call ``bus.transfer`` directly.)"""
+        return self.bus.transfer(nbytes, direction, device=device,
+                                 inject=False)
 
     # -- fault injection ------------------------------------------------
 
     def install_faults(self, injector) -> None:
         """Hook a :class:`~repro.faults.FaultInjector` into every
-        injection site: the PCIe bus, the copy engine's channels, each
-        co-processor's submission path, and each device heap.  Injected
-        device resets flush the owning device's column cache."""
+        injection site: the PCIe link, each co-processor's submission
+        path, and each device heap.  Injected device resets flush the
+        owning device's column cache."""
         self.injector = injector
         self.bus.injector = injector
-        if self.copy_engine is not None:
-            self.copy_engine.injector = injector
         for gpu_device in self.gpus:
             gpu_device.processor.injector = injector
             gpu_device.processor.on_reset = gpu_device.cache.reset

@@ -65,6 +65,103 @@ class WorkloadResult:
         return self.metrics.workload_seconds
 
 
+def build_platform(database: Database, config: SystemConfig,
+                   placement_policy: str = "lfu",
+                   faults=None) -> ExecutionContext:
+    """Assemble the simulated platform every harness entry point runs
+    on; the context carries its environment, metrics and hardware.
+
+    ``faults`` is a :class:`~repro.faults.FaultConfig`, a spec string,
+    or None; the injector (``ctx.hardware.injector``) is hooked into
+    the hardware only when injection is enabled.
+    """
+    from repro.faults import FaultConfig, FaultInjector
+
+    fault_config = FaultConfig.coerce(faults)
+    env = Environment()
+    hardware = HardwareSystem(env, config, MetricsCollector())
+    hardware.gpu_cache.policy = placement_policy
+    if fault_config is not None and fault_config.enabled:
+        hardware.install_faults(
+            FaultInjector(fault_config, clock=lambda: env.now))
+    return ExecutionContext(hardware, database)
+
+
+def functional_warm(config: SystemConfig, metrics: MetricsCollector,
+                    database: Database,
+                    queries: List[WorkloadQuery]) -> None:
+    """Memoise the functional results of one snapshot's templates."""
+    if not config.morsels:
+        for query in queries:
+            execute_functional(query.template_plan(), database)
+        return
+    # Fused morsel-driven functional execution (byte-identical to the
+    # plain path); counter deltas land in the metrics so the repro
+    # report can show fusion coverage next to kernel stats.
+    from repro.engine import morsel
+    from repro.storage import shm as shm_store
+
+    morsel_before = morsel.snapshot_stats()
+    shm_before = dict(shm_store.stats)
+    with morsel.active(config.morsel_rows):
+        for query in queries:
+            execute_functional(query.template_plan(), database)
+    metrics.record_morsel_stats(
+        {key: value - morsel_before[key]
+         for key, value in morsel.snapshot_stats().items()},
+        {key: value - shm_before[key]
+         for key, value in shm_store.stats.items()},
+    )
+
+
+def warm_platform(ctx: ExecutionContext, strategy: PlacementStrategy,
+                  queries: List[WorkloadQuery], warm_cache: bool = True,
+                  placement_policy: str = "lfu") -> None:
+    """The paper's warm-up (Sec. 6.1): access statistics, functional
+    memoisation, cache pre-load, then the opt-in background layers
+    (prefetcher, split identity gate)."""
+    database = ctx.database
+    hardware = ctx.hardware
+    config = hardware.config
+    metrics = ctx.metrics
+    wall_start = perf_counter()
+    database.statistics.reset()
+    functional_warm(config, metrics, database, queries)
+    metrics.record_phase("numpy", perf_counter() - wall_start)
+    placement = DataPlacementManager(
+        database,
+        caches=[device.cache for device in hardware.gpus],
+        policy=placement_policy,
+    )
+    if warm_cache:
+        placement.apply_placement()
+        if not strategy.uses_data_placement:
+            # Operator-driven data placement: the warm content is a
+            # starting point, not pinned — operators insert and evict.
+            for device in hardware.gpus:
+                for key in device.cache.keys:
+                    device.cache.unpin(key)
+    elif strategy.uses_data_placement:
+        # Data-driven placement needs the manager even for a cold
+        # start; an empty cache simply keeps every operator on the CPU.
+        placement.apply_placement()
+    if hardware.bus.asynchronous and config.prefetch_depth > 0:
+        # background prefetch rides the link's idle h2d windows,
+        # driven by the same LFU/LRU ranking the manager uses
+        PlacementPrefetcher(
+            hardware, placement, depth=config.prefetch_depth
+        ).start()
+    if config.split:
+        # Intra-operator co-processing: gate each query template for
+        # chunk-merge byte identity, then hang the split state off the
+        # context — the dispatch hook consults it per operator.
+        from repro.engine.execution.split import SplitState
+
+        split_state = SplitState(config, ctx.cost_model, strategy)
+        split_state.prepare(database, queries, metrics=metrics)
+        ctx.split = split_state
+
+
 def run_workload(
     database: Database,
     queries: List[WorkloadQuery],
@@ -107,88 +204,23 @@ def run_workload(
     with every feature off is treated exactly like None, the
     zero-overhead path).
     """
-    from repro.faults import FaultConfig, FaultInjector
-
     if users < 1 or repetitions < 1:
         raise ValueError("users and repetitions must be >= 1")
     config = config if config is not None else SystemConfig()
-    fault_config = FaultConfig.coerce(faults)
     lifecycle_config = LifecycleConfig.coerce(lifecycle)
     if lifecycle_config is not None and not lifecycle_config.enabled:
         lifecycle_config = None
-    env = Environment()
-    metrics = MetricsCollector()
-    hardware = HardwareSystem(env, config, metrics)
-    hardware.gpu_cache.policy = placement_policy
-    injector = None
-    if fault_config is not None and fault_config.enabled:
-        injector = FaultInjector(fault_config, clock=lambda: env.now)
-        hardware.install_faults(injector)
-    ctx = ExecutionContext(hardware, database)
+    ctx = build_platform(database, config, placement_policy, faults)
+    env, metrics, hardware = ctx.env, ctx.metrics, ctx.hardware
+    injector = hardware.injector
+    strategy_obj: PlacementStrategy = get_strategy(strategy)
     ctx.algorithm_selection = algorithm_selection
     if trace:
         ctx.trace = ExecutionTrace()
-        if hardware.copy_engine is not None:
-            hardware.copy_engine.trace = ctx.trace
-    strategy_obj: PlacementStrategy = get_strategy(strategy)
-
-    # -- warm-up: statistics, functional memoisation, cache pre-load ----
-    wall_start = perf_counter()
-    database.statistics.reset()
-    if config.morsels:
-        # Fused morsel-driven functional execution (byte-identical to
-        # the plain path); counter deltas land in the metrics so the
-        # repro report can show fusion coverage next to kernel stats.
-        from repro.engine import morsel
-        from repro.storage import shm as shm_store
-
-        morsel_before = morsel.snapshot_stats()
-        shm_before = dict(shm_store.stats)
-        with morsel.active(config.morsel_rows):
-            for query in queries:
-                execute_functional(query.template_plan(), database)
-        metrics.record_morsel_stats(
-            {key: value - morsel_before[key]
-             for key, value in morsel.snapshot_stats().items()},
-            {key: value - shm_before[key]
-             for key, value in shm_store.stats.items()},
-        )
-    else:
-        for query in queries:
-            execute_functional(query.template_plan(), database)
-    metrics.record_phase("numpy", perf_counter() - wall_start)
-    placement = DataPlacementManager(
-        database,
-        caches=[device.cache for device in hardware.gpus],
-        policy=placement_policy,
-    )
-    if warm_cache:
-        placement.apply_placement()
-        if not strategy_obj.uses_data_placement:
-            # Operator-driven data placement: the warm content is a
-            # starting point, not pinned — operators insert and evict.
-            for device in hardware.gpus:
-                for key in device.cache.keys:
-                    device.cache.unpin(key)
-    elif strategy_obj.uses_data_placement:
-        # Data-driven placement needs the manager even for a cold
-        # start; an empty cache simply keeps every operator on the CPU.
-        placement.apply_placement()
-    if hardware.copy_engine is not None and config.prefetch_depth > 0:
-        # background prefetch rides the engine's idle h2d windows,
-        # driven by the same LFU/LRU ranking the manager uses
-        PlacementPrefetcher(
-            hardware, placement, depth=config.prefetch_depth
-        ).start()
-    if config.split:
-        # Intra-operator co-processing: gate each query template for
-        # chunk-merge byte identity, then hang the split state off the
-        # context — the dispatch hook consults it per operator.
-        from repro.engine.execution.split import SplitState
-
-        split_state = SplitState(config, ctx.cost_model, strategy_obj)
-        split_state.prepare(database, queries, metrics=metrics)
-        ctx.split = split_state
+        if hardware.bus.asynchronous:
+            # per-copy trace events exist only on the async link
+            hardware.bus.trace = ctx.trace
+    warm_platform(ctx, strategy_obj, queries, warm_cache, placement_policy)
 
     # -- partition the fixed workload over the user sessions -----------
     all_runs: List[WorkloadQuery] = [

@@ -48,12 +48,7 @@ from time import perf_counter
 from typing import (Callable, Deque, Dict, List, Optional, Sequence,
                     Tuple)
 
-from repro.core import (
-    ChoppingExecutor,
-    DataPlacementManager,
-    PlacementPrefetcher,
-    get_strategy,
-)
+from repro.core import ChoppingExecutor, get_strategy
 from repro.engine.execution import (
     AdmissionController,
     ExecutionContext,
@@ -61,18 +56,20 @@ from repro.engine.execution import (
     QueryCancelled,
     QueryContext,
     deadline_watchdog,
-    execute_functional,
     run_plan_eager,
 )
 from repro.harness.runner import (
     ValidationError,
+    build_platform,
     canonical_row,
     compare_rows,
+    functional_warm,
     reference_rows,
+    warm_platform,
 )
-from repro.hardware import HardwareSystem, SystemConfig
+from repro.hardware import SystemConfig
 from repro.metrics import MetricsCollector
-from repro.sim import Environment, Interrupted
+from repro.sim import Interrupted
 from repro.storage import Database, EpochStore
 from repro.workloads.base import WorkloadQuery
 
@@ -492,7 +489,7 @@ class _ServiceRun:
                  config: SystemConfig, service: ServiceConfig,
                  placement_policy: str, cpu_workers: int,
                  gpu_workers: int, scheduling: str, faults):
-        from repro.faults import FaultConfig, FaultInjector
+        from repro.faults import FaultConfig
 
         self.service = service
         self.workload_factory = workload_factory
@@ -500,16 +497,12 @@ class _ServiceRun:
         self.strategy_name = strategy
         self.config = config
         self.fault_config = FaultConfig.coerce(faults)
-        self.env = Environment()
-        self.metrics = MetricsCollector()
-        self.hardware = HardwareSystem(self.env, config, self.metrics)
-        self.hardware.gpu_cache.policy = placement_policy
-        self.injector = None
-        if self.fault_config is not None and self.fault_config.enabled:
-            self.injector = FaultInjector(
-                self.fault_config, clock=lambda: self.env.now)
-            self.hardware.install_faults(self.injector)
-        self.ctx = ExecutionContext(self.hardware, database)
+        self.ctx = build_platform(database, config, placement_policy,
+                                  self.fault_config)
+        self.env = self.ctx.env
+        self.metrics = self.ctx.metrics
+        self.hardware = self.ctx.hardware
+        self.injector = self.hardware.injector
         self.strategy = get_strategy(strategy)
         self.rng = Random(service.seed)
         self.tenants = build_tenants(service)
@@ -544,63 +537,6 @@ class _ServiceRun:
                 gpu_workers=gpu_workers, scheduling=scheduling,
                 lifecycle=lifecycle,
             )
-
-    # -- platform warm-up (mirrors run_workload) ----------------------
-
-    def warm(self, warm_cache: bool, placement_policy: str) -> None:
-        wall = perf_counter()
-        self.store.base.statistics.reset()
-        self._functional_warm(self.store.base, self.queries)
-        self.metrics.record_phase("numpy", perf_counter() - wall)
-        placement = DataPlacementManager(
-            self.store.base,
-            caches=[device.cache for device in self.hardware.gpus],
-            policy=placement_policy,
-        )
-        if warm_cache:
-            placement.apply_placement()
-            if not self.strategy.uses_data_placement:
-                for device in self.hardware.gpus:
-                    for key in device.cache.keys:
-                        device.cache.unpin(key)
-        elif self.strategy.uses_data_placement:
-            placement.apply_placement()
-        if (self.hardware.copy_engine is not None
-                and self.config.prefetch_depth > 0):
-            PlacementPrefetcher(
-                self.hardware, placement, depth=self.config.prefetch_depth
-            ).start()
-        if self.config.split:
-            from repro.engine.execution.split import SplitState
-
-            split_state = SplitState(self.config, self.ctx.cost_model,
-                                     self.strategy)
-            split_state.prepare(self.store.base, self.queries,
-                                metrics=self.metrics)
-            self.ctx.split = split_state
-
-    def _functional_warm(self, database: Database,
-                         queries: List[WorkloadQuery]) -> None:
-        """Memoise the functional results for one snapshot's templates
-        (fused morsel path when the config enables it)."""
-        if self.config.morsels:
-            from repro.engine import morsel
-            from repro.storage import shm as shm_store
-
-            before = morsel.snapshot_stats()
-            shm_before = dict(shm_store.stats)
-            with morsel.active(self.config.morsel_rows):
-                for query in queries:
-                    execute_functional(query.template_plan(), database)
-            self.metrics.record_morsel_stats(
-                {key: value - before[key]
-                 for key, value in morsel.snapshot_stats().items()},
-                {key: value - shm_before[key]
-                 for key, value in shm_store.stats.items()},
-            )
-        else:
-            for query in queries:
-                execute_functional(query.template_plan(), database)
 
     # -- arrivals -----------------------------------------------------
 
@@ -774,7 +710,7 @@ class _ServiceRun:
             snapshot = self.store.advance(
                 service.append_fraction, service.append_tables)
             queries = self.workload_factory(snapshot)
-            self._functional_warm(snapshot, queries)
+            functional_warm(self.config, self.metrics, snapshot, queries)
             if service.pool_chaos:
                 self._pool_sidecar(snapshot, queries)
             self.epoch_queries[self.store.epoch] = queries
@@ -918,7 +854,8 @@ def run_service(
         database, workload_factory, workload, strategy, config, service,
         placement_policy, cpu_workers, gpu_workers, scheduling, faults,
     )
-    run.warm(warm_cache, placement_policy)
+    warm_platform(run.ctx, run.strategy, run.queries, warm_cache,
+                  placement_policy)
     return run.run()
 
 

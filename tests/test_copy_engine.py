@@ -277,25 +277,27 @@ def test_demand_pump_holds_channel_for_whole_copy():
 # -- system integration -----------------------------------------------------
 
 
-def test_disabled_config_constructs_no_engine():
-    env = Environment()
-    hardware = HardwareSystem(env, SystemConfig(), MetricsCollector())
-    assert hardware.copy_engine is None
-    metrics = hardware.metrics
-    assert metrics.coalesced_transfers == 0
-    assert metrics.prefetch_transfers == 0
-    assert metrics.overlapped_transfer_seconds == 0.0
+def test_disabled_config_is_the_serialized_topology():
+    """The default config promises the serialized link: one channel,
+    whatever the endpoint or direction."""
+    hardware = HardwareSystem(Environment(), SystemConfig(),
+                              MetricsCollector())
+    assert not hardware.bus.asynchronous
+    assert (hardware.bus.channel("gpu", "h2d")
+            is hardware.bus.channel(None, "d2h"))
 
 
 def test_with_copy_engine_constructs_and_hooks_injector():
     env = Environment()
     config = SystemConfig().with_copy_engine(True, copy_chunk_bytes=1 << 20)
     hardware = HardwareSystem(env, config, MetricsCollector())
-    assert hardware.copy_engine is not None
-    assert hardware.copy_engine.chunk_bytes == 1 << 20
+    assert hardware.bus.asynchronous
+    assert hardware.bus.chunk_bytes == 1 << 20
+    assert (hardware.bus.channel("gpu", "h2d")
+            is not hardware.bus.channel("gpu", "d2h"))
     injector = pcie_injector(env)
     hardware.install_faults(injector)
-    assert hardware.copy_engine.injector is injector
+    assert hardware.bus.injector is injector
 
 
 def test_host_transfer_never_faults():
@@ -350,7 +352,9 @@ def test_engine_knobs_inert_when_disabled(overlap_db):
     ))
     assert plain.seconds == knobs.seconds
     assert _digest(plain.results) == _digest(knobs.results)
-    for run in (plain, knobs):
+    # overlapped staging on the serialized link is still not "the engine"
+    streaming = _run(overlap_db, SystemConfig(streaming_transfers=True))
+    for run in (plain, knobs, streaming):
         metrics = run.metrics
         assert metrics.coalesced_transfers == 0
         assert metrics.prefetch_transfers == 0

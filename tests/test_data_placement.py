@@ -234,7 +234,7 @@ def test_prefetcher_fills_idle_window_with_ranked_columns(stats_db):
     PlacementPrefetcher(hardware, manager, depth=2).start()
     env.run()
     cache = hardware.gpu_cache
-    engine = hardware.copy_engine
+    engine = hardware.bus
     # the two hottest uncached columns arrived in the idle window
     assert "t.c4" in cache and "t.c3" in cache
     assert "t.c2" not in cache  # depth bounds each window

@@ -1,24 +1,47 @@
-"""Unit tests for the PCIe bus and processor models."""
+"""Unit tests for the PCIe link and processor models."""
 
 import pytest
 
-from repro.hardware import PCIeBus, Processor, ProcessorKind
+from repro.hardware import CopyEngine, PCIeBus, Processor, ProcessorKind
 from repro.hardware.calibration import COGADB_PROFILE, OCELOT_PROFILE, GIB
 from repro.hardware.system import HardwareSystem, SystemConfig
 from repro.metrics import MetricsCollector
-from repro.sim import Environment
+from repro.sim import Environment, Interrupted
 
 
-def test_transfer_time_formula():
+#: both constructors take (env, bandwidth, latency_seconds=, metrics=)
+TOPOLOGIES = {"serialized": PCIeBus, "async": CopyEngine}
+
+
+def both_topologies(check):
+    """Run ``check(make_link)`` once per link topology under one test
+    id: these assertions hold whatever the topology.  (Not
+    ``pytest.mark.parametrize``: the ids predate the merged link model
+    and are pinned by the tier-1 floor list.)"""
+
+    def test():
+        for topology, make_link in TOPOLOGIES.items():
+            print("link topology:", topology)  # shown when a check fails
+            check(make_link)
+
+    test.__name__ = check.__name__
+    test.__doc__ = check.__doc__
+    return test
+
+
+@both_topologies
+def test_transfer_time_formula(make_link):
     env = Environment()
-    bus = PCIeBus(env, bandwidth_bytes_per_second=1000.0, latency_seconds=0.5)
+    bus = make_link(env, 1000.0, latency_seconds=0.5)
     assert bus.transfer_time(2000) == pytest.approx(0.5 + 2.0)
 
 
-def test_transfer_advances_clock_and_records_metrics():
+@both_topologies
+def test_transfer_advances_clock_and_records_metrics(make_link):
+    """Only wire time is charged to the transfer counters."""
     env = Environment()
     metrics = MetricsCollector()
-    bus = PCIeBus(env, 1000.0, latency_seconds=0.0, metrics=metrics)
+    bus = make_link(env, 1000.0, metrics=metrics)
 
     def proc():
         yield from bus.transfer(500, "h2d")
@@ -33,26 +56,48 @@ def test_transfer_advances_clock_and_records_metrics():
     assert metrics.gpu_to_cpu_seconds == pytest.approx(0.25)
 
 
-def test_concurrent_transfers_serialize_on_the_bus():
+@both_topologies
+def test_concurrent_transfers_serialize_on_the_bus(make_link):
     env = Environment()
-    bus = PCIeBus(env, 1000.0)
+    metrics = MetricsCollector()
+    bus = make_link(env, 1000.0, metrics=metrics)
     ends = []
 
     def mover(name):
-        yield from bus.transfer(1000, "h2d")
+        yield from bus.transfer(1000, "h2d", device="gpu")
         ends.append((name, env.now))
 
     env.process(mover("a"))
     env.process(mover("b"))
     env.run()
-    # Each transfer takes 1s of wire time; the second waits for the first.
+    # Each transfer takes 1s of wire time; the second waits for the
+    # first (FIFO), and its wait is queueing, not copy time.
     assert ends == [("a", pytest.approx(1.0)), ("b", pytest.approx(2.0))]
+    assert metrics.cpu_to_gpu_seconds == pytest.approx(2.0)
+    assert metrics.h2d_queue_seconds == pytest.approx(1.0)
 
 
-def test_zero_byte_transfer_is_free():
+def test_serialized_link_shares_one_channel_across_directions_and_devices():
+    env = Environment()
+    bus = PCIeBus(env, 1000.0)
+    ends = {}
+
+    def mover(direction, device):
+        yield from bus.transfer(1000, direction, device=device)
+        ends[(direction, device)] = env.now
+
+    env.process(mover("h2d", "gpu"))
+    env.process(mover("d2h", "gpu2"))
+    env.run()
+    assert ends == {("h2d", "gpu"): pytest.approx(1.0),
+                    ("d2h", "gpu2"): pytest.approx(2.0)}
+
+
+@both_topologies
+def test_zero_byte_transfer_is_free(make_link):
     env = Environment()
     metrics = MetricsCollector()
-    bus = PCIeBus(env, 1000.0, metrics=metrics)
+    bus = make_link(env, 1000.0, metrics=metrics)
 
     def proc():
         yield from bus.transfer(0, "h2d")
@@ -63,11 +108,56 @@ def test_zero_byte_transfer_is_free():
     assert metrics.cpu_to_gpu_bytes == 0
 
 
-def test_bad_direction_rejected():
-    env = Environment()
-    bus = PCIeBus(env, 1000.0)
+@both_topologies
+def test_bad_direction_rejected(make_link):
+    bus = make_link(Environment(), 1000.0)
     with pytest.raises(ValueError):
         list(bus.transfer(10, "sideways"))
+
+
+@both_topologies
+def test_negative_volume_rejected(make_link):
+    bus = make_link(Environment(), 1000.0)
+    with pytest.raises(ValueError):
+        list(bus.transfer(-1, "h2d"))
+
+
+def test_cancelled_serialized_copy_books_its_burned_wire_time():
+    """A copy interrupted half-way burned real bus time: the elapsed
+    seconds and the bytes that landed stay on the books, the channel is
+    released, and the queued next transfer proceeds."""
+    env = Environment()
+    metrics = MetricsCollector()
+    bus = PCIeBus(env, 1000.0, metrics=metrics)
+    ends = {}
+
+    def victim():
+        try:
+            yield from bus.transfer(1000, "h2d", device="gpu")
+        except Interrupted:
+            ends["victim"] = env.now
+
+    def follower():
+        yield from bus.transfer(500, "d2h", device="gpu")
+        ends["follower"] = env.now
+
+    def canceller(process):
+        yield env.timeout(0.5)
+        process.interrupt()
+
+    victim_process = env.process(victim())
+    env.process(follower())
+    env.process(canceller(victim_process))
+    env.run()
+    assert ends["victim"] == pytest.approx(0.5)
+    assert metrics.cpu_to_gpu_seconds == pytest.approx(0.5)
+    assert metrics.cpu_to_gpu_bytes == 500
+    # the channel was released at the interrupt: the follower waited
+    # 0.5s, then took its own 0.5s of wire time
+    assert bus.queue_length == 0
+    assert ends["follower"] == pytest.approx(1.0)
+    assert metrics.d2h_queue_seconds == pytest.approx(0.5)
+    assert metrics.gpu_to_cpu_seconds == pytest.approx(0.5)
 
 
 def test_processor_executes_and_records():
