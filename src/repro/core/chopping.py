@@ -26,9 +26,13 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional
 
-from repro.core.placement.base import estimate_runtime
-from repro.engine.execution.context import ExecutionContext
-from repro.engine.execution.lifecycle import QueryCancelled, QueryContext
+from repro.engine.execution.context import ExecutionContext, place_operator
+from repro.engine.execution.lease import deliver_to_host
+from repro.engine.execution.lifecycle import (
+    HEDGE_MIN_SECONDS,
+    QueryCancelled,
+    QueryContext,
+)
 from repro.engine.execution.operator_task import execute_operator
 from repro.engine.operators import PhysicalOperator, PhysicalPlan
 from repro.sim import Event, Interrupted, PriorityStore, Store
@@ -44,7 +48,6 @@ class _Task:
         "pending",
         "child_results",
         "root_event",
-        "assigned",
         "estimate",
         "qctx",
         "race",
@@ -58,12 +61,11 @@ class _Task:
         self.pending = len(op.children)
         self.child_results: List = [None] * len(op.children)
         self.root_event: Optional[Event] = None
-        self.assigned = "cpu"
         self.estimate = 0.0
         self.qctx: Optional[QueryContext] = None
         self.race: Optional[_HedgeRace] = None
-        #: per-query context override (service mode pins a query to its
-        #: snapshot epoch); None = the executor's shared context
+        #: the executor's shared context, or the query's own (service
+        #: mode pins a query to its snapshot epoch)
         self.ctx: Optional[ExecutionContext] = None
 
 
@@ -146,7 +148,7 @@ class ChoppingExecutor:
         for op in plan.operators:  # post order
             task = _Task(op)
             task.qctx = qctx
-            task.ctx = ctx
+            task.ctx = self.ctx if ctx is None else ctx
             tasks[op.op_id] = task
             for index, child in enumerate(op.children):
                 child_task = tasks[child.op_id]
@@ -170,25 +172,16 @@ class ChoppingExecutor:
             # the query died before this operator became ready
             self._release_children(task)
             return
-        ctx = self.ctx if task.ctx is None else task.ctx
-        if qctx is not None and qctx.force_cpu:
-            name = "cpu"
-        else:
-            name = self.strategy.choose_processor(
-                ctx, task.op, task.child_results
-            )
-        task.assigned = name
-        task.estimate = estimate_runtime(
-            ctx, task.op, task.child_results, name
-        )
-        ctx.load.assign(name, task.estimate)
+        ctx = task.ctx
+        name, task.estimate = place_operator(
+            ctx, self.strategy, task.op, task.child_results, qctx)
         self.ready[name].put(task, priority=task.estimate)
 
     def _worker(self, name: str) -> Generator:
         """One worker thread: pull, execute, notify the parent."""
         while True:
             task = yield self.ready[name].get()
-            ctx = self.ctx if task.ctx is None else task.ctx
+            ctx = task.ctx
             if (task.qctx is None and task.race is None
                     and not (self._hedging and name != "cpu"
                              and not task.op.cpu_only)):
@@ -213,7 +206,7 @@ class ChoppingExecutor:
         query context, so a cancel can interrupt it mid-execution; the
         worker joins it and performs bookkeeping and completion.
         """
-        ctx = self.ctx if task.ctx is None else task.ctx
+        ctx = task.ctx
         qctx = task.qctx
         race = task.race
         estimate = (race.estimates.get(name, task.estimate)
@@ -292,7 +285,7 @@ class ChoppingExecutor:
         """
         lifecycle = self.lifecycle
         race = task.race
-        wait = max(task.estimate, lifecycle.hedge_min_seconds) \
+        wait = max(task.estimate, HEDGE_MIN_SECONDS) \
             * lifecycle.hedge_factor
         try:
             yield self.ctx.env.timeout(wait)
@@ -304,18 +297,17 @@ class ChoppingExecutor:
         if qctx is not None and qctx.cancelled:
             return
         race.hedged = True
-        cpu_estimate = estimate_runtime(
-            self.ctx if task.ctx is None else task.ctx,
-            task.op, task.child_results, "cpu"
-        )
+        # a task context shares the executor's load tracker
+        _, cpu_estimate = place_operator(
+            task.ctx, self.strategy, task.op, task.child_results,
+            processor_name="cpu")
         race.estimates["cpu"] = cpu_estimate
-        self.ctx.load.assign("cpu", cpu_estimate)
         self.ctx.metrics.record_hedge_started()
         self.ready["cpu"].put(task, priority=cpu_estimate)
 
     def _complete(self, task: _Task, result) -> Generator:
         """Return the root result (d2h) or notify the parent task."""
-        ctx = self.ctx if task.ctx is None else task.ctx
+        ctx = task.ctx
         parent = task.parent
         if parent is None:
             root_event = task.root_event
@@ -323,14 +315,9 @@ class ChoppingExecutor:
                 # cancelled while the final operator was finishing
                 result.release_device_memory()
                 return
-            if result.location != "cpu":
-                yield from ctx.hardware.host_transfer(
-                    result.nominal_bytes, "d2h", device=result.location
-                )
-                result.release_device_memory()
-                result.location = "cpu"
-                if root_event.triggered:  # cancelled during the d2h
-                    return
+            yield from deliver_to_host(ctx, result)
+            if root_event.triggered:  # cancelled during the d2h
+                return
             root_event.succeed(result)
             return
         parent.child_results[task.child_index] = result

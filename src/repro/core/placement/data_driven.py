@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.placement.base import PlacementStrategy
+from repro.engine.execution.context import resident_fraction
 
 
 def _eligible_device(ctx, op, child_locations: List[str]) -> Optional[str]:
@@ -87,26 +88,7 @@ class DataDrivenCompile(PlacementStrategy):
             op.placement = device if device is not None else "cpu"
 
     def ratio_hint(self, ctx, op, device):
-        return _cached_fraction(ctx, op, device)
-
-
-def _cached_fraction(ctx, op, device) -> Optional[float]:
-    """Fraction of the operator's required column bytes resident in
-    ``device``'s cache — the data-driven split-ratio hint: work should
-    flow to where the data already lives."""
-    required = sorted(op.required_columns())
-    if not required:
-        return None
-    total = 0
-    resident = 0
-    for key in required:
-        nbytes = ctx.database.column(key).nominal_bytes
-        total += nbytes
-        if key in device.cache:
-            resident += nbytes
-    if total == 0:
-        return None
-    return resident / total
+        return resident_fraction(ctx, op, device)
 
 
 class DataDrivenRuntime(PlacementStrategy):
@@ -130,4 +112,4 @@ class DataDrivenRuntime(PlacementStrategy):
         return device if device is not None else "cpu"
 
     def ratio_hint(self, ctx, op, device):
-        return _cached_fraction(ctx, op, device)
+        return resident_fraction(ctx, op, device)

@@ -14,6 +14,8 @@ from repro.core.placement.base import (
     pending_transfer_seconds,
     processor_kind,
 )
+from repro.engine.execution.split import MIN_SHARE
+from repro.hype.models import SplitCostModel
 
 
 class RuntimeHype(PlacementStrategy):
@@ -42,16 +44,27 @@ class RuntimeHype(PlacementStrategy):
             # now would only abort — skip the device.  A device whose
             # circuit breaker is open (too many injected transient
             # faults) would be skipped at execution anyway.
-            if footprint > device.heap.available:
+            capacity = self._capacity(device, footprint)
+            if capacity is None:
                 continue
             if not ctx.resilience.available(device.name, ctx.env.now):
                 continue
-            cost = self._estimated_cost(ctx, op, child_results, device.name,
-                                        input_bytes, device)
+            cost = self._device_cost(ctx, op, child_results, device,
+                                     input_bytes, capacity)
             if cost < best_cost:
                 best_cost = cost
                 best_name = device.name
         return best_name
+
+    def _capacity(self, device, footprint):
+        """Fraction of ``footprint`` the device can take, None to skip
+        it: a pure placement needs all of it free right now."""
+        return None if footprint > device.heap.available else 1.0
+
+    def _device_cost(self, ctx, op, child_results, device, input_bytes,
+                     capacity):
+        return self._estimated_cost(ctx, op, child_results, device.name,
+                                    input_bytes, device)
 
     def _estimated_cost(self, ctx, op, child_results, name, input_bytes,
                         device):
@@ -87,37 +100,15 @@ class SplitHype(RuntimeHype):
 
     name = "split"
 
-    #: a device must fit at least this fraction of the footprint to be
-    #: worth splitting onto (mirrors split.MIN_SHARE)
-    MIN_SHARE = 0.05
+    def _capacity(self, device, footprint):
+        capacity = (device.heap.available / footprint
+                    if footprint > 0 else 1.0)
+        if capacity < MIN_SHARE:
+            return None  # not even a split share fits right now
+        return min(capacity, 1.0)
 
-    def choose_processor(self, ctx, op, child_results) -> str:
-        if op.cpu_only:
-            return "cpu"
-        ctx.load.refresh()
-        footprint = op.device_footprint_bytes(
-            ctx.profile, ctx.database, child_results
-        )
-        input_bytes = op.input_nominal_bytes(ctx.database, child_results)
-        best_name = "cpu"
-        best_cost = self._estimated_cost(ctx, op, child_results, "cpu",
-                                         input_bytes, None)
-        for device in ctx.hardware.gpus:
-            capacity = (device.heap.available / footprint
-                        if footprint > 0 else 1.0)
-            if capacity < self.MIN_SHARE:
-                continue  # not even a split share fits right now
-            if not ctx.resilience.available(device.name, ctx.env.now):
-                continue
-            cost = self._split_cost(ctx, op, child_results, device,
-                                    input_bytes, min(capacity, 1.0))
-            if cost < best_cost:
-                best_cost = cost
-                best_name = device.name
-        return best_name
-
-    def _split_cost(self, ctx, op, child_results, device, input_bytes,
-                    capacity):
+    def _device_cost(self, ctx, op, child_results, device, input_bytes,
+                     capacity):
         """Estimated makespan of splitting ``op`` onto ``device``."""
         t_cpu = ctx.cost_model.estimate(
             op.kind, processor_kind("cpu"), input_bytes)
@@ -130,8 +121,6 @@ class SplitHype(RuntimeHype):
                 [(child.nominal_bytes, 1.0) for child in child_results
                  if child.location != device.name],
             )
-        from repro.hype.models import SplitCostModel
-
         ratio = min(SplitCostModel.balance(t_cpu, t_gpu, transfer),
                     capacity)
         makespan = max(ratio * (t_gpu + transfer),

@@ -11,6 +11,9 @@
   :mod:`repro.engine.execution.lifecycle`.
 * Intra-operator CPU/GPU co-processing (ratio-split execution) lives
   in :mod:`repro.engine.execution.split`.
+* What a device attempt holds (cache pins, staging, working memory,
+  in-flight copies) and its one rollback live in
+  :mod:`repro.engine.execution.lease`.
 """
 
 from repro.engine.execution.functional import execute_functional

@@ -91,3 +91,35 @@ def estimate_runtime(ctx: ExecutionContext, op, child_results,
     return ctx.cost_model.estimate(
         op.kind, processor_kind(processor_name), input_bytes
     )
+
+
+def resident_fraction(ctx: ExecutionContext, op, device) -> Optional[float]:
+    """Fraction of ``op``'s base-column bytes resident in ``device``'s
+    cache (None when it reads no column bytes): staging those costs
+    nothing on the bus, so split work should flow to where the data
+    already lives."""
+    total = resident = 0
+    for key in op.required_columns():
+        nbytes = ctx.database.column(key).nominal_bytes
+        total += nbytes
+        if key in device.cache:
+            resident += nbytes
+    return resident / total if total else None
+
+
+def place_operator(ctx: ExecutionContext, strategy, op, child_results,
+                   qctx=None, processor_name: Optional[str] = None):
+    """Place a ready operator (HyPE's tactical step) and queue its
+    runtime estimate on that processor's load: the strategy decides, a
+    query that admission degraded stays on the CPU, ``processor_name``
+    pins the choice (the CPU copy of a hedged operator).  Returns
+    ``(processor name, estimate)``; the caller owes ``ctx.load.finish``."""
+    if processor_name is None:
+        if qctx is not None and qctx.force_cpu:
+            processor_name = "cpu"
+        else:
+            processor_name = strategy.choose_processor(ctx, op,
+                                                       child_results)
+    estimate = estimate_runtime(ctx, op, child_results, processor_name)
+    ctx.load.assign(processor_name, estimate)
+    return processor_name, estimate

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, Generator
 
-from repro.engine.execution.context import ExecutionContext, estimate_runtime
+from repro.engine.execution.context import ExecutionContext, place_operator
+from repro.engine.execution.lease import deliver_to_host
 from repro.engine.execution.operator_task import execute_operator
 from repro.engine.intermediates import OperatorResult
 from repro.engine.operators import PhysicalPlan
@@ -43,15 +44,8 @@ def run_plan_eager(ctx: ExecutionContext, plan: PhysicalPlan,
             child_results.append(child_result)
         if qctx is not None:
             qctx.check()
-        if qctx is not None and qctx.force_cpu:
-            processor_name = "cpu"
-        else:
-            processor_name = strategy.choose_processor(
-                ctx, op, child_results
-            )
-        estimate = estimate_runtime(ctx, op, child_results,
-                                    processor_name)
-        ctx.load.assign(processor_name, estimate)
+        processor_name, estimate = place_operator(
+            ctx, strategy, op, child_results, qctx)
         try:
             result = yield from execute_operator(
                 ctx, op, child_results, processor_name,
@@ -71,12 +65,7 @@ def run_plan_eager(ctx: ExecutionContext, plan: PhysicalPlan,
 
     def root_process() -> Generator:
         result = yield processes[plan.root.op_id]
-        if result.location != "cpu":
-            yield from ctx.hardware.host_transfer(
-                result.nominal_bytes, "d2h", device=result.location
-            )
-            result.release_device_memory()
-            result.location = "cpu"
+        yield from deliver_to_host(ctx, result)
         return result
 
     root = env.process(root_process())

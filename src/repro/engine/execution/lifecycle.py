@@ -35,10 +35,14 @@ timings are byte-identical to a build without this module.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields
-from typing import Any, Callable, Deque, Generator, List, Optional, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Deque, Generator, List, Optional
 
+from repro.faults import coerce_spec, parse_spec
 from repro.sim import Event, Interrupted
+
+#: Floor under tiny HyPE estimates before ``hedge_factor`` applies.
+HEDGE_MIN_SECONDS = 0.001
 
 #: Admission policies for queries arriving beyond the in-flight limit.
 OVERLOAD_POLICIES = ("queue", "shed", "degrade-to-cpu")
@@ -73,8 +77,6 @@ class LifecycleConfig:
     #: hedge a GPU-placed operator once it exceeds this multiple of its
     #: HyPE runtime estimate (None = hedging off)
     hedge_factor: Optional[float] = None
-    #: floor under tiny estimates before the factor applies
-    hedge_min_seconds: float = 0.001
 
     def __post_init__(self):
         if self.max_inflight is not None and self.max_inflight < 1:
@@ -89,8 +91,6 @@ class LifecycleConfig:
             raise ValueError("deadline_seconds must be positive")
         if self.hedge_factor is not None and self.hedge_factor <= 0:
             raise ValueError("hedge_factor must be positive")
-        if self.hedge_min_seconds < 0:
-            raise ValueError("hedge_min_seconds must be >= 0")
 
     # -- feature queries ------------------------------------------------
 
@@ -124,51 +124,17 @@ class LifecycleConfig:
         ``hedge`` (hedge_factor), and ``headroom``
         (heap_headroom_fraction).
         """
-        aliases = {
+        return parse_spec(cls, spec, "lifecycle", aliases={
             "policy": "overload_policy",
             "deadline": "deadline_seconds",
             "hedge": "hedge_factor",
             "headroom": "heap_headroom_fraction",
-        }
-        field_types = {f.name: f.type for f in fields(cls)}
-        values: dict = {}
-        for chunk in spec.split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            if "=" not in chunk:
-                raise ValueError(
-                    "lifecycle spec needs key=value pairs, got {!r}".format(
-                        chunk
-                    )
-                )
-            key, _, raw = chunk.partition("=")
-            key = aliases.get(key.strip(), key.strip())
-            if key not in field_types:
-                raise ValueError("unknown lifecycle knob {!r}".format(key))
-            if key == "overload_policy":
-                values[key] = raw.strip()
-            elif key == "max_inflight":
-                values[key] = int(raw)
-            else:
-                values[key] = float(raw)
-        return cls(**values)
+        })
 
     @classmethod
-    def coerce(
-        cls, value: Union[None, str, "LifecycleConfig"]
-    ) -> Optional["LifecycleConfig"]:
+    def coerce(cls, value) -> Optional["LifecycleConfig"]:
         """None / spec string / config -> config or None (disabled)."""
-        if value is None:
-            return None
-        if isinstance(value, str):
-            value = cls.parse(value)
-        if not isinstance(value, cls):
-            raise TypeError(
-                "lifecycle must be a LifecycleConfig, a spec string, or "
-                "None, got {!r}".format(value)
-            )
-        return value
+        return coerce_spec(cls, value)
 
 
 class QueryContext:

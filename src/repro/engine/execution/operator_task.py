@@ -35,6 +35,7 @@ from __future__ import annotations
 from typing import Generator, List, Optional
 
 from repro.engine.execution.context import ExecutionContext
+from repro.engine.execution.lease import DeviceLease, pull_to_host
 from repro.engine.execution.resilience import account_abort
 from repro.engine.intermediates import OperatorResult
 from repro.engine.operators import PhysicalOperator
@@ -108,67 +109,26 @@ def _try_gpu(ctx, device, op, child_results, input_bytes, admit_to_cache,
     staged inputs first, then half the working memory, the second half
     mid-kernel, and finally the result buffer.  A failure at any later
     step wastes everything done so far — that is the *wasted time* the
-    paper measures.  Every abort rolls the device fully back (released
-    cache references, freed staging and working memory) before the
+    paper measures.  Every abort rolls the device fully back (the
+    :class:`~repro.engine.execution.lease.DeviceLease`) before the
     caller decides between a retry and the CPU fallback.
     """
     env = ctx.env
-    cache = device.cache
-    heap = device.heap
     gpu = device.processor
     link = ctx.bus
-    #: copies run as background processes overlapping the kernel; the
-    #: operator completes once both its compute and its transfers
-    #: have finished
-    overlap = ctx.hardware.overlap_transfers
     start = env.now
-    staged = []
-    acquired = []
-    working = []
-    inflight = []
-
-    def spawn(generator):
-        # A background copy can fail via fault injection; the
-        # operator observes that when it joins the transfer tail.
-        # Pre-defuse so an abort on another path cannot leave an
-        # unwaited failure to crash the event loop.
-        transfer = env.process(generator)
-        transfer.defused = True
-        inflight.append(transfer)
-
-    def move(nbytes, direction, key=None):
-        copy = link.transfer(nbytes, direction, device=device.name, key=key)
-        if overlap:
-            spawn(copy)
-        else:
-            yield from copy
-
+    #: with overlap, copies run as background processes overlapping the
+    #: kernel; the operator completes once both its compute and its
+    #: transfers have finished
+    lease = DeviceLease(ctx, device, op.label,
+                        ctx.hardware.overlap_transfers)
     try:
         # 1. Stage base columns.
         for key in sorted(op.required_columns()):
-            column = ctx.database.column(key)
-            if key in cache:
-                cache.touch(key)
-                cache.acquire(key)
-                acquired.append(key)
-                if link.was_prefetched(device.name, key):
-                    ctx.metrics.record_prefetch_hit()
-                # cache content can still be on the wire (another
-                # operator or the prefetcher admitted it while its
-                # copy is in flight): coalesce onto that copy
-                pending = link.attach(device.name, "h2d", key)
-                if pending is not None:
-                    inflight.append(pending)
-                continue
-            cache.record_miss()
-            yield from move(column.nominal_bytes, "h2d", key=key)
-            if admit_to_cache and cache.admit(key, column.nominal_bytes):
-                cache.acquire(key)
-                acquired.append(key)
-            else:
-                # No cache space: the column lives in the operator's
-                # heap staging area for the duration of the operator.
-                staged.append(heap.allocate(column.nominal_bytes, owner=op.label))
+            if not lease.hit(key):
+                yield from lease.miss(
+                    key, ctx.database.column(key).nominal_bytes,
+                    admit_to_cache)
         # 2. Stage child intermediates living elsewhere; a result on a
         #    *different* co-processor crosses the bus twice (device to
         #    host, then host to this device).
@@ -177,80 +137,44 @@ def _try_gpu(ctx, device, op, child_results, input_bytes, admit_to_cache,
                 if link.asynchronous:
                     # full-duplex channels no longer serialise the two
                     # hops; chain them explicitly in one background copy
-                    staged.append(heap.allocate(child.nominal_bytes,
-                                                owner=op.label))
-                    spawn(_relay_child(link, child, device.name))
+                    lease.stage(child.nominal_bytes)
+                    lease.spawn(_relay_child(link, child, device.name))
                     continue
                 if child.location != "cpu":
-                    yield from move(child.nominal_bytes, "d2h")
-                staged.append(heap.allocate(child.nominal_bytes, owner=op.label))
-                yield from move(child.nominal_bytes, "h2d")
+                    yield from lease.copy(child.nominal_bytes, "d2h")
+                lease.stage(child.nominal_bytes)
+                yield from lease.copy(child.nominal_bytes, "h2d")
         # 3. First half of the working memory, held while queueing.
         footprint = op.device_footprint_bytes(
             ctx.profile, ctx.database, child_results
         )
-        staged_bytes = sum(a.nbytes for a in staged)
-        working_target = max(footprint - staged_bytes, 0)
+        working_target = max(footprint - lease.staged_bytes, 0)
         first_half = working_target // 2
-        working.append(heap.allocate(first_half, owner=op.label))
+        lease.allocate(first_half)
         # 4. Compute; the second allocation step happens mid-kernel and
-        #    can fail after real work was done.  HyPE also selects the
-        #    physical algorithm for the exact input size (Sec. 5.2).
-        if ctx.algorithm_selection:
-            algorithm_key, _ = choose_algorithm(
-                ctx.cost_model, ctx.profile, op.kind, ProcessorKind.GPU,
-                input_bytes,
-            )
-        else:
-            algorithm_key = op.kind
-        seconds = ctx.profile.compute_seconds(
-            algorithm_key, ProcessorKind.GPU, input_bytes
-        )
+        #    can fail after real work was done.
+        algorithm_key, seconds = _pick_algorithm(
+            ctx, op, ProcessorKind.GPU, input_bytes)
         yield gpu.submit(seconds / 2)
-        working.append(
-            heap.allocate(working_target - first_half, owner=op.label)
-        )
+        lease.allocate(working_target - first_half)
         yield gpu.submit(seconds / 2)
         # Streaming mode: the kernel consumed blocks as they arrived;
         # the operator is done once the tail of the transfers landed.
-        for transfer_process in inflight:
-            yield transfer_process
+        if lease.inflight:
+            yield from lease.join()
         ctx.metrics.record_operator(gpu.name, seconds)
         result = op.produce(ctx.database, child_results)
         # 5. The result stays on the device heap until the consumer has
-        #    read it.  When it fits, it lives inside the (shrunk)
-        #    working area; a result that outgrew the working memory
-        #    needs a fresh buffer, which can fail after the compute —
-        #    the expensive late abort.
-        if working and result.nominal_bytes <= working[0].nbytes:
-            for extra in working[1:]:
-                extra.free()
-            working[0].shrink(result.nominal_bytes)
-            result.allocation = working[0]
-            working = []
-        else:
-            result.allocation = heap.allocate(result.nominal_bytes,
-                                              owner=op.label)
-        result.location = device.name
-        ctx.cost_model.observe(op.kind, ProcessorKind.GPU, input_bytes, seconds)
-        if algorithm_key != op.kind:
-            ctx.cost_model.observe(algorithm_key, ProcessorKind.GPU,
-                                   input_bytes, seconds)
-        ctx.metrics.record_algorithm(algorithm_key)
-        if ctx.trace is not None:
-            ctx.trace.record(op.label, op.kind, device.name, op.plan_name,
-                             start, env.now)
+        #    read it.
+        lease.retain(result)
+        _record_execution(ctx, op, device.name, ProcessorKind.GPU,
+                          algorithm_key, input_bytes, seconds, start)
         return result
     except DeviceFault as fault:
         account_abort(ctx, op, device.name, fault, start, qctx)
         return fault
     finally:
-        for key in acquired:
-            cache.release(key)
-        for allocation in staged:
-            allocation.free()
-        for allocation in working:
-            allocation.free()
+        lease.release()
 
 
 def _relay_child(link, child, target_device):
@@ -269,32 +193,37 @@ def _relay_child(link, child, target_device):
 def _run_cpu(ctx, op, child_results, input_bytes):
     """CPU execution (native placement or fallback after an abort)."""
     start = ctx.env.now
-    for child in child_results:
-        if child.location != "cpu":
-            # The paper's fallback cost: results must come back over
-            # the bus before the CPU can continue (Sec. 2.5.1).
-            yield from ctx.hardware.host_transfer(
-                child.nominal_bytes, "d2h", device=child.location
-            )
-    if ctx.algorithm_selection:
-        algorithm_key, _ = choose_algorithm(
-            ctx.cost_model, ctx.profile, op.kind, ProcessorKind.CPU,
-            input_bytes,
-        )
-    else:
-        algorithm_key = op.kind
-    seconds = ctx.profile.compute_seconds(
-        algorithm_key, ProcessorKind.CPU, input_bytes
-    )
+    yield from pull_to_host(ctx, child_results)
+    algorithm_key, seconds = _pick_algorithm(
+        ctx, op, ProcessorKind.CPU, input_bytes)
     yield from ctx.hardware.cpu.execute(seconds)
     result = op.produce(ctx.database, child_results)
     result.location = "cpu"
-    ctx.cost_model.observe(op.kind, ProcessorKind.CPU, input_bytes, seconds)
+    _record_execution(ctx, op, "cpu", ProcessorKind.CPU, algorithm_key,
+                      input_bytes, seconds, start)
+    return result
+
+
+def _pick_algorithm(ctx, op, kind, input_bytes):
+    """(cost key, calibrated seconds) of ``op`` on a ``kind`` processor;
+    HyPE selects the physical algorithm for the exact input size
+    (Sec. 5.2) unless algorithm selection is off."""
+    algorithm_key = op.kind
+    if ctx.algorithm_selection:
+        algorithm_key, _ = choose_algorithm(
+            ctx.cost_model, ctx.profile, op.kind, kind, input_bytes)
+    return algorithm_key, ctx.profile.compute_seconds(
+        algorithm_key, kind, input_bytes)
+
+
+def _record_execution(ctx, op, processor_name, kind, algorithm_key,
+                      input_bytes, seconds, start):
+    """Feed one finished execution back: HyPE learns the operator's and
+    the chosen algorithm's runtime, the trace gets its span."""
+    ctx.cost_model.observe(op.kind, kind, input_bytes, seconds)
     if algorithm_key != op.kind:
-        ctx.cost_model.observe(algorithm_key, ProcessorKind.CPU,
-                               input_bytes, seconds)
+        ctx.cost_model.observe(algorithm_key, kind, input_bytes, seconds)
     ctx.metrics.record_algorithm(algorithm_key)
     if ctx.trace is not None:
-        ctx.trace.record(op.label, op.kind, "cpu", op.plan_name,
+        ctx.trace.record(op.label, op.kind, processor_name, op.plan_name,
                          start, ctx.env.now)
-    return result

@@ -50,12 +50,18 @@ class BreakerState(enum.Enum):
     HALF_OPEN = "half_open"
 
 
+#: Exponential retry backoff: base * multiplier**attempt simulated
+#: seconds.
+BACKOFF_BASE_SECONDS = 0.002
+BACKOFF_MULTIPLIER = 2.0
+
+
 class RetryPolicy:
     """Bounded retries with exponential backoff in simulated time."""
 
     def __init__(self, max_retries: int = 3,
-                 base_seconds: float = 0.002,
-                 multiplier: float = 2.0):
+                 base_seconds: float = BACKOFF_BASE_SECONDS,
+                 multiplier: float = BACKOFF_MULTIPLIER):
         self.max_retries = int(max_retries)
         self.base_seconds = float(base_seconds)
         self.multiplier = float(multiplier)
@@ -173,11 +179,7 @@ class ResilienceManager:
         self.metrics = metrics
         self._breakers: Dict[str, CircuitBreaker] = {}
         if config is not None:
-            self.policy = RetryPolicy(
-                max_retries=config.max_retries,
-                base_seconds=config.backoff_base_seconds,
-                multiplier=config.backoff_multiplier,
-            )
+            self.policy = RetryPolicy(max_retries=config.max_retries)
         else:
             self.policy = RetryPolicy()
 

@@ -49,10 +49,12 @@ dispatch hook is a single ``is not None`` test.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Tuple
+from typing import Generator, Optional
 
 from repro.engine import morsel
+from repro.engine.execution.context import resident_fraction
 from repro.engine.execution.functional import execute_functional
+from repro.engine.execution.lease import DeviceLease, pull_to_host
 from repro.engine.execution.resilience import account_abort
 from repro.hardware import DeviceFault
 from repro.hardware.processor import ProcessorKind
@@ -92,16 +94,7 @@ def merged_split_result(pipe, boundaries):
                    | {min(max(int(b), 0), rows) for b in boundaries})
     chunks = (list(zip(edges[:-1], edges[1:]))
               if rows > 0 else [(0, 0)])
-    acc = pipe.new_accumulator()
-    totals: Optional[Tuple[int, ...]] = None
-    for start, stop in chunks:
-        partial = pipe.run_chunk(start, stop)
-        pipe.absorb(acc, partial)
-        totals = (partial.chain_counts if totals is None else
-                  tuple(a + b for a, b in
-                        zip(totals, partial.chain_counts)))
-    _, prev_nominal = pipe.replay_nominal(totals)
-    return pipe.run_tail(pipe.finalize(acc, prev_nominal))
+    return pipe.merge(pipe.run_chunk(start, stop) for start, stop in chunks)
 
 
 class SplitState:
@@ -162,19 +155,6 @@ class SplitState:
         """PCIe time for ``nbytes`` (zero on a coupled platform)."""
         return 0.0 if self.config.coupled else ctx.bus.transfer_time(nbytes)
 
-    @staticmethod
-    def _resident_fraction(ctx, op, device) -> float:
-        """Fraction of the operator's base-column bytes already in the
-        device cache — staging those costs nothing on the bus."""
-        total = 0.0
-        resident = 0.0
-        for key in op.required_columns():
-            nbytes = ctx.database.column(key).nominal_bytes
-            total += nbytes
-            if key in device.cache:
-                resident += nbytes
-        return resident / total if total > 0 else 0.0
-
     def choose_ratio(self, ctx, op, device, input_bytes: float) -> float:
         """Up-front GPU fraction for one operator."""
         if self.config.split_ratio is not None:
@@ -185,7 +165,7 @@ class SplitState:
         # only the non-resident share of the input actually crosses
         # the bus; a warm cache shifts the balance toward the GPU
         t_x = (self._transfer_seconds(ctx, input_bytes)
-               * (1.0 - self._resident_fraction(ctx, op, device)))
+               * (1.0 - (resident_fraction(ctx, op, device) or 0.0)))
         return self.model.ratio(op.kind, input_bytes, t_x, hint=hint)
 
     def vector_ratio(self, ctx, cpu_seconds: float, gpu_seconds: float,
@@ -259,11 +239,10 @@ class SplitState:
                 self._decline(ctx, "device_busy")
                 return None
 
-        result = yield from self._run_split(
+        return (yield from self._run_split(
             ctx, device, op, child_results, input_bytes, footprint,
             ratio, ratio_cap, qctx,
-        )
-        return result
+        ))
 
     def _run_split(self, ctx, device, op, child_results, input_bytes,
                    footprint, ratio, ratio_cap, qctx) -> Generator:
@@ -271,8 +250,6 @@ class SplitState:
         hardware = ctx.hardware
         cpu = hardware.cpu
         gpu = device.processor
-        heap = device.heap
-        cache = device.cache
         coupled = self.config.coupled
         chosen_ratio = ratio
         start = env.now
@@ -289,9 +266,9 @@ class SplitState:
         self_load = ctx.cost_model.estimate(
             op.kind, ProcessorKind.GPU, input_bytes)
 
-        acquired: List[str] = []
-        staged: List = []
-        working: List = []
+        # the GPU half's device state; its copies run in the foreground
+        # — a round computes on its share only once the share is there
+        lease = DeviceLease(ctx, device, op.label)
         gpu_seconds = 0.0
         cpu_seconds = 0.0
         gpu_done = 0.0  # fraction of the operator the GPU completed
@@ -315,50 +292,33 @@ class SplitState:
         try:
             # the CPU half needs every device-resident intermediate
             # host-side, whatever happens to the GPU half below
-            for child in child_results:
-                if child.location != "cpu":
-                    yield from hardware.host_transfer(
-                        child.nominal_bytes, "d2h", device=child.location)
+            yield from pull_to_host(ctx, child_results)
             # -- stage the GPU's share of the inputs ------------------
             try:
                 if not coupled:
                     for key in sorted(op.required_columns()):
-                        column = ctx.database.column(key)
-                        if key in cache:
-                            cache.touch(key)
-                            cache.acquire(key)
-                            acquired.append(key)
-                            continue
-                        cache.record_miss()
-                        share = int(column.nominal_bytes * ratio)
-                        if share > 0:
-                            # Partial columns never enter the cache: a
-                            # later full-column hit must mean full bytes.
-                            yield from hardware.bus.transfer(
-                                share, "h2d", device=device.name)
-                        staged.append(heap.allocate(share, owner=op.label))
+                        if not lease.hit(key):
+                            yield from lease.miss(
+                                key, ctx.database.column(key).nominal_bytes,
+                                share=ratio)
+                    # copy, then allocate (a pure placement allocates
+                    # first): the order decides when an OOM fires
                     for child in child_results:
                         if child.location != device.name:
                             share = int(child.nominal_bytes * ratio)
-                            if share > 0:
-                                yield from hardware.bus.transfer(
-                                    share, "h2d", device=device.name)
-                            staged.append(
-                                heap.allocate(share, owner=op.label))
-                staged_bytes = sum(a.nbytes for a in staged)
-                gpu_working = max(int(footprint * ratio) - staged_bytes, 0)
-                working.append(heap.allocate(gpu_working, owner=op.label))
+                            yield from lease.copy(share, "h2d")
+                            lease.stage(share)
+                lease.allocate(
+                    max(int(footprint * ratio) - lease.staged_bytes, 0))
+                # a cached column can still be on the wire (async link):
+                # the first round may not start before it has landed
+                yield from lease.join()
             except DeviceFault as fault:
                 # staging failed — concurrent operators outran the
                 # heap headroom the ratio cap was computed against, or
                 # an injected transfer fault hit.  The staging time is
                 # wasted; the operator degrades to pure CPU.
-                for key in acquired:
-                    cache.release(key)
-                for allocation in staged:
-                    allocation.free()
-                acquired.clear()
-                staged.clear()
+                lease.release()
                 degrade(fault, start)
 
             # -- compute in rounds, rebalancing at the boundaries -----
@@ -377,25 +337,16 @@ class SplitState:
                 round_start = env.now
                 cpu_event = cpu.submit(t_cpu_full * cpu_share)
                 cpu_event.defused = True
-                gpu_event = None
                 if gpu_share > 0.0:
                     try:
                         gpu_event = gpu.submit(t_gpu_full * gpu_share)
                         gpu_event.defused = True
-                    except DeviceFault as fault:
-                        # launch rejected before any GPU time passed:
-                        # the CPU share of this round still lands
-                        yield cpu_event
-                        cpu_seconds += t_cpu_full * cpu_share
-                        remaining -= cpu_share
-                        degrade(fault, round_start)
-                        continue
-                if gpu_event is not None:
-                    try:
                         yield env.all_of([gpu_event, cpu_event])
                     except DeviceFault as fault:
-                        # a stalled kernel fails after real simulated
-                        # time; the CPU half still completes its share
+                        # the launch was rejected before any GPU time
+                        # passed, or a stalled kernel failed after real
+                        # simulated time: either way the CPU share of
+                        # this round still lands
                         yield cpu_event
                         cpu_seconds += t_cpu_full * cpu_share
                         remaining -= cpu_share
@@ -474,12 +425,7 @@ class SplitState:
         finally:
             # rollback both halves: cancellation, faults, or normal
             # completion all release the GPU share here
-            for key in acquired:
-                cache.release(key)
-            for allocation in staged:
-                allocation.free()
-            for allocation in working:
-                allocation.free()
+            lease.release()
 
     def _deadline_safe(self, qctx, remaining, t_cpu_full, t_gpu_full,
                        ratio) -> bool:

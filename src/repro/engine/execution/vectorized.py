@@ -34,6 +34,11 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional, Set
 
 from repro.engine.execution.context import ExecutionContext
+from repro.engine.execution.lease import (
+    DeviceLease,
+    deliver_to_host,
+    pull_to_host,
+)
 from repro.engine.execution.lifecycle import QueryCancelled
 from repro.engine.execution.resilience import account_abort
 from repro.engine.intermediates import OperatorResult
@@ -76,6 +81,14 @@ class Pipeline:
         for op in self.operators:
             keys |= op.required_columns()
         return keys
+
+    def inputs(self, results: Dict[int, OperatorResult]):
+        """The already materialised results the member operators read."""
+        for op in self.operators:
+            for child in op.children:
+                child_result = results.get(child.op_id)
+                if child_result is not None:
+                    yield child_result
 
     def __repr__(self) -> str:
         return "<Pipeline {}>".format(
@@ -159,12 +172,7 @@ class VectorizedExecutor:
                 yield from self._run_pipeline(pipeline, results, consumer,
                                               qctx)
             result = results[plan.root.op_id]
-            if result.location != "cpu":
-                yield from self.ctx.hardware.host_transfer(
-                    result.nominal_bytes, "d2h", device=result.location
-                )
-                result.release_device_memory()
-                result.location = "cpu"
+            yield from deliver_to_host(self.ctx, result)
         except (Interrupted, QueryCancelled):
             # cancelled mid-plan: every device-located intermediate of
             # this query must leave the heap before we unwind
@@ -248,11 +256,9 @@ class VectorizedExecutor:
         if placed is None:
             yield from self._run_on_cpu(pipeline, results, result)
         # single-consumer plans: release inputs the pipeline consumed
-        for op in pipeline.operators:
-            for child in op.children:
-                child_result = results.get(child.op_id)
-                if child_result is not None and child_result is not result:
-                    child_result.release_device_memory()
+        for child_result in pipeline.inputs(results):
+            if child_result is not result:
+                child_result.release_device_memory()
 
     def _materialise(self, pipeline: Pipeline,
                      results: Dict[int, OperatorResult]) -> OperatorResult:
@@ -276,12 +282,9 @@ class VectorizedExecutor:
             for key in pipeline.required_columns():
                 if key not in device.cache:
                     stream_bytes += ctx.database.column(key).nominal_bytes
-            for op in pipeline.operators:
-                for child in op.children:
-                    child_result = results.get(child.op_id)
-                    if (child_result is not None
-                            and child_result.location != device_name):
-                        stream_bytes += child_result.nominal_bytes
+            for child_result in pipeline.inputs(results):
+                if child_result.location != device_name:
+                    stream_bytes += child_result.nominal_bytes
         compute = {}
         for kind in (ProcessorKind.CPU, ProcessorKind.GPU):
             total = 0.0
@@ -325,14 +328,11 @@ class VectorizedExecutor:
                 cpu_rate = 1.0 / cpu_seconds if cpu_seconds > 0 else 0.0
                 split = cpu_rate / (cpu_rate + gpu_rate)
 
-        breaker = None
-        delivered = False
-        transfers = None
+        lease = DeviceLease(ctx, device, pipeline.terminal.label)
         try:
             # the breaker's materialised output (or hash table) is the
             # pipeline's only heap demand — vectors themselves stream
-            breaker = device.heap.allocate(result.nominal_bytes,
-                                           owner=pipeline.terminal.label)
+            lease.allocate(result.nominal_bytes)
             if ctx.bus.asynchronous and stream_bytes:
                 # double-buffered streaming: the async link moves
                 # vector k+1 while the kernel consumes vector k
@@ -342,25 +342,19 @@ class VectorizedExecutor:
                 ))
             else:
                 if stream_bytes:
-                    transfers = env.process(
-                        ctx.bus.transfer(int(stream_bytes * (1 - split)),
-                                         "h2d", device=device_name)
-                    )
-                    # joined below; pre-defuse so a fault on the compute
-                    # path cannot leave an unwaited transfer failure
-                    transfers.defused = True
+                    # one copy overlapping the kernel, joined below
+                    lease.spawn(ctx.bus.transfer(
+                        int(stream_bytes * (1 - split)), "h2d",
+                        device=device_name))
                 gpu_done = device.processor.submit(gpu_seconds * (1 - split))
             cpu_done = ctx.hardware.cpu.submit(cpu_seconds * split)
             yield env.all_of([gpu_done, cpu_done])
-            if transfers is not None:
-                yield transfers
+            yield from lease.join()
             ctx.metrics.record_operator(device.processor.name,
                                         gpu_seconds * (1 - split))
             if split > 0:
                 ctx.metrics.record_operator("cpu", cpu_seconds * split)
-            result.allocation = breaker
-            result.location = device_name
-            delivered = True
+            lease.retain(result)
             return result
         except DeviceFault as fault:
             account_abort(ctx, pipeline.terminal, device_name, fault, start,
@@ -369,8 +363,7 @@ class VectorizedExecutor:
         finally:
             # covers the fault path *and* a cancellation interrupt while
             # blocked on the device — the heap never leaks either way
-            if breaker is not None and not delivered:
-                breaker.free()
+            lease.release()
 
     def _stream_vectors(self, device, stream_bytes: int,
                         compute_seconds: float) -> Generator:
@@ -408,14 +401,7 @@ class VectorizedExecutor:
                     result: OperatorResult) -> Generator:
         ctx = self.ctx
         # inputs produced on a device stream back to the host
-        for op in pipeline.operators:
-            for child in op.children:
-                child_result = results.get(child.op_id)
-                if child_result is not None and child_result.location != "cpu":
-                    yield from ctx.hardware.host_transfer(
-                        child_result.nominal_bytes, "d2h",
-                        device=child_result.location,
-                    )
+        yield from pull_to_host(ctx, pipeline.inputs(results))
         _, compute = self._io_and_compute(pipeline, results, None)
         yield from ctx.hardware.cpu.execute(compute[ProcessorKind.CPU])
         result.location = "cpu"

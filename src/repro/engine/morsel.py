@@ -664,6 +664,27 @@ class FusedPipeline:
                 target = acc.extrema[aggregate.alias]
                 target[present] = np.maximum(target[present], shipped)
 
+    def _absorb_all(self, partials):
+        """Absorb ``partials`` (consumed in order, so a generator may
+        stop early); returns (accumulator, summed chain counts)."""
+        acc = self.new_accumulator()
+        totals: Optional[Tuple[int, ...]] = None
+        for partial in partials:
+            self.absorb(acc, partial)
+            totals = (partial.chain_counts if totals is None else
+                      tuple(a + b for a, b in
+                            zip(totals, partial.chain_counts)))
+        return acc, totals
+
+    def merge(self, partials) -> OperatorResult:
+        """Root result from chunk or morsel partials: absorb, replay
+        the nominal-row arithmetic, finalise the breaker, run the tail
+        — the one merge the morsel pool, the split identity gate and
+        the fused ``Limit`` path share."""
+        acc, totals = self._absorb_all(partials)
+        _, prev_nominal = self.replay_nominal(totals)
+        return self.run_tail(self.finalize(acc, prev_nominal))
+
     # -- finalisation --------------------------------------------------
 
     def finalize(self, acc: _Accumulator,
@@ -813,23 +834,19 @@ class FusedPipeline:
         workers heartbeat through it so the parent's watchdog can tell
         a slow chunk from a hung process.
         """
-        acc = self.new_accumulator()
-        totals: Optional[Tuple[int, ...]] = None
         size = morsel_rows()
         spans = ([(start, stop)] if start == stop
                  else [(pos, min(pos + size, stop))
                        for pos in range(start, stop, size)])
-        for span_start, span_stop in spans:
-            partial = self.run_morsel(span_start, span_stop,
+
+        def morsels():
+            for span_start, span_stop in spans:
+                yield self.run_morsel(span_start, span_stop,
                                       index=span_start, collect=True)
-            if progress is not None:
-                progress()
-            self.absorb(acc, partial)
-            totals = (partial.chain_counts if totals is None else
-                      tuple(a + b for a, b in
-                            zip(totals, partial.chain_counts)))
-        if totals is None:
-            totals = tuple(0 for _ in self.covered_ops[:-1])
+                if progress is not None:
+                    progress()
+
+        acc, totals = self._absorb_all(morsels())
         return self._pack_chunk(start, acc, totals)
 
     def _pack_chunk(self, index: int, acc: _Accumulator,
@@ -1183,25 +1200,21 @@ def execute_direct(plan, database) -> Optional[OperatorResult]:
             raise Decline("limit_breaker")
         if pipe.tail != [root]:
             raise Decline("limit_tail")
-        acc = pipe.new_accumulator()
-        totals: Optional[Tuple[int, ...]] = None
-        gathered = 0
         stopped_at: Optional[int] = None
-        for start, stop in pipe.ranges():
-            partial = pipe.run_morsel(start, stop, index=start,
-                                      collect=True)
-            pipe.absorb(acc, partial)
-            totals = (partial.chain_counts if totals is None else
-                      tuple(a + b for a, b in
-                            zip(totals, partial.chain_counts)))
-            gathered += partial.chain_counts[-1]
-            if gathered >= root.n:
-                stopped_at = stop
-                break
-        if not acc.chunks:
-            raise Decline("limit_empty")
-        _, prev_nominal = pipe.replay_nominal(totals)
-        result = pipe.run_tail(pipe.finalize(acc, prev_nominal))
+
+        def prefix():
+            nonlocal stopped_at
+            gathered = 0
+            for start, stop in pipe.ranges():
+                partial = pipe.run_morsel(start, stop, index=start,
+                                          collect=True)
+                yield partial
+                gathered += partial.chain_counts[-1]
+                if gathered >= root.n:
+                    stopped_at = stop
+                    return
+
+        result = pipe.merge(prefix())
     except Decline as decline:
         reason = decline.reason
         if not reason.startswith("limit_"):

@@ -38,7 +38,7 @@ import os
 import random
 from collections import Counter
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Optional
 
 #: Fault classes the injector can raise, in the (fixed) order their
 #: rate fields appear on :class:`FaultConfig`.
@@ -49,8 +49,68 @@ FAULT_CLASSES = ("pcie", "kernel", "stall", "heap", "reset")
 #: uniform hardware rate never implies killing workers, and vice versa.
 PROCESS_FAULT_CLASSES = ("crash", "hang", "slowexit", "unlinkrace")
 
+#: Wall-clock seconds a slow-exiting worker lingers before dying.
+SLOWEXIT_SECONDS = 0.05
+
 #: Environment variable consulted when the CLI gives no ``--faults``.
 FAULTS_ENV = "REPRO_FAULTS"
+
+
+def parse_spec(cls, spec: str, what: str, aliases=None, bare_fields=()):
+    """Parse ``"key=value,key=value"`` into the dataclass ``cls``.
+
+    A value converts by its field's declared type (int, float, else
+    the stripped string).  ``aliases`` maps short keys to field names.
+    An entry without ``=`` must be a number and sets every field of
+    ``bare_fields`` no explicit key set — with no ``bare_fields`` it is
+    an error.  ``what`` names the spec in error messages.
+    """
+    convert = {
+        f.name: (int if "int" in str(f.type)
+                 else float if "float" in str(f.type) else str.strip)
+        for f in fields(cls)
+    }
+    aliases = aliases or {}
+    values: Dict[str, object] = {}
+    bare: Optional[float] = None
+    for part in spec.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        key, equals, raw = part.partition("=")
+        if not equals:
+            if bare_fields:
+                try:
+                    bare = float(part)
+                    continue
+                except ValueError:
+                    pass
+            raise ValueError("{} spec entry {!r} is {} key=value".format(
+                what, part, "neither a rate nor" if bare_fields else "not"))
+        key = aliases.get(key.strip(), key.strip())
+        if key not in convert:
+            raise ValueError(
+                "unknown {} spec key {!r}; expected one of {}".format(
+                    what, key, ", ".join(sorted(convert))))
+        try:
+            values[key] = convert[key](raw)
+        except ValueError:
+            raise ValueError("{} spec {}={!r} is not a number".format(
+                what, key, raw)) from None
+    if bare is not None:
+        for name in bare_fields:
+            values.setdefault(name, bare)
+    return cls(**values)
+
+
+def coerce_spec(cls, value):
+    """None, a spec string (``cls.parse``), or a ready ``cls``."""
+    if value is None or isinstance(value, cls):
+        return value
+    if isinstance(value, str):
+        return cls.parse(value)
+    raise TypeError("expected None, a spec string, or a {}; got {!r}".format(
+        cls.__name__, type(value).__name__))
 
 
 @dataclass(frozen=True)
@@ -79,9 +139,6 @@ class FaultConfig:
     stall_seconds: float = 0.05
     #: transient-fault retries per operator attempt before CPU fallback
     max_retries: int = 3
-    #: exponential backoff: base * multiplier**attempt simulated seconds
-    backoff_base_seconds: float = 0.002
-    backoff_multiplier: float = 2.0
     #: consecutive transient failures that open a device's breaker
     breaker_threshold: int = 3
     #: simulated seconds an open breaker waits before half-opening
@@ -102,8 +159,6 @@ class FaultConfig:
     #: wall-clock seconds an injected hang sleeps (the watchdog should
     #: kill the worker long before this elapses)
     hang_seconds: float = 30.0
-    #: wall-clock seconds a slow-exiting worker lingers before dying
-    slowexit_seconds: float = 0.05
 
     def __post_init__(self):
         for name in FAULT_CLASSES + PROCESS_FAULT_CLASSES:
@@ -114,14 +169,12 @@ class FaultConfig:
                 )
         if self.crash_repeats < 1:
             raise ValueError("crash_repeats must be >= 1")
-        if self.hang_seconds < 0 or self.slowexit_seconds < 0:
-            raise ValueError("process fault durations must be >= 0")
+        if self.hang_seconds < 0:
+            raise ValueError("hang_seconds must be >= 0")
         if self.stall_seconds < 0:
             raise ValueError("stall_seconds must be >= 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.backoff_base_seconds < 0 or self.backoff_multiplier < 1.0:
-            raise ValueError("backoff must be non-negative and growing")
         if self.breaker_threshold < 1 or self.breaker_probes < 1:
             raise ValueError("breaker threshold and probes must be >= 1")
         if self.breaker_open_seconds < 0:
@@ -151,46 +204,9 @@ class FaultConfig:
         :class:`FaultConfig` field name is accepted); a bare number
         (``"0.02"``) applies one uniform rate to every fault class.
         """
-        spec = spec.strip()
-        if not spec:
+        if not spec.strip():
             raise ValueError("empty fault spec")
-        valid = {f.name: f.type for f in fields(cls)}
-        int_fields = {"seed", "max_retries", "breaker_threshold",
-                      "breaker_probes", "crash_repeats"}
-        values: Dict[str, Union[int, float]] = {}
-        uniform_rate: Optional[float] = None
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                try:
-                    uniform_rate = float(part)
-                except ValueError:
-                    raise ValueError(
-                        "fault spec entry {!r} is neither a rate nor "
-                        "key=value".format(part)
-                    )
-                continue
-            key, _, raw = part.partition("=")
-            key = key.strip()
-            if key not in valid:
-                raise ValueError(
-                    "unknown fault spec key {!r}; expected one of {}".format(
-                        key, ", ".join(sorted(valid))
-                    )
-                )
-            try:
-                values[key] = (int(raw) if key in int_fields
-                               else float(raw))
-            except ValueError:
-                raise ValueError(
-                    "fault spec {}={!r} is not a number".format(key, raw)
-                )
-        if uniform_rate is not None:
-            for name in FAULT_CLASSES:
-                values.setdefault(name, uniform_rate)
-        return cls(**values)
+        return parse_spec(cls, spec, "fault", bare_fields=FAULT_CLASSES)
 
     @classmethod
     def from_env(cls) -> Optional["FaultConfig"]:
@@ -203,16 +219,7 @@ class FaultConfig:
     @classmethod
     def coerce(cls, value) -> Optional["FaultConfig"]:
         """Accept None, a spec string, or a ready config."""
-        if value is None:
-            return None
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, str):
-            return cls.parse(value)
-        raise TypeError(
-            "faults must be None, a spec string, or a FaultConfig; "
-            "got {!r}".format(type(value).__name__)
-        )
+        return coerce_spec(cls, value)
 
     # -- queries --------------------------------------------------------
 
@@ -383,7 +390,7 @@ class ProcessFaultInjector:
                     "hang", seconds=self.config.hang_seconds)
             elif name == "slowexit":
                 directive = ProcessFaultDirective(
-                    "slowexit", seconds=self.config.slowexit_seconds)
+                    "slowexit", seconds=SLOWEXIT_SECONDS)
             else:
                 directive = ProcessFaultDirective("unlinkrace")
             self.injected[name] += 1

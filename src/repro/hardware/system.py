@@ -25,8 +25,6 @@ from repro.sim import Environment
 class SystemConfig:
     """Dimensions and calibration of the simulated platform."""
 
-    #: host memory (bytes); the host never runs out in our experiments
-    host_memory_bytes: int = 32 * GIB
     #: number of co-processors (Sec. 6.3: multiple GPUs scale the
     #: approach to larger databases and more users); sizes below are
     #: per device

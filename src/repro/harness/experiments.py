@@ -130,8 +130,8 @@ def figure01(scale_factor: float = 20, repetitions: int = 5,
     for (label, _, _), outcome in zip(cases, run_cells(cells, jobs)):
         result.add(
             strategy=label,
-            seconds=outcome.mean_latency("Q3.3"),
-            h2d_seconds=outcome.h2d_seconds / repetitions,
+            seconds=outcome.metrics.mean_latency("Q3.3"),
+            h2d_seconds=outcome.metrics.cpu_to_gpu_seconds / repetitions,
         )
     return result
 
@@ -173,11 +173,11 @@ def buffer_size_sweep(
         result.add(
             strategy=strategy,
             buffer_gib=gib,
-            seconds=outcome.seconds,
-            h2d_seconds=outcome.h2d_seconds,
-            d2h_seconds=outcome.d2h_seconds,
-            cache_hit_rate=outcome.cache_hit_rate,
-            aborts=outcome.aborts,
+            seconds=outcome.metrics.workload_seconds,
+            h2d_seconds=outcome.metrics.cpu_to_gpu_seconds,
+            d2h_seconds=outcome.metrics.gpu_to_cpu_seconds,
+            cache_hit_rate=outcome.metrics.cache_hit_rate,
+            aborts=outcome.metrics.aborts,
         )
     return result
 
@@ -244,11 +244,11 @@ def micro_users_sweep(
         result.add(
             strategy=strategy,
             users=n_users,
-            seconds=outcome.seconds,
-            h2d_seconds=outcome.h2d_seconds,
-            d2h_seconds=outcome.d2h_seconds,
-            aborts=outcome.aborts,
-            wasted_seconds=outcome.wasted_seconds,
+            seconds=outcome.metrics.workload_seconds,
+            h2d_seconds=outcome.metrics.cpu_to_gpu_seconds,
+            d2h_seconds=outcome.metrics.gpu_to_cpu_seconds,
+            aborts=outcome.metrics.aborts,
+            wasted_seconds=outcome.metrics.wasted_seconds,
         )
     return result
 
@@ -347,10 +347,10 @@ def scale_factor_sweep(
             benchmark=benchmark,
             scale_factor=scale_factor,
             strategy=strategy,
-            seconds=outcome.seconds,
-            h2d_seconds=outcome.h2d_seconds,
-            d2h_seconds=outcome.d2h_seconds,
-            aborts=outcome.aborts,
+            seconds=outcome.metrics.workload_seconds,
+            h2d_seconds=outcome.metrics.cpu_to_gpu_seconds,
+            d2h_seconds=outcome.metrics.gpu_to_cpu_seconds,
+            aborts=outcome.metrics.aborts,
             footprint_gib=outcome.footprint_bytes / GIB,
         )
     return result
@@ -441,7 +441,7 @@ def query_latencies(
         )
     )
     for strategy, outcome in zip(strategies, run_cells(cells, jobs)):
-        for name, latency in outcome.latencies.items():
+        for name, latency in outcome.metrics.latencies_by_query().items():
             result.add(
                 query=name, strategy=strategy, seconds=latency
             )
@@ -491,11 +491,11 @@ def benchmark_users_sweep(
             benchmark=benchmark,
             strategy=strategy,
             users=n_users,
-            seconds=outcome.seconds,
-            h2d_seconds=outcome.h2d_seconds,
-            d2h_seconds=outcome.d2h_seconds,
-            aborts=outcome.aborts,
-            wasted_seconds=outcome.wasted_seconds,
+            seconds=outcome.metrics.workload_seconds,
+            h2d_seconds=outcome.metrics.cpu_to_gpu_seconds,
+            d2h_seconds=outcome.metrics.gpu_to_cpu_seconds,
+            aborts=outcome.metrics.aborts,
+            wasted_seconds=outcome.metrics.wasted_seconds,
         )
     return result
 
@@ -564,7 +564,7 @@ def figure25(
         "Figure 25: SSB query latencies vs. #users (SF {})".format(scale_factor)
     )
     for (strategy, n_users), outcome in zip(grid, run_cells(cells, jobs)):
-        for name, latency in outcome.latencies.items():
+        for name, latency in outcome.metrics.latencies_by_query().items():
             result.add(
                 query=name, strategy=strategy, users=n_users,
                 seconds=latency,
@@ -612,7 +612,7 @@ def engine_comparison(
         for profile, backend, strategy in grid
     ]
     for (profile, backend, _), outcome in zip(grid, run_cells(cells, jobs)):
-        for name, latency in outcome.latencies.items():
+        for name, latency in outcome.metrics.latencies_by_query().items():
             result.add(
                 query=name,
                 engine=profile.name,
@@ -685,15 +685,15 @@ def multi_gpu_scaling(
     for (strategy, gpu_count), outcome in zip(grid, run_cells(cells, jobs)):
         gpu_ops = sum(
             count
-            for name, count in outcome.operators_per_processor.items()
+            for name, count in outcome.metrics.operators_per_processor.items()
             if name != "cpu"
         )
         result.add(
             strategy=strategy,
             gpus=gpu_count,
-            seconds=outcome.seconds,
-            h2d_seconds=outcome.h2d_seconds,
-            aborts=outcome.aborts,
+            seconds=outcome.metrics.workload_seconds,
+            h2d_seconds=outcome.metrics.cpu_to_gpu_seconds,
+            aborts=outcome.metrics.aborts,
             gpu_operators=gpu_ops,
         )
     return result
@@ -739,8 +739,8 @@ def figure24(
         result.add(
             policy=policy,
             cache_fraction=fraction,
-            seconds=outcome.seconds,
-            h2d_seconds=outcome.h2d_seconds,
+            seconds=outcome.metrics.workload_seconds,
+            h2d_seconds=outcome.metrics.cpu_to_gpu_seconds,
         )
     return result
 
@@ -798,32 +798,33 @@ def chaos_sweep(
     )
     outcomes = run_cells(cells, jobs)
     for rate, outcome in zip(fault_rates, outcomes[:-1]):
+        transitions = outcome.metrics.breaker_transition_counts()
         result.add(
             strategy=strategy,
             fault_rate=rate,
-            seconds=outcome.seconds,
+            seconds=outcome.metrics.workload_seconds,
             faults_injected=outcome.faults_injected,
-            retries=outcome.retries,
-            aborts=outcome.aborts,
-            breaker_opens=outcome.breaker_opens,
-            breaker_half_opens=outcome.breaker_half_opens,
-            breaker_closes=outcome.breaker_closes,
-            breaker_skips=outcome.breaker_skips,
-            wasted_seconds=outcome.wasted_seconds,
+            retries=outcome.metrics.retries,
+            aborts=outcome.metrics.aborts,
+            breaker_opens=transitions.get("open", 0),
+            breaker_half_opens=transitions.get("half_open", 0),
+            breaker_closes=transitions.get("closed", 0),
+            breaker_skips=sum(outcome.metrics.breaker_skips.values()),
+            wasted_seconds=outcome.metrics.wasted_seconds,
         )
     floor = outcomes[-1]
     result.add(
         strategy="cpu_only",
         fault_rate=float("nan"),
-        seconds=floor.seconds,
+        seconds=floor.metrics.workload_seconds,
         faults_injected=0,
         retries=0,
-        aborts=floor.aborts,
+        aborts=floor.metrics.aborts,
         breaker_opens=0,
         breaker_half_opens=0,
         breaker_closes=0,
         breaker_skips=0,
-        wasted_seconds=floor.wasted_seconds,
+        wasted_seconds=floor.metrics.wasted_seconds,
     )
     return result
 
@@ -876,19 +877,21 @@ def overlap_sweep(
     outcomes = run_cells(cells, jobs)
     baseline_seconds = {}
     for (n_users, engine), outcome in zip(grid, outcomes):
+        metrics = outcome.metrics
+        seconds = metrics.workload_seconds
         if not engine:
-            baseline_seconds[n_users] = outcome.seconds
+            baseline_seconds[n_users] = seconds
         result.add(
             users=n_users,
             copy_engine=engine,
-            seconds=outcome.seconds,
-            speedup=(baseline_seconds[n_users] / outcome.seconds
-                     if outcome.seconds else float("nan")),
-            h2d_seconds=outcome.h2d_seconds,
-            queue_seconds=outcome.queue_seconds,
-            overlap_ratio=outcome.overlap_ratio,
-            coalesced=outcome.coalesced_transfers,
-            prefetch_hits=outcome.prefetch_hits,
+            seconds=seconds,
+            speedup=(baseline_seconds[n_users] / seconds
+                     if seconds else float("nan")),
+            h2d_seconds=metrics.cpu_to_gpu_seconds,
+            queue_seconds=metrics.transfer_queue_seconds,
+            overlap_ratio=metrics.overlap_ratio,
+            coalesced=metrics.coalesced_transfers,
+            prefetch_hits=metrics.prefetch_hits,
         )
     return result
 
@@ -955,17 +958,17 @@ def overload_sweep(
         result.add(
             users=n_users,
             lifecycle="on" if on else "off",
-            seconds=outcome.seconds,
-            p50_latency=outcome.p50_latency,
-            p99_latency=outcome.p99_latency,
-            completed=outcome.completed,
-            admission_waits=outcome.admission_waits,
-            admission_wait_seconds=outcome.admission_wait_seconds,
-            sheds=outcome.sheds,
-            degraded=outcome.degraded_to_cpu,
-            deadline_misses=outcome.deadline_misses,
-            cancelled=outcome.cancelled,
-            hedges=outcome.hedges,
-            hedge_wins=outcome.hedge_wins,
+            seconds=outcome.metrics.workload_seconds,
+            p50_latency=outcome.metrics.latency_percentile(0.50),
+            p99_latency=outcome.metrics.latency_percentile(0.99),
+            completed=len(outcome.metrics.queries),
+            admission_waits=outcome.metrics.admission_waits,
+            admission_wait_seconds=outcome.metrics.admission_wait_seconds,
+            sheds=sum(outcome.metrics.sheds.values()),
+            degraded=sum(outcome.metrics.degraded_to_cpu.values()),
+            deadline_misses=sum(outcome.metrics.deadline_misses.values()),
+            cancelled=len(outcome.metrics.cancelled_queries),
+            hedges=outcome.metrics.hedges_started,
+            hedge_wins=outcome.metrics.hedge_wins,
         )
     return result

@@ -44,6 +44,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.hardware import SystemConfig
 from repro.harness.runner import run_workload, workload_footprint_bytes
+from repro.metrics import MetricsCollector
 from repro.storage import shm
 
 #: Cell workload names understood by :func:`_cell_workload`.
@@ -142,55 +143,16 @@ class Cell:
 
 @dataclass
 class CellOutcome:
-    """The measurements one executed cell produced (picklable)."""
+    """What one executed cell produced (picklable): the run's metrics
+    collector plus the three values it cannot supply."""
 
-    seconds: float = 0.0
-    h2d_seconds: float = 0.0
-    d2h_seconds: float = 0.0
-    h2d_bytes: int = 0
-    d2h_bytes: int = 0
-    aborts: int = 0
-    wasted_seconds: float = 0.0
-    cache_hit_rate: float = 0.0
-    #: mean latency per query name
-    latencies: Dict[str, float] = field(default_factory=dict)
-    operators_per_processor: Dict[str, int] = field(default_factory=dict)
+    #: every simulated measurement and the wall-clock phase breakdown
+    #: of the producing run (a fresh collector for a footprint cell)
+    metrics: MetricsCollector = field(default_factory=MetricsCollector)
     footprint_bytes: int = 0
-    #: wall-clock phase breakdown of the producing run
-    phase_seconds: Dict[str, float] = field(default_factory=dict)
-    #: fault-injection accounting (all zero / None for fault-free cells)
+    #: fault-injection accounting (zero / None for fault-free cells)
     faults_injected: int = 0
     fault_digest: Optional[str] = None
-    retries: int = 0
-    breaker_opens: int = 0
-    breaker_half_opens: int = 0
-    breaker_closes: int = 0
-    breaker_skips: int = 0
-    #: copy-engine / bus-accounting measurements (all zero when the
-    #: engine is off; queue_seconds is live either way)
-    queue_seconds: float = 0.0
-    coalesced_transfers: int = 0
-    prefetch_transfers: int = 0
-    prefetch_hits: int = 0
-    overlap_ratio: float = 0.0
-    bus_utilization: float = 0.0
-    #: query-lifecycle accounting (all zero when the layer is off)
-    completed: int = 0
-    p50_latency: float = 0.0
-    p99_latency: float = 0.0
-    admission_waits: int = 0
-    admission_wait_seconds: float = 0.0
-    sheds: int = 0
-    degraded_to_cpu: int = 0
-    deadline_misses: int = 0
-    cancelled: int = 0
-    cancel_seconds: float = 0.0
-    hedges: int = 0
-    hedge_wins: int = 0
-    hedge_losses: int = 0
-
-    def mean_latency(self, query_name: str) -> float:
-        return self.latencies.get(query_name, 0.0)
 
 
 #: (family, scale_factor, data_scale) -> ShmManifest; populated in
@@ -273,48 +235,9 @@ def execute_cell(cell: Cell) -> CellOutcome:
         lifecycle=cell.lifecycle,
         validate=cell.validate,
     )
-    metrics = run.metrics
-    transitions = metrics.breaker_transition_counts()
-    return CellOutcome(
-        seconds=metrics.workload_seconds,
-        h2d_seconds=metrics.cpu_to_gpu_seconds,
-        d2h_seconds=metrics.gpu_to_cpu_seconds,
-        h2d_bytes=metrics.cpu_to_gpu_bytes,
-        d2h_bytes=metrics.gpu_to_cpu_bytes,
-        aborts=metrics.aborts,
-        wasted_seconds=metrics.wasted_seconds,
-        cache_hit_rate=metrics.cache_hit_rate,
-        latencies=metrics.latencies_by_query(),
-        operators_per_processor=dict(metrics.operators_per_processor),
-        footprint_bytes=footprint,
-        phase_seconds=dict(metrics.phase_seconds),
-        faults_injected=run.faults_injected,
-        fault_digest=run.fault_digest,
-        retries=metrics.retries,
-        breaker_opens=transitions.get("open", 0),
-        breaker_half_opens=transitions.get("half_open", 0),
-        breaker_closes=transitions.get("closed", 0),
-        breaker_skips=sum(metrics.breaker_skips.values()),
-        queue_seconds=metrics.transfer_queue_seconds,
-        coalesced_transfers=metrics.coalesced_transfers,
-        prefetch_transfers=metrics.prefetch_transfers,
-        prefetch_hits=metrics.prefetch_hits,
-        overlap_ratio=metrics.overlap_ratio,
-        bus_utilization=metrics.bus_utilization,
-        completed=len(metrics.queries),
-        p50_latency=metrics.latency_percentile(0.50),
-        p99_latency=metrics.latency_percentile(0.99),
-        admission_waits=metrics.admission_waits,
-        admission_wait_seconds=metrics.admission_wait_seconds,
-        sheds=sum(metrics.sheds.values()),
-        degraded_to_cpu=sum(metrics.degraded_to_cpu.values()),
-        deadline_misses=sum(metrics.deadline_misses.values()),
-        cancelled=len(metrics.cancelled_queries),
-        cancel_seconds=metrics.cancel_seconds,
-        hedges=metrics.hedges_started,
-        hedge_wins=metrics.hedge_wins,
-        hedge_losses=metrics.hedge_losses,
-    )
+    return CellOutcome(metrics=run.metrics, footprint_bytes=footprint,
+                       faults_injected=run.faults_injected,
+                       fault_digest=run.fault_digest)
 
 
 def run_cells(cells: Iterable[Cell],
@@ -974,15 +897,7 @@ class MorselPool:
                 # A worker *reported* an error (declined mid-run or an
                 # engine bug): the parent recomputes alone.
                 return self._run_fallback(query)
-        acc = pipe.new_accumulator()
-        totals = None
-        for partial in sorted(partials, key=lambda p: p.index):
-            pipe.absorb(acc, partial)
-            totals = (partial.chain_counts if totals is None else
-                      tuple(a + b for a, b in
-                            zip(totals, partial.chain_counts)))
-        _, prev_nominal = pipe.replay_nominal(totals)
-        result = pipe.run_tail(pipe.finalize(acc, prev_nominal))
+        result = pipe.merge(sorted(partials, key=lambda p: p.index))
         if pipe.compensated and name not in self._float_gate:
             # Compensated float partials merge in chunk order, which can
             # round differently from the one-pass reference.  Gate on

@@ -140,6 +140,9 @@ DEFAULT_CLASSES: Tuple[SLOClass, ...] = (PREMIUM, STANDARD, BEST_EFFORT)
 
 # -- configuration -----------------------------------------------------
 
+#: Period P of the diurnal arrival modulation, in simulated seconds.
+DIURNAL_PERIOD_SECONDS = 8.0
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -153,7 +156,6 @@ class ServiceConfig:
     rate: float = 10.0
     #: diurnal modulation: rate(t) = rate * (1 + A sin(2 pi t / P))
     diurnal_amplitude: float = 0.75
-    diurnal_period_seconds: float = 8.0
     #: replayed trace: absolute arrival times in simulated seconds
     trace_times: Optional[Tuple[float, ...]] = None
     #: tenants per SLO class (tenant names are "<class>-<i>")
@@ -161,7 +163,6 @@ class ServiceConfig:
     classes: Tuple[SLOClass, ...] = DEFAULT_CLASSES
     #: machine-level gate (the PR5 lifecycle layer underneath)
     max_inflight: int = 4
-    heap_headroom_fraction: float = 0.0
     #: what the *global* gate does if fair share overruns it anyway
     global_overload_policy: str = "shed"
     #: base per-query deadline (x class deadline_multiplier); None
@@ -180,8 +181,6 @@ class ServiceConfig:
     mutation_interval_seconds: Optional[float] = None
     #: fraction of each target table appended per batch
     append_fraction: float = 0.05
-    #: tables receiving appends (None = the largest/fact table)
-    append_tables: Optional[Tuple[str, ...]] = None
     #: run each epoch warm-up through a PR8 self-healing MorselPool
     #: under process chaos as an identity sidecar (requires shm)
     pool_chaos: bool = False
@@ -214,8 +213,6 @@ class ServiceConfig:
             raise ValueError("quantum must be positive")
         if not 0.0 <= self.diurnal_amplitude < 1.0:
             raise ValueError("diurnal_amplitude must be in [0, 1)")
-        if self.diurnal_period_seconds <= 0:
-            raise ValueError("diurnal_period_seconds must be positive")
 
     def targets(self) -> Dict[str, float]:
         """Per-class p99 latency targets in simulated seconds."""
@@ -275,7 +272,7 @@ def _arrival_model(service: ServiceConfig):
         return _PoissonArrivals(service.rate)
     if service.arrivals == "diurnal":
         return _DiurnalArrivals(service.rate, service.diurnal_amplitude,
-                                service.diurnal_period_seconds)
+                                DIURNAL_PERIOD_SECONDS)
     return _TraceArrivals(service.trace_times)
 
 
@@ -521,7 +518,6 @@ class _ServiceRun:
         lifecycle = LifecycleConfig(
             max_inflight=service.max_inflight,
             overload_policy=service.global_overload_policy,
-            heap_headroom_fraction=service.heap_headroom_fraction,
             hedge_factor=service.hedge_factor,
         )
         self.lifecycle = lifecycle
@@ -707,8 +703,8 @@ class _ServiceRun:
             if self.env.now >= service.duration_seconds:
                 return
             wall = perf_counter()
-            snapshot = self.store.advance(
-                service.append_fraction, service.append_tables)
+            # appends go to the largest (fact) table
+            snapshot = self.store.advance(service.append_fraction)
             queries = self.workload_factory(snapshot)
             functional_warm(self.config, self.metrics, snapshot, queries)
             if service.pool_chaos:

@@ -218,6 +218,26 @@ def test_hedging_races_stragglers_and_stays_correct(ssb_db):
     assert len(metrics.queries) == len(ssb.workload(ssb_db))
 
 
+def test_hedging_wins_while_the_cpu_pool_is_idle():
+    """The guard of the ROADMAP's "keep hedging" decision: the best
+    cell of the grid in docs/robustness.md.  One user leaves the CPU
+    workers idle, so the hedge copy of a stalled GPU operator finishes
+    long before the stall watchdog gives the kernel up."""
+    database = E.ssb_database(5)
+
+    def makespan(lifecycle):
+        run = run_workload(
+            database, ssb.workload(database), "chopping",
+            config=E.FULL_CONFIG, users=1, repetitions=2,
+            faults="stall=0.1,seed=7", lifecycle=lifecycle)
+        return run.metrics
+
+    unhedged = makespan(None)
+    hedged = makespan(LifecycleConfig(hedge_factor=1.5))
+    assert hedged.hedge_wins > hedged.hedge_losses
+    assert hedged.workload_seconds < unhedged.workload_seconds
+
+
 def test_hedging_disabled_on_runtime_strategy(ssb_db):
     """The eager executor has no worker pools: hedging is a no-op."""
     run = _run(ssb_db, strategy="runtime", users=2,

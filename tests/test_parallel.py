@@ -70,15 +70,15 @@ class TestExecuteCell:
         outcome = execute_cell(Cell(workload="ssb", scale_factor=1.0,
                                     measure="footprint"))
         assert outcome.footprint_bytes > 0
-        assert outcome.seconds == 0.0
-        assert outcome.latencies == {}
+        assert outcome.metrics.workload_seconds == 0.0
+        assert outcome.metrics.latencies_by_query() == {}
 
     def test_run_cell_produces_measurements(self):
         outcome = execute_cell(SMOKE_CELLS[0])
-        assert outcome.seconds > 0
-        assert outcome.mean_latency("Q1.1") > 0
-        assert outcome.mean_latency("no_such_query") == 0.0
-        assert set(outcome.phase_seconds) >= {"numpy", "plan", "des"}
+        assert outcome.metrics.workload_seconds > 0
+        assert outcome.metrics.mean_latency("Q1.1") > 0
+        assert outcome.metrics.mean_latency("no_such_query") == 0.0
+        assert set(outcome.metrics.phase_seconds) >= {"numpy", "plan", "des"}
 
 
 class TestRunCells:
@@ -87,7 +87,7 @@ class TestRunCells:
         assert len(outcomes) == len(SMOKE_CELLS)
         assert all(isinstance(o, CellOutcome) for o in outcomes)
         # the footprint cell is last, exactly where its spec sits
-        assert outcomes[-1].seconds == 0.0
+        assert outcomes[-1].metrics.workload_seconds == 0.0
         assert outcomes[-1].footprint_bytes > 0
 
     def test_parallel_equals_sequential(self):
@@ -96,7 +96,9 @@ class TestRunCells:
         def simulated(outcome):
             # phase_seconds is *wall-clock* and legitimately varies
             # between runs; every simulated measurement must not.
-            return dataclasses.replace(outcome, phase_seconds={})
+            return dataclasses.replace(
+                outcome, metrics=dataclasses.replace(
+                    outcome.metrics, phase_seconds={}))
 
         sequential = [simulated(o) for o in run_cells(SMOKE_CELLS, jobs=1)]
         parallel = [simulated(o) for o in run_cells(SMOKE_CELLS, jobs=2)]

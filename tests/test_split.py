@@ -24,7 +24,11 @@ from repro.cli import main
 from repro.core import get_strategy
 from repro.core.placement import STRATEGY_NAMES, SplitHype
 from repro.engine import morsel, plan_cache
-from repro.engine.execution import QueryContext, execute_functional
+from repro.engine.execution import (
+    QueryContext,
+    execute_functional,
+    execute_operator,
+)
 from repro.engine.execution.split import (
     SPLIT_KINDS,
     SplitState,
@@ -307,6 +311,58 @@ def test_deadline_pressure_degrades_to_cpu(ssb_db):
     assert ctx.metrics.split_operators == 1
     assert ctx.metrics.split_degrades == 1
     assert device.heap.used == 0
+
+
+def test_split_waits_for_inflight_column(ssb_db):
+    """Split on the async link: a cached column can still be on the
+    wire (the pure operator below admitted it while its background copy
+    runs).  The split operator coalesces onto that copy and its first
+    GPU round waits for it to land."""
+    config = SystemConfig(split=True, copy_engine=True, split_ratio=0.5,
+                          split_rounds=2)
+    env, hardware, ctx = make_context(ssb_db, config)
+    pure_query, split_query = ssb.workload(ssb_db)[:2]
+    ctx.split = SplitState(config, ctx.cost_model)
+    ctx.split.prepare(ssb_db, [split_query])  # the other plan never splits
+    device = hardware.device("gpu")
+
+    def fact_scan(query):
+        return next(op for op in query.instantiate().operators
+                    if op.label == "Scan(lineorder)")
+
+    pure_op, split_op = fact_scan(pure_query), fact_scan(split_query)
+    keys = sorted(split_op.required_columns())
+    assert keys == sorted(pure_op.required_columns())
+    assert not any(key in device.cache for key in keys)
+
+    def arrive_mid_copy():
+        yield env.timeout(ctx.bus.latency / 2)
+        assert all(ctx.bus.in_flight("gpu", "h2d", key) for key in keys)
+        yield from execute_operator(ctx, split_op, [], "gpu")
+
+    pure_process = env.process(execute_operator(ctx, pure_op, [], "gpu"))
+    split_process = env.process(arrive_mid_copy())
+    on_the_wire_at_launch = []
+    submit = device.processor.submit
+
+    def spy(seconds):
+        if env.active_process is split_process:
+            on_the_wire_at_launch.append(
+                [key for key in keys
+                 if ctx.bus.in_flight("gpu", "h2d", key)])
+        return submit(seconds)
+
+    device.processor.submit = spy
+    env.run()
+    assert ctx.metrics.split_operators == 1
+    assert ctx.metrics.split_declines["ungated_plan"] == 1
+    assert on_the_wire_at_launch  # the split did launch GPU rounds
+    assert on_the_wire_at_launch[0] == []
+    assert ctx.metrics.coalesced_transfers >= 1
+    # only the pure operator's device-resident result is left
+    pure_process.value.release_device_memory()
+    assert device.heap.used == 0
+    assert all(device.cache.entry(key).refcount == 0 for key in keys)
 
 
 # ---------------------------------------------------------------------------
