@@ -84,11 +84,15 @@ def pending_transfer_seconds(
     under contention every copy waits behind the transfers already in
     flight, so chasing the faster processor across a congested bus is a
     losing move.  Compile-time costing passes False.
+
+    The sum is over floats, so its order matters to the last ulp and
+    the result is compared with ``<``: base columns are visited in
+    sorted key order, never in a set's hash order.
     """
     link = ctx.hardware.bus
     transfer = 0.0
     if cache is not None:
-        for key in op.required_columns():
+        for key in op.column_keys():
             if key not in cache:
                 column = ctx.database.column(key)
                 transfer += link.transfer_time(column.nominal_bytes)

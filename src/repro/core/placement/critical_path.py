@@ -14,13 +14,10 @@ realistic (the run-time strategies instead see exact sizes).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, NamedTuple
+from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
-from repro.core.placement.base import (
-    PROCESSOR_KINDS,
-    PlacementStrategy,
-    pending_transfer_seconds,
-)
+from repro.core.placement.base import PlacementStrategy
+from repro.engine import caches
 from repro.engine.cardinality import estimate_selectivity
 from repro.engine.operators import (
     GroupByAggregate,
@@ -32,6 +29,7 @@ from repro.engine.operators import (
     TidIntersect,
 )
 from repro.engine.operators.base import TID_BYTES
+from repro.hardware.processor import ProcessorKind
 
 
 class _OpEstimate(NamedTuple):
@@ -42,6 +40,13 @@ class _OpEstimate(NamedTuple):
     out_bytes: float
 
 
+#: database -> {root fingerprint: estimates in post order}.  Sizes depend
+#: on the database and the plan's structure only, so every arrival of a
+#: template shares them; a registered cache, so whatever mutates or
+#: retires a database drops them.
+_size_memo = caches.per_database("placement_sizes")
+
+
 class CriticalPath(PlacementStrategy):
     """Iterative-refinement response-time optimizer."""
 
@@ -49,12 +54,79 @@ class CriticalPath(PlacementStrategy):
     #: iteration budget for plans with many leaves
     max_iterations = 20
 
-    def prepare_plan(self, ctx, plan: PhysicalPlan) -> None:
-        estimates = self._estimate_sizes(ctx, plan)
-        leaves = plan.leaves
+    def prepare_plan(self, ctx, plan: PhysicalPlan) -> float:
+        """Fix every operator's placement; returns the estimated
+        response time of the assignment chosen."""
+        operators = plan.operators  # post order: children first
+        sizes = self._estimate_sizes(ctx, plan)
+        # Everything a candidate's cost is made of, once per call and
+        # by post-order index: nothing below changes while this runs.
+        position = {op.op_id: i for i, op in enumerate(operators)}
+        estimate = ctx.cost_model.estimate
+        transfer_time = ctx.hardware.bus.transfer_time
+        column = ctx.database.column
+        gpu_cache = ctx.gpu_cache
+        children: List[Tuple[int, ...]] = []
+        cpu_seconds: List[float] = []
+        gpu_seconds: List[float] = []
+        #: PCIe seconds for the base columns missing from the GPU cache
+        gpu_staging: List[float] = []
+        #: PCIe seconds to ship the operator's output across the bus
+        shipping: List[float] = []
+        for op, size in zip(operators, sizes):
+            children.append(tuple(position[c.op_id] for c in op.children))
+            cpu_seconds.append(
+                estimate(op.kind, ProcessorKind.CPU, size.input_bytes))
+            staging = 0.0
+            if op.cpu_only:
+                gpu_seconds.append(0.0)  # never read
+            else:
+                gpu_seconds.append(
+                    estimate(op.kind, ProcessorKind.GPU, size.input_bytes))
+                for key in op.column_keys():  # sorted: a float sum
+                    if key not in gpu_cache:
+                        staging += transfer_time(column(key).nominal_bytes)
+            gpu_staging.append(staging)
+            shipping.append(transfer_time(size.out_bytes))
+        host_only = [op.cpu_only for op in operators]
+        on_gpu = [False] * len(operators)
+        finish = [0.0] * len(operators)
+
+        def cost(gpu_leaves: FrozenSet[int]) -> float:
+            """Estimated response time with these leaves promoted;
+            leaves ``on_gpu`` holding the assignment it implies.
+
+            Paths continue on the GPU until an operator whose children
+            are not all on the GPU (or a host-only operator) is reached.
+            Compile time: no queue to read, so transfers are uncontended.
+            """
+            for i, inputs in enumerate(children):
+                if host_only[i]:
+                    gpu = False
+                elif inputs:
+                    gpu = True
+                    for child in inputs:
+                        if not on_gpu[child]:
+                            gpu = False
+                            break
+                else:
+                    gpu = i in gpu_leaves
+                on_gpu[i] = gpu
+                ready = 0.0
+                transfer = gpu_staging[i] if gpu else 0.0
+                for child in inputs:
+                    if finish[child] > ready:
+                        ready = finish[child]
+                    if on_gpu[child] != gpu:
+                        transfer += shipping[child]
+                finish[i] = ready + transfer + (
+                    gpu_seconds[i] if gpu else cpu_seconds[i])
+            return finish[-1]
+
+        leaves = [position[leaf.op_id] for leaf in plan.leaves]
         current: FrozenSet[int] = frozenset()
         best_set = current
-        best_cost = self._plan_cost(ctx, plan, current, estimates)
+        best_cost = cost(current)
         # Plateau-tolerant greedy: promoting a single leaf often shows
         # no gain until its sibling follows (binary operators need both
         # children on the co-processor), so we always promote the
@@ -63,29 +135,48 @@ class CriticalPath(PlacementStrategy):
             best_candidate = None
             best_candidate_cost = float("inf")
             for leaf in leaves:
-                if leaf.op_id in current:
+                if leaf in current:
                     continue
-                candidate = current | {leaf.op_id}
-                cost = self._plan_cost(ctx, plan, candidate, estimates)
-                if cost < best_candidate_cost:
-                    best_candidate = frozenset(candidate)
-                    best_candidate_cost = cost
+                candidate = current | {leaf}
+                candidate_cost = cost(candidate)
+                if candidate_cost < best_candidate_cost:
+                    best_candidate = candidate
+                    best_candidate_cost = candidate_cost
             if best_candidate is None:
                 break
             current = best_candidate
             if best_candidate_cost < best_cost:
                 best_cost = best_candidate_cost
                 best_set = best_candidate
-        placement = self._assignments(plan, best_set)
-        for op in plan.operators:
-            op.placement = placement[op.op_id]
+        cost(best_set)  # leaves the winning assignment in on_gpu
+        for op, gpu in zip(operators, on_gpu):
+            op.placement = "gpu" if gpu else "cpu"
+        return best_cost
 
     # -- size estimation ------------------------------------------------
 
-    def _estimate_sizes(self, ctx, plan: PhysicalPlan) -> Dict[int, _OpEstimate]:
-        """Propagate sampled selectivities through the plan once."""
+    def _estimate_sizes(self, ctx,
+                        plan: PhysicalPlan) -> Tuple[_OpEstimate, ...]:
+        """Sampled selectivities propagated through the plan: one
+        estimate per operator, in post order.  Computed once per
+        (database, plan structure); a plan without a fingerprint is
+        estimated afresh every time."""
         database = ctx.database
-        estimates: Dict[int, _OpEstimate] = {}
+        fingerprint = plan.root.fingerprint()
+        if fingerprint is not None:
+            memo = _size_memo.get(database)
+            if memo is None:
+                memo = _size_memo[database] = {}
+            sizes = memo.get(fingerprint)
+            if sizes is None:
+                sizes = memo[fingerprint] = self._sample_sizes(database, plan)
+            return sizes
+        return self._sample_sizes(database, plan)
+
+    @staticmethod
+    def _sample_sizes(database,
+                      plan: PhysicalPlan) -> Tuple[_OpEstimate, ...]:
+        estimates: Dict[int, _OpEstimate] = {}  # filled in post order
         for op in plan.operators:  # post order
             children = [estimates[c.op_id] for c in op.children]
             if isinstance(op, ScanSelect):
@@ -161,54 +252,4 @@ class CriticalPath(PlacementStrategy):
                 estimates[op.op_id] = _OpEstimate(
                     child.out_bytes, child.out_rows, child.out_bytes
                 )
-        return estimates
-
-    # -- placement derivation ---------------------------------------------
-
-    @staticmethod
-    def _assignments(plan: PhysicalPlan,
-                     gpu_leaves: FrozenSet[int]) -> Dict[int, str]:
-        """Derive per-operator placement from the GPU leaf set.
-
-        Paths continue on the GPU until an operator whose children are
-        not all on the GPU (or a host-only operator) is reached.
-        """
-        placement: Dict[int, str] = {}
-        for op in plan.operators:  # post order
-            if op.cpu_only:
-                placement[op.op_id] = "cpu"
-            elif not op.children:
-                placement[op.op_id] = (
-                    "gpu" if op.op_id in gpu_leaves else "cpu"
-                )
-            else:
-                all_gpu = all(
-                    placement[c.op_id] == "gpu" for c in op.children
-                )
-                placement[op.op_id] = "gpu" if all_gpu else "cpu"
-        return placement
-
-    def _plan_cost(self, ctx, plan: PhysicalPlan,
-                   gpu_leaves: FrozenSet[int],
-                   estimates: Dict[int, _OpEstimate]) -> float:
-        """Estimated response time of the plan under an assignment."""
-        placement = self._assignments(plan, gpu_leaves)
-        finish: Dict[int, float] = {}
-        for op in plan.operators:  # post order
-            ready = max((finish[c.op_id] for c in op.children), default=0.0)
-            estimate = estimates[op.op_id]
-            processor = placement[op.op_id]
-            execution = ctx.cost_model.estimate(
-                op.kind, PROCESSOR_KINDS[processor], estimate.input_bytes
-            )
-            # compile time: no queue to read, so the estimate is
-            # uncontended
-            transfer = pending_transfer_seconds(
-                ctx, op, ctx.gpu_cache if processor == "gpu" else None,
-                [(estimates[child.op_id].out_bytes, 1.0)
-                 for child in op.children
-                 if placement[child.op_id] != processor],
-                contended=False,
-            )
-            finish[op.op_id] = ready + transfer + execution
-        return finish[plan.root.op_id]
+        return tuple(estimates.values())

@@ -16,6 +16,7 @@ registered ones can never miss a populated cache.
 from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
+from weakref import WeakKeyDictionary
 
 #: name -> (invalidate(database=None), cache_size(database=None))
 _registry: "Dict[str, Tuple[Callable, Callable]]" = {}
@@ -24,6 +25,29 @@ _registry: "Dict[str, Tuple[Callable, Callable]]" = {}
 def register(name: str, invalidate: Callable, cache_size: Callable) -> None:
     """Register one cache's invalidation and sizing hooks."""
     _registry[name] = (invalidate, cache_size)
+
+
+def per_database(name: str) -> "WeakKeyDictionary":
+    """A new registered memo ``database -> {key: derived value}``.
+
+    Entries die with their database and with ``invalidate_all``; the
+    owner only reads and fills the mapping.
+    """
+    memo: "WeakKeyDictionary" = WeakKeyDictionary()
+
+    def invalidate(database=None) -> None:
+        if database is None:
+            memo.clear()
+        else:
+            memo.pop(database, None)
+
+    def cache_size(database=None) -> int:
+        if database is not None:
+            return len(memo.get(database) or ())
+        return sum(len(entries) for entries in memo.values())
+
+    register(name, invalidate, cache_size)
+    return memo
 
 
 def registered() -> Tuple[str, ...]:

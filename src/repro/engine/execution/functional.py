@@ -37,14 +37,14 @@ def execute_functional(plan: PhysicalPlan, database: Database) -> OperatorResult
             # termination; replay the per-operator access bookkeeping
             # the post-order loop below would have performed.
             for op in plan.operators:
-                statistics.record_accesses(sorted(op.required_columns()))
+                statistics.record_accesses(op.column_keys())
             return direct
         morsel.prepare_fused(plan, database)
     results: Dict[int, OperatorResult] = {}
     for op in plan.operators:  # post order: children first
         child_results = [results[c.op_id] for c in op.children]
         results[op.op_id] = op.produce(database, child_results)
-        # required_columns() is a set: sort so recency ticks (and the
-        # LFU tie-break order downstream) are hash-seed independent
-        statistics.record_accesses(sorted(op.required_columns()))
+        # sorted keys: recency ticks (and the LFU tie-break order
+        # downstream) are hash-seed independent
+        statistics.record_accesses(op.column_keys())
     return results[plan.root.op_id]

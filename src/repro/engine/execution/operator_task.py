@@ -67,7 +67,7 @@ def execute_operator(
     if qctx is not None:
         qctx.check()
     database = ctx.database
-    for key in sorted(op.required_columns()):
+    for key in op.column_keys():
         database.statistics.record_access(key, ctx.env.now)
 
     input_bytes = op.input_nominal_bytes(database, child_results)
@@ -124,7 +124,7 @@ def _try_gpu(ctx, device, op, child_results, input_bytes, admit_to_cache,
                         ctx.hardware.overlap_transfers)
     try:
         # 1. Stage base columns.
-        for key in sorted(op.required_columns()):
+        for key in op.column_keys():
             if not lease.hit(key):
                 yield from lease.miss(
                     key, ctx.database.column(key).nominal_bytes,

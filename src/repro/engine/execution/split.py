@@ -296,7 +296,7 @@ class SplitState:
             # -- stage the GPU's share of the inputs ------------------
             try:
                 if not coupled:
-                    for key in sorted(op.required_columns()):
+                    for key in op.column_keys():
                         if not lease.hit(key):
                             yield from lease.miss(
                                 key, ctx.database.column(key).nominal_bytes,

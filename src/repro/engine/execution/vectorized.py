@@ -233,7 +233,7 @@ class VectorizedExecutor:
         database = ctx.database
         start = env.now
         for op in pipeline.operators:
-            for key in sorted(op.required_columns()):
+            for key in op.column_keys():
                 database.statistics.record_access(key, env.now)
 
         # functional execution first (zero simulated time): run-time

@@ -44,10 +44,8 @@ class ColumnRef(Expression):
     def __init__(self, table: str, name: str):
         self.table = table
         self.name = name
-
-    @property
-    def key(self) -> str:
-        return "{}.{}".format(self.table, self.name)
+        #: the ``table.column`` catalog key
+        self.key = "{}.{}".format(table, name)
 
     def columns(self) -> Set[str]:
         return {self.key}

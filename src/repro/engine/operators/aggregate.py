@@ -43,7 +43,7 @@ class GroupByAggregate(PhysicalOperator):
             tuple(agg.to_sql() for agg in self.aggregates),
         )
 
-    def required_columns(self) -> Set[str]:
+    def _read_columns(self) -> Set[str]:
         keys: Set[str] = set()
         for ref in self.group_refs:
             keys.add(ref.key)

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
-from typing import List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Set, Tuple
 
 from repro.engine import plan_cache
 from repro.engine.intermediates import OperatorResult
@@ -43,6 +44,10 @@ class PhysicalOperator:
         #: lazily computed structural fingerprint (see :meth:`fingerprint`);
         #: ``False`` marks an operator the cross-plan cache cannot key
         self._fingerprint = None
+        #: lazily computed ``(frozenset, sorted tuple)`` of the base
+        #: columns read (see :meth:`required_columns`); shared with
+        #: clones the same way the fingerprint is
+        self._columns = None
         #: set when the operator joins a PhysicalPlan (used by tracing)
         self.plan_name = "query"
 
@@ -53,9 +58,30 @@ class PhysicalOperator:
 
     # -- interface ------------------------------------------------------
 
-    def required_columns(self) -> Set[str]:
-        """Base column keys this operator reads directly."""
+    def _read_columns(self) -> Set[str]:
+        """Base column keys this operator reads directly; subclasses
+        override this, callers ask :meth:`required_columns`."""
         return set()
+
+    def required_columns(self) -> FrozenSet[str]:
+        """Base column keys this operator reads directly.
+
+        Fixed at construction (predicates and key references never
+        change), so the expression trees are walked once per template:
+        the result is cached on the instance and clones share it.
+        """
+        if self._columns is None:
+            keys = frozenset(self._read_columns())
+            self._columns = (keys, tuple(sorted(keys)))
+        return self._columns[0]
+
+    def column_keys(self) -> Tuple[str, ...]:
+        """:meth:`required_columns` as a sorted tuple — the order for
+        anything order-sensitive (recency ticks, fault rolls, float
+        sums), independent of ``PYTHONHASHSEED``."""
+        if self._columns is None:
+            self.required_columns()
+        return self._columns[1]
 
     def input_nominal_bytes(self, database: Database,
                             child_results: List[OperatorResult]) -> int:
@@ -69,7 +95,7 @@ class PhysicalOperator:
         required columns and assumes full scans.
         """
         return sum(
-            database.column(key).nominal_bytes for key in self.required_columns()
+            database.column(key).nominal_bytes for key in self.column_keys()
         ) or TID_BYTES
 
     def run(self, database: Database,
@@ -164,22 +190,22 @@ class PhysicalOperator:
 
 
 class PhysicalPlan:
-    """A physical plan: a root operator plus metadata."""
+    """A physical plan: a root operator plus metadata.
+
+    The tree is fixed once the plan exists (``clone`` builds a new
+    plan), so its shape is walked once: ``operators`` is every operator
+    in post order, ``leaves`` the childless ones in the same order.
+    """
 
     def __init__(self, root: PhysicalOperator, name: str = "query"):
         self.root = root
         self.name = name
-        for op in root.walk():
+        self.operators: Tuple[PhysicalOperator, ...] = tuple(root.walk())
+        self.leaves: Tuple[PhysicalOperator, ...] = tuple(
+            op for op in self.operators if not op.children
+        )
+        for op in self.operators:
             op.plan_name = name
-
-    @property
-    def operators(self) -> List[PhysicalOperator]:
-        """All operators in post order."""
-        return list(self.root.walk())
-
-    @property
-    def leaves(self) -> List[PhysicalOperator]:
-        return [op for op in self.operators if not op.children]
 
     def required_columns(self) -> Set[str]:
         keys: Set[str] = set()
@@ -220,11 +246,11 @@ class PhysicalPlan:
         """Fresh operator instances for one execution.
 
         Placement and per-execution state are reset; immutable pieces
-        (predicates, memoised result payloads) are shared.
+        (predicates, memoised result payloads, fingerprints and column
+        keys) are shared.
         """
-        import copy
-
         def clone_tree(op: PhysicalOperator) -> PhysicalOperator:
+            op.required_columns()  # memoise on the template, not per clone
             twin = copy.copy(op)
             twin.op_id = next(_op_counter)
             twin.placement = None

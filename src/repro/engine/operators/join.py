@@ -70,7 +70,7 @@ class HashJoin(PhysicalOperator):
     def state_key(self):
         return (self.probe_key.key, self.build_key.key)
 
-    def required_columns(self) -> Set[str]:
+    def _read_columns(self) -> Set[str]:
         return {self.probe_key.key, self.build_key.key}
 
     def input_nominal_bytes(self, database: Database,

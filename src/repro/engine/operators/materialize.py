@@ -35,7 +35,7 @@ class Materialize(PhysicalOperator):
     def state_key(self):
         return (tuple((alias, expr.to_sql()) for alias, expr in self.items),)
 
-    def required_columns(self) -> Set[str]:
+    def _read_columns(self) -> Set[str]:
         keys: Set[str] = set()
         for _, expr in self.items:
             keys |= expr.columns()

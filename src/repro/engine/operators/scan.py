@@ -39,7 +39,7 @@ class ScanSelect(PhysicalOperator):
         return (self.table,
                 self.predicate.to_sql() if self.predicate else None)
 
-    def required_columns(self) -> Set[str]:
+    def _read_columns(self) -> Set[str]:
         if self.predicate is None:
             return set()
         return self.predicate.columns()
@@ -122,7 +122,7 @@ class RefineSelect(PhysicalOperator):
     def state_key(self):
         return (self.table, self.predicate.to_sql())
 
-    def required_columns(self) -> Set[str]:
+    def _read_columns(self) -> Set[str]:
         return self.predicate.columns()
 
     def input_nominal_bytes(self, database: Database,

@@ -48,11 +48,11 @@ class LearnedCostModel:
             self._refit(key)
 
     def _refit(self, key: Tuple[str, ProcessorKind]) -> None:
-        observations = self.store.get(*key)
-        if len(observations) < self.min_observations:
+        input_bytes, seconds = self.store.series(*key)
+        if len(input_bytes) < self.min_observations:
             return
-        x = np.array([o.input_bytes for o in observations])
-        y = np.array([o.seconds for o in observations])
+        x = np.array(input_bytes)
+        y = np.array(seconds)
         if np.ptp(x) == 0:
             # Degenerate input sizes: constant model.
             self._fits[key] = (float(y.mean()), 0.0)

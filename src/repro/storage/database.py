@@ -15,6 +15,8 @@ class Database:
     def __init__(self, name: str = "db"):
         self.name = name
         self._tables: Dict[str, Table] = {}
+        #: ``table.column`` keys resolved so far (see :meth:`column`)
+        self._resolved: Dict[str, Column] = {}
         #: per-column access counters (Sec. 3.2): incremented each time
         #: an operator accesses a column, consumed by the data-placement
         #: manager's background job.
@@ -43,9 +45,20 @@ class Database:
         return list(self._tables.values())
 
     def column(self, key: str) -> Column:
-        """Look up a column by its ``table.column`` key."""
-        table_name, _, column_name = key.partition(".")
-        return self.table(table_name).column(column_name)
+        """Look up a column by its ``table.column`` key.
+
+        Tables and columns are only ever added — nothing renames,
+        replaces or drops one — so a key, once resolved, stays resolved
+        to the same column: the answer is remembered per database (an
+        epoch snapshot is its own database) and there is nothing to
+        invalidate.
+        """
+        column = self._resolved.get(key)
+        if column is None:
+            table_name, _, column_name = key.partition(".")
+            column = self.table(table_name).column(column_name)
+            self._resolved[key] = column
+        return column
 
     def columns(self) -> List[Column]:
         """Every column of every table."""

@@ -28,20 +28,12 @@ class ColumnType(enum.Enum):
     @property
     def numpy_dtype(self) -> np.dtype:
         """The dtype of the in-memory value array."""
-        mapping = {
-            ColumnType.INT32: np.int32,
-            ColumnType.INT64: np.int64,
-            ColumnType.FLOAT32: np.float32,
-            ColumnType.FLOAT64: np.float64,
-            ColumnType.DATE: np.int32,
-            ColumnType.STRING: np.int32,
-        }
-        return np.dtype(mapping[self])
+        return _DTYPES[self._value_]
 
     @property
     def itemsize(self) -> int:
         """Bytes per value as stored (dictionary codes for strings)."""
-        return self.numpy_dtype.itemsize
+        return _ITEMSIZES[self._value_]
 
     @property
     def is_numeric(self) -> bool:
@@ -51,3 +43,17 @@ class ColumnType(enum.Enum):
             ColumnType.FLOAT32,
             ColumnType.FLOAT64,
         )
+
+
+#: member value -> dtype / bytes per value.  Keyed by the value (a
+#: ``str``, whose hash is cached) because hashing an enum member is a
+#: Python-level call, and these sit under every column-width sum.
+_DTYPES = {
+    "int32": np.dtype(np.int32),
+    "int64": np.dtype(np.int64),
+    "float32": np.dtype(np.float32),
+    "float64": np.dtype(np.float64),
+    "date": np.dtype(np.int32),
+    "string": np.dtype(np.int32),
+}
+_ITEMSIZES = {value: dtype.itemsize for value, dtype in _DTYPES.items()}

@@ -1,15 +1,37 @@
 """Unit tests for the Critical Path optimizer and its cardinality
 estimator."""
 
+import dataclasses
+import random
+
 import pytest
 
 from tests.conftest import make_context
-from repro.core.placement import CriticalPath
-from repro.engine import Planner
+from repro.core.data_placement import DataPlacementManager
+from repro.core.placement import CriticalPath, critical_path
+from repro.core.placement.base import (
+    PROCESSOR_KINDS,
+    pending_transfer_seconds,
+)
+from repro.engine import Planner, caches, plan_cache
 from repro.engine.cardinality import estimate_selectivity
+from repro.engine.execution import ExecutionContext, execute_functional
 from repro.engine.expressions import ColumnRef, Comparison, Literal
-from repro.engine.operators import HashJoin, ScanSelect
+from repro.engine.operators import (
+    HashJoin,
+    Materialize,
+    PhysicalPlan,
+    RefineSelect,
+    ScanSelect,
+    TidIntersect,
+)
+from repro.hardware import SystemConfig
+from repro.harness import runner
+from repro.harness.experiments import clear_database_caches
 from repro.sql import bind
+from repro.storage.compression import compress_database
+from repro.storage.epochs import EpochStore
+from repro.workloads import ssb, tpch
 
 
 JOIN_SQL = (
@@ -20,6 +42,98 @@ JOIN_SQL = (
 
 def make_plan(db, sql=JOIN_SQL):
     return Planner(db).plan(bind(sql, db, name="q"))
+
+
+# -- the definition -----------------------------------------------------
+#
+# The costing as the optimizer was first written (dicts keyed by op_id, a
+# fresh tree walk and fresh cost-model / link queries per candidate).
+# ``CriticalPath.prepare_plan`` computes the same thing over flat arrays;
+# these stay here as the reference it is checked against, float for float.
+
+def oracle_sizes(ctx, plan):
+    sizes = CriticalPath()._estimate_sizes(ctx, plan)
+    return {op.op_id: size for op, size in zip(plan.root.walk(), sizes)}
+
+
+def oracle_assignments(plan, gpu_leaves):
+    """Paths continue on the GPU until an operator whose children are
+    not all on the GPU (or a host-only operator) is reached."""
+    placement = {}
+    for op in plan.root.walk():  # post order
+        if op.cpu_only:
+            placement[op.op_id] = "cpu"
+        elif not op.children:
+            placement[op.op_id] = "gpu" if op.op_id in gpu_leaves else "cpu"
+        else:
+            all_gpu = all(placement[c.op_id] == "gpu" for c in op.children)
+            placement[op.op_id] = "gpu" if all_gpu else "cpu"
+    return placement
+
+
+def oracle_plan_cost(ctx, plan, gpu_leaves, estimates):
+    """Estimated response time of the plan under an assignment."""
+    placement = oracle_assignments(plan, gpu_leaves)
+    finish = {}
+    for op in plan.root.walk():  # post order
+        ready = max((finish[c.op_id] for c in op.children), default=0.0)
+        estimate = estimates[op.op_id]
+        processor = placement[op.op_id]
+        execution = ctx.cost_model.estimate(
+            op.kind, PROCESSOR_KINDS[processor], estimate.input_bytes
+        )
+        transfer = pending_transfer_seconds(
+            ctx, op, ctx.gpu_cache if processor == "gpu" else None,
+            [(estimates[child.op_id].out_bytes, 1.0)
+             for child in op.children
+             if placement[child.op_id] != processor],
+            contended=False,
+        )
+        finish[op.op_id] = ready + transfer + execution
+    return finish[plan.root.op_id]
+
+
+def oracle_prepare(ctx, plan, max_iterations=CriticalPath.max_iterations):
+    """The greedy refinement over the definition: ``({op_id: processor},
+    best cost)``."""
+    estimates = oracle_sizes(ctx, plan)
+    leaves = [op for op in plan.root.walk() if not op.children]
+    current = frozenset()
+    best_set = current
+    best_cost = oracle_plan_cost(ctx, plan, current, estimates)
+    for _ in range(min(len(leaves), max_iterations)):
+        best_candidate = None
+        best_candidate_cost = float("inf")
+        for leaf in leaves:
+            if leaf.op_id in current:
+                continue
+            candidate = current | {leaf.op_id}
+            cost = oracle_plan_cost(ctx, plan, candidate, estimates)
+            if cost < best_candidate_cost:
+                best_candidate = frozenset(candidate)
+                best_candidate_cost = cost
+        if best_candidate is None:
+            break
+        current = best_candidate
+        if best_candidate_cost < best_cost:
+            best_cost = best_candidate_cost
+            best_set = best_candidate
+    return oracle_assignments(plan, best_set), best_cost
+
+
+def assert_matches_oracle(ctx, plan, max_iterations=None):
+    """``prepare_plan`` and the definition agree on every operator and on
+    the cost, exactly; returns the placements."""
+    strategy = CriticalPath()
+    if max_iterations is not None:
+        strategy.max_iterations = max_iterations
+    expected, expected_cost = oracle_prepare(
+        ctx, plan, strategy.max_iterations)
+    cost = strategy.prepare_plan(ctx, plan)
+    placed = {op.op_id: op.placement for op in plan.operators}
+    assert placed == expected, plan.name
+    assert cost == expected_cost, plan.name  # ==, not approx
+    return placed
 
 
 class TestCardinalityEstimation:
@@ -58,7 +172,7 @@ class TestOpEstimates:
         cp = CriticalPath()
         estimates = cp._estimate_sizes(ctx, plan)
         join = [op for op in plan.operators if isinstance(op, HashJoin)][0]
-        join_estimate = estimates[join.op_id]
+        join_estimate = estimates[plan.operators.index(join)]
         fact_rows = toy_db.table("sales").nominal_rows
         # half the stores survive the filter: ~half the fact rows join
         assert join_estimate.out_rows == pytest.approx(
@@ -74,7 +188,7 @@ class TestOpEstimates:
         estimates = cp._estimate_sizes(ctx, plan)
         scan = plan.leaves[0]
         fact_rows = toy_db.table("sales").nominal_rows
-        assert estimates[scan.op_id].out_rows == pytest.approx(
+        assert estimates[plan.operators.index(scan)].out_rows == pytest.approx(
             fact_rows * 0.4, rel=0.2
         )
 
@@ -88,7 +202,7 @@ class TestOpEstimates:
             if isinstance(op, ScanSelect) and op.predicate is None
         ]
         for op in bare:
-            assert estimates[op.op_id].out_bytes == 0.0
+            assert estimates[plan.operators.index(op)].out_bytes == 0.0
 
 
 class TestCriticalPathPlacement:
@@ -147,9 +261,254 @@ class TestCriticalPathPlacement:
         for column in toy_db.columns():
             hw.gpu_cache.admit(column.key, column.nominal_bytes, pinned=True)
         plan = make_plan(toy_db)
-        cp = CriticalPath()
-        estimates = cp._estimate_sizes(ctx, plan)
-        cpu_cost = cp._plan_cost(ctx, plan, frozenset(), estimates)
+        estimates = oracle_sizes(ctx, plan)
+        cpu_cost = oracle_plan_cost(ctx, plan, frozenset(), estimates)
         all_leaves = frozenset(l.op_id for l in plan.leaves)
-        gpu_cost = cp._plan_cost(ctx, plan, all_leaves, estimates)
+        gpu_cost = oracle_plan_cost(ctx, plan, all_leaves, estimates)
         assert gpu_cost < cpu_cost  # hot cache: the GPU plan wins
+        # and the optimizer finds a plan at least that good
+        assert CriticalPath().prepare_plan(ctx, plan) <= gpu_cost
+
+
+# -- flat costing == the definition, over the real templates ---------------
+
+CACHE_STATES = ("empty", "hot_set", "random_1", "random_2", "random_3")
+
+
+@pytest.fixture(scope="module")
+def benchmarks_warm():
+    """``{name: (database, queries, learned cost model)}`` after one warm
+    ``run_workload`` each — which also leaves the access statistics the
+    data-placement manager ranks by.  Scale factor 10 (in nominal bytes;
+    a few thousand actual rows): large enough that the co-processor
+    wins some operators and loses others."""
+    warm = {}
+    for name, module in (("ssb", ssb), ("tpch", tpch)):
+        database = module.generate(10, data_scale=1e-4, seed=5)
+        queries = module.workload(database)
+        contexts = []
+        build = runner.build_platform
+
+        def capture(*args, **kwargs):
+            contexts.append(build(*args, **kwargs))
+            return contexts[-1]
+
+        runner.build_platform = capture
+        try:
+            runner.run_workload(database, queries, "critical_path")
+        finally:
+            runner.build_platform = build
+        (ctx,) = contexts
+        assert any(ctx.cost_model.is_learned(*key)
+                   for key in ctx.cost_model.store.keys())
+        warm[name] = (database, queries, ctx.cost_model)
+    return warm
+
+
+def context_in_state(database, queries, state, cost_model):
+    """A fresh platform whose GPU cache is in ``state``."""
+    workload_bytes = sum(
+        database.column(key).nominal_bytes
+        for key in set().union(*(q.required_columns() for q in queries))
+    )
+    # the hot set is what fits in half of what the workload reads, so it
+    # is a proper subset; the random subsets get room for all they draw
+    config = dataclasses.replace(
+        SystemConfig(), gpu_memory_bytes=2 * database.nominal_bytes,
+        gpu_cache_bytes=(workload_bytes // 2 if state == "hot_set"
+                         else database.nominal_bytes))
+    env, hardware, _ = make_context(database, config)
+    ctx = ExecutionContext(hardware, database, cost_model=cost_model)
+    if state == "hot_set":
+        DataPlacementManager(
+            database, caches=[hardware.gpu_cache]).apply_placement()
+    elif state.startswith("random"):
+        rng = random.Random(state)
+        for column in database.columns():
+            if rng.random() < 0.5:
+                assert hardware.gpu_cache.admit(
+                    column.key, column.nominal_bytes)
+    assert (len(hardware.gpu_cache) > 0) == (state != "empty")
+    return ctx
+
+
+class TestFlatCostingEqualsDefinition:
+    @pytest.mark.parametrize("model", ["analytical", "learned"])
+    @pytest.mark.parametrize("state", CACHE_STATES)
+    def test_every_template(self, benchmarks_warm, state, model):
+        seen = set()
+        for database, queries, learned in benchmarks_warm.values():
+            ctx = context_in_state(
+                database, queries, state,
+                learned if model == "learned" else None)
+            assert (ctx.cost_model is learned) == (model == "learned")
+            for query in queries:
+                placed = assert_matches_oracle(ctx, query.instantiate())
+                seen.update(placed.values())
+        assert seen == {"cpu", "gpu"}  # the decisions are real ones
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_selection_trees(self, toy_db, seed):
+        """Bushy trees of 6-10 leaves: binary operators make single
+        promotions plateau, and a small budget cuts the search short."""
+        rng = random.Random(seed)
+        columns = ("skey", "amount", "price")
+
+        def scan():
+            column = rng.choice(columns)
+            return ScanSelect("sales", Comparison(
+                "<", ColumnRef("sales", column), Literal(rng.randint(5, 90))))
+
+        nodes = [scan() for _ in range(rng.randint(6, 10))]
+        n_leaves = len(nodes)
+        while len(nodes) > 1:
+            left = nodes.pop(rng.randrange(len(nodes)))
+            right = nodes.pop(rng.randrange(len(nodes)))
+            node = TidIntersect(left, right, "sales")
+            if rng.random() < 0.3:
+                node = RefineSelect(node, "sales", Comparison(
+                    ">", ColumnRef("sales", rng.choice(columns)), Literal(2)))
+            nodes.append(node)
+        plan = PhysicalPlan(Materialize(
+            nodes[0], [("amount", ColumnRef("sales", "amount"))]))
+        assert len(plan.leaves) == n_leaves >= 6
+        env, hw, ctx = make_context(toy_db)
+        for column in toy_db.columns():
+            if rng.random() < 0.6:
+                hw.gpu_cache.admit(column.key, column.nominal_bytes)
+        full = assert_matches_oracle(ctx, plan)
+        capped = assert_matches_oracle(ctx, plan, max_iterations=2)
+        # two promotions cannot complete any path of a bushy tree: the
+        # capped search stays below every binary operator
+        assert sum(p == "gpu" for p in capped.values()) <= 2
+        assert set(full.values()) <= {"cpu", "gpu"}
+
+
+# -- the size memo: invalidated when it must be, invisible otherwise -------
+
+@pytest.fixture()
+def sampling_calls(monkeypatch):
+    """Counts the predicate samplings the size estimator performs."""
+    calls = []
+
+    def spy(database, table, predicate):
+        calls.append(table)
+        return estimate_selectivity(database, table, predicate)
+
+    monkeypatch.setattr(critical_path, "estimate_selectivity", spy)
+    return calls
+
+
+class TestSizeMemo:
+    def test_sampled_once_per_database_and_template(self, toy_db,
+                                                    sampling_calls):
+        env, hw, ctx = make_context(toy_db)
+        template = make_plan(toy_db)
+        CriticalPath().prepare_plan(ctx, template.clone())
+        sampled = len(sampling_calls)
+        assert sampled > 0
+        # clones, and a distinct statement with the same structure
+        CriticalPath().prepare_plan(ctx, template.clone())
+        CriticalPath().prepare_plan(ctx, make_plan(toy_db))
+        assert len(sampling_calls) == sampled
+        assert caches.cache_sizes(toy_db)["placement_sizes"] == 1
+        # another template is another entry
+        CriticalPath().prepare_plan(
+            ctx, make_plan(toy_db, "select amount from sales where amount < 9"))
+        assert len(sampling_calls) > sampled
+        assert caches.cache_sizes(toy_db)["placement_sizes"] == 2
+
+    def test_recomputed_after_compression(self, toy_db, sampling_calls):
+        env, hw, ctx = make_context(toy_db)
+        plan = make_plan(toy_db)
+        before = CriticalPath()._estimate_sizes(ctx, plan)
+        sampled = len(sampling_calls)
+        compress_database(toy_db)
+        assert caches.cache_sizes(toy_db)["placement_sizes"] == 0
+        after = CriticalPath()._estimate_sizes(ctx, plan)
+        assert len(sampling_calls) == 2 * sampled
+        assert after is not before
+
+    def test_recomputed_after_clearing_database_caches(self, toy_db,
+                                                       sampling_calls):
+        env, hw, ctx = make_context(toy_db)
+        plan = make_plan(toy_db)
+        CriticalPath().prepare_plan(ctx, plan)
+        sampled = len(sampling_calls)
+        clear_database_caches()
+        assert caches.cache_sizes()["placement_sizes"] == 0
+        CriticalPath().prepare_plan(ctx, plan)
+        assert len(sampling_calls) == 2 * sampled
+
+    def test_epoch_snapshots_do_not_share_estimates(self, toy_db):
+        env, hw, ctx = make_context(toy_db)
+        store = EpochStore(toy_db)
+        base = store.head
+        plan = make_plan(toy_db)
+        old = CriticalPath()._estimate_sizes(ctx, plan)
+        pinned = store.pin()
+        grown = store.advance(fraction=0.5, tables=["sales"])
+        assert (grown.table("sales").nominal_rows
+                > base.table("sales").nominal_rows)
+        new = CriticalPath()._estimate_sizes(ctx.with_database(grown), plan)
+        scan = plan.operators.index(next(
+            op for op in plan.leaves if op.predicate is not None))
+        assert new[scan].input_bytes > old[scan].input_bytes
+        assert new[scan].out_rows > old[scan].out_rows
+        # the superseded snapshot keeps its entry while a query pins it
+        assert caches.cache_sizes(base)["placement_sizes"] == 1
+        assert store.unpin(pinned) == 1  # drained: retired
+        assert caches.cache_sizes(base)["placement_sizes"] == 0
+        assert caches.cache_sizes(grown)["placement_sizes"] == 1
+
+    def test_plan_cache_counters_untouched(self, toy_db):
+        env, hw, ctx = make_context(toy_db)
+        template = make_plan(toy_db)
+        execute_functional(template, toy_db)
+        before = dict(plan_cache.stats)
+        for _ in range(100):
+            CriticalPath().prepare_plan(ctx, template.clone())
+        assert plan_cache.stats == before
+
+    def test_unfingerprinted_plans_are_not_memoised(self, toy_db,
+                                                    sampling_calls):
+        env, hw, ctx = make_context(toy_db)
+        plan = make_plan(toy_db)
+        plan.root.state_key = lambda: None  # opts out of fingerprints
+        assert plan.root.fingerprint() is None
+        CriticalPath().prepare_plan(ctx, plan)
+        sampled = len(sampling_calls)
+        CriticalPath().prepare_plan(ctx, plan)
+        assert len(sampling_calls) == 2 * sampled
+        assert caches.cache_sizes(toy_db)["placement_sizes"] == 0
+
+
+class TestPlanShape:
+    def test_clone_shares_what_is_immutable_only(self, toy_db):
+        template = make_plan(toy_db)
+        CriticalPath().prepare_plan(make_context(toy_db)[2], template)
+        clone = template.clone()
+        assert len(clone.operators) == len(template.operators)
+        assert [len(op.children) for op in clone.operators] == [
+            len(op.children) for op in template.operators]
+        for original, twin in zip(template.operators, clone.operators):
+            assert twin is not original
+            assert twin.op_id > max(op.op_id for op in template.operators)
+            assert original.placement in ("cpu", "gpu")
+            assert twin.placement is None
+            assert twin.column_keys() is original.column_keys()
+            assert twin.required_columns() is original.required_columns()
+            assert twin.column_keys() == tuple(
+                sorted(twin.required_columns()))
+        assert len(set(op.op_id for op in clone.operators)) == len(
+            clone.operators)
+
+    def test_shape_is_fixed(self, toy_db):
+        plan = make_plan(toy_db)
+        assert plan.operators == tuple(plan.root.walk())
+        assert plan.leaves == tuple(
+            op for op in plan.root.walk() if not op.children)
+        with pytest.raises(TypeError):
+            plan.operators[0] = plan.root
+        with pytest.raises(TypeError):
+            plan.leaves[0] = plan.root

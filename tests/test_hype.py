@@ -34,9 +34,24 @@ class TestObservationStore:
         assert observations[0].input_bytes == 15.0
         assert observations[-1].input_bytes == 24.0
 
+    def test_series_and_get_agree_after_the_window_wrapped(self):
+        store = ObservationStore(max_observations_per_key=10)
+        for i in range(37):
+            store.add("join", ProcessorKind.CPU, i * 3, i / 7,
+                      source="split" if i % 2 else "pure")
+            observations = store.get("join", ProcessorKind.CPU)
+            input_bytes, seconds = store.series("join", ProcessorKind.CPU)
+            assert input_bytes == [o.input_bytes for o in observations]
+            assert seconds == [o.seconds for o in observations]
+            assert all(type(x) is float for x in input_bytes + seconds)
+        assert len(input_bytes) == 10 and input_bytes[0] == 27 * 3.0
+        store.clear()
+        assert store.series("join", ProcessorKind.CPU) == ([], [])
+
     def test_get_missing_key_empty(self):
         store = ObservationStore()
         assert store.get("sort", ProcessorKind.GPU) == []
+        assert store.series("sort", ProcessorKind.GPU) == ([], [])
 
     def test_clear(self):
         store = ObservationStore()
