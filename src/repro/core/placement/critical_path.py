@@ -40,10 +40,21 @@ class _OpEstimate(NamedTuple):
     out_bytes: float
 
 
-#: database -> {root fingerprint: estimates in post order}.  Sizes depend
-#: on the database and the plan's structure only, so every arrival of a
-#: template shares them; a registered cache, so whatever mutates or
-#: retires a database drops them.
+class _Template(NamedTuple):
+    """What every arrival of a template shares, by post-order index."""
+
+    sizes: Tuple[_OpEstimate, ...]
+    #: per operator, the indexes of its children
+    children: Tuple[Tuple[int, ...], ...]
+    leaves: Tuple[int, ...]
+    #: per operator, its ``cpu_only`` flag
+    host_only: Tuple[bool, ...]
+
+
+#: database -> {root fingerprint: _Template}.  Sizes depend on the
+#: database and the plan's structure only (the shape on the structure
+#: alone), so every arrival of a template shares them; a registered
+#: cache, so whatever mutates or retires a database drops them.
 _size_memo = caches.per_database("placement_sizes")
 
 
@@ -58,15 +69,13 @@ class CriticalPath(PlacementStrategy):
         """Fix every operator's placement; returns the estimated
         response time of the assignment chosen."""
         operators = plan.operators  # post order: children first
-        sizes = self._estimate_sizes(ctx, plan)
+        sizes, children, leaves, host_only = self._template(ctx, plan)
         # Everything a candidate's cost is made of, once per call and
         # by post-order index: nothing below changes while this runs.
-        position = {op.op_id: i for i, op in enumerate(operators)}
         estimate = ctx.cost_model.estimate
         transfer_time = ctx.hardware.bus.transfer_time
         column = ctx.database.column
         gpu_cache = ctx.gpu_cache
-        children: List[Tuple[int, ...]] = []
         cpu_seconds: List[float] = []
         gpu_seconds: List[float] = []
         #: PCIe seconds for the base columns missing from the GPU cache
@@ -74,7 +83,6 @@ class CriticalPath(PlacementStrategy):
         #: PCIe seconds to ship the operator's output across the bus
         shipping: List[float] = []
         for op, size in zip(operators, sizes):
-            children.append(tuple(position[c.op_id] for c in op.children))
             cpu_seconds.append(
                 estimate(op.kind, ProcessorKind.CPU, size.input_bytes))
             staging = 0.0
@@ -88,7 +96,6 @@ class CriticalPath(PlacementStrategy):
                         staging += transfer_time(column(key).nominal_bytes)
             gpu_staging.append(staging)
             shipping.append(transfer_time(size.out_bytes))
-        host_only = [op.cpu_only for op in operators]
         on_gpu = [False] * len(operators)
         finish = [0.0] * len(operators)
 
@@ -123,7 +130,6 @@ class CriticalPath(PlacementStrategy):
                     gpu_seconds[i] if gpu else cpu_seconds[i])
             return finish[-1]
 
-        leaves = [position[leaf.op_id] for leaf in plan.leaves]
         current: FrozenSet[int] = frozenset()
         best_set = current
         best_cost = cost(current)
@@ -155,27 +161,25 @@ class CriticalPath(PlacementStrategy):
 
     # -- size estimation ------------------------------------------------
 
-    def _estimate_sizes(self, ctx,
-                        plan: PhysicalPlan) -> Tuple[_OpEstimate, ...]:
-        """Sampled selectivities propagated through the plan: one
-        estimate per operator, in post order.  Computed once per
-        (database, plan structure); a plan without a fingerprint is
-        estimated afresh every time."""
+    def _template(self, ctx, plan: PhysicalPlan) -> _Template:
+        """Sampled selectivities propagated through the plan (one
+        estimate per operator, in post order) and the plan's shape.
+        Computed once per (database, plan structure); a plan without a
+        fingerprint is estimated afresh every time."""
         database = ctx.database
         fingerprint = plan.root.fingerprint()
         if fingerprint is not None:
             memo = _size_memo.get(database)
             if memo is None:
                 memo = _size_memo[database] = {}
-            sizes = memo.get(fingerprint)
-            if sizes is None:
-                sizes = memo[fingerprint] = self._sample_sizes(database, plan)
-            return sizes
-        return self._sample_sizes(database, plan)
+            template = memo.get(fingerprint)
+            if template is None:
+                template = memo[fingerprint] = self._sample(database, plan)
+            return template
+        return self._sample(database, plan)
 
     @staticmethod
-    def _sample_sizes(database,
-                      plan: PhysicalPlan) -> Tuple[_OpEstimate, ...]:
+    def _sample(database, plan: PhysicalPlan) -> _Template:
         estimates: Dict[int, _OpEstimate] = {}  # filled in post order
         for op in plan.operators:  # post order
             children = [estimates[c.op_id] for c in op.children]
@@ -252,4 +256,11 @@ class CriticalPath(PlacementStrategy):
                 estimates[op.op_id] = _OpEstimate(
                     child.out_bytes, child.out_rows, child.out_bytes
                 )
-        return tuple(estimates.values())
+        position = {op_id: i for i, op_id in enumerate(estimates)}
+        return _Template(
+            tuple(estimates.values()),
+            tuple(tuple(position[c.op_id] for c in op.children)
+                  for op in plan.operators),
+            tuple(position[leaf.op_id] for leaf in plan.leaves),
+            tuple(op.cpu_only for op in plan.operators),
+        )

@@ -185,8 +185,8 @@ class QueryContext:
     # -- registration ---------------------------------------------------
 
     def register(self, process) -> None:
-        """A DES process now works for this query (interrupt on cancel)."""
-        self._procs = [p for p in self._procs if p.is_alive]
+        """A DES process now works for this query (interrupt on cancel;
+        :meth:`cancel` skips the ones that finished meanwhile)."""
         self._procs.append(process)
 
     def attach_root(self, event: Event) -> None:

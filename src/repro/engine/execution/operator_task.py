@@ -67,8 +67,9 @@ def execute_operator(
     if qctx is not None:
         qctx.check()
     database = ctx.database
+    now = ctx.env.now
     for key in op.column_keys():
-        database.statistics.record_access(key, ctx.env.now)
+        database.statistics.record_access(key, now)
 
     input_bytes = op.input_nominal_bytes(database, child_results)
     result: Optional[OperatorResult] = None

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import itertools
 from typing import FrozenSet, List, Optional, Set, Tuple
 
@@ -132,7 +131,7 @@ class PhysicalOperator:
         Two operators with equal fingerprints over the same database
         produce identical functional results, no matter which query —
         or which run — they belong to.  Cached on the instance; clones
-        share it (``copy.copy`` carries the attribute over).
+        share it (a clone starts from the template's ``__dict__``).
         """
         cached = self._fingerprint
         if cached is not None:
@@ -251,7 +250,10 @@ class PhysicalPlan:
         """
         def clone_tree(op: PhysicalOperator) -> PhysicalOperator:
             op.required_columns()  # memoise on the template, not per clone
-            twin = copy.copy(op)
+            # a shallow copy: operators are plain-``__dict__`` objects
+            # (no ``__slots__``, ``__copy__`` or ``__reduce__`` to honour)
+            twin = object.__new__(type(op))
+            twin.__dict__.update(op.__dict__)
             twin.op_id = next(_op_counter)
             twin.placement = None
             twin.children = [clone_tree(child) for child in op.children]

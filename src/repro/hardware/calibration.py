@@ -75,24 +75,40 @@ class EngineProfile:
         field(default_factory=dict)
     )
 
+    def __post_init__(self):
+        # One cost table per processor kind, picked by identity and
+        # keyed by the cost key alone (``kind`` or ``kind#algorithm``):
+        # a lookup hashes one cached ``str``, never an enum member.
+        cpu: Dict[str, OperatorCosts] = {}
+        gpu: Dict[str, OperatorCosts] = {}
+        keys = {kind: tuple("{}#{}".format(kind, name) for name in variants)
+                for kind, variants in self.algorithms.items()}
+        curves = list(self.costs.items())
+        for kind, variants in self.algorithms.items():
+            for key, pair in zip(keys[kind], variants.values()):
+                curves.extend(((key, pk), model) for pk, model in pair.items())
+        for (key, processor_kind), model in curves:
+            (gpu if processor_kind is ProcessorKind.GPU else cpu)[key] = model
+        for name, value in (("_cpu", cpu), ("_gpu", gpu),
+                            ("_algorithm_keys", keys)):
+            object.__setattr__(self, name, value)
+
     def algorithm_names(self, op_kind: str) -> Tuple[str, ...]:
         """The candidate algorithms for an operator kind."""
-        variants = self.algorithms.get(op_kind)
-        if not variants:
-            return ()
-        return tuple(variants)
+        return tuple(self.algorithms.get(op_kind) or ())
+
+    def algorithm_keys(self, op_kind: str) -> Tuple[str, ...]:
+        """The ``kind#algorithm`` cost keys of the candidates."""
+        return self._algorithm_keys.get(op_kind, ())
 
     def compute_seconds(
         self, op_kind: str, processor_kind: ProcessorKind, input_bytes: float
     ) -> float:
         """Analytical execution time of an operator (or of one specific
         algorithm when addressed as ``kind#algorithm``)."""
-        if "#" in op_kind:
-            kind, _, algorithm = op_kind.partition("#")
-            model = self.algorithms[kind][algorithm][processor_kind]
-            return model.seconds(input_bytes)
         try:
-            model = self.costs[(op_kind, processor_kind)]
+            model = (self._gpu if processor_kind is ProcessorKind.GPU
+                     else self._cpu)[op_kind]
         except KeyError:
             raise KeyError(
                 "no cost model for {} on {}".format(op_kind, processor_kind)

@@ -20,11 +20,12 @@ This model has two properties the experiments rely on:
 from __future__ import annotations
 
 import enum
+from math import inf
 from typing import Dict, Generator, Optional
 
 from repro.hardware.errors import DeviceReset, DeviceStall, KernelLaunchFault
 from repro.metrics import MetricsCollector
-from repro.sim import Environment, Event
+from repro.sim import Environment, Event, Timeout
 
 
 class ProcessorKind(enum.Enum):
@@ -70,7 +71,10 @@ class Processor:
         self._jobs: Dict[int, _Job] = {}
         self._next_job_id = 0
         self._last_update = env.now
-        self._timer_generation = 0
+        #: the one live timer (next job completion); None when idle
+        self._timer: Optional[Timeout] = None
+        #: when it was armed, and the shortest remaining work then
+        self._armed_at = self._shortest = 0.0
 
     def __repr__(self) -> str:
         return "<Processor {} ({})>".format(self.name, self.kind.value)
@@ -119,14 +123,19 @@ class Processor:
                 timer = self.env.timeout(stall)
                 timer.callbacks.append(lambda _evt: event.fail(fault))
                 return event
-        self._advance()
+        if self._timer is not None and self._armed_at == self.env.now:
+            # Same instant as the last re-arm (an operator's second
+            # kernel half): no work to account, same shortest job.
+            shortest = self._shortest
+        else:
+            shortest = self._advance()
         event = Event(self.env)
         if seconds == 0:
             event.succeed()
             return event
         self._next_job_id += 1
         self._jobs[self._next_job_id] = _Job(seconds, event)
-        self._reschedule()
+        self._arm(min(shortest, seconds))
         return event
 
     def execute(self, seconds: float, label: str = "op") -> Generator:
@@ -142,38 +151,53 @@ class Processor:
 
     # -- internals ----------------------------------------------------------
 
-    def _advance(self) -> None:
-        """Account the work done since the last state change."""
+    def _advance(self) -> float:
+        """Account the work done since the last state change; returns
+        the shortest remaining work (``inf`` when idle)."""
         now = self.env.now
         elapsed = now - self._last_update
         self._last_update = now
-        if elapsed <= 0 or not self._jobs:
-            return
-        share = elapsed / len(self._jobs)
-        for job in self._jobs.values():
-            job.remaining -= share
+        shortest = inf
+        if self._jobs:
+            share = elapsed / len(self._jobs)  # 0.0 within one instant
+            for job in self._jobs.values():
+                job.remaining = remaining = job.remaining - share
+                if remaining < shortest:
+                    shortest = remaining
+        return shortest
 
-    def _reschedule(self) -> None:
-        """Arm a timer for the next job completion."""
-        self._timer_generation += 1
-        if not self._jobs:
-            return
-        generation = self._timer_generation
-        shortest = min(job.remaining for job in self._jobs.values())
-        delay = max(shortest, 0.0) * len(self._jobs)
-        timer = self.env.timeout(delay)
-        timer.callbacks.append(lambda _evt: self._on_timer(generation))
+    def _arm(self, shortest: float) -> None:
+        """Make the next job completion the one live timer.  The timer
+        it supersedes stays in the event heap (event ids break ties, so
+        removing an entry would reorder the run) and pops as a no-op."""
+        if self._timer is not None:
+            self._timer.callbacks.clear()
+        self._armed_at = self._last_update
+        self._shortest = shortest
+        self._timer = timer = Timeout(
+            self.env, max(shortest, 0.0) * len(self._jobs))
+        timer.callbacks.append(self._on_timer)
 
-    def _on_timer(self, generation: int) -> None:
-        if generation != self._timer_generation:
-            return  # stale timer: the job set changed since it was armed
-        self._advance()
-        finished = [
-            job_id
-            for job_id, job in self._jobs.items()
-            if job.remaining <= self.EPSILON
-        ]
+    def _on_timer(self, timer: Timeout) -> None:
+        if timer is not self._timer:
+            return
+        self._timer = None
+        # :meth:`_advance` again, collecting the finished jobs and the
+        # shortest of the others in the same pass over the table.
+        jobs = self._jobs
+        now = self.env.now
+        share = (now - self._last_update) / len(jobs)
+        self._last_update = now
+        finished = []
+        shortest = inf
+        epsilon = self.EPSILON
+        for job_id, job in jobs.items():
+            job.remaining = remaining = job.remaining - share
+            if remaining <= epsilon:
+                finished.append(job_id)
+            elif remaining < shortest:
+                shortest = remaining
         for job_id in finished:
-            job = self._jobs.pop(job_id)
-            job.event.succeed()
-        self._reschedule()
+            jobs.pop(job_id).event.succeed()
+        if jobs:
+            self._arm(shortest)

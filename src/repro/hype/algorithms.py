@@ -32,15 +32,14 @@ def choose_algorithm(
     otherwise, and addresses both the analytical curve and the learned
     observation history.
     """
-    names = profile.algorithm_names(op_kind)
-    if not names:
+    keys = profile.algorithm_keys(op_kind)
+    if not keys:
         return op_kind, cost_model.estimate(
             op_kind, processor_kind, input_bytes
         )
     best_key = op_kind
     best_estimate = float("inf")
-    for name in names:
-        key = "{}#{}".format(op_kind, name)
+    for key in keys:
         estimate = cost_model.estimate(key, processor_kind, input_bytes)
         if estimate < best_estimate:
             best_key = key

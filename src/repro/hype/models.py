@@ -8,13 +8,13 @@ profile — mirroring how HyPE bootstraps its learning-based models.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.hardware.calibration import EngineProfile
 from repro.hardware.processor import ProcessorKind
-from repro.hype.observation import ObservationStore
+from repro.hype.observation import ObservationStore, Window
 
 
 class LearnedCostModel:
@@ -31,8 +31,6 @@ class LearnedCostModel:
         self.store = store if store is not None else ObservationStore()
         self.min_observations = min_observations
         self.refit_interval = refit_interval
-        self._fits: Dict[Tuple[str, ProcessorKind], Tuple[float, float]] = {}
-        self._since_fit: Dict[Tuple[str, ProcessorKind], int] = {}
 
     # -- learning -------------------------------------------------------
 
@@ -40,44 +38,44 @@ class LearnedCostModel:
                 input_bytes: float, seconds: float,
                 source: str = "pure") -> None:
         """Record a measured execution and refit lazily."""
-        self.store.add(op_kind, processor_kind, input_bytes, seconds,
-                       source=source)
-        key = (op_kind, processor_kind)
-        self._since_fit[key] = self._since_fit.get(key, 0) + 1
-        if key not in self._fits or self._since_fit[key] >= self.refit_interval:
-            self._refit(key)
+        window = self.store.add(op_kind, processor_kind, input_bytes,
+                                seconds, source=source)
+        window.since_fit += 1
+        if window.fit is None or window.since_fit >= self.refit_interval:
+            self._refit(window)
 
-    def _refit(self, key: Tuple[str, ProcessorKind]) -> None:
-        input_bytes, seconds = self.store.series(*key)
-        if len(input_bytes) < self.min_observations:
+    def _refit(self, window: Window) -> None:
+        if len(window.inputs) < self.min_observations:
             return
-        x = np.array(input_bytes)
-        y = np.array(seconds)
+        x = np.array(window.inputs)
+        y = np.array(window.durations)
         if np.ptp(x) == 0:
             # Degenerate input sizes: constant model.
-            self._fits[key] = (float(y.mean()), 0.0)
+            window.fit = (float(y.mean()), 0.0)
         else:
             design = np.vstack([np.ones_like(x), x]).T
             (a, b), *_ = np.linalg.lstsq(design, y, rcond=None)
-            self._fits[key] = (float(a), float(b))
-        self._since_fit[key] = 0
+            window.fit = (float(a), float(b))
+        window.since_fit = 0
 
     # -- estimation -------------------------------------------------------
 
     def is_learned(self, op_kind: str, processor_kind: ProcessorKind) -> bool:
         """True once a fitted model (not the fallback) is in use."""
-        return (op_kind, processor_kind) in self._fits
+        window = self.store.window(op_kind, processor_kind)
+        return window is not None and window.fit is not None
 
     def estimate(self, op_kind: str, processor_kind: ProcessorKind,
                  input_bytes: float) -> float:
         """Estimated runtime; never negative."""
-        fit = self._fits.get((op_kind, processor_kind))
-        if fit is None:
+        window = self.store.window(op_kind, processor_kind)
+        if window is None or window.fit is None:
             return self.profile.compute_seconds(
                 op_kind, processor_kind, input_bytes
             )
-        a, b = fit
-        return max(a + b * input_bytes, 0.0)
+        a, b = window.fit
+        seconds = a + b * input_bytes
+        return 0.0 if seconds < 0.0 else seconds
 
 
 class SplitCostModel:

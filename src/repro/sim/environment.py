@@ -27,18 +27,14 @@ class Environment:
     runs exactly reproducible.
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_active_process")
+    __slots__ = ("now", "_queue", "_eid", "_active_process")
 
     def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+        #: the current virtual time in seconds (only the loop sets it)
+        self.now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
-
-    @property
-    def now(self) -> float:
-        """The current virtual time in seconds."""
-        return self._now
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -72,8 +68,8 @@ class Environment:
     def schedule(self, event: Event, priority: int = PRIORITY_NORMAL,
                  delay: float = 0.0) -> None:
         """Queue ``event`` to be processed ``delay`` seconds from now."""
-        self._eid += 1
-        heappush(self._queue, (self._now + delay, priority, self._eid, event))
+        self._eid = eid = self._eid + 1
+        heappush(self._queue, (self.now + delay, priority, eid, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event (``inf`` if none)."""
@@ -87,7 +83,7 @@ class Environment:
         if not queue:
             raise EmptySchedule()
         when, _, _, event = heappop(queue)
-        self._now = when
+        self.now = when
         callbacks = event.callbacks
         event.callbacks = None
         for callback in callbacks:
@@ -99,7 +95,7 @@ class Environment:
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue is empty or the clock reaches ``until``."""
-        if until is not None and until < self._now:
+        if until is not None and until < self.now:
             raise ValueError("cannot run backwards in time")
         queue = self._queue
         if until is None:
@@ -107,7 +103,7 @@ class Environment:
             # check (the common full-drain call of the harness).
             while queue:
                 when, _, _, event = heappop(queue)
-                self._now = when
+                self.now = when
                 callbacks = event.callbacks
                 event.callbacks = None
                 for callback in callbacks:
@@ -117,7 +113,7 @@ class Environment:
             return
         while queue:
             if queue[0][0] > until:
-                self._now = until
+                self.now = until
                 return
             self.step()
-        self._now = until
+        self.now = until

@@ -84,7 +84,7 @@ class Event:
             raise RuntimeError("event {!r} already triggered".format(self))
         self._ok = True
         self._value = value
-        self.env.schedule(self, priority=PRIORITY_NORMAL)
+        self.env.schedule(self, PRIORITY_NORMAL)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -95,7 +95,7 @@ class Event:
             raise TypeError("fail() needs an exception instance")
         self._ok = False
         self._value = exception
-        self.env.schedule(self, priority=PRIORITY_NORMAL)
+        self.env.schedule(self, PRIORITY_NORMAL)
         return self
 
 
@@ -115,7 +115,7 @@ class Timeout(Event):
         self._ok = True
         self.defused = False
         self.delay = delay
-        env.schedule(self, priority=PRIORITY_NORMAL, delay=delay)
+        env.schedule(self, PRIORITY_NORMAL, delay)
 
 
 class Initialize(Event):
@@ -129,7 +129,7 @@ class Initialize(Event):
         self._value = None
         self._ok = True
         self.defused = False
-        env.schedule(self, priority=PRIORITY_URGENT)
+        env.schedule(self, PRIORITY_URGENT)
 
 
 class Process(Event):
@@ -142,7 +142,11 @@ class Process(Event):
     def __init__(self, env: "Environment", generator: Generator):  # noqa: F821
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError("Process requires a generator, got {!r}".format(generator))
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = None
+        self._ok = None
+        self.defused = False
         self._generator = generator
         self._target: Optional[Event] = None
         Initialize(env, self)

@@ -1,6 +1,7 @@
 """Unit tests for the Critical Path optimizer and its cardinality
 estimator."""
 
+import copy
 import dataclasses
 import random
 
@@ -52,7 +53,7 @@ def make_plan(db, sql=JOIN_SQL):
 # these stay here as the reference it is checked against, float for float.
 
 def oracle_sizes(ctx, plan):
-    sizes = CriticalPath()._estimate_sizes(ctx, plan)
+    sizes = CriticalPath()._template(ctx, plan).sizes
     return {op.op_id: size for op, size in zip(plan.root.walk(), sizes)}
 
 
@@ -170,7 +171,7 @@ class TestOpEstimates:
             "where skey = id and size < 100",
         )
         cp = CriticalPath()
-        estimates = cp._estimate_sizes(ctx, plan)
+        estimates = cp._template(ctx, plan).sizes
         join = [op for op in plan.operators if isinstance(op, HashJoin)][0]
         join_estimate = estimates[plan.operators.index(join)]
         fact_rows = toy_db.table("sales").nominal_rows
@@ -185,7 +186,7 @@ class TestOpEstimates:
             toy_db, "select amount from sales where amount < 40"
         )
         cp = CriticalPath()
-        estimates = cp._estimate_sizes(ctx, plan)
+        estimates = cp._template(ctx, plan).sizes
         scan = plan.leaves[0]
         fact_rows = toy_db.table("sales").nominal_rows
         assert estimates[plan.operators.index(scan)].out_rows == pytest.approx(
@@ -196,7 +197,7 @@ class TestOpEstimates:
         env, hw, ctx = make_context(toy_db)
         plan = make_plan(toy_db)
         cp = CriticalPath()
-        estimates = cp._estimate_sizes(ctx, plan)
+        estimates = cp._template(ctx, plan).sizes
         bare = [
             op for op in plan.leaves
             if isinstance(op, ScanSelect) and op.predicate is None
@@ -421,11 +422,11 @@ class TestSizeMemo:
     def test_recomputed_after_compression(self, toy_db, sampling_calls):
         env, hw, ctx = make_context(toy_db)
         plan = make_plan(toy_db)
-        before = CriticalPath()._estimate_sizes(ctx, plan)
+        before = CriticalPath()._template(ctx, plan).sizes
         sampled = len(sampling_calls)
         compress_database(toy_db)
         assert caches.cache_sizes(toy_db)["placement_sizes"] == 0
-        after = CriticalPath()._estimate_sizes(ctx, plan)
+        after = CriticalPath()._template(ctx, plan).sizes
         assert len(sampling_calls) == 2 * sampled
         assert after is not before
 
@@ -445,12 +446,12 @@ class TestSizeMemo:
         store = EpochStore(toy_db)
         base = store.head
         plan = make_plan(toy_db)
-        old = CriticalPath()._estimate_sizes(ctx, plan)
+        old = CriticalPath()._template(ctx, plan).sizes
         pinned = store.pin()
         grown = store.advance(fraction=0.5, tables=["sales"])
         assert (grown.table("sales").nominal_rows
                 > base.table("sales").nominal_rows)
-        new = CriticalPath()._estimate_sizes(ctx.with_database(grown), plan)
+        new = CriticalPath()._template(ctx.with_database(grown), plan).sizes
         scan = plan.operators.index(next(
             op for op in plan.leaves if op.predicate is not None))
         assert new[scan].input_bytes > old[scan].input_bytes
@@ -502,6 +503,78 @@ class TestPlanShape:
                 sorted(twin.required_columns()))
         assert len(set(op.op_id for op in clone.operators)) == len(
             clone.operators)
+
+    def test_clone_equals_a_shallow_copy_field_by_field(self, ssb_db,
+                                                        tpch_db):
+        """``clone`` builds its twins by hand; ``copy.copy`` — what it
+        used before — stays here as the definition of 'shallow copy'."""
+        templates = [(database, query.template_plan())
+                     for database, module in ((ssb_db, ssb), (tpch_db, tpch))
+                     for query in module.workload(database)]
+        assert len(templates) >= 13 + 6
+        memoised = 0
+        for number, (database, template) in enumerate(templates):
+            if number % 4 == 0:  # some templates carry memoised results
+                execute_functional(template, database)
+            template.root.fingerprint()
+            clone = template.clone()
+            assert clone.name == template.name
+            assert clone.root is clone.operators[-1]
+            twins = dict(zip(map(id, template.operators), clone.operators))
+            for original, twin in zip(template.operators, clone.operators):
+                oracle = copy.copy(original)
+                assert type(twin) is type(oracle) is type(original)
+                assert twin.__dict__.keys() == oracle.__dict__.keys()
+                for field, value in oracle.__dict__.items():
+                    if field not in ("op_id", "placement", "children"):
+                        # everything else is shared by identity
+                        assert twin.__dict__[field] is value, field
+                assert twin._columns is original._columns is not None
+                assert twin._fingerprint is original._fingerprint
+                assert twin._cached_result is original._cached_result
+                memoised += twin._cached_result is not None
+                assert twin.placement is None
+                assert twin.op_id > original.op_id
+                # the children are the clones, not the template's
+                assert twin.children is not original.children
+                assert [id(child) for child in twin.children] == [
+                    id(twins[id(child)]) for child in original.children]
+        assert memoised > 0
+        ids = [op.op_id for _, template in templates
+               for op in template.clone().operators]
+        assert len(set(ids)) == len(ids)
+
+    def test_the_memo_keeps_the_shape_beside_the_sizes(self, toy_db):
+        env, hw, ctx = make_context(toy_db)
+        template = make_plan(toy_db)
+        entry = CriticalPath()._template(ctx, template)
+        operators = template.operators
+        index = {op.op_id: i for i, op in enumerate(operators)}
+        assert entry.children == tuple(
+            tuple(index[c.op_id] for c in op.children) for op in operators)
+        assert entry.leaves == tuple(
+            index[op.op_id] for op in template.leaves)
+        assert entry.host_only == tuple(op.cpu_only for op in operators)
+        assert len(entry.sizes) == len(operators)
+        # one entry per (database, template): clones and a re-planned
+        # statement get the very same object, in the one registered cache
+        assert CriticalPath()._template(ctx, template.clone()) is entry
+        assert CriticalPath()._template(ctx, make_plan(toy_db)) is entry
+        assert caches.cache_sizes(toy_db)["placement_sizes"] == 1
+        # and whatever drops the sizes drops the shape with them
+        compress_database(toy_db)
+        assert caches.cache_sizes(toy_db)["placement_sizes"] == 0
+        again = CriticalPath()._template(ctx, template)
+        assert again is not entry and again[1:] == entry[1:]
+        clear_database_caches()
+        assert caches.cache_sizes()["placement_sizes"] == 0
+        store = EpochStore(toy_db)
+        CriticalPath()._template(ctx, template)
+        pinned = store.pin()
+        store.advance(fraction=0.5, tables=["sales"])
+        assert caches.cache_sizes(toy_db)["placement_sizes"] == 1
+        assert store.unpin(pinned) == 1  # drained: retired
+        assert caches.cache_sizes(toy_db)["placement_sizes"] == 0
 
     def test_shape_is_fixed(self, toy_db):
         plan = make_plan(toy_db)

@@ -1,12 +1,16 @@
 """Unit tests for the PCIe link and processor models."""
 
+import random
+
 import pytest
 
 from repro.hardware import CopyEngine, PCIeBus, Processor, ProcessorKind
+from repro.hardware.errors import DeviceReset, DeviceStall, KernelLaunchFault
+from repro.hardware.processor import _Job
 from repro.hardware.calibration import COGADB_PROFILE, OCELOT_PROFILE, GIB
 from repro.hardware.system import HardwareSystem, SystemConfig
 from repro.metrics import MetricsCollector
-from repro.sim import Environment, Interrupted
+from repro.sim import Environment, Event, Interrupted
 
 
 #: both constructors take (env, bandwidth, latency_seconds=, metrics=)
@@ -248,6 +252,241 @@ def test_processor_estimated_drain():
     cpu.submit(3.0)
     cpu.submit(1.0)
     assert cpu.estimated_drain_seconds() == pytest.approx(4.0)
+
+
+# -- the processor-sharing queue, bit for bit ----------------------------
+#
+# The processor as it was first written: every state change walks the
+# job table in ``_advance`` and again in ``min()``, arms a fresh timer
+# with a closure and a generation number, and lets superseded timers
+# fire into a generation check.  ``Processor`` does the same arithmetic
+# in one pass and keeps one live timer; this stays here as the reference
+# it is checked against: same floats, same order, same ``schedule``
+# calls.
+
+class GenerationProcessor(Processor):
+    def __init__(self, env, name, kind, metrics=None):
+        super().__init__(env, name, kind, metrics)
+        self._timer_generation = 0
+
+    def submit(self, seconds):
+        if seconds < 0:
+            raise ValueError("negative execution time")
+        injector = self.injector
+        if (injector is not None and seconds > 0
+                and self.kind is ProcessorKind.GPU):
+            if injector.roll("reset", self.name):
+                if self.on_reset is not None:
+                    self.on_reset()
+                raise DeviceReset(device=self.name)
+            if injector.roll("kernel", self.name):
+                raise KernelLaunchFault(device=self.name)
+            if injector.roll("stall", self.name):
+                stall = injector.config.stall_seconds
+                event = Event(self.env)
+                fault = DeviceStall(stall, device=self.name)
+                timer = self.env.timeout(stall)
+                timer.callbacks.append(lambda _evt: event.fail(fault))
+                return event
+        self._advance()
+        event = Event(self.env)
+        if seconds == 0:
+            event.succeed()
+            return event
+        self._next_job_id += 1
+        self._jobs[self._next_job_id] = _Job(seconds, event)
+        self._reschedule()
+        return event
+
+    def estimated_drain_seconds(self):
+        self._advance()
+        return sum(job.remaining for job in self._jobs.values())
+
+    def _advance(self):
+        now = self.env.now
+        elapsed = now - self._last_update
+        self._last_update = now
+        if elapsed <= 0 or not self._jobs:
+            return
+        share = elapsed / len(self._jobs)
+        for job in self._jobs.values():
+            job.remaining -= share
+
+    def _reschedule(self):
+        self._timer_generation += 1
+        if not self._jobs:
+            return
+        generation = self._timer_generation
+        shortest = min(job.remaining for job in self._jobs.values())
+        delay = max(shortest, 0.0) * len(self._jobs)
+        timer = self.env.timeout(delay)
+        timer.callbacks.append(lambda _evt: self._on_timer(generation))
+
+    def _on_timer(self, generation):
+        if generation != self._timer_generation:
+            return  # stale timer: the job set changed since it was armed
+        self._advance()
+        finished = [
+            job_id
+            for job_id, job in self._jobs.items()
+            if job.remaining <= self.EPSILON
+        ]
+        for job_id in finished:
+            job = self._jobs.pop(job_id)
+            job.event.succeed()
+        self._reschedule()
+
+
+class CheckedProcessor(Processor):
+    """The processor under test; every timer that reaches ``_on_timer``
+    must be the live one (a cancelled timer has no callback left)."""
+
+    timer_calls = 0
+
+    def _on_timer(self, timer):
+        assert timer is self._timer
+        self.timer_calls += 1
+        super()._on_timer(timer)
+
+
+class CountingEnvironment(Environment):
+    __slots__ = ("scheduled",)
+
+    def __init__(self):
+        super().__init__()
+        self.scheduled = 0
+
+    def schedule(self, event, priority=1, delay=0.0):
+        self.scheduled += 1
+        super().schedule(event, priority, delay)
+
+
+class SeededStalls:
+    """Fault injector double: never resets or rejects, stalls a seeded
+    share of the launches."""
+
+    class config:
+        stall_seconds = 0.375
+
+    def __init__(self, seed, rate):
+        self.rng = random.Random(seed)
+        self.rate = rate
+
+    def roll(self, kind, site):
+        return kind == "stall" and self.rng.random() < self.rate
+
+
+def random_schedule(seed):
+    """A seeded script of submissions and drain probes.  Start times
+    come from a coarse grid (several submissions in one instant),
+    durations repeat (simultaneous completions) and include zero and
+    values around ``Processor.EPSILON``."""
+    rng = random.Random(seed)
+    grid = [0.0, 0.0, 0.125, 0.25, 0.5, 1.0, rng.uniform(0.0, 2.0)]
+    durations = [0.0, 1e-13, 3e-12, 0.25, 0.25, 1.0,
+                 rng.uniform(1e-6, 3.0), rng.uniform(1e-6, 3.0)]
+    jobs = []
+    for _ in range(rng.randint(1, 12)):
+        jobs.append((
+            rng.choice(grid) + rng.choice((0.0, 0.0, rng.uniform(0, 1))),
+            rng.choice(durations),
+            # second kernel half: none, from the resumed process, or
+            # straight from the completion callback
+            rng.choice(("none", "process", "process", "callback")),
+            rng.choice(durations),
+        ))
+    probes = sorted(rng.choice(grid) + rng.uniform(0.0, 4.0)
+                    for _ in range(rng.randint(0, 6)))
+    stall_rate = rng.choice((0.0, 0.0, 0.2))
+    return jobs, probes, stall_rate
+
+
+def drive(make_processor, schedule, seed):
+    """Run ``schedule`` on a fresh environment; returns everything
+    observable: the log of (what, who, when / value) in occurrence
+    order, the number of ``schedule`` calls, and the processor."""
+    jobs, probes, stall_rate = schedule
+    env = CountingEnvironment()
+    kind = ProcessorKind.GPU if stall_rate else ProcessorKind.CPU
+    processor = make_processor(env, "dev", kind)
+    if stall_rate:
+        processor.injector = SeededStalls(seed, stall_rate)
+    log = []
+
+    def submit(name, seconds):
+        try:
+            yield processor.submit(seconds)
+            log.append(("done", name, env.now))
+        except DeviceStall:
+            log.append(("stalled", name, env.now))
+
+    def job(index, start, first, second_mode, second):
+        yield env.timeout(start)
+        if second_mode == "callback":
+            event = processor.submit(first)
+            event.callbacks.append(
+                lambda _evt: env.process(submit((index, "b"), second)))
+            try:
+                yield event
+                log.append(("done", (index, "a"), env.now))
+            except DeviceStall:
+                log.append(("stalled", (index, "a"), env.now))
+            return
+        yield from submit((index, "a"), first)
+        if second_mode == "process":
+            yield from submit((index, "b"), second)
+
+    def probe(index, when):
+        yield env.timeout(when)
+        log.append(("drain", index, processor.estimated_drain_seconds(),
+                    processor.active_jobs))
+
+    for index, spec in enumerate(jobs):
+        env.process(job(index, *spec))
+    for index, when in enumerate(probes):
+        env.process(probe(index, when))
+    env.run()
+    return log, env.scheduled, env.now, processor
+
+
+def test_processor_equals_the_generation_counter_oracle_bit_for_bit():
+    shapes = set()
+    for seed in range(300):
+        schedule = random_schedule(seed)
+        want_log, want_scheduled, want_end, oracle = drive(
+            GenerationProcessor, schedule, seed)
+        got_log, got_scheduled, got_end, processor = drive(
+            CheckedProcessor, schedule, seed)
+        # == on floats: completion times, drain estimates, the clock
+        assert got_log == want_log, seed
+        assert got_scheduled == want_scheduled, seed
+        assert got_end == want_end, seed
+        # fully drained: no job, no live timer
+        assert processor.active_jobs == 0 and oracle.active_jobs == 0
+        assert processor._timer is None
+        # live timers only: one per pass that completed a job
+        assert processor.timer_calls <= sum(
+            1 for entry in got_log if entry[0] == "done")
+        shapes.add((len(schedule[0]), bool(schedule[2])))
+    # the sweep saw 1..12 concurrent jobs, with and without stalls
+    assert {n for n, _ in shapes} == set(range(1, 13))
+    assert {stalls for _, stalls in shapes} == {False, True}
+
+
+def test_processor_cancels_the_superseded_timer_in_place():
+    env = CountingEnvironment()
+    cpu = CheckedProcessor(env, "cpu", ProcessorKind.CPU)
+    cpu.submit(2.0)
+    first = cpu._timer
+    cpu.submit(1.0)
+    assert cpu._timer is not first
+    # cancelled, not removed: still scheduled (event ids break ties)
+    assert first.callbacks == [] and not first.processed
+    assert env.scheduled == 2
+    env.run()
+    assert first.processed
+    assert cpu.timer_calls == 2  # one per completion, none for `first`
+    assert env.now == 3.0 and cpu._timer is None and cpu.active_jobs == 0
 
 
 def test_profile_gpu_faster_than_cpu_when_hot():

@@ -170,6 +170,55 @@ def test_admission_controller_fifo_wakeup():
 # Deadlines and cooperative cancellation
 # ---------------------------------------------------------------------------
 
+def test_cancel_interrupts_only_the_processes_still_alive():
+    """Direct-drive: ``register`` only appends; a query cancelled after
+    some of its operator processes finished interrupts the live ones,
+    joins them, and records the cancel latency once they drained."""
+    env = Environment()
+    metrics = MetricsCollector()
+    qctx = QueryContext(env, "q", metrics=metrics)
+    outcomes = {}
+
+    def operator(name, seconds, rollback):
+        try:
+            yield env.timeout(seconds)
+            outcomes[name] = ("finished", env.now)
+        except Interrupted as interrupt:
+            assert isinstance(interrupt.cause, QueryCancelled)
+            yield env.timeout(rollback)  # the abort protocol takes time
+            outcomes[name] = ("interrupted", env.now)
+
+    registered = []
+    for name, seconds, rollback in (("a", 1.0, 0.0), ("b", 2.0, 0.0),
+                                    ("c", 5.0, 0.25), ("d", 9.0, 0.5)):
+        process = env.process(operator(name, seconds, rollback))
+        process.defused = True
+        qctx.register(process)
+        registered.append(process)
+    env.run(until=3.0)
+    late = env.process(operator("e", 0.5, 0.125))
+    late.defused = True
+    qctx.register(late)
+    registered.append(late)
+    # registration looks at nobody: finished processes stay listed
+    assert qctx._procs == registered
+    assert [p.is_alive for p in registered] == [
+        False, False, True, True, True]
+    assert qctx.cancel("deadline") is True
+    assert qctx.cancel("deadline") is False  # already cancelled
+    env.run()
+    assert outcomes == {
+        "a": ("finished", 1.0), "b": ("finished", 2.0),
+        "c": ("interrupted", 3.25), "d": ("interrupted", 3.5),
+        "e": ("interrupted", 3.125),
+    }
+    assert not any(p.is_alive for p in registered)
+    # drained: the latency is the slowest rollback, recorded once
+    assert metrics.cancels == 1
+    assert metrics.cancel_seconds == pytest.approx(0.5)
+    assert env.peek() == float("inf")
+
+
 def _median_latency(run):
     return run.metrics.latency_percentile(0.50)
 
