@@ -47,7 +47,7 @@ from repro.engine import (  # noqa: E402
     kernels,
     plan_cache,
 )
-from repro.engine.execution.functional import execute_functional  # noqa: E402
+from repro.engine.execution.functional import execute_operators  # noqa: E402
 from repro.engine.expressions import (  # noqa: E402
     And,
     ColumnRef,
@@ -152,7 +152,7 @@ def bench_join_repeated():
 
     def run():
         # Fresh plan per run: plan templates memoise their own result.
-        return execute_functional(_join_plan(), db).payload.row_tuples()
+        return execute_operators(_join_plan(), db).payload.row_tuples()
 
     def run_cold():
         kernels.invalidate(db)
@@ -204,7 +204,7 @@ def bench_zone_map_scan():
     lo, hi = mid, mid + 1000
 
     def run():
-        return execute_functional(_zone_plan(lo, hi), db).payload.row_tuples()
+        return execute_operators(_zone_plan(lo, hi), db).payload.row_tuples()
 
     kernels.enable(False)
     full_seconds, full_rows = _best(run, SIZES["reps"])
@@ -231,7 +231,7 @@ def bench_zone_map_scan():
 def bench_selection_chain(db: Database):
     def run():
         plan = micro.build_parallel_selection_plan(db)
-        return execute_functional(plan, db).payload.row_tuples()
+        return execute_operators(plan, db).payload.row_tuples()
 
     kernels.enable(False)
     seed_seconds, seed_rows = _best(run, SIZES["reps"])
@@ -258,7 +258,7 @@ def _run_batch(db: Database, specs):
     out = {}
     for name, spec in specs.items():
         plan = Planner(db).plan(spec)
-        out[name] = execute_functional(plan, db).payload.row_tuples()
+        out[name] = execute_operators(plan, db).payload.row_tuples()
     return out
 
 
@@ -307,7 +307,7 @@ def bench_parallel(db: Database, jobs: int):
 
     def run_sequential():
         return {
-            query.name: execute_functional(
+            query.name: execute_operators(
                 query.instantiate(), db).payload.row_tuples()
             for query in queries
         }
@@ -375,7 +375,7 @@ def check_reference() -> dict:
             for name, sql in module.QUERIES.items():
                 spec = bind(sql, db, name=name)
                 plan = Planner(db).plan(spec)
-                engine_rows = execute_functional(
+                engine_rows = execute_operators(
                     plan, db).payload.row_tuples()
                 if sorted(engine_rows) != sorted(execute_reference(spec, db)):
                     diverged.append("{}:{}".format(module.__name__, name))

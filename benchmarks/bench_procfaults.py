@@ -20,7 +20,8 @@ shared-memory store end to end and gates the tentpole guarantees:
   in-process, still byte-identical, never via whole-query fallback;
 * **composition** — PR3 hardware fault injection and the PR5 lifecycle
   (hedging + admission) produce byte-identical results, timings, and
-  fault digests with the fused morsel path on and off.
+  fault digests whether the warm-up fused or (kernels off, so fusion
+  declines) ran the seed operators.
 
 The exit code is nonzero iff any gate fails.  Writes ``BENCH_PR8.json``.
 
@@ -46,7 +47,7 @@ sys.path.insert(
 )
 
 from repro.engine import kernels, morsel, plan_cache  # noqa: E402
-from repro.engine.execution.functional import execute_functional  # noqa: E402
+from repro.engine.execution.functional import execute_operators  # noqa: E402
 from repro.faults import FaultConfig  # noqa: E402
 from repro.workloads import ssb, tpch  # noqa: E402
 
@@ -108,7 +109,7 @@ def _digest(rows) -> str:
 
 def _batch(database, queries):
     return {
-        query.name: execute_functional(
+        query.name: execute_operators(
             query.instantiate(), database).payload.row_tuples()
         for query in queries
     }
@@ -321,8 +322,11 @@ def gate_composition():
     runs = {}
     for label, fused in (("reference", False), ("fused", True)):
         plan_cache.invalidate(database)
+        # kernels off: fusion declines and the warm-up runs the seed
+        # operators, the reference this gate compares the default with
+        kernels.enable(fused)
         run = run_workload(database, ssb.workload(database), "chopping",
-                           config=E.FULL_CONFIG.with_morsels(fused),
+                           config=E.FULL_CONFIG,
                            users=2, repetitions=1, collect_results=True,
                            faults=spec, lifecycle=lifecycle)
         runs[label] = {
@@ -369,7 +373,6 @@ def main() -> int:
         return 0
     plan_cache.enable(False)
     kernels.enable(True)
-    morsel.enable(False)
     try:
         report = {
             "benchmark": "process_faults",
@@ -411,7 +414,6 @@ def main() -> int:
     finally:
         plan_cache.enable(True)
         kernels.enable(True)
-        morsel.enable(False)
         morsel.set_morsel_rows(None)
         kernels.invalidate()
 

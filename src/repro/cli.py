@@ -34,6 +34,7 @@ import time
 from typing import List, Optional
 
 from repro.core import STRATEGY_NAMES
+from repro.engine import morsel
 from repro.harness import experiments as E
 from repro.harness.parallel import set_default_jobs
 from repro.harness.runner import run_workload
@@ -157,8 +158,6 @@ def cmd_run(args) -> int:
         gpu_memory_bytes=int(args.gpu_memory_gib * GIB),
         gpu_cache_bytes=int(args.gpu_cache_gib * GIB),
         copy_engine=args.copy_engine,
-        morsels=args.morsels,
-        morsel_rows=args.morsel_rows,
         split=args.split or args.split_ratio is not None or args.coupled,
         split_ratio=args.split_ratio,
         split_rounds=args.split_rounds,
@@ -167,6 +166,7 @@ def cmd_run(args) -> int:
               else SystemConfig(**config_kwargs))
     faults = _resolve_faults(args)
     lifecycle = _resolve_lifecycle(args)
+    fused_before = morsel.snapshot_stats()
     run = run_workload(
         database, queries, args.strategy, config=config,
         users=args.users, repetitions=args.repetitions,
@@ -199,10 +199,10 @@ def cmd_run(args) -> int:
         )))
         for key, value in run.metrics.lifecycle_summary().items():
             print("    {:22s} {:.6g}".format(key, value))
-    if args.morsels:
-        print("  fused morsel execution:")
-        for key, value in run.metrics.morsel_summary().items():
-            print("    {:22s} {:.6g}".format(key, value))
+    print("  fused functional execution (warm-up):")
+    for key, value in morsel.stats_since(fused_before).items():
+        if value:
+            print("    {:22s} {}".format(key, value))
     if config.split:
         print("  split execution{}:".format(
             " (coupled GPU)" if config.coupled else ""))
@@ -223,7 +223,7 @@ def cmd_run(args) -> int:
 
 def cmd_pool(args) -> int:
     """Chaos-soak the self-healing morsel pool and report identity."""
-    from repro.engine.execution import execute_functional
+    from repro.engine.execution import execute_operators
     from repro.harness.parallel import MorselPool
     from repro.storage import shm
 
@@ -234,7 +234,7 @@ def cmd_pool(args) -> int:
     module = {"ssb": ssb, "tpch": tpch}[args.benchmark]
     queries = module.workload(database)
     reference = {
-        query.name: execute_functional(
+        query.name: execute_operators(
             query.instantiate(), database).payload.row_tuples()
         for query in queries
     }
@@ -429,15 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="asynchronous copy engine: per-device duplex "
                              "DMA channels, coalescing, and prefetch "
                              "(default: serialized single-channel bus)")
-    runner.add_argument("--morsels", action="store_true",
-                        help="fused morsel-driven execution: scan/join/"
-                             "aggregate chains run as per-morsel pipelines, "
-                             "byte-identical to the reference engine "
-                             "(default: operator-at-a-time)")
-    runner.add_argument("--morsel-rows", type=int, default=None,
-                        metavar="N",
-                        help="rows per morsel (default: $REPRO_MORSEL_ROWS "
-                             "or 65536)")
     runner.add_argument("--split", action="store_true",
                         help="intra-operator co-processing: divide each "
                              "eligible operator between the CPU and a GPU "

@@ -1,7 +1,9 @@
 """Plan executors.
 
 * :func:`execute_functional` — run a plan immediately, outside the DES
-  (pure correctness path, used by tests and the reference comparison).
+  (fused-first; used by tests and the reference comparison), and
+  :func:`execute_operators` — the operator-at-a-time loop under it,
+  which is also the reference the fused path is gated against.
 * :class:`ExecutionContext` plus the simulated executors live in
   :mod:`repro.engine.execution.context`, :mod:`...operator_task`, and
   :mod:`...eager` (compile-time and run-time placement); the
@@ -16,7 +18,10 @@
   :mod:`repro.engine.execution.lease`.
 """
 
-from repro.engine.execution.functional import execute_functional
+from repro.engine.execution.functional import (
+    execute_functional,
+    execute_operators,
+)
 from repro.engine.execution.context import ExecutionContext
 from repro.engine.execution.lifecycle import (
     AdmissionController,
@@ -51,5 +56,6 @@ __all__ = [
     "deadline_watchdog",
     "execute_functional",
     "execute_operator",
+    "execute_operators",
     "run_plan_eager",
 ]

@@ -1,20 +1,24 @@
 """Immediate (non-simulated) plan execution.
 
-Runs the functional numpy implementations bottom-up with no hardware
-model.  This is the correctness backbone: integration tests compare
-its output (and the simulated executors' output) against the naive
-reference evaluator.
+Runs the functional numpy implementations with no hardware model.
+This is the correctness backbone: integration tests compare its output
+(and the simulated executors' output) against the naive reference
+evaluator.
 
-When the fused morsel path (:mod:`repro.engine.morsel`) is enabled,
-execution happens in two steps: ``prepare_fused`` runs the plan's
-scan→join→aggregate chain as per-morsel pipelines and *records* the
-byte-identical result tuple of every covered operator into its memo;
-the ordinary post-order loop below then serves those memos, runs any
-unfused operators (tail sorts/limits, declined plans), and performs the
-same per-operator statistics bookkeeping either way.  ``Limit``-rooted
-materialisations short-circuit through ``execute_direct`` instead,
-which stops scanning morsels once enough rows are gathered.  With
-morsels disabled the only extra cost is one boolean check per plan.
+:func:`execute_functional` is fused-first.  ``prepare_fused``
+(:mod:`repro.engine.morsel`) runs the plan's scan→join→aggregate chain
+as per-morsel pipelines and *records* the byte-identical result tuple
+of every covered operator into its memo; :func:`execute_operators` —
+the operator-at-a-time post-order loop — then serves those memos, runs
+whatever fusion did not cover (tail sorts/limits, declined plan
+shapes), and performs the per-operator statistics bookkeeping.
+``Limit``-rooted materialisations short-circuit through
+``execute_direct`` instead, which stops scanning morsels once enough
+rows are gathered and records nothing.
+
+:func:`execute_operators` on its own is the operator path: the
+reference the identity gates compare fused and pooled results with,
+and the engine to run when debugging one operator's output.
 """
 
 from __future__ import annotations
@@ -23,23 +27,13 @@ from typing import Dict
 
 from repro.engine import morsel
 from repro.engine.intermediates import OperatorResult
-from repro.engine.operators import PhysicalOperator, PhysicalPlan
+from repro.engine.operators import PhysicalPlan
 from repro.storage import Database
 
 
-def execute_functional(plan: PhysicalPlan, database: Database) -> OperatorResult:
-    """Execute ``plan`` immediately; returns the root result."""
+def execute_operators(plan: PhysicalPlan, database: Database) -> OperatorResult:
+    """Execute ``plan`` operator at a time; returns the root result."""
     statistics = database.statistics
-    if morsel.enabled():
-        direct = morsel.execute_direct(plan, database)
-        if direct is not None:
-            # Limit-rooted plan served with cross-chunk early
-            # termination; replay the per-operator access bookkeeping
-            # the post-order loop below would have performed.
-            for op in plan.operators:
-                statistics.record_accesses(op.column_keys())
-            return direct
-        morsel.prepare_fused(plan, database)
     results: Dict[int, OperatorResult] = {}
     for op in plan.operators:  # post order: children first
         child_results = [results[c.op_id] for c in op.children]
@@ -48,3 +42,17 @@ def execute_functional(plan: PhysicalPlan, database: Database) -> OperatorResult
         # downstream) are hash-seed independent
         statistics.record_accesses(op.column_keys())
     return results[plan.root.op_id]
+
+
+def execute_functional(plan: PhysicalPlan, database: Database) -> OperatorResult:
+    """Execute ``plan`` immediately; returns the root result."""
+    direct = morsel.execute_direct(plan, database)
+    if direct is not None:
+        # Limit-rooted plan served with cross-chunk early termination;
+        # replay the per-operator access bookkeeping the post-order
+        # loop would have performed.
+        for op in plan.operators:
+            database.statistics.record_accesses(op.column_keys())
+        return direct
+    morsel.prepare_fused(plan, database)
+    return execute_operators(plan, database)

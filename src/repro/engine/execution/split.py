@@ -15,7 +15,7 @@ This module implements that split over the morsel substrate of
   executes every query's fused pipeline as *two* chunk schedules (an
   even split and an uneven three-way split), merges the partials at
   the breaker exactly as the morsel pool does, and compares the result
-  byte-for-byte against the functional reference.  Only plans that
+  byte-for-byte against the operator path.  Only plans that
   pass may split; everything else declines silently (reason-counted)
   and runs on the ordinary pure placement — the same contract every
   prior layer honours.
@@ -53,7 +53,7 @@ from typing import Generator, Optional
 
 from repro.engine import morsel
 from repro.engine.execution.context import resident_fraction
-from repro.engine.execution.functional import execute_functional
+from repro.engine.execution.functional import execute_operators
 from repro.engine.execution.lease import DeviceLease, pull_to_host
 from repro.engine.execution.resilience import account_abort
 from repro.hardware import DeviceFault
@@ -113,7 +113,7 @@ class SplitState:
 
     def prepare(self, database, queries, metrics=None) -> None:
         """Gate every query template: chunk-merge it two ways and
-        require byte identity with the functional reference.  Failures
+        require byte identity with the operator path.  Failures
         decline silently (the plan simply never splits)."""
         for query in queries:
             reason = self._gate_query(database, query)
@@ -127,7 +127,7 @@ class SplitState:
     def _gate_query(self, database, query) -> Optional[str]:
         """None when the query may split, else the decline reason."""
         try:
-            reference = execute_functional(query.instantiate(), database)
+            reference = execute_operators(query.instantiate(), database)
             pipe = morsel.build(query.instantiate(), database)
             if not pipe.supports_partials:
                 return "no_partials"

@@ -10,7 +10,9 @@ amortise their data-parallel primitives:
   every execution; with the index cached, probing is a pair of
   ``searchsorted`` calls.  Key columns that are dense ascending ranges
   (dimension primary keys) skip the search entirely and join by
-  positional lookup.
+  positional lookup; other unique keys probe an O(1) position table.
+  The probers over these structures (bottom of this module) are the
+  ones ``HashJoin`` and the fused pipelines both probe through.
 * **Zone maps** — per-block min/max statistics
   (:mod:`repro.storage.blocks`) letting ``ScanSelect`` skip blocks that
   wholly fail a predicate and short-circuit blocks that wholly pass.
@@ -52,8 +54,9 @@ from repro.storage.types import ColumnType
 BLOCK_ENV = "REPRO_ZONE_BLOCK"
 
 #: If the build side of a cached-index join would expand to more than
-#: this many matches per probe row before mask filtering, fall back to
-#: sorting the filtered values (the seed path) instead.
+#: this many matches per probe row before mask filtering, a bounded
+#: :class:`_SortedProber` gives up and ``HashJoin`` sorts the filtered
+#: values (the seed path) instead.
 _EXPAND_FALLBACK_FACTOR = 4
 
 _enabled = True
@@ -67,6 +70,8 @@ stats = {
     "join_index_builds": 0,
     "join_index_hits": 0,
     "dense_joins": 0,
+    "lookup_joins": 0,
+    "sorted_joins": 0,
     "zone_map_builds": 0,
     "scans_pruned": 0,
     "blocks_skipped": 0,
@@ -160,11 +165,13 @@ _LOOKUP_SPAN_SLACK = 65536
 class PositionLookup:
     """O(1) key→row-position table for a *unique* integer key column.
 
-    ``table[key - base]`` is the row position of ``key`` (or -1).  This
-    is the morsel pipeline's probe structure for non-dense primary keys
-    (e.g. ``d_datekey``): one gather per morsel instead of two
-    ``searchsorted`` passes.  Because every key is unique, the match
-    expansion it implies is byte-identical to the sorted-index path.
+    ``table[key - base]`` is the row position of ``key`` (or -1), in
+    the narrowest of int32/int64 that holds them — the table is the
+    largest structure kept per database, and every probe gathers from
+    it.  This is the probe structure for non-dense primary keys (e.g.
+    ``d_datekey``): one gather instead of two ``searchsorted`` passes.
+    Because every key is unique, the match expansion it implies is
+    byte-identical to the sorted-index path.
     """
 
     __slots__ = ("base", "table", "n_rows")
@@ -184,8 +191,9 @@ def _build_position_lookup(values: np.ndarray) -> Optional[PositionLookup]:
     span = vmax - vmin + 1
     if span > _LOOKUP_SPAN_FACTOR * n + _LOOKUP_SPAN_SLACK:
         return None
-    table = np.full(span, -1, dtype=np.int64)
-    table[values.astype(np.int64) - vmin] = np.arange(n, dtype=np.int64)
+    dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    table = np.full(span, -1, dtype=dtype)
+    table[values.astype(np.int64) - vmin] = np.arange(n, dtype=dtype)
     if int(np.count_nonzero(table >= 0)) != n:
         return None  # duplicate keys collided
     stats["lookup_builds"] += 1
@@ -513,7 +521,9 @@ def scan_mask(database, table_name: str, predicate,
 
 
 # ---------------------------------------------------------------------------
-# Cached-index join expansion
+# Join probers: one per cached access structure.  ``HashJoin`` and the
+# fused pipelines probe through the same objects, and every one is
+# byte-identical to the seed gather-sort-search expansion.
 # ---------------------------------------------------------------------------
 
 def _empty_match():
@@ -521,60 +531,173 @@ def _empty_match():
     return empty, empty
 
 
-def expand_with_index(cache: KernelCache, probe_values: np.ndarray,
-                      build_selection, build_column):
-    """Match ``probe_values`` against a selected base column via the
-    cached join index.
+def _as_int64(array: np.ndarray) -> np.ndarray:
+    return array.astype(np.int64, copy=False)
+
+
+class _DenseProber:
+    """Positional probe against a dense ascending key column.
+
+    ``checked`` is False when the cached probe-column bounds prove every
+    foreign key lands inside the build key range (referential
+    integrity), eliding the range test.  In that case a filtered build
+    probes through ``key_mask`` — the selection mask pre-shifted to raw
+    key space — so the hot path is one gather plus one ``flatnonzero``;
+    the base is subtracted only from the surviving rows.
+    """
+
+    __slots__ = ("base", "n_col", "mask", "key_mask", "checked")
+
+    def __init__(self, base: int, n_col: int, mask, checked: bool):
+        self.base = base
+        self.n_col = n_col
+        self.mask = mask
+        self.checked = checked
+        self.key_mask = None
+        if (not checked and mask is not None
+                and 0 <= base <= n_col + _LOOKUP_SPAN_SLACK):
+            key_mask = np.zeros(base + n_col, dtype=bool)
+            key_mask[base:] = mask
+            self.key_mask = key_mask
+
+    def probe(self, fk: np.ndarray):
+        stats["dense_joins"] += 1
+        if self.checked:
+            # int64: an unproven key may not fit the base's distance
+            pos = fk.astype(np.int64) - self.base
+            hit = (pos >= 0) & (pos < self.n_col)
+            if self.mask is not None:
+                hit &= self.mask[np.where(hit, pos, 0)]
+            return np.flatnonzero(hit), pos[hit]
+        if self.key_mask is not None:
+            probe_idx = np.flatnonzero(self.key_mask[fk])
+            build_tids = fk[probe_idx].astype(np.int64)
+            build_tids -= self.base
+            return probe_idx, build_tids
+        if self.mask is not None:  # large/offset base: no key_mask
+            pos = fk - self.base  # key dtype: contained keys fit it
+            hit = self.mask[pos]
+            return np.flatnonzero(hit), _as_int64(pos[hit])
+        # Unfiltered dense build with containment: every row hits.
+        pos = fk.astype(np.int64)
+        pos -= self.base
+        return np.arange(len(fk), dtype=np.int64), pos
+
+
+class _LookupProber:
+    """O(1) probe through a unique-key position table.
+
+    A filtered build folds its selection mask into a *copy* of the
+    table when the prober is made (unselected keys map to -1) — an
+    unfiltered one shares the cached table — so a probe is one gather
+    and one sign test.  Unique keys mean at most one match per probe
+    row: same outputs as the sorted-index path.
+    """
+
+    __slots__ = ("base", "span", "table", "checked")
+
+    def __init__(self, lookup: PositionLookup, mask, checked: bool):
+        self.base = lookup.base
+        self.span = len(lookup.table)
+        table = lookup.table
+        if mask is not None:
+            selected = mask[np.maximum(table, 0)] & (table >= 0)
+            table = np.where(selected, table, table.dtype.type(-1))
+        self.table = table
+        self.checked = checked
+
+    def probe(self, fk: np.ndarray):
+        stats["lookup_joins"] += 1
+        if self.checked:
+            rel = fk.astype(np.int64) - self.base
+            in_span = (rel >= 0) & (rel < self.span)
+            pos = self.table[np.where(in_span, rel, 0)]
+            hit = in_span & (pos >= 0)
+        else:
+            pos = self.table[fk - self.base]
+            hit = pos >= 0
+        return np.flatnonzero(hit), _as_int64(pos[hit])
+
+
+class _SortedProber:
+    """General probe through the cached stable sort order.
+
+    ``bounded`` makes a filtered build give up (``probe`` returns None)
+    when the unfiltered expansion would dwarf the seed path's sort of
+    the selected values — ``HashJoin`` then re-sorts; a fused pipeline,
+    which has no seed path to fall to, probes unbounded.
+    """
+
+    __slots__ = ("order", "sorted_values", "mask", "bounded")
+
+    def __init__(self, index: JoinIndex, mask, bounded: bool):
+        self.order = index.order
+        self.sorted_values = index.sorted_values
+        self.mask = mask
+        self.bounded = bounded and mask is not None
+
+    def probe(self, fk: np.ndarray):
+        stats["sorted_joins"] += 1
+        lo = np.searchsorted(self.sorted_values, fk, side="left")
+        hi = np.searchsorted(self.sorted_values, fk, side="right")
+        counts = hi - lo
+        total = int(counts.sum())
+        if self.bounded and total > _EXPAND_FALLBACK_FACTOR * len(fk) + 1024:
+            return None
+        if total == 0:
+            return _empty_match()
+        probe_idx = np.repeat(np.arange(len(fk), dtype=np.int64), counts)
+        starts = np.repeat(lo, counts)
+        offsets = np.arange(total, dtype=np.int64) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        build_tids = self.order[starts + offsets]
+        if self.mask is None:
+            return probe_idx, build_tids
+        # Restricting the full-column stable order to the selected rows
+        # preserves the seed ordering: selection tids ascend, so the stable
+        # sort of the gathered values lists equal keys in the same order.
+        keep = self.mask[build_tids]
+        return probe_idx[keep], build_tids[keep]
+
+
+def prober_for(cache: KernelCache, build_column, build_selection,
+               probe_column, bounded: bool = False):
+    """The prober for an equi-join into ``build_column``.
 
     ``build_selection`` is the build side's
     :class:`~repro.engine.intermediates.SelectionVector` over the
-    column's table.  Returns ``(probe_idx, build_tids)`` — probe-side
-    match indexes and *base-table* row positions of the matched build
-    rows, byte-identical to the seed gather-sort-search expansion — or
-    None when the cached path does not apply.
+    column's table; the values later handed to ``probe`` are (any
+    gather of) ``probe_column``'s, so its cached bounds can prove
+    containment.  ``probe(values)`` returns ``(probe_idx, build_tids)``
+    — probe-side match indexes and *base-table* row positions of the
+    matched build rows.  None when no cached structure applies: the
+    selection predates the column's current length, or a non-integer
+    key probes a dense range (which keeps no sort order).
     """
     n_col = len(build_column.values)
     if build_selection.n != n_col:
         return None
+    mask = None if build_selection.is_all else build_selection.mask
     index = cache.join_index(build_column)
-    full = build_selection.is_all
-    mask = build_selection.mask
+    if probe_column.values.dtype.kind not in "iu":
+        if index.dense_base is not None:
+            return None
+        return _SortedProber(index, mask, bounded)
+    bounds = cache.column_bounds(probe_column)
+
+    def unproven(base: int, span: int) -> bool:
+        return not (bounds is not None and bounds[0] >= base
+                    and bounds[1] < base + span)
 
     if index.dense_base is not None:
-        if probe_values.dtype.kind not in "iu":
-            return None
-        stats["dense_joins"] += 1
-        pos = probe_values.astype(np.int64) - index.dense_base
-        in_range = (pos >= 0) & (pos < n_col)
-        if not full:
-            hit = in_range & mask[np.where(in_range, pos, 0)]
-        else:
-            hit = in_range
-        return np.flatnonzero(hit), pos[hit]
-
-    lo = np.searchsorted(index.sorted_values, probe_values, side="left")
-    hi = np.searchsorted(index.sorted_values, probe_values, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    if not full and total > _EXPAND_FALLBACK_FACTOR * len(probe_values) + 1024:
-        # The unfiltered expansion would dwarf the seed path's
-        # filtered sort; let HashJoin re-sort the selected values.
-        return None
-    if total == 0:
-        return _empty_match()
-    probe_idx = np.repeat(np.arange(len(probe_values), dtype=np.int64), counts)
-    starts = np.repeat(lo, counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    build_tids = index.order[starts + offsets]
-    if full:
-        return probe_idx, build_tids
-    # Restricting the full-column stable order to the selected rows
-    # preserves the seed ordering: selection tids ascend, so the stable
-    # sort of the gathered values lists equal keys in the same order.
-    keep = mask[build_tids]
-    return probe_idx[keep], build_tids[keep]
+        return _DenseProber(index.dense_base, n_col, mask,
+                            unproven(index.dense_base, n_col))
+    lookup = cache.position_lookup(build_column)
+    if lookup is not None:
+        return _LookupProber(lookup, mask,
+                             unproven(lookup.base, len(lookup.table)))
+    return _SortedProber(index, mask, bounded)
 
 
 caches.register("kernels", invalidate, cache_size)

@@ -1,53 +1,50 @@
-"""Fused morsel-driven execution.
+"""Fused morsel-driven execution: the functional layer's default path.
 
-The functional layer executes operator-at-a-time: every operator
-materialises its full intermediate before the next one runs.  This
-module fuses the hot mid-query chain — ``ScanSelect`` →
-``RefineSelect``* → ``HashJoin``* → (``GroupByAggregate`` |
-``Materialize``) — into a single per-morsel pipeline over cache-sized
-row ranges of the fact table:
+The simulator charges every operator its own materialised intermediate
+(CoGaDB is operator-at-a-time, paper Sec. 2.5), but the *host* work
+behind those intermediates does not have to run that way.  This module
+fuses the hot mid-query chain — ``ScanSelect`` → ``RefineSelect``* →
+``HashJoin``* → (``GroupByAggregate`` | ``Materialize``) — into a
+single per-morsel pipeline over cache-sized row ranges of the fact
+table:
 
 * the scan predicate is evaluated per morsel over column *slices*
   (elementwise, so restriction commutes with evaluation),
-* join probes run through the kernel layer's cached access structures
-  (dense positional, unique-key
-  :class:`~repro.engine.kernels.PositionLookup`, or the stable sorted
-  index), entirely on dictionary codes; cached probe-column bounds
-  prove foreign-key containment and elide the range checks,
+* join probes run through the kernel layer's probers
+  (:func:`repro.engine.kernels.prober_for`: dense positional,
+  unique-key position lookup, or the stable sorted index), entirely on
+  dictionary codes; cached probe-column bounds prove foreign-key
+  containment and elide the range checks,
 * grouped aggregates reduce through a mixed-radix *dense group id*
-  (radixes from cached column bounds): pool workers ship sparse
-  per-morsel partials that merge at the pipeline breaker, the
-  sequential path reduces the fused chain's output in one
-  ``bincount`` pass — either way skipping the reference path's
-  ``np.unique`` sort.
+  (radixes from cached column bounds) into sparse partials — present
+  group ids, their row counts, per-aggregate reductions.  Pool workers
+  ship one per chunk and the breaker merges them; the sequential path
+  reduces the fused chain's output to a single partial — either way
+  skipping the operator path's multi-column ``np.unique`` sort.
 
-Everything is byte-identical to the reference engine.  The proofs are
+Everything is byte-identical to the operator path.  The proofs are
 local: elementwise predicates commute with slicing; restricting the
 stable join order to an ascending morsel and concatenating preserves
 the full-run match order; ascending dense group ids enumerate groups in
 exactly ``np.unique``'s lexicographic order; and integer sums are exact
-in float64, so partial merging cannot reorder rounding (fusion
-*declines* float ``sum``/``avg`` rather than risk it).
+in float64, so partial merging cannot reorder rounding (float
+``sum``/``avg`` partials merge compensated and are gated at runtime).
 
 Sequential execution is *recording*: a fused run fills the
 per-template result memo (and the cross-plan cache) of every covered
 operator with the identical ``(payload, actual, nominal, width)``
-tuples the normal path would produce, then
-:func:`~repro.engine.execution.functional.execute_functional`'s
-ordinary post-order loop serves them — tail operators
+tuples the operator path would produce, then
+:func:`~repro.engine.execution.functional.execute_operators`' ordinary
+post-order loop serves them — tail operators
 (Sort/Limit/Distinct/FrameFilter) and all bookkeeping run unchanged.
 When a plan shape falls outside the fused form the pipeline declines
-(reason-counted in :data:`decline_reasons`) and the plan runs on the
-unfused path; when only the dense aggregation is ineligible the
+(reason-counted in :data:`decline_reasons`) and the plan runs operator
+by operator; when only the dense aggregation is ineligible the
 scan/join chain still fuses and the breaker runs once at a barrier.
-
-The path is opt-in (``SystemConfig(morsels=True)`` / ``--morsels`` /
-:func:`enable`) and costs a single boolean check when disabled.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
@@ -64,7 +61,11 @@ from repro.engine.intermediates import (
     TidSet,
 )
 from repro.engine.kernels import _BlockFrame
-from repro.engine.operators.aggregate import GroupByAggregate
+from repro.engine.operators.aggregate import (
+    GroupByAggregate,
+    finish_aggregate,
+    reduce_groups,
+)
 from repro.engine.operators.base import TID_BYTES, scaled_nominal_rows
 from repro.engine.operators.frame_ops import Distinct, FrameFilter
 from repro.engine.operators.join import HashJoin
@@ -73,16 +74,14 @@ from repro.engine.operators.scan import RefineSelect, ScanSelect
 from repro.engine.operators.sort import Limit, Sort
 from repro.storage.types import ColumnType
 
-#: Environment knob: rows per morsel (default 64K, roughly the L2-sized
-#: ranges morsel-driven schedulers hand out).
-MORSEL_ROWS_ENV = "REPRO_MORSEL_ROWS"
+#: Rows per morsel: roughly the L2-sized ranges morsel-driven schedulers
+#: hand out.
 DEFAULT_MORSEL_ROWS = 65536
 
 #: Dense group-id domains above this decline to the barrier aggregate:
 #: the accumulators would outweigh the rows they summarise.
 GROUP_DOMAIN_CAP = 1 << 21
 
-_enabled = False
 _morsel_rows_override: Optional[int] = None
 
 #: Event counters for metrics, benchmarks, and tests.
@@ -92,9 +91,6 @@ stats = {
     "morsels": 0,
     "fused_operators": 0,
     "partial_merges": 0,
-    "dense_probes": 0,
-    "lookup_probes": 0,
-    "sorted_probes": 0,
     "dense_aggregates": 0,
     "barrier_breakers": 0,
     "compensated_merges": 0,
@@ -107,16 +103,6 @@ stats = {
 decline_reasons: Counter = Counter()
 
 
-def enable(on: bool = True) -> None:
-    """Globally enable or disable the fused morsel path."""
-    global _enabled
-    _enabled = on
-
-
-def enabled() -> bool:
-    return _enabled
-
-
 def reset_stats() -> None:
     for key in stats:
         stats[key] = 0
@@ -127,18 +113,22 @@ def snapshot_stats() -> Dict[str, int]:
     return dict(stats)
 
 
+def stats_since(before: Dict[str, int]) -> Dict[str, int]:
+    """Counter movement since a :func:`snapshot_stats` — what ``repro
+    run`` and the report print around one workload."""
+    return {key: value - before[key] for key, value in stats.items()}
+
+
 def morsel_rows() -> int:
-    """Effective morsel size: override > $REPRO_MORSEL_ROWS > 64K."""
+    """Effective morsel size: the test override, else 64K."""
     if _morsel_rows_override is not None:
         return _morsel_rows_override
-    raw = os.environ.get(MORSEL_ROWS_ENV, "").strip()
-    if raw:
-        return max(int(raw), 1)
     return DEFAULT_MORSEL_ROWS
 
 
 def set_morsel_rows(rows: Optional[int]) -> None:
-    """Override the morsel size (None restores env/default)."""
+    """Override the morsel size (None restores the default).  Results
+    do not depend on it; tests sweep it to prove that."""
     global _morsel_rows_override
     if rows is not None and int(rows) < 1:
         raise ValueError("morsel_rows must be >= 1")
@@ -146,18 +136,14 @@ def set_morsel_rows(rows: Optional[int]) -> None:
 
 
 @contextmanager
-def active(rows: Optional[int] = None):
-    """Temporarily enable the fused path (optionally at ``rows``/morsel)."""
-    prev_enabled = _enabled
-    prev_rows = _morsel_rows_override
-    enable(True)
-    if rows is not None:
-        set_morsel_rows(rows)
+def sized(rows: Optional[int]):
+    """Run a block at ``rows`` per morsel, then restore the size."""
+    previous = _morsel_rows_override
+    set_morsel_rows(rows)
     try:
         yield
     finally:
-        enable(prev_enabled)
-        set_morsel_rows(prev_rows)
+        set_morsel_rows(previous)
 
 
 class Decline(Exception):
@@ -166,154 +152,6 @@ class Decline(Exception):
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
-
-
-class _EmptyFrame:
-    """Zero-row frame: evaluates an expression for its result *dtype*.
-
-    Running the breaker's expressions over empty column slices
-    reproduces numpy's promotion (and the engine's int32→int64 widening)
-    without interpreting expression trees.
-    """
-
-    __slots__ = ("_database",)
-
-    def __init__(self, database):
-        self._database = database
-
-    def array(self, key: str) -> np.ndarray:
-        return self._database.column(key).values[:0]
-
-    def column_meta(self, key: str):
-        return self._database.column(key)
-
-
-# ---------------------------------------------------------------------------
-# Join probers: one per cached access structure, all byte-identical to
-# the operator-at-a-time expansion.
-# ---------------------------------------------------------------------------
-
-def _empty_match():
-    empty = np.empty(0, dtype=np.int64)
-    return empty, empty
-
-
-def _as_int64(array: np.ndarray) -> np.ndarray:
-    return array.astype(np.int64, copy=False)
-
-
-class _DenseProber:
-    """Positional probe against a dense ascending key column.
-
-    ``checked`` is False when the cached probe-column bounds prove every
-    foreign key lands inside the build key range (referential
-    integrity), eliding the range test.  In that case a filtered build
-    probes through ``key_mask`` — the selection mask pre-shifted to raw
-    key space — so the hot path is one gather plus one ``flatnonzero``;
-    the base is subtracted only from the surviving rows.
-    """
-
-    __slots__ = ("base", "n_col", "mask", "key_mask", "checked")
-
-    def __init__(self, base: int, n_col: int, mask, checked: bool):
-        self.base = base
-        self.n_col = n_col
-        self.mask = mask
-        self.checked = checked
-        self.key_mask = None
-        if (not checked and mask is not None
-                and 0 <= base <= n_col + kernels._LOOKUP_SPAN_SLACK):
-            key_mask = np.zeros(base + n_col, dtype=bool)
-            key_mask[base:] = mask
-            self.key_mask = key_mask
-
-    def probe(self, fk: np.ndarray):
-        stats["dense_probes"] += 1
-        if self.checked:
-            pos = fk - self.base  # key dtype: dimension keys fit it
-            hit = (pos >= 0) & (pos < self.n_col)
-            if self.mask is not None:
-                hit &= self.mask[np.where(hit, pos, 0)]
-            return np.flatnonzero(hit), _as_int64(pos[hit])
-        if self.key_mask is not None:
-            probe_idx = np.flatnonzero(self.key_mask[fk])
-            build_tids = fk[probe_idx].astype(np.int64)
-            build_tids -= self.base
-            return probe_idx, build_tids
-        if self.mask is not None:  # large/offset base: no key_mask
-            pos = fk - self.base
-            hit = self.mask[pos]
-            return np.flatnonzero(hit), _as_int64(pos[hit])
-        # Unfiltered dense build with containment: every row hits.
-        pos = fk.astype(np.int64)
-        pos -= self.base
-        return np.arange(len(fk), dtype=np.int64), pos
-
-
-class _LookupProber:
-    """O(1) probe through a unique-key position table.
-
-    The build selection mask is folded into a copy of the table at
-    pipeline build time (unselected keys map to -1), so the per-morsel
-    work is one gather and one sign test.  Unique keys mean at most one
-    match per probe row — same outputs as the sorted-index path.
-    """
-
-    __slots__ = ("base", "span", "table", "checked")
-
-    def __init__(self, lookup, mask, checked: bool):
-        self.base = lookup.base
-        self.span = len(lookup.table)
-        table = lookup.table
-        if mask is not None:
-            selected = mask[np.maximum(table, 0)] & (table >= 0)
-            table = np.where(selected, table, -1)
-        if lookup.n_rows < np.iinfo(np.int32).max:
-            table = table.astype(np.int32)  # halve the gather bandwidth
-        self.table = table
-        self.checked = checked
-
-    def probe(self, fk: np.ndarray):
-        stats["lookup_probes"] += 1
-        rel = fk - self.base
-        if self.checked:
-            in_span = (rel >= 0) & (rel < self.span)
-            pos = self.table[np.where(in_span, rel, 0)]
-            hit = in_span & (pos >= 0)
-        else:
-            pos = self.table[rel]
-            hit = pos >= 0
-        return np.flatnonzero(hit), _as_int64(pos[hit])
-
-
-class _SortedProber:
-    """General probe through the cached stable sort order."""
-
-    __slots__ = ("order", "sorted_values", "mask")
-
-    def __init__(self, index, mask):
-        self.order = index.order
-        self.sorted_values = index.sorted_values
-        self.mask = mask
-
-    def probe(self, fk: np.ndarray):
-        stats["sorted_probes"] += 1
-        lo = np.searchsorted(self.sorted_values, fk, side="left")
-        hi = np.searchsorted(self.sorted_values, fk, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
-            return _empty_match()
-        probe_idx = np.repeat(np.arange(len(fk), dtype=np.int64), counts)
-        starts = np.repeat(lo, counts)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        build_tids = self.order[starts + offsets]
-        if self.mask is None:
-            return probe_idx, build_tids
-        keep = self.mask[build_tids]
-        return probe_idx[keep], build_tids[keep]
 
 
 class _Stage:
@@ -551,18 +389,11 @@ class FusedPipeline:
         return partial
 
     def _materialize_partial(self, index, frame) -> MorselPartial:
-        columns: Dict[str, np.ndarray] = {}
-        gathered: Dict[str, np.ndarray] = {}
-        for alias, expr in self.breaker.items:
-            if isinstance(expr, ColumnRef):
-                array = gathered.get(expr.key)
-                if array is None:
-                    array = np.asarray(expr.evaluate(frame))
-                    gathered[expr.key] = array
-                columns[alias] = array
-            else:
-                columns[alias] = np.asarray(expr.evaluate(frame))
-        return MorselPartial(index, "frame", frame=columns)
+        projected = self.breaker.project(
+            self.database,
+            lambda alias, expr: np.asarray(expr.evaluate(frame)),
+        )
+        return MorselPartial(index, "frame", frame=projected.columns)
 
     def _group_ids(self, frame, n_rows: int) -> np.ndarray:
         ids = np.zeros(n_rows, dtype=np.int64)
@@ -572,31 +403,25 @@ class FusedPipeline:
         return ids
 
     def _aggregate_partial(self, index, frame, n_rows) -> MorselPartial:
-        """Sparse per-morsel partial: group ids compressed through a
-        morsel-local ``np.unique`` (tiny — at most one morsel of rows),
-        never touching the full dense domain."""
+        """Sparse partial over ``frame``'s rows: group ids compressed
+        through a local ``np.unique`` (a morsel of rows in the pool, the
+        fused chain's whole output at the sequential breaker), never
+        touching the full dense domain."""
         ids = self._group_ids(frame, n_rows)
-        present, inverse = np.unique(ids, return_inverse=True)
+        if self.dense.grouped:
+            present, inverse = np.unique(ids, return_inverse=True)
+        else:
+            # the one group of an ungrouped aggregate exists even over
+            # zero rows (and needs no sort to find)
+            present, inverse = np.zeros(1, dtype=np.int64), ids
         n_local = len(present)
         counts = np.bincount(inverse, minlength=n_local)
         values_out: Dict[str, np.ndarray] = {}
         for term in self.dense.aggs:
-            aggregate = term.aggregate
-            if aggregate.func == "count":
-                continue
-            values = np.asarray(aggregate.expr.evaluate(frame))
-            if values.dtype == np.int32:
-                values = values.astype(np.int64)
-            if aggregate.func in ("sum", "avg"):
-                partial = np.bincount(inverse, weights=values,
-                                      minlength=n_local)
-            elif aggregate.func == "min":
-                partial = np.full(n_local, np.inf)
-                np.minimum.at(partial, inverse, values)
-            else:  # max
-                partial = np.full(n_local, -np.inf)
-                np.maximum.at(partial, inverse, values)
-            values_out[aggregate.alias] = partial
+            reduced, _ = reduce_groups(term.aggregate, frame, inverse,
+                                       n_local)
+            if reduced is not None:
+                values_out[term.aggregate.alias] = reduced
         return MorselPartial(index, "agg", present=present, counts=counts,
                              values=values_out)
 
@@ -690,34 +515,12 @@ class FusedPipeline:
     def finalize(self, acc: _Accumulator,
                  prev_nominal: int) -> OperatorResult:
         """Breaker result from merged partials (pooled executions)."""
-        if acc.kind == "frame":
-            return self._finalize_frame(acc, prev_nominal)
-        return self._finalize_aggregate(acc.counts, acc.sums, acc.extrema,
-                                        acc.comps)
-
-    def _finalize_frame(self, acc: _Accumulator,
-                        prev_nominal: int) -> OperatorResult:
-        acc.chunks.sort(key=lambda partial: partial.index)
-        columns: Dict[str, np.ndarray] = {}
-        dictionaries: Dict[str, list] = {}
-        merged: Dict[str, np.ndarray] = {}
-        for alias, expr in self.breaker.items:
-            if isinstance(expr, ColumnRef):
-                array = merged.get(expr.key)
-                if array is None:
-                    array = np.concatenate(
-                        [chunk.frame[alias] for chunk in acc.chunks]
-                    )
-                    merged[expr.key] = array
-                columns[alias] = array
-                meta = self.database.column(expr.key)
-                if meta.ctype is ColumnType.STRING:
-                    dictionaries[alias] = meta.dictionary
-            else:
-                columns[alias] = np.concatenate(
-                    [chunk.frame[alias] for chunk in acc.chunks]
-                )
-        frame_out = ResultFrame(columns, dictionaries)
+        partial = self._pack_chunk(0, acc, None)
+        if acc.kind == "agg":
+            return self._finalize_aggregate(partial)
+        frame_out = self.breaker.project(
+            self.database, lambda alias, expr: partial.frame[alias]
+        )
         return OperatorResult(
             frame_out,
             actual_rows=len(frame_out),
@@ -725,89 +528,26 @@ class FusedPipeline:
             row_width_bytes=frame_out.width_bytes,
         )
 
-    def _reduce_dense(self, payload: TidSet, n_rows: int) -> OperatorResult:
-        """One-pass dense-id aggregation over the fused chain's output
-        (the sequential path's breaker: no sort, no per-morsel work)."""
-        frame = Frame(self.database, payload.tables)
-        ids = self._group_ids(frame, n_rows)
-        dense = self.dense
-        counts = np.bincount(ids, minlength=dense.domain)
-        sums: Dict[str, np.ndarray] = {}
-        extrema: Dict[str, np.ndarray] = {}
-        for term in dense.aggs:
-            aggregate = term.aggregate
-            if aggregate.func == "count":
-                continue
-            values = np.asarray(aggregate.expr.evaluate(frame))
-            if values.dtype == np.int32:
-                values = values.astype(np.int64)
-            if aggregate.func in ("sum", "avg"):
-                sums[aggregate.alias] = np.bincount(
-                    ids, weights=values, minlength=dense.domain
-                )
-            elif aggregate.func == "min":
-                out = np.full(dense.domain, np.inf)
-                np.minimum.at(out, ids, values)
-                extrema[aggregate.alias] = out
-            else:
-                out = np.full(dense.domain, -np.inf)
-                np.maximum.at(out, ids, values)
-                extrema[aggregate.alias] = out
-        return self._finalize_aggregate(counts, sums, extrema)
-
-    def _finalize_aggregate(self, counts, sums, extrema,
-                            comps=None) -> OperatorResult:
-        """Build the breaker frame from dense accumulators, replicating
-        ``GroupByAggregate._aggregate``'s dtype and rounding rules."""
-        dense = self.dense
-        comps = comps or {}
+    def _finalize_aggregate(self, partial: MorselPartial) -> OperatorResult:
+        """Breaker frame from one sparse partial — a merged
+        accumulator's (:meth:`_pack_chunk`) or the sequential path's
+        single pass: group columns decoded from the present dense ids,
+        aggregate columns by ``GroupByAggregate``'s own result rules."""
         stats["dense_aggregates"] += 1
-        if dense.grouped:
-            present = np.flatnonzero(counts)
-        else:
-            present = np.arange(1)
+        present = partial.present
         columns: Dict[str, np.ndarray] = {}
         dictionaries: Dict[str, list] = {}
-        for term in dense.terms:
+        for term in self.dense.terms:
             codes = term.low + (present // term.stride) % term.radix
             columns[term.ref.name] = codes.astype(term.dtype)
             if term.dictionary is not None:
                 dictionaries[term.ref.name] = term.dictionary
-        group_counts = counts[present]
-        for term in dense.aggs:
-            aggregate = term.aggregate
-            if aggregate.func == "count":
-                columns[aggregate.alias] = group_counts.astype(np.int64)
-                continue
-            if aggregate.func == "sum":
-                totals = sums[aggregate.alias][present]
-                if aggregate.alias in comps:
-                    totals = totals + comps[aggregate.alias][present]
-                if term.is_integer:
-                    columns[aggregate.alias] = np.round(totals).astype(
-                        np.int64
-                    )
-                else:
-                    columns[aggregate.alias] = totals
-                continue
-            if aggregate.func == "avg":
-                totals = sums[aggregate.alias][present]
-                if aggregate.alias in comps:
-                    totals = totals + comps[aggregate.alias][present]
-                columns[aggregate.alias] = totals / np.maximum(
-                    group_counts, 1
-                )
-                continue
-            out = extrema[aggregate.alias][present]
-            finite = np.isfinite(out)
-            if term.is_integer:
-                result = np.zeros(len(present), dtype=np.int64)
-                result[finite] = out[finite].astype(np.int64)
-                columns[aggregate.alias] = result
-            else:
-                out = out.copy()
-                out[~finite] = 0.0
-                columns[aggregate.alias] = out
+        for term in self.dense.aggs:
+            alias = term.aggregate.alias
+            columns[alias] = finish_aggregate(
+                term.aggregate.func, partial.counts,
+                partial.values.get(alias), term.is_integer,
+            )
         frame_out = ResultFrame(columns, dictionaries)
         return OperatorResult(
             frame_out,
@@ -850,64 +590,57 @@ class FusedPipeline:
         return self._pack_chunk(start, acc, totals)
 
     def _pack_chunk(self, index: int, acc: _Accumulator,
-                    totals: Tuple[int, ...]) -> MorselPartial:
+                    totals: Optional[Tuple[int, ...]]) -> MorselPartial:
+        """One accumulator as one partial: what a worker ships per
+        chunk, and the form :meth:`finalize` finishes from."""
         if acc.kind == "frame":
-            acc.chunks.sort(key=lambda partial: partial.index)
-            frame = {
-                alias: np.concatenate(
-                    [chunk.frame[alias] for chunk in acc.chunks]
-                )
-                for alias, _ in self.breaker.items
-            }
-            return MorselPartial(index, "frame", frame=frame,
+            chunks = sorted(acc.chunks, key=lambda partial: partial.index)
+            merged = self.breaker.project(
+                self.database,
+                lambda alias, expr: np.concatenate(
+                    [chunk.frame[alias] for chunk in chunks]
+                ),
+            )
+            return MorselPartial(index, "frame", frame=merged.columns,
                                  chain_counts=totals)
-        present = np.flatnonzero(acc.counts)
+        present = (np.flatnonzero(acc.counts) if self.dense.grouped
+                   else np.arange(1))
         values: Dict[str, np.ndarray] = {}
-        for term in self.dense.aggs:
-            aggregate = term.aggregate
-            if aggregate.func == "count":
-                continue
-            if aggregate.func in ("sum", "avg"):
-                shipped = acc.sums[aggregate.alias][present]
-                if aggregate.alias in acc.comps:
-                    # Collapse the chunk-local compensation into the
-                    # shipped value; the parent re-compensates merges.
-                    shipped = shipped + acc.comps[aggregate.alias][present]
-                values[aggregate.alias] = shipped
-            else:
-                values[aggregate.alias] = (
-                    acc.extrema[aggregate.alias][present]
-                )
+        for alias, sums in acc.sums.items():
+            values[alias] = sums[present]
+            if alias in acc.comps:
+                # Collapse the compensation into the shipped value; a
+                # parent re-compensates its own merges.
+                values[alias] = values[alias] + acc.comps[alias][present]
+        for alias, extrema in acc.extrema.items():
+            values[alias] = extrema[present]
         return MorselPartial(index, "agg", present=present,
                              counts=acc.counts[present], values=values,
                              chain_counts=totals)
+
+    def _chain_sizes(self, totals: Tuple[int, ...]
+                     ) -> List[Tuple[int, int]]:
+        """(actual, nominal) rows after each chain operator — scan,
+        refines, joins — from their output row counts: the arithmetic
+        ``ScanSelect`` / ``RefineSelect`` / ``HashJoin`` apply one
+        operator at a time."""
+        table = self.database.table(self.fact_table)
+        if self.fact_predicate is None:
+            sizes = [(table.actual_rows, table.nominal_rows)]
+        else:
+            sizes = [(totals[0], scaled_nominal_rows(
+                totals[0], table.actual_rows, table.nominal_rows))]
+        for n_out in totals[1:]:
+            prev_actual, prev_nominal = sizes[-1]
+            sizes.append((n_out, scaled_nominal_rows(
+                n_out, max(prev_actual, 1), prev_nominal)))
+        return sizes
 
     def replay_nominal(self, totals: Tuple[int, ...]) -> Tuple[int, int]:
         """(actual, nominal) rows of the chain's last operator, replayed
         from summed per-op output counts — the same arithmetic the
         sequential path applies while recording."""
-        table = self.database.table(self.fact_table)
-        if self.fact_predicate is None:
-            prev_actual, prev_nominal = table.actual_rows, table.nominal_rows
-        else:
-            n_out = totals[0]
-            prev_nominal = scaled_nominal_rows(n_out, table.actual_rows,
-                                               table.nominal_rows)
-            prev_actual = n_out
-        idx = 1
-        for _ in self.refines:
-            n_out = totals[idx]
-            idx += 1
-            prev_nominal = scaled_nominal_rows(n_out, max(prev_actual, 1),
-                                               prev_nominal)
-            prev_actual = n_out
-        for _ in self.stages:
-            n_out = totals[idx]
-            idx += 1
-            prev_nominal = scaled_nominal_rows(n_out, max(prev_actual, 1),
-                                               prev_nominal)
-            prev_actual = n_out
-        return prev_actual, prev_nominal
+        return self._chain_sizes(totals)[-1]
 
     # -- recording -----------------------------------------------------
 
@@ -921,64 +654,47 @@ class FusedPipeline:
 
     def _record(self, sink: Dict[int, list]) -> None:
         database = self.database
-        table = database.table(self.fact_table)
+        fact = self.fact_table
 
+        # (payload, row width) per chain operator, in execution order
         if self.fact_predicate is None:
-            entry = SelectionVector(n=table.actual_rows)
-            cached = (TidSet({self.fact_table: entry}),
-                      table.actual_rows, table.nominal_rows, 0)
+            entry = SelectionVector(n=database.table(fact).actual_rows)
+            outputs = [(TidSet({fact: entry}), 0)]
         else:
-            mask = np.concatenate(sink[self.scan_op.op_id])
-            entry = SelectionVector(mask)
-            n_out = len(entry)
-            nominal = scaled_nominal_rows(n_out, table.actual_rows,
-                                          table.nominal_rows)
-            cached = (TidSet({self.fact_table: entry}),
-                      n_out, nominal, TID_BYTES)
-        self._memoise(self.scan_op, cached)
-        prev_actual, prev_nominal = cached[1], cached[2]
-
+            entry = SelectionVector(np.concatenate(sink[self.scan_op.op_id]))
+            outputs = [(TidSet({fact: entry}), TID_BYTES)]
         for refine in self.refines:
-            mask = np.concatenate(sink[refine.op_id])
-            entry = SelectionVector(mask)
-            n_out = len(entry)
-            nominal = scaled_nominal_rows(n_out, max(prev_actual, 1),
-                                          prev_nominal)
-            cached = (TidSet({self.fact_table: entry}),
-                      n_out, nominal, TID_BYTES)
-            self._memoise(refine, cached)
-            prev_actual, prev_nominal = n_out, nominal
-
-        last_cached = cached
+            entry = SelectionVector(np.concatenate(sink[refine.op_id]))
+            outputs.append((TidSet({fact: entry}), TID_BYTES))
         for stage in self.stages:
             chunks = sink[stage.op.op_id]
             tables = {
                 name: np.concatenate([chunk[name] for chunk in chunks])
                 for name in stage.table_order
             }
-            n_out = len(next(iter(tables.values())))
-            nominal = scaled_nominal_rows(n_out, max(prev_actual, 1),
-                                          prev_nominal)
-            cached = (TidSet(tables), n_out, nominal,
-                      TID_BYTES * len(tables))
-            self._memoise(stage.op, cached)
-            prev_actual, prev_nominal = n_out, nominal
-            last_cached = cached
+            outputs.append((TidSet(tables), TID_BYTES * len(tables)))
 
-        if self.breaker_kind == "agg" and self.dense is not None:
-            stats["partial_merges"] += len(self.ranges())
-            result = self._reduce_dense(last_cached[0], last_cached[1])
+        sizes = self._chain_sizes(
+            tuple(len(payload) for payload, _ in outputs))
+        for op, (payload, width), (actual, nominal) in zip(
+                self.covered_ops, outputs, sizes):
+            cached = (payload, actual, nominal, width)
+            self._memoise(op, cached)
+
+        if self.dense is not None:
+            payload, n_rows = cached[0], cached[1]
+            result = self._finalize_aggregate(self._aggregate_partial(
+                0, Frame(database, payload.tables), n_rows))
+            self._memoise(self.breaker, (
+                result.payload, result.actual_rows, result.nominal_rows,
+                result.row_width_bytes))
         else:
             # Materialise / non-dense aggregate: run the breaker once
-            # at the barrier over the fused chain's recorded output.
+            # at the barrier over the fused chain's recorded output;
+            # produce() memoises the breaker itself.
             if self.breaker_kind == "agg":
                 stats["barrier_breakers"] += 1
-            child = OperatorResult(*last_cached)
-            self.breaker.produce(database, [child])
-            return  # produce() memoised the breaker itself
-        cached = (result.payload, result.actual_rows, result.nominal_rows,
-                  result.row_width_bytes)
-        self._memoise(self.breaker, cached)
+            self.breaker.produce(database, [OperatorResult(*cached)])
 
     def _memoise(self, op, cached) -> None:
         op._cached_result = cached
@@ -1057,33 +773,14 @@ def _prepare_probers(pipe: FusedPipeline, cache) -> None:
         selection = build_result.payload.selection(stage.build_table)
         if selection is None:
             raise Decline("build_not_lazy")
-        build_column = database.column(join.build_key.key)
-        if selection.n != len(build_column.values):
-            raise Decline("build_stale")
-        mask = None if selection.is_all else selection.mask
         probe_column = database.column(join.probe_key.key)
         stage.probe_values = probe_column.values
-        index = cache.join_index(build_column)
-        integer_probe = probe_column.values.dtype.kind in "iu"
-        probe_bounds = (cache.column_bounds(probe_column)
-                        if integer_probe else None)
-        if index.dense_base is not None and integer_probe:
-            base = index.dense_base
-            n_col = len(build_column.values)
-            checked = not (probe_bounds is not None
-                           and probe_bounds[0] >= base
-                           and probe_bounds[1] < base + n_col)
-            stage.prober = _DenseProber(base, n_col, mask, checked)
-            continue
-        lookup = cache.position_lookup(build_column) if integer_probe else None
-        if lookup is not None:
-            checked = not (probe_bounds is not None
-                           and probe_bounds[0] >= lookup.base
-                           and probe_bounds[1] < lookup.base
-                           + len(lookup.table))
-            stage.prober = _LookupProber(lookup, mask, checked)
-        else:
-            stage.prober = _SortedProber(index, mask)
+        stage.prober = kernels.prober_for(
+            cache, database.column(join.build_key.key), selection,
+            probe_column,
+        )
+        if stage.prober is None:
+            raise Decline("build_stale")
 
 
 def _prepare_dense_aggregate(pipe: FusedPipeline, cache) -> None:
@@ -1093,7 +790,10 @@ def _prepare_dense_aggregate(pipe: FusedPipeline, cache) -> None:
     database = pipe.database
     available = ([pipe.fact_table]
                  + [stage.build_table for stage in pipe.stages])
-    empty = _EmptyFrame(database)
+    # Evaluating the breaker's expressions over zero rows reproduces
+    # numpy's promotion (and the engine's int32→int64 widening) without
+    # interpreting expression trees.
+    empty = _BlockFrame(database)
 
     terms: List[_GroupTerm] = []
     domain = 1
@@ -1189,9 +889,7 @@ def execute_direct(plan, database) -> Optional[OperatorResult]:
     try:
         if root.n <= 0:
             raise Decline("limit_nonpositive")
-        if (root._cached_result is not None
-                or plan_cache.peek(database, root.fingerprint())
-                is not None):
+        if _memoised(root, database):
             # the ordinary path serves the memo for free — and the
             # direct path must never shadow recorded full results
             raise Decline("limit_memoised")
@@ -1231,19 +929,24 @@ def execute_direct(plan, database) -> Optional[OperatorResult]:
     return result
 
 
+def _memoised(op, database) -> bool:
+    """True when ``op``'s result is already recorded — in its template
+    memo or the cross-plan cache (peeked: no hit/miss counter moves)."""
+    return (op._cached_result is not None
+            or plan_cache.peek(database, op.fingerprint()) is not None)
+
+
 def prepare_fused(plan, database) -> bool:
     """Record-mode fused execution: run the plan's fused chain and fill
     the covered operators' memos.  Returns True when the plan ran fused
     (the executor loop then serves memoised results), False when fusion
     declined or everything was already memoised."""
+    if all(_memoised(op, database) for op in plan.operators):
+        return False  # a warm plan builds nothing, not even a pipeline
     try:
         pipe = build(plan, database)
-        if all(
-            op._cached_result is not None
-            or plan_cache.peek(database, op.fingerprint()) is not None
-            for op in pipe.covered_ops
-        ):
-            return False
+        if all(_memoised(op, database) for op in pipe.covered_ops):
+            return False  # only tail operators are left to run
         pipe.run_recorded()
     except Decline as decline:
         stats["declined_queries"] += 1

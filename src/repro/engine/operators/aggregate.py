@@ -108,9 +108,12 @@ class GroupByAggregate(PhysicalOperator):
             inverse = np.zeros(n_rows, dtype=np.int64)
             n_groups = 1 if n_rows > 0 else 1
 
+        counts = np.bincount(inverse, minlength=n_groups)
         for aggregate in self.aggregates:
-            columns[aggregate.alias] = self._aggregate(
-                aggregate, frame, inverse, n_groups, n_rows
+            reduced, is_integer = reduce_groups(aggregate, frame, inverse,
+                                                n_groups)
+            columns[aggregate.alias] = finish_aggregate(
+                aggregate.func, counts, reduced, is_integer
             )
 
         frame_out = ResultFrame(columns, dictionaries)
@@ -121,37 +124,47 @@ class GroupByAggregate(PhysicalOperator):
             row_width_bytes=frame_out.width_bytes,
         )
 
-    @staticmethod
-    def _aggregate(aggregate: Aggregate, frame: Frame, inverse: np.ndarray,
-                   n_groups: int, n_rows: int) -> np.ndarray:
-        """Evaluate one aggregate over the grouped rows."""
-        if aggregate.func == "count":
-            counts = np.bincount(inverse, minlength=n_groups)
-            return counts.astype(np.int64)
-        values = np.asarray(aggregate.expr.evaluate(frame))
-        if values.dtype == np.int32:
-            values = values.astype(np.int64)
-        if aggregate.func == "sum":
-            sums = np.bincount(inverse, weights=values, minlength=n_groups)
-            if np.issubdtype(values.dtype, np.integer):
-                return np.round(sums).astype(np.int64)
-            return sums
-        if aggregate.func == "avg":
-            sums = np.bincount(inverse, weights=values, minlength=n_groups)
-            counts = np.maximum(np.bincount(inverse, minlength=n_groups), 1)
-            return sums / counts
-        # min / max via ufunc.at; empty groups yield 0 (no NULLs in
-        # this engine, matching the reference evaluator's convention)
-        if aggregate.func == "min":
-            out = np.full(n_groups, np.inf)
-            np.minimum.at(out, inverse, values)
-        else:
-            out = np.full(n_groups, -np.inf)
-            np.maximum.at(out, inverse, values)
-        finite = np.isfinite(out)
-        if np.issubdtype(values.dtype, np.integer):
-            result = np.zeros(n_groups, dtype=np.int64)
-            result[finite] = out[finite].astype(np.int64)
-            return result
-        out[~finite] = 0.0
-        return out
+
+def reduce_groups(aggregate: Aggregate, frame, inverse: np.ndarray,
+                  n_groups: int):
+    """Reduce one aggregate's input over rows labelled ``inverse``:
+    float64 per-group sums (``sum``/``avg``) or extrema (±inf where a
+    group is empty) — None for ``count``, which reads no input — plus
+    whether the input was integer.  Sums accumulate in row order, so
+    every caller rounds alike."""
+    if aggregate.func == "count":
+        return None, True
+    values = np.asarray(aggregate.expr.evaluate(frame))
+    if values.dtype == np.int32:
+        values = values.astype(np.int64)
+    if aggregate.func in ("sum", "avg"):
+        reduced = np.bincount(inverse, weights=values, minlength=n_groups)
+    elif aggregate.func == "min":
+        reduced = np.full(n_groups, np.inf)
+        np.minimum.at(reduced, inverse, values)
+    else:
+        reduced = np.full(n_groups, -np.inf)
+        np.maximum.at(reduced, inverse, values)
+    return reduced, bool(np.issubdtype(values.dtype, np.integer))
+
+
+def finish_aggregate(func: str, counts: np.ndarray, reduced,
+                     is_integer: bool) -> np.ndarray:
+    """The result rules of one aggregate column, shared by
+    :class:`GroupByAggregate` and the fused pipelines' breaker: counts
+    and integer sums are int64 (sums rounded from their float64
+    accumulator), ``avg`` divides by the group's row count, and empty
+    groups yield 0 (no NULLs in this engine, matching the reference
+    evaluator's convention)."""
+    if func == "count":
+        return counts.astype(np.int64)
+    if func == "sum":
+        return np.round(reduced).astype(np.int64) if is_integer else reduced
+    if func == "avg":
+        return reduced / np.maximum(counts, 1)
+    finite = np.isfinite(reduced)
+    if is_integer:
+        result = np.zeros(len(reduced), dtype=np.int64)
+        result[finite] = reduced[finite].astype(np.int64)
+        return result
+    return np.where(finite, reduced, 0.0)

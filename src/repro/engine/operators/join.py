@@ -106,17 +106,20 @@ class HashJoin(PhysicalOperator):
         probe_values = probe_payload.gather(self.probe_key.table, probe_column)
 
         # Cached-index fast path: the build side is a (lazy) selection
-        # over a single base table, so the memoised index of the full
-        # key column replaces the per-execution argsort.  Output tids
-        # are byte-identical to the seed expansion.
+        # over a single base table, so a prober over the memoised index
+        # of the full key column replaces the per-execution argsort.
+        # Output tids are byte-identical to the seed expansion.
         cached = None
         build_selection = build_payload.selection(self.build_key.table)
         if build_selection is not None and len(build_payload.tables) == 1:
             cache = kernels.cache_for(database)
             if cache is not None:
-                cached = kernels.expand_with_index(
-                    cache, probe_values, build_selection, build_column
+                prober = kernels.prober_for(
+                    cache, build_column, build_selection, probe_column,
+                    bounded=True,
                 )
+                if prober is not None:
+                    cached = prober.probe(probe_values)
         if cached is not None:
             probe_idx, build_tids = cached
             build_tables = {self.build_key.table: build_tids}

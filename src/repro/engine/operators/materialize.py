@@ -49,6 +49,28 @@ class Materialize(PhysicalOperator):
         ) or TID_BYTES
         return max(child.nominal_rows * width, TID_BYTES)
 
+    def project(self, database: Database, column_for) -> ResultFrame:
+        """The output frame whose arrays ``column_for(alias, expr)``
+        supplies — evaluated over a TidSet, a morsel, or merged chunks.
+        Aliases projecting the same base column share one array
+        (results are read-only downstream); plain string columns keep
+        their dictionary so they decode."""
+        columns: Dict[str, np.ndarray] = {}
+        dictionaries: Dict[str, list] = {}
+        shared: Dict[str, np.ndarray] = {}
+        for alias, expr in self.items:
+            if not isinstance(expr, ColumnRef):
+                columns[alias] = column_for(alias, expr)
+                continue
+            array = shared.get(expr.key)
+            if array is None:
+                array = shared[expr.key] = column_for(alias, expr)
+            columns[alias] = array
+            meta = database.column(expr.key)
+            if meta.ctype is ColumnType.STRING:
+                dictionaries[alias] = meta.dictionary
+        return ResultFrame(columns, dictionaries)
+
     def run(self, database: Database,
             child_results: List[OperatorResult]) -> OperatorResult:
         (child,) = child_results
@@ -56,24 +78,9 @@ class Materialize(PhysicalOperator):
         if not isinstance(payload, TidSet):
             raise TypeError("Materialize expects a TidSet input")
         frame = Frame(database, payload.tables)
-        columns: Dict[str, np.ndarray] = {}
-        dictionaries: Dict[str, list] = {}
-        gathered: Dict[str, np.ndarray] = {}
-        for alias, expr in self.items:
-            if isinstance(expr, ColumnRef):
-                # Aliases projecting the same base column share one
-                # gathered array (results are read-only downstream).
-                array = gathered.get(expr.key)
-                if array is None:
-                    array = np.asarray(expr.evaluate(frame))
-                    gathered[expr.key] = array
-                columns[alias] = array
-                meta = database.column(expr.key)
-                if meta.ctype is ColumnType.STRING:
-                    dictionaries[alias] = meta.dictionary
-            else:
-                columns[alias] = np.asarray(expr.evaluate(frame))
-        frame_out = ResultFrame(columns, dictionaries)
+        frame_out = self.project(
+            database, lambda alias, expr: np.asarray(expr.evaluate(frame))
+        )
         return OperatorResult(
             frame_out,
             actual_rows=len(frame_out),

@@ -61,13 +61,6 @@ class SystemConfig:
     #: columns the prefetcher pulls per idle bus window (0 disables the
     #: prefetcher)
     prefetch_depth: int = 2
-    #: fused morsel-driven functional execution (repro.engine.morsel):
-    #: scan→join→aggregate chains run as per-morsel pipelines over
-    #: cache-sized row ranges, byte-identical to the reference path.
-    #: Off by default — the operator-at-a-time engine is the baseline.
-    morsels: bool = False
-    #: rows per morsel (None = $REPRO_MORSEL_ROWS or the 64K default)
-    morsel_rows: Optional[int] = None
     #: intra-operator split execution (repro.engine.execution.split):
     #: one operator's morsel range divided between CPU and GPU by a
     #: HyPE-chosen ratio, rebalanced mid-operator by the load tracker.
@@ -102,8 +95,6 @@ class SystemConfig:
             raise ValueError("copy chunk size must be positive")
         if self.prefetch_depth < 0:
             raise ValueError("prefetch depth must be >= 0")
-        if self.morsel_rows is not None and self.morsel_rows < 1:
-            raise ValueError("morsel_rows must be >= 1")
         if self.split_ratio is not None and not (
                 0.0 <= self.split_ratio <= 1.0):
             raise ValueError("split_ratio must be in [0, 1]")
@@ -129,11 +120,6 @@ class SystemConfig:
         """Copy of this config with the copy engine toggled (plus any
         engine knob overrides: chunk size, coalescing, prefetch depth)."""
         return replace(self, copy_engine=enabled, **overrides)
-
-    def with_morsels(self, enabled: bool = True,
-                     morsel_rows: Optional[int] = None) -> "SystemConfig":
-        """Copy of this config with fused morsel execution toggled."""
-        return replace(self, morsels=enabled, morsel_rows=morsel_rows)
 
     def with_split(self, enabled: bool = True,
                    **overrides) -> "SystemConfig":

@@ -861,7 +861,7 @@ class MorselPool:
     def run_query(self, name: str):
         """Execute one workload query; returns its root OperatorResult."""
         from repro.engine import morsel
-        from repro.engine.execution.functional import execute_functional
+        from repro.engine.execution.functional import execute_operators
 
         query = self._queries[name]
         plan = query.instantiate()
@@ -903,8 +903,8 @@ class MorselPool:
             # round differently from the one-pass reference.  Gate on
             # byte identity once per query: divergence pins the query to
             # the fallback path forever after.
-            reference = execute_functional(query.instantiate(),
-                                           self.database)
+            reference = execute_operators(query.instantiate(),
+                                          self.database)
             identical = (
                 result.payload.row_tuples()
                 == reference.payload.row_tuples()

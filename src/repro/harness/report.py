@@ -273,65 +273,48 @@ def bus_accounting_section(scale_factor: float = 5,
 
 
 def morsel_section(scale_factor: float = 5) -> List[str]:
-    """Markdown lines for the fused morsel-execution counters.
+    """Markdown lines for the fused functional execution counters.
 
-    Runs one warm-cache SSB workload twice — the operator-at-a-time
-    reference engine and the fused morsel path — and renders the
-    fusion accounting recorded by
-    :meth:`MetricsCollector.morsel_summary`: queries fused, operators
-    folded into pipelines, morsels executed, partial-aggregate merges,
-    and declines.  Both runs produce byte-identical results; the
-    counters (and the warm-up wall clock) are what differ.
+    Runs one warm-cache SSB workload from an empty plan cache and
+    renders what its warm-up moved in :data:`repro.engine.morsel.stats`:
+    queries fused, operators folded into pipelines, morsels executed,
+    and declines (plans that ran operator by operator instead).
     """
-    from repro.engine import plan_cache
+    from repro.engine import morsel, plan_cache
     from repro.harness.runner import run_workload
     from repro.workloads import ssb
 
     database = E.ssb_database(scale_factor)
-    rows = []
-    for label, fused in (("reference", False), ("fused morsels", True)):
-        # fresh plans and an empty plan cache per mode — results cached
-        # by the reference run would make the fused run skip fusion
-        plan_cache.invalidate(database)
-        queries = ssb.workload(database)
-        run = run_workload(
-            database, queries, "runtime",
-            config=E.FULL_CONFIG.with_morsels(fused),
-            users=1,
-        )
-        summary = run.metrics.morsel_summary()
-        rows.append((label, summary))
-    lines = [
-        "## Fused morsel execution (SSB SF {:g}, single user)".format(
+    # fresh plans and an empty plan cache: results memoised by an
+    # earlier section would make the warm-up skip fusion
+    plan_cache.invalidate(database)
+    before = morsel.snapshot_stats()
+    run_workload(database, ssb.workload(database), "runtime",
+                 config=E.FULL_CONFIG, users=1)
+    moved = morsel.stats_since(before)
+    return [
+        "## Fused functional execution (SSB SF {:g}, single user)".format(
             scale_factor
         ),
         "",
-        "| Mode | Fused queries | Fused operators | Chain | Morsels "
-        "| Partial merges | Declined |",
-        "|------|---------------|-----------------|-------|---------"
-        "|----------------|----------|",
-    ]
-    for label, summary in rows:
-        lines.append(
-            "| {} | {:.0f} | {:.0f} | {:.1f} | {:.0f} | {:.0f} "
-            "| {:.0f} |".format(
-                label,
-                summary["fused_queries"],
-                summary["fused_operators"],
-                summary["fused_chain_length"],
-                summary["morsels_executed"],
-                summary["partial_merges"],
-                summary["declined_queries"],
-            )
-        )
-    lines.append("")
-    lines.append(
+        "| Fused queries | Fused operators | Chain | Morsels "
+        "| Dense aggregates | Declined |",
+        "|---------------|-----------------|-------|---------"
+        "|------------------|----------|",
+        "| {} | {} | {:.1f} | {} | {} | {} |".format(
+            moved["fused_queries"],
+            moved["fused_operators"],
+            moved["fused_operators"] / max(moved["fused_queries"], 1),
+            moved["morsels"],
+            moved["dense_aggregates"],
+            moved["declined_queries"],
+        ),
+        "",
         "Fused pipelines execute scan, join-probe, and aggregate "
-        "operators per morsel and merge partial aggregates at the "
-        "breaker; results stay byte-identical to the reference engine "
-        "(benchmarks/bench_morsels.py gates the speedup)."
-    )
-    return lines
+        "operators per morsel and record every operator's result for "
+        "the simulator; results stay byte-identical to the operator "
+        "path (benchmarks/bench_morsels.py gates the speedup).",
+    ]
 
 
 def procfault_section(scale_factor: float = 1) -> List[str]:
@@ -346,7 +329,7 @@ def procfault_section(scale_factor: float = 1) -> List[str]:
     """
     import multiprocessing
 
-    from repro.engine.execution import execute_functional
+    from repro.engine.execution import execute_operators
     from repro.faults import FaultConfig
     from repro.harness.parallel import MorselPool
     from repro.storage import shm
@@ -360,7 +343,7 @@ def procfault_section(scale_factor: float = 1) -> List[str]:
     database = E.ssb_database(scale_factor)
     queries = ssb.workload(database)
     reference = {
-        query.name: execute_functional(
+        query.name: execute_operators(
             query.instantiate(), database).payload.row_tuples()
         for query in queries
     }

@@ -20,6 +20,7 @@ from repro.core import (
     get_strategy,
 )
 from repro.core.placement.base import PlacementStrategy
+from repro.engine import morsel
 from repro.engine.execution import (
     AdmissionController,
     ExecutionContext,
@@ -28,7 +29,7 @@ from repro.engine.execution import (
     QueryContext,
     VectorizedExecutor,
     deadline_watchdog,
-    execute_functional,
+    execute_operators,
     run_plan_eager,
 )
 from repro.hardware import HardwareSystem, SystemConfig
@@ -87,31 +88,18 @@ def build_platform(database: Database, config: SystemConfig,
     return ExecutionContext(hardware, database)
 
 
-def functional_warm(config: SystemConfig, metrics: MetricsCollector,
-                    database: Database,
+def functional_warm(database: Database,
                     queries: List[WorkloadQuery]) -> None:
-    """Memoise the functional results of one snapshot's templates."""
-    if not config.morsels:
-        for query in queries:
-            execute_functional(query.template_plan(), database)
-        return
-    # Fused morsel-driven functional execution (byte-identical to the
-    # plain path); counter deltas land in the metrics so the repro
-    # report can show fusion coverage next to kernel stats.
-    from repro.engine import morsel
-    from repro.storage import shm as shm_store
+    """Memoise the functional results of one snapshot's templates.
 
-    morsel_before = morsel.snapshot_stats()
-    shm_before = dict(shm_store.stats)
-    with morsel.active(config.morsel_rows):
-        for query in queries:
-            execute_functional(query.template_plan(), database)
-    metrics.record_morsel_stats(
-        {key: value - morsel_before[key]
-         for key, value in morsel.snapshot_stats().items()},
-        {key: value - shm_before[key]
-         for key, value in shm_store.stats.items()},
-    )
+    Recording, not answering: ``execute_functional``'s ``Limit``
+    shortcut serves a row prefix and by design memoises nothing, which
+    would leave the DES to re-run the chain on first touch.
+    """
+    for query in queries:
+        plan = query.template_plan()
+        morsel.prepare_fused(plan, database)
+        execute_operators(plan, database)
 
 
 def warm_platform(ctx: ExecutionContext, strategy: PlacementStrategy,
@@ -126,7 +114,7 @@ def warm_platform(ctx: ExecutionContext, strategy: PlacementStrategy,
     metrics = ctx.metrics
     wall_start = perf_counter()
     database.statistics.reset()
-    functional_warm(config, metrics, database, queries)
+    functional_warm(database, queries)
     metrics.record_phase("numpy", perf_counter() - wall_start)
     placement = DataPlacementManager(
         database,

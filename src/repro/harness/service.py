@@ -706,7 +706,7 @@ class _ServiceRun:
             # appends go to the largest (fact) table
             snapshot = self.store.advance(service.append_fraction)
             queries = self.workload_factory(snapshot)
-            functional_warm(self.config, self.metrics, snapshot, queries)
+            functional_warm(snapshot, queries)
             if service.pool_chaos:
                 self._pool_sidecar(snapshot, queries)
             self.epoch_queries[self.store.epoch] = queries

@@ -180,15 +180,6 @@ class MetricsCollector:
     split_gpu_seconds: float = 0.0
     split_cpu_seconds: float = 0.0
     split_wasted_seconds: float = 0.0
-    #: fused morsel-execution accounting (repro.engine.morsel; all zero
-    #: when the morsel path is off)
-    morsels_executed: int = 0
-    fused_queries: int = 0
-    fused_operators: int = 0
-    partial_merges: int = 0
-    declined_queries: int = 0
-    shm_attach_seconds: float = 0.0
-    shm_attaches: int = 0
     #: self-healing morsel-pool accounting (harness.parallel.MorselPool;
     #: all zero when no pool ran or no process faults fired)
     worker_crashes: int = 0
@@ -851,39 +842,6 @@ class MetricsCollector:
         report = dict(self.phase_seconds)
         report["total"] = sum(self.phase_seconds.values())
         return report
-
-    def record_morsel_stats(self, delta: Dict[str, float],
-                            shm_delta: Optional[Dict[str, float]] = None
-                            ) -> None:
-        """Absorb a morsel-stats delta (and optionally an shm-stats
-        delta) measured around one workload run."""
-        self.morsels_executed += int(delta.get("morsels", 0))
-        self.fused_queries += int(delta.get("fused_queries", 0))
-        self.fused_operators += int(delta.get("fused_operators", 0))
-        self.partial_merges += int(delta.get("partial_merges", 0))
-        self.declined_queries += int(delta.get("declined_queries", 0))
-        if shm_delta:
-            self.shm_attach_seconds += float(
-                shm_delta.get("attach_seconds", 0.0)
-            )
-            self.shm_attaches += int(shm_delta.get("attaches", 0))
-
-    def morsel_summary(self) -> Dict[str, float]:
-        """Fused-execution view: morsel/fusion counters plus mean fused
-        chain length (all zero when the morsel path is off)."""
-        return {
-            "morsels_executed": float(self.morsels_executed),
-            "fused_queries": float(self.fused_queries),
-            "fused_operators": float(self.fused_operators),
-            "fused_chain_length": (
-                self.fused_operators / self.fused_queries
-                if self.fused_queries else 0.0
-            ),
-            "partial_merges": float(self.partial_merges),
-            "declined_queries": float(self.declined_queries),
-            "shm_attaches": float(self.shm_attaches),
-            "shm_attach_seconds": self.shm_attach_seconds,
-        }
 
     def record_pool(self, counters: Dict[str, int],
                     process_faults: Optional[Dict[str, int]] = None,

@@ -1,9 +1,13 @@
 """Shared fixtures: small deterministic databases and simulation
 contexts."""
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.engine import morsel
 from repro.engine.execution import ExecutionContext
 from repro.hardware import HardwareSystem, SystemConfig
 from repro.sim import Environment
@@ -17,6 +21,19 @@ def make_context(database, config=None):
     hardware = HardwareSystem(env, config or SystemConfig())
     ctx = ExecutionContext(hardware, database)
     return env, hardware, ctx
+
+
+@contextmanager
+def operator_path():
+    """Inside the block nothing fuses: warm-ups and
+    ``execute_functional`` run operator at a time, as if every plan
+    declined.  The unfused side of simulation-identity tests — the
+    program itself has no switch for it."""
+    with mock.patch.object(morsel, "prepare_fused",
+                           lambda plan, database: False), \
+            mock.patch.object(morsel, "execute_direct",
+                              lambda plan, database: None):
+        yield
 
 
 @pytest.fixture(scope="session", autouse=True)

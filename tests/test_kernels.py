@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.engine import Planner, caches, execute_reference, kernels, plan_cache
-from repro.engine.execution import execute_functional
+from repro.engine.execution import execute_functional, execute_operators
 from repro.engine.expressions import (
     And,
     Between,
@@ -210,9 +210,10 @@ def _join_plan(database):
 
 class TestCachedJoinIndexes:
     def _rows(self, database):
+        # the operator path: these tests are about HashJoin.run itself
         plan_cache.invalidate()
-        return execute_functional(_join_plan(database),
-                                  database).payload.row_tuples()
+        return execute_operators(_join_plan(database),
+                                 database).payload.row_tuples()
 
     def test_filtered_dense_build_matches_seed(self, toy_db):
         kernels.enable(False)
@@ -292,6 +293,84 @@ class TestCachedJoinIndexes:
 
 
 # ---------------------------------------------------------------------------
+# Probers: the one home of cached-index probing
+# ---------------------------------------------------------------------------
+
+class TestProbers:
+    """``prober_for`` serves ``HashJoin.run`` and the fused pipelines
+    alike; the unique-key lookup is the structure ``HashJoin`` gained
+    by asking it."""
+
+    @pytest.fixture()
+    def sparse_db(self):
+        """Unique, shuffled, non-dense dimension keys: neither the
+        positional path nor (being unique) the sorted index applies."""
+        db = Database("sparse")
+        rng = np.random.default_rng(4)
+        keys = rng.permutation(np.arange(100, 700, 3))  # 200 unique keys
+        fact = db.create_table("f", nominal_rows=4000)
+        fact.add_column("k", ColumnType.INT32, rng.choice(keys, 4000))
+        fact.add_column("v", ColumnType.INT32, rng.integers(0, 9, 4000))
+        dim = db.create_table("d", nominal_rows=200)
+        dim.add_column("k", ColumnType.INT32, keys)
+        dim.add_column("w", ColumnType.INT32, rng.integers(0, 5, 200))
+        return db
+
+    def _prober(self, db, mask=None):
+        build = db.column("d.k")
+        selection = (SelectionVector(n=len(build.values)) if mask is None
+                     else SelectionVector(mask))
+        return kernels.prober_for(kernels.cache_for(db), build, selection,
+                                  db.column("f.k"))
+
+    def test_unique_sparse_build_matches_seed(self, sparse_db):
+        def rows():
+            plan_cache.invalidate()
+            build = ScanSelect(
+                "d", Comparison("<", ColumnRef("d", "w"), Literal(3)))
+            join = HashJoin(ScanSelect("f"), build, ColumnRef("f", "k"),
+                            ColumnRef("d", "k"))
+            root = Materialize(join, [("v", ColumnRef("f", "v")),
+                                      ("w", ColumnRef("d", "w"))])
+            return execute_operators(PhysicalPlan(root, name="sparse"),
+                                     sparse_db).payload.row_tuples()
+
+        kernels.enable(False)
+        expected = rows()
+        kernels.enable(True)
+        assert rows() == expected
+        assert kernels.stats["lookup_joins"] >= 1
+        assert kernels.stats["dense_joins"] == 0
+        assert kernels.stats["sorted_joins"] == 0
+
+    def test_position_lookup_is_built_narrow(self, sparse_db):
+        lookup = kernels.cache_for(sparse_db).position_lookup(
+            sparse_db.column("d.k"))
+        assert lookup.table.dtype == np.int32
+        # ... and probe outputs stay int64, so nothing downstream moves
+        probe_idx, build_tids = self._prober(sparse_db).probe(
+            sparse_db.column("f.k").values)
+        assert probe_idx.dtype == np.int64
+        assert build_tids.dtype == np.int64
+        assert np.array_equal(
+            sparse_db.column("d.k").values[build_tids],
+            sparse_db.column("f.k").values[probe_idx])
+
+    def test_only_a_masked_prober_copies_the_cached_table(self, sparse_db):
+        lookup = kernels.cache_for(sparse_db).position_lookup(
+            sparse_db.column("d.k"))
+        pristine = lookup.table.copy()
+        assert self._prober(sparse_db).table is lookup.table
+        mask = sparse_db.column("d.w").values < 3
+        masked = self._prober(sparse_db, mask)
+        assert not np.shares_memory(masked.table, lookup.table)
+        assert masked.table.dtype == lookup.table.dtype
+        assert np.array_equal(lookup.table, pristine)  # never written
+        kept = masked.table[masked.table >= 0]
+        assert mask[kept].all() and len(kept) == np.count_nonzero(mask)
+
+
+# ---------------------------------------------------------------------------
 # Lazy selection vectors through operator chains
 # ---------------------------------------------------------------------------
 
@@ -300,7 +379,7 @@ class TestLazySelectionChains:
         def rows():
             plan_cache.invalidate()
             plan = micro.build_parallel_selection_plan(ssb_db)
-            return execute_functional(plan, ssb_db).payload.row_tuples()
+            return execute_operators(plan, ssb_db).payload.row_tuples()
 
         kernels.enable(False)
         expected = rows()

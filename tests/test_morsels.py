@@ -1,10 +1,12 @@
 """Fused morsel-driven execution and shared-memory parallel columns.
 
-Covers the morsel tentpole end to end:
+Covers the functional layer's default engine end to end:
 
-* fused SSB/TPC-H batches are byte-identical to the reference engine
+* fused SSB/TPC-H batches are byte-identical to the operator path
   across morsel sizes, including a hypothesis sweep of random
-  join/group-by queries;
+  join/group-by queries — the root rows *and* the memo tuple recorded
+  for every covered operator, whose three sizing ints drive every
+  simulated transfer, footprint and compute charge;
 * the shared-memory column store round-trips a database (export →
   attach) with read-only zero-copy views and tears segments down with
   ``clear_database_caches``;
@@ -12,9 +14,9 @@ Covers the morsel tentpole end to end:
   sequential execution (payload *and* sizing metadata) and degrades to
   an in-process fallback when workers fail;
 * the fused warm-up composes with fault injection and the query
-  lifecycle without changing a simulated timing or a result byte;
-* MetricsCollector surfaces the morsel counters; SystemConfig
-  validates and round-trips the knobs.
+  lifecycle without changing a simulated timing or a result byte, and
+  a warm run builds nothing;
+* the one remaining setting, the test-facing morsel-size override.
 """
 
 import multiprocessing
@@ -25,44 +27,44 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Planner, kernels, morsel, plan_cache
-from repro.engine.execution import execute_functional
+from repro.engine.execution import execute_functional, execute_operators
+from repro.engine.intermediates import SelectionVector, TidSet
 from repro.engine.operators import PhysicalPlan, ScanSelect
 from repro.faults import FaultConfig
 from repro.harness import experiments as E
-from repro.harness.runner import run_workload
-from repro.hardware import SystemConfig
+from repro.harness.runner import functional_warm, run_workload
 from repro.sql import bind
 from repro.storage import ColumnType, Database, shm
-from repro.workloads import ssb, tpch
+from repro.workloads import sql_workload, ssb, tpch
+
+from tests.conftest import operator_path
 
 FORK_OK = "fork" in multiprocessing.get_all_start_methods()
 
 
 @pytest.fixture(autouse=True)
 def _fresh_engine_state():
-    """Kernels on, plan cache off (every execution must re-run), fused
-    path off unless a test turns it on."""
+    """Kernels on, plan cache off (every execution must re-run),
+    counters zeroed."""
     plan_cache.enable(False)
     kernels.enable(True)
-    morsel.enable(False)
     morsel.reset_stats()
     yield
     plan_cache.enable(True)
     kernels.enable(True)
-    morsel.enable(False)
     morsel.set_morsel_rows(None)
 
 
-def _batch(database, queries):
+def _batch(database, queries, execute=execute_functional):
     return {
-        query.name: execute_functional(
+        query.name: execute(
             query.instantiate(), database).payload.row_tuples()
         for query in queries
     }
 
 
 # ---------------------------------------------------------------------------
-# Byte identity: fused vs reference engine
+# Byte identity: fused vs operator path
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("module,fixture", [(ssb, "ssb_db"),
@@ -71,8 +73,8 @@ def _batch(database, queries):
 def test_fused_workload_identity(module, fixture, rows_per_morsel, request):
     db = request.getfixturevalue(fixture)
     queries = module.workload(db)
-    reference = _batch(db, queries)
-    with morsel.active(rows_per_morsel):
+    reference = _batch(db, queries, execute_operators)
+    with morsel.sized(rows_per_morsel):
         fused = _batch(db, queries)
     assert fused == reference
     assert morsel.snapshot_stats()["fused_queries"] > 0
@@ -80,8 +82,7 @@ def test_fused_workload_identity(module, fixture, rows_per_morsel, request):
 
 def test_fused_ssb_zero_declines(ssb_db):
     """Every SSB query fuses — the benchmark's speedup covers them all."""
-    with morsel.active():
-        _batch(ssb_db, ssb.workload(ssb_db))
+    _batch(ssb_db, ssb.workload(ssb_db))
     stats = morsel.snapshot_stats()
     assert stats["declined_queries"] == 0
     assert stats["fused_queries"] == len(ssb.QUERIES)
@@ -94,15 +95,142 @@ def test_unfusable_plan_declines_cleanly(ssb_db):
     with pytest.raises(morsel.Decline):
         morsel.build(plan, ssb_db)
     # ... and the execution path silently falls back:
-    with morsel.active():
-        result = execute_functional(
-            PhysicalPlan(ScanSelect("lineorder"), name="bare_scan2"),
-            ssb_db)
+    result = execute_functional(
+        PhysicalPlan(ScanSelect("lineorder"), name="bare_scan2"), ssb_db)
     assert result.actual_rows == ssb_db.table("lineorder").actual_rows
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis: random join/group-by queries, morsels on vs off
+# Record identity: every covered operator's memo tuple
+# ---------------------------------------------------------------------------
+
+def _assert_same_payload(got, want, label):
+    assert type(got) is type(want), label
+    if isinstance(want, TidSet):
+        assert got.table_names == want.table_names, label  # and order
+        for name in want.table_names:
+            entry, ref = got.tables[name], want.tables[name]
+            assert isinstance(entry, SelectionVector) == isinstance(
+                ref, SelectionVector), label
+            if isinstance(ref, SelectionVector):
+                assert entry.n == ref.n, label
+                assert (entry.mask is None) == (ref.mask is None), label
+                if ref.mask is not None:
+                    assert np.array_equal(entry.mask, ref.mask), label
+            positions = got.positions(name)
+            ref_positions = want.positions(name)
+            assert positions.dtype == ref_positions.dtype, label
+            assert np.array_equal(positions, ref_positions), label
+        return
+    assert got.column_names == want.column_names, label
+    for name in want.column_names:
+        assert got.columns[name].dtype == want.columns[name].dtype, label
+        assert np.array_equal(got.columns[name], want.columns[name]), label
+    assert got.dictionaries == want.dictionaries, label
+
+
+def _assert_records_identical(db, fresh_plan, label=""):
+    """What the fused path records for every covered operator equals
+    what the operator path produces on a fresh instance — payload
+    arrays, dtypes, table order, and the three sizing ints that drive
+    every simulated transfer, footprint and compute charge."""
+    plan = fresh_plan()
+    covered = {id(op) for op in morsel.build(plan, db).covered_ops}
+    assert morsel.prepare_fused(plan, db), label
+    reference = fresh_plan()
+    execute_operators(reference, db)
+    for op, ref_op in zip(plan.operators, reference.operators):
+        if id(op) not in covered:
+            continue
+        payload, *sizes = op._cached_result
+        ref_payload, *ref_sizes = ref_op._cached_result
+        assert sizes == ref_sizes, (label, op.label)
+        _assert_same_payload(payload, ref_payload, (label, op.label))
+    return plan
+
+
+MORSEL_SIZES = [64, 1000, 65536, 1_000_000_000]
+
+
+@pytest.mark.parametrize("module,fixture", [(ssb, "ssb_db"),
+                                            (tpch, "tpch_db")])
+@pytest.mark.parametrize("rows_per_morsel", MORSEL_SIZES)
+def test_recorded_operators_match_operator_path(module, fixture,
+                                                rows_per_morsel, request):
+    db = request.getfixturevalue(fixture)
+    with morsel.sized(rows_per_morsel):
+        for query in module.workload(db):
+            _assert_records_identical(db, query.instantiate, query.name)
+    stats = morsel.snapshot_stats()
+    assert stats["fused_queries"] == len(module.QUERIES)
+    assert stats["declined_queries"] == 0  # every template fuses
+
+
+def _edge_db():
+    db = Database("edge")
+    n = 300
+    rng = np.random.default_rng(3)
+    fact = db.create_table("f", nominal_rows=50_000)
+    fact.add_column("fk", ColumnType.INT32, rng.integers(1, 6, n))
+    fact.add_column("x", ColumnType.INT32, rng.integers(-20, 21, n))
+    fact.add_column("y", ColumnType.INT32, rng.integers(0, 100, n))
+    fact.add_column("z", ColumnType.FLOAT64, rng.normal(size=n))
+    fact.add_string_column("tag", ["only"] * n)
+    dim = db.create_table("d", nominal_rows=5)
+    dim.add_column("id", ColumnType.INT32, np.arange(1, 6))
+    dim.add_string_column("kind", ["same"] * 5)
+    return db
+
+
+EDGE_QUERIES = {
+    # an ungrouped aggregate over zero rows still yields its one row
+    "empty_scalar": "select sum(x), min(x), max(x), avg(y), count(*) "
+                    "from f where y > 1000",
+    "empty_scalar_float": "select sum(z), min(z), max(z) from f "
+                          "where y > 1000",
+    "empty_scalar_join": "select sum(x), count(*) from f, d "
+                         "where f.fk = d.id and y > 1000",
+    # ... a grouped one yields none
+    "empty_grouped": "select fk, sum(x), min(y) from f where y > 1000 "
+                     "group by fk",
+    # one-entry dictionaries: a radix-1 group term
+    "one_entry_fact": "select tag, sum(x), count(*) from f group by tag",
+    "one_entry_dim": "select kind, fk, max(x), avg(y) from f, d "
+                     "where f.fk = d.id and y < 50 group by kind, fk",
+    "one_entry_float": "select tag, sum(z), avg(z) from f group by tag",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_QUERIES))
+@pytest.mark.parametrize("rows_per_morsel", [64, 1_000_000_000])
+def test_edge_shapes_through_sparse_finalisation(name, rows_per_morsel):
+    db = _edge_db()
+    (query,) = sql_workload(db, {name: EDGE_QUERIES[name]})
+    reference = execute_operators(query.instantiate(), db)
+    with morsel.sized(rows_per_morsel):
+        _assert_records_identical(db, query.instantiate, name)
+        pipe = morsel.build(query.instantiate(), db)
+        assert pipe.dense is not None
+        if not pipe.compensated:
+            # ... and the pooled form: chunk partials merged at the
+            # breaker (float sums round by chunk order; the pool's own
+            # gate owns those)
+            half = pipe.fact_rows // 2
+            merged = pipe.merge([pipe.run_chunk(0, half),
+                                 pipe.run_chunk(half, pipe.fact_rows)])
+            _assert_same_payload(merged.payload, reference.payload, name)
+            assert (merged.actual_rows, merged.nominal_rows,
+                    merged.row_width_bytes) == (
+                reference.actual_rows, reference.nominal_rows,
+                reference.row_width_bytes)
+    if name.startswith("empty_scalar"):
+        assert reference.actual_rows == 1
+    elif name == "empty_grouped":
+        assert reference.actual_rows == 0
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis: random join/group-by queries, fused vs operator path
 # ---------------------------------------------------------------------------
 
 def _rand_db(seed):
@@ -142,16 +270,17 @@ def test_random_queries_identical_across_morsel_sizes(
     plan_cache.enable(False)
     kernels.enable(True)
 
-    def run():
+    def run(execute):
         plan = Planner(db).plan(bind(sql, db, name="rand"))
-        result = execute_functional(plan, db)
+        result = execute(plan, db)
         return (result.payload.row_tuples(), result.actual_rows,
                 result.nominal_rows, result.row_width_bytes)
 
-    morsel.enable(False)
-    reference = run()
-    with morsel.active(rows_per_morsel):
-        fused = run()
+    reference = run(execute_operators)
+    with morsel.sized(rows_per_morsel):
+        fused = run(execute_functional)
+        _assert_records_identical(
+            db, lambda: Planner(db).plan(bind(sql, db, name="rand")), sql)
     assert fused == reference, sql
 
 
@@ -194,11 +323,12 @@ def test_shm_roundtrip_and_cleanup():
 def test_shm_attached_database_answers_queries():
     db = ssb.generate(scale_factor=0.01, data_scale=0.01, seed=6)
     queries = ssb.workload(db)
-    reference = _batch(db, queries)
+    reference = _batch(db, queries, execute_operators)
     attached = shm.attach_database(shm.export_database(db))
     try:
-        assert _batch(attached, ssb.workload(attached)) == reference
-        with morsel.active(1000):
+        assert _batch(attached, ssb.workload(attached),
+                      execute_operators) == reference
+        with morsel.sized(1000):
             assert _batch(attached, ssb.workload(attached)) == reference
     finally:
         kernels.invalidate(attached)
@@ -219,7 +349,7 @@ def test_morsel_pool_matches_sequential():
     queries = ssb.workload(db)
     expected = {}
     for query in queries:
-        result = execute_functional(query.instantiate(), db)
+        result = execute_operators(query.instantiate(), db)
         expected[query.name] = (result.payload.row_tuples(),
                                 result.actual_rows, result.nominal_rows,
                                 result.row_width_bytes)
@@ -248,7 +378,7 @@ def test_morsel_pool_falls_back_on_worker_failure():
 
     db = ssb.generate(scale_factor=0.01, data_scale=0.01, seed=12)
     queries = ssb.workload(db)
-    reference = _batch(db, queries)
+    reference = _batch(db, queries, execute_operators)
     try:
         with MorselPool(db, queries, workload="ssb", jobs=2) as pool:
             def boom(name, pipe, tasks):
@@ -276,7 +406,7 @@ def test_morsel_pool_survives_worker_kill():
 
     db = ssb.generate(scale_factor=0.01, data_scale=0.02, seed=13)
     queries = ssb.workload(db)
-    reference = _batch(db, queries)
+    reference = _batch(db, queries, execute_operators)
     try:
         with MorselPool(db, queries, workload="ssb", jobs=2) as pool:
             pool.warm()
@@ -296,31 +426,36 @@ def test_morsel_pool_survives_worker_kill():
 # run_workload: composition with faults and the query lifecycle
 # ---------------------------------------------------------------------------
 
-def _sim_run(db, config, **kwargs):
+def _sim_run(db, **kwargs):
     plan_cache.invalidate(db)
-    run = run_workload(db, ssb.workload(db), "runtime", config=config,
-                       users=2, repetitions=1, collect_results=True,
-                       **kwargs)
+    run = run_workload(db, ssb.workload(db), "runtime",
+                       config=E.FULL_CONFIG, users=2, repetitions=1,
+                       collect_results=True, **kwargs)
     results = {name: tuple(table.row_tuples())
                for name, table in run.results.items()}
     return run, results
 
 
+def _sim_pair(db, **kwargs):
+    """The same run warmed operator at a time, then fused."""
+    with operator_path():
+        base = _sim_run(db, **kwargs)
+    assert morsel.snapshot_stats()["fused_queries"] == 0
+    fused = _sim_run(db, **kwargs)
+    assert morsel.snapshot_stats()["fused_queries"] == len(ssb.QUERIES)
+    return base, fused
+
+
 def test_run_workload_morsels_identical_simulation():
-    db = E.ssb_database(1)
-    base_run, base_results = _sim_run(db, E.FULL_CONFIG)
-    fused_run, fused_results = _sim_run(db, E.FULL_CONFIG.with_morsels(True))
+    (base_run, base_results), (fused_run, fused_results) = _sim_pair(
+        E.ssb_database(1))
     assert fused_results == base_results
     assert fused_run.seconds == base_run.seconds
-    assert fused_run.metrics.fused_queries > 0
 
 
 def test_run_workload_morsels_with_faults_identical():
-    db = E.ssb_database(1)
-    spec = FaultConfig.uniform(0.05, seed=7)
-    base_run, base_results = _sim_run(db, E.FULL_CONFIG, faults=spec)
-    fused_run, fused_results = _sim_run(
-        db, E.FULL_CONFIG.with_morsels(True), faults=spec)
+    (base_run, base_results), (fused_run, fused_results) = _sim_pair(
+        E.ssb_database(1), faults=FaultConfig.uniform(0.05, seed=7))
     assert fused_results == base_results
     assert fused_run.fault_digest == base_run.fault_digest
     assert fused_run.seconds == base_run.seconds
@@ -329,51 +464,106 @@ def test_run_workload_morsels_with_faults_identical():
 def test_run_workload_morsels_with_lifecycle_identical():
     from repro.engine.execution import LifecycleConfig
 
-    db = E.ssb_database(1)
-    lifecycle = LifecycleConfig(max_inflight=2)
-    base_run, base_results = _sim_run(db, E.FULL_CONFIG,
-                                      lifecycle=lifecycle)
-    fused_run, fused_results = _sim_run(
-        db, E.FULL_CONFIG.with_morsels(True), lifecycle=lifecycle)
+    (base_run, base_results), (fused_run, fused_results) = _sim_pair(
+        E.ssb_database(1), lifecycle=LifecycleConfig(max_inflight=2))
     assert fused_results == base_results
     assert fused_run.seconds == base_run.seconds
 
 
 # ---------------------------------------------------------------------------
-# Metrics and configuration
+# Warm-up: records everything once, then builds nothing
+# ---------------------------------------------------------------------------
+
+def test_warm_run_builds_nothing(monkeypatch):
+    """A second warm-up on the same database asks whether the plans are
+    memoised *before* analysing them: no pipeline is built, no kernel
+    cache is consulted, no counter moves."""
+    db = ssb.generate(scale_factor=0.01, data_scale=0.01, seed=21)
+    plan_cache.enable(True)
+    try:
+        functional_warm(db, ssb.workload(db))
+        assert morsel.snapshot_stats()["fused_queries"] == len(ssb.QUERIES)
+
+        calls = []
+        monkeypatch.setattr(
+            morsel, "build",
+            lambda plan, database: calls.append("morsel.build"))
+        for method in ("join_index", "position_lookup", "column_bounds",
+                       "zone_map"):
+            monkeypatch.setattr(
+                kernels.KernelCache, method,
+                lambda self, column, _m=method: calls.append(_m))
+        before = morsel.snapshot_stats()
+        reasons = dict(morsel.decline_reasons)
+        functional_warm(db, ssb.workload(db))  # fresh templates
+        assert calls == []
+        assert morsel.snapshot_stats() == before
+        assert dict(morsel.decline_reasons) == reasons
+    finally:
+        plan_cache.invalidate(db)
+
+
+LIMIT_SQL = ("select lo_orderkey, lo_quantity from lineorder "
+             "where lo_discount >= 5 limit 50")
+
+
+def test_warm_up_records_limit_templates():
+    """Warm-up never takes the ``Limit`` shortcut: it serves a row
+    prefix and memoises nothing, which would leave the DES to re-run
+    the chain operator at a time on first touch."""
+    db = E.ssb_database(1)
+
+    def run():
+        plan_cache.invalidate(db)
+        queries = sql_workload(db, {"lim": LIMIT_SQL})
+        result = run_workload(db, queries, "runtime", config=E.FULL_CONFIG,
+                              collect_results=True)
+        return queries, result
+
+    with operator_path():
+        _, base_run = run()
+    morsel.reset_stats()
+    queries, fused_run = run()
+    stats = morsel.snapshot_stats()
+    assert stats["fused_queries"] == 1
+    assert stats["limit_fused_queries"] == 0
+    (query,) = queries
+    assert all(op._cached_result is not None
+               for op in query.template_plan().operators)
+    assert fused_run.seconds == base_run.seconds
+    assert (fused_run.results["lim"].row_tuples()
+            == base_run.results["lim"].row_tuples())
+    # the answer path still shortcuts
+    (fresh,) = sql_workload(db, {"lim": LIMIT_SQL})
+    execute_functional(fresh.instantiate(), db)
+    assert morsel.snapshot_stats()["limit_fused_queries"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Counters and the one setting
 # ---------------------------------------------------------------------------
 
 def test_metrics_surface_morsel_counters():
+    """One run's warm-up shows in ``morsel.stats`` (what ``repro run``
+    and the report print the movement of)."""
     db = E.ssb_database(1)
     plan_cache.invalidate(db)
-    run = run_workload(db, ssb.workload(db), "runtime",
-                       config=E.FULL_CONFIG.with_morsels(True))
-    summary = run.metrics.morsel_summary()
-    assert summary["fused_queries"] == len(ssb.QUERIES)
-    assert summary["morsels_executed"] >= summary["fused_queries"]
-    assert summary["fused_chain_length"] > 1.0
-    assert summary["declined_queries"] == 0
-
-    plan_cache.invalidate(db)
-    baseline = run_workload(db, ssb.workload(db), "runtime",
-                            config=E.FULL_CONFIG)
-    assert not any(baseline.metrics.morsel_summary().values())
-
-
-def test_system_config_morsel_knobs():
-    config = SystemConfig()
-    assert config.morsels is False
-    fused = config.with_morsels(True, morsel_rows=8192)
-    assert fused.morsels and fused.morsel_rows == 8192
-    assert fused.with_morsels(False).morsels is False
-    with pytest.raises(ValueError):
-        SystemConfig(morsel_rows=0)
+    before = morsel.snapshot_stats()
+    run_workload(db, ssb.workload(db), "runtime", config=E.FULL_CONFIG)
+    moved = morsel.stats_since(before)
+    assert moved["fused_queries"] == len(ssb.QUERIES)
+    assert moved["morsels"] >= moved["fused_queries"]
+    assert moved["fused_operators"] > moved["fused_queries"]
+    assert moved["declined_queries"] == 0
 
 
 def test_morsel_rows_override():
     assert morsel.morsel_rows() == morsel.DEFAULT_MORSEL_ROWS
-    with morsel.active(512):
+    with morsel.sized(512):
         assert morsel.morsel_rows() == 512
-        assert morsel.enabled()
+        with morsel.sized(64):
+            assert morsel.morsel_rows() == 64
+        assert morsel.morsel_rows() == 512
     assert morsel.morsel_rows() == morsel.DEFAULT_MORSEL_ROWS
-    assert not morsel.enabled()
+    with pytest.raises(ValueError):
+        morsel.set_morsel_rows(0)

@@ -27,7 +27,11 @@ import numpy as np
 import pytest
 
 from repro.engine import kernels, morsel, plan_cache
-from repro.engine.execution import LifecycleConfig, execute_functional
+from repro.engine.execution import (
+    LifecycleConfig,
+    execute_functional,
+    execute_operators,
+)
 from repro.faults import (
     PROCESS_FAULT_CLASSES,
     FaultConfig,
@@ -42,6 +46,8 @@ from repro.storage import ColumnType, Database, shm
 from repro.workloads import ssb
 from repro.workloads.base import sql_workload
 
+from tests.conftest import operator_path
+
 FORK_OK = "fork" in multiprocessing.get_all_start_methods()
 
 pool_ready = pytest.mark.skipif(
@@ -54,18 +60,16 @@ pool_ready = pytest.mark.skipif(
 def _fresh_engine_state():
     plan_cache.enable(False)
     kernels.enable(True)
-    morsel.enable(False)
     morsel.reset_stats()
     yield
     plan_cache.enable(True)
     kernels.enable(True)
-    morsel.enable(False)
     morsel.set_morsel_rows(None)
 
 
-def _reference(database, queries):
+def _reference(database, queries, execute=execute_operators):
     return {
-        query.name: execute_functional(
+        query.name: execute(
             query.instantiate(), database).payload.row_tuples()
         for query in queries
     }
@@ -390,8 +394,8 @@ class TestCompensatedFloats:
         db = _float_db(rng.normal(size=4096) * 1e6)
         queries = sql_workload(db, [("f1", FLOAT_SQL)])
         reference = _reference(db, queries)
-        with morsel.active(512):
-            fused = _reference(db, queries)
+        with morsel.sized(512):
+            fused = _reference(db, queries, execute_functional)
         assert fused == reference
         assert morsel.snapshot_stats()["fused_queries"] == 1
         assert morsel.decline_reasons.get("float_partial_divergence", 0) == 0
@@ -444,28 +448,30 @@ def _sim_run(db, config, **kwargs):
 
 
 class TestFaultLayerComposition:
-    def test_breaker_half_open_probes_with_morsels(self):
+    def test_breaker_half_open_probes_with_fused_warm_up(self):
         db = E.ssb_database(1)
         spec = FaultConfig.uniform(0.5, seed=3, breaker_threshold=2,
                                    breaker_open_seconds=0.01)
-        base_run, base_rows = _sim_run(db, E.FULL_CONFIG, faults=spec)
-        fused_run, fused_rows = _sim_run(
-            db, E.FULL_CONFIG.with_morsels(True), faults=spec)
+        with operator_path():
+            base_run, base_rows = _sim_run(db, E.FULL_CONFIG, faults=spec)
+        fused_run, fused_rows = _sim_run(db, E.FULL_CONFIG, faults=spec)
+        assert morsel.snapshot_stats()["fused_queries"] == len(ssb.QUERIES)
         assert fused_rows == base_rows
         assert fused_run.fault_digest == base_run.fault_digest
         assert fused_run.seconds == base_run.seconds
         transitions = fused_run.metrics.breaker_transition_counts()
         assert transitions.get("half_open", 0) > 0  # probes really ran
 
-    def test_hedging_and_deadlines_with_morsels(self):
+    def test_hedging_and_deadlines_with_fused_warm_up(self):
         db = E.ssb_database(1)
         spec = FaultConfig.parse("stall=0.4,seed=7")
         lifecycle = LifecycleConfig(hedge_factor=1.5, max_inflight=2)
-        base_run, base_rows = _sim_run(db, E.FULL_CONFIG, faults=spec,
-                                       lifecycle=lifecycle)
-        fused_run, fused_rows = _sim_run(
-            db, E.FULL_CONFIG.with_morsels(True), faults=spec,
-            lifecycle=lifecycle)
+        with operator_path():
+            base_run, base_rows = _sim_run(db, E.FULL_CONFIG, faults=spec,
+                                           lifecycle=lifecycle)
+        fused_run, fused_rows = _sim_run(db, E.FULL_CONFIG, faults=spec,
+                                         lifecycle=lifecycle)
+        assert morsel.snapshot_stats()["fused_queries"] == len(ssb.QUERIES)
         assert fused_rows == base_rows
         assert fused_run.seconds == base_run.seconds
         assert fused_run.metrics.hedges_started > 0
@@ -478,15 +484,15 @@ class TestFaultLayerComposition:
         must not perturb the simulated fault/lifecycle layers."""
         db = E.ssb_database(1)
         spec = FaultConfig.uniform(0.05, seed=7)
-        base_run, base_rows = _sim_run(db, E.FULL_CONFIG, faults=spec)
+        with operator_path():
+            base_run, base_rows = _sim_run(db, E.FULL_CONFIG, faults=spec)
         queries = ssb.workload(ssb_db)
         reference = _reference(ssb_db, queries)
         with MorselPool(ssb_db, queries, jobs=2, faults=CHAOS,
                         heartbeat_seconds=0.4) as pool:
             pool.warm()
             rows = _pool_rows(pool.run_queries())
-            run, sim_rows = _sim_run(db, E.FULL_CONFIG.with_morsels(True),
-                                     faults=spec)
+            run, sim_rows = _sim_run(db, E.FULL_CONFIG, faults=spec)
             assert rows == reference
             assert pool.fallbacks == 0
         assert sim_rows == base_rows

@@ -28,6 +28,7 @@ from repro.engine.execution import (
     QueryContext,
     execute_functional,
     execute_operator,
+    execute_operators,
 )
 from repro.engine.execution.split import (
     SPLIT_KINDS,
@@ -46,14 +47,12 @@ from tests.conftest import make_context
 
 @pytest.fixture(autouse=True)
 def _fresh_engine_state():
-    """Plan cache off (every execution must re-run), fused path off
-    unless a test turns it on — same discipline as the morsel tests."""
+    """Plan cache off (every execution must re-run), counters zeroed —
+    same discipline as the morsel tests."""
     plan_cache.enable(False)
-    morsel.enable(False)
     morsel.reset_stats()
     yield
     plan_cache.enable(True)
-    morsel.enable(False)
     morsel.set_morsel_rows(None)
 
 
@@ -67,7 +66,7 @@ def _split_pipes(database):
     pipeline supports partial merging."""
     out = []
     for query in ssb.workload(database):
-        reference = execute_functional(query.instantiate(), database)
+        reference = execute_operators(query.instantiate(), database)
         try:
             pipe = morsel.build(query.instantiate(), database)
         except morsel.Decline:
@@ -466,15 +465,15 @@ LIMIT_SQL = ("select lo_orderkey, lo_quantity from lineorder "
              "where lo_discount >= 5 limit 50")
 
 
-def _run_sql(db, sql):
+def _run_sql(db, sql, execute=execute_functional):
     (query,) = sql_workload(db, {"q": sql})
-    return execute_functional(query.instantiate(), db)
+    return execute(query.instantiate(), db)
 
 
 @pytest.mark.parametrize("rows_per_morsel", [100, 1000, 1_000_000_000])
 def test_limit_fused_identity(ssb_db, rows_per_morsel):
-    reference = _run_sql(ssb_db, LIMIT_SQL)
-    with morsel.active(rows_per_morsel):
+    reference = _run_sql(ssb_db, LIMIT_SQL, execute_operators)
+    with morsel.sized(rows_per_morsel):
         fused = _run_sql(ssb_db, LIMIT_SQL)
     assert _signature(fused) == _signature(reference)
     stats = morsel.snapshot_stats()
@@ -482,7 +481,7 @@ def test_limit_fused_identity(ssb_db, rows_per_morsel):
 
 
 def test_limit_early_stop_skips_morsels(ssb_db):
-    with morsel.active(100):
+    with morsel.sized(100):
         _run_sql(ssb_db, LIMIT_SQL)
     stats = morsel.snapshot_stats()
     assert stats["limit_early_stops"] == 1
@@ -490,7 +489,7 @@ def test_limit_early_stop_skips_morsels(ssb_db):
 
 
 def test_limit_no_early_stop_with_one_chunk(ssb_db):
-    with morsel.active(1_000_000_000):
+    with morsel.sized(1_000_000_000):
         _run_sql(ssb_db, LIMIT_SQL)
     stats = morsel.snapshot_stats()
     assert stats["limit_fused_queries"] == 1
@@ -501,8 +500,8 @@ def test_limit_no_early_stop_with_one_chunk(ssb_db):
 def test_limit_over_sort_declines_but_matches(ssb_db):
     sql = ("select lo_orderkey from lineorder where lo_discount >= 5 "
            "order by lo_orderkey limit 10")
-    reference = _run_sql(ssb_db, sql)
-    with morsel.active(100):
+    reference = _run_sql(ssb_db, sql, execute_operators)
+    with morsel.sized(100):
         fused = _run_sql(ssb_db, sql)
     assert _signature(fused) == _signature(reference)
     stats = morsel.snapshot_stats()
@@ -514,10 +513,10 @@ def test_limit_never_memoises_prefix(ssb_db):
     """An early-stopped run must not poison shared-chain memos: the
     same scan re-run without the limit yields the full result."""
     no_limit = LIMIT_SQL.rsplit(" limit", 1)[0]
-    full_reference = _run_sql(ssb_db, no_limit)
+    full_reference = _run_sql(ssb_db, no_limit, execute_operators)
     plan_cache.enable(True)
     try:
-        with morsel.active(100):
+        with morsel.sized(100):
             limited = _run_sql(ssb_db, LIMIT_SQL)
             full = _run_sql(ssb_db, no_limit)
         assert limited.actual_rows == 50
