@@ -6,8 +6,8 @@ tentpole guarantees:
 
 * **fused speedup** — the SSB batch on the default fused path
   (``execute_functional``) is at least ``FUSED_TARGET`` times as fast
-  as the operator-at-a-time loop (``execute_operators``; kernels on,
-  plan cache off so every run re-executes);
+  as the operator-at-a-time loop (``execute_operators``; plan cache
+  off so every run re-executes);
 * **parallel speedup** — a pre-started pool of fused workers over
   shared-memory columns reaches at least ``PARALLEL_TARGET`` of the
   operator-at-a-time baseline's speed at ``jobs=2`` (pool start-up,
@@ -216,7 +216,6 @@ def main() -> int:
     print("morsel benchmark: jobs={}, cpus={}{}".format(
         SIZES["jobs"], os.cpu_count(), ", REPRO_FAST" if FAST else ""))
     plan_cache.enable(False)  # every run must re-execute
-    kernels.enable(True)
     try:
         report = {
             "benchmark": "fused_morsels",
@@ -243,7 +242,6 @@ def main() -> int:
         report["morsel_stats"] = stats
     finally:
         plan_cache.enable(True)
-        kernels.enable(True)
         kernels.invalidate()
 
     report["all_gates_pass"] = all(

@@ -20,8 +20,8 @@ shared-memory store end to end and gates the tentpole guarantees:
   in-process, still byte-identical, never via whole-query fallback;
 * **composition** — PR3 hardware fault injection and the PR5 lifecycle
   (hedging + admission) produce byte-identical results, timings, and
-  fault digests whether the warm-up fused or (kernels off, so fusion
-  declines) ran the seed operators.
+  fault digests whether the warm-up fused or (every plan made to
+  decline) ran operator at a time.
 
 The exit code is nonzero iff any gate fails.  Writes ``BENCH_PR8.json``.
 
@@ -41,6 +41,8 @@ import multiprocessing
 import os
 import sys
 import time
+from contextlib import nullcontext
+from unittest import mock
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -320,15 +322,19 @@ def gate_composition():
     spec = FaultConfig.parse("stall=0.4,seed=7")
     lifecycle = LifecycleConfig(hedge_factor=1.5, max_inflight=2)
     runs = {}
+    # every plan declines, so the warm-up runs operator at a time: the
+    # reference this gate compares the default with (the program has no
+    # switch for it; the tests' ``operator_path`` is the same patch)
+    declined = mock.patch.multiple(
+        morsel, prepare_fused=lambda plan, database: False,
+        execute_direct=lambda plan, database: None)
     for label, fused in (("reference", False), ("fused", True)):
         plan_cache.invalidate(database)
-        # kernels off: fusion declines and the warm-up runs the seed
-        # operators, the reference this gate compares the default with
-        kernels.enable(fused)
-        run = run_workload(database, ssb.workload(database), "chopping",
-                           config=E.FULL_CONFIG,
-                           users=2, repetitions=1, collect_results=True,
-                           faults=spec, lifecycle=lifecycle)
+        with nullcontext() if fused else declined:
+            run = run_workload(database, ssb.workload(database), "chopping",
+                               config=E.FULL_CONFIG,
+                               users=2, repetitions=1, collect_results=True,
+                               faults=spec, lifecycle=lifecycle)
         runs[label] = {
             "seconds": run.seconds,
             "digest": _digest(sorted(
@@ -372,7 +378,6 @@ def main() -> int:
             handle.write("\n")
         return 0
     plan_cache.enable(False)
-    kernels.enable(True)
     try:
         report = {
             "benchmark": "process_faults",
@@ -413,7 +418,6 @@ def main() -> int:
               .format(**report["gates"]["composition"]))
     finally:
         plan_cache.enable(True)
-        kernels.enable(True)
         morsel.set_morsel_rows(None)
         kernels.invalidate()
 

@@ -14,36 +14,18 @@ realistic (the run-time strategies instead see exact sizes).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, NamedTuple, Tuple
+from typing import FrozenSet, List, NamedTuple, Tuple
 
 from repro.core.placement.base import PlacementStrategy
 from repro.engine import caches
-from repro.engine.cardinality import estimate_selectivity
-from repro.engine.operators import (
-    GroupByAggregate,
-    HashJoin,
-    Materialize,
-    PhysicalPlan,
-    RefineSelect,
-    ScanSelect,
-    TidIntersect,
-)
-from repro.engine.operators.base import TID_BYTES
+from repro.engine.operators import OpEstimate, PhysicalPlan
 from repro.hardware.processor import ProcessorKind
-
-
-class _OpEstimate(NamedTuple):
-    """Compile-time size estimates for one operator."""
-
-    input_bytes: float
-    out_rows: float
-    out_bytes: float
 
 
 class _Template(NamedTuple):
     """What every arrival of a template shares, by post-order index."""
 
-    sizes: Tuple[_OpEstimate, ...]
+    sizes: Tuple[OpEstimate, ...]
     #: per operator, the indexes of its children
     children: Tuple[Tuple[int, ...], ...]
     leaves: Tuple[int, ...]
@@ -180,87 +162,15 @@ class CriticalPath(PlacementStrategy):
 
     @staticmethod
     def _sample(database, plan: PhysicalPlan) -> _Template:
-        estimates: Dict[int, _OpEstimate] = {}  # filled in post order
-        for op in plan.operators:  # post order
-            children = [estimates[c.op_id] for c in op.children]
-            if isinstance(op, ScanSelect):
-                table = database.table(op.table)
-                selectivity = estimate_selectivity(
-                    database, op.table, op.predicate
-                )
-                out_rows = selectivity * table.nominal_rows
-                out_bytes = (
-                    out_rows * TID_BYTES if op.predicate is not None else 0.0
-                )
-                estimates[op.op_id] = _OpEstimate(
-                    op.estimate_input_nominal_bytes(database),
-                    out_rows, out_bytes,
-                )
-            elif isinstance(op, RefineSelect):
-                (child,) = children
-                selectivity = estimate_selectivity(
-                    database, op.table, op.predicate
-                )
-                width = TID_BYTES + sum(
-                    database.column(k).ctype.itemsize
-                    for k in op.required_columns()
-                )
-                estimates[op.op_id] = _OpEstimate(
-                    child.out_rows * width,
-                    child.out_rows * selectivity,
-                    child.out_rows * selectivity * TID_BYTES,
-                )
-            elif isinstance(op, TidIntersect):
-                smaller = min(c.out_rows for c in children)
-                estimates[op.op_id] = _OpEstimate(
-                    sum(c.out_bytes for c in children),
-                    smaller * 0.5,
-                    smaller * 0.5 * TID_BYTES,
-                )
-            elif isinstance(op, HashJoin):
-                probe, build = children
-                build_rows = database.table(op.build_key.table).nominal_rows
-                build_selectivity = (
-                    min(build.out_rows / build_rows, 1.0) if build_rows else 1.0
-                )
-                key_width = database.column(op.probe_key.key).ctype.itemsize
-                out_rows = probe.out_rows * build_selectivity
-                estimates[op.op_id] = _OpEstimate(
-                    (probe.out_rows + build.out_rows)
-                    * (TID_BYTES + key_width),
-                    out_rows,
-                    out_rows * 2 * TID_BYTES,
-                )
-            elif isinstance(op, GroupByAggregate):
-                (child,) = children
-                width = TID_BYTES * (
-                    len(op.group_refs) + max(len(op.aggregates), 1)
-                )
-                out_rows = min(child.out_rows, 10_000.0)
-                estimates[op.op_id] = _OpEstimate(
-                    child.out_rows * width, out_rows, out_rows * 2 * width
-                )
-            elif isinstance(op, Materialize):
-                (child,) = children
-                width = sum(
-                    database.column(k).ctype.itemsize
-                    for k in op.required_columns()
-                ) or TID_BYTES
-                estimates[op.op_id] = _OpEstimate(
-                    child.out_rows * width,
-                    child.out_rows,
-                    child.out_rows * width,
-                )
-            else:  # Sort, Limit and friends: volume-preserving
-                (child,) = children
-                estimates[op.op_id] = _OpEstimate(
-                    child.out_bytes, child.out_rows, child.out_bytes
-                )
-        position = {op_id: i for i, op_id in enumerate(estimates)}
+        position = {op.op_id: i for i, op in enumerate(plan.operators)}
+        children = tuple(tuple(position[c.op_id] for c in op.children)
+                         for op in plan.operators)
+        sizes: List[OpEstimate] = []  # post order: children first
+        for op, inputs in zip(plan.operators, children):
+            sizes.append(op.estimate(database, [sizes[i] for i in inputs]))
         return _Template(
-            tuple(estimates.values()),
-            tuple(tuple(position[c.op_id] for c in op.children)
-                  for op in plan.operators),
+            tuple(sizes),
+            children,
             tuple(position[leaf.op_id] for leaf in plan.leaves),
             tuple(op.cpu_only for op in plan.operators),
         )

@@ -2,7 +2,7 @@
 
 Several layers memoise derived state against a live database —
 :mod:`repro.engine.plan_cache` keeps functional subplan results,
-:mod:`repro.engine.kernels` keeps join indexes and zone maps.  Anything
+:mod:`repro.engine.kernels` keeps join indexes and key bounds.  Anything
 that mutates a database in place (``compress_database``) or wants a
 clean slate (``clear_database_caches``, the test-session fixture) must
 drop *all* of them; this registry is the single place that knows the

@@ -42,13 +42,7 @@ from repro.engine.execution.lease import (
 from repro.engine.execution.lifecycle import QueryCancelled
 from repro.engine.execution.resilience import account_abort
 from repro.engine.intermediates import OperatorResult
-from repro.engine.operators import (
-    HashJoin,
-    PhysicalOperator,
-    PhysicalPlan,
-    RefineSelect,
-    ScanSelect,
-)
+from repro.engine.operators import PhysicalOperator, PhysicalPlan
 from repro.hardware import DeviceFault
 from repro.hardware.processor import ProcessorKind
 from repro.sim import Interrupted, Process
@@ -60,7 +54,7 @@ def is_pipelineable(op: PhysicalOperator) -> bool:
     Selections pipeline trivially; a hash join pipelines its *probe*
     side (the build side is a breaker feeding the hash table).
     """
-    return isinstance(op, (ScanSelect, RefineSelect, HashJoin))
+    return op.role in ("scan", "refine", "join")
 
 
 class Pipeline:
@@ -106,22 +100,19 @@ def build_pipelines(plan: PhysicalPlan) -> List[List[PhysicalOperator]]:
     chains: List[List[PhysicalOperator]] = []
 
     def walk(op: PhysicalOperator) -> List[PhysicalOperator]:
-        """Returns the open chain ending at ``op``."""
-        if isinstance(op, HashJoin):
-            probe_chain = walk(op.children[0])
-            build_chain = walk(op.children[1])
-            # the build side breaks here: its chain materialises into
-            # the join's hash table
-            chains.append(build_chain)
-            return probe_chain + [op]
-        if isinstance(op, RefineSelect):
-            return walk(op.children[0]) + [op]
-        if isinstance(op, ScanSelect):
-            return [op]
-        # breaker: every child chain materialises before it runs
-        for child in op.children:
-            chains.append(walk(child))
-        return [op]
+        """Returns the open chain ending at ``op``: a pipelineable
+        operator extends its first child's chain; every other child
+        chain breaks here — a join's build side materialises into the
+        hash table, a breaker's inputs before it runs."""
+        extends = is_pipelineable(op)
+        chain: List[PhysicalOperator] = []
+        for position, child in enumerate(op.children):
+            child_chain = walk(child)
+            if extends and position == 0:
+                chain = child_chain
+            else:
+                chains.append(child_chain)
+        return chain + [op]
 
     chains.append(walk(plan.root))
     return chains

@@ -4,7 +4,8 @@ A :class:`Frame` resolves column references during expression
 evaluation.  It binds a database plus (optionally) per-table row
 positions, so the same expression code evaluates over full base tables,
 selection intermediates (tid lists), and join results (aligned tid
-lists per table).
+lists per table).  A :class:`BlockFrame` resolves them over one
+contiguous row range of the base tables — a morsel.
 """
 
 from __future__ import annotations
@@ -65,4 +66,30 @@ class Frame:
 
     def column_meta(self, key: str) -> Column:
         """The column object (for dictionary lookups)."""
+        return self._database.column(key)
+
+
+class BlockFrame:
+    """Frame over one contiguous row range of a base table.
+
+    Predicates are elementwise, so evaluating over a slice of the
+    column arrays equals the full evaluation restricted to the slice.
+    A fresh instance covers the range ``(0, 0)``: the empty frame.
+    """
+
+    __slots__ = ("_database", "_start", "_stop")
+
+    def __init__(self, database):
+        self._database = database
+        self._start = 0
+        self._stop = 0
+
+    def set_range(self, start: int, stop: int) -> None:
+        self._start = start
+        self._stop = stop
+
+    def array(self, key: str) -> np.ndarray:
+        return self._database.column(key).values[self._start:self._stop]
+
+    def column_meta(self, key: str):
         return self._database.column(key)

@@ -1,4 +1,4 @@
-"""Kernel-acceleration layer: cached join indexes and zone maps.
+"""Kernel-acceleration layer: cached join indexes and their probers.
 
 The functional (numpy) kernels are pure computations over immutable
 column arrays, so derived access structures can be built once per
@@ -13,54 +13,32 @@ amortise their data-parallel primitives:
   positional lookup; other unique keys probe an O(1) position table.
   The probers over these structures (bottom of this module) are the
   ones ``HashJoin`` and the fused pipelines both probe through.
-* **Zone maps** — per-block min/max statistics
-  (:mod:`repro.storage.blocks`) letting ``ScanSelect`` skip blocks that
-  wholly fail a predicate and short-circuit blocks that wholly pass.
-  String predicates work through dictionary-code bounds, mirroring
-  ``expressions._encode_literal`` exactly.
+* **Column bounds** — the cached (min, max) of an integer column:
+  they prove foreign-key containment (eliding the probers' range
+  checks) and give the fused aggregation its group-id radixes.
 
-Everything here is a pure acceleration: the produced tid sets and masks
-are byte-identical to the unaccelerated operators.  The cache registers
-itself with :mod:`repro.engine.caches`, so ``compress_database`` and
-``clear_database_caches`` invalidate it alongside the plan cache.
-``enable(False)`` restores the seed execution paths wholesale.
+Everything here is a pure acceleration: the produced tid sets are
+byte-identical to ``HashJoin``'s general gather-sort-search expansion,
+which still serves every build side no cached structure covers.  The
+cache registers itself with :mod:`repro.engine.caches`, so
+``compress_database`` and ``clear_database_caches`` invalidate it
+alongside the plan cache.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from repro.engine import caches
-from repro.engine.expressions import (
-    And,
-    Between,
-    ColumnRef,
-    Comparison,
-    InList,
-    Literal,
-    Not,
-    Or,
-)
-from repro.storage.blocks import DEFAULT_BLOCK_ROWS, ZoneMap, build_zone_map
-from repro.storage.types import ColumnType
-
-#: Environment knob: rows per zone-map block (default 64K).  The
-#: simulation's actual arrays are small, so tests and benchmarks tune
-#: this down to exercise pruning.
-BLOCK_ENV = "REPRO_ZONE_BLOCK"
 
 #: If the build side of a cached-index join would expand to more than
 #: this many matches per probe row before mask filtering, a bounded
 #: :class:`_SortedProber` gives up and ``HashJoin`` sorts the filtered
-#: values (the seed path) instead.
+#: values (its general expansion) instead.
 _EXPAND_FALLBACK_FACTOR = 4
-
-_enabled = True
-_block_rows_override: Optional[int] = None
 
 #: database -> KernelCache
 _caches: "WeakKeyDictionary" = WeakKeyDictionary()
@@ -72,26 +50,12 @@ stats = {
     "dense_joins": 0,
     "lookup_joins": 0,
     "sorted_joins": 0,
-    "zone_map_builds": 0,
-    "scans_pruned": 0,
-    "blocks_skipped": 0,
-    "blocks_short_circuited": 0,
     "masked_refines": 0,
     "masked_intersects": 0,
     "lookup_builds": 0,
     "lookup_hits": 0,
     "bounds_builds": 0,
 }
-
-
-def enable(on: bool = True) -> None:
-    """Globally enable or disable kernel acceleration."""
-    global _enabled
-    _enabled = on
-
-
-def enabled() -> bool:
-    return _enabled
 
 
 def reset_stats() -> None:
@@ -101,28 +65,6 @@ def reset_stats() -> None:
 
 def snapshot_stats() -> Dict[str, int]:
     return dict(stats)
-
-
-def default_block_rows() -> int:
-    """Effective zone-map block size: override > $REPRO_ZONE_BLOCK > 64K."""
-    if _block_rows_override is not None:
-        return _block_rows_override
-    raw = os.environ.get(BLOCK_ENV, "").strip()
-    if raw:
-        return max(int(raw), 1)
-    return DEFAULT_BLOCK_ROWS
-
-
-def set_block_rows(block_rows: Optional[int]) -> None:
-    """Override the zone-map block size (None restores env/default).
-
-    Existing caches keep their maps; call :func:`invalidate` to rebuild
-    at the new granularity.
-    """
-    global _block_rows_override
-    if block_rows is not None and int(block_rows) < 1:
-        raise ValueError("block_rows must be >= 1")
-    _block_rows_override = None if block_rows is None else int(block_rows)
 
 
 class JoinIndex:
@@ -201,20 +143,17 @@ def _build_position_lookup(values: np.ndarray) -> Optional[PositionLookup]:
 
 
 class KernelCache:
-    """Per-database store of join indexes and zone maps.
+    """Per-database store of join indexes, position lookups and
+    column bounds.
 
-    Both are keyed by column key and validated against the column's
+    All are keyed by column key and validated against the column's
     current array length, but the authoritative invalidation is
     explicit (:func:`invalidate` via the cache registry) — exactly like
     the plan cache.
     """
 
-    def __init__(self, block_rows: Optional[int] = None):
-        self.block_rows = (
-            int(block_rows) if block_rows is not None else default_block_rows()
-        )
+    def __init__(self):
         self._join_indexes: Dict[str, JoinIndex] = {}
-        self._zone_maps: Dict[str, ZoneMap] = {}
         self._lookups: Dict[str, Tuple[int, Optional[PositionLookup]]] = {}
         self._bounds: Dict[str, Tuple[int, Tuple[int, int]]] = {}
 
@@ -258,38 +197,21 @@ class KernelCache:
         self._bounds[column.key] = (n_col, bounds)
         return bounds
 
-    def zone_map(self, column) -> ZoneMap:
-        zone_map = self._zone_maps.get(column.key)
-        if (
-            zone_map is not None
-            and zone_map.n_rows == len(column.values)
-            and zone_map.block_rows == self.block_rows
-        ):
-            return zone_map
-        stats["zone_map_builds"] += 1
-        zone_map = build_zone_map(column.values, self.block_rows)
-        self._zone_maps[column.key] = zone_map
-        return zone_map
-
     def clear(self) -> None:
         self._join_indexes.clear()
-        self._zone_maps.clear()
         self._lookups.clear()
         self._bounds.clear()
 
     def __len__(self) -> int:
         return (
             len(self._join_indexes)
-            + len(self._zone_maps)
             + len(self._lookups)
             + len(self._bounds)
         )
 
 
-def cache_for(database) -> Optional[KernelCache]:
-    """The database's kernel cache, or None when acceleration is off."""
-    if not _enabled:
-        return None
+def cache_for(database) -> KernelCache:
+    """The database's kernel cache (created on first use)."""
     cache = _caches.get(database)
     if cache is None:
         cache = KernelCache()
@@ -314,216 +236,9 @@ def cache_size(database=None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Zone-map pruned scans
-# ---------------------------------------------------------------------------
-
-class _BlockFrame:
-    """Frame over one contiguous row range of a base table.
-
-    Predicates are elementwise, so evaluating over a slice of the
-    column arrays equals the full evaluation restricted to the slice.
-    """
-
-    __slots__ = ("_database", "_start", "_stop")
-
-    def __init__(self, database):
-        self._database = database
-        self._start = 0
-        self._stop = 0
-
-    def set_range(self, start: int, stop: int) -> None:
-        self._start = start
-        self._stop = stop
-
-    def array(self, key: str) -> np.ndarray:
-        return self._database.column(key).values[self._start:self._stop]
-
-    def column_meta(self, key: str):
-        return self._database.column(key)
-
-
-def _comparison_bounds(column, op: str, value):
-    """Normalise a comparison literal the way ``Comparison.evaluate``
-    does: string literals become dictionary codes, strict string
-    inequalities become inclusive ones."""
-    if isinstance(value, str):
-        if column.ctype is not ColumnType.STRING:
-            return None
-        if op in ("=", "<>"):
-            value = column.encode(value)
-        elif op == "<=":
-            value = column.encode_upper_bound(value)
-        elif op == "<":
-            value = column.encode_lower_bound(value) - 1
-            op = "<="
-        elif op == ">=":
-            value = column.encode_lower_bound(value)
-        elif op == ">":
-            value = column.encode_upper_bound(value) + 1
-            op = ">="
-        else:
-            return None
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        return None
-    return op, value
-
-
-def _comparison_verdicts(zone_map: ZoneMap, op: str, value):
-    """(all_pass, none_pass) block verdicts for ``column op value``."""
-    mins, maxs = zone_map.mins, zone_map.maxs
-    if op == "=":
-        outside = (value < mins) | (value > maxs)
-        return (mins == value) & (maxs == value), outside
-    if op == "<>":
-        outside = (value < mins) | (value > maxs)
-        return outside, (mins == value) & (maxs == value)
-    if op == "<":
-        return maxs < value, mins >= value
-    if op == "<=":
-        return maxs <= value, mins > value
-    if op == ">":
-        return mins > value, maxs <= value
-    if op == ">=":
-        return mins >= value, maxs < value
-    return None
-
-
-def _literal_value(expr):
-    return expr.value if isinstance(expr, Literal) else None
-
-
-def _predicate_verdicts(database, table_name: str, predicate,
-                        cache: KernelCache, n_blocks: int):
-    """Recursive block classification.
-
-    Returns ``(all_pass, none_pass)`` boolean arrays over blocks, or
-    None when the predicate shape is not analysable.  Inside And/Or an
-    unanalysable child degrades to all-partial (never wrong, only less
-    pruning).
-    """
-    undecided = None  # lazily built (zeros, zeros) pair
-
-    def _recurse(node):
-        nonlocal undecided
-        if isinstance(node, Comparison):
-            op, ref, lit = node.op, node.left, node.right
-            if isinstance(lit, ColumnRef) and isinstance(ref, Literal):
-                ref, lit = lit, ref
-                op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-            if not (isinstance(ref, ColumnRef) and isinstance(lit, Literal)):
-                return None
-            if ref.table != table_name:
-                return None
-            column = database.column(ref.key)
-            bounds = _comparison_bounds(column, op, lit.value)
-            if bounds is None:
-                return None
-            return _comparison_verdicts(cache.zone_map(column), *bounds)
-        if isinstance(node, Between):
-            lower = Comparison(">=", node.expr, node.low)
-            upper = Comparison("<=", node.expr, node.high)
-            return _recurse(And([lower, upper]))
-        if isinstance(node, InList):
-            if not isinstance(node.expr, ColumnRef):
-                return None
-            if node.expr.table != table_name or not node.values:
-                return None
-            column = database.column(node.expr.key)
-            values = node.values
-            if isinstance(values[0], str):
-                if column.ctype is not ColumnType.STRING:
-                    return None
-                values = [column.encode(v) for v in values]
-            zone_map = cache.zone_map(column)
-            mins, maxs = zone_map.mins, zone_map.maxs
-            none_pass = np.ones(len(mins), dtype=bool)
-            for value in values:
-                none_pass &= (value < mins) | (value > maxs)
-            all_pass = (mins == maxs) & np.isin(mins, np.asarray(values))
-            return all_pass, none_pass
-        if isinstance(node, (And, Or)):
-            child_verdicts = []
-            for child in node.children:
-                verdict = _recurse(child)
-                if verdict is None:
-                    if undecided is None:
-                        undecided = (
-                            np.zeros(n_blocks, dtype=bool),
-                            np.zeros(n_blocks, dtype=bool),
-                        )
-                    verdict = undecided
-                child_verdicts.append(verdict)
-            alls = [v[0] for v in child_verdicts]
-            nones = [v[1] for v in child_verdicts]
-            if isinstance(node, And):
-                # every row passes iff it passes every child; a block
-                # fails outright as soon as one child rules it out.
-                return (
-                    np.logical_and.reduce(alls),
-                    np.logical_or.reduce(nones),
-                )
-            return (
-                np.logical_or.reduce(alls),
-                np.logical_and.reduce(nones),
-            )
-        if isinstance(node, Not):
-            verdict = _recurse(node.child)
-            if verdict is None:
-                return None
-            return verdict[1], verdict[0]
-        return None
-
-    return _recurse(predicate)
-
-
-def scan_mask(database, table_name: str, predicate,
-              cache: KernelCache) -> Optional[np.ndarray]:
-    """Zone-map accelerated predicate mask over a full base table.
-
-    Returns the boolean row mask — bitwise identical to
-    ``predicate.evaluate(Frame(database))`` — or None when pruning does
-    not apply (single block, unanalysable predicate, or too few decided
-    blocks to beat a plain full evaluation).
-    """
-    n_rows = database.table(table_name).actual_rows
-    block_rows = cache.block_rows
-    if n_rows <= block_rows:
-        return None
-    n_blocks = (n_rows + block_rows - 1) // block_rows
-    verdicts = _predicate_verdicts(database, table_name, predicate, cache,
-                                   n_blocks)
-    if verdicts is None:
-        return None
-    all_pass, none_pass = verdicts
-    partial = ~(all_pass | none_pass)
-    n_partial = int(np.count_nonzero(partial))
-    if n_partial * 2 > n_blocks:
-        # Most blocks need row-level work anyway: one full vectorised
-        # evaluation beats many per-block ones.
-        return None
-    stats["scans_pruned"] += 1
-    stats["blocks_skipped"] += int(np.count_nonzero(none_pass))
-    stats["blocks_short_circuited"] += int(np.count_nonzero(all_pass))
-    mask = np.zeros(n_rows, dtype=bool)
-    for block in np.flatnonzero(all_pass):
-        start = block * block_rows
-        mask[start:start + block_rows] = True
-    if n_partial:
-        frame = _BlockFrame(database)
-        for block in np.flatnonzero(partial):
-            start = block * block_rows
-            stop = min(start + block_rows, n_rows)
-            frame.set_range(start, stop)
-            mask[start:stop] = np.asarray(
-                predicate.evaluate(frame), dtype=bool
-            )
-    return mask
-
-
-# ---------------------------------------------------------------------------
 # Join probers: one per cached access structure.  ``HashJoin`` and the
 # fused pipelines probe through the same objects, and every one is
-# byte-identical to the seed gather-sort-search expansion.
+# byte-identical to ``HashJoin``'s general gather-sort-search expansion.
 # ---------------------------------------------------------------------------
 
 def _empty_match():
@@ -623,9 +338,10 @@ class _SortedProber:
     """General probe through the cached stable sort order.
 
     ``bounded`` makes a filtered build give up (``probe`` returns None)
-    when the unfiltered expansion would dwarf the seed path's sort of
-    the selected values — ``HashJoin`` then re-sorts; a fused pipeline,
-    which has no seed path to fall to, probes unbounded.
+    when the unfiltered expansion would dwarf a sort of the selected
+    values alone — ``HashJoin`` then re-sorts (its general expansion);
+    a fused pipeline, which has no such path to fall to, probes
+    unbounded.
     """
 
     __slots__ = ("order", "sorted_values", "mask", "bounded")
@@ -655,8 +371,9 @@ class _SortedProber:
         if self.mask is None:
             return probe_idx, build_tids
         # Restricting the full-column stable order to the selected rows
-        # preserves the seed ordering: selection tids ascend, so the stable
-        # sort of the gathered values lists equal keys in the same order.
+        # preserves the general expansion's ordering: selection tids
+        # ascend, so the stable sort of the gathered values lists equal
+        # keys in the same order.
         keep = self.mask[build_tids]
         return probe_idx[keep], build_tids[keep]
 

@@ -53,25 +53,14 @@ import numpy as np
 
 from repro.engine import kernels, plan_cache
 from repro.engine.expressions import ColumnRef
-from repro.engine.frame import Frame
+from repro.engine.frame import BlockFrame, Frame
 from repro.engine.intermediates import (
     OperatorResult,
     ResultFrame,
     SelectionVector,
     TidSet,
 )
-from repro.engine.kernels import _BlockFrame
-from repro.engine.operators.aggregate import (
-    GroupByAggregate,
-    finish_aggregate,
-    reduce_groups,
-)
-from repro.engine.operators.base import TID_BYTES, scaled_nominal_rows
-from repro.engine.operators.frame_ops import Distinct, FrameFilter
-from repro.engine.operators.join import HashJoin
-from repro.engine.operators.materialize import Materialize
-from repro.engine.operators.scan import RefineSelect, ScanSelect
-from repro.engine.operators.sort import Limit, Sort
+from repro.engine.operators.aggregate import finish_aggregate, reduce_groups
 from repro.storage.types import ColumnType
 
 #: Rows per morsel: roughly the L2-sized ranges morsel-driven schedulers
@@ -263,9 +252,9 @@ class FusedPipeline:
         self.database = database
         self.fact_table: str = ""
         self.fact_rows: int = 0
-        self.scan_op: Optional[ScanSelect] = None
+        self.scan_op = None
         self.fact_predicate = None
-        self.refines: List[RefineSelect] = []
+        self.refines: List = []
         self.stages: List[_Stage] = []
         self.breaker = None
         self.breaker_kind: str = ""  # "agg" | "frame"
@@ -310,7 +299,7 @@ class FusedPipeline:
         """
         stats["morsels"] += 1
         database = self.database
-        block = _BlockFrame(database)
+        block = BlockFrame(database)
         block.set_range(start, stop)
 
         chain_counts: Optional[List[int]] = [] if collect else None
@@ -619,28 +608,24 @@ class FusedPipeline:
                              chain_counts=totals)
 
     def _chain_sizes(self, totals: Tuple[int, ...]
-                     ) -> List[Tuple[int, int]]:
-        """(actual, nominal) rows after each chain operator — scan,
-        refines, joins — from their output row counts: the arithmetic
-        ``ScanSelect`` / ``RefineSelect`` / ``HashJoin`` apply one
-        operator at a time."""
-        table = self.database.table(self.fact_table)
-        if self.fact_predicate is None:
-            sizes = [(table.actual_rows, table.nominal_rows)]
-        else:
-            sizes = [(totals[0], scaled_nominal_rows(
-                totals[0], table.actual_rows, table.nominal_rows))]
-        for n_out in totals[1:]:
-            prev_actual, prev_nominal = sizes[-1]
-            sizes.append((n_out, scaled_nominal_rows(
-                n_out, max(prev_actual, 1), prev_nominal)))
+                     ) -> List[Tuple[int, int, int]]:
+        """(actual rows, nominal rows, row width) after each chain
+        operator — scan, refines, joins — from their output row counts,
+        by each operator's own ``output_size`` rule."""
+        sizes = [self.scan_op.output_size(self.database, totals[0])]
+        counts = iter(totals[1:])
+        for refine in self.refines:
+            sizes.append(refine.output_size(next(counts), *sizes[-1][:2]))
+        for stage in self.stages:
+            sizes.append(stage.op.output_size(
+                next(counts), *sizes[-1][:2], len(stage.table_order)))
         return sizes
 
     def replay_nominal(self, totals: Tuple[int, ...]) -> Tuple[int, int]:
         """(actual, nominal) rows of the chain's last operator, replayed
         from summed per-op output counts — the same arithmetic the
         sequential path applies while recording."""
-        return self._chain_sizes(totals)[-1]
+        return self._chain_sizes(totals)[-1][:2]
 
     # -- recording -----------------------------------------------------
 
@@ -656,29 +641,25 @@ class FusedPipeline:
         database = self.database
         fact = self.fact_table
 
-        # (payload, row width) per chain operator, in execution order
+        # payload per chain operator, in execution order
         if self.fact_predicate is None:
             entry = SelectionVector(n=database.table(fact).actual_rows)
-            outputs = [(TidSet({fact: entry}), 0)]
         else:
             entry = SelectionVector(np.concatenate(sink[self.scan_op.op_id]))
-            outputs = [(TidSet({fact: entry}), TID_BYTES)]
+        payloads = [TidSet({fact: entry})]
         for refine in self.refines:
             entry = SelectionVector(np.concatenate(sink[refine.op_id]))
-            outputs.append((TidSet({fact: entry}), TID_BYTES))
+            payloads.append(TidSet({fact: entry}))
         for stage in self.stages:
             chunks = sink[stage.op.op_id]
-            tables = {
+            payloads.append(TidSet({
                 name: np.concatenate([chunk[name] for chunk in chunks])
                 for name in stage.table_order
-            }
-            outputs.append((TidSet(tables), TID_BYTES * len(tables)))
+            }))
 
-        sizes = self._chain_sizes(
-            tuple(len(payload) for payload, _ in outputs))
-        for op, (payload, width), (actual, nominal) in zip(
-                self.covered_ops, outputs, sizes):
-            cached = (payload, actual, nominal, width)
+        sizes = self._chain_sizes(tuple(len(payload) for payload in payloads))
+        for op, payload, size in zip(self.covered_ops, payloads, sizes):
+            cached = (payload, *size)
             self._memoise(op, cached)
 
         if self.dense is not None:
@@ -705,35 +686,33 @@ class FusedPipeline:
 # Pipeline construction
 # ---------------------------------------------------------------------------
 
-_TAIL_OPS = (Sort, Limit, FrameFilter, Distinct)
-
-
 def _analyze_structure(pipe: FusedPipeline) -> None:
-    """Peel the plan into tail / breaker / join chain / scan, or decline."""
+    """Peel the plan into tail / breaker / join chain / scan by the
+    operators' declared roles, or decline."""
     node = pipe.plan.root
     tail = []
-    while isinstance(node, _TAIL_OPS):
+    while node.role == "tail":
         tail.append(node)
         node = node.children[0]
     pipe.tail = list(reversed(tail))
 
-    if isinstance(node, GroupByAggregate):
+    if node.role == "aggregate":
         pipe.breaker_kind = "agg"
-    elif isinstance(node, Materialize):
+    elif node.role == "project":
         pipe.breaker_kind = "frame"
     else:
         raise Decline("breaker_shape")
     pipe.breaker = node
 
-    joins: List[HashJoin] = []
+    joins = []
     node = node.children[0]
-    while isinstance(node, HashJoin):
+    while node.role == "join":
         joins.append(node)
         node = node.children[0]
-    while isinstance(node, RefineSelect):
+    while node.role == "refine":
         pipe.refines.append(node)
         node = node.children[0]
-    if not isinstance(node, ScanSelect):
+    if node.role != "scan":
         raise Decline("leaf_shape")
     pipe.scan_op = node
     pipe.fact_table = node.table
@@ -747,7 +726,7 @@ def _analyze_structure(pipe: FusedPipeline) -> None:
     available = [pipe.fact_table]
     for join in joins:
         build = join.children[1]
-        if not isinstance(build, ScanSelect):
+        if build.role != "scan":
             raise Decline("build_shape")
         if build.table != join.build_key.table:
             raise Decline("build_shape")
@@ -793,7 +772,7 @@ def _prepare_dense_aggregate(pipe: FusedPipeline, cache) -> None:
     # Evaluating the breaker's expressions over zero rows reproduces
     # numpy's promotion (and the engine's int32→int64 widening) without
     # interpreting expression trees.
-    empty = _BlockFrame(database)
+    empty = BlockFrame(database)
 
     terms: List[_GroupTerm] = []
     domain = 1
@@ -850,8 +829,6 @@ def build(plan, database) -> FusedPipeline:
     """Analyse and bind ``plan``; raises :class:`Decline` when the plan
     cannot run fused."""
     cache = kernels.cache_for(database)
-    if cache is None:
-        raise Decline("kernels_disabled")
     pipe = FusedPipeline(plan, database)
     _analyze_structure(pipe)
     pipe.fact_rows = database.table(pipe.fact_table).actual_rows
@@ -884,7 +861,7 @@ def execute_direct(plan, database) -> Optional[OperatorResult]:
     that share the chain.
     """
     root = plan.root
-    if not isinstance(root, Limit):
+    if root.kind != "limit":  # ``Limit`` alone declares this kind
         return None
     try:
         if root.n <= 0:

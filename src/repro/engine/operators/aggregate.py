@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 import numpy as np
 
 from repro.engine.expressions import Aggregate, ColumnRef
 from repro.engine.frame import Frame
 from repro.engine.intermediates import OperatorResult, ResultFrame, TidSet
-from repro.engine.operators.base import PhysicalOperator, TID_BYTES
+from repro.engine.operators.base import (
+    OpEstimate,
+    PhysicalOperator,
+    TID_BYTES,
+)
 from repro.storage import ColumnType, Database
 
 
@@ -23,6 +27,7 @@ class GroupByAggregate(PhysicalOperator):
     """
 
     kind = "groupby"
+    role = "aggregate"
 
     def __init__(
         self,
@@ -51,28 +56,32 @@ class GroupByAggregate(PhysicalOperator):
             keys |= aggregate.columns()
         return keys
 
+    def _row_width(self) -> int:
+        """Bytes per input row: one slot per group column and aggregate."""
+        return TID_BYTES * (len(self.group_refs) + max(len(self.aggregates), 1))
+
     def input_nominal_bytes(self, database: Database,
                             child_results: List[OperatorResult]) -> int:
         (child,) = child_results
-        width = TID_BYTES * (len(self.group_refs) + max(len(self.aggregates), 1))
-        return max(child.nominal_rows * width, TID_BYTES)
+        return max(child.nominal_rows * self._row_width(), TID_BYTES)
 
-    def estimate_input_nominal_bytes(self, database: Database) -> int:
-        if isinstance(self.children[0], PhysicalOperator):
-            child_estimate = self.children[0].estimate_input_nominal_bytes(database)
-        else:
-            child_estimate = TID_BYTES
-        return child_estimate
+    def estimate(self, database: Database,
+                 child_estimates: List[OpEstimate]) -> OpEstimate:
+        (child,) = child_estimates
+        width = self._row_width()
+        out_rows = min(child.out_rows, 10_000.0)
+        return OpEstimate(
+            child.out_rows * width, out_rows, out_rows * 2 * width
+        )
 
     def run(self, database: Database,
             child_results: List[OperatorResult]) -> OperatorResult:
         (child,) = child_results
         payload = child.payload
-        if isinstance(payload, TidSet):
-            frame = Frame(database, payload.tables)
-            n_rows = len(payload)
-        else:
+        if not isinstance(payload, TidSet):
             raise TypeError("GroupByAggregate expects a TidSet input")
+        frame = Frame(database, payload.tables)
+        n_rows = len(payload)
 
         columns: Dict[str, np.ndarray] = {}
         dictionaries: Dict[str, list] = {}
@@ -105,8 +114,10 @@ class GroupByAggregate(PhysicalOperator):
                 if meta.ctype is ColumnType.STRING:
                     dictionaries[name] = meta.dictionary
         else:
+            # the one group of an ungrouped aggregate exists even over
+            # zero rows
             inverse = np.zeros(n_rows, dtype=np.int64)
-            n_groups = 1 if n_rows > 0 else 1
+            n_groups = 1
 
         counts = np.bincount(inverse, minlength=n_groups)
         for aggregate in self.aggregates:
@@ -138,7 +149,10 @@ def reduce_groups(aggregate: Aggregate, frame, inverse: np.ndarray,
     if values.dtype == np.int32:
         values = values.astype(np.int64)
     if aggregate.func in ("sum", "avg"):
-        reduced = np.bincount(inverse, weights=values, minlength=n_groups)
+        # float64 even over zero rows, where bincount alone gives int64
+        reduced = np.bincount(
+            inverse, weights=values, minlength=n_groups
+        ).astype(np.float64, copy=False)
     elif aggregate.func == "min":
         reduced = np.full(n_groups, np.inf)
         np.minimum.at(reduced, inverse, values)

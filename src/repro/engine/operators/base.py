@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from repro.engine import plan_cache
 from repro.engine.intermediates import OperatorResult
@@ -12,7 +12,22 @@ from repro.storage import Database
 #: 32-bit OIDs, as CoGaDB/MonetDB configure them in the paper's setup.
 TID_BYTES = 4
 
+#: The plan shapes an operator class can declare as its ``role``:
+#: ``scan`` (leaf), ``refine`` (one TidSet in, one out), ``intersect``
+#: and ``join`` (two TidSets in), ``aggregate`` and ``project`` (TidSet
+#: in, ResultFrame out) and ``tail`` (ResultFrame in and out).
+ROLES = ("scan", "refine", "intersect", "join", "aggregate", "project",
+         "tail")
+
 _op_counter = itertools.count(1)
+
+
+class OpEstimate(NamedTuple):
+    """Compile-time size estimates for one operator."""
+
+    input_bytes: float
+    out_rows: float
+    out_bytes: float
 
 
 class PhysicalOperator:
@@ -27,6 +42,10 @@ class PhysicalOperator:
     kind = "scan"
     #: operators that must run on the host (e.g. final result delivery)
     cpu_only = False
+    #: plan shape, one of :data:`ROLES`: what the fused pipelines and
+    #: the vectorized chains read to decide what chains, what breaks
+    #: and what trails the breaker; subclasses override
+    role = ""
 
     def __init__(self, children: Optional[List["PhysicalOperator"]] = None,
                  label: str = ""):
@@ -84,18 +103,21 @@ class PhysicalOperator:
 
     def input_nominal_bytes(self, database: Database,
                             child_results: List[OperatorResult]) -> int:
-        """Paper-scale input volume (drives compute cost and footprint)."""
-        raise NotImplementedError
+        """Paper-scale input volume (drives compute cost and footprint).
 
-    def estimate_input_nominal_bytes(self, database: Database) -> int:
-        """Compile-time estimate of the input volume (no results yet).
+        The default reads one materialised child whole — what every
+        frame-to-frame operator does."""
+        (child,) = child_results
+        return max(child.nominal_bytes, TID_BYTES)
 
-        Used by compile-time placement heuristics; the default walks
-        required columns and assumes full scans.
-        """
-        return sum(
-            database.column(key).nominal_bytes for key in self.column_keys()
-        ) or TID_BYTES
+    def estimate(self, database: Database,
+                 child_estimates: List[OpEstimate]) -> OpEstimate:
+        """Compile-time sizes (no results yet) from the children's
+        estimates; compile-time placement propagates these up the plan.
+
+        The default preserves volume (Sort, Limit and friends)."""
+        (child,) = child_estimates
+        return OpEstimate(child.out_bytes, child.out_rows, child.out_bytes)
 
     def run(self, database: Database,
             child_results: List[OperatorResult]) -> OperatorResult:

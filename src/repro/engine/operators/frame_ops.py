@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.engine.expressions import Expression
 from repro.engine.intermediates import OperatorResult, ResultFrame
-from repro.engine.operators.base import PhysicalOperator, TID_BYTES
+from repro.engine.operators.base import PhysicalOperator
 from repro.storage import Database
 
 
@@ -30,17 +30,13 @@ class Distinct(PhysicalOperator):
     """
 
     kind = "groupby"
+    role = "tail"
 
     def __init__(self, child: PhysicalOperator, label: str = ""):
         super().__init__(children=[child], label=label or "Distinct")
 
     def state_key(self):
         return ()
-
-    def input_nominal_bytes(self, database: Database,
-                            child_results: List[OperatorResult]) -> int:
-        (child,) = child_results
-        return max(child.nominal_bytes, TID_BYTES)
 
     def run(self, database: Database,
             child_results: List[OperatorResult]) -> OperatorResult:
@@ -89,6 +85,7 @@ class FrameFilter(PhysicalOperator):
     """Filter a ResultFrame by a predicate over its columns (HAVING)."""
 
     kind = "selection"
+    role = "tail"
 
     def __init__(self, child: PhysicalOperator, predicate: Expression,
                  label: str = ""):
@@ -97,11 +94,6 @@ class FrameFilter(PhysicalOperator):
 
     def state_key(self):
         return (self.predicate.to_sql(),)
-
-    def input_nominal_bytes(self, database: Database,
-                            child_results: List[OperatorResult]) -> int:
-        (child,) = child_results
-        return max(child.nominal_bytes, TID_BYTES)
 
     def run(self, database: Database,
             child_results: List[OperatorResult]) -> OperatorResult:

@@ -10,6 +10,7 @@ from repro.engine import kernels
 from repro.engine.expressions import ColumnRef
 from repro.engine.intermediates import OperatorResult, SelectionVector, TidSet
 from repro.engine.operators.base import (
+    OpEstimate,
     PhysicalOperator,
     TID_BYTES,
     scaled_nominal_rows,
@@ -51,6 +52,7 @@ class HashJoin(PhysicalOperator):
     """
 
     kind = "join"
+    role = "join"
 
     def __init__(
         self,
@@ -73,28 +75,50 @@ class HashJoin(PhysicalOperator):
     def _read_columns(self) -> Set[str]:
         return {self.probe_key.key, self.build_key.key}
 
+    def _row_width(self, database: Database, key: ColumnRef) -> int:
+        """Bytes per row of one join side: the tid plus its key."""
+        return TID_BYTES + database.column(key.key).ctype.itemsize
+
     def input_nominal_bytes(self, database: Database,
                             child_results: List[OperatorResult]) -> int:
         probe, build = child_results
-        key_width = database.column(self.probe_key.key).ctype.itemsize
-        probe_bytes = probe.nominal_rows * (TID_BYTES + key_width)
-        build_bytes = build.nominal_rows * (TID_BYTES + key_width)
+        width = self._row_width(database, self.probe_key)
+        probe_bytes = probe.nominal_rows * width
+        build_bytes = build.nominal_rows * width
         return max(probe_bytes + build_bytes, TID_BYTES)
 
-    def estimate_input_nominal_bytes(self, database: Database) -> int:
-        probe_rows = database.table(self.probe_key.table).nominal_rows
+    def estimate(self, database: Database,
+                 child_estimates: List[OpEstimate]) -> OpEstimate:
+        probe, build = child_estimates
         build_rows = database.table(self.build_key.table).nominal_rows
-        key_width = database.column(self.probe_key.key).ctype.itemsize
-        return (probe_rows + build_rows) * (TID_BYTES + key_width)
+        build_selectivity = (
+            min(build.out_rows / build_rows, 1.0) if build_rows else 1.0
+        )
+        out_rows = probe.out_rows * build_selectivity
+        return OpEstimate(
+            (probe.out_rows + build.out_rows)
+            * self._row_width(database, self.probe_key),
+            out_rows,
+            out_rows * 2 * TID_BYTES,
+        )
 
     def device_footprint_bytes(self, profile, database, child_results) -> int:
         """Hash-join working memory: the hash table over the build side
         plus output buffers sized by the streamed probe side."""
         probe, build = child_results
-        key_width = database.column(self.build_key.key).ctype.itemsize
-        build_bytes = build.nominal_rows * (TID_BYTES + key_width)
-        probe_bytes = probe.nominal_rows * (TID_BYTES + key_width)
+        width = self._row_width(database, self.build_key)
+        build_bytes = build.nominal_rows * width
+        probe_bytes = probe.nominal_rows * width
         return int(2.0 * build_bytes + 0.5 * probe_bytes)
+
+    def output_size(self, n_out: int, probe_actual: int, probe_nominal: int,
+                    n_tables: int):
+        """(actual rows, nominal rows, row width) of a join that found
+        ``n_out`` matches: one aligned tid per reachable table."""
+        nominal = scaled_nominal_rows(
+            n_out, max(probe_actual, 1), probe_nominal
+        )
+        return n_out, nominal, TID_BYTES * n_tables
 
     def run(self, database: Database,
             child_results: List[OperatorResult]) -> OperatorResult:
@@ -112,14 +136,12 @@ class HashJoin(PhysicalOperator):
         cached = None
         build_selection = build_payload.selection(self.build_key.table)
         if build_selection is not None and len(build_payload.tables) == 1:
-            cache = kernels.cache_for(database)
-            if cache is not None:
-                prober = kernels.prober_for(
-                    cache, build_column, build_selection, probe_column,
-                    bounded=True,
-                )
-                if prober is not None:
-                    cached = prober.probe(probe_values)
+            prober = kernels.prober_for(
+                kernels.cache_for(database), build_column, build_selection,
+                probe_column, bounded=True,
+            )
+            if prober is not None:
+                cached = prober.probe(probe_values)
         if cached is not None:
             probe_idx, build_tids = cached
             build_tables = {self.build_key.table: build_tids}
@@ -147,12 +169,8 @@ class HashJoin(PhysicalOperator):
                 )
             tables[name] = tids
 
-        nominal = scaled_nominal_rows(
-            len(probe_idx), max(probe.actual_rows, 1), probe.nominal_rows
-        )
         return OperatorResult(
             TidSet(tables),
-            actual_rows=len(probe_idx),
-            nominal_rows=nominal,
-            row_width_bytes=TID_BYTES * len(tables),
+            *self.output_size(len(probe_idx), probe.actual_rows,
+                              probe.nominal_rows, len(tables))
         )

@@ -9,7 +9,11 @@ import numpy as np
 from repro.engine.expressions import ColumnRef, Expression
 from repro.engine.frame import Frame
 from repro.engine.intermediates import OperatorResult, ResultFrame, TidSet
-from repro.engine.operators.base import PhysicalOperator, TID_BYTES
+from repro.engine.operators.base import (
+    OpEstimate,
+    PhysicalOperator,
+    TID_BYTES,
+)
 from repro.storage import ColumnType, Database
 
 
@@ -21,6 +25,7 @@ class Materialize(PhysicalOperator):
     """
 
     kind = "projection"
+    role = "project"
     #: result delivery gathers arbitrary output columns on the host;
     #: CoGaDB materialises final results in host memory.
     cpu_only = True
@@ -41,13 +46,24 @@ class Materialize(PhysicalOperator):
             keys |= expr.columns()
         return keys
 
+    def _row_width(self, database: Database) -> int:
+        """Bytes gathered per row: one value of every output column."""
+        return sum(
+            database.column(key).ctype.itemsize for key in self.required_columns()
+        ) or TID_BYTES
+
     def input_nominal_bytes(self, database: Database,
                             child_results: List[OperatorResult]) -> int:
         (child,) = child_results
-        width = sum(
-            database.column(key).ctype.itemsize for key in self.required_columns()
-        ) or TID_BYTES
-        return max(child.nominal_rows * width, TID_BYTES)
+        return max(child.nominal_rows * self._row_width(database), TID_BYTES)
+
+    def estimate(self, database: Database,
+                 child_estimates: List[OpEstimate]) -> OpEstimate:
+        (child,) = child_estimates
+        width = self._row_width(database)
+        return OpEstimate(
+            child.out_rows * width, child.out_rows, child.out_rows * width
+        )
 
     def project(self, database: Database, column_for) -> ResultFrame:
         """The output frame whose arrays ``column_for(alias, expr)``

@@ -7,10 +7,12 @@ from typing import List, Optional, Set
 import numpy as np
 
 from repro.engine import kernels
+from repro.engine.cardinality import estimate_selectivity
 from repro.engine.expressions import Expression
 from repro.engine.frame import Frame
 from repro.engine.intermediates import OperatorResult, SelectionVector, TidSet
 from repro.engine.operators.base import (
+    OpEstimate,
     PhysicalOperator,
     TID_BYTES,
     scaled_nominal_rows,
@@ -28,6 +30,7 @@ class ScanSelect(PhysicalOperator):
     """
 
     kind = "selection"
+    role = "scan"
 
     def __init__(self, table: str, predicate: Optional[Expression] = None,
                  label: str = ""):
@@ -46,9 +49,6 @@ class ScanSelect(PhysicalOperator):
 
     def input_nominal_bytes(self, database: Database,
                             child_results: List[OperatorResult]) -> int:
-        return self.estimate_input_nominal_bytes(database)
-
-    def estimate_input_nominal_bytes(self, database: Database) -> int:
         scanned = sum(
             database.column(key).nominal_bytes for key in self.required_columns()
         )
@@ -59,43 +59,40 @@ class ScanSelect(PhysicalOperator):
         # materialised).
         return TID_BYTES
 
-    def run(self, database: Database,
-            child_results: List[OperatorResult]) -> OperatorResult:
+    def estimate(self, database: Database,
+                 child_estimates: List[OpEstimate]) -> OpEstimate:
+        selectivity = estimate_selectivity(
+            database, self.table, self.predicate
+        )
+        out_rows = selectivity * database.table(self.table).nominal_rows
+        out_bytes = (
+            out_rows * TID_BYTES if self.predicate is not None else 0.0
+        )
+        return OpEstimate(
+            self.input_nominal_bytes(database, []), out_rows, out_bytes
+        )
+
+    def output_size(self, database: Database, n_out: int):
+        """(actual rows, nominal rows, row width) of a scan that
+        selected ``n_out`` rows."""
         table = database.table(self.table)
-        cache = kernels.cache_for(database)
         if self.predicate is None:
-            if cache is not None:
-                entry = SelectionVector(n=table.actual_rows)
-            else:
-                entry = np.arange(table.actual_rows, dtype=np.int64)
             # No materialised intermediate: downstream operators read
             # the base columns directly.
-            return OperatorResult(
-                TidSet({self.table: entry}),
-                actual_rows=table.actual_rows,
-                nominal_rows=table.nominal_rows,
-                row_width_bytes=0,
-            )
-        if cache is not None:
-            mask = kernels.scan_mask(database, self.table, self.predicate,
-                                     cache)
-            if mask is None:
-                mask = np.asarray(
-                    self.predicate.evaluate(Frame(database)), dtype=bool
-                )
-            entry = SelectionVector(mask)
-            n_out = len(entry)
-        else:
-            mask = self.predicate.evaluate(Frame(database))
-            entry = np.flatnonzero(mask)
-            n_out = len(entry)
+            return table.actual_rows, table.nominal_rows, 0
         nominal = scaled_nominal_rows(n_out, table.actual_rows,
                                       table.nominal_rows)
+        return n_out, nominal, TID_BYTES
+
+    def run(self, database: Database,
+            child_results: List[OperatorResult]) -> OperatorResult:
+        if self.predicate is None:
+            entry = SelectionVector(n=database.table(self.table).actual_rows)
+        else:
+            entry = SelectionVector(self.predicate.evaluate(Frame(database)))
         return OperatorResult(
             TidSet({self.table: entry}),
-            actual_rows=n_out,
-            nominal_rows=nominal,
-            row_width_bytes=TID_BYTES,
+            *self.output_size(database, len(entry))
         )
 
 
@@ -111,6 +108,7 @@ class RefineSelect(PhysicalOperator):
     """
 
     kind = "selection"
+    role = "refine"
 
     def __init__(self, child: PhysicalOperator, table: str,
                  predicate: Expression, label: str = ""):
@@ -125,26 +123,43 @@ class RefineSelect(PhysicalOperator):
     def _read_columns(self) -> Set[str]:
         return self.predicate.columns()
 
+    def _row_width(self, database: Database) -> int:
+        """Bytes gathered per input row: the tid plus one value of
+        every predicate column."""
+        return TID_BYTES + sum(
+            database.column(key).ctype.itemsize for key in self.required_columns()
+        )
+
     def input_nominal_bytes(self, database: Database,
                             child_results: List[OperatorResult]) -> int:
         (child,) = child_results
-        width = TID_BYTES + sum(
-            database.column(key).ctype.itemsize for key in self.required_columns()
-        )
-        return max(child.nominal_rows * width, TID_BYTES)
+        return max(child.nominal_rows * self._row_width(database), TID_BYTES)
 
-    def estimate_input_nominal_bytes(self, database: Database) -> int:
-        table_rows = database.table(self.table).nominal_rows
-        width = TID_BYTES + sum(
-            database.column(key).ctype.itemsize for key in self.required_columns()
+    def estimate(self, database: Database,
+                 child_estimates: List[OpEstimate]) -> OpEstimate:
+        (child,) = child_estimates
+        selectivity = estimate_selectivity(
+            database, self.table, self.predicate
         )
-        return table_rows * width
+        return OpEstimate(
+            child.out_rows * self._row_width(database),
+            child.out_rows * selectivity,
+            child.out_rows * selectivity * TID_BYTES,
+        )
+
+    def output_size(self, n_out: int, child_actual: int, child_nominal: int):
+        """(actual rows, nominal rows, row width) of a refine that kept
+        ``n_out`` of its child's rows."""
+        nominal = scaled_nominal_rows(
+            n_out, max(child_actual, 1), child_nominal
+        )
+        return n_out, nominal, TID_BYTES
 
     def run(self, database: Database,
             child_results: List[OperatorResult]) -> OperatorResult:
         (child,) = child_results
         selection = child.payload.selection(self.table)
-        if selection is not None and kernels.enabled():
+        if selection is not None:
             # Lazy path: evaluate the predicate over the full column
             # (elementwise, so restriction commutes with evaluation)
             # and AND the masks — no gather, no flatnonzero.
@@ -155,21 +170,17 @@ class RefineSelect(PhysicalOperator):
             if selection.mask is not None:
                 mask = selection.mask & mask
             entry = SelectionVector(mask)
-            n_out = len(entry)
         else:
+            # A materialised tid array (the output of a join or of a
+            # positional intersection): gather, evaluate, filter.
             tids = child.payload.positions(self.table)
             frame = Frame(database, {self.table: tids})
             mask = self.predicate.evaluate(frame)
             entry = tids[np.flatnonzero(mask)]
-            n_out = len(entry)
-        nominal = scaled_nominal_rows(
-            n_out, max(child.actual_rows, 1), child.nominal_rows
-        )
         return OperatorResult(
             TidSet({self.table: entry}),
-            actual_rows=n_out,
-            nominal_rows=nominal,
-            row_width_bytes=TID_BYTES,
+            *self.output_size(len(entry), child.actual_rows,
+                              child.nominal_rows)
         )
 
 
@@ -182,6 +193,7 @@ class TidIntersect(PhysicalOperator):
     """
 
     kind = "selection"
+    role = "intersect"
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
                  table: str, label: str = ""):
@@ -196,12 +208,21 @@ class TidIntersect(PhysicalOperator):
                             child_results: List[OperatorResult]) -> int:
         return sum(r.nominal_bytes for r in child_results) or TID_BYTES
 
+    def estimate(self, database: Database,
+                 child_estimates: List[OpEstimate]) -> OpEstimate:
+        smaller = min(c.out_rows for c in child_estimates)
+        return OpEstimate(
+            sum(c.out_bytes for c in child_estimates),
+            smaller * 0.5,
+            smaller * 0.5 * TID_BYTES,
+        )
+
     def run(self, database: Database,
             child_results: List[OperatorResult]) -> OperatorResult:
         left, right = child_results
         left_sel = left.payload.selection(self.table)
         right_sel = right.payload.selection(self.table)
-        if left_sel is not None and right_sel is not None and kernels.enabled():
+        if left_sel is not None and right_sel is not None:
             kernels.stats["masked_intersects"] += 1
             if left_sel.mask is None:
                 entry = right_sel
@@ -209,12 +230,11 @@ class TidIntersect(PhysicalOperator):
                 entry = left_sel
             else:
                 entry = SelectionVector(left_sel.mask & right_sel.mask)
-            n_out = len(entry)
         else:
             left_tids = left.payload.positions(self.table)
             right_tids = right.payload.positions(self.table)
             entry = np.intersect1d(left_tids, right_tids, assume_unique=True)
-            n_out = len(entry)
+        n_out = len(entry)
         nominal = scaled_nominal_rows(
             n_out,
             max(left.actual_rows, 1),

@@ -7,7 +7,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.engine.intermediates import OperatorResult, ResultFrame
-from repro.engine.operators.base import PhysicalOperator, TID_BYTES
+from repro.engine.operators.base import PhysicalOperator
 from repro.storage import Database
 
 
@@ -20,6 +20,7 @@ class Sort(PhysicalOperator):
     """
 
     kind = "sort"
+    role = "tail"
 
     def __init__(self, child: PhysicalOperator,
                  keys: List[Tuple[str, bool]], label: str = ""):
@@ -30,11 +31,6 @@ class Sort(PhysicalOperator):
 
     def state_key(self):
         return (tuple((name, bool(asc)) for name, asc in self.keys),)
-
-    def input_nominal_bytes(self, database: Database,
-                            child_results: List[OperatorResult]) -> int:
-        (child,) = child_results
-        return max(child.nominal_bytes, TID_BYTES)
 
     def run(self, database: Database,
             child_results: List[OperatorResult]) -> OperatorResult:
@@ -69,6 +65,7 @@ class Limit(PhysicalOperator):
     """Keep the first ``n`` rows of a ResultFrame."""
 
     kind = "limit"
+    role = "tail"
 
     def __init__(self, child: PhysicalOperator, n: int, label: str = ""):
         if n < 0:
@@ -78,11 +75,6 @@ class Limit(PhysicalOperator):
 
     def state_key(self):
         return (self.n,)
-
-    def input_nominal_bytes(self, database: Database,
-                            child_results: List[OperatorResult]) -> int:
-        (child,) = child_results
-        return max(child.nominal_bytes, TID_BYTES)
 
     def run(self, database: Database,
             child_results: List[OperatorResult]) -> OperatorResult:

@@ -97,8 +97,8 @@ def clear_database_caches() -> None:
     ssb_database.cache_clear()
     tpch_database.cache_clear()
     clear_workload_cache()
-    # Registry-wide: plan cache, kernel cache (join indexes and zone
-    # maps), and anything registered later.
+    # Registry-wide: plan cache, kernel cache (join indexes, lookups,
+    # bounds), and anything registered later.
     caches.invalidate_all()
 
 

@@ -286,11 +286,9 @@ def _morsel_worker_init(manifest, workload) -> None:
     ``workload`` is ``"ssb"`` / ``"tpch"`` (module lookup) or a tuple of
     ``(name, sql)`` pairs for custom SQL workloads.
     """
-    from repro.engine import kernels
     from repro.workloads import ssb, tpch
     from repro.workloads.base import sql_workload
 
-    kernels.enable(True)
     database = shm.attach_database(manifest)
     if workload in ("ssb", "tpch"):
         queries = {"ssb": ssb, "tpch": tpch}[workload].workload(database)

@@ -422,10 +422,6 @@ def canonical_row(row):
     )
 
 
-#: back-compat alias (pre-service-mode name)
-_canonical_row = canonical_row
-
-
 def workload_footprint_bytes(queries: List[WorkloadQuery],
                              database: Database) -> int:
     """Paper-scale memory footprint of a workload (Fig. 16): the total

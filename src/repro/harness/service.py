@@ -27,8 +27,8 @@ module runs the machine as a service:
   executor runs them on a forked :class:`ExecutionContext`), so every
   completed query is byte-identical to the reference engine evaluated
   over *its* snapshot; drained snapshots retire through the cache
-  registry, invalidating zone maps, join indexes, memoised plans, and
-  shm manifests.
+  registry, invalidating join indexes, memoised plans, size estimates,
+  and shm manifests.
 * **Chaos composition**: PR3 fault storms (``faults=``) hit mid-stream
   and are blamed per tenant; optionally each epoch's warm-up also runs
   through a PR8 self-healing :class:`MorselPool` under process chaos

@@ -17,7 +17,6 @@ package provides the storage substrate:
 
 from repro.storage.types import ColumnType
 from repro.storage.column import Column
-from repro.storage.blocks import ZoneMap, build_zone_map
 from repro.storage.table import Table
 from repro.storage.database import Database
 from repro.storage.epochs import EpochStore
@@ -30,8 +29,6 @@ __all__ = [
     "Database",
     "EpochStore",
     "Table",
-    "ZoneMap",
-    "build_zone_map",
 ]
 
 # repro.storage.compression is imported lazily by its users to keep the

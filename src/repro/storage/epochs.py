@@ -15,7 +15,7 @@ executes against that snapshot — results stay byte-identical to the
 reference engine evaluated over the same snapshot, however many
 appends land mid-query.  Once a superseded snapshot drains (no pins),
 :meth:`EpochStore.retire` invalidates everything derived from it —
-zone maps, join indexes, memoised plans, shm manifests — through the
+join indexes, memoised plans, size estimates, shm manifests — through the
 cache registry (:mod:`repro.engine.caches`), exactly the bookkeeping a
 real system performs when a delta merges into the read-optimised
 store.
@@ -23,7 +23,7 @@ store.
 Because each epoch is a distinct ``Database`` object and every derived
 cache in the engine is keyed per database, epoch isolation needs no
 cooperation from the execution layers: a query handed snapshot *e*
-builds zone maps and memoised results for *e* and can never observe
+builds join indexes and memoised results for *e* and can never observe
 rows appended after its admission.
 """
 

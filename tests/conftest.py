@@ -9,6 +9,15 @@ import pytest
 
 from repro.engine import morsel
 from repro.engine.execution import ExecutionContext
+from repro.engine.expressions import ColumnRef, Comparison, Literal
+from repro.engine.intermediates import OperatorResult, TidSet
+from repro.engine.operators import (
+    Materialize,
+    PhysicalPlan,
+    RefineSelect,
+    ScanSelect,
+    TidIntersect,
+)
 from repro.hardware import HardwareSystem, SystemConfig
 from repro.sim import Environment
 from repro.storage import ColumnType, Database
@@ -34,6 +43,53 @@ def operator_path():
             mock.patch.object(morsel, "execute_direct",
                               lambda plan, database: None):
         yield
+
+
+@contextmanager
+def materialised_scans():
+    """Inside the block every scan hands on a materialised tid array
+    instead of a lazy selection, and nothing fuses — so the operators'
+    general branches run: ``RefineSelect``'s gather-and-filter,
+    ``TidIntersect``'s ``intersect1d``, ``HashJoin``'s sort-and-search
+    expansion.  That is how the output of a join reaches them in any
+    plan; here whole workloads take them, as the reference the cached
+    structures are compared with.  The program has no switch for it."""
+    run = ScanSelect.run
+
+    def materialised(self, database, child_results):
+        result = run(self, database, child_results)
+        tids = result.payload.positions(self.table)
+        return OperatorResult(
+            TidSet({self.table: tids}), result.actual_rows,
+            result.nominal_rows, result.row_width_bytes)
+
+    with operator_path(), \
+            mock.patch.object(ScanSelect, "run", materialised):
+        yield
+
+
+def random_selection_plan(rng):
+    """A bushy tree of 6-10 filtered ``toy_db`` scans combined by
+    ``TidIntersect`` (some under a ``RefineSelect``), drawn from
+    ``rng`` (a ``random.Random``)."""
+    columns = ("skey", "amount", "price")
+
+    def scan():
+        column = rng.choice(columns)
+        return ScanSelect("sales", Comparison(
+            "<", ColumnRef("sales", column), Literal(rng.randint(5, 90))))
+
+    nodes = [scan() for _ in range(rng.randint(6, 10))]
+    while len(nodes) > 1:
+        left = nodes.pop(rng.randrange(len(nodes)))
+        right = nodes.pop(rng.randrange(len(nodes)))
+        node = TidIntersect(left, right, "sales")
+        if rng.random() < 0.3:
+            node = RefineSelect(node, "sales", Comparison(
+                ">", ColumnRef("sales", rng.choice(columns)), Literal(2)))
+        nodes.append(node)
+    return PhysicalPlan(Materialize(
+        nodes[0], [("amount", ColumnRef("sales", "amount"))]))
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -7,32 +7,35 @@ import random
 
 import pytest
 
-from tests.conftest import make_context
+from tests.conftest import make_context, random_selection_plan
 from repro.core.data_placement import DataPlacementManager
-from repro.core.placement import CriticalPath, critical_path
+from repro.core.placement import CriticalPath
+from repro.core.placement.critical_path import _Template
 from repro.core.placement.base import (
     PROCESSOR_KINDS,
     pending_transfer_seconds,
 )
-from repro.engine import Planner, caches, plan_cache
+from repro.engine import Planner, caches, operators, plan_cache
 from repro.engine.cardinality import estimate_selectivity
 from repro.engine.execution import ExecutionContext, execute_functional
 from repro.engine.expressions import ColumnRef, Comparison, Literal
 from repro.engine.operators import (
+    GroupByAggregate,
     HashJoin,
     Materialize,
-    PhysicalPlan,
+    OpEstimate,
     RefineSelect,
     ScanSelect,
     TidIntersect,
 )
+from repro.engine.operators.base import TID_BYTES
 from repro.hardware import SystemConfig
 from repro.harness import runner
 from repro.harness.experiments import clear_database_caches
 from repro.sql import bind
 from repro.storage.compression import compress_database
 from repro.storage.epochs import EpochStore
-from repro.workloads import ssb, tpch
+from repro.workloads import micro, ssb, tpch
 
 
 JOIN_SQL = (
@@ -353,26 +356,8 @@ class TestFlatCostingEqualsDefinition:
         """Bushy trees of 6-10 leaves: binary operators make single
         promotions plateau, and a small budget cuts the search short."""
         rng = random.Random(seed)
-        columns = ("skey", "amount", "price")
-
-        def scan():
-            column = rng.choice(columns)
-            return ScanSelect("sales", Comparison(
-                "<", ColumnRef("sales", column), Literal(rng.randint(5, 90))))
-
-        nodes = [scan() for _ in range(rng.randint(6, 10))]
-        n_leaves = len(nodes)
-        while len(nodes) > 1:
-            left = nodes.pop(rng.randrange(len(nodes)))
-            right = nodes.pop(rng.randrange(len(nodes)))
-            node = TidIntersect(left, right, "sales")
-            if rng.random() < 0.3:
-                node = RefineSelect(node, "sales", Comparison(
-                    ">", ColumnRef("sales", rng.choice(columns)), Literal(2)))
-            nodes.append(node)
-        plan = PhysicalPlan(Materialize(
-            nodes[0], [("amount", ColumnRef("sales", "amount"))]))
-        assert len(plan.leaves) == n_leaves >= 6
+        plan = random_selection_plan(rng)
+        assert len(plan.leaves) >= 6
         env, hw, ctx = make_context(toy_db)
         for column in toy_db.columns():
             if rng.random() < 0.6:
@@ -383,6 +368,146 @@ class TestFlatCostingEqualsDefinition:
         # capped search stays below every binary operator
         assert sum(p == "gpu" for p in capped.values()) <= 2
         assert set(full.values()) <= {"cpu", "gpu"}
+
+
+# -- per-class ``estimate`` == the type chain, over the real templates ------
+#
+# The size propagation as ``critical_path._sample`` first held it: one
+# ``isinstance`` branch per operator class.  Each branch now lives on its
+# class as ``estimate`` and ``_sample`` is a loop calling it; the chain
+# stays here as the reference, same float operations in the same order.
+
+def oracle_sample(database, plan):
+    estimates = {}  # filled in post order
+    for op in plan.operators:  # post order
+        children = [estimates[c.op_id] for c in op.children]
+        if isinstance(op, ScanSelect):
+            table = database.table(op.table)
+            selectivity = estimate_selectivity(
+                database, op.table, op.predicate
+            )
+            out_rows = selectivity * table.nominal_rows
+            out_bytes = (
+                out_rows * TID_BYTES if op.predicate is not None else 0.0
+            )
+            estimates[op.op_id] = OpEstimate(
+                op.input_nominal_bytes(database, []), out_rows, out_bytes,
+            )
+        elif isinstance(op, RefineSelect):
+            (child,) = children
+            selectivity = estimate_selectivity(
+                database, op.table, op.predicate
+            )
+            width = TID_BYTES + sum(
+                database.column(k).ctype.itemsize
+                for k in op.required_columns()
+            )
+            estimates[op.op_id] = OpEstimate(
+                child.out_rows * width,
+                child.out_rows * selectivity,
+                child.out_rows * selectivity * TID_BYTES,
+            )
+        elif isinstance(op, TidIntersect):
+            smaller = min(c.out_rows for c in children)
+            estimates[op.op_id] = OpEstimate(
+                sum(c.out_bytes for c in children),
+                smaller * 0.5,
+                smaller * 0.5 * TID_BYTES,
+            )
+        elif isinstance(op, HashJoin):
+            probe, build = children
+            build_rows = database.table(op.build_key.table).nominal_rows
+            build_selectivity = (
+                min(build.out_rows / build_rows, 1.0) if build_rows else 1.0
+            )
+            key_width = database.column(op.probe_key.key).ctype.itemsize
+            out_rows = probe.out_rows * build_selectivity
+            estimates[op.op_id] = OpEstimate(
+                (probe.out_rows + build.out_rows)
+                * (TID_BYTES + key_width),
+                out_rows,
+                out_rows * 2 * TID_BYTES,
+            )
+        elif isinstance(op, GroupByAggregate):
+            (child,) = children
+            width = TID_BYTES * (
+                len(op.group_refs) + max(len(op.aggregates), 1)
+            )
+            out_rows = min(child.out_rows, 10_000.0)
+            estimates[op.op_id] = OpEstimate(
+                child.out_rows * width, out_rows, out_rows * 2 * width
+            )
+        elif isinstance(op, Materialize):
+            (child,) = children
+            width = sum(
+                database.column(k).ctype.itemsize
+                for k in op.required_columns()
+            ) or TID_BYTES
+            estimates[op.op_id] = OpEstimate(
+                child.out_rows * width,
+                child.out_rows,
+                child.out_rows * width,
+            )
+        else:  # Sort, Limit and friends: volume-preserving
+            (child,) = children
+            estimates[op.op_id] = OpEstimate(
+                child.out_bytes, child.out_rows, child.out_bytes
+            )
+    position = {op_id: i for i, op_id in enumerate(estimates)}
+    return _Template(
+        tuple(estimates.values()),
+        tuple(tuple(position[c.op_id] for c in op.children)
+              for op in plan.operators),
+        tuple(position[leaf.op_id] for leaf in plan.leaves),
+        tuple(op.cpu_only for op in plan.operators),
+    )
+
+
+def assert_template_matches_oracle(database, plan):
+    """``_sample`` and the type chain agree field for field — values
+    *and* their types (an int volume stays an int); returns the classes
+    the plan covered."""
+    got = CriticalPath._sample(database, plan)
+    want = oracle_sample(database, plan)
+    assert got == want, plan.name
+    for op, size, expected in zip(plan.operators, got.sizes, want.sizes):
+        for field in OpEstimate._fields:
+            assert type(getattr(size, field)) is type(
+                getattr(expected, field)), (plan.name, op.label, field)
+    return {type(op).__name__ for op in plan.operators}
+
+
+class TestEstimatesEqualTheTypeChain:
+    def test_every_template(self, ssb_db, tpch_db, toy_db):
+        templates = [
+            (database, query.template_plan())
+            for database, queries in (
+                (ssb_db, ssb.workload(ssb_db)),
+                (tpch_db, tpch.workload(tpch_db)),
+                (ssb_db, micro.serial_selection_workload(ssb_db)),
+                (ssb_db, micro.parallel_selection_workload(ssb_db)),
+            )
+            for query in queries
+        ]
+        assert len(templates) == 13 + 6 + 8 + 1
+        # the frame-to-frame operators no shipped template plans
+        templates += [(toy_db, make_plan(toy_db, sql)) for sql in (
+            "select distinct region from store where size < 100",
+            "select skey, sum(amount) as s from sales group by skey "
+            "having s > 100 order by s desc limit 3",
+        )]
+        covered = set()
+        for database, plan in templates:
+            covered |= assert_template_matches_oracle(database, plan)
+        assert covered == {
+            "ScanSelect", "RefineSelect", "HashJoin", "GroupByAggregate",
+            "Materialize", "Sort", "Limit", "Distinct", "FrameFilter"}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_selection_trees(self, toy_db, seed):
+        plan = random_selection_plan(random.Random(seed))
+        covered = assert_template_matches_oracle(toy_db, plan)
+        assert "TidIntersect" in covered
 
 
 # -- the size memo: invalidated when it must be, invisible otherwise -------
@@ -396,7 +521,7 @@ def sampling_calls(monkeypatch):
         calls.append(table)
         return estimate_selectivity(database, table, predicate)
 
-    monkeypatch.setattr(critical_path, "estimate_selectivity", spy)
+    monkeypatch.setattr(operators.scan, "estimate_selectivity", spy)
     return calls
 
 

@@ -1,9 +1,10 @@
 """Kernel-acceleration layer: equivalence, caching, and invalidation.
 
-Every kernel (cached join indexes, zone-map pruned scans, lazy
-selection vectors) is a pure acceleration — these tests pin the
-byte-identity against the seed execution paths on the SSB and TPC-H
-grids, and the invalidation contract of the cache registry.
+Every kernel (cached join indexes, lazy selection vectors) is a pure
+acceleration — these tests pin the byte-identity against the
+operators' general branches (materialised tid arrays in, see
+``conftest.materialised_scans``) on the SSB and TPC-H grids, and the
+invalidation contract of the cache registry.
 """
 
 import numpy as np
@@ -11,17 +12,7 @@ import pytest
 
 from repro.engine import Planner, caches, execute_reference, kernels, plan_cache
 from repro.engine.execution import execute_functional, execute_operators
-from repro.engine.expressions import (
-    And,
-    Between,
-    ColumnRef,
-    Comparison,
-    InList,
-    Literal,
-    Not,
-    Or,
-)
-from repro.engine.frame import Frame
+from repro.engine.expressions import ColumnRef, Comparison, Literal
 from repro.engine.intermediates import SelectionVector, TidSet
 from repro.engine.operators import (
     HashJoin,
@@ -32,23 +23,21 @@ from repro.engine.operators import (
     TidIntersect,
 )
 from repro.sql import bind
-from repro.storage import ColumnType, Database, build_zone_map
+from repro.storage import ColumnType, Database
 from repro.storage.compression import compress_database
 from repro.workloads import micro, ssb, tpch
+
+from tests.conftest import materialised_scans
 
 
 @pytest.fixture(autouse=True)
 def _kernel_state():
-    """Each test starts from enabled kernels, default block size, and
-    empty caches; globals are restored afterwards."""
-    kernels.enable(True)
-    kernels.set_block_rows(None)
+    """Each test starts from empty caches and zeroed counters; the
+    caches are dropped again afterwards."""
     kernels.invalidate()
     plan_cache.invalidate()
     kernels.reset_stats()
     yield
-    kernels.enable(True)
-    kernels.set_block_rows(None)
     kernels.invalidate()
     plan_cache.invalidate()
 
@@ -106,90 +95,6 @@ class TestSelectionVector:
 
 
 # ---------------------------------------------------------------------------
-# Zone maps
-# ---------------------------------------------------------------------------
-
-class TestZoneMaps:
-    def test_build_matches_blockwise_loop(self):
-        rng = np.random.default_rng(7)
-        values = rng.integers(-50, 50, 1000).astype(np.int32)
-        zone_map = build_zone_map(values, 64)
-        assert zone_map.n_blocks == (1000 + 63) // 64
-        for block in range(zone_map.n_blocks):
-            start, stop = zone_map.block_bounds(block)
-            assert zone_map.mins[block] == values[start:stop].min()
-            assert zone_map.maxs[block] == values[start:stop].max()
-
-    def test_empty_column(self):
-        zone_map = build_zone_map(np.empty(0, dtype=np.int32), 64)
-        assert zone_map.n_blocks == 0
-
-    @pytest.mark.parametrize("predicate", [
-        Comparison("<", ColumnRef("t", "sorted"), Literal(2500)),
-        Comparison(">=", ColumnRef("t", "sorted"), Literal(9000)),
-        Comparison("=", ColumnRef("t", "sorted"), Literal(123)),
-        Comparison("<>", ColumnRef("t", "sorted"), Literal(123)),
-        Comparison(">", Literal(2500), ColumnRef("t", "sorted")),
-        Between(ColumnRef("t", "sorted"), Literal(100), Literal(900)),
-        InList(ColumnRef("t", "sorted"), [5, 700, 99999]),
-        Not(Comparison("<", ColumnRef("t", "sorted"), Literal(2500))),
-        And([
-            Comparison(">=", ColumnRef("t", "sorted"), Literal(1000)),
-            Comparison("<", ColumnRef("t", "random"), Literal(40)),
-        ]),
-        Or([
-            Comparison("<", ColumnRef("t", "sorted"), Literal(300)),
-            Comparison(">", ColumnRef("t", "sorted"), Literal(9700)),
-        ]),
-        Comparison("<=", ColumnRef("t", "name"), Literal("m")),
-        Comparison("=", ColumnRef("t", "name"), Literal("s0042")),
-        InList(ColumnRef("t", "name"), ["s0001", "s0002", "zzz"]),
-    ])
-    def test_pruned_scan_mask_identical(self, predicate):
-        db = Database("zones")
-        table = db.create_table("t", nominal_rows=10_000)
-        table.add_column("sorted", ColumnType.INT32, np.arange(10_000))
-        rng = np.random.default_rng(11)
-        table.add_column("random", ColumnType.INT32,
-                         rng.integers(0, 100, 10_000))
-        table.add_string_column(
-            "name", ["s{:04d}".format(i % 300) for i in range(10_000)]
-        )
-        kernels.set_block_rows(128)
-        cache = kernels.cache_for(db)
-        expected = np.asarray(predicate.evaluate(Frame(db)), dtype=bool)
-        mask = kernels.scan_mask(db, "t", predicate, cache)
-        if mask is not None:
-            assert np.array_equal(mask, expected)
-
-    def test_clustered_scan_skips_blocks(self):
-        db = Database("zones")
-        table = db.create_table("t", nominal_rows=10_000)
-        table.add_column("sorted", ColumnType.INT32, np.arange(10_000))
-        kernels.set_block_rows(128)
-        cache = kernels.cache_for(db)
-        predicate = Comparison("<", ColumnRef("t", "sorted"), Literal(1000))
-        mask = kernels.scan_mask(db, "t", predicate, cache)
-        assert mask is not None
-        assert kernels.stats["scans_pruned"] == 1
-        assert kernels.stats["blocks_skipped"] > 0
-        assert kernels.stats["blocks_short_circuited"] > 0
-
-    def test_unclustered_predicate_declines(self):
-        db = Database("zones")
-        table = db.create_table("t", nominal_rows=10_000)
-        rng = np.random.default_rng(3)
-        table.add_column("random", ColumnType.INT32,
-                         rng.integers(0, 100, 10_000))
-        kernels.set_block_rows(128)
-        cache = kernels.cache_for(db)
-        predicate = Comparison("<", ColumnRef("t", "random"), Literal(50))
-        # Every block straddles the bound: pruning must decline rather
-        # than pay per-block evaluation.
-        assert kernels.scan_mask(db, "t", predicate, cache) is None
-
-
-# ---------------------------------------------------------------------------
 # Cached join indexes
 # ---------------------------------------------------------------------------
 
@@ -216,9 +121,9 @@ class TestCachedJoinIndexes:
                                  database).payload.row_tuples()
 
     def test_filtered_dense_build_matches_seed(self, toy_db):
-        kernels.enable(False)
-        expected = self._rows(toy_db)
-        kernels.enable(True)
+        with materialised_scans():
+            expected = self._rows(toy_db)
+        assert kernels.stats["dense_joins"] == 0
         got = self._rows(toy_db)
         assert got == expected
         # store.id is a dense ascending key: the join must have taken
@@ -259,31 +164,26 @@ class TestCachedJoinIndexes:
             result = execute_functional(PhysicalPlan(root, name="nd"), db)
             return result.payload.row_tuples()
 
-        kernels.enable(False)
-        expected = rows()
-        kernels.enable(True)
+        with materialised_scans():
+            expected = rows()
+        assert kernels.stats["join_index_builds"] == 0
         assert rows() == expected
         assert kernels.stats["dense_joins"] == 0
         assert kernels.stats["join_index_builds"] >= 1
 
     def test_ssb_queries_identical_with_and_without_kernels(self, ssb_db):
         for name, sql in ssb.QUERIES.items():
-            kernels.enable(False)
-            expected = run_query(ssb_db, sql, name)
-            kernels.enable(True)
-            kernels.set_block_rows(96)
+            with materialised_scans():
+                expected = run_query(ssb_db, sql, name)
             assert run_query(ssb_db, sql, name) == expected, name
 
     def test_tpch_queries_identical_with_and_without_kernels(self, tpch_db):
         for name, sql in tpch.QUERIES.items():
-            kernels.enable(False)
-            expected = run_query(tpch_db, sql, name)
-            kernels.enable(True)
-            kernels.set_block_rows(96)
+            with materialised_scans():
+                expected = run_query(tpch_db, sql, name)
             assert run_query(tpch_db, sql, name) == expected, name
 
     def test_ssb_agrees_with_reference_under_kernels(self, ssb_db):
-        kernels.set_block_rows(96)
         name = "Q2.1"
         spec = bind(ssb.QUERIES[name], ssb_db, name=name)
         plan = Planner(ssb_db).plan(spec)
@@ -335,9 +235,9 @@ class TestProbers:
             return execute_operators(PhysicalPlan(root, name="sparse"),
                                      sparse_db).payload.row_tuples()
 
-        kernels.enable(False)
-        expected = rows()
-        kernels.enable(True)
+        with materialised_scans():
+            expected = rows()
+        assert kernels.stats["lookup_joins"] == 0
         assert rows() == expected
         assert kernels.stats["lookup_joins"] >= 1
         assert kernels.stats["dense_joins"] == 0
@@ -381,9 +281,9 @@ class TestLazySelectionChains:
             plan = micro.build_parallel_selection_plan(ssb_db)
             return execute_operators(plan, ssb_db).payload.row_tuples()
 
-        kernels.enable(False)
-        expected = rows()
-        kernels.enable(True)
+        with materialised_scans():
+            expected = rows()
+        assert kernels.stats["masked_refines"] == 0
         got = rows()
         assert got == expected
         assert kernels.stats["masked_refines"] >= 3
@@ -404,9 +304,9 @@ class TestLazySelectionChains:
             plan = PhysicalPlan(root, name="and")
             return execute_functional(plan, toy_db).payload.row_tuples()
 
-        kernels.enable(False)
-        expected = rows()
-        kernels.enable(True)
+        with materialised_scans():
+            expected = rows()
+        assert kernels.stats["masked_intersects"] == 0
         got = rows()
         assert got == expected
         assert kernels.stats["masked_intersects"] >= 1
@@ -453,12 +353,6 @@ class TestInvalidation:
         after = execute_functional(_join_plan(toy_db),
                                    toy_db).payload.row_tuples()
         assert before == after
-
-    def test_disable_restores_seed_payloads(self, toy_db):
-        kernels.enable(False)
-        result = ScanSelect("sales").run(toy_db, [])
-        assert isinstance(result.payload.positions("sales"), np.ndarray)
-        assert result.payload.selection("sales") is None
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from repro.harness import experiments as E
 from repro.harness.runner import functional_warm, run_workload
 from repro.sql import bind
 from repro.storage import ColumnType, Database, shm
-from repro.workloads import sql_workload, ssb, tpch
+from repro.workloads import micro, sql_workload, ssb, tpch
 
 from tests.conftest import operator_path
 
@@ -44,14 +44,11 @@ FORK_OK = "fork" in multiprocessing.get_all_start_methods()
 
 @pytest.fixture(autouse=True)
 def _fresh_engine_state():
-    """Kernels on, plan cache off (every execution must re-run),
-    counters zeroed."""
+    """Plan cache off (every execution must re-run), counters zeroed."""
     plan_cache.enable(False)
-    kernels.enable(True)
     morsel.reset_stats()
     yield
     plan_cache.enable(True)
-    kernels.enable(True)
     morsel.set_morsel_rows(None)
 
 
@@ -152,17 +149,21 @@ def _assert_records_identical(db, fresh_plan, label=""):
 MORSEL_SIZES = [64, 1000, 65536, 1_000_000_000]
 
 
-@pytest.mark.parametrize("module,fixture", [(ssb, "ssb_db"),
-                                            (tpch, "tpch_db")])
+@pytest.mark.parametrize("module,fixture", [
+    (ssb, "ssb_db"), (tpch, "tpch_db"),
+    # B.2's scan + three refines: the one shipped chain of RefineSelects
+    (micro, "ssb_db")])
 @pytest.mark.parametrize("rows_per_morsel", MORSEL_SIZES)
 def test_recorded_operators_match_operator_path(module, fixture,
                                                 rows_per_morsel, request):
     db = request.getfixturevalue(fixture)
+    queries = (micro.parallel_selection_workload(db) if module is micro
+               else module.workload(db))
     with morsel.sized(rows_per_morsel):
-        for query in module.workload(db):
+        for query in queries:
             _assert_records_identical(db, query.instantiate, query.name)
     stats = morsel.snapshot_stats()
-    assert stats["fused_queries"] == len(module.QUERIES)
+    assert stats["fused_queries"] == len(queries)
     assert stats["declined_queries"] == 0  # every template fuses
 
 
@@ -209,20 +210,27 @@ def test_edge_shapes_through_sparse_finalisation(name, rows_per_morsel):
     reference = execute_operators(query.instantiate(), db)
     with morsel.sized(rows_per_morsel):
         _assert_records_identical(db, query.instantiate, name)
+        sequential = execute_functional(query.instantiate(), db).payload
         pipe = morsel.build(query.instantiate(), db)
         assert pipe.dense is not None
-        if not pipe.compensated:
-            # ... and the pooled form: chunk partials merged at the
-            # breaker (float sums round by chunk order; the pool's own
-            # gate owns those)
-            half = pipe.fact_rows // 2
-            merged = pipe.merge([pipe.run_chunk(0, half),
-                                 pipe.run_chunk(half, pipe.fact_rows)])
+        # ... and the pooled form: chunk partials merged at the breaker
+        half = pipe.fact_rows // 2
+        merged = pipe.merge([pipe.run_chunk(0, half),
+                             pipe.run_chunk(half, pipe.fact_rows)])
+        assert (merged.actual_rows, merged.nominal_rows,
+                merged.row_width_bytes) == (
+            reference.actual_rows, reference.nominal_rows,
+            reference.row_width_bytes)
+        # one dtype per column, whichever path produced it
+        dtypes = {column: array.dtype for column, array
+                  in reference.payload.columns.items()}
+        for payload in (merged.payload, sequential):
+            assert {column: array.dtype for column, array
+                    in payload.columns.items()} == dtypes, name
+        if not pipe.compensated or name == "empty_scalar_float":
+            # (float sums over rows round by chunk order; the pool's
+            # own gate owns their values)
             _assert_same_payload(merged.payload, reference.payload, name)
-            assert (merged.actual_rows, merged.nominal_rows,
-                    merged.row_width_bytes) == (
-                reference.actual_rows, reference.nominal_rows,
-                reference.row_width_bytes)
     if name.startswith("empty_scalar"):
         assert reference.actual_rows == 1
     elif name == "empty_grouped":
@@ -268,7 +276,6 @@ def test_random_queries_identical_across_morsel_sizes(
     db = RAND_DBS[seed]
     sql = template.format("y {} {}".format(op, literal))
     plan_cache.enable(False)
-    kernels.enable(True)
 
     def run(execute):
         plan = Planner(db).plan(bind(sql, db, name="rand"))
@@ -488,8 +495,7 @@ def test_warm_run_builds_nothing(monkeypatch):
         monkeypatch.setattr(
             morsel, "build",
             lambda plan, database: calls.append("morsel.build"))
-        for method in ("join_index", "position_lookup", "column_bounds",
-                       "zone_map"):
+        for method in ("join_index", "position_lookup", "column_bounds"):
             monkeypatch.setattr(
                 kernels.KernelCache, method,
                 lambda self, column, _m=method: calls.append(_m))

@@ -1,9 +1,13 @@
 """Unit tests for the physical operators (functional semantics and
 nominal-size accounting) against brute-force numpy oracles."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+import repro
 from repro.engine.expressions import (
     Aggregate,
     Arithmetic,
@@ -14,17 +18,23 @@ from repro.engine.expressions import (
 )
 from repro.engine.intermediates import OperatorResult, ResultFrame, TidSet
 from repro.engine.operators import (
+    Distinct,
+    FrameFilter,
     GroupByAggregate,
     HashJoin,
     Limit,
     Materialize,
+    PhysicalOperator,
     PhysicalPlan,
+    ROLES,
     RefineSelect,
     ScanSelect,
     Sort,
     TidIntersect,
 )
 from repro.engine.operators.base import TID_BYTES
+from repro.hardware.calibration import COGADB_PROFILE, OCELOT_PROFILE
+from repro.hardware.processor import ProcessorKind
 
 
 AMOUNT = ColumnRef("sales", "amount")
@@ -33,6 +43,106 @@ SKEY = ColumnRef("sales", "skey")
 SID = ColumnRef("store", "id")
 REGION = ColumnRef("store", "region")
 SIZE = ColumnRef("store", "size")
+
+
+# -- an operator is declared once, on its class ----------------------------
+
+def _operator_classes():
+    """Every concrete operator class the program defines."""
+    found, pending = [], [PhysicalOperator]
+    while pending:
+        for cls in pending.pop().__subclasses__():
+            pending.append(cls)
+            if cls.__module__.startswith("repro."):
+                found.append(cls)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+def _one_of_each():
+    """{class: an instance} — a new operator class needs an entry."""
+    scan = ScanSelect("sales")
+    predicate = Comparison("<", AMOUNT, Literal(30))
+    frame = GroupByAggregate(scan, [], [Aggregate("sum", AMOUNT, "s")])
+    instances = (
+        scan, RefineSelect(scan, "sales", predicate),
+        TidIntersect(scan, scan, "sales"),
+        HashJoin(scan, ScanSelect("store"), SKEY, SID), frame,
+        Materialize(scan, [("amount", AMOUNT)]), Sort(frame, [("s", True)]),
+        Limit(frame, 1), Distinct(frame), FrameFilter(frame, predicate),
+    )
+    return {type(op): op for op in instances}
+
+
+#: children per plan shape
+ARITY = {"scan": 0, "refine": 1, "intersect": 2, "join": 2,
+         "aggregate": 1, "project": 1, "tail": 1}
+
+#: the classes that inherit ``PhysicalOperator.estimate`` on purpose:
+#: frame in, frame out, volume preserved
+VOLUME_PRESERVING = {Sort, Limit, Distinct, FrameFilter}
+
+
+class TestOperatorDeclarations:
+    """What the engine, the cost models and compile-time placement ask
+    of an operator is answered on its class, and nowhere else."""
+
+    def test_every_class_is_sampled(self):
+        assert len(_operator_classes()) >= 10
+        assert set(_operator_classes()) == set(_one_of_each())
+
+    @pytest.mark.parametrize("cls", _operator_classes(),
+                             ids=lambda cls: cls.__name__)
+    def test_declaration_is_complete(self, cls):
+        assert set(ARITY) == set(ROLES)
+        assert cls.role in ROLES
+        assert len(_one_of_each()[cls].children) == ARITY[cls.role]
+        # a missing curve would be a KeyError in the middle of a run
+        for profile in (COGADB_PROFILE, OCELOT_PROFILE):
+            assert profile.compute_seconds(
+                cls.kind, ProcessorKind.CPU, 1.0) > 0
+            if not cls.cpu_only:
+                assert profile.compute_seconds(
+                    cls.kind, ProcessorKind.GPU, 1.0) > 0
+        inherits = cls.estimate is PhysicalOperator.estimate
+        assert inherits == (cls in VOLUME_PRESERVING)
+        assert cls.run is not PhysicalOperator.run
+
+    def test_no_type_tests_outside_the_class(self):
+        """No ``isinstance(x, <operator class or tuple of them>)`` in
+        ``src/repro`` outside the module that defines the class:
+        capability questions read the declaration."""
+        home = {cls.__name__: cls.__module__ for cls in _operator_classes()}
+
+        def named(node, aliases):
+            """Operator class names an expression mentions."""
+            if isinstance(node, ast.Tuple):
+                return [name for element in node.elts
+                        for name in named(element, aliases)]
+            name = getattr(node, "id", getattr(node, "attr", None))
+            return aliases.get(name) or ([name] if name in home else [])
+
+        root = pathlib.Path(repro.__file__).parent
+        offences = []
+        for path in sorted(root.rglob("*.py")):
+            module = ".".join(
+                ("repro",) + path.relative_to(root).with_suffix("").parts)
+            tree = ast.parse(path.read_text())
+            # module-level tuples of classes, tested through their name
+            aliases = {}
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and named(node.value, {}):
+                    for target in node.targets:
+                        aliases[target.id] = named(node.value, {})
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", "") == "isinstance"
+                        and len(node.args) == 2):
+                    offences += [
+                        "{}:{} isinstance(., {})".format(
+                            path.relative_to(root), node.lineno, name)
+                        for name in named(node.args[1], aliases)
+                        if home[name] != module]
+        assert offences == []
 
 
 class TestScanSelect:

@@ -26,7 +26,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.engine import kernels, morsel, plan_cache
+from repro.engine import morsel, plan_cache
 from repro.engine.execution import (
     LifecycleConfig,
     execute_functional,
@@ -59,11 +59,9 @@ pool_ready = pytest.mark.skipif(
 @pytest.fixture(autouse=True)
 def _fresh_engine_state():
     plan_cache.enable(False)
-    kernels.enable(True)
     morsel.reset_stats()
     yield
     plan_cache.enable(True)
-    kernels.enable(True)
     morsel.set_morsel_rows(None)
 
 

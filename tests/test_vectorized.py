@@ -1,19 +1,26 @@
 """Tests for the vector-at-a-time processing model (Sec. 5.5)."""
 
+import random
+
 import pytest
 
-from tests.conftest import make_context
+from tests.conftest import make_context, random_selection_plan
 from repro.core import STRATEGY_NAMES
 from repro.core.placement import DataDrivenRuntime, RuntimeHype
 from repro.engine import Planner
 from repro.engine.execution import VectorizedExecutor, execute_functional
 from repro.engine.execution.vectorized import Pipeline, build_pipelines
-from repro.engine.operators import GroupByAggregate, HashJoin, ScanSelect
+from repro.engine.operators import (
+    GroupByAggregate,
+    HashJoin,
+    RefineSelect,
+    ScanSelect,
+)
 from repro.harness import run_workload
 from repro.hardware import SystemConfig
 from repro.hardware.calibration import GIB, MIB
 from repro.sql import bind
-from repro.workloads import micro, sql_workload, ssb
+from repro.workloads import micro, sql_workload, ssb, tpch
 
 
 JOIN_SQL = (
@@ -26,7 +33,58 @@ def make_plan(db, sql=JOIN_SQL, name="q"):
     return Planner(db).plan(bind(sql, db, name=name))
 
 
+def oracle_pipelines(plan):
+    """``build_pipelines`` as it was first written: one branch per
+    operator class.  The generic walk over declared roles is checked
+    against it."""
+    chains = []
+
+    def walk(op):
+        if isinstance(op, HashJoin):
+            probe_chain = walk(op.children[0])
+            build_chain = walk(op.children[1])
+            # the build side breaks here: its chain materialises into
+            # the join's hash table
+            chains.append(build_chain)
+            return probe_chain + [op]
+        if isinstance(op, RefineSelect):
+            return walk(op.children[0]) + [op]
+        if isinstance(op, ScanSelect):
+            return [op]
+        # breaker: every child chain materialises before it runs
+        for child in op.children:
+            chains.append(walk(child))
+        return [op]
+
+    chains.append(walk(plan.root))
+    return chains
+
+
 class TestPipelineConstruction:
+    def test_role_walk_equals_the_type_chain(self, ssb_db, tpch_db, toy_db):
+        plans = [
+            query.template_plan()
+            for queries in (
+                ssb.workload(ssb_db),
+                tpch.workload(tpch_db),
+                micro.serial_selection_workload(ssb_db),
+                micro.parallel_selection_workload(ssb_db),
+            )
+            for query in queries
+        ]
+        assert len(plans) == 13 + 6 + 8 + 1
+        # ... and bushy trees whose binary operator is a breaker
+        plans += [random_selection_plan(random.Random(seed))
+                  for seed in range(6)]
+        plans.append(make_plan(toy_db))
+        def named(chains):  # the very operators, not just equal labels
+            return [[(op.label, op.op_id) for op in chain]
+                    for chain in chains]
+
+        for plan in plans:
+            assert named(build_pipelines(plan)) == named(
+                oracle_pipelines(plan)), plan.name
+
     def test_join_plan_pipelines(self, toy_db):
         plan = make_plan(toy_db)
         chains = build_pipelines(plan)
