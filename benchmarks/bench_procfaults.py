@@ -97,9 +97,11 @@ CHAOS_SPEC = dict(crash=0.05, hang=0.02, slowexit=0.02, unlinkrace=0.01,
 #: get killed as false hangs; each *planned* hang burns one deadline
 #: of wall clock, which the makespan budget must absorb.
 HEARTBEAT = 0.75
-#: soak morsel size: workers heartbeat once per morsel, so morsels must
-#: be small enough that a busy 1-cpu box cannot starve a healthy worker
-#: past the heartbeat deadline (a false hang kill)
+#: soak morsel size: a worker's compute loop can beat only between
+#: morsels (it does once a quarter of the deadline has passed in
+#: silence), so morsels must be small enough that a busy 1-cpu box
+#: cannot starve a healthy worker past the heartbeat deadline (a false
+#: hang kill)
 SOAK_MORSEL_ROWS = 8192
 
 POOL_OK = ("fork" in multiprocessing.get_all_start_methods())

@@ -170,7 +170,7 @@ class ResultFrame:
         if lookup is None:
             lookup = np.asarray(dictionary, dtype=object)
             self._dict_arrays[name] = lookup
-        return list(lookup[values])
+        return list(lookup.take(values))
 
     def row_tuples(self) -> List[tuple]:
         """All rows as tuples with strings decoded (for tests/output)."""

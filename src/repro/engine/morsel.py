@@ -18,9 +18,10 @@ table:
 * grouped aggregates reduce through a mixed-radix *dense group id*
   (radixes from cached column bounds) into sparse partials — present
   group ids, their row counts, per-aggregate reductions.  Pool workers
-  ship one per chunk and the breaker merges them; the sequential path
-  reduces the fused chain's output to a single partial — either way
-  skipping the operator path's multi-column ``np.unique`` sort.
+  ship one per chunk and the breaker merges them in the space of the
+  group ids that occur (never over the dense domain); the sequential
+  path reduces the fused chain's output to a single partial — either
+  way skipping the operator path's multi-column ``np.unique`` sort.
 
 Everything is byte-identical to the operator path.  The proofs are
 local: elementwise predicates commute with slicing; restricting the
@@ -67,8 +68,11 @@ from repro.storage.types import ColumnType
 #: hand out.
 DEFAULT_MORSEL_ROWS = 65536
 
-#: Dense group-id domains above this decline to the barrier aggregate:
-#: the accumulators would outweigh the rows they summarise.
+#: Dense group-id domains above this decline to the barrier aggregate.
+#: Nothing of this size is ever allocated (partials and their merge are
+#: sparse): the cap keeps the mixed-radix ids far inside int64, and it
+#: decides which aggregates count under ``barrier_breakers`` — so its
+#: value is part of the pinned statistics.
 GROUP_DOMAIN_CAP = 1 << 21
 
 _morsel_rows_override: Optional[int] = None
@@ -197,7 +201,7 @@ class MorselPartial:
     """Picklable per-morsel result shipped from pool workers.
 
     ``kind`` is ``"agg"`` (sparse partial aggregates: present group
-    ids, their row counts, and per-aggregate accumulator slices),
+    ids, their row counts, and per-aggregate sums / extrema),
     ``"frame"`` (materialised column chunks), or ``"none"`` (recording
     runs carry their state in the sink instead).
     """
@@ -219,17 +223,13 @@ class MorselPartial:
 
 
 class _Accumulator:
-    """Breaker-side merge state for one pooled execution."""
+    """The partials of one pooled execution, buffered in absorb order
+    until :meth:`FusedPipeline._pack_chunk` merges them."""
 
-    __slots__ = ("kind", "counts", "sums", "extrema", "comps", "chunks")
+    __slots__ = ("kind", "chunks")
 
     def __init__(self, kind):
         self.kind = kind
-        self.counts = None
-        self.sums: Dict[str, np.ndarray] = {}
-        self.extrema: Dict[str, np.ndarray] = {}
-        #: Neumaier compensation terms for float sum/avg aliases
-        self.comps: Dict[str, np.ndarray] = {}
         self.chunks: List[MorselPartial] = []
 
 
@@ -417,66 +417,19 @@ class FusedPipeline:
     # -- merging (pooled) ---------------------------------------------
 
     def new_accumulator(self) -> _Accumulator:
-        if self.breaker_kind == "frame":
-            return _Accumulator("frame")
-        if self.dense is None:
+        if not self.supports_partials:
             raise Decline("no_partials")
-        acc = _Accumulator("agg")
-        acc.counts = np.zeros(self.dense.domain, dtype=np.int64)
-        for term in self.dense.aggs:
-            aggregate = term.aggregate
-            if aggregate.func in ("sum", "avg"):
-                acc.sums[aggregate.alias] = np.zeros(self.dense.domain)
-                if term.compensated:
-                    acc.comps[aggregate.alias] = np.zeros(self.dense.domain)
-            elif aggregate.func == "min":
-                acc.extrema[aggregate.alias] = np.full(self.dense.domain,
-                                                       np.inf)
-            elif aggregate.func == "max":
-                acc.extrema[aggregate.alias] = np.full(self.dense.domain,
-                                                       -np.inf)
-        return acc
+        return _Accumulator(self.breaker_kind)
 
     def absorb(self, acc: _Accumulator, partial: MorselPartial) -> None:
-        """Merge one morsel partial.  Aggregate merging is order-free
-        (integer sums are exact, extrema commute); frame chunks are
-        ordered by morsel index at finalisation."""
+        """Buffer one morsel partial for :meth:`_pack_chunk`, which
+        merges aggregate partials in absorb order (integer sums are
+        exact and extrema commute; compensated float sums keep the
+        order) and frame chunks by morsel index."""
         if partial.kind == "none":
             return
         stats["partial_merges"] += 1
-        if partial.kind == "frame":
-            acc.chunks.append(partial)
-            return
-        present = partial.present
-        acc.counts[present] += partial.counts
-        for term in self.dense.aggs:
-            aggregate = term.aggregate
-            if aggregate.func == "count":
-                continue
-            shipped = partial.values[aggregate.alias]
-            if aggregate.func in ("sum", "avg"):
-                if term.compensated:
-                    # Neumaier: accumulate the rounding error of every
-                    # merge so finalisation can add it back in one step.
-                    stats["compensated_merges"] += 1
-                    target = acc.sums[aggregate.alias]
-                    old = target[present]
-                    merged = old + shipped
-                    lost = np.where(
-                        np.abs(old) >= np.abs(shipped),
-                        (old - merged) + shipped,
-                        (shipped - merged) + old,
-                    )
-                    acc.comps[aggregate.alias][present] += lost
-                    target[present] = merged
-                else:
-                    acc.sums[aggregate.alias][present] += shipped
-            elif aggregate.func == "min":
-                target = acc.extrema[aggregate.alias]
-                target[present] = np.minimum(target[present], shipped)
-            else:
-                target = acc.extrema[aggregate.alias]
-                target[present] = np.maximum(target[present], shipped)
+        acc.chunks.append(partial)
 
     def _absorb_all(self, partials):
         """Absorb ``partials`` (consumed in order, so a generator may
@@ -581,7 +534,13 @@ class FusedPipeline:
     def _pack_chunk(self, index: int, acc: _Accumulator,
                     totals: Optional[Tuple[int, ...]]) -> MorselPartial:
         """One accumulator as one partial: what a worker ships per
-        chunk, and the form :meth:`finalize` finishes from."""
+        chunk, and the form :meth:`finalize` finishes from.
+
+        Aggregate partials merge where the groups are: ``union`` is the
+        sorted set of group ids present in any partial and each partial
+        scatters into it through ``searchsorted`` — no array of the
+        dense domain's size exists, and what is buffered is bounded by
+        the rows behind it (every present id stands for at least one)."""
         if acc.kind == "frame":
             chunks = sorted(acc.chunks, key=lambda partial: partial.index)
             merged = self.breaker.project(
@@ -592,20 +551,59 @@ class FusedPipeline:
             )
             return MorselPartial(index, "frame", frame=merged.columns,
                                  chain_counts=totals)
-        present = (np.flatnonzero(acc.counts) if self.dense.grouped
-                   else np.arange(1))
+        if self.dense.grouped:
+            union = np.unique(np.concatenate(
+                [np.empty(0, dtype=np.int64)]
+                + [partial.present for partial in acc.chunks]))
+        else:  # the one group exists even over zero rows
+            union = np.arange(1)
+        n_groups = len(union)
+        counts = np.zeros(n_groups, dtype=np.int64)
         values: Dict[str, np.ndarray] = {}
-        for alias, sums in acc.sums.items():
-            values[alias] = sums[present]
-            if alias in acc.comps:
-                # Collapse the compensation into the shipped value; a
-                # parent re-compensates its own merges.
-                values[alias] = values[alias] + acc.comps[alias][present]
-        for alias, extrema in acc.extrema.items():
-            values[alias] = extrema[present]
-        return MorselPartial(index, "agg", present=present,
-                             counts=acc.counts[present], values=values,
-                             chain_counts=totals)
+        # Neumaier compensation terms for float sum/avg aliases
+        comps: Dict[str, np.ndarray] = {}
+        for term in self.dense.aggs:
+            func, alias = term.aggregate.func, term.aggregate.alias
+            if func in ("sum", "avg"):
+                values[alias] = np.zeros(n_groups)
+                if term.compensated:
+                    comps[alias] = np.zeros(n_groups)
+            elif func != "count":
+                values[alias] = np.full(
+                    n_groups, np.inf if func == "min" else -np.inf)
+        for partial in acc.chunks:
+            present = np.searchsorted(union, partial.present)
+            counts[present] += partial.counts
+            for term in self.dense.aggs:
+                func, alias = term.aggregate.func, term.aggregate.alias
+                if func == "count":
+                    continue
+                shipped, target = partial.values[alias], values[alias]
+                if term.compensated:
+                    # Neumaier: accumulate the rounding error of every
+                    # merge so it can be added back in one step.
+                    stats["compensated_merges"] += 1
+                    old = target[present]
+                    merged = old + shipped
+                    lost = np.where(
+                        np.abs(old) >= np.abs(shipped),
+                        (old - merged) + shipped,
+                        (shipped - merged) + old,
+                    )
+                    comps[alias][present] += lost
+                    target[present] = merged
+                elif func in ("sum", "avg"):
+                    target[present] += shipped
+                elif func == "min":
+                    target[present] = np.minimum(target[present], shipped)
+                else:
+                    target[present] = np.maximum(target[present], shipped)
+        for alias, comp in comps.items():
+            # Collapse the compensation into the shipped value; a
+            # parent re-compensates its own merges.
+            values[alias] = values[alias] + comp
+        return MorselPartial(index, "agg", present=union, counts=counts,
+                             values=values, chain_counts=totals)
 
     def _chain_sizes(self, totals: Tuple[int, ...]
                      ) -> List[Tuple[int, int, int]]:

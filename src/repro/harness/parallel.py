@@ -343,11 +343,15 @@ def _pool_worker_main(index: int, manifest, workload,
     depend only on the parent's deterministic plan, never on worker
     scheduling.
 
-    Liveness is signalled two ways: a background heartbeater thread
-    beats at a fixed cadence (covering long uninterruptible phases like
-    join-build inside the first morsel), and the compute loop beats
-    once per morsel.  The injected hang freezes *both* — it models a
-    fully stuck process — so the parent's watchdog still fires.
+    Liveness is signalled by time, not by volume: a background
+    heartbeater thread beats every ``beat_every`` seconds (covering long
+    uninterruptible phases like join-build inside the first morsel), and
+    the compute loop beats after a morsel only once ``beat_every`` has
+    passed since this worker last sent *anything* — so a progressing
+    worker is heard from at least every ``beat_every`` plus one morsel,
+    and a chunk shorter than that sends one message, its result.  The
+    injected hang freezes *both* — it models a fully stuck process — so
+    the parent's watchdog still fires.
     """
     import threading
     import time
@@ -371,10 +375,13 @@ def _pool_worker_main(index: int, manifest, workload,
     hb_frozen = threading.Event()
     beat_every = (heartbeat_seconds / 4.0
                   if heartbeat_seconds else 0.5)
+    last_sent = monotonic()
 
     def _send(message) -> None:
+        nonlocal last_sent
         with send_lock:
             result_w.send(message)
+            last_sent = monotonic()
 
     def _heartbeater() -> None:
         while not hb_stop.wait(beat_every):
@@ -404,10 +411,13 @@ def _pool_worker_main(index: int, manifest, workload,
                 # Freeze all heartbeats; the parent's watchdog kills us.
                 hb_frozen.set()
                 time.sleep(directive.seconds)
+
+        def _progress() -> None:
+            if monotonic() - last_sent >= beat_every:
+                _send(("hb", task_id))
+
         try:
-            partial = _morsel_chunk(
-                name, start, stop,
-                progress=lambda: _send(("hb", task_id)))
+            partial = _morsel_chunk(name, start, stop, progress=_progress)
         except Exception as exc:
             _send(("err", task_id, repr(exc)))
             continue
@@ -582,6 +592,10 @@ class MorselPool:
         self._task_seq = 0
         self._restarts_used = 0
         self._float_gate: Dict[str, bool] = {}
+        #: query name -> its FusedPipeline (None: fusion declined), built
+        #: on first use and kept like the workers keep theirs — the
+        #: database behind a pool never changes
+        self._pipelines: Dict[str, object] = {}
         self._workers: List[_Worker] = [
             self._spawn_worker(i) for i in range(self.jobs)
         ]
@@ -668,9 +682,10 @@ class MorselPool:
         worker.task = task
         worker.task_id = task_id
         worker.last_beat = monotonic()
-        cpu = _proc_cpu_seconds(worker.process.pid)
-        if cpu is not None:
-            worker.last_cpu = cpu
+        if self.heartbeat_seconds is not None:  # the watchdog's baseline
+            cpu = _proc_cpu_seconds(worker.process.pid)
+            if cpu is not None:
+                worker.last_cpu = cpu
         return True
 
     def _run_inproc(self, state: _QueryRun, task: _ChunkTask) -> None:
@@ -857,16 +872,21 @@ class MorselPool:
         return execute_functional(query.instantiate(), self.database)
 
     def run_query(self, name: str):
-        """Execute one workload query; returns its root OperatorResult."""
+        """Execute one workload query; returns its root OperatorResult.
+
+        The first call of a name builds its pipeline (or remembers the
+        decline); every later one costs ranges, dispatch and merge."""
         from repro.engine import morsel
         from repro.engine.execution.functional import execute_operators
 
         query = self._queries[name]
-        plan = query.instantiate()
-        try:
-            pipe = morsel.build(plan, self.database)
-        except morsel.Decline:
-            pipe = None
+        if name not in self._pipelines:
+            try:
+                self._pipelines[name] = morsel.build(query.instantiate(),
+                                                     self.database)
+            except morsel.Decline:
+                self._pipelines[name] = None
+        pipe = self._pipelines[name]
         if pipe is None or not pipe.supports_partials:
             return self._run_fallback(query)
         if pipe.compensated and self._float_gate.get(name) is False:
@@ -967,6 +987,7 @@ class MorselPool:
                 worker.process.join(timeout=1.0)
             worker.close_pipes()
         self._workers = []
+        self._pipelines.clear()
         shm.invalidate(self.database)
         leaked = shm.leaked_segments()
         if leaked:

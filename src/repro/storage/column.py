@@ -163,7 +163,7 @@ class Column:
         index = np.asarray(codes)
         if index.dtype.kind not in "iu":
             index = index.astype(np.intp)
-        return list(lookup[index])
+        return list(lookup.take(index))
 
     # -- access ----------------------------------------------------------
 

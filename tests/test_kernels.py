@@ -196,6 +196,16 @@ class TestCachedJoinIndexes:
 # Probers: the one home of cached-index probing
 # ---------------------------------------------------------------------------
 
+#: build keys per prober kind; the offset dense range sits past the
+#: span a ``key_mask`` is built for (and past int16)
+PROBER_BUILDS = {
+    "dense": np.arange(100, 300),
+    "dense_offset": np.arange(200_000, 200_200),
+    "lookup": np.random.default_rng(4).permutation(np.arange(100, 700, 3)),
+    "sorted": np.random.default_rng(5).integers(100, 160, 200),
+}
+
+
 class TestProbers:
     """``prober_for`` serves ``HashJoin.run`` and the fused pipelines
     alike; the unique-key lookup is the structure ``HashJoin`` gained
@@ -268,6 +278,78 @@ class TestProbers:
         assert np.array_equal(lookup.table, pristine)  # never written
         kept = masked.table[masked.table >= 0]
         assert mask[kept].all() and len(kept) == np.count_nonzero(mask)
+
+    # -- gathers keyed by a stored column go through ``ndarray.take`` ---
+
+    def _dtype_prober(self, build, dtype, masked, checked):
+        """(prober, build values, mask, contained probe keys)."""
+        values = PROBER_BUILDS[build].astype(dtype)
+        rng = np.random.default_rng(6)
+        mask = rng.random(len(values)) < 0.6 if masked else None
+        fk = rng.choice(values, 500)
+        if build.startswith("dense"):
+            prober = kernels._DenseProber(int(values[0]), len(values),
+                                          mask, checked)
+        elif build == "lookup":
+            prober = kernels._LookupProber(
+                kernels._build_position_lookup(values), mask, checked)
+        else:
+            prober = kernels._SortedProber(
+                kernels._build_join_index(values), mask, bounded=False)
+        return prober, values, mask, fk
+
+    @staticmethod
+    def _fancy_probe(prober, fk):
+        """The unchecked filtered branches as they indexed before
+        ``take``: plain fancy indexing with the key column."""
+        if isinstance(prober, kernels._LookupProber):
+            pos = prober.table[fk - prober.base]
+            hit = pos >= 0
+            return np.flatnonzero(hit), pos[hit].astype(np.int64)
+        if prober.key_mask is not None:
+            probe_idx = np.flatnonzero(prober.key_mask[fk])
+            return probe_idx, fk[probe_idx].astype(np.int64) - prober.base
+        pos = fk - prober.base
+        hit = prober.mask[pos]
+        return np.flatnonzero(hit), pos[hit].astype(np.int64)
+
+    @pytest.mark.parametrize("build, dtype", [
+        pytest.param(build, dtype, id="{}-{}".format(build, dtype.__name__))
+        for build in sorted(PROBER_BUILDS)
+        for dtype in (np.int16, np.int32, np.int64, np.uint32)
+        if PROBER_BUILDS[build].max() <= np.iinfo(dtype).max])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("checked", [False, True])
+    def test_every_prober_over_key_dtypes(self, build, dtype, masked,
+                                          checked):
+        prober, values, mask, fk = self._dtype_prober(
+            build, dtype, masked, checked)
+        probe_idx, build_tids = prober.probe(fk)
+        assert probe_idx.dtype == build_tids.dtype == np.int64
+        # the general expansion, row by row: probe order, then the
+        # stable (ascending-tid) order of equal build keys
+        selected = np.ones(len(values), bool) if mask is None else mask
+        want = [(i, tid) for i, key in enumerate(fk)
+                for tid in np.flatnonzero((values == key) & selected)]
+        assert list(zip(probe_idx.tolist(), build_tids.tolist())) == want
+        if masked and not checked and build != "sorted":
+            for got, ref in zip((probe_idx, build_tids),
+                                self._fancy_probe(prober, fk)):
+                assert got.dtype == ref.dtype
+                assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("build", ["dense", "dense_offset", "lookup"])
+    def test_unchecked_gathers_keep_the_bounds_check(self, build):
+        """``take`` runs in its default ``mode="raise"``: a key the
+        bounds wrongly promised still fails loudly, as the fancy index
+        did — never clipped or wrapped onto some other row."""
+        prober, values, _, fk = self._dtype_prober(
+            build, np.int32, masked=True, checked=False)
+        if build != "lookup":  # both filtered dense branches are hit
+            assert (prober.key_mask is not None) == (build == "dense")
+        fk[7] = int(values.max()) + 100_000
+        with pytest.raises(IndexError):
+            prober.probe(fk)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,16 @@ Covers the functional layer's default engine end to end:
   join/group-by queries — the root rows *and* the memo tuple recorded
   for every covered operator, whose three sizing ints drive every
   simulated transfer, footprint and compute charge;
+* the partial merge in the space of the groups that exist equals, byte
+  for byte and dtype for dtype, the dense-domain merge it replaced
+  (kept here as ``_dense_merge``), over hypothesis-drawn partial lists;
 * the shared-memory column store round-trips a database (export →
   attach) with read-only zero-copy views and tears segments down with
   ``clear_database_caches``;
 * :class:`MorselPool` answers every workload query identically to
-  sequential execution (payload *and* sizing metadata) and degrades to
-  an in-process fallback when workers fail;
+  sequential execution (payload *and* sizing metadata), builds each
+  query's pipeline once, and degrades to an in-process fallback when
+  workers fail;
 * the fused warm-up composes with fault injection and the query
   lifecycle without changing a simulated timing or a result byte, and
   a warm run builds nothing;
@@ -292,6 +296,202 @@ def test_random_queries_identical_across_morsel_sizes(
 
 
 # ---------------------------------------------------------------------------
+# The partial merge against its dense-domain original
+# ---------------------------------------------------------------------------
+
+def _dense_merge(pipe, partials, index=0):
+    """The oracle: aggregate-partial merging as it stood before the
+    merge moved into the space of the groups that exist
+    (``new_accumulator`` / ``absorb`` / ``_pack_chunk`` at PR 18) —
+    accumulators over the whole dense domain, the groups found by
+    ``flatnonzero`` over it."""
+    dense = pipe.dense
+    counts = np.zeros(dense.domain, dtype=np.int64)
+    sums, extrema, comps = {}, {}, {}
+    for term in dense.aggs:
+        aggregate = term.aggregate
+        if aggregate.func in ("sum", "avg"):
+            sums[aggregate.alias] = np.zeros(dense.domain)
+            if term.compensated:
+                comps[aggregate.alias] = np.zeros(dense.domain)
+        elif aggregate.func == "min":
+            extrema[aggregate.alias] = np.full(dense.domain, np.inf)
+        elif aggregate.func == "max":
+            extrema[aggregate.alias] = np.full(dense.domain, -np.inf)
+    for partial in partials:
+        present = partial.present
+        counts[present] += partial.counts
+        for term in dense.aggs:
+            aggregate = term.aggregate
+            if aggregate.func == "count":
+                continue
+            shipped = partial.values[aggregate.alias]
+            if aggregate.func in ("sum", "avg"):
+                if term.compensated:
+                    target = sums[aggregate.alias]
+                    old = target[present]
+                    merged = old + shipped
+                    lost = np.where(
+                        np.abs(old) >= np.abs(shipped),
+                        (old - merged) + shipped,
+                        (shipped - merged) + old,
+                    )
+                    comps[aggregate.alias][present] += lost
+                    target[present] = merged
+                else:
+                    sums[aggregate.alias][present] += shipped
+            elif aggregate.func == "min":
+                target = extrema[aggregate.alias]
+                target[present] = np.minimum(target[present], shipped)
+            else:
+                target = extrema[aggregate.alias]
+                target[present] = np.maximum(target[present], shipped)
+    present = np.flatnonzero(counts) if dense.grouped else np.arange(1)
+    values = {}
+    for alias, total in sums.items():
+        values[alias] = total[present]
+        if alias in comps:
+            values[alias] = values[alias] + comps[alias][present]
+    for alias, extreme in extrema.items():
+        values[alias] = extreme[present]
+    return morsel.MorselPartial(index, "agg", present=present,
+                                counts=counts[present], values=values)
+
+
+#: (func, alias, compensated): every merge rule, the float ones twice
+_MERGE_AGGS = [("count", "n", False), ("sum", "si", False),
+               ("avg", "ai", False), ("min", "lo", False),
+               ("max", "hi", False), ("sum", "sf", True),
+               ("avg", "af", True)]
+
+
+def _merge_pipe(grouped, domain):
+    """A pipeline that is nothing but its aggregation plan — all the
+    merge reads."""
+    from repro.engine.expressions import Aggregate
+
+    pipe = morsel.FusedPipeline(None, None)
+    pipe.breaker_kind = "agg"
+    pipe.dense = morsel._DenseAggregate(
+        [], [morsel._AggTerm(Aggregate(func, None, alias),
+                             is_integer=not compensated,
+                             compensated=compensated)
+             for func, alias, compensated in _MERGE_AGGS],
+        domain, grouped)
+    return pipe
+
+
+def _draw_partial(rng, index, grouped, ids):
+    """A partial as ``_aggregate_partial`` shapes it: sorted unique
+    int64 ids with >= 1 row each — or, ungrouped, the one group 0,
+    which exists even over zero rows (``ids`` empty)."""
+    if grouped:
+        present = np.array(sorted(ids), dtype=np.int64)
+        counts = rng.integers(1, 10**6, len(present))
+    else:
+        present = np.zeros(1, dtype=np.int64)
+        counts = np.array([rng.integers(1, 10**6) if ids else 0])
+    n, rows = len(present), counts > 0
+    whole = rng.integers(-2**40, 2**40, n).astype(np.float64)
+    # floats of mixed magnitude: both Neumaier branches, real rounding
+    real = rng.normal(size=n) * 10.0 ** rng.integers(-6, 13, n)
+    values = {
+        "si": np.where(rows, whole, 0.0), "ai": np.where(rows, whole, 0.0),
+        "lo": np.where(rows, whole, np.inf),
+        "hi": np.where(rows, whole, -np.inf),
+        "sf": np.where(rows, real, 0.0), "af": np.where(rows, real, 0.0),
+    }
+    return morsel.MorselPartial(index, "agg", present=present,
+                                counts=counts.astype(np.int64),
+                                values=values)
+
+
+def _assert_same_partial(got, want):
+    for name, a, b in ([("present", got.present, want.present),
+                        ("counts", got.counts, want.counts)]
+                       + [(alias, got.values[alias], want.values[alias])
+                          for alias in want.values]):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+        assert a.tobytes() == b.tobytes(), name  # == and the zero's sign
+    assert got.values.keys() == want.values.keys()
+
+
+def _packed(pipe, partials, index=0):
+    acc = pipe.new_accumulator()
+    for partial in partials:
+        pipe.absorb(acc, partial)
+    return pipe._pack_chunk(index, acc, None)
+
+
+def _check_merge(grouped, domain, id_lists, seed, cut):
+    """One level (all partials in the given absorb order) and two
+    (the parent merging two workers' packed chunks), union space
+    against dense domain."""
+    pipe = _merge_pipe(grouped, domain)
+    rng = np.random.default_rng(seed)
+    partials = [_draw_partial(rng, index, grouped, ids)
+                for index, ids in id_lists]
+    morsel.reset_stats()
+    _assert_same_partial(_packed(pipe, partials),
+                         _dense_merge(pipe, partials))
+    # one count per absorbed partial (and per compensated aggregate)
+    assert morsel.stats["partial_merges"] == len(partials)
+    assert morsel.stats["compensated_merges"] == 2 * len(partials)
+    shipped = []
+    for index, chunk in enumerate((partials[:cut], partials[cut:])):
+        want = _dense_merge(pipe, chunk, index)
+        _assert_same_partial(_packed(pipe, chunk, index), want)
+        shipped.append(want)
+    _assert_same_partial(_packed(pipe, shipped),
+                         _dense_merge(pipe, shipped))
+
+
+@st.composite
+def _merge_cases(draw):
+    grouped = draw(st.booleans())
+    domain = draw(st.sampled_from(
+        [1, 7, 4096, morsel.GROUP_DOMAIN_CAP])) if grouped else 1
+    # few distinct ids, so partials overlap; both ends of the domain
+    pool = sorted({0, domain - 1, *draw(st.lists(
+        st.integers(0, domain - 1), max_size=6))})
+    n_partials = draw(st.integers(0, 6))
+    id_lists = [(index, draw(st.lists(st.sampled_from(pool), unique=True)))
+                for index in draw(st.permutations(range(n_partials)))]
+    return (grouped, domain, id_lists, draw(st.integers(0, 2**32 - 1)),
+            draw(st.integers(0, n_partials)))
+
+
+@given(case=_merge_cases())
+@settings(max_examples=60, deadline=None)
+def test_union_merge_equals_the_dense_merge(case):
+    _check_merge(*case)
+
+
+_CAP = morsel.GROUP_DOMAIN_CAP
+
+
+@pytest.mark.parametrize("grouped, domain, id_lists", [
+    pytest.param(True, 4096, [], id="zero_partials"),
+    pytest.param(False, 1, [], id="zero_partials_ungrouped"),
+    pytest.param(True, 4096, [(0, []), (1, [])], id="zero_row_partials"),
+    pytest.param(False, 1, [(0, []), (1, [])],
+                 id="zero_row_partials_ungrouped"),
+    pytest.param(False, 1, [(0, []), (1, [0]), (2, [])],
+                 id="ungrouped"),
+    pytest.param(True, 1, [(0, [0]), (1, [0])], id="one_group"),
+    pytest.param(True, 4096, [(0, [17])], id="one_partial"),
+    pytest.param(True, _CAP, [(0, [0, _CAP - 1]), (1, [_CAP - 1]),
+                              (2, [5])], id="domain_at_the_cap"),
+    pytest.param(True, 4096, [(2, [9, 3]), (0, [3, 4095]), (1, [])],
+                 id="out_of_index_order"),
+])
+def test_union_merge_edge_cases(grouped, domain, id_lists):
+    for cut in range(len(id_lists) + 1):
+        _check_merge(grouped, domain, id_lists, seed=cut, cut=cut)
+
+
+# ---------------------------------------------------------------------------
 # Shared-memory column store
 # ---------------------------------------------------------------------------
 
@@ -373,6 +573,49 @@ def test_morsel_pool_matches_sequential():
         for name, result in results.items()
     }
     assert got == expected
+
+
+@pytest.mark.skipif(not (FORK_OK and shm.available()),
+                    reason="needs fork + shared memory")
+def test_morsel_pool_parent_builds_each_pipeline_once(monkeypatch):
+    """The parent keeps one pipeline per query name for the pool's
+    life, as its workers do: a repeated query builds nothing, a
+    declined one is remembered too (and still falls back, counted,
+    on every call), and ``close`` drops the memo."""
+    from repro.harness.parallel import MorselPool
+
+    db = ssb.generate(scale_factor=0.01, data_scale=0.01, seed=14)
+    queries = ssb.workload(db)
+    fused, declined = queries[0].name, queries[3].name
+    reference = _batch(db, queries, execute_operators)
+    built = []
+    build = morsel.build
+
+    def spy(plan, database):
+        built.append(plan.name)
+        if plan.name == declined:
+            raise morsel.Decline("test")
+        return build(plan, database)
+
+    try:
+        with MorselPool(db, queries, workload="ssb", jobs=2) as pool:
+            pool.warm()
+            # patched after the fork: the workers build as ever
+            monkeypatch.setattr(morsel, "build", spy)
+            for calls in (1, 2, 3):
+                for name in (fused, declined):
+                    assert (pool.run_query(name).payload.row_tuples()
+                            == reference[name])
+                assert pool.fallbacks == calls
+                # the pool built each once; the fallback's own
+                # ``execute_functional`` tries (and declines) per call
+                assert built.count(fused) == 1
+                assert built.count(declined) == 1 + calls
+            assert pool._pipelines[declined] is None
+            assert pool._pipelines[fused].plan.name == fused
+        assert pool._pipelines == {}
+    finally:
+        shm.invalidate(db)
 
 
 @pytest.mark.skipif(not (FORK_OK and shm.available()),

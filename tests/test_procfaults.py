@@ -12,6 +12,8 @@ Covers the crash-tolerance tentpole end to end:
   byte-identical results, quarantines deterministic poison chunks,
   degrades to sequential at the restart cap, and re-exports after an
   unlink race — all without leaking a segment;
+* liveness is signalled by time: a short chunk sends one message, its
+  result, and beats alone keep a chunk alive far past the deadline;
 * compensated float sum/avg partials merge byte-identically or the
   query is pinned to the fallback by the runtime identity gate;
 * composition (satellite): circuit-breaker half-open probes and the
@@ -367,6 +369,76 @@ class TestPoolSelfHealing:
             assert summary["process_faults_planned"] == float(
                 sum(pool.process_fault_summary().values()))
             assert metrics.process_fault_digest == pool.process_fault_digest
+
+
+# ---------------------------------------------------------------------------
+# Liveness by time: what a worker sends, and what the watchdog still sees
+# ---------------------------------------------------------------------------
+
+class _CountingConn:
+    """A worker's result pipe as the parent reads it, recording the
+    kind of every message received."""
+
+    def __init__(self, conn, kinds):
+        self._conn = conn
+        self._kinds = kinds
+
+    def recv(self):
+        message = self._conn.recv()
+        self._kinds.append(message[0])
+        return message
+
+    def __getattr__(self, name):  # poll / fileno / close
+        return getattr(self._conn, name)
+
+
+@pool_ready
+class TestHeartbeatCadence:
+    def test_a_short_chunk_sends_only_its_result(self, ssb_db):
+        """No watchdog, no faults: nothing reads ``last_beat``, and a
+        chunk far shorter than the cadence ships one message — where a
+        beat per morsel used to wake the parent ten times per chunk."""
+        queries = ssb.workload(ssb_db)
+        reference = _reference(ssb_db, queries)
+        kinds = []
+        with morsel.sized(256):  # forked workers inherit the size
+            with MorselPool(ssb_db, queries, jobs=2) as pool:
+                pool.warm()
+                for worker in pool._workers:
+                    worker.conn = _CountingConn(worker.conn, kinds)
+                assert _pool_rows(pool.run_queries()) == reference
+                assert pool.fallbacks == 0
+                morsels = sum(len(pipe.ranges())
+                              for pipe in pool._pipelines.values())
+        chunks = kinds.count("ok")
+        assert chunks == 2 * len(queries) and morsels >= 4 * chunks
+        # at most one non-result message per chunk (the 0.5 s thread
+        # cadence may land a beat or two in the batch)
+        assert len(kinds) - chunks <= chunks, kinds
+
+    def test_beats_alone_keep_a_long_chunk_alive(self):
+        """A chunk that outlasts the heartbeat deadline three times over
+        finishes unmolested, and on the strength of its beats — the
+        watchdog never had to ask the CPU clock for a second opinion."""
+        from time import perf_counter
+
+        heartbeat = 0.15
+        db = ssb.generate(scale_factor=1.0, data_scale=0.004, seed=17)
+        queries = [query for query in ssb.workload(db)
+                   if query.name == "Q2.1"]
+        reference = _reference(db, queries)
+        with morsel.sized(1):  # 24,000 morsels in the one chunk
+            with MorselPool(db, queries, jobs=1,
+                            heartbeat_seconds=heartbeat) as pool:
+                pool.warm()
+                start = perf_counter()
+                rows = _pool_rows(pool.run_queries())
+                elapsed = perf_counter() - start
+                assert rows == reference
+                assert elapsed > 3 * heartbeat  # the premise
+                assert pool.counters["worker_hangs"] == 0
+                assert pool.counters["hang_cpu_grants"] == 0
+                assert pool.fallbacks == 0
 
 
 # ---------------------------------------------------------------------------
