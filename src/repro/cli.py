@@ -189,6 +189,12 @@ def cmd_run(args) -> int:
         for key, value in run.metrics.fault_summary().items():
             print("    {:20s} {:.6g}".format(key, value))
         print("    schedule digest: {}".format(run.fault_digest))
+        print("    per query: executions / aborts / wasted s / retries")
+        for name, row in sorted(
+                run.metrics.per_query_fault_report().items()):
+            print("    {:8s} {:.0f} / {:.0f} / {:.4f} / {:.0f}".format(
+                name, row["executions"], row["aborts"],
+                row["wasted_seconds"], row["retries"]))
     if lifecycle is not None:
         print("  query lifecycle ({}):".format(", ".join(
             part for part, on in (

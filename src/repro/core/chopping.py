@@ -96,16 +96,23 @@ class _HedgeRace:
         self.watchdog = None
 
 
+def check_pool_arguments(cpu_workers: int, gpu_workers: int,
+                         scheduling: str) -> None:
+    """Reject worker counts and ready-queue disciplines the executor
+    cannot run (``run_workload`` asks before it builds a platform)."""
+    if cpu_workers < 1 or gpu_workers < 1:
+        raise ValueError("worker pools need at least one thread")
+    if scheduling not in ("fifo", "sjf"):
+        raise ValueError("scheduling must be 'fifo' or 'sjf'")
+
+
 class ChoppingExecutor:
     """Thread-pool execution engine with run-time placement."""
 
     def __init__(self, ctx: ExecutionContext, strategy,
                  cpu_workers: int = 4, gpu_workers: int = 2,
                  scheduling: str = "fifo", lifecycle=None):
-        if cpu_workers < 1 or gpu_workers < 1:
-            raise ValueError("worker pools need at least one thread")
-        if scheduling not in ("fifo", "sjf"):
-            raise ValueError("scheduling must be 'fifo' or 'sjf'")
+        check_pool_arguments(cpu_workers, gpu_workers, scheduling)
         self.ctx = ctx
         self.strategy = strategy
         self.cpu_workers = cpu_workers

@@ -102,12 +102,6 @@ class DataPlacementManager:
                     break
         return assignment
 
-    def target_columns(self) -> List[str]:
-        """The column set Algorithm 1 would cache right now (all
-        devices combined)."""
-        return [key for device_keys in self.partition()
-                for key in device_keys]
-
     def apply_placement(self) -> List[str]:
         """Instant cache update (no simulated transfer cost).
 

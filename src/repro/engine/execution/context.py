@@ -46,7 +46,8 @@ class ExecutionContext:
         #: the layer is off, so disabled runs pay one ``is not None``
         self.split = None
         #: HyPE algorithm selection (disable to always run the default
-        #: bulk algorithm; see benchmarks/bench_ablation_algorithms.py)
+        #: bulk algorithm; tests/test_algorithm_selection.py has the
+        #: ablation)
         self.algorithm_selection = True
 
     def with_database(self, database: Database) -> "ExecutionContext":

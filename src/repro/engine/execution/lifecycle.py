@@ -208,9 +208,6 @@ class QueryContext:
         if self.cancelled:
             raise QueryCancelled(self.name, self.cancel_reason or "cancelled")
 
-    def cancelled_error(self) -> QueryCancelled:
-        return QueryCancelled(self.name, self.cancel_reason or "cancelled")
-
     def finish(self) -> None:
         """The query completed; later deadline firings are no-ops."""
         self.finished = True

@@ -80,10 +80,6 @@ class Processor:
         return "<Processor {} ({})>".format(self.name, self.kind.value)
 
     @property
-    def is_coprocessor(self) -> bool:
-        return self.kind is ProcessorKind.GPU
-
-    @property
     def active_jobs(self) -> int:
         """Operators currently executing."""
         return len(self._jobs)

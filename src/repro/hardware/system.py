@@ -108,10 +108,6 @@ class SystemConfig:
         """Device memory left for operator intermediates and results."""
         return self.gpu_memory_bytes - self.gpu_cache_bytes
 
-    def with_cache_bytes(self, gpu_cache_bytes: int) -> "SystemConfig":
-        """Copy of this config with a different GPU buffer size."""
-        return replace(self, gpu_cache_bytes=int(gpu_cache_bytes))
-
     def with_profile(self, profile: EngineProfile) -> "SystemConfig":
         return replace(self, profile=profile)
 

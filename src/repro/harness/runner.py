@@ -19,6 +19,7 @@ from repro.core import (
     PlacementPrefetcher,
     get_strategy,
 )
+from repro.core.chopping import check_pool_arguments
 from repro.core.placement.base import PlacementStrategy
 from repro.engine import morsel
 from repro.engine.execution import (
@@ -194,6 +195,11 @@ def run_workload(
     """
     if users < 1 or repetitions < 1:
         raise ValueError("users and repetitions must be >= 1")
+    if processing_model not in ("operator", "vectorized"):
+        raise ValueError(
+            "processing_model must be 'operator' or 'vectorized'"
+        )
+    check_pool_arguments(cpu_workers, gpu_workers, scheduling)
     config = config if config is not None else SystemConfig()
     lifecycle_config = LifecycleConfig.coerce(lifecycle)
     if lifecycle_config is not None and not lifecycle_config.enabled:
@@ -216,10 +222,6 @@ def run_workload(
     ]
     sessions = [all_runs[i::users] for i in range(users)]
 
-    if processing_model not in ("operator", "vectorized"):
-        raise ValueError(
-            "processing_model must be 'operator' or 'vectorized'"
-        )
     chopper = None
     vectorizer = None
     if processing_model == "vectorized":

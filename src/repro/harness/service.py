@@ -143,6 +143,12 @@ DEFAULT_CLASSES: Tuple[SLOClass, ...] = (PREMIUM, STANDARD, BEST_EFFORT)
 #: Period P of the diurnal arrival modulation, in simulated seconds.
 DIURNAL_PERIOD_SECONDS = 8.0
 
+#: The dispatcher tops deficits up by ``quantum x weight`` per round
+#: until a backlogged tenant reaches 1.0; a class alone in the backlog
+#: needs 1 / (quantum x weight) rounds per dispatch.  Configurations
+#: needing more rounds than this are refused when built.
+MAX_TOPUP_ROUNDS = 1024
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -211,6 +217,12 @@ class ServiceConfig:
             raise ValueError("starvation_seconds must be positive")
         if self.quantum <= 0:
             raise ValueError("quantum must be positive")
+        for cls in self.classes:
+            if self.quantum * cls.weight * MAX_TOPUP_ROUNDS < 1.0:
+                raise ValueError(
+                    "quantum x weight of class {!r} is below 1/{}: one "
+                    "dispatch would take more top-up rounds than "
+                    "that".format(cls.name, MAX_TOPUP_ROUNDS))
         if not 0.0 <= self.diurnal_amplitude < 1.0:
             raise ValueError("diurnal_amplitude must be in [0, 1)")
 
@@ -411,7 +423,10 @@ class FairShareAdmission:
         # up by quantum x weight; a tenant with deficit >= 1 serves one
         ring = self._ring
         n = len(ring)
-        for _round in range(64):  # bounded: weights are positive
+        # terminates: every pass adds quantum x weight > 0 to each
+        # backlogged tenant under a cap >= 1 (ServiceConfig bounds the
+        # number of passes by MAX_TOPUP_ROUNDS)
+        while True:
             for step in range(n):
                 name = ring[(self._cursor + step) % n]
                 queue = self._queues[name]
@@ -430,7 +445,6 @@ class FairShareAdmission:
                         + self.quantum * self._weights[name],
                         float(len(self._queues[name])),
                     )
-        raise RuntimeError("deficit round-robin failed to converge")
 
 
 # -- results -----------------------------------------------------------

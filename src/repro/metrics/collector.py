@@ -837,12 +837,6 @@ class MetricsCollector:
             entry["retries"] += record.retries
         return report
 
-    def phase_report(self) -> Dict[str, float]:
-        """Wall-clock phase breakdown, with a computed total."""
-        report = dict(self.phase_seconds)
-        report["total"] = sum(self.phase_seconds.values())
-        return report
-
     def record_pool(self, counters: Dict[str, int],
                     process_faults: Optional[Dict[str, int]] = None,
                     process_fault_digest: Optional[str] = None,

@@ -117,3 +117,38 @@ class TestEndToEnd:
         sort_keys = {k for k in selected if k.startswith("sort#")}
         # SSB result frames are small: the insertion variant appears
         assert "sort#insertion_sort" in sort_keys
+
+
+def test_ablation_algorithm_selection_on_and_off():
+    """Sec. 5.2: HyPE "selects for each operator a suitable
+    algorithm" — small inputs get low-startup variants (nested-loop
+    join, insertion sort), bulk inputs the high-throughput defaults;
+    switching the selection off forces the bulk defaults everywhere.
+    (``pytest -s`` prints the table EXPERIMENTS.md quotes.)"""
+    from repro.harness import experiments as E
+    from repro.harness import run_workload
+    from repro.harness.tables import ExperimentResult
+    from repro.workloads import ssb
+
+    database = E.ssb_database(10)
+    queries = ssb.workload(database)
+    result = ExperimentResult(
+        "Ablation: HyPE algorithm selection (SSB, single user)")
+    bulk = ("hash_join", "radix_sort", "hash_aggregate")
+    for enabled in (True, False):
+        run = run_workload(database, queries, "data_driven_chopping",
+                           config=E.FULL_CONFIG, repetitions=3,
+                           algorithm_selection=enabled)
+        result.add(
+            algorithm_selection=enabled, seconds=run.seconds,
+            variant_executions=sum(
+                count for key, count in run.metrics.algorithms.items()
+                if "#" in key and not key.endswith(bulk)))
+    print()
+    result.print()
+    rows = {row["algorithm_selection"]: row for row in result.rows}
+    # with selection enabled, non-default variants actually run
+    assert rows[True]["variant_executions"] > 0
+    assert rows[False]["variant_executions"] == 0
+    # selection never hurts (it minimizes per-operator estimates)
+    assert rows[True]["seconds"] <= rows[False]["seconds"] * 1.02

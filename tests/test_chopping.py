@@ -159,3 +159,30 @@ def test_invalid_worker_counts_rejected(toy_db):
         ChoppingExecutor(ctx, RuntimeHype(), cpu_workers=0)
     with pytest.raises(ValueError):
         ChoppingExecutor(ctx, RuntimeHype(), gpu_workers=0)
+
+
+def test_ablation_gpu_worker_pool_width():
+    """The thread-pool width trades GPU utilisation against abort
+    probability (DESIGN.md): one worker under-uses the device, too many
+    re-introduce heap contention.  (``pytest -s`` prints the table
+    EXPERIMENTS.md quotes.)"""
+    from repro.harness import experiments as E
+    from repro.harness.runner import run_workload
+    from repro.harness.tables import ExperimentResult
+    from repro.workloads import micro
+
+    database = E.ssb_database(10)
+    queries = micro.parallel_selection_workload(database)
+    result = ExperimentResult("Ablation: chopping GPU worker pool width")
+    for gpu_workers in (1, 2, 4, 8, 16):
+        run = run_workload(database, queries, "chopping",
+                           config=E.MICRO_CONFIG, users=20, repetitions=100,
+                           gpu_workers=gpu_workers)
+        result.add(gpu_workers=gpu_workers, seconds=run.seconds,
+                   aborts=run.metrics.aborts,
+                   wasted_seconds=run.metrics.wasted_seconds)
+    print()
+    result.print()
+    aborts = {row["gpu_workers"]: row["aborts"] for row in result.rows}
+    assert aborts[2] == 0   # a small pool avoids aborts entirely
+    assert aborts[16] > 0   # a very wide one re-introduces contention

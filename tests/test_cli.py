@@ -44,6 +44,31 @@ def test_run_command_multi_gpu(capsys):
     assert "workload_seconds" in capsys.readouterr().out
 
 
+def test_run_command_attributes_faults_to_queries(capsys):
+    """``run --faults`` ends its fault block with one row per query
+    (executions / aborts / wasted s / retries); the rows add up to the
+    block's own totals."""
+    code = main([
+        "run", "--scale-factor", "1", "--users", "2",
+        "--repetitions", "1", "--strategy", "runtime", "--faults", "0.2",
+    ])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.strip().startswith("per query:"))
+    rows = {}
+    for line in lines[start + 1:]:
+        name, _, cells = line.strip().partition(" ")
+        if cells.count("/") != 3:
+            break
+        rows[name] = [float(cell) for cell in cells.split("/")]
+    assert len(rows) == 13 and "Q4.3" in rows
+    totals = {line.split()[0]: float(line.split()[1])
+              for line in lines[:start] if len(line.split()) == 2}
+    assert sum(row[1] for row in rows.values()) == totals["fault_aborts"] > 0
+    assert sum(row[3] for row in rows.values()) == totals["retries"]
+
+
 def test_figures_selected(capsys):
     code = main(["figures", "fig16", "--fast"])
     assert code == 0

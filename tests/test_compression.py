@@ -151,3 +151,47 @@ def test_compression_shifts_the_thrashing_point(ssb_db):
     )
     assert after < before * 0.6  # narrow fact columns pack well
     assert after > 0  # the working set does not vanish
+
+
+def test_ablation_compression_moves_the_breakdown_point():
+    """Sec. 6.3: "we can improve the scalability by compressing the
+    database, which shifts the point where performance breaks down to
+    a larger scale factor or number of users.  Thus, compression
+    neither solves the cache thrashing nor the heap contention
+    problem."  The serial selection workload (App. B.1) over the
+    buffer-size sweep, plain and compressed.  (``pytest -s`` prints
+    the table EXPERIMENTS.md quotes.)"""
+    import copy
+
+    from repro.hardware import SystemConfig
+    from repro.hardware.calibration import GIB
+    from repro.harness import experiments as E
+    from repro.harness.runner import run_workload, workload_footprint_bytes
+    from repro.harness.tables import ExperimentResult
+    from repro.workloads import micro
+
+    result = ExperimentResult(
+        "Ablation: compression shifts the thrashing breakdown point")
+    for compressed in (False, True):
+        database = copy.deepcopy(E.ssb_database(10))
+        if compressed:
+            compress_database(database)
+        queries = micro.serial_selection_workload(database)
+        footprint = workload_footprint_bytes(queries, database)
+        for gib in (0.0, 0.5, 1.0, 1.5, 2.0):
+            config = SystemConfig(gpu_memory_bytes=4 * GIB,
+                                  gpu_cache_bytes=int(gib * GIB))
+            run = run_workload(database, queries, "gpu_only",
+                               config=config, repetitions=6)
+            result.add(compressed=compressed, buffer_gib=gib,
+                       working_set_gib=footprint / GIB, seconds=run.seconds,
+                       h2d_seconds=run.metrics.cpu_to_gpu_seconds)
+    print()
+    result.print()
+    series = result.series("buffer_gib", "seconds", "compressed")
+    plain, packed = dict(series[False]), dict(series[True])
+    # the breakdown point moves left: at 1.0 GiB the compressed working
+    # set already fits while the uncompressed one still thrashes
+    assert packed[1.0] < plain[1.0] / 2
+    # but with no cache at all, compression does not remove the effect
+    assert packed[0.0] > 4 * packed[2.0]

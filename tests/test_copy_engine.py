@@ -378,3 +378,19 @@ def test_overlap_counters_populated(overlap_db):
     assert metrics.transfer_seconds > 0
     assert 0.0 <= metrics.overlap_ratio <= 1.0
     assert metrics.bus_utilization > 0.0
+
+
+def test_overlap_beats_the_serialized_bus_on_the_transfer_bound_sweep():
+    """The reason the engine exists (``repro figures overlap`` prints
+    the sweep): cold cache, two co-processors, four users — the
+    Fig. 6/15 shape where the bus is the bottleneck — and the async
+    link's duplex channels, coalescing and prefetch buy >= 1.3x."""
+    from repro.harness import experiments as E
+
+    sweep = E.overlap_sweep(scale_factor=5, users=(4,), repetitions=1)
+    serialized, engine = sweep.rows
+    assert not serialized["copy_engine"] and engine["copy_engine"]
+    assert engine["speedup"] >= 1.3
+    assert engine["overlap_ratio"] > 0.0
+    assert engine["coalesced"] > 0 and engine["prefetch_hits"] > 0
+    assert serialized["overlap_ratio"] == 0.0

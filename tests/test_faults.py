@@ -372,3 +372,23 @@ class TestEndToEnd:
                        validate=True)
         assert faulted.faults_injected > 0
         assert _payload_rows(faulted) == _payload_rows(clean)
+
+    def test_degradation_stays_bounded_by_the_cpu_only_floor(self):
+        """Graceful degradation (``repro figures chaos`` prints the
+        curve): as the fault rate rises the makespan approaches the
+        CPU-only floor — retries burn backoff and wasted work on top
+        of the pure CPU path, hence the allowance — instead of
+        diverging, every cell validated against the reference, and at
+        the top rate the breakers demonstrably cycle."""
+        from repro.harness import experiments as E
+
+        sweep = E.chaos_sweep(fault_rates=(0.0, 0.02, 0.1), scale_factor=5,
+                              users=2, repetitions=1, seed=7)
+        *faulted, floor = sweep.rows
+        assert floor["strategy"] == "cpu_only"
+        assert [row["fault_rate"] for row in faulted] == [0.0, 0.02, 0.1]
+        assert all(row["faults_injected"] > 0 for row in faulted[1:])
+        assert all(row["seconds"] <= floor["seconds"] * 1.25
+                   for row in faulted)
+        top = faulted[-1]
+        assert top["breaker_opens"] > 0 and top["breaker_half_opens"] > 0

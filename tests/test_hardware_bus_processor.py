@@ -538,3 +538,36 @@ def test_hardware_system_wiring():
     # cache clock is wired to the environment
     system.gpu_cache.admit("col", 10)
     assert system.gpu_cache.entry("col").inserted_at == env.now
+
+
+def test_ablation_selection_footprint_factor_vs_contention():
+    """The heap-contention breakeven n = M / (f * |C|) moves with the
+    footprint factor f (3.25 for the paper's GPU selection): smaller
+    footprints fit more parallel operators.  Also the programmatic
+    example of a custom ``EngineProfile`` docs/calibration.md points
+    at.  (``pytest -s`` prints the table EXPERIMENTS.md quotes.)"""
+    import dataclasses
+
+    from repro.hardware.calibration import FOOTPRINT_FACTORS, EngineProfile
+    from repro.harness import experiments as E
+    from repro.harness import run_workload
+    from repro.harness.tables import ExperimentResult
+    from repro.workloads import micro
+
+    database = E.ssb_database(10)
+    queries = micro.parallel_selection_workload(database)
+    result = ExperimentResult(
+        "Ablation: selection footprint factor vs. contention")
+    for factor in (1.0, 2.0, 3.25, 5.0):
+        profile = EngineProfile(
+            name="cogadb-f{}".format(factor), costs=COGADB_PROFILE.costs,
+            footprint_factors=dict(FOOTPRINT_FACTORS, selection=factor))
+        run = run_workload(
+            database, queries, "gpu_only", users=10, repetitions=60,
+            config=dataclasses.replace(E.MICRO_CONFIG, profile=profile))
+        result.add(factor=factor, seconds=run.seconds,
+                   aborts=run.metrics.aborts)
+    print()
+    result.print()
+    aborts = {row["factor"]: row["aborts"] for row in result.rows}
+    assert aborts[1.0] <= aborts[5.0]

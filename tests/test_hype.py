@@ -414,3 +414,40 @@ class TestLoadTracker:
         load.assign("cpu", 1.0)
         load.reset()
         assert load.estimated_completion("cpu") == 0.0
+
+
+def test_ablation_learned_vs_analytical_cost_model(monkeypatch):
+    """HyPE bootstraps from the analytical profile and refines it with
+    observed runtimes; with learning switched off (never enough
+    observations to fit) run-time placement under Chopping must stay in
+    the same league.  (``pytest -s`` prints the table EXPERIMENTS.md
+    quotes.)"""
+    from repro.harness import experiments as E
+    from repro.harness import run_workload
+    from repro.harness.tables import ExperimentResult
+    from repro.workloads import ssb
+
+    database = E.ssb_database(10)
+    queries = ssb.workload(database)
+    result = ExperimentResult(
+        "Ablation: learned vs. analytical cost model (chopping)")
+    learned_init = LearnedCostModel.__init__
+
+    def analytical_init(self, profile, store=None, min_observations=8,
+                        refit_interval=16):
+        learned_init(self, profile, store, min_observations=10 ** 9,
+                     refit_interval=refit_interval)
+
+    for mode, init in (("learned", learned_init),
+                       ("analytical", analytical_init)):
+        monkeypatch.setattr(LearnedCostModel, "__init__", init)
+        run = run_workload(database, queries, "chopping",
+                           config=E.FULL_CONFIG, users=10, repetitions=3)
+        result.add(cost_model=mode, seconds=run.seconds,
+                   aborts=run.metrics.aborts,
+                   h2d_seconds=run.metrics.cpu_to_gpu_seconds)
+    print()
+    result.print()
+    seconds = {row["cost_model"]: row["seconds"] for row in result.rows}
+    # both run; the learned model must not be catastrophically worse
+    assert seconds["learned"] <= seconds["analytical"] * 1.5

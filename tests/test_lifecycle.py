@@ -143,6 +143,28 @@ def test_admission_degrade_policy_runs_on_cpu(ssb_db):
     assert len(metrics.queries) == len(ssb.workload(ssb_db))
 
 
+def test_admission_bounds_the_tail_at_four_times_the_load():
+    """What admission control is for (``repro figures overload`` prints
+    the sweep): at 4x load the shed policy keeps the p99 latency within
+    3x of the single-user p99, while the unmanaged stream's p99 grows
+    with the queue depth and ends above the admitted one."""
+    database = E.ssb_database(5)
+    admission = LifecycleConfig(max_inflight=2, overload_policy="shed")
+
+    def metrics(users, lifecycle):
+        return _run(database, lifecycle=lifecycle, users=users).metrics
+
+    def p99(collected):
+        return collected.latency_percentile(0.99)
+
+    single, loaded = metrics(1, admission), metrics(4, admission)
+    unmanaged_single, unmanaged_loaded = metrics(1, None), metrics(4, None)
+    assert sum(loaded.sheds.values()) > 0
+    assert p99(loaded) <= 3.0 * p99(single)
+    assert p99(unmanaged_single) < p99(unmanaged_loaded)
+    assert p99(loaded) < p99(unmanaged_loaded)
+
+
 def test_admission_controller_fifo_wakeup():
     """Direct-drive: queued waiters are woken in order, slots balance."""
     env = Environment()
@@ -231,9 +253,9 @@ def test_deadline_cancels_and_survivors_stay_correct(ssb_db):
                lifecycle=LifecycleConfig(deadline_seconds=deadline))
     metrics = run.metrics
     cancelled = len(metrics.cancelled_queries)
-    assert cancelled > 0
-    assert sum(metrics.deadline_misses.values()) == cancelled
     total = len(ssb.workload(ssb_db))
+    assert 0 < cancelled < total  # some are cancelled, some survive
+    assert sum(metrics.deadline_misses.values()) == cancelled
     assert len(metrics.queries) + cancelled == total
     # the survivors' results are byte-identical to an uncancelled run
     base_rows = _payload_rows(base)

@@ -219,13 +219,17 @@ class TestMultiGpuWorkloads:
             assert run.results[name].row_tuples() == rows, (strategy, name)
 
     def test_scale_up_improves_scarce_resources(self):
-        """Sec. 6.3: more co-processors handle larger databases."""
+        """Sec. 6.3: more co-processors handle larger databases.
+        (``pytest -s`` prints the table; ``repro figures multigpu`` the
+        full sweep EXPERIMENTS.md quotes.)"""
         from repro.harness import experiments as E
 
         result = E.multi_gpu_scaling(
             gpu_counts=(1, 4), users=10, repetitions=1,
             strategies=("data_driven_chopping",),
         )
+        print()
+        result.print()
         series = dict(result.series("gpus", "seconds", "strategy")[
             "data_driven_chopping"
         ])

@@ -144,6 +144,7 @@ def test_fig09_runtime_placement_improves_but_not_optimal(users_sweep):
 def test_fig12_chopping_is_near_optimal(users_sweep):
     """Fig. 12: Chopping stays near the single-user-equivalent time."""
     chopping = series_of(users_sweep, "seconds", "chopping")
+    assert chopping[20] < series_of(users_sweep, "seconds", "gpu_only")[20]
     assert chopping[20] < chopping[4] * 1.35
     ddc = series_of(users_sweep, "seconds", "data_driven_chopping")
     assert ddc[20] < ddc[4] * 1.35
@@ -151,8 +152,12 @@ def test_fig12_chopping_is_near_optimal(users_sweep):
 
 def test_fig13_chopping_eliminates_aborts(users_sweep):
     """Fig. 13: the thread pool practically removes operator aborts."""
-    assert series_of(users_sweep, "aborts", "gpu_only")[20] > 0
-    assert series_of(users_sweep, "aborts", "chopping")[20] == 0
+    gpu = series_of(users_sweep, "aborts", "gpu_only")[20]
+    chopping = series_of(users_sweep, "aborts", "chopping")[20]
+    assert gpu > 0
+    assert chopping == 0
+    # compile-time placement aborts the most, run-time placement less
+    assert gpu >= series_of(users_sweep, "aborts", "runtime")[20] >= chopping
     assert series_of(users_sweep, "aborts", "data_driven_chopping")[20] == 0
 
 
@@ -163,7 +168,7 @@ def test_fig13_chopping_eliminates_aborts(users_sweep):
 @pytest.fixture(scope="module")
 def scale_sweep():
     return E.scale_factor_sweep(
-        benchmark="ssb", scale_factors=(5, 15, 30), repetitions=1,
+        benchmark="ssb", scale_factors=(5, 10, 15, 20, 30), repetitions=1,
         strategies=("cpu_only", "gpu_only", "data_driven",
                     "chopping", "data_driven_chopping"),
     )
@@ -188,7 +193,7 @@ def test_fig14_data_driven_chopping_is_robust(scale_sweep):
     cpu = sf_series(scale_sweep, "seconds", "cpu_only")
     gpu = sf_series(scale_sweep, "seconds", "gpu_only")
     ddc = sf_series(scale_sweep, "seconds", "data_driven_chopping")
-    for sf in (5, 15, 30):
+    for sf in cpu:  # every scale factor of the sweep
         assert ddc[sf] <= cpu[sf] * 1.1, sf
     assert gpu[30] / ddc[30] > 1.8  # paper: up to factor 2
 
@@ -209,7 +214,7 @@ def test_fig16_footprint_exceeds_cache_from_sf15(scale_sweep):
     footprints = sf_series(scale_sweep, "footprint_gib", "cpu_only")
     cache_gib = FULL_CONFIG.gpu_cache_bytes / (1 << 30)
     assert footprints[5] < cache_gib
-    assert footprints[15] > cache_gib
+    assert all(footprints[sf] > cache_gib for sf in (15, 20, 30))
     # footprint grows linearly with SF
     assert footprints[30] == pytest.approx(2 * footprints[15], rel=0.1)
 
@@ -291,6 +296,52 @@ def test_fig20_wasted_time_grows_with_users_and_chopping_removes_it(
     assert gpu[20] > 5 * max(chop[20], 1e-9)
 
 
+def test_fig18_tpch_chopping_no_slower_under_parallel_load():
+    """Fig. 18(b): the same holds for the TPC-H workload."""
+    sweep = E.benchmark_users_sweep(
+        benchmark="tpch", users=(1, 20), repetitions=2,
+        strategies=("gpu_only", "data_driven_chopping"),
+    )
+    gpu = series_of(sweep, "seconds", "gpu_only")
+    ddc = series_of(sweep, "seconds", "data_driven_chopping")
+    assert ddc[20] <= gpu[20]
+
+
+# ---------------------------------------------------------------------------
+# Figures 21 / 25 (query latencies under parallel users)
+# ---------------------------------------------------------------------------
+
+def mean_latency(rows):
+    """strategy -> mean latency over the queries of ``rows``."""
+    by_strategy = {}
+    for row in rows:
+        by_strategy.setdefault(row["strategy"], []).append(row["seconds"])
+    return {name: sum(values) / len(values)
+            for name, values in by_strategy.items()}
+
+
+def test_fig21_chopping_as_fast_as_admission_control():
+    """Fig. 21: with 20 users, Chopping is as fast as or faster than
+    running one query at a time (the admission-control reference)."""
+    mean = mean_latency(E.figure21(repetitions=2).rows)
+    assert mean["chopping"] <= mean["admission_control"] * 1.1
+    assert mean["data_driven_chopping"] <= mean["admission_control"] * 1.1
+
+
+def test_fig25_chopping_bounds_latencies_as_users_grow():
+    """Fig. 25: with increasing parallelism Chopping keeps the query
+    latencies bounded while a naive GPU execution degrades."""
+    result = E.figure25(
+        users=(1, 10, 20), repetitions=2,
+        strategies=("gpu_only", "chopping", "data_driven_chopping"),
+    )
+    for users in (10, 20):
+        mean = mean_latency(
+            row for row in result.rows if row["users"] == users)
+        assert mean["chopping"] <= mean["gpu_only"], users
+        assert mean["data_driven_chopping"] <= mean["gpu_only"], users
+
+
 # ---------------------------------------------------------------------------
 # Figures 22 / 23 (engine comparison) and 24 (LFU vs LRU)
 # ---------------------------------------------------------------------------
@@ -346,19 +397,31 @@ def test_fig24_policies_similar_and_improving_with_cache():
 # TPC-H robustness and the worst-case-latency goal (Sec. 1 / 6.3)
 # ---------------------------------------------------------------------------
 
-def test_fig14_tpch_robustness():
-    """Fig. 14(b): the same robustness holds on the TPC-H workload."""
-    sweep = E.scale_factor_sweep(
-        benchmark="tpch", scale_factors=(5, 30), repetitions=1,
+@pytest.fixture(scope="module")
+def tpch_scale_sweep():
+    return E.scale_factor_sweep(
+        benchmark="tpch", scale_factors=(5, 10, 15, 20, 30), repetitions=1,
         strategies=("cpu_only", "gpu_only", "data_driven_chopping"),
     )
-    series = dict(sweep.series("scale_factor", "seconds", "strategy"))
-    cpu = dict(series["cpu_only"])
-    gpu = dict(series["gpu_only"])
-    ddc = dict(series["data_driven_chopping"])
+
+
+def test_fig14_tpch_robustness(tpch_scale_sweep):
+    """Fig. 14(b): the same robustness holds on the TPC-H workload."""
+    cpu = sf_series(tpch_scale_sweep, "seconds", "cpu_only")
+    gpu = sf_series(tpch_scale_sweep, "seconds", "gpu_only")
+    ddc = sf_series(tpch_scale_sweep, "seconds", "data_driven_chopping")
     assert gpu[30] > cpu[30]          # GPU-only collapses at scale
-    assert ddc[30] <= cpu[30] * 1.15  # DD-Chopping stays robust
+    for sf in cpu:                    # DD-Chopping stays robust
+        assert ddc[sf] <= cpu[sf] * 1.15, sf
     assert ddc[30] < gpu[30]
+
+
+def test_fig15_tpch_gpu_only_moves_the_most_data(tpch_scale_sweep):
+    """Fig. 15(b): on TPC-H too, GPU-only spends more time on CPU->GPU
+    IO than Data-Driven Chopping."""
+    gpu = sf_series(tpch_scale_sweep, "h2d_seconds", "gpu_only")
+    ddc = sf_series(tpch_scale_sweep, "h2d_seconds", "data_driven_chopping")
+    assert gpu[30] > ddc[30]
 
 
 def test_worst_case_latency_goal():

@@ -101,3 +101,39 @@ class TestSjfChopping:
         # SJF must not hurt the short query's mean latency
         assert (sjf.metrics.mean_latency("short")
                 <= fifo.metrics.mean_latency("short") * 1.05)
+
+
+def test_ablation_fifo_vs_sjf_ready_queues():
+    """Sec. 6.2.2: under Chopping "short running queries become slower
+    to some degree, whereas long running queries are accelerated"; a
+    shortest-job-first ready queue (by HyPE's runtime estimate) is the
+    classic counter-measure.  The SSB mix at 20 users.  (``pytest -s``
+    prints the table EXPERIMENTS.md quotes.)"""
+    from repro.harness import experiments as E
+    from repro.harness.tables import ExperimentResult
+    from repro.workloads import ssb
+
+    database = E.ssb_database(10)
+    queries = ssb.workload(database)
+    result = ExperimentResult(
+        "Ablation: FIFO vs SJF ready queues (SSB, 20 users)")
+    for scheduling in ("fifo", "sjf"):
+        run = run_workload(database, queries, "data_driven_chopping",
+                           config=E.FULL_CONFIG, users=20, repetitions=3,
+                           scheduling=scheduling)
+        latencies = run.metrics.latencies_by_query()
+        short = min(latencies, key=latencies.get)
+        long_ = max(latencies, key=latencies.get)
+        result.add(scheduling=scheduling, makespan=run.seconds,
+                   mean_latency=run.metrics.mean_latency(),
+                   shortest_query=short, shortest_latency=latencies[short],
+                   longest_query=long_, longest_latency=latencies[long_])
+    print()
+    result.print()
+    rows = {row["scheduling"]: row for row in result.rows}
+    # the discipline must not change the total amount of work
+    assert rows["sjf"]["makespan"] == pytest.approx(
+        rows["fifo"]["makespan"], rel=0.25)
+    # SJF does not hurt the short end of the mix
+    assert (rows["sjf"]["shortest_latency"]
+            <= rows["fifo"]["shortest_latency"] * 1.1)

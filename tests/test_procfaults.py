@@ -45,7 +45,7 @@ from repro.harness.parallel import MorselPool
 from repro.harness.runner import run_workload
 from repro.metrics import MetricsCollector
 from repro.storage import ColumnType, Database, shm
-from repro.workloads import ssb
+from repro.workloads import ssb, tpch
 from repro.workloads.base import sql_workload
 
 from tests.conftest import operator_path
@@ -302,6 +302,59 @@ class TestPoolSelfHealing:
             assert pool.counters["worker_restarts"] >= 1
         assert shm.leaked_segments() == []
 
+    @pytest.mark.parametrize("name", ["ssb", "tpch"])
+    def test_recovery_costs_one_respawn_and_one_requeue_per_kill(
+            self, name):
+        """The soak's recovery contract, on counts (``repro pool
+        --faults ...`` prints them): two batches through one pool with
+        10% of the chunks faulted stay byte-identical, each planned
+        hang costs one watchdog kill, each planned death one worker,
+        each kill one requeue and one respawn, and nothing falls back,
+        degrades, is quarantined or leaks.  What the recovery costs in
+        wall-clock seconds is not a test's business."""
+        module, seed, data_scale = {"ssb": (ssb, 42, 0.05),
+                                    "tpch": (tpch, 24, 0.1)}[name]
+        database = module.generate(scale_factor=1.0, data_scale=data_scale,
+                                   seed=seed)
+        queries = module.workload(database)
+        reference = _reference(database, queries)
+        faults = FaultConfig(crash=0.05, hang=0.02, slowexit=0.02,
+                             unlinkrace=0.01, hang_seconds=5.0, seed=82)
+        # morsels small enough, and a deadline long enough, that a busy
+        # one-core box cannot starve a healthy worker into a false hang
+        with morsel.sized(8192), \
+                MorselPool(database, queries, workload=name, jobs=2,
+                           faults=faults, heartbeat_seconds=0.75) as pool:
+            pool.warm()
+            for _ in range(2):
+                assert _pool_rows(pool.run_queries()) == reference
+            planned = pool.process_fault_summary()
+            counters = pool.counters
+            deaths = sum(planned.get(kind, 0)
+                         for kind in ("crash", "unlinkrace", "slowexit"))
+            assert planned.get("crash", 0) >= 1 and planned.get("hang", 0) >= 1
+            assert counters["worker_hangs"] == planned["hang"]
+            # a death is a crash if a chunk was outstanding, else an
+            # idle exit (only a planned slowexit can be either)
+            assert (counters["worker_crashes"]
+                    + counters["worker_slow_exits"]) == deaths
+            assert counters["chunk_requeues"] == (
+                counters["worker_crashes"] + counters["worker_hangs"])
+            assert counters["chunk_quarantines"] == 0
+            # an unlink race also fails the init of whoever attaches
+            # next, which re-exports the database and respawns again
+            assert counters["worker_init_failures"] >= planned.get(
+                "unlinkrace", 0)
+            assert counters["shm_reexports"] == (
+                counters["worker_init_failures"])
+            assert counters["worker_restarts"] == (
+                counters["worker_crashes"] + counters["worker_hangs"]
+                + counters["worker_slow_exits"]
+                + counters["worker_init_failures"])
+            assert pool.fallbacks == 0
+            assert pool.degraded is None
+        assert shm.leaked_segments() == []
+
     def test_chaos_schedule_is_deterministic(self, ssb_db):
         queries = ssb.workload(ssb_db)
 
@@ -544,6 +597,7 @@ class TestFaultLayerComposition:
         assert morsel.snapshot_stats()["fused_queries"] == len(ssb.QUERIES)
         assert fused_rows == base_rows
         assert fused_run.seconds == base_run.seconds
+        assert fused_run.fault_digest == base_run.fault_digest
         assert fused_run.metrics.hedges_started > 0
         assert fused_run.metrics.hedges_started == (
             base_run.metrics.hedges_started)

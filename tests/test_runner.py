@@ -128,6 +128,23 @@ def test_invalid_arguments_rejected(toy_db):
         run_workload(toy_db, make_workload(toy_db), "not_a_strategy")
 
 
+@pytest.mark.parametrize("bad", [
+    dict(processing_model="quantum"), dict(scheduling="lifo"),
+    dict(cpu_workers=0), dict(gpu_workers=0),
+])
+def test_arguments_are_checked_before_a_platform_is_built(
+        toy_db, monkeypatch, bad):
+    """A typo must not cost the warm-up (every template's functional
+    run and, with ``config.split``, the identity gate) first."""
+    from repro.harness import runner
+
+    monkeypatch.setattr(
+        runner, "build_platform",
+        lambda *args, **kwargs: pytest.fail("built a platform first"))
+    with pytest.raises(ValueError):
+        run_workload(toy_db, make_workload(toy_db), "chopping", **bad)
+
+
 def test_workload_footprint(toy_db):
     queries = make_workload(toy_db)
     footprint = workload_footprint_bytes(queries, toy_db)

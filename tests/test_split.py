@@ -25,6 +25,7 @@ from repro.core import get_strategy
 from repro.core.placement import STRATEGY_NAMES, SplitHype
 from repro.engine import morsel, plan_cache
 from repro.engine.execution import (
+    LifecycleConfig,
     QueryContext,
     execute_functional,
     execute_operator,
@@ -35,8 +36,10 @@ from repro.engine.execution.split import (
     SplitState,
     merged_split_result,
 )
+from repro.harness import experiments as E
 from repro.harness.runner import run_workload
 from repro.hardware import SystemConfig
+from repro.hardware.calibration import GIB
 from repro.hype.load import LoadTracker
 from repro.hype.models import SplitCostModel
 from repro.metrics import MetricsCollector
@@ -126,6 +129,10 @@ def _run_split(db, config, **kwargs):
                         config=config, **kwargs)
 
 
+def _rows(run):
+    return {name: table.row_tuples() for name, table in run.results.items()}
+
+
 @pytest.mark.parametrize("ratio", [0.25, 0.5, 0.75, 1.0])
 def test_split_ratio_override_validates(ssb_db, ratio):
     run = _run_split(ssb_db, SystemConfig(split=True, split_ratio=ratio))
@@ -178,13 +185,78 @@ def test_declined_split_changes_nothing(ssb_db):
     """split_ratio=0 declines every operator at the ratio floor before
     any simulated time passes — the makespan must match the pure run
     exactly."""
-    pure = _run_split(ssb_db, SystemConfig(), validate=False)
+    pure = _run_split(ssb_db, SystemConfig(), validate=False,
+                      collect_results=True)
     declined = _run_split(ssb_db,
                           SystemConfig(split=True, split_ratio=0.0),
-                          validate=False)
+                          validate=False, collect_results=True)
     assert declined.metrics.split_operators == 0
     assert declined.metrics.split_declines["ratio_floor"] > 0
     assert declined.seconds == pure.seconds
+    assert _rows(declined) == _rows(pure)
+
+
+# ---------------------------------------------------------------------------
+# Under heap pressure: what split execution is for
+# ---------------------------------------------------------------------------
+
+#: A GPU heap too small for the SF-5 SSB working sets beside a cache
+#: large enough to keep the base columns warm: the pure device path
+#: aborts mid-operator, the split path caps its ratio and fits.
+PRESSURE = SystemConfig(gpu_memory_bytes=int(1.0 * GIB),
+                        gpu_cache_bytes=int(0.75 * GIB))
+
+
+def _pressure_run(strategy, config, **kwargs):
+    database = E.ssb_database(5)
+    return run_workload(database, ssb.workload(database), strategy,
+                        config=config, **kwargs)
+
+
+def _wasted(run):
+    metrics = run.metrics
+    return (metrics.wasted_seconds + metrics.split_wasted_seconds
+            + metrics.hedge_wasted_seconds)
+
+
+def test_split_beats_the_best_pure_placement_under_heap_pressure():
+    """The GPU contributes its heap-capped share instead of aborting,
+    the CPU the rest: >= 1.15x over the better of cpu_only / gpu_only
+    (``repro run --split --gpu-memory-gib 1 --gpu-cache-gib 0.75
+    --scale-factor 5 --strategy runtime`` prints the split block)."""
+    pure_cpu = _pressure_run("cpu_only", PRESSURE)
+    pure_gpu = _pressure_run("gpu_only", PRESSURE)
+    split = _pressure_run("runtime", PRESSURE.with_split(True))
+    assert pure_gpu.metrics.aborts > 0  # the pressure is real
+    assert split.metrics.split_operators > 0
+    assert split.metrics.aborts == 0
+    assert (min(pure_cpu.seconds, pure_gpu.seconds)
+            >= 1.15 * split.seconds)
+
+
+def test_split_wastes_less_than_hedging_under_heap_pressure():
+    """The same pressure drives straggler hedging to burn
+    redundant-copy time; splitting wastes strictly less and aborts no
+    more than the unsplit run."""
+    split = _pressure_run("runtime", PRESSURE.with_split(True))
+    unsplit = _pressure_run("runtime", PRESSURE)
+    hedged = _pressure_run("chopping", PRESSURE,
+                           lifecycle=LifecycleConfig(hedge_factor=1.5))
+    assert hedged.metrics.hedges_started > 0
+    assert _wasted(split) < _wasted(hedged)
+    assert split.metrics.aborts <= unsplit.metrics.aborts
+
+
+def test_split_runs_are_deterministic_under_heap_pressure():
+    """Rebalancing reads only simulated state: two identical runs agree
+    on the makespan, every result row and every split counter."""
+    config = PRESSURE.with_split(True)
+    first = _pressure_run("runtime", config, collect_results=True)
+    second = _pressure_run("runtime", config, collect_results=True)
+    assert first.metrics.split_rebalances > 0
+    assert first.seconds == second.seconds
+    assert first.metrics.split_summary() == second.metrics.split_summary()
+    assert _rows(first) == _rows(second)
 
 
 # ---------------------------------------------------------------------------

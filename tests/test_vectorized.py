@@ -237,3 +237,37 @@ class TestVectorizedExecution:
         busy = hw.metrics.busy_seconds
         assert busy.get("gpu", 0) > 0
         assert busy.get("cpu", 0) > 0  # the host took a vector share
+
+
+def test_extension_operator_vs_vector_at_a_time():
+    """Sec. 5.5: under vectorized execution "heap contention is reduced
+    to pipeline-breaking operators, but for a reasonably complex query
+    workload the DBMS is still required to deal with this problem".
+    The SSB workload under both processing models.  (``pytest -s``
+    prints the table EXPERIMENTS.md quotes.)"""
+    from repro.harness import experiments as E
+    from repro.harness.tables import ExperimentResult
+
+    database = E.ssb_database(10)
+    queries = ssb.workload(database)
+    result = ExperimentResult(
+        "Extension: operator-at-a-time vs vector-at-a-time (SSB, SF 10)")
+    for model in ("operator", "vectorized"):
+        for users in (1, 10):
+            run = run_workload(database, queries, "data_driven_chopping",
+                               config=E.FULL_CONFIG, users=users,
+                               repetitions=2, processing_model=model)
+            result.add(model=model, users=users, seconds=run.seconds,
+                       h2d_seconds=run.metrics.cpu_to_gpu_seconds,
+                       aborts=run.metrics.aborts,
+                       peak_heap_gib=run.metrics.peak_heap_bytes / GIB)
+    print()
+    result.print()
+    rows = {(row["model"], row["users"]): row for row in result.rows}
+    # pipelines materialise only at breakers: the peak heap demand is
+    # lower than the operator model's footprints
+    assert (rows[("vectorized", 10)]["peak_heap_gib"]
+            <= rows[("operator", 10)]["peak_heap_gib"])
+    # and the model change never breaks robustness (comparable time)
+    assert (rows[("vectorized", 10)]["seconds"]
+            <= rows[("operator", 10)]["seconds"] * 1.5)
