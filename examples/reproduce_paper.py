@@ -1,108 +1,47 @@
 """Regenerate every figure of the paper and print the series.
 
-Runs each harness driver with moderate parameters (minutes, not hours)
-and prints the rows each figure of the paper plots.  Pass ``--fast``
-for a quick smoke pass, ``--jobs N`` to fan each figure's grid over N
-worker processes (output is identical to sequential), or a figure
-selector like ``fig14``.
+Runs each entry of ``repro.harness.figures.FIGURES`` at its full size
+(minutes, not hours) and prints the rows the figure plots.  Pass
+``--fast`` for a quick smoke pass, ``--jobs N`` to fan each figure's
+grid over N worker processes (output is identical to sequential), or
+figure ids like ``fig14a chaos``.
 
 Run with:  python examples/reproduce_paper.py [--fast] [--jobs N] [figNN ...]
 """
 
+import argparse
 import sys
 import time
 
-from repro.harness import experiments as E
+from repro.harness.figures import FIGURES
 from repro.harness.parallel import set_default_jobs
 
-#: figure id -> (driver, default kwargs, fast kwargs)
-FIGURES = {
-    "fig01": (E.figure01, dict(scale_factor=20, repetitions=5),
-              dict(scale_factor=20, repetitions=1)),
-    "fig02": (E.figure02, dict(repetitions=10), dict(repetitions=2)),
-    "fig03": (E.figure03, dict(total_queries=100),
-              dict(total_queries=30, users=(1, 7, 20))),
-    "fig05": (E.figure05, dict(repetitions=10), dict(repetitions=2)),
-    "fig06": (E.figure06, dict(repetitions=10), dict(repetitions=2)),
-    "fig07": (E.figure07, dict(total_queries=100),
-              dict(total_queries=30, users=(1, 7, 20))),
-    "fig09": (E.figure09, dict(total_queries=100),
-              dict(total_queries=30, users=(1, 7, 20))),
-    "fig12": (E.figure12, dict(total_queries=100),
-              dict(total_queries=30, users=(1, 7, 20))),
-    "fig13": (E.figure13, dict(total_queries=100),
-              dict(total_queries=30, users=(1, 7, 20))),
-    "fig14a": (E.figure14, dict(benchmark="ssb", repetitions=2),
-               dict(benchmark="ssb", repetitions=1,
-                    scale_factors=(5, 15, 30))),
-    "fig14b": (E.figure14, dict(benchmark="tpch", repetitions=2),
-               dict(benchmark="tpch", repetitions=1,
-                    scale_factors=(5, 15, 30))),
-    "fig15a": (E.figure15, dict(benchmark="ssb", repetitions=2),
-               dict(benchmark="ssb", repetitions=1,
-                    scale_factors=(5, 15, 30))),
-    "fig15b": (E.figure15, dict(benchmark="tpch", repetitions=2),
-               dict(benchmark="tpch", repetitions=1,
-                    scale_factors=(5, 15, 30))),
-    "fig16": (E.figure16, dict(), dict()),
-    "fig17": (E.figure17, dict(repetitions=3), dict(repetitions=1)),
-    "fig18a": (E.figure18, dict(benchmark="ssb", repetitions=3),
-               dict(benchmark="ssb", repetitions=1, users=(1, 20))),
-    "fig18b": (E.figure18, dict(benchmark="tpch", repetitions=3),
-               dict(benchmark="tpch", repetitions=1, users=(1, 20))),
-    "fig19": (E.figure19, dict(benchmark="ssb", repetitions=3),
-              dict(benchmark="ssb", repetitions=1, users=(1, 20))),
-    "fig20": (E.figure20, dict(repetitions=3),
-              dict(repetitions=1, users=(1, 20))),
-    "fig21": (E.figure21, dict(repetitions=2), dict(repetitions=1)),
-    "fig22": (E.figure22, dict(repetitions=3), dict(repetitions=1)),
-    "fig23": (E.figure23, dict(repetitions=3), dict(repetitions=1)),
-    "fig24": (E.figure24, dict(repetitions=2),
-              dict(repetitions=1, fractions=(0.0, 0.6, 1.0))),
-    "fig25": (E.figure25, dict(repetitions=2),
-              dict(repetitions=1, users=(1, 20))),
-}
 
-
-def main():
-    arguments = sys.argv[1:]
-    fast = "--fast" in arguments
-    selected = []
-    skip_next = False
-    for index, argument in enumerate(arguments):
-        if skip_next:
-            skip_next = False
-            continue
-        if argument == "--jobs" or argument.startswith("--jobs="):
-            if "=" in argument:
-                raw = argument.split("=", 1)[1]
-            else:
-                raw = arguments[index + 1] if index + 1 < len(arguments) else ""
-                skip_next = True
-            try:
-                set_default_jobs(int(raw))
-            except ValueError as error:
-                print("--jobs: {}".format(error))
-                return 2
-        elif not argument.startswith("--"):
-            selected.append(argument)
-    figures = selected or list(FIGURES)
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("figures", nargs="*", help="figure ids (default: all)")
+    parser.add_argument("--fast", action="store_true")
+    parser.add_argument("--jobs", type=int, default=None, metavar="N")
+    args = parser.parse_args(argv)
+    try:
+        set_default_jobs(args.jobs)
+    except ValueError as error:
+        parser.error("--jobs: {}".format(error))
+    unknown = [figure_id for figure_id in args.figures
+               if figure_id not in FIGURES]
+    if unknown:
+        print("unknown figure {!r}; choose from {}".format(
+            unknown[0], ", ".join(FIGURES)))
+        return 1
 
     total_start = time.time()
-    for figure_id in figures:
-        if figure_id not in FIGURES:
-            print("unknown figure {!r}; choose from {}".format(
-                figure_id, ", ".join(FIGURES)))
-            return 1
-        driver, default_kwargs, fast_kwargs = FIGURES[figure_id]
-        kwargs = fast_kwargs if fast else default_kwargs
+    for figure_id in args.figures or FIGURES:
         start = time.time()
-        result = driver(**kwargs)
-        elapsed = time.time() - start
+        result = FIGURES[figure_id].run(fast=args.fast)
         print("=" * 72)
         result.print()
         print("[{} regenerated in {:.1f}s wall time]\n".format(
-            figure_id, elapsed))
+            figure_id, time.time() - start))
     print("All done in {:.1f}s.".format(time.time() - total_start))
     return 0
 

@@ -35,68 +35,17 @@ from typing import List, Optional
 
 from repro.core import STRATEGY_NAMES
 from repro.engine import morsel
-from repro.harness import experiments as E
+from repro.harness.figures import FIGURES
 from repro.harness.parallel import set_default_jobs
 from repro.harness.runner import run_workload
 from repro.hardware import SystemConfig
 from repro.hardware.calibration import GIB
 from repro.workloads import sql_workload, ssb, tpch
 
-#: figure id -> (driver, default kwargs, --fast kwargs)
-FIGURE_DRIVERS = {
-    "fig01": (E.figure01, {"scale_factor": 20, "repetitions": 5},
-              {"scale_factor": 20, "repetitions": 1}),
-    "fig02": (E.figure02, {"repetitions": 10}, {"repetitions": 2}),
-    "fig03": (E.figure03, {"total_queries": 100},
-              {"total_queries": 30, "users": (1, 7, 20)}),
-    "fig05": (E.figure05, {"repetitions": 10}, {"repetitions": 2}),
-    "fig06": (E.figure06, {"repetitions": 10}, {"repetitions": 2}),
-    "fig07": (E.figure07, {"total_queries": 100},
-              {"total_queries": 30, "users": (1, 7, 20)}),
-    "fig09": (E.figure09, {"total_queries": 100},
-              {"total_queries": 30, "users": (1, 7, 20)}),
-    "fig12": (E.figure12, {"total_queries": 100},
-              {"total_queries": 30, "users": (1, 7, 20)}),
-    "fig13": (E.figure13, {"total_queries": 100},
-              {"total_queries": 30, "users": (1, 7, 20)}),
-    "fig14a": (E.figure14, {"benchmark": "ssb", "repetitions": 2},
-               {"benchmark": "ssb", "repetitions": 1,
-                "scale_factors": (5, 15, 30)}),
-    "fig14b": (E.figure14, {"benchmark": "tpch", "repetitions": 2},
-               {"benchmark": "tpch", "repetitions": 1,
-                "scale_factors": (5, 15, 30)}),
-    "fig15a": (E.figure15, {"benchmark": "ssb", "repetitions": 2},
-               {"benchmark": "ssb", "repetitions": 1,
-                "scale_factors": (5, 15, 30)}),
-    "fig15b": (E.figure15, {"benchmark": "tpch", "repetitions": 2},
-               {"benchmark": "tpch", "repetitions": 1,
-                "scale_factors": (5, 15, 30)}),
-    "fig16": (E.figure16, {}, {}),
-    "fig17": (E.figure17, {"repetitions": 3}, {"repetitions": 1}),
-    "fig18a": (E.figure18, {"benchmark": "ssb", "repetitions": 3},
-               {"benchmark": "ssb", "repetitions": 1, "users": (1, 20)}),
-    "fig18b": (E.figure18, {"benchmark": "tpch", "repetitions": 3},
-               {"benchmark": "tpch", "repetitions": 1, "users": (1, 20)}),
-    "fig19": (E.figure19, {"benchmark": "ssb", "repetitions": 3},
-              {"benchmark": "ssb", "repetitions": 1, "users": (1, 20)}),
-    "fig20": (E.figure20, {"repetitions": 3},
-              {"repetitions": 1, "users": (1, 20)}),
-    "fig21": (E.figure21, {"repetitions": 2}, {"repetitions": 1}),
-    "fig22": (E.figure22, {"repetitions": 3}, {"repetitions": 1}),
-    "fig23": (E.figure23, {"repetitions": 3}, {"repetitions": 1}),
-    "fig24": (E.figure24, {"repetitions": 2},
-              {"repetitions": 1, "fractions": (0.0, 0.6, 1.0)}),
-    "fig25": (E.figure25, {"repetitions": 2},
-              {"repetitions": 1, "users": (1, 20)}),
-    "multigpu": (E.multi_gpu_scaling, {"repetitions": 2},
-                 {"repetitions": 1, "gpu_counts": (1, 4)}),
-    "chaos": (E.chaos_sweep, {"repetitions": 2},
-              {"repetitions": 1, "fault_rates": (0.0, 0.02, 0.1)}),
-    "overlap": (E.overlap_sweep, {"repetitions": 2},
-                {"repetitions": 1, "users": (1, 4), "scale_factor": 5}),
-    "overload": (E.overload_sweep, {"repetitions": 2},
-                 {"repetitions": 1, "loads": (1, 4), "scale_factor": 5}),
-}
+#: figure id -> (driver, full-size kwargs, --fast kwargs): the view of
+#: :data:`repro.harness.figures.FIGURES` that ``benchmarks/e2e`` reads
+FIGURE_DRIVERS = {figure.id: (figure.run, {}, {"fast": True})
+                  for figure in FIGURES.values()}
 
 
 def _database(benchmark: str, scale_factor: float, data_scale: float):
@@ -105,11 +54,11 @@ def _database(benchmark: str, scale_factor: float, data_scale: float):
 
 
 def cmd_figures(args) -> int:
-    figures = args.figures or list(FIGURE_DRIVERS)
+    figures = args.figures or list(FIGURES)
     for figure_id in figures:
-        if figure_id not in FIGURE_DRIVERS:
+        if figure_id not in FIGURES:
             print("unknown figure {!r}; choose from: {}".format(
-                figure_id, ", ".join(FIGURE_DRIVERS)))
+                figure_id, ", ".join(FIGURES)))
             return 1
     if args.jobs is not None:
         try:
@@ -119,10 +68,8 @@ def cmd_figures(args) -> int:
             return 1
     start = time.time()
     for figure_id in figures:
-        driver, default_kwargs, fast_kwargs = FIGURE_DRIVERS[figure_id]
-        kwargs = fast_kwargs if args.fast else default_kwargs
         print("=" * 72)
-        driver(**kwargs).print()
+        FIGURES[figure_id].run(fast=args.fast).print()
     print("done in {:.1f}s".format(time.time() - start))
     return 0
 
@@ -368,10 +315,11 @@ def cmd_query(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from repro.harness.report import generate_report
+    from repro.harness.report import evaluate_claims, render
 
-    print(generate_report(fast=not args.full))
-    return 0
+    verdicts = evaluate_claims(full=args.full)
+    print(render(verdicts))
+    return 0 if all(holds for _, holds, _ in verdicts) else 1
 
 
 def cmd_strategies(_args) -> int:
@@ -569,7 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="regenerate the paper-vs-measured claim table"
     )
     report.add_argument("--full", action="store_true",
-                        help="larger sweeps (slower, tighter numbers)")
+                        help="judge each claim on its grid at full size "
+                             "(slower, tighter numbers)")
     report.set_defaults(func=cmd_report)
     return parser
 

@@ -1,213 +1,50 @@
-"""Reproduction report generator.
+"""Reproduction report: every claim of the paper, measured live.
 
-Runs the headline experiments and renders a markdown table comparing
-each paper claim with the freshly measured value — the same structure
-as EXPERIMENTS.md, regenerated from live runs so drift between code
-and documentation is detectable (`python -m repro report`).
-
-Every threshold here is the number ``tests/test_paper_shapes.py``
-asserts for the same claim, measured on that test's grid, so the
-report cannot say "yes" to a run tier-1 would fail.
+``python -m repro report`` judges every :class:`Claim` of
+:data:`repro.harness.figures.CLAIMS` — the claims tier-1 asserts, by
+the same function (``Claim.evaluate``) on the same grid — and renders
+one markdown row per claim: the paper's sentence, each measured value
+beside the threshold it was judged against, and whether it holds.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import List, Optional, Tuple
 
-from repro.harness import experiments as E
+from repro.harness import figures
 
-
-@dataclass
-class Claim:
-    """One paper claim with its measurement."""
-
-    figure: str
-    claim: str
-    paper_value: str
-    measure: Callable[[Dict], float]
-    render: str  # format string applied to the measured value
-    holds: Callable[[float], bool]
+#: one claim, judged: (claim, holds, "measured vs. threshold, ...")
+Verdict = Tuple[figures.Claim, bool, str]
 
 
-@contextmanager
-def _pinned_grids():
-    """The claims index exact sweep points (SF 15, 20 users, ...), so
-    REPRO_FAST grid clipping must not apply here; the report's own
-    ``fast`` knob bounds its cost instead."""
-    saved = os.environ.pop(E.FAST_ENV, None)
-    try:
-        yield
-    finally:
-        if saved is not None:
-            os.environ[E.FAST_ENV] = saved
+def evaluate_claims(full: bool = False,
+                    tables: Optional[dict] = None) -> List[Verdict]:
+    """Judge every claim, on its tier-1 grid or (``full``) on that
+    grid at full size.  ``tables`` maps a grid to its measured table:
+    pass one to share the sweeps with another caller."""
+    tables = {} if tables is None else tables
+    return [(claim, *claim.evaluate(claim.grid.table(tables, full)))
+            for claim in figures.CLAIMS]
 
 
-#: the Fig. 14 grid (the one ``test_paper_shapes.scale_sweep`` runs)
-SCALE_FACTORS = (5, 10, 15, 20, 30)
-
-
-def _collect_measurements(fast: bool = True) -> Dict:
-    """Run the sweeps the claims draw from (shared across claims)."""
-    scale = dict(repetitions=1) if fast else dict(repetitions=2)
-    data: Dict = {}
-
-    fig01 = E.figure01(scale_factor=20, **scale)
-    data["fig01"] = {row["strategy"]: row["seconds"] for row in fig01.rows}
-    fig01_sf10 = E.figure01(scale_factor=10, **scale)
-    data["fig01_sf10"] = {
-        row["strategy"]: row["seconds"] for row in fig01_sf10.rows
-    }
-
-    fig02 = E.figure02(buffer_gib=(0.0, 2.5),
-                       repetitions=4 if fast else 10)
-    data["fig02"] = dict(
-        fig02.series("buffer_gib", "seconds", "strategy")["gpu_only"]
-    )
-
-    # 100 queries in either mode: the Fig. 3 ratio depends on the
-    # stream length (x2.3 over 60 queries, x2.0 over 100), and the
-    # claim is the one tests/test_paper_shapes.py asserts over 100
-    sweep = E.micro_users_sweep(
-        strategies=("gpu_only", "runtime", "chopping"),
-        users=(4, 7, 20), total_queries=100,
-    )
-    data["micro"] = {
-        (row["strategy"], row["users"]): row for row in sweep.rows
-    }
-
-    scale_sweep = E.scale_factor_sweep(
-        "ssb", scale_factors=SCALE_FACTORS,
-        strategies=("cpu_only", "gpu_only", "data_driven_chopping"),
-        repetitions=1,
-    )
-    data["scale"] = {
-        (row["strategy"], row["scale_factor"]): row
-        for row in scale_sweep.rows
-    }
-
-    fig17 = E.figure17(repetitions=1,
-                       strategies=("cpu_only", "data_driven_chopping"))
-    table: Dict = {}
-    for row in fig17.rows:
-        table.setdefault(row["query"], {})[row["strategy"]] = row["seconds"]
-    data["fig17"] = table
-
-    users = E.benchmark_users_sweep(
-        "ssb", users=(1, 20),
-        strategies=("gpu_only", "chopping", "data_driven_chopping"),
-        repetitions=1,
-    )
-    data["users"] = {
-        (row["strategy"], row["users"]): row for row in users.rows
-    }
-    return data
-
-
-CLAIMS: List[Claim] = [
-    Claim(
-        "Fig. 1", "GPU with cold cache is slower than the CPU (SF 20)",
-        "~3x slower",
-        lambda d: d["fig01"]["gpu (cold cache)"] / d["fig01"]["cpu"],
-        "{:.2f}x slower", lambda v: v > 1.0,
-    ),
-    Claim(
-        "Fig. 1", "hot-cache GPU accelerates the query (SF 10)",
-        "~2.5x faster",
-        lambda d: d["fig01_sf10"]["cpu"] / d["fig01_sf10"]["gpu (hot cache)"],
-        "{:.2f}x faster", lambda v: v > 1.5,
-    ),
-    Claim(
-        "Fig. 2", "cache thrashing degradation",
-        "factor ~24",
-        lambda d: d["fig02"][0.0] / d["fig02"][2.5],
-        "factor {:.1f}", lambda v: v > 10,
-    ),
-    Claim(
-        "Fig. 3", "heap contention degrades beyond ~7 users",
-        "degradation past 7 users",
-        lambda d: (d["micro"][("gpu_only", 20)]["seconds"]
-                   / d["micro"][("gpu_only", 4)]["seconds"]),
-        "{:.2f}x at 20 users", lambda v: v > 1.5,
-    ),
-    Claim(
-        "Fig. 13", "aborts: compile-time > run-time > chopping (=0)",
-        "monotone, chopping ~0",
-        lambda d: d["micro"][("chopping", 20)]["aborts"],
-        "chopping aborts = {:.0f}",
-        lambda v: v == 0,
-    ),
-    Claim(
-        "Fig. 14", "GPU-only falls behind from SF 15",
-        "crossover at SF 15",
-        lambda d: (d["scale"][("gpu_only", 15)]["seconds"]
-                   / d["scale"][("cpu_only", 15)]["seconds"]),
-        "{:.2f}x slower at SF 15", lambda v: v > 1.0,
-    ),
-    Claim(
-        "Fig. 14", "Data-Driven Chopping never worse than CPU-only",
-        "robustness",
-        lambda d: max(
-            d["scale"][("data_driven_chopping", sf)]["seconds"]
-            / d["scale"][("cpu_only", sf)]["seconds"]
-            for sf in SCALE_FACTORS
-        ),
-        "worst ratio {:.2f}", lambda v: v <= 1.1,
-    ),
-    Claim(
-        "Fig. 17", "high-selectivity Q3.4 accelerates at SF 30",
-        "up to ~2.5x",
-        lambda d: (d["fig17"]["Q3.4"]["cpu_only"]
-                   / d["fig17"]["Q3.4"]["data_driven_chopping"]),
-        "{:.2f}x", lambda v: v > 1.8,
-    ),
-    Claim(
-        "Fig. 19", "Data-Driven Chopping slashes CPU->GPU IO at 20 users",
-        "factor 48",
-        lambda d: min(
-            d["users"][("gpu_only", 20)]["h2d_seconds"]
-            / max(d["users"][("data_driven_chopping", 20)]["h2d_seconds"],
-                  1e-9),
-            9999.0,  # a zero denominator means "all IO eliminated"
-        ),
-        "factor {:.0f}+", lambda v: v > 10,
-    ),
-    Claim(
-        "Fig. 20", "Chopping removes nearly all wasted time at 20 users",
-        "factor up to 74",
-        lambda d: min(
-            d["users"][("gpu_only", 20)]["wasted_seconds"]
-            / max(d["users"][("chopping", 20)]["wasted_seconds"], 1e-9),
-            9999.0,
-        ),
-        "factor {:.0f}+", lambda v: v > 5,
-    ),
-]
-
-
-def generate_report(fast: bool = True) -> str:
-    """Run the headline experiments and render the markdown report."""
-    with _pinned_grids():
-        data = _collect_measurements(fast=fast)
+def render(verdicts: List[Verdict]) -> str:
+    """The markdown table of ``verdicts`` and its one-line summary."""
     lines = [
         "# Reproduction report (regenerated)",
         "",
-        "| Figure | Claim | Paper | Measured | Holds |",
-        "|--------|-------|-------|----------|-------|",
+        "| Figure | Claim | Paper | Measured vs. threshold | Holds |",
+        "|--------|-------|-------|------------------------|-------|",
     ]
-    failures = 0
-    for claim in CLAIMS:
-        value = claim.measure(data)
-        holds = claim.holds(value)
-        failures += 0 if holds else 1
-        lines.append("| {} | {} | {} | {} | {} |".format(
-            claim.figure, claim.claim, claim.paper_value,
-            claim.render.format(value), "yes" if holds else "NO",
-        ))
-    lines.append("")
-    lines.append("{} of {} claims hold.".format(
-        len(CLAIMS) - failures, len(CLAIMS)
-    ))
+    lines += [
+        "| {} | {} | {} | {} | {} |".format(
+            claim.figure, claim.name, claim.sentence, measured,
+            "yes" if holds else "NO")
+        for claim, holds, measured in verdicts]
+    lines += ["", "{} of {} claims hold.".format(
+        sum(holds for _, holds, _ in verdicts), len(verdicts))]
     return "\n".join(lines)
+
+
+def generate_report(full: bool = False, tables: Optional[dict] = None) -> str:
+    """Measure every claim and render the report."""
+    return render(evaluate_claims(full, tables))

@@ -83,13 +83,17 @@ def test_figures_unknown_id(capsys):
 
 
 def test_figure_driver_table_covers_all_paper_figures():
-    expected = {
-        "fig01", "fig02", "fig03", "fig05", "fig06", "fig07", "fig09",
-        "fig12", "fig13", "fig14a", "fig14b", "fig15a", "fig15b",
-        "fig16", "fig17", "fig18a", "fig18b", "fig19", "fig20", "fig21",
-        "fig22", "fig23", "fig24", "fig25",
-    }
-    assert expected <= set(FIGURE_DRIVERS)
+    """``FIGURE_DRIVERS`` is the view of ``repro.harness.figures.FIGURES``
+    that ``benchmarks/e2e`` reads: ``(callable, full kwargs, --fast
+    kwargs)`` with ``callable(jobs=1, **kwargs) -> ExperimentResult``."""
+    from repro.harness.figures import FIGURES
+
+    assert list(FIGURE_DRIVERS) == list(FIGURES) and len(FIGURES) == 28
+    for figure_id, (driver, full, fast) in FIGURE_DRIVERS.items():
+        assert driver == FIGURES[figure_id].run
+        assert (full, fast) == ({}, {"fast": True})
+    driver, _, fast = FIGURE_DRIVERS["fig16"]
+    assert driver(jobs=1, **fast).title.startswith("Figure 16")
 
 
 def test_compress_command(capsys):

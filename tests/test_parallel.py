@@ -108,13 +108,13 @@ class TestRunCells:
         assert run_cells([], jobs=4) == []
 
 
-def test_driver_tables_identical_across_worker_counts(monkeypatch):
-    """A figure driver's printed table must not depend on --jobs."""
-    monkeypatch.setenv("REPRO_FAST", "1")
-    from repro.harness import experiments as E
+def test_driver_tables_identical_across_worker_counts():
+    """A figure's printed table must not depend on --jobs."""
+    from repro.harness.figures import FIGURES
 
-    sequential = E.figure24(repetitions=1)
-    parallel = E.figure24(repetitions=1, jobs=2)
+    small = dict(fractions=(0.0, 1.0), repetitions=1)
+    sequential = FIGURES["fig24"].run(**small)
+    parallel = FIGURES["fig24"].run(jobs=2, **small)
     assert parallel.format_table() == sequential.format_table()
 
 
