@@ -14,7 +14,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.engine.intermediates import SelectionVector
+from repro.engine.intermediates import gather
 from repro.storage import Column, Database
 
 
@@ -54,14 +54,7 @@ class Frame:
                     table_name, key
                 )
             )
-        if isinstance(positions, SelectionVector):
-            if positions.is_all and positions.n == len(column.values):
-                values = column.values
-            else:
-                values = column.gather(positions.tids)
-        else:
-            values = column.gather(positions)
-        self._arrays[key] = values
+        values = self._arrays[key] = gather(positions, column)
         return values
 
     def column_meta(self, key: str) -> Column:

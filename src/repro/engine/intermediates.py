@@ -78,6 +78,18 @@ class SelectionVector:
         )
 
 
+def gather(entry, column) -> np.ndarray:
+    """``column`` values at ``entry`` — a tid array or a
+    :class:`SelectionVector`.  A full-table selection returns the base
+    array itself — no copy; downstream kernels treat input arrays as
+    read-only."""
+    if isinstance(entry, SelectionVector):
+        if entry.is_all and entry.n == len(column.values):
+            return column.values
+        return column.gather(entry.tids)
+    return column.gather(entry)
+
+
 class TidSet:
     """Aligned row positions for one or more base tables.
 
@@ -115,17 +127,8 @@ class TidSet:
         return entry if isinstance(entry, SelectionVector) else None
 
     def gather(self, table_name: str, column) -> np.ndarray:
-        """``column`` values at this TidSet's positions for the table.
-
-        A full-table selection returns the base array itself — no copy;
-        downstream kernels treat input arrays as read-only.
-        """
-        entry = self.tables[table_name]
-        if isinstance(entry, SelectionVector):
-            if entry.is_all and entry.n == len(column.values):
-                return column.values
-            return column.gather(entry.tids)
-        return column.gather(entry)
+        """``column`` values at this TidSet's positions for the table."""
+        return gather(self.tables[table_name], column)
 
     def __repr__(self) -> str:
         return "<TidSet {} rows over {}>".format(len(self), self.table_names)

@@ -11,16 +11,19 @@ amortise their data-parallel primitives:
   ``searchsorted`` calls.  Key columns that are dense ascending ranges
   (dimension primary keys) skip the search entirely and join by
   positional lookup; other unique keys probe an O(1) position table.
-  The probers over these structures (bottom of this module) are the
-  ones ``HashJoin`` and the fused pipelines both probe through.
+  The probers over these structures (bottom of this module) are what
+  ``HashJoin.match`` — the one join kernel, whichever schedule calls
+  it — probes through.
 * **Column bounds** — the cached (min, max) of an integer column:
   they prove foreign-key containment (eliding the probers' range
   checks) and give the fused aggregation its group-id radixes.
 
 Everything here is a pure acceleration: the produced tid sets are
-byte-identical to ``HashJoin``'s general gather-sort-search expansion,
-which still serves every build side no cached structure covers.  The
-cache registers itself with :mod:`repro.engine.caches`, so
+byte-identical to the row-by-row expansion (probe order, then the
+ascending-tid order of equal build keys), which
+``tests/test_kernels.py::TestProbers`` keeps as the reference of every
+prober; a build side no cached structure covers probes through
+:func:`gathered_prober`.  The cache registers itself with :mod:`repro.engine.caches`, so
 ``compress_database`` and ``clear_database_caches`` invalidate it
 alongside the plan cache.
 """
@@ -34,12 +37,6 @@ import numpy as np
 
 from repro.engine import caches
 
-#: If the build side of a cached-index join would expand to more than
-#: this many matches per probe row before mask filtering, a bounded
-#: :class:`_SortedProber` gives up and ``HashJoin`` sorts the filtered
-#: values (its general expansion) instead.
-_EXPAND_FALLBACK_FACTOR = 4
-
 #: database -> KernelCache
 _caches: "WeakKeyDictionary" = WeakKeyDictionary()
 
@@ -50,6 +47,7 @@ stats = {
     "dense_joins": 0,
     "lookup_joins": 0,
     "sorted_joins": 0,
+    "gathered_joins": 0,
     "masked_refines": 0,
     "masked_intersects": 0,
     "lookup_builds": 0,
@@ -236,9 +234,9 @@ def cache_size(database=None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Join probers: one per cached access structure.  ``HashJoin`` and the
-# fused pipelines probe through the same objects, and every one is
-# byte-identical to ``HashJoin``'s general gather-sort-search expansion.
+# Join probers: one per cached access structure, all returning the
+# row-by-row expansion's matches in its order (``probe(values)`` →
+# probe-side indexes, build-side positions).
 # A gather keyed by a stored (int32) column goes through ``ndarray.take``:
 # ``array[keys]`` casts a non-intp index in numpy's buffered iterator
 # (~3x slower), and ``take``'s default ``mode="raise"`` keeps the same
@@ -339,31 +337,25 @@ class _LookupProber:
 
 
 class _SortedProber:
-    """General probe through the cached stable sort order.
+    """General probe through a stable sort order: the engine's one
+    1:N match expansion.  ``counter`` names the statistic a probe
+    moves — the cached index of a base column, or an index
+    :func:`gathered_prober` sorted for one join."""
 
-    ``bounded`` makes a filtered build give up (``probe`` returns None)
-    when the unfiltered expansion would dwarf a sort of the selected
-    values alone — ``HashJoin`` then re-sorts (its general expansion);
-    a fused pipeline, which has no such path to fall to, probes
-    unbounded.
-    """
+    __slots__ = ("order", "sorted_values", "mask", "counter")
 
-    __slots__ = ("order", "sorted_values", "mask", "bounded")
-
-    def __init__(self, index: JoinIndex, mask, bounded: bool):
+    def __init__(self, index: JoinIndex, mask, counter: str = "sorted_joins"):
         self.order = index.order
         self.sorted_values = index.sorted_values
         self.mask = mask
-        self.bounded = bounded and mask is not None
+        self.counter = counter
 
     def probe(self, fk: np.ndarray):
-        stats["sorted_joins"] += 1
+        stats[self.counter] += 1
         lo = np.searchsorted(self.sorted_values, fk, side="left")
         hi = np.searchsorted(self.sorted_values, fk, side="right")
         counts = hi - lo
         total = int(counts.sum())
-        if self.bounded and total > _EXPAND_FALLBACK_FACTOR * len(fk) + 1024:
-            return None
         if total == 0:
             return _empty_match()
         probe_idx = np.repeat(np.arange(len(fk), dtype=np.int64), counts)
@@ -382,8 +374,20 @@ class _SortedProber:
         return probe_idx[keep], build_tids[keep]
 
 
+def gathered_prober(build_values: np.ndarray) -> _SortedProber:
+    """The prober for a build side no cached structure covers — a join
+    result, several aligned tables, a selection older than its column:
+    a stable sort of the *gathered* build keys, made for this one join.
+    ``probe`` returns positions in ``build_values``; the caller
+    (``HashJoin.run``, the only one) maps them back through the build
+    side's tids."""
+    order = np.argsort(build_values, kind="stable")
+    return _SortedProber(JoinIndex(order, build_values[order], None), None,
+                         "gathered_joins")
+
+
 def prober_for(cache: KernelCache, build_column, build_selection,
-               probe_column, bounded: bool = False):
+               probe_column):
     """The prober for an equi-join into ``build_column``.
 
     ``build_selection`` is the build side's
@@ -404,7 +408,7 @@ def prober_for(cache: KernelCache, build_column, build_selection,
     if probe_column.values.dtype.kind not in "iu":
         if index.dense_base is not None:
             return None
-        return _SortedProber(index, mask, bounded)
+        return _SortedProber(index, mask)
     bounds = cache.column_bounds(probe_column)
 
     def unproven(base: int, span: int) -> bool:
@@ -418,7 +422,7 @@ def prober_for(cache: KernelCache, build_column, build_selection,
     if lookup is not None:
         return _LookupProber(lookup, mask,
                              unproven(lookup.base, len(lookup.table)))
-    return _SortedProber(index, mask, bounded)
+    return _SortedProber(index, mask)
 
 
 caches.register("kernels", invalidate, cache_size)

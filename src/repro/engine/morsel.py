@@ -1,35 +1,21 @@
-"""Fused morsel-driven execution: the functional layer's default path.
+"""Fused morsel-driven execution: the functional layer's default schedule.
 
 The simulator charges every operator its own materialised intermediate
 (CoGaDB is operator-at-a-time, paper Sec. 2.5), but the *host* work
 behind those intermediates does not have to run that way.  This module
-fuses the hot mid-query chain — ``ScanSelect`` → ``RefineSelect``* →
-``HashJoin``* → (``GroupByAggregate`` | ``Materialize``) — into a
-single per-morsel pipeline over cache-sized row ranges of the fact
-table:
+schedules the hot mid-query chain — ``ScanSelect`` → ``RefineSelect``*
+→ ``HashJoin``* → (``GroupByAggregate`` | ``Materialize``) — morsel by
+morsel over cache-sized row ranges of the fact table.
 
-* the scan predicate is evaluated per morsel over column *slices*
-  (elementwise, so restriction commutes with evaluation),
-* join probes run through the kernel layer's probers
-  (:func:`repro.engine.kernels.prober_for`: dense positional,
-  unique-key position lookup, or the stable sorted index), entirely on
-  dictionary codes; cached probe-column bounds prove foreign-key
-  containment and elide the range checks,
-* grouped aggregates reduce through a mixed-radix *dense group id*
-  (radixes from cached column bounds) into sparse partials — present
-  group ids, their row counts, per-aggregate reductions.  Pool workers
-  ship one per chunk and the breaker merges them in the space of the
-  group ids that occur (never over the dense domain); the sequential
-  path reduces the fused chain's output to a single partial — either
-  way skipping the operator path's multi-column ``np.unique`` sort.
-
-Everything is byte-identical to the operator path.  The proofs are
-local: elementwise predicates commute with slicing; restricting the
-stable join order to an ascending morsel and concatenating preserves
-the full-run match order; ascending dense group ids enumerate groups in
-exactly ``np.unique``'s lexicographic order; and integer sums are exact
-in float64, so partial merging cannot reorder rounding (float
-``sum``/``avg`` partials merge compensated and are gated at runtime).
+It computes nothing itself.  What a morsel computes is each chain
+operator's *chunk kernel*, on its class — ``ScanSelect.select`` /
+``RefineSelect.select``, ``HashJoin.match``, and the breakers'
+``partial`` / ``merge`` / ``finish`` — and an operator's ``run()`` is
+the same kernel called once over the whole column; the reasons chunk
+outputs concatenate to the one-chunk output stand with the kernels.
+Here are the ranges, the chain loop, what gets recorded where, the
+order partials are absorbed in, the replay of the nominal-row rule, the
+``Limit`` early stop and the reasons to decline.
 
 Sequential execution is *recording*: a fused run fills the
 per-template result memo (and the cross-plan cache) of every covered
@@ -38,10 +24,12 @@ tuples the operator path would produce, then
 :func:`~repro.engine.execution.functional.execute_operators`' ordinary
 post-order loop serves them — tail operators
 (Sort/Limit/Distinct/FrameFilter) and all bookkeeping run unchanged.
-When a plan shape falls outside the fused form the pipeline declines
-(reason-counted in :data:`decline_reasons`) and the plan runs operator
-by operator; when only the dense aggregation is ineligible the
-scan/join chain still fuses and the breaker runs once at a barrier.
+The chain's chunk outputs are concatenated per operator and the
+breaker runs once, at the barrier, over the recorded chain output.
+Pooled execution ships one breaker partial per worker chunk instead
+and merges them (:meth:`FusedPipeline.merge`).  When a plan shape falls
+outside the fused form the pipeline declines (reason-counted in
+:data:`decline_reasons`) and the plan runs operator by operator.
 """
 
 from __future__ import annotations
@@ -53,27 +41,17 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.engine import kernels, plan_cache
-from repro.engine.expressions import ColumnRef
 from repro.engine.frame import BlockFrame, Frame
 from repro.engine.intermediates import (
     OperatorResult,
-    ResultFrame,
     SelectionVector,
     TidSet,
 )
-from repro.engine.operators.aggregate import finish_aggregate, reduce_groups
-from repro.storage.types import ColumnType
+from repro.engine.operators.base import ChunkPartial
 
 #: Rows per morsel: roughly the L2-sized ranges morsel-driven schedulers
 #: hand out.
 DEFAULT_MORSEL_ROWS = 65536
-
-#: Dense group-id domains above this decline to the barrier aggregate.
-#: Nothing of this size is ever allocated (partials and their merge are
-#: sparse): the cap keeps the mixed-radix ids far inside int64, and it
-#: decides which aggregates count under ``barrier_breakers`` — so its
-#: value is part of the pinned statistics.
-GROUP_DOMAIN_CAP = 1 << 21
 
 _morsel_rows_override: Optional[int] = None
 
@@ -148,89 +126,16 @@ class Decline(Exception):
 
 
 class _Stage:
-    """One fused join: probe key lineage plus the build-side prober."""
+    """One fused join: its probe column, the build-side prober, and the
+    tables its output aligns (in TidSet order)."""
 
-    __slots__ = ("op", "probe_table", "probe_values", "build_table",
-                 "prober", "table_order")
+    __slots__ = ("op", "probe_values", "prober", "table_order")
 
-    def __init__(self, op, probe_table, build_table, table_order):
+    def __init__(self, op, table_order):
         self.op = op
-        self.probe_table = probe_table
         self.probe_values = None
-        self.build_table = build_table
         self.prober = None
         self.table_order = table_order
-
-
-class _GroupTerm:
-    __slots__ = ("ref", "low", "radix", "stride", "dtype", "dictionary")
-
-    def __init__(self, ref, low, radix, dtype, dictionary):
-        self.ref = ref
-        self.low = low
-        self.radix = radix
-        self.stride = 1  # filled once all radixes are known
-        self.dtype = dtype
-        self.dictionary = dictionary
-
-
-class _AggTerm:
-    __slots__ = ("aggregate", "is_integer", "compensated")
-
-    def __init__(self, aggregate, is_integer, compensated=False):
-        self.aggregate = aggregate
-        self.is_integer = is_integer
-        #: float sum/avg merged with Neumaier compensation (pool path);
-        #: identity with the one-pass reference is gated at runtime
-        self.compensated = compensated
-
-
-class _DenseAggregate:
-    """Mixed-radix dense-id plan for a GroupByAggregate breaker."""
-
-    __slots__ = ("terms", "aggs", "domain", "grouped")
-
-    def __init__(self, terms, aggs, domain, grouped):
-        self.terms = terms
-        self.aggs = aggs
-        self.domain = domain
-        self.grouped = grouped
-
-
-class MorselPartial:
-    """Picklable per-morsel result shipped from pool workers.
-
-    ``kind`` is ``"agg"`` (sparse partial aggregates: present group
-    ids, their row counts, and per-aggregate sums / extrema),
-    ``"frame"`` (materialised column chunks), or ``"none"`` (recording
-    runs carry their state in the sink instead).
-    """
-
-    __slots__ = ("index", "kind", "present", "counts", "values", "frame",
-                 "chain_counts")
-
-    def __init__(self, index, kind, present=None, counts=None, values=None,
-                 frame=None, chain_counts=None):
-        self.index = index
-        self.kind = kind
-        self.present = present
-        self.counts = counts
-        self.values = values
-        self.frame = frame
-        #: output row count per chain operator (scan, refines, joins) —
-        #: summed across partials to replay the nominal-row arithmetic
-        self.chain_counts = chain_counts
-
-
-class _Accumulator:
-    """The partials of one pooled execution, buffered in absorb order
-    until :meth:`FusedPipeline._pack_chunk` merges them."""
-
-    __slots__ = ("kind", "chunks")
-
-    def __init__(self, kind):
-        self.kind = kind
-        self.chunks: List[MorselPartial] = []
 
 
 class FusedPipeline:
@@ -241,10 +146,10 @@ class FusedPipeline:
     * *recording* (sequential): :meth:`run_recorded` executes every
       morsel, then fills the covered operators' memos with
       byte-identical result tuples.
-    * *pooled*: :meth:`run_morsel` with ``collect=True`` returns a
-      small picklable :class:`MorselPartial` per range; the scheduling
-      side merges them with :meth:`absorb` / :meth:`finalize` and
-      applies :meth:`run_tail`.
+    * *pooled*: :meth:`run_chunk` reduces a row range to one small
+      picklable partial of the breaker; the scheduling side merges
+      them with :meth:`absorb` / :meth:`finalize` and applies
+      :meth:`run_tail`.
     """
 
     def __init__(self, plan, database):
@@ -253,12 +158,10 @@ class FusedPipeline:
         self.fact_table: str = ""
         self.fact_rows: int = 0
         self.scan_op = None
-        self.fact_predicate = None
         self.refines: List = []
         self.stages: List[_Stage] = []
+        #: the ``aggregate`` / ``project`` operator the chain ends in
         self.breaker = None
-        self.breaker_kind: str = ""  # "agg" | "frame"
-        self.dense: Optional[_DenseAggregate] = None
         self.tail: List = []  # breaker → root, in execution order
         self.covered_ops: List = []
 
@@ -267,169 +170,104 @@ class FusedPipeline:
     @property
     def supports_partials(self) -> bool:
         """True when morsels reduce to small partials a pool can ship
-        (dense aggregation or plain materialisation)."""
-        return self.breaker_kind == "frame" or self.dense is not None
+        and merge (dense aggregation or plain materialisation)."""
+        return self.breaker.supports_partials
 
     @property
     def compensated(self) -> bool:
         """True when any aggregate merges float partials with Neumaier
         compensation — pooled results then need the byte-identity gate."""
-        return (self.dense is not None
-                and any(term.compensated for term in self.dense.aggs))
+        return self.breaker.compensated_terms > 0
 
     def ranges(self) -> List[Tuple[int, int]]:
-        rows = self.fact_rows
-        if rows == 0:
-            return [(0, 0)]
+        return self._spans(0, self.fact_rows)
+
+    @staticmethod
+    def _spans(start: int, stop: int) -> List[Tuple[int, int]]:
+        """The morsels of fact rows ``[start, stop)`` (one, empty, over
+        no rows: an ungrouped aggregate still owes its row)."""
+        if start == stop:
+            return [(start, stop)]
         size = morsel_rows()
-        return [(start, min(start + size, rows))
-                for start in range(0, rows, size)]
+        return [(pos, min(pos + size, stop))
+                for pos in range(start, stop, size)]
 
     # -- per-morsel execution -----------------------------------------
 
-    def run_morsel(self, start: int, stop: int, index: int = 0,
-                   sink: Optional[Dict[int, list]] = None,
-                   collect: bool = False) -> MorselPartial:
-        """Run the fused chain over fact rows ``[start, stop)``.
-
-        With ``sink`` (op_id → chunk list), records the per-operator
-        intermediate chunks the unfused path would have produced.  With
-        ``collect``, reduces the breaker over the morsel and returns
-        the partial result.
-        """
+    def run_morsel(self, start: int, stop: int):
+        """Run the chain over fact rows ``[start, stop)``: the chunk
+        output of every chain operator, as ``(masks, lineages)`` — the
+        cumulative mask after the scan and after each refine (None
+        while no predicate has applied), and the aligned absolute tids
+        per reachable table entering the joins and after each one
+        (None: every row of the morsel)."""
         stats["morsels"] += 1
-        database = self.database
-        block = BlockFrame(database)
+        block = BlockFrame(self.database)
         block.set_range(start, stop)
 
-        chain_counts: Optional[List[int]] = [] if collect else None
+        mask = None
+        if self.scan_op.predicate is not None:
+            mask = self.scan_op.select(block)
+        masks = [mask]
+        for refine in self.refines:
+            mask = refine.select(block, mask)
+            masks.append(mask)
 
-        # Scan + refines: cumulative mask over the morsel's rows.
-        fact_tids: Optional[np.ndarray] = None  # None = all of [start, stop)
-        if self.fact_predicate is not None or self.refines:
-            if self.fact_predicate is not None:
-                cum = np.asarray(self.fact_predicate.evaluate(block),
-                                 dtype=bool)
-                if sink is not None:
-                    sink[self.scan_op.op_id].append(cum)
-                if chain_counts is not None:
-                    chain_counts.append(int(np.count_nonzero(cum)))
-            else:
-                cum = np.ones(stop - start, dtype=bool)
-                if chain_counts is not None:
-                    chain_counts.append(stop - start)
-            for refine in self.refines:
-                cum = cum & np.asarray(refine.predicate.evaluate(block),
-                                       dtype=bool)
-                if sink is not None:
-                    sink[refine.op_id].append(cum)
-                if chain_counts is not None:
-                    chain_counts.append(int(np.count_nonzero(cum)))
-            fact_tids = start + np.flatnonzero(cum)
-        elif chain_counts is not None:
-            chain_counts.append(stop - start)
-
-        # Join chain: keep aligned absolute tids per reachable table.
-        current: Dict[str, Optional[np.ndarray]] = {self.fact_table: fact_tids}
+        lineage = {self.fact_table:
+                   None if mask is None else start + np.flatnonzero(mask)}
+        lineages = [lineage]
         for stage in self.stages:
-            probe_tids = current[stage.probe_table]
-            if probe_tids is None:
-                fk = stage.probe_values[start:stop]
-            else:
-                fk = stage.probe_values[probe_tids]
-            probe_idx, build_tids = stage.prober.probe(fk)
-            advanced: Dict[str, np.ndarray] = {}
-            for name, tids in current.items():
-                if tids is None:
-                    advanced[name] = start + probe_idx
-                else:
-                    advanced[name] = tids[probe_idx]
-            advanced[stage.build_table] = build_tids
-            current = advanced
-            if sink is not None:
-                sink[stage.op.op_id].append(advanced)
-            if chain_counts is not None:
-                chain_counts.append(len(probe_idx))
+            tids = lineage[stage.op.probe_key.table]
+            keys = (stage.probe_values[start:stop] if tids is None
+                    else stage.probe_values[tids])
+            lineage = stage.op.match(stage.prober, keys, lineage, start)
+            lineages.append(lineage)
+        return masks, lineages
 
-        if not collect:
-            return MorselPartial(index, "none")
-        chain = tuple(chain_counts)
-
-        # Breaker input frame.
-        only_fact = len(current) == 1 and current[self.fact_table] is None
-        if only_fact:
-            frame = block
-            n_rows = stop - start
+    def morsel_partial(self, start: int, stop: int) -> ChunkPartial:
+        """The breaker's partial over fact rows ``[start, stop)``,
+        stamped with the morsel's first row and the chain's per-operator
+        output counts."""
+        masks, lineages = self.run_morsel(start, stop)
+        n_rows = stop - start
+        # the last selection's count is the fact lineage's length, a
+        # join's the length of the build tids it added; only the masks
+        # that were ANDed further are counted
+        fact_tids = lineages[0][self.fact_table]
+        counts = [n_rows if mask is None else int(np.count_nonzero(mask))
+                  for mask in masks[:-1]]
+        counts.append(n_rows if fact_tids is None else len(fact_tids))
+        for stage, lineage in zip(self.stages, lineages[1:]):
+            counts.append(len(lineage[stage.op.build_key.table]))
+        lineage = lineages[-1]
+        if len(lineage) == 1 and lineage[self.fact_table] is None:
+            frame = BlockFrame(self.database)
+            frame.set_range(start, stop)
         else:
-            positions = {
+            frame = Frame(self.database, {
                 name: (np.arange(start, stop, dtype=np.int64)
                        if tids is None else tids)
-                for name, tids in current.items()
-            }
-            frame = Frame(database, positions)
-            first = next(iter(current.values()))
-            n_rows = (stop - start) if first is None else len(first)
-
-        if self.breaker_kind == "frame":
-            partial = self._materialize_partial(index, frame)
-        else:
-            partial = self._aggregate_partial(index, frame, n_rows)
-        partial.chain_counts = chain
+                for name, tids in lineage.items()
+            })
+        partial = self.breaker.partial(frame, counts[-1])
+        partial.index, partial.chain_counts = start, tuple(counts)
         return partial
-
-    def _materialize_partial(self, index, frame) -> MorselPartial:
-        projected = self.breaker.project(
-            self.database,
-            lambda alias, expr: np.asarray(expr.evaluate(frame)),
-        )
-        return MorselPartial(index, "frame", frame=projected.columns)
-
-    def _group_ids(self, frame, n_rows: int) -> np.ndarray:
-        ids = np.zeros(n_rows, dtype=np.int64)
-        for term in self.dense.terms:
-            values = np.asarray(term.ref.evaluate(frame))
-            ids += (values.astype(np.int64) - term.low) * term.stride
-        return ids
-
-    def _aggregate_partial(self, index, frame, n_rows) -> MorselPartial:
-        """Sparse partial over ``frame``'s rows: group ids compressed
-        through a local ``np.unique`` (a morsel of rows in the pool, the
-        fused chain's whole output at the sequential breaker), never
-        touching the full dense domain."""
-        ids = self._group_ids(frame, n_rows)
-        if self.dense.grouped:
-            present, inverse = np.unique(ids, return_inverse=True)
-        else:
-            # the one group of an ungrouped aggregate exists even over
-            # zero rows (and needs no sort to find)
-            present, inverse = np.zeros(1, dtype=np.int64), ids
-        n_local = len(present)
-        counts = np.bincount(inverse, minlength=n_local)
-        values_out: Dict[str, np.ndarray] = {}
-        for term in self.dense.aggs:
-            reduced, _ = reduce_groups(term.aggregate, frame, inverse,
-                                       n_local)
-            if reduced is not None:
-                values_out[term.aggregate.alias] = reduced
-        return MorselPartial(index, "agg", present=present, counts=counts,
-                             values=values_out)
 
     # -- merging (pooled) ---------------------------------------------
 
-    def new_accumulator(self) -> _Accumulator:
+    def new_accumulator(self) -> List[ChunkPartial]:
+        """The partials of one pooled execution, buffered in absorb
+        order until the breaker merges them."""
         if not self.supports_partials:
             raise Decline("no_partials")
-        return _Accumulator(self.breaker_kind)
+        return []
 
-    def absorb(self, acc: _Accumulator, partial: MorselPartial) -> None:
-        """Buffer one morsel partial for :meth:`_pack_chunk`, which
-        merges aggregate partials in absorb order (integer sums are
-        exact and extrema commute; compensated float sums keep the
-        order) and frame chunks by morsel index."""
-        if partial.kind == "none":
-            return
+    def absorb(self, acc: List[ChunkPartial], partial: ChunkPartial) -> None:
+        """Buffer one partial for the breaker's ``merge``, which takes
+        aggregate partials in absorb order and frame chunks by index."""
         stats["partial_merges"] += 1
-        acc.chunks.append(partial)
+        stats["compensated_merges"] += self.breaker.compensated_terms
+        acc.append(partial)
 
     def _absorb_all(self, partials):
         """Absorb ``partials`` (consumed in order, so a generator may
@@ -454,49 +292,17 @@ class FusedPipeline:
 
     # -- finalisation --------------------------------------------------
 
-    def finalize(self, acc: _Accumulator,
+    def finalize(self, acc: List[ChunkPartial],
                  prev_nominal: int) -> OperatorResult:
         """Breaker result from merged partials (pooled executions)."""
-        partial = self._pack_chunk(0, acc, None)
-        if acc.kind == "agg":
-            return self._finalize_aggregate(partial)
-        frame_out = self.breaker.project(
-            self.database, lambda alias, expr: partial.frame[alias]
-        )
-        return OperatorResult(
-            frame_out,
-            actual_rows=len(frame_out),
-            nominal_rows=prev_nominal,
-            row_width_bytes=frame_out.width_bytes,
-        )
+        self._count_breaker()
+        return self.breaker.finish(
+            self.database, self.breaker.merge(acc), prev_nominal)
 
-    def _finalize_aggregate(self, partial: MorselPartial) -> OperatorResult:
-        """Breaker frame from one sparse partial — a merged
-        accumulator's (:meth:`_pack_chunk`) or the sequential path's
-        single pass: group columns decoded from the present dense ids,
-        aggregate columns by ``GroupByAggregate``'s own result rules."""
-        stats["dense_aggregates"] += 1
-        present = partial.present
-        columns: Dict[str, np.ndarray] = {}
-        dictionaries: Dict[str, list] = {}
-        for term in self.dense.terms:
-            codes = term.low + (present // term.stride) % term.radix
-            columns[term.ref.name] = codes.astype(term.dtype)
-            if term.dictionary is not None:
-                dictionaries[term.ref.name] = term.dictionary
-        for term in self.dense.aggs:
-            alias = term.aggregate.alias
-            columns[alias] = finish_aggregate(
-                term.aggregate.func, partial.counts,
-                partial.values.get(alias), term.is_integer,
-            )
-        frame_out = ResultFrame(columns, dictionaries)
-        return OperatorResult(
-            frame_out,
-            actual_rows=len(frame_out),
-            nominal_rows=len(frame_out),
-            row_width_bytes=frame_out.width_bytes,
-        )
+    def _count_breaker(self) -> None:
+        if self.breaker.role == "aggregate":
+            dense = self.breaker.supports_partials
+            stats["dense_aggregates" if dense else "barrier_breakers"] += 1
 
     def run_tail(self, result: OperatorResult) -> OperatorResult:
         """Apply the tail operators (Sort/Limit/...) above the breaker."""
@@ -507,7 +313,7 @@ class FusedPipeline:
     # -- chunked execution (worker side of the morsel pool) ------------
 
     def run_chunk(self, start: int, stop: int,
-                  progress=None) -> MorselPartial:
+                  progress=None) -> ChunkPartial:
         """Run every morsel of fact rows ``[start, stop)`` and merge
         them locally into ONE picklable partial — the pool ships a
         single message per worker chunk instead of one per morsel.
@@ -516,94 +322,16 @@ class FusedPipeline:
         workers heartbeat through it so the parent's watchdog can tell
         a slow chunk from a hung process.
         """
-        size = morsel_rows()
-        spans = ([(start, stop)] if start == stop
-                 else [(pos, min(pos + size, stop))
-                       for pos in range(start, stop, size)])
-
         def morsels():
-            for span_start, span_stop in spans:
-                yield self.run_morsel(span_start, span_stop,
-                                      index=span_start, collect=True)
+            for span_start, span_stop in self._spans(start, stop):
+                yield self.morsel_partial(span_start, span_stop)
                 if progress is not None:
                     progress()
 
         acc, totals = self._absorb_all(morsels())
-        return self._pack_chunk(start, acc, totals)
-
-    def _pack_chunk(self, index: int, acc: _Accumulator,
-                    totals: Optional[Tuple[int, ...]]) -> MorselPartial:
-        """One accumulator as one partial: what a worker ships per
-        chunk, and the form :meth:`finalize` finishes from.
-
-        Aggregate partials merge where the groups are: ``union`` is the
-        sorted set of group ids present in any partial and each partial
-        scatters into it through ``searchsorted`` — no array of the
-        dense domain's size exists, and what is buffered is bounded by
-        the rows behind it (every present id stands for at least one)."""
-        if acc.kind == "frame":
-            chunks = sorted(acc.chunks, key=lambda partial: partial.index)
-            merged = self.breaker.project(
-                self.database,
-                lambda alias, expr: np.concatenate(
-                    [chunk.frame[alias] for chunk in chunks]
-                ),
-            )
-            return MorselPartial(index, "frame", frame=merged.columns,
-                                 chain_counts=totals)
-        if self.dense.grouped:
-            union = np.unique(np.concatenate(
-                [np.empty(0, dtype=np.int64)]
-                + [partial.present for partial in acc.chunks]))
-        else:  # the one group exists even over zero rows
-            union = np.arange(1)
-        n_groups = len(union)
-        counts = np.zeros(n_groups, dtype=np.int64)
-        values: Dict[str, np.ndarray] = {}
-        # Neumaier compensation terms for float sum/avg aliases
-        comps: Dict[str, np.ndarray] = {}
-        for term in self.dense.aggs:
-            func, alias = term.aggregate.func, term.aggregate.alias
-            if func in ("sum", "avg"):
-                values[alias] = np.zeros(n_groups)
-                if term.compensated:
-                    comps[alias] = np.zeros(n_groups)
-            elif func != "count":
-                values[alias] = np.full(
-                    n_groups, np.inf if func == "min" else -np.inf)
-        for partial in acc.chunks:
-            present = np.searchsorted(union, partial.present)
-            counts[present] += partial.counts
-            for term in self.dense.aggs:
-                func, alias = term.aggregate.func, term.aggregate.alias
-                if func == "count":
-                    continue
-                shipped, target = partial.values[alias], values[alias]
-                if term.compensated:
-                    # Neumaier: accumulate the rounding error of every
-                    # merge so it can be added back in one step.
-                    stats["compensated_merges"] += 1
-                    old = target[present]
-                    merged = old + shipped
-                    lost = np.where(
-                        np.abs(old) >= np.abs(shipped),
-                        (old - merged) + shipped,
-                        (shipped - merged) + old,
-                    )
-                    comps[alias][present] += lost
-                    target[present] = merged
-                elif func in ("sum", "avg"):
-                    target[present] += shipped
-                elif func == "min":
-                    target[present] = np.minimum(target[present], shipped)
-                else:
-                    target[present] = np.maximum(target[present], shipped)
-        for alias, comp in comps.items():
-            # Collapse the compensation into the shipped value; a
-            # parent re-compensates its own merges.
-            values[alias] = values[alias] + comp
-        return MorselPartial(index, "agg", present=union, counts=counts,
-                             values=values, chain_counts=totals)
+        packed = self.breaker.merge(acc)
+        packed.index, packed.chain_counts = start, totals
+        return packed
 
     def _chain_sizes(self, totals: Tuple[int, ...]
                      ) -> List[Tuple[int, int, int]]:
@@ -629,27 +357,27 @@ class FusedPipeline:
 
     def run_recorded(self) -> None:
         """Sequential fused execution: run every morsel, then fill every
-        covered operator's memo with the byte-identical result tuple."""
-        sink = {op.op_id: [] for op in self.covered_ops}
+        covered operator's memo with the byte-identical result tuple —
+        the chain's from its concatenated chunk outputs, the breaker's
+        by running it once, at the barrier, over the chain's last."""
+        selections = [self.scan_op] + self.refines
+        mask_chunks: List[list] = [[] for _ in selections]
+        lineage_chunks: List[list] = [[] for _ in self.stages]
         for start, stop in self.ranges():
-            self.run_morsel(start, stop, sink=sink)
-        self._record(sink)
-
-    def _record(self, sink: Dict[int, list]) -> None:
-        database = self.database
-        fact = self.fact_table
+            masks, lineages = self.run_morsel(start, stop)
+            for chunks, mask in zip(mask_chunks, masks):
+                chunks.append(mask)
+            for chunks, lineage in zip(lineage_chunks, lineages[1:]):
+                chunks.append(lineage)
 
         # payload per chain operator, in execution order
-        if self.fact_predicate is None:
-            entry = SelectionVector(n=database.table(fact).actual_rows)
-        else:
-            entry = SelectionVector(np.concatenate(sink[self.scan_op.op_id]))
-        payloads = [TidSet({fact: entry})]
-        for refine in self.refines:
-            entry = SelectionVector(np.concatenate(sink[refine.op_id]))
-            payloads.append(TidSet({fact: entry}))
-        for stage in self.stages:
-            chunks = sink[stage.op.op_id]
+        payloads = []
+        for op, chunks in zip(selections, mask_chunks):
+            entry = (SelectionVector(n=self.fact_rows)
+                     if op.predicate is None
+                     else SelectionVector(np.concatenate(chunks)))
+            payloads.append(TidSet({self.fact_table: entry}))
+        for stage, chunks in zip(self.stages, lineage_chunks):
             payloads.append(TidSet({
                 name: np.concatenate([chunk[name] for chunk in chunks])
                 for name in stage.table_order
@@ -657,27 +385,10 @@ class FusedPipeline:
 
         sizes = self._chain_sizes(tuple(len(payload) for payload in payloads))
         for op, payload, size in zip(self.covered_ops, payloads, sizes):
-            cached = (payload, *size)
-            self._memoise(op, cached)
-
-        if self.dense is not None:
-            payload, n_rows = cached[0], cached[1]
-            result = self._finalize_aggregate(self._aggregate_partial(
-                0, Frame(database, payload.tables), n_rows))
-            self._memoise(self.breaker, (
-                result.payload, result.actual_rows, result.nominal_rows,
-                result.row_width_bytes))
-        else:
-            # Materialise / non-dense aggregate: run the breaker once
-            # at the barrier over the fused chain's recorded output;
-            # produce() memoises the breaker itself.
-            if self.breaker_kind == "agg":
-                stats["barrier_breakers"] += 1
-            self.breaker.produce(database, [OperatorResult(*cached)])
-
-    def _memoise(self, op, cached) -> None:
-        op._cached_result = cached
-        plan_cache.store(self.database, op.fingerprint(), cached)
+            result = op.record(self.database, OperatorResult(payload, *size))
+        self._count_breaker()
+        self.breaker.record(self.database, self.breaker.run(
+            self.database, [result]))
 
 
 # ---------------------------------------------------------------------------
@@ -694,11 +405,7 @@ def _analyze_structure(pipe: FusedPipeline) -> None:
         node = node.children[0]
     pipe.tail = list(reversed(tail))
 
-    if node.role == "aggregate":
-        pipe.breaker_kind = "agg"
-    elif node.role == "project":
-        pipe.breaker_kind = "frame"
-    else:
+    if node.role not in ("aggregate", "project"):
         raise Decline("breaker_shape")
     pipe.breaker = node
 
@@ -714,7 +421,6 @@ def _analyze_structure(pipe: FusedPipeline) -> None:
         raise Decline("leaf_shape")
     pipe.scan_op = node
     pipe.fact_table = node.table
-    pipe.fact_predicate = node.predicate
     pipe.refines.reverse()
     for refine in pipe.refines:
         if refine.table != pipe.fact_table:
@@ -733,8 +439,7 @@ def _analyze_structure(pipe: FusedPipeline) -> None:
         if build.table in available:
             raise Decline("duplicate_table")
         available.append(build.table)
-        pipe.stages.append(_Stage(join, join.probe_key.table, build.table,
-                                  list(available)))
+        pipe.stages.append(_Stage(join, list(available)))
 
     pipe.covered_ops = ([pipe.scan_op] + pipe.refines
                         + [stage.op for stage in pipe.stages]
@@ -747,7 +452,7 @@ def _prepare_probers(pipe: FusedPipeline, cache) -> None:
     for stage in pipe.stages:
         join = stage.op
         build_result = join.children[1].produce(database, [])
-        selection = build_result.payload.selection(stage.build_table)
+        selection = build_result.payload.selection(join.build_key.table)
         if selection is None:
             raise Decline("build_not_lazy")
         probe_column = database.column(join.probe_key.key)
@@ -760,69 +465,6 @@ def _prepare_probers(pipe: FusedPipeline, cache) -> None:
             raise Decline("build_stale")
 
 
-def _prepare_dense_aggregate(pipe: FusedPipeline, cache) -> None:
-    """Plan the mixed-radix aggregation, or leave ``dense`` unset (the
-    breaker then runs once at a barrier over the fused chain)."""
-    breaker = pipe.breaker
-    database = pipe.database
-    available = ([pipe.fact_table]
-                 + [stage.build_table for stage in pipe.stages])
-    # Evaluating the breaker's expressions over zero rows reproduces
-    # numpy's promotion (and the engine's int32→int64 widening) without
-    # interpreting expression trees.
-    empty = BlockFrame(database)
-
-    terms: List[_GroupTerm] = []
-    domain = 1
-    for ref in breaker.group_refs:
-        if not isinstance(ref, ColumnRef) or ref.table not in available:
-            return
-        column = database.column(ref.key)
-        bounds = cache.column_bounds(column)
-        if bounds is None:
-            return
-        low, high = bounds
-        radix = high - low + 1
-        domain *= radix
-        if domain > GROUP_DOMAIN_CAP:
-            return
-        dictionary = (column.dictionary
-                      if column.ctype is ColumnType.STRING else None)
-        terms.append(_GroupTerm(ref, low, radix, column.values.dtype,
-                                dictionary))
-    stride = 1
-    for term in reversed(terms):
-        term.stride = stride
-        stride *= term.radix
-
-    aggs: List[_AggTerm] = []
-    for aggregate in breaker.aggregates:
-        if aggregate.func == "count":
-            aggs.append(_AggTerm(aggregate, True))
-            continue
-        try:
-            probe = np.asarray(aggregate.expr.evaluate(empty))
-        except Exception:
-            return
-        if probe.dtype == np.int32:
-            probe = probe.astype(np.int64)
-        is_integer = bool(np.issubdtype(probe.dtype, np.integer))
-        if aggregate.func in ("sum", "avg") and not is_integer:
-            if probe.dtype.kind not in "f":
-                return
-            # Float partial sums can reorder rounding across chunks;
-            # merge them with Neumaier compensation and let the pool's
-            # byte-identity gate decline queries where it still shows.
-            aggs.append(_AggTerm(aggregate, False, compensated=True))
-            continue
-        if aggregate.func in ("min", "max") and probe.dtype.kind not in "iufb":
-            return
-        aggs.append(_AggTerm(aggregate, is_integer))
-
-    pipe.dense = _DenseAggregate(terms, aggs, domain,
-                                 grouped=bool(breaker.group_refs))
-
-
 def build(plan, database) -> FusedPipeline:
     """Analyse and bind ``plan``; raises :class:`Decline` when the plan
     cannot run fused."""
@@ -831,8 +473,8 @@ def build(plan, database) -> FusedPipeline:
     _analyze_structure(pipe)
     pipe.fact_rows = database.table(pipe.fact_table).actual_rows
     _prepare_probers(pipe, cache)
-    if pipe.breaker_kind == "agg":
-        _prepare_dense_aggregate(pipe, cache)
+    pipe.breaker.bind(database, pipe.stages[-1].table_order
+                      if pipe.stages else [pipe.fact_table])
     return pipe
 
 
@@ -869,7 +511,7 @@ def execute_direct(plan, database) -> Optional[OperatorResult]:
             # direct path must never shadow recorded full results
             raise Decline("limit_memoised")
         pipe = build(plan, database)
-        if pipe.breaker_kind != "frame":
+        if pipe.breaker.role != "project":
             raise Decline("limit_breaker")
         if pipe.tail != [root]:
             raise Decline("limit_tail")
@@ -879,8 +521,7 @@ def execute_direct(plan, database) -> Optional[OperatorResult]:
             nonlocal stopped_at
             gathered = 0
             for start, stop in pipe.ranges():
-                partial = pipe.run_morsel(start, stop, index=start,
-                                          collect=True)
+                partial = pipe.morsel_partial(start, stop)
                 yield partial
                 gathered += partial.chain_counts[-1]
                 if gathered >= root.n:

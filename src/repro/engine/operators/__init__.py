@@ -19,19 +19,16 @@ tests an operator's type.  Every class declares
   (input bytes, output rows, output bytes) from the children's,
 * ``device_footprint_bytes()`` — device heap demand, where the
   profile's per-kind factor over the input volume does not fit,
-* ``run()`` — the functional numpy implementation.
+* its *chunk kernel* — the one place it computes, over any row range:
+  ``select`` (scan, refine), ``match`` (join), and for a breaker
+  ``partial`` / ``merge`` / ``finish`` — and
+* ``run()`` — that kernel called once, over the whole column, sized by
+  the ``output_size`` rule the morsel schedule (``engine/morsel.py``)
+  applies to its summed chunk counts.  Tail operators have ``run()``
+  alone.
 
-To add an operator: subclass :class:`PhysicalOperator` in a module of
-this package; set ``kind`` (a new kind needs its cost curves and
-footprint factor in both profiles of ``hardware/calibration.py``),
-``cpu_only`` if host-side, and ``role`` (a new role means deciding in
-``morsel._analyze_structure`` and ``vectorized.is_pipelineable`` whether
-it fuses and chains).  Override ``_read_columns``, ``state_key``,
-``run`` and — unless it reads one frame whole and preserves its volume,
-the defaults — ``input_nominal_bytes`` and ``estimate``, with the
-per-row width in one private helper both call.  Export it below, lower
-to it in ``planner._lower``, add it to ``tests/test_operators.py::
-_one_of_each``: ``TestOperatorDeclarations`` checks the rest.
+docs/extending.md ("Adding a physical operator") is the checklist;
+``tests/test_operators.py::TestOperatorDeclarations`` checks it.
 """
 
 from repro.engine.operators.base import (

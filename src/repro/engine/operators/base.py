@@ -30,6 +30,22 @@ class OpEstimate(NamedTuple):
     out_bytes: float
 
 
+class ChunkPartial:
+    """What a breaker (``GroupByAggregate``, ``Materialize``) reduces
+    one chunk of its input to — small and picklable, so a pool worker
+    can ship it.  The breaker's ``partial`` / ``merge`` fill the
+    subclass's fields; the schedule that cut the chunks stamps these."""
+
+    __slots__ = ("index", "chain_counts")
+
+    def __init__(self):
+        #: first fact row of the chunk: the order frame chunks merge in
+        self.index = 0
+        #: output rows of each chain operator (scan, refines, joins)
+        #: below the breaker, summed to replay the nominal-row rule
+        self.chain_counts = None
+
+
 class PhysicalOperator:
     """A node in a physical query plan.
 
@@ -189,7 +205,14 @@ class PhysicalOperator:
         if cached is not None:
             payload, actual_rows, nominal_rows, width = cached
             return OperatorResult(payload, actual_rows, nominal_rows, width)
-        result = self.run(database, child_results)
+        return self.record(database, self.run(database, child_results))
+
+    def record(self, database: Database,
+               result: OperatorResult) -> OperatorResult:
+        """Memoise ``result`` as this operator's — in the template memo
+        and the cross-plan cache — and hand it back: what
+        :meth:`produce` does after ``run()``, and a fused run for every
+        operator it covers."""
         cached = (
             result.payload,
             result.actual_rows,

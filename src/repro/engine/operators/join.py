@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
 from repro.engine import kernels
 from repro.engine.expressions import ColumnRef
-from repro.engine.intermediates import OperatorResult, SelectionVector, TidSet
+from repro.engine.intermediates import OperatorResult, TidSet
 from repro.engine.operators.base import (
     OpEstimate,
     PhysicalOperator,
@@ -16,30 +16,6 @@ from repro.engine.operators.base import (
     scaled_nominal_rows,
 )
 from repro.storage import Database
-
-
-def _expand_matches(left_values: np.ndarray, right_values: np.ndarray):
-    """Vectorised inner equi-join on value arrays.
-
-    Returns aligned index arrays ``(left_idx, right_idx)`` covering
-    every matching pair, including 1:N matches on the build side.
-    """
-    order = np.argsort(right_values, kind="stable")
-    sorted_right = right_values[order]
-    lo = np.searchsorted(sorted_right, left_values, side="left")
-    hi = np.searchsorted(sorted_right, left_values, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    left_idx = np.repeat(np.arange(len(left_values), dtype=np.int64), counts)
-    starts = np.repeat(lo, counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    right_idx = order[starts + offsets]
-    return left_idx, right_idx
 
 
 class HashJoin(PhysicalOperator):
@@ -120,57 +96,73 @@ class HashJoin(PhysicalOperator):
         )
         return n_out, nominal, TID_BYTES * n_tables
 
+    def match(self, prober, keys: np.ndarray,
+              lineage: Dict[str, Optional[np.ndarray]],
+              offset: int = 0) -> Dict[str, np.ndarray]:
+        """Chunk kernel: probe ``keys`` — the probe column at the
+        chunk's rows — and align every reachable table to the matches.
+
+        ``lineage`` maps each table of the probe side to its tids, row
+        for row with ``keys``; None stands for the chunk's own rows
+        ``offset, offset + 1, ...``.  The result adds the build table
+        under what ``prober`` returns for it.  Probers list matches in
+        probe order, so the lineages of consecutive row ranges
+        concatenate to the lineage of the whole column — the one-chunk
+        call ``run()`` makes."""
+        probe_idx, build_tids = prober.probe(keys)
+        aligned = {
+            name: offset + probe_idx if tids is None else tids[probe_idx]
+            for name, tids in lineage.items()
+        }
+        aligned[self.build_key.table] = build_tids
+        return aligned
+
     def run(self, database: Database,
             child_results: List[OperatorResult]) -> OperatorResult:
         probe, build = child_results
-        probe_payload = probe.payload
-        build_payload = build.payload
-        probe_column = database.column(self.probe_key.key)
-        build_column = database.column(self.build_key.key)
-        probe_values = probe_payload.gather(self.probe_key.table, probe_column)
-
-        # Cached-index fast path: the build side is a (lazy) selection
-        # over a single base table, so a prober over the memoised index
-        # of the full key column replaces the per-execution argsort.
-        # Output tids are byte-identical to the seed expansion.
-        cached = None
-        build_selection = build_payload.selection(self.build_key.table)
-        if build_selection is not None and len(build_payload.tables) == 1:
-            prober = kernels.prober_for(
-                kernels.cache_for(database), build_column, build_selection,
-                probe_column, bounded=True,
-            )
-            if prober is not None:
-                cached = prober.probe(probe_values)
-        if cached is not None:
-            probe_idx, build_tids = cached
-            build_tables = {self.build_key.table: build_tids}
-        else:
-            build_values = build_payload.gather(
-                self.build_key.table, build_column
-            )
-            probe_idx, build_idx = _expand_matches(probe_values, build_values)
-            build_tables = {
-                name: build_payload.positions(name)[build_idx]
-                for name in build_payload.table_names
-            }
-
-        tables = {}
-        for name in probe_payload.table_names:
-            entry = probe_payload.tables[name]
-            if isinstance(entry, SelectionVector) and entry.is_all:
-                tables[name] = probe_idx
-            else:
-                tables[name] = probe_payload.positions(name)[probe_idx]
-        for name, tids in build_tables.items():
-            if name in tables:
+        probe_payload, build_payload = probe.payload, build.payload
+        build_table = self.build_key.table
+        for name in build_payload.table_names:
+            if name in probe_payload:
                 raise ValueError(
                     "table {} appears on both join sides".format(name)
                 )
-            tables[name] = tids
+        probe_column = database.column(self.probe_key.key)
+        build_column = database.column(self.build_key.key)
 
+        # A (lazy) selection over one base table probes through the
+        # cached structure of the full key column; any other build side
+        # — a join result, several aligned tables, a tid array — through
+        # an index of its gathered keys, mapped back below.
+        prober = None
+        build_selection = build_payload.selection(build_table)
+        if build_selection is not None and len(build_payload.tables) == 1:
+            prober = kernels.prober_for(
+                kernels.cache_for(database), build_column, build_selection,
+                probe_column,
+            )
+        gathered = prober is None
+        if gathered:
+            prober = kernels.gathered_prober(
+                build_payload.gather(build_table, build_column))
+
+        lineage = {}
+        for name in probe_payload.table_names:
+            selection = probe_payload.selection(name)
+            whole = selection is not None and selection.is_all
+            lineage[name] = None if whole else probe_payload.positions(name)
+        tables = self.match(
+            prober, probe_payload.gather(self.probe_key.table, probe_column),
+            lineage,
+        )
+        if gathered:
+            build_idx = tables.pop(build_table)
+            for name in build_payload.table_names:
+                tables[name] = build_payload.positions(name)[build_idx]
+
+        payload = TidSet(tables)
         return OperatorResult(
-            TidSet(tables),
-            *self.output_size(len(probe_idx), probe.actual_rows,
+            payload,
+            *self.output_size(len(payload), probe.actual_rows,
                               probe.nominal_rows, len(tables))
         )

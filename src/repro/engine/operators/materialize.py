@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -10,6 +10,7 @@ from repro.engine.expressions import ColumnRef, Expression
 from repro.engine.frame import Frame
 from repro.engine.intermediates import OperatorResult, ResultFrame, TidSet
 from repro.engine.operators.base import (
+    ChunkPartial,
     OpEstimate,
     PhysicalOperator,
     TID_BYTES,
@@ -65,14 +66,21 @@ class Materialize(PhysicalOperator):
             child.out_rows * width, child.out_rows, child.out_rows * width
         )
 
-    def project(self, database: Database, column_for) -> ResultFrame:
-        """The output frame whose arrays ``column_for(alias, expr)``
-        supplies — evaluated over a TidSet, a morsel, or merged chunks.
-        Aliases projecting the same base column share one array
-        (results are read-only downstream); plain string columns keep
-        their dictionary so they decode."""
+    # -- the partial algebra: partial / merge / finish --------------------
+
+    #: row chunks always merge (by concatenation) ...
+    supports_partials = True
+    #: ... and no float sum is re-associated doing so
+    compensated_terms = 0
+
+    def bind(self, database: Database, tables: Sequence[str]) -> None:
+        """Nothing to plan: a projection is the same over any input."""
+
+    def _project(self, column_for) -> Dict[str, np.ndarray]:
+        """alias → ``column_for(alias, expr)``; aliases projecting the
+        same base column share one array (results are read-only
+        downstream)."""
         columns: Dict[str, np.ndarray] = {}
-        dictionaries: Dict[str, list] = {}
         shared: Dict[str, np.ndarray] = {}
         for alias, expr in self.items:
             if not isinstance(expr, ColumnRef):
@@ -82,10 +90,39 @@ class Materialize(PhysicalOperator):
             if array is None:
                 array = shared[expr.key] = column_for(alias, expr)
             columns[alias] = array
-            meta = database.column(expr.key)
-            if meta.ctype is ColumnType.STRING:
-                dictionaries[alias] = meta.dictionary
-        return ResultFrame(columns, dictionaries)
+        return columns
+
+    def partial(self, frame, n_rows: int) -> "FramePartial":
+        """Chunk kernel: the output columns over ``frame``'s rows — a
+        morsel in the pool, the whole input for ``run()``."""
+        return FramePartial(self._project(
+            lambda alias, expr: np.asarray(expr.evaluate(frame))))
+
+    def merge(self, partials: List["FramePartial"]) -> "FramePartial":
+        """Chunks concatenated in ascending fact-row order, whatever
+        order they arrived in: the rows of the one-chunk run."""
+        chunks = sorted(partials, key=lambda partial: partial.index)
+        return FramePartial(self._project(
+            lambda alias, expr: np.concatenate(
+                [chunk.columns[alias] for chunk in chunks])))
+
+    def finish(self, database: Database, partial: "FramePartial",
+               child_nominal: int) -> OperatorResult:
+        """The result frame of one partial; plain string columns keep
+        their dictionary so they decode."""
+        dictionaries: Dict[str, list] = {}
+        for alias, expr in self.items:
+            if isinstance(expr, ColumnRef):
+                meta = database.column(expr.key)
+                if meta.ctype is ColumnType.STRING:
+                    dictionaries[alias] = meta.dictionary
+        frame_out = ResultFrame(partial.columns, dictionaries)
+        return OperatorResult(
+            frame_out,
+            actual_rows=len(frame_out),
+            nominal_rows=child_nominal,
+            row_width_bytes=frame_out.width_bytes,
+        )
 
     def run(self, database: Database,
             child_results: List[OperatorResult]) -> OperatorResult:
@@ -94,12 +131,15 @@ class Materialize(PhysicalOperator):
         if not isinstance(payload, TidSet):
             raise TypeError("Materialize expects a TidSet input")
         frame = Frame(database, payload.tables)
-        frame_out = self.project(
-            database, lambda alias, expr: np.asarray(expr.evaluate(frame))
-        )
-        return OperatorResult(
-            frame_out,
-            actual_rows=len(frame_out),
-            nominal_rows=child.nominal_rows,
-            row_width_bytes=frame_out.width_bytes,
-        )
+        return self.finish(database, self.partial(frame, len(payload)),
+                           child.nominal_rows)
+
+
+class FramePartial(ChunkPartial):
+    """Materialised column chunks of one row range, by alias."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns):
+        super().__init__()
+        self.columns = columns

@@ -84,12 +84,21 @@ class ScanSelect(PhysicalOperator):
                                       table.nominal_rows)
         return n_out, nominal, TID_BYTES
 
+    def select(self, frame, mask: Optional[np.ndarray] = None) -> np.ndarray:
+        """Chunk kernel of both selections: the predicate over
+        ``frame``'s rows, ANDed into the ``mask`` its chain has built
+        so far (None: every row).  Predicates are elementwise, so the
+        masks of consecutive row ranges concatenate to the mask of the
+        whole column — the one-chunk call ``run()`` makes."""
+        found = np.asarray(self.predicate.evaluate(frame), dtype=bool)
+        return found if mask is None else mask & found
+
     def run(self, database: Database,
             child_results: List[OperatorResult]) -> OperatorResult:
         if self.predicate is None:
             entry = SelectionVector(n=database.table(self.table).actual_rows)
         else:
-            entry = SelectionVector(self.predicate.evaluate(Frame(database)))
+            entry = SelectionVector(self.select(Frame(database)))
         return OperatorResult(
             TidSet({self.table: entry}),
             *self.output_size(database, len(entry))
@@ -155,27 +164,23 @@ class RefineSelect(PhysicalOperator):
         )
         return n_out, nominal, TID_BYTES
 
+    select = ScanSelect.select
+
     def run(self, database: Database,
             child_results: List[OperatorResult]) -> OperatorResult:
         (child,) = child_results
         selection = child.payload.selection(self.table)
         if selection is not None:
-            # Lazy path: evaluate the predicate over the full column
-            # (elementwise, so restriction commutes with evaluation)
-            # and AND the masks — no gather, no flatnonzero.
+            # Lazy input: the whole column is the one chunk and the
+            # child's mask the mask so far — no gather, no flatnonzero.
             kernels.stats["masked_refines"] += 1
-            mask = np.asarray(
-                self.predicate.evaluate(Frame(database)), dtype=bool
-            )
-            if selection.mask is not None:
-                mask = selection.mask & mask
-            entry = SelectionVector(mask)
+            entry = SelectionVector(
+                self.select(Frame(database), selection.mask))
         else:
             # A materialised tid array (the output of a join or of a
             # positional intersection): gather, evaluate, filter.
             tids = child.payload.positions(self.table)
-            frame = Frame(database, {self.table: tids})
-            mask = self.predicate.evaluate(frame)
+            mask = self.select(Frame(database, {self.table: tids}))
             entry = tids[np.flatnonzero(mask)]
         return OperatorResult(
             TidSet({self.table: entry}),

@@ -231,6 +231,12 @@ class _Binder:
                     spec.join_edges.append((conjunct.left, conjunct.right))
                     continue
                 tables = {key.partition(".")[0] for key in conjunct.columns()}
+                if not tables:
+                    raise BindError(
+                        "constant predicates are not supported: {}".format(
+                            conjunct.to_sql()
+                        )
+                    )
                 if len(tables) != 1:
                     raise BindError(
                         "only equi-join predicates may span tables: {}".format(

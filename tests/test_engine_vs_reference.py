@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.engine import Planner, execute_reference, plan_cache
-from repro.engine.execution import execute_functional
+from repro.engine.execution import execute_functional, execute_operators
 from repro.sql import bind
 from repro.workloads import micro, ssb, tpch
 
@@ -29,41 +29,52 @@ def rows_close(engine_rows, reference_rows, rel=1e-9):
     return True
 
 
+#: the two schedules of the one set of chunk kernels: morsel by morsel
+#: (fused-first) and operator at a time (the whole column as one chunk)
+SCHEDULES = (execute_functional, execute_operators)
+
+
 def run_both(database, sql, name):
+    """``(spec, engine rows, reference rows)`` once per schedule, each
+    on a fresh plan with nothing memoised: the schedules share their
+    kernels, so agreeing with each other says nothing — each is held to
+    the row-at-a-time evaluator."""
     spec = bind(sql, database, name=name)
-    plan = Planner(database).plan(spec)
-    engine_result = execute_functional(plan, database)
-    engine_rows = engine_result.payload.row_tuples()
     reference_rows = execute_reference(spec, database)
-    return spec, engine_rows, reference_rows
+    for execute in SCHEDULES:
+        plan_cache.invalidate()
+        plan = Planner(database).plan(spec)
+        engine_rows = execute(plan, database).payload.row_tuples()
+        yield spec, engine_rows, reference_rows
+    plan_cache.invalidate()
 
 
 @pytest.mark.parametrize("name", list(ssb.QUERIES))
 def test_ssb_query_matches_reference(ssb_db, name):
-    spec, engine_rows, reference_rows = run_both(
-        ssb_db, ssb.QUERIES[name], name
-    )
-    if spec.order_by:
-        # engine ordering must match the (stable-sorted) reference on
-        # the order-by prefix
-        names = [r.name for r in spec.group_by] + [
-            a.alias for a in spec.aggregates
-        ]
-        key_indices = [names.index(n) for n, _ in spec.order_by]
-        engine_keys = [tuple(r[i] for i in key_indices) for r in engine_rows]
-        ref_keys = [tuple(r[i] for i in key_indices) for r in reference_rows]
-        assert engine_keys == ref_keys, name
-    assert rows_close(engine_rows, reference_rows), name
+    for spec, engine_rows, reference_rows in run_both(
+            ssb_db, ssb.QUERIES[name], name):
+        if spec.order_by:
+            # engine ordering must match the (stable-sorted) reference
+            # on the order-by prefix
+            names = [r.name for r in spec.group_by] + [
+                a.alias for a in spec.aggregates
+            ]
+            key_indices = [names.index(n) for n, _ in spec.order_by]
+            engine_keys = [tuple(r[i] for i in key_indices)
+                           for r in engine_rows]
+            ref_keys = [tuple(r[i] for i in key_indices)
+                        for r in reference_rows]
+            assert engine_keys == ref_keys, name
+        assert rows_close(engine_rows, reference_rows), name
 
 
 @pytest.mark.parametrize("name", list(tpch.QUERIES))
 def test_tpch_query_matches_reference(tpch_db, name):
-    spec, engine_rows, reference_rows = run_both(
-        tpch_db, tpch.QUERIES[name], name
-    )
-    if spec.limit is None:
-        assert rows_close(engine_rows, reference_rows), name
-    else:
+    for spec, engine_rows, reference_rows in run_both(
+            tpch_db, tpch.QUERIES[name], name):
+        if spec.limit is None:
+            assert rows_close(engine_rows, reference_rows), name
+            continue
         # With LIMIT after ORDER BY ties may resolve differently; the
         # sorted key prefix must agree.
         assert len(engine_rows) == len(reference_rows)
@@ -79,10 +90,9 @@ def test_tpch_query_matches_reference(tpch_db, name):
 
 @pytest.mark.parametrize("name", list(micro.SERIAL_SELECTION_QUERIES))
 def test_micro_serial_selection_matches_reference(ssb_db, name):
-    spec, engine_rows, reference_rows = run_both(
-        ssb_db, micro.SERIAL_SELECTION_QUERIES[name], name
-    )
-    assert rows_close(engine_rows, reference_rows), name
+    for _, engine_rows, reference_rows in run_both(
+            ssb_db, micro.SERIAL_SELECTION_QUERIES[name], name):
+        assert rows_close(engine_rows, reference_rows), name
 
 
 def test_micro_parallel_chain_equals_fused_selection(ssb_db):

@@ -203,7 +203,23 @@ PROBER_BUILDS = {
     "dense_offset": np.arange(200_000, 200_200),
     "lookup": np.random.default_rng(4).permutation(np.arange(100, 700, 3)),
     "sorted": np.random.default_rng(5).integers(100, 160, 200),
+    "gathered": np.random.default_rng(7).integers(100, 160, 200),
 }
+
+
+class _GatheredBuild:
+    """``HashJoin.run``'s general branch in miniature: an index sorted
+    over the *selected* keys alone, its matches mapped back through
+    their tids."""
+
+    def __init__(self, values, mask):
+        self.tids = np.arange(len(values)) if mask is None else (
+            np.flatnonzero(mask))
+        self.prober = kernels.gathered_prober(values[self.tids])
+
+    def probe(self, fk):
+        probe_idx, build_idx = self.prober.probe(fk)
+        return probe_idx, self.tids[build_idx]
 
 
 class TestProbers:
@@ -293,9 +309,11 @@ class TestProbers:
         elif build == "lookup":
             prober = kernels._LookupProber(
                 kernels._build_position_lookup(values), mask, checked)
+        elif build == "gathered":
+            prober = _GatheredBuild(values, mask)
         else:
             prober = kernels._SortedProber(
-                kernels._build_join_index(values), mask, bounded=False)
+                kernels._build_join_index(values), mask)
         return prober, values, mask, fk
 
     @staticmethod
@@ -332,7 +350,7 @@ class TestProbers:
         want = [(i, tid) for i, key in enumerate(fk)
                 for tid in np.flatnonzero((values == key) & selected)]
         assert list(zip(probe_idx.tolist(), build_tids.tolist())) == want
-        if masked and not checked and build != "sorted":
+        if masked and not checked and build not in ("sorted", "gathered"):
             for got, ref in zip((probe_idx, build_tids),
                                 self._fancy_probe(prober, fk)):
                 assert got.dtype == ref.dtype

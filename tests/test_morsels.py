@@ -33,7 +33,12 @@ from hypothesis import strategies as st
 from repro.engine import Planner, kernels, morsel, plan_cache
 from repro.engine.execution import execute_functional, execute_operators
 from repro.engine.intermediates import SelectionVector, TidSet
-from repro.engine.operators import PhysicalPlan, ScanSelect
+from repro.engine.operators import GroupByAggregate, PhysicalPlan, ScanSelect
+from repro.engine.operators.aggregate import (
+    GROUP_DOMAIN_CAP,
+    AggregatePartial,
+    _DenseAggregate,
+)
 from repro.faults import FaultConfig
 from repro.harness import experiments as E
 from repro.harness.runner import functional_warm, run_workload
@@ -41,6 +46,7 @@ from repro.sql import bind
 from repro.storage import ColumnType, Database, shm
 from repro.workloads import micro, sql_workload, ssb, tpch
 
+from tests import test_random_queries as random_queries
 from tests.conftest import operator_path
 
 FORK_OK = "fork" in multiprocessing.get_all_start_methods()
@@ -99,6 +105,58 @@ def test_unfusable_plan_declines_cleanly(ssb_db):
     result = execute_functional(
         PhysicalPlan(ScanSelect("lineorder"), name="bare_scan2"), ssb_db)
     assert result.actual_rows == ssb_db.table("lineorder").actual_rows
+
+
+def _assert_no_swallowed_errors():
+    swallowed = {reason: count
+                 for reason, count in morsel.decline_reasons.items()
+                 if reason in ("error", "limit_error")}
+    assert not swallowed, swallowed
+
+
+@pytest.mark.parametrize("rows_per_morsel", [1, 7, None])
+def test_the_catch_alls_stay_silent(rows_per_morsel, ssb_db, tpch_db):
+    """``prepare_fused`` and ``execute_direct`` turn any ``Exception``
+    into a counted decline and the operator path answers instead.  A
+    kernel's exception would surface there too (both schedules call the
+    same kernels), so what the catch-all can still hide is a bug of the
+    schedule itself: over every shipped workload it must count none."""
+    gathered = kernels.stats["gathered_joins"]
+    with morsel.sized(rows_per_morsel):
+        for db, queries in ((ssb_db, ssb.workload(ssb_db)),
+                            (tpch_db, tpch.workload(tpch_db)),
+                            (ssb_db, micro.parallel_selection_workload(ssb_db)),
+                            (ssb_db, micro.serial_selection_workload(ssb_db))):
+            _batch(db, queries)
+    _assert_no_swallowed_errors()
+    stats = morsel.snapshot_stats()
+    assert stats["declined_queries"] == 0  # every shipped template fuses
+    # ... and the one decline counted is a shape, not an error: TPC-H's
+    # Limit over an aggregate keeps the ordinary fused path
+    assert dict(morsel.decline_reasons) == {"limit_breaker": 1}
+    # every build side is a scan: no join sorted an index of its own
+    assert kernels.stats["gathered_joins"] == gathered
+
+
+@given(seed=st.integers(0, 2), predicate=random_queries.predicates(2),
+       shape=st.sampled_from([
+           "select x, y from f where {}",
+           "select x, y from f where {} limit 5",
+           "select fk, min(y) as v from f where {} group by fk",
+           "select w, sum(x) as s, count(*) as n from f, d "
+           "where fk = id and {} group by w order by w",
+           "select distinct fk from f where {}"]),
+       rows_per_morsel=st.sampled_from([1, 7, None]))
+@settings(max_examples=40, deadline=None)
+def test_the_catch_alls_stay_silent_on_random_queries(
+        seed, predicate, shape, rows_per_morsel):
+    """The same over ``tests/test_random_queries.py``'s sweep (whose
+    answers that file checks against the reference evaluator)."""
+    db = random_queries.DATABASES[seed]
+    plan = Planner(db).plan(bind(shape.format(predicate), db, name="rand"))
+    with morsel.sized(rows_per_morsel):
+        execute_functional(plan, db)
+    _assert_no_swallowed_errors()
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +274,7 @@ def test_edge_shapes_through_sparse_finalisation(name, rows_per_morsel):
         _assert_records_identical(db, query.instantiate, name)
         sequential = execute_functional(query.instantiate(), db).payload
         pipe = morsel.build(query.instantiate(), db)
-        assert pipe.dense is not None
+        assert pipe.breaker.dense is not None
         # ... and the pooled form: chunk partials merged at the breaker
         half = pipe.fact_rows // 2
         merged = pipe.merge([pipe.run_chunk(0, half),
@@ -239,6 +297,53 @@ def test_edge_shapes_through_sparse_finalisation(name, rows_per_morsel):
         assert reference.actual_rows == 1
     elif name == "empty_grouped":
         assert reference.actual_rows == 0
+
+
+def _sorted_groups_db():
+    """Group columns without a small integer domain: a float column,
+    and two integer columns whose ranges multiply past the cap."""
+    db = Database("sorted_groups")
+    n = 400
+    rng = np.random.default_rng(11)
+    fact = db.create_table("f", nominal_rows=40_000)
+    fact.add_column("g", ColumnType.FLOAT64, rng.integers(0, 7, n) / 4.0)
+    fact.add_column("a", ColumnType.INT32,
+                    rng.integers(0, 4, n) * (GROUP_DOMAIN_CAP // 2))
+    fact.add_column("b", ColumnType.INT32, rng.integers(0, 5, n) * 1000)
+    fact.add_column("x", ColumnType.INT32, rng.integers(-20, 21, n))
+    fact.add_column("y", ColumnType.INT32, rng.integers(0, 100, n))
+    return db
+
+
+@pytest.mark.parametrize("sql", [
+    "select g, sum(x), count(*) from f where y < 80 group by g",
+    "select a, b, sum(x), min(y), avg(x) from f group by a, b",
+])
+def test_groups_without_a_dense_domain_sort_their_keys(sql):
+    """``GroupByAggregate.partial``'s other way of finding groups —
+    ``np.unique`` over the group columns — serves what ``bind`` cannot
+    plan dense ids for.  No shipped template reaches it (every one of
+    the 19 binds), so it is held to the reference evaluator here, under
+    both schedules; its partials do not merge, so a pool declines."""
+    from repro.engine import execute_reference
+
+    db = _sorted_groups_db()
+    spec = bind(sql, db, name="sorted")
+    reference = sorted(execute_reference(spec, db))
+    for execute in (execute_operators, execute_functional):
+        result = execute(Planner(db).plan(spec), db)
+        rows = result.payload.row_tuples()
+        assert rows == sorted(rows)  # groups ascend, as dense ids do
+        assert len(rows) == len(reference)
+        for got, want in zip(rows, reference):
+            assert got == pytest.approx(want), sql
+    assert morsel.stats["barrier_breakers"] == 1
+    assert morsel.stats["dense_aggregates"] == 0
+    pipe = morsel.build(Planner(db).plan(spec), db)
+    assert pipe.breaker.dense is None and not pipe.supports_partials
+    with pytest.raises(morsel.Decline, match="no_partials"):
+        pipe.new_accumulator()
+    _assert_records_identical(db, lambda: Planner(db).plan(spec), sql)
 
 
 # ---------------------------------------------------------------------------
@@ -299,35 +404,34 @@ def test_random_queries_identical_across_morsel_sizes(
 # The partial merge against its dense-domain original
 # ---------------------------------------------------------------------------
 
-def _dense_merge(pipe, partials, index=0):
+def _dense_merge(pipe, partials, domain, index=0):
     """The oracle: aggregate-partial merging as it stood before the
     merge moved into the space of the groups that exist
-    (``new_accumulator`` / ``absorb`` / ``_pack_chunk`` at PR 18) —
-    accumulators over the whole dense domain, the groups found by
-    ``flatnonzero`` over it."""
-    dense = pipe.dense
-    counts = np.zeros(dense.domain, dtype=np.int64)
+    (``new_accumulator`` / ``absorb`` / ``_pack_chunk`` at PR 18;
+    ``GroupByAggregate.merge`` since PR 22) — accumulators over the
+    whole dense domain, the groups found by ``flatnonzero`` over it."""
+    breaker = pipe.breaker
+    dense = breaker.dense
+    counts = np.zeros(domain, dtype=np.int64)
     sums, extrema, comps = {}, {}, {}
-    for term in dense.aggs:
-        aggregate = term.aggregate
+    for aggregate in breaker.aggregates:
         if aggregate.func in ("sum", "avg"):
-            sums[aggregate.alias] = np.zeros(dense.domain)
-            if term.compensated:
-                comps[aggregate.alias] = np.zeros(dense.domain)
+            sums[aggregate.alias] = np.zeros(domain)
+            if aggregate.alias in dense.compensated:
+                comps[aggregate.alias] = np.zeros(domain)
         elif aggregate.func == "min":
-            extrema[aggregate.alias] = np.full(dense.domain, np.inf)
+            extrema[aggregate.alias] = np.full(domain, np.inf)
         elif aggregate.func == "max":
-            extrema[aggregate.alias] = np.full(dense.domain, -np.inf)
+            extrema[aggregate.alias] = np.full(domain, -np.inf)
     for partial in partials:
         present = partial.present
         counts[present] += partial.counts
-        for term in dense.aggs:
-            aggregate = term.aggregate
+        for aggregate in breaker.aggregates:
             if aggregate.func == "count":
                 continue
             shipped = partial.values[aggregate.alias]
             if aggregate.func in ("sum", "avg"):
-                if term.compensated:
+                if aggregate.alias in dense.compensated:
                     target = sums[aggregate.alias]
                     old = target[present]
                     merged = old + shipped
@@ -346,7 +450,7 @@ def _dense_merge(pipe, partials, index=0):
             else:
                 target = extrema[aggregate.alias]
                 target[present] = np.maximum(target[present], shipped)
-    present = np.flatnonzero(counts) if dense.grouped else np.arange(1)
+    present = np.flatnonzero(counts) if breaker.group_refs else np.arange(1)
     values = {}
     for alias, total in sums.items():
         values[alias] = total[present]
@@ -354,8 +458,9 @@ def _dense_merge(pipe, partials, index=0):
             values[alias] = values[alias] + comps[alias][present]
     for alias, extreme in extrema.items():
         values[alias] = extreme[present]
-    return morsel.MorselPartial(index, "agg", present=present,
-                                counts=counts[present], values=values)
+    merged = AggregatePartial(present, counts[present], values)
+    merged.index = index
+    return merged
 
 
 #: (func, alias, compensated): every merge rule, the float ones twice
@@ -365,24 +470,22 @@ _MERGE_AGGS = [("count", "n", False), ("sum", "si", False),
                ("avg", "af", True)]
 
 
-def _merge_pipe(grouped, domain):
-    """A pipeline that is nothing but its aggregation plan — all the
-    merge reads."""
-    from repro.engine.expressions import Aggregate
+def _merge_pipe(grouped):
+    """A pipeline that is nothing but its breaker's aggregation plan —
+    all the merge reads."""
+    from repro.engine.expressions import Aggregate, ColumnRef
 
     pipe = morsel.FusedPipeline(None, None)
-    pipe.breaker_kind = "agg"
-    pipe.dense = morsel._DenseAggregate(
-        [], [morsel._AggTerm(Aggregate(func, None, alias),
-                             is_integer=not compensated,
-                             compensated=compensated)
-             for func, alias, compensated in _MERGE_AGGS],
-        domain, grouped)
+    pipe.breaker = GroupByAggregate(
+        ScanSelect("f"), [ColumnRef("f", "g")] if grouped else [],
+        [Aggregate(func, None, alias) for func, alias, _ in _MERGE_AGGS])
+    pipe.breaker.dense = _DenseAggregate(
+        [], [alias for _, alias, compensated in _MERGE_AGGS if compensated])
     return pipe
 
 
 def _draw_partial(rng, index, grouped, ids):
-    """A partial as ``_aggregate_partial`` shapes it: sorted unique
+    """A partial as ``GroupByAggregate.partial`` shapes it: sorted unique
     int64 ids with >= 1 row each — or, ungrouped, the one group 0,
     which exists even over zero rows (``ids`` empty)."""
     if grouped:
@@ -401,9 +504,9 @@ def _draw_partial(rng, index, grouped, ids):
         "hi": np.where(rows, whole, -np.inf),
         "sf": np.where(rows, real, 0.0), "af": np.where(rows, real, 0.0),
     }
-    return morsel.MorselPartial(index, "agg", present=present,
-                                counts=counts.astype(np.int64),
-                                values=values)
+    partial = AggregatePartial(present, counts.astype(np.int64), values)
+    partial.index = index
+    return partial
 
 
 def _assert_same_partial(got, want):
@@ -417,41 +520,41 @@ def _assert_same_partial(got, want):
     assert got.values.keys() == want.values.keys()
 
 
-def _packed(pipe, partials, index=0):
+def _packed(pipe, partials):
     acc = pipe.new_accumulator()
     for partial in partials:
         pipe.absorb(acc, partial)
-    return pipe._pack_chunk(index, acc, None)
+    return pipe.breaker.merge(acc)
 
 
 def _check_merge(grouped, domain, id_lists, seed, cut):
     """One level (all partials in the given absorb order) and two
     (the parent merging two workers' packed chunks), union space
     against dense domain."""
-    pipe = _merge_pipe(grouped, domain)
+    pipe = _merge_pipe(grouped)
     rng = np.random.default_rng(seed)
     partials = [_draw_partial(rng, index, grouped, ids)
                 for index, ids in id_lists]
     morsel.reset_stats()
     _assert_same_partial(_packed(pipe, partials),
-                         _dense_merge(pipe, partials))
+                         _dense_merge(pipe, partials, domain))
     # one count per absorbed partial (and per compensated aggregate)
     assert morsel.stats["partial_merges"] == len(partials)
     assert morsel.stats["compensated_merges"] == 2 * len(partials)
     shipped = []
     for index, chunk in enumerate((partials[:cut], partials[cut:])):
-        want = _dense_merge(pipe, chunk, index)
-        _assert_same_partial(_packed(pipe, chunk, index), want)
+        want = _dense_merge(pipe, chunk, domain, index)
+        _assert_same_partial(_packed(pipe, chunk), want)
         shipped.append(want)
     _assert_same_partial(_packed(pipe, shipped),
-                         _dense_merge(pipe, shipped))
+                         _dense_merge(pipe, shipped, domain))
 
 
 @st.composite
 def _merge_cases(draw):
     grouped = draw(st.booleans())
     domain = draw(st.sampled_from(
-        [1, 7, 4096, morsel.GROUP_DOMAIN_CAP])) if grouped else 1
+        [1, 7, 4096, GROUP_DOMAIN_CAP])) if grouped else 1
     # few distinct ids, so partials overlap; both ends of the domain
     pool = sorted({0, domain - 1, *draw(st.lists(
         st.integers(0, domain - 1), max_size=6))})
@@ -468,7 +571,7 @@ def test_union_merge_equals_the_dense_merge(case):
     _check_merge(*case)
 
 
-_CAP = morsel.GROUP_DOMAIN_CAP
+_CAP = GROUP_DOMAIN_CAP
 
 
 @pytest.mark.parametrize("grouped, domain, id_lists", [

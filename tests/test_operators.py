@@ -145,6 +145,97 @@ class TestOperatorDeclarations:
         assert offences == []
 
 
+# -- an operator computes once, in its chunk kernel --------------------------
+
+#: (class, kernel): the one place each chain operator computes
+CHUNK_KERNELS = [(ScanSelect, "select"), (RefineSelect, "select"),
+                 (HashJoin, "match"), (GroupByAggregate, "partial"),
+                 (Materialize, "partial")]
+
+
+class TestOneChunkKernel:
+    def test_the_morsel_schedule_computes_nothing(self):
+        """``engine/morsel.py`` schedules and merges: it evaluates no
+        expression, probes no index, and forms no group or aggregate —
+        every such call lives in an operator's chunk kernel."""
+        from repro.engine import morsel
+
+        tree = ast.parse(pathlib.Path(morsel.__file__).read_text())
+        offences = []
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", "") in ("evaluate",
+                                                           "probe")):
+                offences.append("{}: .{}()".format(node.lineno,
+                                                   node.func.attr))
+            name = getattr(node, "attr", getattr(node, "id", ""))
+            # ... and keeps no kind string of its own to pick a breaker
+            # by: the breaker object answers
+            if (name in ("unique", "bincount", "reduce_groups",
+                         "finish_aggregate") or name.endswith("_kind")):
+                offences.append("{}: {}".format(node.lineno, name))
+        assert offences == []
+
+    @pytest.fixture()
+    def spied(self, monkeypatch):
+        """Calls per (class name, kernel), counted on the classes."""
+        calls = {}
+        for cls, kernel in CHUNK_KERNELS:
+            def counting(self, *args, _inner=getattr(cls, kernel),
+                         _key=(cls.__name__, kernel), **kwargs):
+                calls[_key] = calls.get(_key, 0) + 1
+                return _inner(self, *args, **kwargs)
+            monkeypatch.setattr(cls, kernel, counting)
+        return calls
+
+    @staticmethod
+    def _plan(breaker):
+        """scan → refine → join → breaker over ``toy_db``."""
+        chain = HashJoin(
+            RefineSelect(
+                ScanSelect("sales", Comparison("<", AMOUNT, Literal(90))),
+                "sales", Comparison(">", PRICE, Literal(3))),
+            ScanSelect("store"), SKEY, SID)
+        if breaker is GroupByAggregate:
+            root = GroupByAggregate(chain, [REGION],
+                                    [Aggregate("sum", AMOUNT, "total")])
+        else:
+            root = Materialize(chain, [("amount", AMOUNT), ("size", SIZE)])
+        return PhysicalPlan(root, name="spy")
+
+    @pytest.mark.parametrize("breaker", [GroupByAggregate, Materialize])
+    def test_both_schedules_go_through_the_class_kernels(self, toy_db,
+                                                         spied, breaker):
+        from repro.engine import morsel, plan_cache
+        from repro.engine.execution import execute_operators
+
+        chain = [("ScanSelect", "select"), ("RefineSelect", "select"),
+                 ("HashJoin", "match")]
+        kernels = chain + [(breaker.__name__, "partial")]
+        plan_cache.invalidate()
+        reference = execute_operators(self._plan(breaker), toy_db)
+        # operator at a time: every kernel once, over the whole column
+        # (the build-side scan has no predicate, so nothing to select)
+        assert spied == dict.fromkeys(kernels, 1)
+
+        rows = toy_db.table("sales").actual_rows
+        with morsel.sized(-(-rows // 3)):  # three morsels
+            # recording: the chain per morsel, the breaker at the barrier
+            spied.clear()
+            plan_cache.invalidate()
+            pipe = morsel.build(self._plan(breaker), toy_db)
+            assert len(pipe.ranges()) == 3
+            pipe.run_recorded()
+            assert spied == {**dict.fromkeys(chain, 3), kernels[-1]: 1}
+            # pooled: every kernel per morsel
+            spied.clear()
+            merged = pipe.merge([pipe.run_chunk(0, rows)])
+            assert spied == dict.fromkeys(kernels, 3)
+        assert (merged.payload.row_tuples()
+                == reference.payload.row_tuples())
+        plan_cache.invalidate()
+
+
 class TestScanSelect:
     def test_matches_numpy_mask(self, toy_db):
         scan = ScanSelect("sales", Comparison("<", AMOUNT, Literal(30)))

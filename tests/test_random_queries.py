@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Planner, execute_reference
-from repro.engine.execution import execute_functional
+from repro.engine import Planner, execute_reference, plan_cache
+from repro.engine.execution import execute_functional, execute_operators
 from repro.sql import bind
 from repro.storage import ColumnType, Database
 
@@ -72,11 +72,17 @@ def rows_match(engine_rows, reference_rows):
 
 
 def check(db, sql):
+    """Both schedules of the chunk kernels — morsel by morsel and the
+    whole column as one chunk — against the row-at-a-time evaluator,
+    each on a fresh plan with nothing memoised."""
     spec = bind(sql, db, name="rand")
-    plan = Planner(db).plan(spec)
-    engine_rows = execute_functional(plan, db).payload.row_tuples()
     reference_rows = execute_reference(spec, db)
-    assert rows_match(engine_rows, reference_rows), sql
+    for execute in (execute_functional, execute_operators):
+        plan_cache.invalidate()
+        plan = Planner(db).plan(spec)
+        engine_rows = execute(plan, db).payload.row_tuples()
+        assert rows_match(engine_rows, reference_rows), (execute.__name__, sql)
+    plan_cache.invalidate()
 
 
 @given(seed=st.integers(0, 2), predicate=predicates())

@@ -72,6 +72,16 @@ def test_or_across_tables_rejected(toy_db):
         )
 
 
+def test_constant_predicate_rejected_by_name(toy_db):
+    """A conjunct over no column is not a cross-table predicate: the
+    message names what it is (and the conjunct)."""
+    with pytest.raises(BindError, match=r"constant predicates.*1 = 1"):
+        bind("select count(*) as c from sales where 1 = 1", toy_db)
+    with pytest.raises(BindError, match="only equi-join predicates"):
+        bind("select amount from sales, store "
+             "where skey = id and amount < size", toy_db)
+
+
 def test_star_expansion(toy_db):
     spec = bind("select * from sales", toy_db)
     assert [alias for alias, _ in spec.select_items] == [
