@@ -26,9 +26,14 @@ post-order loop serves them — tail operators
 (Sort/Limit/Distinct/FrameFilter) and all bookkeeping run unchanged.
 The chain's chunk outputs are concatenated per operator and the
 breaker runs once, at the barrier, over the recorded chain output.
+A recording starts where the recorded results end (:func:`_resume`):
+its morsels are cut over the payload of the deepest covered operator
+the template memo or the plan cache already answers — a selection's
+fact mask, a join's aligned tids — and only the operators after it run.
 Pooled execution ships one breaker partial per worker chunk instead
-and merges them (:meth:`FusedPipeline.merge`).  When a plan shape falls
-outside the fused form the pipeline declines (reason-counted in
+and merges them (:meth:`FusedPipeline.merge`); its chunks, like the
+``Limit`` prefix, are fact-row ranges and enter at the scan.  A plan
+shape outside the fused form declines (reason-counted in
 :data:`decline_reasons`) and the plan runs operator by operator.
 """
 
@@ -61,6 +66,7 @@ stats = {
     "declined_queries": 0,
     "morsels": 0,
     "fused_operators": 0,
+    "resumed_operators": 0,
     "partial_merges": 0,
     "dense_aggregates": 0,
     "barrier_breakers": 0,
@@ -158,12 +164,19 @@ class FusedPipeline:
         self.fact_table: str = ""
         self.fact_rows: int = 0
         self.scan_op = None
-        self.refines: List = []
+        self.selections: List = []  # the scan, then its refines
         self.stages: List[_Stage] = []
         #: the ``aggregate`` / ``project`` operator the chain ends in
         self.breaker = None
         self.tail: List = []  # breaker → root, in execution order
         self.covered_ops: List = []
+        #: where the chain starts (:func:`_resume`; None: the scan) and
+        #: what its morsels slice: a selection's mask or a join's tids.
+        #: The three lists above then hold only what is left to run.
+        self.entry: Optional[OperatorResult] = None
+        self.entry_mask: Optional[np.ndarray] = None
+        self.entry_tids: Optional[Dict[str, np.ndarray]] = None
+        self.resumed = 0
 
     # -- capability queries -------------------------------------------
 
@@ -195,26 +208,30 @@ class FusedPipeline:
     # -- per-morsel execution -----------------------------------------
 
     def run_morsel(self, start: int, stop: int):
-        """Run the chain over fact rows ``[start, stop)``: the chunk
-        output of every chain operator, as ``(masks, lineages)`` — the
-        cumulative mask after the scan and after each refine (None
-        while no predicate has applied), and the aligned absolute tids
-        per reachable table entering the joins and after each one
+        """Run the chain over rows ``[start, stop)`` — of the fact
+        table, or of the entry when the chain starts after a recorded
+        join: the chunk output of every chain operator left to run, as
+        ``(masks, lineages)`` — the cumulative mask after each selection
+        (None while no predicate has applied), and the aligned absolute
+        tids per reachable table entering the joins and after each one
         (None: every row of the morsel)."""
         stats["morsels"] += 1
-        block = BlockFrame(self.database)
-        block.set_range(start, stop)
-
-        mask = None
-        if self.scan_op.predicate is not None:
-            mask = self.scan_op.select(block)
-        masks = [mask]
-        for refine in self.refines:
-            mask = refine.select(block, mask)
-            masks.append(mask)
-
-        lineage = {self.fact_table:
-                   None if mask is None else start + np.flatnonzero(mask)}
+        masks = []
+        if self.entry_tids is None:
+            block = BlockFrame(self.database)
+            block.set_range(start, stop)
+            mask = self.entry_mask
+            if mask is not None:
+                mask = mask[start:stop]
+            for op in self.selections:
+                if op.predicate is not None:  # a bare scan selects all
+                    mask = op.select(block, mask)
+                masks.append(mask)
+            lineage = {self.fact_table: None if mask is None
+                       else start + np.flatnonzero(mask)}
+        else:
+            lineage = {name: tids[start:stop]
+                       for name, tids in self.entry_tids.items()}
         lineages = [lineage]
         for stage in self.stages:
             tids = lineage[stage.op.probe_key.table]
@@ -336,15 +353,21 @@ class FusedPipeline:
     def _chain_sizes(self, totals: Tuple[int, ...]
                      ) -> List[Tuple[int, int, int]]:
         """(actual rows, nominal rows, row width) after each chain
-        operator — scan, refines, joins — from their output row counts,
-        by each operator's own ``output_size`` rule."""
-        sizes = [self.scan_op.output_size(self.database, totals[0])]
-        counts = iter(totals[1:])
-        for refine in self.refines:
-            sizes.append(refine.output_size(next(counts), *sizes[-1][:2]))
+        operator left to run — scan, refines, joins — from their output
+        row counts, by each operator's own ``output_size`` rule, chained
+        from the entry's recorded sizes."""
+        size = self.entry and (self.entry.actual_rows,
+                               self.entry.nominal_rows)
+        sizes, counts = [], iter(totals)
+        for op in self.selections:
+            size = (op.output_size(self.database, next(counts))
+                    if op is self.scan_op
+                    else op.output_size(next(counts), *size[:2]))
+            sizes.append(size)
         for stage in self.stages:
-            sizes.append(stage.op.output_size(
-                next(counts), *sizes[-1][:2], len(stage.table_order)))
+            size = stage.op.output_size(
+                next(counts), *size[:2], len(stage.table_order))
+            sizes.append(size)
         return sizes
 
     def replay_nominal(self, totals: Tuple[int, ...]) -> Tuple[int, int]:
@@ -356,14 +379,17 @@ class FusedPipeline:
     # -- recording -----------------------------------------------------
 
     def run_recorded(self) -> None:
-        """Sequential fused execution: run every morsel, then fill every
-        covered operator's memo with the byte-identical result tuple —
-        the chain's from its concatenated chunk outputs, the breaker's
+        """Sequential fused execution: run every morsel of the entry
+        (none when only the breaker is left), then fill the memo of
+        every operator left to run with the byte-identical result tuple
+        — the chain's from its concatenated chunk outputs, the breaker's
         by running it once, at the barrier, over the chain's last."""
-        selections = [self.scan_op] + self.refines
+        selections, chain = self.selections, self.covered_ops[:-1]
         mask_chunks: List[list] = [[] for _ in selections]
         lineage_chunks: List[list] = [[] for _ in self.stages]
-        for start, stop in self.ranges():
+        rows = (self.fact_rows if self.entry_tids is None
+                else self.entry.actual_rows)
+        for start, stop in self._spans(0, rows) if chain else ():
             masks, lineages = self.run_morsel(start, stop)
             for chunks, mask in zip(mask_chunks, masks):
                 chunks.append(mask)
@@ -384,7 +410,8 @@ class FusedPipeline:
             }))
 
         sizes = self._chain_sizes(tuple(len(payload) for payload in payloads))
-        for op, payload, size in zip(self.covered_ops, payloads, sizes):
+        result = self.entry
+        for op, payload, size in zip(chain, payloads, sizes):
             result = op.record(self.database, OperatorResult(payload, *size))
         self._count_breaker()
         self.breaker.record(self.database, self.breaker.run(
@@ -415,14 +442,15 @@ def _analyze_structure(pipe: FusedPipeline) -> None:
         joins.append(node)
         node = node.children[0]
     while node.role == "refine":
-        pipe.refines.append(node)
+        pipe.selections.append(node)
         node = node.children[0]
     if node.role != "scan":
         raise Decline("leaf_shape")
     pipe.scan_op = node
     pipe.fact_table = node.table
-    pipe.refines.reverse()
-    for refine in pipe.refines:
+    pipe.selections.append(node)
+    pipe.selections.reverse()
+    for refine in pipe.selections:
         if refine.table != pipe.fact_table:
             raise Decline("refine_table")
 
@@ -441,9 +469,33 @@ def _analyze_structure(pipe: FusedPipeline) -> None:
         available.append(build.table)
         pipe.stages.append(_Stage(join, list(available)))
 
-    pipe.covered_ops = ([pipe.scan_op] + pipe.refines
+    pipe.covered_ops = (pipe.selections
                         + [stage.op for stage in pipe.stages]
                         + [pipe.breaker])
+
+
+def _resume(pipe: FusedPipeline) -> None:
+    """Start the chain after the deepest covered operator whose result
+    is already recorded — the test ``produce()`` trusts — and keep only
+    what is left to run: nothing when that is the breaker itself."""
+    for depth in range(len(pipe.covered_ops), 0, -1):
+        cached = _recorded(pipe.covered_ops[depth - 1], pipe.database)
+        if cached is not None:
+            break
+    else:
+        return  # nothing recorded: enter at the scan
+    joins = max(depth - len(pipe.selections), 0)
+    del pipe.covered_ops[:depth], pipe.selections[:depth], pipe.stages[:joins]
+    if not pipe.covered_ops:
+        return
+    pipe.resumed, pipe.entry = depth, OperatorResult(*cached)
+    if joins:
+        pipe.entry_tids = pipe.entry.payload.tables
+    else:
+        selection = pipe.entry.payload.selection(pipe.fact_table)
+        if selection is None:
+            raise Decline("entry_not_lazy")
+        pipe.entry_mask = selection.mask
 
 
 def _prepare_probers(pipe: FusedPipeline, cache) -> None:
@@ -465,16 +517,19 @@ def _prepare_probers(pipe: FusedPipeline, cache) -> None:
             raise Decline("build_stale")
 
 
-def build(plan, database) -> FusedPipeline:
+def build(plan, database, resume: bool = False) -> FusedPipeline:
     """Analyse and bind ``plan``; raises :class:`Decline` when the plan
-    cannot run fused."""
+    cannot run fused.  The chain enters at the scan unless ``resume``
+    (recording) starts it where the recorded results end."""
     cache = kernels.cache_for(database)
     pipe = FusedPipeline(plan, database)
     _analyze_structure(pipe)
     pipe.fact_rows = database.table(pipe.fact_table).actual_rows
-    _prepare_probers(pipe, cache)
     pipe.breaker.bind(database, pipe.stages[-1].table_order
                       if pipe.stages else [pipe.fact_table])
+    if resume:
+        _resume(pipe)
+    _prepare_probers(pipe, cache)
     return pipe
 
 
@@ -506,7 +561,7 @@ def execute_direct(plan, database) -> Optional[OperatorResult]:
     try:
         if root.n <= 0:
             raise Decline("limit_nonpositive")
-        if _memoised(root, database):
+        if _recorded(root, database) is not None:
             # the ordinary path serves the memo for free — and the
             # direct path must never shadow recorded full results
             raise Decline("limit_memoised")
@@ -545,23 +600,22 @@ def execute_direct(plan, database) -> Optional[OperatorResult]:
     return result
 
 
-def _memoised(op, database) -> bool:
-    """True when ``op``'s result is already recorded — in its template
-    memo or the cross-plan cache (peeked: no hit/miss counter moves)."""
-    return (op._cached_result is not None
-            or plan_cache.peek(database, op.fingerprint()) is not None)
+def _recorded(op, database) -> Optional[Tuple]:
+    """``op``'s recorded result tuple — from its template memo or the
+    cross-plan cache (peeked: no hit/miss counter moves) — or None."""
+    return op._cached_result or plan_cache.peek(database, op.fingerprint())
 
 
 def prepare_fused(plan, database) -> bool:
-    """Record-mode fused execution: run the plan's fused chain and fill
-    the covered operators' memos.  Returns True when the plan ran fused
-    (the executor loop then serves memoised results), False when fusion
-    declined or everything was already memoised."""
-    if all(_memoised(op, database) for op in plan.operators):
+    """Record-mode fused execution: run what no recording answers yet of
+    the plan's fused chain and fill those operators' memos.  True when
+    the plan ran fused (the executor loop then serves the memos), False
+    when fusion declined or everything it covers was already recorded."""
+    if all(_recorded(op, database) is not None for op in plan.operators):
         return False  # a warm plan builds nothing, not even a pipeline
     try:
-        pipe = build(plan, database)
-        if all(_memoised(op, database) for op in pipe.covered_ops):
+        pipe = build(plan, database, resume=True)
+        if not pipe.covered_ops:
             return False  # only tail operators are left to run
         pipe.run_recorded()
     except Decline as decline:
@@ -576,4 +630,5 @@ def prepare_fused(plan, database) -> bool:
         return False
     stats["fused_queries"] += 1
     stats["fused_operators"] += len(pipe.covered_ops)
+    stats["resumed_operators"] += pipe.resumed
     return True

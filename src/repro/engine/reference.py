@@ -178,7 +178,7 @@ def execute_reference(spec: "QuerySpec", database: Database) -> List[tuple]:
 
     # 4. Order by (on output positions), then limit.
     if spec.order_by:
-        names = _output_names(spec)
+        names = output_names(spec)
         indices = [(names.index(name), asc) for name, asc in spec.order_by]
 
         import functools
@@ -201,7 +201,7 @@ def execute_reference(spec: "QuerySpec", database: Database) -> List[tuple]:
 
 def _apply_having(spec, rows: List[tuple]) -> List[tuple]:
     """Filter aggregated rows by the HAVING predicate."""
-    names = _output_names(spec)
+    names = output_names(spec)
 
     def keep(row):
         def getval(key: str):
@@ -213,7 +213,8 @@ def _apply_having(spec, rows: List[tuple]) -> List[tuple]:
     return [row for row in rows if keep(row)]
 
 
-def _output_names(spec: "QuerySpec") -> List[str]:
+def output_names(spec: "QuerySpec") -> List[str]:
+    """The query's output column names, in result-row order."""
     if spec.is_aggregation:
         return [ref.name for ref in spec.group_by] + [
             agg.alias for agg in spec.aggregates

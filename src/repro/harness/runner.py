@@ -9,7 +9,9 @@ and wasted time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections import Counter
+from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Dict, List, Optional
 
@@ -371,9 +373,40 @@ def validate_results(database: Database, queries: List[WorkloadQuery],
     for query in queries:
         if query.spec is None or query.name not in results:
             continue
-        got = sorted(map(canonical_row, results[query.name].row_tuples()))
-        want = reference_rows(database, query)
-        compare_rows(query.name, got, want)
+        got = list(map(canonical_row, results[query.name].row_tuples()))
+        if query.spec.limit is None:
+            compare_rows(query.name, sorted(got),
+                         reference_rows(database, query))
+        else:
+            _compare_limited(database, query, got)
+
+
+def _compare_limited(database: Database, query: WorkloadQuery, got) -> None:
+    """A ``LIMIT`` the ``ORDER BY`` does not determine has many right
+    answers (the reference emits joins in ``FROM`` order, the engine in
+    fact order), so check what every one of them shares: the row count,
+    the ``ORDER BY`` keys row by row, and every row drawn — as a
+    multiset — from the un-limited reference rows."""
+    from repro.engine import execute_reference
+    from repro.engine.reference import output_names
+
+    spec, name = query.spec, query.name
+    full = [canonical_row(row) for row in
+            execute_reference(replace(spec, limit=None), database)]
+    names = output_names(spec)
+    keys = [names.index(column) for column, _ in spec.order_by]
+    compare_rows(name, [tuple(row[i] for i in keys) for row in got],
+                 [tuple(row[i] for i in keys) for row in full[:spec.limit]])
+    left = Counter(full)
+    for row in got:
+        # exact first; float sums may differ in their last digits
+        match = row if left[row] > 0 else next(
+            (other for other, count in left.items()
+             if count > 0 and _row_close(row, other)), None)
+        if match is None:
+            raise ValidationError("{}: {} is not a row of the un-limited "
+                                  "answer".format(name, row))
+        left[match] -= 1
 
 
 def reference_rows(database: Database, query: WorkloadQuery):
@@ -392,8 +425,6 @@ def reference_rows(database: Database, query: WorkloadQuery):
 def compare_rows(name: str, got, want) -> None:
     """Raise :class:`ValidationError` unless two canonical, sorted row
     lists agree (floats within 1e-9, everything else exactly)."""
-    import math
-
     if len(got) != len(want):
         raise ValidationError(
             "{}: {} rows simulated vs {} rows reference".format(
@@ -401,17 +432,20 @@ def compare_rows(name: str, got, want) -> None:
             )
         )
     for got_row, want_row in zip(got, want):
-        for a, b in zip(got_row, want_row):
-            if isinstance(a, float) or isinstance(b, float):
-                if not math.isclose(float(a), float(b), rel_tol=1e-9,
-                                    abs_tol=1e-9):
-                    raise ValidationError(
-                        "{}: {} != {}".format(name, got_row, want_row)
-                    )
-            elif a != b:
-                raise ValidationError(
-                    "{}: {} != {}".format(name, got_row, want_row)
-                )
+        if not _row_close(got_row, want_row):
+            raise ValidationError(
+                "{}: {} != {}".format(name, got_row, want_row))
+
+
+def _row_close(got_row, want_row) -> bool:
+    for a, b in zip(got_row, want_row):
+        if isinstance(a, float) or isinstance(b, float):
+            if not math.isclose(float(a), float(b), rel_tol=1e-9,
+                                abs_tol=1e-9):
+                return False
+        elif a != b:
+            return False
+    return True
 
 
 def canonical_row(row):

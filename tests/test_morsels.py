@@ -30,7 +30,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Planner, kernels, morsel, plan_cache
+from repro.engine import (
+    Planner,
+    execute_reference,
+    kernels,
+    morsel,
+    plan_cache,
+)
 from repro.engine.execution import execute_functional, execute_operators
 from repro.engine.intermediates import SelectionVector, TidSet
 from repro.engine.operators import GroupByAggregate, PhysicalPlan, ScanSelect
@@ -46,6 +52,7 @@ from repro.sql import bind
 from repro.storage import ColumnType, Database, shm
 from repro.workloads import micro, sql_workload, ssb, tpch
 
+from benchmarks.e2e import sqlgen
 from tests import test_random_queries as random_queries
 from tests.conftest import operator_path
 
@@ -198,6 +205,11 @@ def _assert_records_identical(db, fresh_plan, label=""):
     assert morsel.prepare_fused(plan, db), label
     reference = fresh_plan()
     execute_operators(reference, db)
+    _assert_same_records(plan, reference, covered, label)
+    return plan
+
+
+def _assert_same_records(plan, reference, covered, label):
     for op, ref_op in zip(plan.operators, reference.operators):
         if id(op) not in covered:
             continue
@@ -205,7 +217,6 @@ def _assert_records_identical(db, fresh_plan, label=""):
         ref_payload, *ref_sizes = ref_op._cached_result
         assert sizes == ref_sizes, (label, op.label)
         _assert_same_payload(payload, ref_payload, (label, op.label))
-    return plan
 
 
 MORSEL_SIZES = [64, 1000, 65536, 1_000_000_000]
@@ -344,6 +355,292 @@ def test_groups_without_a_dense_domain_sort_their_keys(sql):
     with pytest.raises(morsel.Decline, match="no_partials"):
         pipe.new_accumulator()
     _assert_records_identical(db, lambda: Planner(db).plan(spec), sql)
+
+
+# ---------------------------------------------------------------------------
+# Resumed recording: a statement runs none of the chain prefix an
+# earlier one recorded, and records what a cold run records
+# ---------------------------------------------------------------------------
+
+RESUME_SIZES = [1, 7, 65536, 1_000_000_000]
+
+
+def _assert_resumed_records_identical(db, fresh_plan, label=""):
+    """Record ``fresh_plan()`` on top of whatever the plan cache (or
+    the plan's own template memo) already holds; every covered operator
+    — resumed or run — must end up with the tuple a cold operator-path
+    run produces.  Returns the movement of ``morsel.stats``."""
+    plan = fresh_plan()
+    covered = morsel.build(plan, db).covered_ops  # the whole chain
+    before = morsel.snapshot_stats()
+    fused = morsel.prepare_fused(plan, db)
+    moved = morsel.stats_since(before)
+    execute_operators(plan, db)  # serves the recordings, runs the tail
+    assert (moved["fused_operators"] + moved["resumed_operators"]
+            == (len(covered) if fused else 0)), label
+    reference = fresh_plan()
+    for op in reference.operators:
+        op._cached_result = None
+    enabled = plan_cache.enabled()
+    plan_cache.enable(False)  # cold: nothing served, nothing stored
+    try:
+        execute_operators(reference, db)
+    finally:
+        plan_cache.enable(enabled)
+    _assert_same_records(plan, reference, {id(op) for op in covered}, label)
+    return moved
+
+
+@pytest.mark.parametrize("source", ["ssb", "tpch", "sqlgen", "resume_db"])
+@pytest.mark.parametrize("rows_per_morsel", RESUME_SIZES)
+def test_statements_in_sequence_record_what_a_cold_run_records(
+        source, rows_per_morsel, request):
+    """The plan cache is never invalidated between the statements, so
+    each one starts wherever the earlier ones' recordings end."""
+    if source == "resume_db":
+        db = _resume_db()
+        queries = sql_workload(db, _resume_statements())
+    else:
+        db = request.getfixturevalue("tpch_db" if source == "tpch"
+                                     else "ssb_db")
+        queries = (sql_workload(db, sqlgen.generate(5, 39))
+                   if source == "sqlgen"
+                   else {"ssb": ssb, "tpch": tpch}[source].workload(db))
+    plan_cache.enable(True)
+    plan_cache.invalidate(db)
+    try:
+        with morsel.sized(rows_per_morsel):
+            for query in queries:
+                _assert_resumed_records_identical(
+                    db, query.instantiate, query.name)
+    finally:
+        plan_cache.invalidate(db)
+    _assert_no_swallowed_errors()
+    stats = morsel.snapshot_stats()
+    assert stats["declined_queries"] == 0
+    # SSB's flights share scans and joins; no two TPC-H templates share
+    # even a scan, so there the sequence only proves nothing is broken
+    assert (stats["resumed_operators"] > 0) == (source != "tpch")
+
+
+def _resume_db():
+    """``f`` with three dimensions: ``d`` and ``g`` are N:1, ``e`` holds
+    every key twice (a 1:N join).  Nominal rows are no whole multiple
+    of the actual ones, so a nominal count chained from the wrong
+    operator rounds differently."""
+    db = Database("resume")
+    n = 500
+    rng = np.random.default_rng(17)
+    fact = db.create_table("f", nominal_rows=80_007)
+    fact.add_column("fk", ColumnType.INT32, rng.integers(1, 6, n))
+    fact.add_column("ek", ColumnType.INT32, rng.integers(1, 5, n))
+    fact.add_column("gk", ColumnType.INT32, rng.integers(1, 4, n))
+    fact.add_column("x", ColumnType.INT32, rng.integers(-20, 21, n))
+    fact.add_column("y", ColumnType.INT32, rng.integers(0, 100, n))
+    dim = db.create_table("d", nominal_rows=5)
+    dim.add_column("id", ColumnType.INT32, np.arange(1, 6))
+    dim.add_column("kind", ColumnType.INT32, np.arange(5) % 2)
+    twice = db.create_table("e", nominal_rows=8)
+    twice.add_column("eid", ColumnType.INT32, np.repeat(np.arange(1, 5), 2))
+    twice.add_column("tag", ColumnType.INT32, np.arange(8))
+    third = db.create_table("g", nominal_rows=30)
+    third.add_column("gid", ColumnType.INT32, np.arange(1, 4))
+    third.add_column("w", ColumnType.INT32, np.arange(3) * 7)
+    return db
+
+
+_FD = "select count(*) from f, d where f.fk = d.id and kind = 0 and y < 60"
+_FDE = ("select {}, sum(x), count(*) from f, d, e where f.fk = d.id "
+        "and f.ek = e.eid and kind = 0 and y < 60 group by {}")
+_FG = ("select w, sum(x) from f, g where f.gk = g.gid and w < 10 and y < 60 "
+       "group by w")
+
+
+def _resume_statements():
+    """Literal substitution over six shapes that share prefixes, as
+    ``sqlgen`` does over SSB's — but with joins that keep or double
+    their input, where a mis-chained nominal count shows."""
+    shapes = ("select sum(x) from f where y < 60", _FD,
+              _FDE.format("tag", "tag"), _FG, _FDE.format("kind", "kind"),
+              "select w, tag, count(*) from f, d, e, g where f.fk = d.id "
+              "and f.ek = e.eid and f.gk = g.gid and kind = 0 and w < 10 "
+              "and y < 60 group by w, tag")
+    return [("r{}-{}".format(bound, index),
+             shape.replace("y < 60", "y < {}".format(bound)))
+            for bound in (15, 40, 60, 85)
+            for index, shape in enumerate(shapes)]
+
+#: name -> (statements recorded first, the statement under test,
+#: chain operators it must resume, whether it may run a morsel)
+RESUME_CASES = {
+    # recorded scan mask, unrecorded join: the entry is a selection
+    "entry_at_a_selection": (
+        ["select sum(x) from f where y < 60"],
+        _FG, 1, True),
+    # the entry is a join, and the join after it is 1:N
+    "one_to_many_after_the_entry": (
+        [_FD], _FDE.format("tag", "tag"), 2, True),
+    # same joins, another group by: only the breaker is left
+    "new_breaker_over_a_recorded_chain": (
+        [_FDE.format("tag", "tag")], _FDE.format("kind", "kind"), 3, False),
+    # an empty recorded join is one empty morsel for the join after it
+    "empty_join_entry": (
+        [_FD.replace("y < 60", "y < 0")],
+        _FDE.format("tag", "tag").replace("y < 60", "y < 0"), 2, True),
+    # nothing in common but the statement shape: enters at the scan
+    "nothing_recorded": (
+        ["select sum(x) from f where y < 61"], _FD, 0, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESUME_CASES))
+@pytest.mark.parametrize("memo_only", [False, True])
+@pytest.mark.parametrize("rows_per_morsel", RESUME_SIZES)
+def test_resume_edges(name, memo_only, rows_per_morsel):
+    """``memo_only``: the plan cache is off and the recording sits in
+    the plan's own template memo (the chain below the resumed depth
+    memoised, everything above forgotten)."""
+    first, sql, resumed, runs_morsels = RESUME_CASES[name]
+    db = _resume_db()
+    (query,) = sql_workload(db, {name: sql})
+    with morsel.sized(rows_per_morsel):
+        if memo_only:
+            template = query.template_plan()
+            execute_operators(template, db)
+            chain = morsel.build(template, db).covered_ops
+            for op in template.operators:
+                if op not in chain[:resumed]:
+                    op._cached_result = None
+        else:
+            plan_cache.enable(True)
+            for earlier in sql_workload(db, dict(enumerate(first))):
+                execute_functional(earlier.instantiate(), db)
+        moved = _assert_resumed_records_identical(
+            db, query.instantiate, name)
+    assert moved["resumed_operators"] == resumed
+    assert (moved["morsels"] > 0) == runs_morsels
+    _assert_no_swallowed_errors()
+    assert morsel.snapshot_stats()["declined_queries"] == 0
+
+
+@pytest.mark.parametrize("sql,rows", [
+    ("select sum(x), count(*) from f, d where f.fk = d.id and y > 1000", 1),
+    ("select kind, sum(x) from f, d where f.fk = d.id and y > 1000 "
+     "group by kind", 0)])
+@pytest.mark.parametrize("first", [
+    "select min(x) from f where y > 1000",  # an empty scan mask
+    "select min(x) from f, d where f.fk = d.id and y > 1000"])  # ... join
+@pytest.mark.parametrize("rows_per_morsel", [7, 1_000_000_000])
+def test_an_empty_recorded_prefix_still_owes_the_scalar_row(
+        sql, rows, first, rows_per_morsel):
+    db = _edge_db()
+    plan_cache.enable(True)
+    (earlier,) = sql_workload(db, {"first": first})
+    (query,) = sql_workload(db, {"empty": sql})
+    with morsel.sized(rows_per_morsel):
+        execute_functional(earlier.instantiate(), db)
+        moved = _assert_resumed_records_identical(
+            db, query.instantiate, sql)
+        result = execute_functional(query.instantiate(), db)
+    assert moved["resumed_operators"] >= 1
+    assert result.actual_rows == rows
+    assert (sorted(result.payload.row_tuples())
+            == sorted(execute_reference(query.spec, db)))
+
+
+def test_a_recorded_tid_array_is_no_entry_for_a_selection():
+    """A selection's recording is a lazy mask wherever the program made
+    it; ``materialised_scans`` plants a tid array, and the fused path
+    declines rather than slice it as a mask."""
+    from tests.conftest import materialised_scans
+
+    db = _resume_db()
+    plan_cache.enable(True)
+    run = lambda sql: execute_functional(
+        sql_workload(db, {"q": sql})[0].instantiate(), db)
+    with materialised_scans():
+        run("select sum(x) from f where y < 60")
+    morsel.reset_stats()
+    result = run(_FG)
+    assert dict(morsel.decline_reasons) == {"entry_not_lazy": 1}
+    assert (sorted(result.payload.row_tuples()) == sorted(execute_reference(
+        sql_workload(db, {"q": _FG})[0].spec, db)))
+
+
+@pytest.fixture()
+def chain_calls(monkeypatch):
+    """Labels of the chain operators whose ``select`` / ``match`` ran
+    (``_resume_db``'s fact table is ``f``; build-side scans are not
+    chain operators)."""
+    from repro.engine.operators import HashJoin, RefineSelect
+
+    calls = []
+    for cls, kernel in ((ScanSelect, "select"), (RefineSelect, "select"),
+                        (HashJoin, "match")):
+        def logging(self, *args, _inner=getattr(cls, kernel), **kwargs):
+            if getattr(self, "table", "f") == "f":
+                calls.append(self.label)
+            return _inner(self, *args, **kwargs)
+        monkeypatch.setattr(cls, kernel, logging)
+    return calls
+
+
+def test_a_resumed_recording_calls_no_kernel_of_a_resumed_operator(
+        chain_calls):
+    """The kernel spy of ``TestOneChunkKernel``, by operator: ``match``
+    never runs for a resumed stage and runs once per morsel for every
+    stage after it; ``select`` never once the entry is past the
+    selections."""
+    db = _resume_db()
+    plan_cache.enable(True)
+    scan, join_d, join_e = "Scan(f)", "Join(f.fk=d.id)", "Join(f.ek=e.eid)"
+    run = lambda sql: execute_functional(
+        sql_workload(db, {"q": sql})[0].instantiate(), db)
+    with morsel.sized(100):  # five morsels of fact rows
+        run(_FD)
+        assert chain_calls == [scan, join_d] * 5
+        del chain_calls[:]
+        survivors = len(plan_cache.peek(db, sql_workload(
+            db, {"q": _FD})[0].template_plan().root.children[0]
+            .fingerprint())[0])
+        run(_FDE.format("tag", "tag"))
+        # morsels of the recorded join's rows, not of the fact table
+        assert chain_calls == [join_e] * -(-survivors // 100)
+        del chain_calls[:]
+        run(_FDE.format("kind", "kind"))  # only the breaker is left
+        run(_FDE.format("kind", "kind"))  # everything is recorded
+        assert chain_calls == []
+        # entry at the scan's recorded mask: every join runs, no select
+        run(_FG)
+        assert chain_calls == ["Join(f.gk=g.gid)"] * 5
+
+
+@pytest.mark.parametrize("stale", ["clear_database_caches",
+                                   "compress_database", "epoch"])
+def test_a_stale_recording_is_never_resumed(stale, chain_calls):
+    """After anything that drops or outdates the plan cache the next
+    statement enters at the scan — and answers as the reference does."""
+    from repro.storage import EpochStore
+    from repro.storage.compression import compress_database
+
+    db = _resume_db()
+    plan_cache.enable(True)
+    execute_functional(sql_workload(db, {"a": _FD})[0].instantiate(), db)
+    if stale == "clear_database_caches":
+        E.clear_database_caches()
+    elif stale == "compress_database":
+        compress_database(db)
+    else:
+        db = EpochStore(db).advance(fraction=0.2)
+    (query,) = sql_workload(db, {"b": _FDE.format("tag", "tag")})
+    del chain_calls[:]
+    before = morsel.snapshot_stats()
+    result = execute_functional(query.instantiate(), db)
+    moved = morsel.stats_since(before)
+    assert moved["resumed_operators"] == 0 and moved["fused_operators"] == 4
+    assert chain_calls == ["Scan(f)", "Join(f.fk=d.id)", "Join(f.ek=e.eid)"]
+    assert (sorted(result.payload.row_tuples())
+            == sorted(execute_reference(query.spec, db)))
 
 
 # ---------------------------------------------------------------------------
@@ -694,11 +991,11 @@ def test_morsel_pool_parent_builds_each_pipeline_once(monkeypatch):
     built = []
     build = morsel.build
 
-    def spy(plan, database):
+    def spy(plan, database, **resume):
         built.append(plan.name)
         if plan.name == declined:
             raise morsel.Decline("test")
-        return build(plan, database)
+        return build(plan, database, **resume)
 
     try:
         with MorselPool(db, queries, workload="ssb", jobs=2) as pool:
@@ -899,14 +1196,25 @@ def test_metrics_surface_morsel_counters():
     """One run's warm-up shows in ``morsel.stats`` (what ``repro run``
     and the report print the movement of)."""
     db = E.ssb_database(1)
+    plan_cache.enable(True)  # as ``repro run`` has it
     plan_cache.invalidate(db)
     before = morsel.snapshot_stats()
-    run_workload(db, ssb.workload(db), "runtime", config=E.FULL_CONFIG)
+    try:
+        run_workload(db, ssb.workload(db), "runtime", config=E.FULL_CONFIG)
+    finally:
+        plan_cache.invalidate(db)  # the database is shared
     moved = morsel.stats_since(before)
     assert moved["fused_queries"] == len(ssb.QUERIES)
     assert moved["morsels"] >= moved["fused_queries"]
     assert moved["fused_operators"] > moved["fused_queries"]
     assert moved["declined_queries"] == 0
+    # the later templates resume the earlier ones' scans and joins, and
+    # run + resumed is every operator the fused queries cover
+    assert moved["resumed_operators"] > 0
+    covered = sum(len(morsel.build(query.instantiate(), db).covered_ops)
+                  for query in ssb.workload(db))
+    assert (moved["fused_operators"] + moved["resumed_operators"]
+            == covered)
 
 
 def test_morsel_rows_override():

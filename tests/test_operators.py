@@ -176,6 +176,27 @@ class TestOneChunkKernel:
                 offences.append("{}: {}".format(node.lineno, name))
         assert offences == []
 
+    def test_the_morsel_schedule_has_one_chain_loop(self):
+        """A pool's chunk, the ``Limit`` prefix and a recording — from
+        the scan or resumed after a recorded operator — all run the
+        chain through ``run_morsel``: ``morsel.py`` calls ``select`` and
+        ``match`` once each, there, and nothing else loops over the
+        stages to probe."""
+        from repro.engine import morsel
+
+        tree = ast.parse(pathlib.Path(morsel.__file__).read_text())
+        callers = {}  # method called -> functions it is called from
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call):
+                    callers.setdefault(getattr(node.func, "attr", ""),
+                                       []).append(function.name)
+        assert callers["select"] == callers["match"] == ["run_morsel"]
+        assert sorted(callers["run_morsel"]) == ["morsel_partial",
+                                                 "run_recorded"]
+
     @pytest.fixture()
     def spied(self, monkeypatch):
         """Calls per (class name, kernel), counted on the classes."""

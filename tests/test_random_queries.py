@@ -123,6 +123,52 @@ def test_random_join_aggregate(seed, predicate):
     ).format(predicate))
 
 
+#: (A, B): B is A's chain plus one more join, one more filter (on the
+#: dimension: the join's build side changes, the fact scan does not) or
+#: another ``group by`` — what a resumed recording starts from
+FOLLOW_UPS = [
+    ("select sum(x) as s from f where {p}",
+     "select w, sum(x) as s, count(*) as n from f, d "
+     "where fk = id and {p} group by w"),
+    ("select w, count(*) as n from f, d where fk = id and {p} group by w",
+     "select w, count(*) as n from f, d where fk = id and {p} and w {q} "
+     "group by w"),
+    ("select w, count(*) as n from f, d where fk = id and {p} group by w",
+     "select fk, min(y) as lo, sum(x) as s from f, d "
+     "where fk = id and {p} group by fk"),
+    ("select x, y from f where {p}",
+     "select distinct fk from f where {p}"),
+]
+
+
+@given(seed=st.integers(0, 2), predicate=predicates(max_conjuncts=2),
+       pair=st.sampled_from(FOLLOW_UPS), op=comparison_ops,
+       literal=st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_random_statement_after_its_prefix(seed, predicate, pair, op,
+                                           literal):
+    """Two statements on one database, the plan cache kept between
+    them: B, recorded from wherever A's recordings end, answers as the
+    reference does and exactly as a cold B."""
+    db = DATABASES[seed]
+    first, second = (sql.format(p=predicate, q="{} {}".format(op, literal))
+                     for sql in pair)
+
+    def run(sql):
+        plan = Planner(db).plan(bind(sql, db, name="rand"))
+        return execute_functional(plan, db).payload.row_tuples()
+
+    plan_cache.invalidate()
+    cold = run(second)
+    plan_cache.invalidate()
+    run(first)
+    resumed = run(second)
+    plan_cache.invalidate()
+    assert resumed == cold, (first, second)
+    assert rows_match(resumed, execute_reference(
+        bind(second, db, name="rand"), db)), (first, second)
+
+
 @given(seed=st.integers(0, 2), predicate=predicates(max_conjuncts=2),
        threshold=st.integers(0, 20))
 @settings(max_examples=30, deadline=None)
