@@ -49,7 +49,7 @@ def main():
             "{}/{}/{}".format(transitions.get("open", 0),
                               transitions.get("half_open", 0),
                               transitions.get("closed", 0)),
-            sum(run.metrics.breaker_skips.values()),
+            run.metrics.total("breaker_skips"),
             "yes" if rows == reference_rows else "NO",
         ))
         if rows != reference_rows:

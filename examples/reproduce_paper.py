@@ -14,7 +14,7 @@ import sys
 import time
 
 from repro.harness.figures import FIGURES
-from repro.harness.parallel import set_default_jobs
+from repro.harness.parallel import resolve_jobs
 
 
 def main(argv=None):
@@ -24,7 +24,7 @@ def main(argv=None):
     parser.add_argument("--jobs", type=int, default=None, metavar="N")
     args = parser.parse_args(argv)
     try:
-        set_default_jobs(args.jobs)
+        resolve_jobs(args.jobs)
     except ValueError as error:
         parser.error("--jobs: {}".format(error))
     unknown = [figure_id for figure_id in args.figures
@@ -37,7 +37,7 @@ def main(argv=None):
     total_start = time.time()
     for figure_id in args.figures or FIGURES:
         start = time.time()
-        result = FIGURES[figure_id].run(fast=args.fast)
+        result = FIGURES[figure_id].run(fast=args.fast, jobs=args.jobs)
         print("=" * 72)
         result.print()
         print("[{} regenerated in {:.1f}s wall time]\n".format(

@@ -36,11 +36,11 @@ from typing import List, Optional
 from repro.core import STRATEGY_NAMES
 from repro.engine import morsel
 from repro.harness.figures import FIGURES
-from repro.harness.parallel import set_default_jobs
+from repro.harness.parallel import resolve_jobs
 from repro.harness.runner import run_workload
 from repro.hardware import SystemConfig
 from repro.hardware.calibration import GIB
-from repro.workloads import sql_workload, ssb, tpch
+from repro.workloads import BENCHMARKS, sql_workload
 
 #: figure id -> (driver, full-size kwargs, --fast kwargs): the view of
 #: :data:`repro.harness.figures.FIGURES` that ``benchmarks/e2e`` reads
@@ -49,8 +49,7 @@ FIGURE_DRIVERS = {figure.id: (figure.run, {}, {"fast": True})
 
 
 def _database(benchmark: str, scale_factor: float, data_scale: float):
-    module = {"ssb": ssb, "tpch": tpch}[benchmark]
-    return module.generate(scale_factor, data_scale=data_scale)
+    return BENCHMARKS[benchmark].generate(scale_factor, data_scale=data_scale)
 
 
 def cmd_figures(args) -> int:
@@ -62,14 +61,14 @@ def cmd_figures(args) -> int:
             return 1
     if args.jobs is not None:
         try:
-            set_default_jobs(args.jobs)
+            resolve_jobs(args.jobs)
         except ValueError as error:
             print("--jobs: {}".format(error))
             return 1
     start = time.time()
     for figure_id in figures:
         print("=" * 72)
-        FIGURES[figure_id].run(fast=args.fast).print()
+        FIGURES[figure_id].run(fast=args.fast, jobs=args.jobs).print()
     print("done in {:.1f}s".format(time.time() - start))
     return 0
 
@@ -98,8 +97,7 @@ def _resolve_lifecycle(args):
 
 def cmd_run(args) -> int:
     database = _database(args.benchmark, args.scale_factor, args.data_scale)
-    module = {"ssb": ssb, "tpch": tpch}[args.benchmark]
-    queries = module.workload(database)
+    queries = BENCHMARKS[args.benchmark].workload(database)
     config_kwargs = dict(
         gpu_count=args.gpus,
         gpu_memory_bytes=int(args.gpu_memory_gib * GIB),
@@ -162,7 +160,7 @@ def cmd_run(args) -> int:
         for key, value in run.metrics.split_summary().items():
             print("    {:26s} {:.6g}".format(key, value))
         for reason, count in sorted(
-                run.metrics.split_declines.items()):
+                run.metrics.by("split_declines", "reason").items()):
             print("    declined[{}]: {}".format(reason, count))
     print("  per-query mean latencies:")
     for name, latency in run.metrics.latencies_by_query().items():
@@ -184,8 +182,7 @@ def cmd_pool(args) -> int:
         print("shared memory is not available on this platform")
         return 1
     database = _database(args.benchmark, args.scale_factor, args.data_scale)
-    module = {"ssb": ssb, "tpch": tpch}[args.benchmark]
-    queries = module.workload(database)
+    queries = BENCHMARKS[args.benchmark].workload(database)
     reference = {
         query.name: execute_operators(
             query.instantiate(), database).payload.row_tuples()
@@ -266,7 +263,7 @@ def cmd_serve(args) -> int:
               result.arrivals, result.completed, result.shed,
               result.degraded, result.cancelled))
     print("  epochs advanced: {}  snapshots retired: {}".format(
-        result.epochs, result.metrics.snapshots_retired))
+        result.epochs, result.metrics.total("snapshots_retired")))
     print("  conservation (arrivals == completed+shed+cancelled): "
           "{}".format(result.conserved()))
     if service.validate:
@@ -363,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     figures.set_defaults(func=cmd_figures)
 
     def add_common(p):
-        p.add_argument("--benchmark", choices=("ssb", "tpch"),
+        p.add_argument("--benchmark", choices=tuple(BENCHMARKS),
                        default="ssb")
         p.add_argument("--scale-factor", type=float, default=10)
         p.add_argument("--data-scale", type=float, default=1e-4)
@@ -429,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     pool = sub.add_parser(
         "pool", help="chaos-soak the self-healing morsel pool"
     )
-    pool.add_argument("--benchmark", choices=("ssb", "tpch"), default="ssb")
+    pool.add_argument("--benchmark", choices=tuple(BENCHMARKS), default="ssb")
     pool.add_argument("--scale-factor", type=float, default=1)
     pool.add_argument("--data-scale", type=float, default=1e-2)
     pool.add_argument("--jobs", type=int, default=None, metavar="N",
@@ -451,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="run the machine as a multi-tenant service"
     )
-    serve.add_argument("--benchmark", choices=("ssb", "tpch"),
+    serve.add_argument("--benchmark", choices=tuple(BENCHMARKS),
                        default="ssb")
     serve.add_argument("--scale-factor", type=float, default=1)
     serve.add_argument("--data-scale", type=float, default=1e-2)

@@ -221,7 +221,7 @@ class ChoppingExecutor:
         if qctx is not None and qctx.cancelled:
             # skipped at pickup: the query died while the task queued
             ctx.load.finish(name, estimate)
-            ctx.metrics.record_cancelled_skip()
+            ctx.metrics.count("cancelled_task_skips")
             self._release_children(task)
             return
         if race is not None and race.done:
@@ -254,7 +254,8 @@ class ChoppingExecutor:
                 # lost the race: the winner already notified the parent;
                 # everything this copy executed was hedging's wasted work
                 if race.hedged:
-                    ctx.metrics.record_hedge_wasted(ctx.env.now - started)
+                    ctx.metrics.count("hedge_wasted_seconds",
+                                      ctx.env.now - started)
                 if result is not None:
                     result.release_device_memory()
                 return
@@ -270,10 +271,9 @@ class ChoppingExecutor:
                             task.op.plan_name or "?", "hedged"
                         ))
                 if race.hedged:
-                    if name != race.primary:
-                        ctx.metrics.record_hedge_win()
-                    else:
-                        ctx.metrics.record_hedge_loss()
+                    # won: the CPU copy finished before the original
+                    ctx.metrics.count("hedge_races",
+                                      won=name != race.primary)
         if result is None:
             # interrupted mid-flight; the operator rolled its own device
             # state back, this task's staged inputs go with it
@@ -309,7 +309,7 @@ class ChoppingExecutor:
             task.ctx, self.strategy, task.op, task.child_results,
             processor_name="cpu")
         race.estimates["cpu"] = cpu_estimate
-        self.ctx.metrics.record_hedge_started()
+        self.ctx.metrics.count("hedges_started")
         self.ready["cpu"].put(task, priority=cpu_estimate)
 
     def _complete(self, task: _Task, result) -> Generator:

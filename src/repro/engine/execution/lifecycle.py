@@ -201,6 +201,12 @@ class QueryContext:
         """Run ``callback(qctx)`` first thing when the query is cancelled."""
         self._callbacks.append(callback)
 
+    def labels(self) -> dict:
+        """What an event of this query is booked under: its name and,
+        in service mode, the owning tenant and SLO class."""
+        return {"query": self.name, "tenant": self.tenant,
+                "slo_class": self.slo_class}
+
     # -- cooperative checkpoints ---------------------------------------
 
     def check(self) -> None:
@@ -260,9 +266,9 @@ class QueryContext:
                 except Exception:
                     pass
         if self.metrics is not None:
-            self.metrics.record_cancel(
-                self.name, self.env.now - self.cancelled_at
-            )
+            self.metrics.count("cancels")
+            self.metrics.count("cancel_seconds",
+                               self.env.now - self.cancelled_at)
 
 
 class AdmissionController:
@@ -313,15 +319,15 @@ class AdmissionController:
             self.inflight += 1
             return "run"
         policy = self.config.overload_policy
-        name = qctx.name if qctx is not None else "?"
+        labels = qctx.labels() if qctx is not None else {"query": "?"}
         if policy == "shed":
             if self.metrics is not None:
-                self.metrics.record_shed(name)
+                self.metrics.count("sheds", **labels)
             return "shed"
         if policy == "degrade-to-cpu":
             self.inflight += 1
             if self.metrics is not None:
-                self.metrics.record_degraded(name)
+                self.metrics.count("degraded", **labels)
             return "degrade"
         # queue: FIFO backpressure
         waiter = self.env.event()
@@ -337,9 +343,9 @@ class AdmissionController:
             self._drop_waiter(waiter)
             return "cancelled"
         if self.metrics is not None:
-            self.metrics.record_admission_wait(
-                name, self.env.now - started
-            )
+            self.metrics.count("admission_waits")
+            self.metrics.count("admission_wait_seconds",
+                               self.env.now - started)
         # the slot was reserved by release() when it woke this waiter
         return "run"
 
@@ -380,7 +386,7 @@ def deadline_watchdog(qctx: QueryContext) -> Generator:
     if qctx.finished or qctx.cancelled:
         return
     if qctx.metrics is not None:
-        qctx.metrics.record_deadline_miss(qctx.name)
+        qctx.metrics.count("deadline_misses", query=qctx.name)
     qctx.cancel("deadline")
 
 

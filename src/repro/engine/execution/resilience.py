@@ -265,7 +265,7 @@ class ResilienceManager:
         attempt = 0
         while True:
             if not self.admit(device, env.now):
-                self.metrics.record_breaker_skip(device)
+                self.metrics.count("breaker_skips", device=device)
                 return None
             outcome = yield from attempt_once()
             if not isinstance(outcome, DeviceFault):

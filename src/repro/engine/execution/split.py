@@ -122,7 +122,7 @@ class SplitState:
             else:
                 self.ungated.add(query.name)
                 if metrics is not None:
-                    metrics.record_split_decline(reason)
+                    metrics.count("split_declines", reason=reason)
 
     def _gate_query(self, database, query) -> Optional[str]:
         """None when the query may split, else the decline reason."""
@@ -185,7 +185,7 @@ class SplitState:
     # -- the split execution itself ------------------------------------
 
     def _decline(self, ctx, reason: str) -> None:
-        ctx.metrics.record_split_decline(reason)
+        ctx.metrics.count("split_declines", reason=reason)
 
     def try_split(self, ctx, device, op, child_results, input_bytes,
                   qctx=None) -> Generator:
@@ -281,7 +281,7 @@ class SplitState:
             nonlocal ratio, degraded
             wasted = account_abort(ctx, op, device.name, fault,
                                    round_start, qctx)
-            ctx.metrics.record_split_wasted(wasted)
+            ctx.metrics.count("split_wasted_seconds", wasted)
             if fault.transient:
                 ctx.resilience.record_failure(device.name, env.now)
             else:
@@ -412,11 +412,16 @@ class SplitState:
                     op.kind, ProcessorKind.GPU,
                     input_bytes * gpu_done, gpu_seconds,
                     source="split")
-            ctx.metrics.record_split(
-                chosen_ratio=chosen_ratio, realized_ratio=gpu_done,
-                rebalances=rebalances, gpu_seconds=gpu_seconds,
-                cpu_seconds=cpu_seconds, degraded=degraded,
-            )
+            # chosen: the GPU work fraction the cost model picked up
+            # front; realized: the fraction the GPU completed (lower
+            # when the split degraded mid-operator)
+            metrics = ctx.metrics
+            metrics.count("split_operators", degraded=degraded)
+            metrics.count("split_rebalances", rebalances)
+            metrics.count("split_chosen_ratio", chosen_ratio)
+            metrics.count("split_realized_ratio", gpu_done)
+            metrics.count("split_gpu_seconds", gpu_seconds)
+            metrics.count("split_cpu_seconds", cpu_seconds)
             if ctx.trace is not None:
                 ctx.trace.record(op.label, op.kind,
                                  "cpu+{}".format(device.name),

@@ -305,10 +305,10 @@ class CopyEngine:
                      device: Optional[str]) -> None:
         if self.metrics is None:
             return
-        self.metrics.record_transfer(direction, nbytes, seconds)
-        if (self.busy_probe is not None and device is not None
-                and self.busy_probe(device)):
-            self.metrics.record_overlapped_transfer(seconds)
+        self.metrics.record_transfer(
+            direction, nbytes, seconds,
+            overlapped=(self.busy_probe is not None and device is not None
+                        and self.busy_probe(device)))
 
     def _trace_copy(self, kind: str, direction: str,
                     device: Optional[str], key, start: float,

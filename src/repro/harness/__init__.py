@@ -6,7 +6,6 @@ from repro.harness.parallel import (
     execute_cell,
     resolve_jobs,
     run_cells,
-    set_default_jobs,
 )
 from repro.harness.runner import (
     ValidationError,
@@ -44,6 +43,5 @@ __all__ = [
     "run_cells",
     "run_service",
     "run_workload",
-    "set_default_jobs",
     "validate_results",
 ]

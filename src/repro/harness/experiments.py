@@ -103,7 +103,7 @@ COLUMNS: Dict[str, Callable[[CellOutcome], object]] = {
     "breaker_opens": lambda o: _breaker_transitions(o, "open"),
     "breaker_half_opens": lambda o: _breaker_transitions(o, "half_open"),
     "breaker_closes": lambda o: _breaker_transitions(o, "closed"),
-    "breaker_skips": lambda o: sum(o.metrics.breaker_skips.values()),
+    "breaker_skips": lambda o: o.metrics.total("breaker_skips"),
     # copy engine (overlap_sweep)
     "queue_seconds": lambda o: o.metrics.transfer_queue_seconds,
     "overlap_ratio": lambda o: o.metrics.overlap_ratio,
@@ -113,14 +113,15 @@ COLUMNS: Dict[str, Callable[[CellOutcome], object]] = {
     "p50_latency": lambda o: o.metrics.latency_percentile(0.50),
     "p99_latency": lambda o: o.metrics.latency_percentile(0.99),
     "completed": lambda o: len(o.metrics.queries),
-    "admission_waits": lambda o: o.metrics.admission_waits,
-    "admission_wait_seconds": lambda o: o.metrics.admission_wait_seconds,
-    "sheds": lambda o: sum(o.metrics.sheds.values()),
-    "degraded": lambda o: sum(o.metrics.degraded_to_cpu.values()),
-    "deadline_misses": lambda o: sum(o.metrics.deadline_misses.values()),
+    "admission_waits": lambda o: o.metrics.total("admission_waits"),
+    "admission_wait_seconds": lambda o: float(
+        o.metrics.total("admission_wait_seconds")),
+    "sheds": lambda o: o.metrics.total("sheds"),
+    "degraded": lambda o: o.metrics.total("degraded"),
+    "deadline_misses": lambda o: o.metrics.total("deadline_misses"),
     "cancelled": lambda o: len(o.metrics.cancelled_queries),
-    "hedges": lambda o: o.metrics.hedges_started,
-    "hedge_wins": lambda o: o.metrics.hedge_wins,
+    "hedges": lambda o: o.metrics.total("hedges_started"),
+    "hedge_wins": lambda o: o.metrics.total("hedge_races", won=True),
 }
 
 

@@ -46,17 +46,16 @@ from repro.hardware import SystemConfig
 from repro.harness.runner import run_workload, workload_footprint_bytes
 from repro.metrics import MetricsCollector
 from repro.storage import shm
+from repro.workloads import BENCHMARKS, micro, sql_workload
 
 #: Cell workload names understood by :func:`_cell_workload`.
-WORKLOADS = ("ssb", "tpch", "micro_serial", "micro_parallel")
+WORKLOADS = tuple(BENCHMARKS) + ("micro_serial", "micro_parallel")
 
 #: Environment variable consulted when no explicit jobs count is given.
 JOBS_ENV = "REPRO_JOBS"
 
 #: Set to "0" to disable shared-memory column export to workers.
 SHM_ENV = "REPRO_SHM"
-
-_default_jobs: Optional[int] = None
 
 
 def shm_enabled() -> bool:
@@ -65,23 +64,8 @@ def shm_enabled() -> bool:
             and shm.available())
 
 
-def set_default_jobs(jobs: Optional[int]) -> None:
-    """Set the process-wide default worker count (None = env/sequential).
-
-    The CLI and the example drivers call this once so every figure
-    driver they invoke picks up ``--jobs`` without threading the value
-    through each call site.
-    """
-    global _default_jobs
-    if jobs is not None and int(jobs) < 1:
-        raise ValueError("jobs must be >= 1, got {}".format(jobs))
-    _default_jobs = jobs
-
-
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Effective worker count: explicit > set_default_jobs > $REPRO_JOBS > 1."""
-    if jobs is None:
-        jobs = _default_jobs
+    """Effective worker count: explicit > $REPRO_JOBS > 1."""
     if jobs is None:
         raw = os.environ.get(JOBS_ENV, "")
         if raw.strip():
@@ -185,7 +169,6 @@ def _cell_workload(workload: str, scale_factor: float,
     """Per-process cache of (database, queries) for one cell shape."""
     # Imported lazily: experiments imports this module at load time.
     from repro.harness import experiments as E
-    from repro.workloads import micro, ssb, tpch
 
     if data_scale is None:
         data_scale = E.DATA_SCALE
@@ -197,10 +180,8 @@ def _cell_workload(workload: str, scale_factor: float,
         database = E.tpch_database(scale_factor, data_scale)
     else:
         database = E.ssb_database(scale_factor, data_scale)
-    if workload == "tpch":
-        queries = tpch.workload(database)
-    elif workload == "ssb":
-        queries = ssb.workload(database)
+    if workload in BENCHMARKS:
+        queries = BENCHMARKS[workload].workload(database)
     elif workload == "micro_serial":
         queries = micro.serial_selection_workload(database)
     else:
@@ -276,42 +257,6 @@ def run_cells(cells: Iterable[Cell],
 # Intra-query morsel pool
 # ---------------------------------------------------------------------------
 
-#: per-worker state for the morsel pool (set by the initializer)
-_pool_state: Dict[str, object] = {}
-
-
-def _morsel_worker_init(manifest, workload) -> None:
-    """Attach the shared database and build the workload's plans once.
-
-    ``workload`` is ``"ssb"`` / ``"tpch"`` (module lookup) or a tuple of
-    ``(name, sql)`` pairs for custom SQL workloads.
-    """
-    from repro.workloads import ssb, tpch
-    from repro.workloads.base import sql_workload
-
-    database = shm.attach_database(manifest)
-    if workload in ("ssb", "tpch"):
-        queries = {"ssb": ssb, "tpch": tpch}[workload].workload(database)
-    else:
-        queries = sql_workload(database, list(workload))
-    _pool_state["database"] = database
-    _pool_state["queries"] = {query.name: query for query in queries}
-    _pool_state["pipelines"] = {}
-
-
-def _morsel_chunk(name: str, start: int, stop: int, progress=None):
-    """Worker task: fused execution of one chunk of fact-table rows."""
-    from repro.engine import morsel
-
-    pipelines = _pool_state["pipelines"]
-    pipe = pipelines.get(name)
-    if pipe is None:
-        query = _pool_state["queries"][name]
-        pipe = morsel.build(query.instantiate(), _pool_state["database"])
-        pipelines[name] = pipe
-    return pipe.run_chunk(start, stop, progress=progress)
-
-
 def _execute_unlink_race(manifest) -> None:
     """Worker-side shm-unlink-race fault: destroy the shared segment.
 
@@ -356,9 +301,17 @@ def _pool_worker_main(index: int, manifest, workload,
     import threading
     import time
 
+    from repro.engine import morsel
+
     shm.forget_exports()  # fork-inherited exports belong to the parent
     try:
-        _morsel_worker_init(manifest, workload)
+        # attach the shared database and build the workload's plans
+        # once: a benchmark name, or (name, sql) pairs for custom SQL
+        database = shm.attach_database(manifest)
+        if workload in BENCHMARKS:
+            built = BENCHMARKS[workload].workload(database)
+        else:
+            built = sql_workload(database, list(workload))
     except shm.ShmIntegrityError as exc:
         result_w.send(("init", index, False, "integrity", repr(exc)))
         return
@@ -369,6 +322,10 @@ def _pool_worker_main(index: int, manifest, workload,
         result_w.send(("init", index, False, "error", repr(exc)))
         return
     result_w.send(("init", index, True, "", ""))
+    queries = {query.name: query for query in built}
+    #: query name -> its FusedPipeline, built on first use and kept for
+    #: the worker's life
+    pipelines: Dict[str, object] = {}
 
     send_lock = threading.Lock()
     hb_stop = threading.Event()
@@ -416,8 +373,12 @@ def _pool_worker_main(index: int, manifest, workload,
             if monotonic() - last_sent >= beat_every:
                 _send(("hb", task_id))
 
-        try:
-            partial = _morsel_chunk(name, start, stop, progress=_progress)
+        try:  # fused execution of one chunk of fact-table rows
+            pipe = pipelines.get(name)
+            if pipe is None:
+                pipe = pipelines[name] = morsel.build(
+                    queries[name].instantiate(), database)
+            partial = pipe.run_chunk(start, stop, progress=_progress)
         except Exception as exc:
             _send(("err", task_id, repr(exc)))
             continue
@@ -559,7 +520,7 @@ class MorselPool:
                  reap: bool = True):
         from repro.faults import FaultConfig, ProcessFaultInjector
 
-        if workload not in ("ssb", "tpch", "sql"):
+        if workload != "sql" and workload not in BENCHMARKS:
             raise ValueError("MorselPool supports 'ssb', 'tpch', and 'sql'")
         self.database = database
         self.workload = workload
@@ -963,15 +924,16 @@ class MorselPool:
         return self._injector.report()
 
     def record_metrics(self, metrics) -> None:
-        """Mirror the pool's self-healing counters into a collector."""
-        metrics.record_pool(
-            dict(self.counters),
-            process_faults=self.process_fault_summary(),
-            process_fault_digest=self.process_fault_digest,
-            degraded=self.degraded,
-            fallbacks=self.fallbacks,
-            orphans_reaped=self.orphans_reaped,
-        )
+        """Book the pool's self-healing counters — whatever it counted,
+        by the names it counted under — and the planned process faults
+        (per class, under their schedule digest) into a collector."""
+        for name, amount in self.counters.items():
+            metrics.count(name, amount)
+        metrics.count("pool_fallbacks", self.fallbacks)
+        metrics.count("shm_orphans_reaped", self.orphans_reaped)
+        for fault, planned in self.process_fault_summary().items():
+            metrics.count("process_faults", planned, fault=fault,
+                          schedule=self.process_fault_digest)
 
     def close(self) -> None:
         """Shut workers down, unlink the export, and leak-check."""

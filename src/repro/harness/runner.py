@@ -339,12 +339,7 @@ def run_workload(
         "des",
         perf_counter() - wall_start - metrics.phase_seconds.get("plan", 0.0),
     )
-    # Makespan ends with the last query (completed or cancelled), not
-    # with trailing background prefetch traffic that may still drain
-    # after it (identical to env.now when no prefetcher runs).
-    ends = [query.end for query in metrics.queries]
-    ends.extend(query.end for query in metrics.cancelled_queries)
-    metrics.workload_seconds = max(ends, default=env.now)
+    metrics.close(env.now)
     if validate:
         wall_start = perf_counter()
         validate_results(database, queries, results)

@@ -71,6 +71,7 @@ from repro.hardware import SystemConfig
 from repro.metrics import MetricsCollector
 from repro.sim import Interrupted
 from repro.storage import Database, EpochStore
+from repro.workloads import BENCHMARKS
 from repro.workloads.base import WorkloadQuery
 
 
@@ -369,23 +370,17 @@ class FairShareAdmission:
         if len(queue) >= tenant.slo.queue_cap:
             policy = tenant.slo.overflow_policy
             if policy == "shed":
-                self.metrics.record_shed(
-                    request.qctx.name, tenant=tenant.name,
-                    slo_class=tenant.slo.name)
+                self.metrics.count("sheds", **request.qctx.labels())
                 return "shed"
             if policy == "degrade-to-cpu":
                 # degrade first, shed at twice the cap: an unbounded
                 # CPU-only backlog would parasitise machine capacity
                 # that higher tiers are paying for
                 if len(queue) >= 2 * tenant.slo.queue_cap:
-                    self.metrics.record_shed(
-                        request.qctx.name, tenant=tenant.name,
-                        slo_class=tenant.slo.name)
+                    self.metrics.count("sheds", **request.qctx.labels())
                     return "shed"
                 request.overflow_degraded = True
-                self.metrics.record_degraded(
-                    request.qctx.name, tenant=tenant.name,
-                    slo_class=tenant.slo.name)
+                self.metrics.count("degraded", **request.qctx.labels())
                 queue.append(request)
                 return "degraded"
             # "queue": soft cap — keep queueing
@@ -413,7 +408,7 @@ class FairShareAdmission:
                         < self._queues[starving][0].arrived_at):
                     starving = name
         if starving is not None:
-            self.metrics.record_starvation_promotion()
+            self.metrics.count("starvation_promotions")
             self._deficits[starving] = max(
                 self._deficits[starving] - 1.0, 0.0)
             return self._queues[starving].popleft()
@@ -574,7 +569,8 @@ class _ServiceRun:
             % len(queries)
         self._rr[tenant.name] += 1
         name = queries[query_index].name
-        self.metrics.record_arrival(tenant.name, tenant.slo.name)
+        self.metrics.count("arrivals", tenant=tenant.name,
+                           slo_class=tenant.slo.name)
         deadline = None
         if service.deadline_seconds is not None:
             deadline = (service.deadline_seconds
@@ -612,13 +608,11 @@ class _ServiceRun:
                     self._record_cancelled(request)
                     self._finish_request(request)
                     continue
+                # a machine-level shed or degrade (the global gate lost
+                # the headroom race) is booked by admit() under the
+                # tenant and class the query context carries
                 decision = yield from self.controller.admit(request.qctx)
-                tenant = request.tenant
                 if decision == "shed":
-                    # machine-level shed: the global gate lost the
-                    # headroom race; blame the tenant class too
-                    self.metrics.sheds_by_tenant[tenant.name] += 1
-                    self.metrics.sheds_by_class[tenant.slo.name] += 1
                     self._finish_request(request)
                     continue
                 if decision == "cancelled":
@@ -627,8 +621,6 @@ class _ServiceRun:
                     continue
                 if decision == "degrade":
                     request.qctx.force_cpu = True
-                    self.metrics.degraded_by_tenant[tenant.name] += 1
-                    self.metrics.degraded_by_class[tenant.slo.name] += 1
                 if request.overflow_degraded:
                     request.qctx.force_cpu = True
                 self.env.process(self._serve(request))
@@ -675,7 +667,7 @@ class _ServiceRun:
         self._finish_request(request)
         self.controller.release()
         for _ in range(self.store.unpin(epoch)):
-            self.metrics.record_snapshot_retired()
+            self.metrics.count("snapshots_retired")
         self._wake()
 
     def _record_cancelled(self, request: _Request) -> None:
@@ -726,7 +718,7 @@ class _ServiceRun:
             self.epoch_queries[self.store.epoch] = queries
             self.epoch_ctx[self.store.epoch] = \
                 self.ctx.with_database(snapshot)
-            self.metrics.record_service_epoch()
+            self.metrics.count("service_epochs")
             self.metrics.record_phase("mutate", perf_counter() - wall)
 
     def _pool_sidecar(self, snapshot: Database,
@@ -741,7 +733,7 @@ class _ServiceRun:
         from repro.harness.parallel import MorselPool
 
         workload = (self.workload_name
-                    if self.workload_name in ("ssb", "tpch") else "sql")
+                    if self.workload_name in BENCHMARKS else "sql")
         sql_queries = [q for q in queries if q.sql is not None]
         if workload == "sql" and not sql_queries:
             return
@@ -785,21 +777,18 @@ class _ServiceRun:
             - self.metrics.phase_seconds.get("mutate", 0.0),
         )
         metrics = self.metrics
-        ends = [q.end for q in metrics.queries]
-        ends.extend(q.end for q in metrics.cancelled_queries)
-        metrics.workload_seconds = max(ends, default=env.now)
+        metrics.close(env.now)
         targets = self.service.targets()
-        shed = int(sum(metrics.sheds_by_tenant.values()))
         return ServiceResult(
             metrics=metrics,
             ledger=metrics.slo_ledger(targets),
             tenant_ledger=metrics.tenant_ledger(),
             tenant_faults=metrics.tenant_fault_report(),
             targets=targets,
-            arrivals=int(sum(metrics.arrivals_by_tenant.values())),
+            arrivals=metrics.total("arrivals"),
             completed=self.completed,
-            shed=shed,
-            degraded=int(sum(metrics.degraded_by_tenant.values())),
+            shed=metrics.total("sheds"),
+            degraded=metrics.total("degraded"),
             cancelled=len(metrics.cancelled_queries),
             epochs=self.store.epoch,
             identical=not self.divergences,
@@ -817,13 +806,10 @@ def resolve_workload_factory(
     names: Optional[Sequence[str]] = None,
 ) -> Callable[[Database], List[WorkloadQuery]]:
     """Workload-module factory: rebuilt per epoch snapshot."""
-    from repro.workloads import ssb, tpch
-
-    modules = {"ssb": ssb, "tpch": tpch}
-    if workload not in modules:
+    if workload not in BENCHMARKS:
         raise ValueError("workload must be one of {}".format(
-            sorted(modules)))
-    module = modules[workload]
+            sorted(BENCHMARKS)))
+    module = BENCHMARKS[workload]
     name_list = list(names) if names else None
 
     def factory(database: Database) -> List[WorkloadQuery]:

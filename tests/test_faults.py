@@ -332,7 +332,7 @@ class TestEndToEnd:
         run = _run(ssb_db, faults=HIGH_RATE)
         metrics = run.metrics
         assert metrics.aborts > 0
-        assert sum(metrics.faults.values()) == metrics.aborts
+        assert sum(metrics.by("aborts", "fault").values()) == metrics.aborts
         assert metrics.retries > 0
         summary = metrics.fault_summary()
         assert summary["fault_aborts"] == metrics.aborts
@@ -356,7 +356,7 @@ class TestEndToEnd:
         assert counts["open"] > 0
         assert counts["half_open"] > 0
         # while open, placement skipped the device at least once
-        assert sum(run.metrics.breaker_skips.values()) > 0
+        assert run.metrics.total("breaker_skips") > 0
 
     def test_vectorized_model_survives_faults(self, ssb_db):
         clean = _run(ssb_db, faults=None,

@@ -115,11 +115,11 @@ def test_admission_queue_policy_completes_everything(ssb_db):
                users=6, validate=True)
     metrics = run.metrics
     assert run.lifecycle_enabled
-    assert metrics.admission_waits > 0
-    assert metrics.admission_wait_seconds > 0.0
+    assert metrics.total("admission_waits") > 0
+    assert metrics.total("admission_wait_seconds") > 0.0
     # queueing delays but never drops: the whole stream completes
     assert len(metrics.queries) == len(ssb.workload(ssb_db))
-    assert sum(metrics.sheds.values()) == 0
+    assert metrics.total("sheds") == 0
     assert len(metrics.cancelled_queries) == 0
 
 
@@ -128,7 +128,7 @@ def test_admission_shed_policy_drops_excess_load(ssb_db):
                lifecycle=LifecycleConfig(max_inflight=1,
                                          overload_policy="shed"))
     metrics = run.metrics
-    shed = sum(metrics.sheds.values())
+    shed = metrics.total("sheds")
     assert shed > 0
     assert len(metrics.queries) + shed == len(ssb.workload(ssb_db))
 
@@ -138,7 +138,7 @@ def test_admission_degrade_policy_runs_on_cpu(ssb_db):
                lifecycle=LifecycleConfig(max_inflight=1,
                                          overload_policy="degrade-to-cpu"))
     metrics = run.metrics
-    assert sum(metrics.degraded_to_cpu.values()) > 0
+    assert metrics.total("degraded") > 0
     # degraded queries still complete (on the CPU), nothing is dropped
     assert len(metrics.queries) == len(ssb.workload(ssb_db))
 
@@ -159,7 +159,7 @@ def test_admission_bounds_the_tail_at_four_times_the_load():
 
     single, loaded = metrics(1, admission), metrics(4, admission)
     unmanaged_single, unmanaged_loaded = metrics(1, None), metrics(4, None)
-    assert sum(loaded.sheds.values()) > 0
+    assert loaded.total("sheds") > 0
     assert p99(loaded) <= 3.0 * p99(single)
     assert p99(unmanaged_single) < p99(unmanaged_loaded)
     assert p99(loaded) < p99(unmanaged_loaded)
@@ -236,8 +236,8 @@ def test_cancel_interrupts_only_the_processes_still_alive():
     }
     assert not any(p.is_alive for p in registered)
     # drained: the latency is the slowest rollback, recorded once
-    assert metrics.cancels == 1
-    assert metrics.cancel_seconds == pytest.approx(0.5)
+    assert metrics.total("cancels") == 1
+    assert metrics.total("cancel_seconds") == pytest.approx(0.5)
     assert env.peek() == float("inf")
 
 
@@ -255,7 +255,7 @@ def test_deadline_cancels_and_survivors_stay_correct(ssb_db):
     cancelled = len(metrics.cancelled_queries)
     total = len(ssb.workload(ssb_db))
     assert 0 < cancelled < total  # some are cancelled, some survive
-    assert sum(metrics.deadline_misses.values()) == cancelled
+    assert metrics.total("deadline_misses") == cancelled
     assert len(metrics.queries) + cancelled == total
     # the survivors' results are byte-identical to an uncancelled run
     base_rows = _payload_rows(base)
@@ -270,7 +270,7 @@ def test_cancelled_run_leaves_device_state_clean(ssb_db):
                lifecycle=LifecycleConfig(deadline_seconds=deadline))
     assert len(run.metrics.cancelled_queries) > 0
     # cancel drains were recorded for every cancellation
-    assert run.metrics.cancels == len(run.metrics.cancelled_queries)
+    assert run.metrics.total("cancels") == len(run.metrics.cancelled_queries)
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +282,11 @@ def test_hedging_races_stragglers_and_stays_correct(ssb_db):
                faults=FaultConfig.parse("stall=0.4,seed=7"),
                lifecycle=LifecycleConfig(hedge_factor=1.5))
     metrics = run.metrics
-    assert metrics.hedges_started > 0
+    assert metrics.total("hedges_started") > 0
     # every resolved hedge has exactly one winner
-    assert metrics.hedge_wins + metrics.hedge_losses <= metrics.hedges_started
-    assert metrics.hedge_wins > 0
+    assert (metrics.total("hedge_races", won=True) + metrics.total("hedge_races", won=False)
+            <= metrics.total("hedges_started"))
+    assert metrics.total("hedge_races", won=True) > 0
     assert len(metrics.queries) == len(ssb.workload(ssb_db))
 
 
@@ -305,7 +306,7 @@ def test_hedging_wins_while_the_cpu_pool_is_idle():
 
     unhedged = makespan(None)
     hedged = makespan(LifecycleConfig(hedge_factor=1.5))
-    assert hedged.hedge_wins > hedged.hedge_losses
+    assert hedged.total("hedge_races", won=True) > hedged.total("hedge_races", won=False)
     assert hedged.workload_seconds < unhedged.workload_seconds
 
 
@@ -313,7 +314,7 @@ def test_hedging_disabled_on_runtime_strategy(ssb_db):
     """The eager executor has no worker pools: hedging is a no-op."""
     run = _run(ssb_db, strategy="runtime", users=2,
                lifecycle=LifecycleConfig(hedge_factor=0.5))
-    assert run.metrics.hedges_started == 0
+    assert run.metrics.total("hedges_started") == 0
     assert len(run.metrics.queries) == len(ssb.workload(ssb_db))
 
 
@@ -328,7 +329,7 @@ def test_combined_lifecycle_under_faults(ssb_db):
     metrics = run.metrics
     total = len(ssb.workload(ssb_db))
     assert len(metrics.queries) + len(metrics.cancelled_queries) == total
-    assert metrics.admission_waits > 0
+    assert metrics.total("admission_waits") > 0
 
 
 # ---------------------------------------------------------------------------

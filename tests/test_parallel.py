@@ -9,7 +9,6 @@ from repro.harness.parallel import (
     execute_cell,
     resolve_jobs,
     run_cells,
-    set_default_jobs,
 )
 
 #: Cheap but non-trivial cells: tiny scale factor, one query each.
@@ -25,8 +24,8 @@ SMOKE_CELLS = [
 
 
 class TestResolveJobs:
-    def teardown_method(self):
-        set_default_jobs(None)
+    """explicit > ``$REPRO_JOBS`` > 1, and nothing else: no process-wide
+    default a command could leave behind."""
 
     def test_default_is_sequential(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
@@ -34,21 +33,29 @@ class TestResolveJobs:
 
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "8")
-        set_default_jobs(4)
         assert resolve_jobs(2) == 2
-
-    def test_set_default_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "8")
-        set_default_jobs(4)
-        assert resolve_jobs() == 4
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
         assert resolve_jobs() == 3
 
-    def test_rejects_non_positive(self):
+    def test_rejects_non_positive(self, monkeypatch):
         with pytest.raises(ValueError):
             resolve_jobs(0)
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        with pytest.raises(ValueError):
+            resolve_jobs()
+
+    def test_figures_jobs_flag_does_not_outlive_the_command(
+            self, monkeypatch, capsys):
+        """``repro figures --jobs N`` hands N to the figures it runs;
+        a later grid in the same process is sequential again."""
+        from repro.cli import main
+
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        assert main(["figures", "fig16", "--fast", "--jobs", "2"]) == 0
+        assert "Figure 16" in capsys.readouterr().out
+        assert resolve_jobs() == 1
 
 
 class TestCellValidation:

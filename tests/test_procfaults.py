@@ -421,7 +421,8 @@ class TestPoolSelfHealing:
                 pool.counters["worker_restarts"])
             assert summary["process_faults_planned"] == float(
                 sum(pool.process_fault_summary().values()))
-            assert metrics.process_fault_digest == pool.process_fault_digest
+            assert set(metrics.by("process_faults", "schedule")) == {
+                pool.process_fault_digest}
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +599,9 @@ class TestFaultLayerComposition:
         assert fused_rows == base_rows
         assert fused_run.seconds == base_run.seconds
         assert fused_run.fault_digest == base_run.fault_digest
-        assert fused_run.metrics.hedges_started > 0
-        assert fused_run.metrics.hedges_started == (
-            base_run.metrics.hedges_started)
+        assert fused_run.metrics.total("hedges_started") > 0
+        assert fused_run.metrics.total("hedges_started") == (
+            base_run.metrics.total("hedges_started"))
 
     @pool_ready
     def test_simulation_unaffected_by_live_chaos_pool(self, ssb_db):

@@ -174,7 +174,7 @@ class TestFairShareAdmission:
         # premium backlog regardless of deficit state
         first = fair.next_request(6.0)
         assert first.tenant.name == "best_effort-0"
-        assert metrics.starvation_promotions == 1
+        assert metrics.total("starvation_promotions") == 1
 
     def test_shed_overflow_policy_at_queue_cap(self):
         env = Environment()
@@ -187,8 +187,8 @@ class TestFairShareAdmission:
                     for _ in range(BEST_EFFORT.queue_cap + 2)]
         assert outcomes.count("queued") == BEST_EFFORT.queue_cap
         assert outcomes.count("shed") == 2
-        assert metrics.sheds_by_tenant["best_effort-0"] == 2
-        assert metrics.sheds_by_class["best_effort"] == 2
+        assert metrics.by("sheds", "tenant")["best_effort-0"] == 2
+        assert metrics.by("sheds", "slo_class")["best_effort"] == 2
 
     def test_degrade_overflow_queues_cpu_only(self):
         env = Environment()
@@ -203,7 +203,7 @@ class TestFairShareAdmission:
         assert fair.offer(overflow) == "degraded"
         assert overflow.overflow_degraded
         assert fair.pending() == STANDARD.queue_cap + 1
-        assert metrics.degraded_by_class["standard"] == 1
+        assert metrics.by("degraded", "slo_class")["standard"] == 1
 
     def test_soft_cap_keeps_queueing(self):
         env = Environment()
@@ -259,7 +259,7 @@ class TestServiceRuns:
         assert result.identical, result.divergences
         assert result.conserved()
         # drained superseded snapshots retired through the registry
-        assert result.metrics.snapshots_retired >= 1
+        assert result.metrics.total("snapshots_retired") >= 1
 
     def test_hedging_never_double_counts_a_shed_query(self, ssb_db):
         # overload + hedging + deadlines: the conservation law is the

@@ -114,7 +114,7 @@ def test_gate_accepts_ssb_suite(ssb_db):
     state.prepare(ssb_db, ssb.workload(ssb_db), metrics=metrics)
     assert state.ungated == set()
     assert len(state.splittable) == len(ssb.QUERIES)
-    assert sum(metrics.split_declines.values()) == 0
+    assert metrics.total("split_declines") == 0
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +136,7 @@ def _rows(run):
 @pytest.mark.parametrize("ratio", [0.25, 0.5, 0.75, 1.0])
 def test_split_ratio_override_validates(ssb_db, ratio):
     run = _run_split(ssb_db, SystemConfig(split=True, split_ratio=ratio))
-    assert run.metrics.split_operators > 0
+    assert run.metrics.total("split_operators") > 0
     summary = run.metrics.split_summary()
     assert summary["split_mean_chosen_ratio"] == pytest.approx(ratio)
     assert 0.0 <= summary["split_mean_realized_ratio"] <= 1.0
@@ -146,7 +146,7 @@ def test_split_ratio_override_validates(ssb_db, ratio):
 def test_split_rounds_validate(ssb_db, rounds):
     run = _run_split(ssb_db,
                      SystemConfig(split=True, split_rounds=rounds))
-    assert run.metrics.split_operators > 0
+    assert run.metrics.total("split_operators") > 0
 
 
 def test_split_adaptive_ratio_validates_and_rebalances(ssb_db):
@@ -162,7 +162,7 @@ def test_split_strategy_registered_and_runs(ssb_db):
     assert "split" in STRATEGY_NAMES
     assert isinstance(get_strategy("split"), SplitHype)
     run = _run_split(ssb_db, SystemConfig(split=True), strategy="split")
-    assert run.metrics.split_operators > 0
+    assert run.metrics.total("split_operators") > 0
 
 
 def test_split_vectorized_model_validates(ssb_db):
@@ -190,8 +190,8 @@ def test_declined_split_changes_nothing(ssb_db):
     declined = _run_split(ssb_db,
                           SystemConfig(split=True, split_ratio=0.0),
                           validate=False, collect_results=True)
-    assert declined.metrics.split_operators == 0
-    assert declined.metrics.split_declines["ratio_floor"] > 0
+    assert declined.metrics.total("split_operators") == 0
+    assert declined.metrics.total("split_declines", reason="ratio_floor") > 0
     assert declined.seconds == pure.seconds
     assert _rows(declined) == _rows(pure)
 
@@ -215,8 +215,8 @@ def _pressure_run(strategy, config, **kwargs):
 
 def _wasted(run):
     metrics = run.metrics
-    return (metrics.wasted_seconds + metrics.split_wasted_seconds
-            + metrics.hedge_wasted_seconds)
+    return (metrics.wasted_seconds + metrics.total("split_wasted_seconds")
+            + metrics.total("hedge_wasted_seconds"))
 
 
 def test_split_beats_the_best_pure_placement_under_heap_pressure():
@@ -228,7 +228,7 @@ def test_split_beats_the_best_pure_placement_under_heap_pressure():
     pure_gpu = _pressure_run("gpu_only", PRESSURE)
     split = _pressure_run("runtime", PRESSURE.with_split(True))
     assert pure_gpu.metrics.aborts > 0  # the pressure is real
-    assert split.metrics.split_operators > 0
+    assert split.metrics.total("split_operators") > 0
     assert split.metrics.aborts == 0
     assert (min(pure_cpu.seconds, pure_gpu.seconds)
             >= 1.15 * split.seconds)
@@ -242,7 +242,7 @@ def test_split_wastes_less_than_hedging_under_heap_pressure():
     unsplit = _pressure_run("runtime", PRESSURE)
     hedged = _pressure_run("chopping", PRESSURE,
                            lifecycle=LifecycleConfig(hedge_factor=1.5))
-    assert hedged.metrics.hedges_started > 0
+    assert hedged.metrics.total("hedges_started") > 0
     assert _wasted(split) < _wasted(hedged)
     assert split.metrics.aborts <= unsplit.metrics.aborts
 
@@ -253,7 +253,7 @@ def test_split_runs_are_deterministic_under_heap_pressure():
     config = PRESSURE.with_split(True)
     first = _pressure_run("runtime", config, collect_results=True)
     second = _pressure_run("runtime", config, collect_results=True)
-    assert first.metrics.split_rebalances > 0
+    assert first.metrics.total("split_rebalances") > 0
     assert first.seconds == second.seconds
     assert first.metrics.split_summary() == second.metrics.split_summary()
     assert _rows(first) == _rows(second)
@@ -269,8 +269,8 @@ def test_split_composes_with_faults(ssb_db):
     run = _run_split(ssb_db, SystemConfig(split=True),
                      faults="kernel=0.6,seed=11", repetitions=2)
     assert run.faults_injected > 0
-    assert run.metrics.split_degrades > 0
-    assert run.metrics.split_wasted_seconds > 0
+    assert run.metrics.total("split_operators", degraded=True) > 0
+    assert run.metrics.total("split_wasted_seconds") > 0
 
 
 def test_split_declines_when_breaker_open(ssb_db):
@@ -281,8 +281,8 @@ def test_split_declines_when_breaker_open(ssb_db):
     run = _run_split(ssb_db, SystemConfig(split=True),
                      faults="kernel=1.0,seed=3", repetitions=2,
                      strategy="gpu_only")
-    assert run.metrics.split_declines["breaker_open"] > 0
-    assert run.metrics.split_degrades > 0
+    assert run.metrics.total("split_declines", reason="breaker_open") > 0
+    assert run.metrics.total("split_operators", degraded=True) > 0
 
 
 def _manual_split(db, config, deadline_seconds=None):
@@ -326,7 +326,7 @@ def test_manual_split_completes_and_observes(ssb_db):
     # both halves released their device memory
     assert device.heap.used == 0
     assert not device.heap.live_allocations
-    assert ctx.metrics.split_operators == 1
+    assert ctx.metrics.total("split_operators") == 1
 
 
 def test_split_observations_tagged(ssb_db):
@@ -364,7 +364,7 @@ def test_cancellation_rolls_back_both_halves(ssb_db):
     # the rollback freed every staged and working allocation
     assert device.heap.used == 0
     assert not device.heap.live_allocations
-    assert ctx.metrics.split_operators == 0
+    assert ctx.metrics.total("split_operators") == 0
 
 
 def test_deadline_pressure_degrades_to_cpu(ssb_db):
@@ -379,8 +379,8 @@ def test_deadline_pressure_degrades_to_cpu(ssb_db):
         deadline_seconds=duration * 0.6)
     env.run()
     assert process.value is not None
-    assert ctx.metrics.split_operators == 1
-    assert ctx.metrics.split_degrades == 1
+    assert ctx.metrics.total("split_operators") == 1
+    assert ctx.metrics.total("split_operators", degraded=True) == 1
     assert device.heap.used == 0
 
 
@@ -425,8 +425,8 @@ def test_split_waits_for_inflight_column(ssb_db):
 
     device.processor.submit = spy
     env.run()
-    assert ctx.metrics.split_operators == 1
-    assert ctx.metrics.split_declines["ungated_plan"] == 1
+    assert ctx.metrics.total("split_operators") == 1
+    assert ctx.metrics.total("split_declines", reason="ungated_plan") == 1
     assert on_the_wire_at_launch  # the split did launch GPU rounds
     assert on_the_wire_at_launch[0] == []
     assert ctx.metrics.coalesced_transfers >= 1
@@ -465,8 +465,8 @@ def test_coupled_ratio_shifts_toward_gpu(ssb_db):
     pcie = _run_split(ssb_db, SystemConfig(split=True), validate=False)
     coupled = _run_split(ssb_db, SystemConfig.coupled_gpu(),
                          validate=False)
-    assert pcie.metrics.split_operators > 0
-    assert coupled.metrics.split_operators > 0
+    assert pcie.metrics.total("split_operators") > 0
+    assert coupled.metrics.total("split_operators") > 0
     assert (coupled.metrics.split_summary()["split_mean_chosen_ratio"]
             > pcie.metrics.split_summary()["split_mean_chosen_ratio"])
 
@@ -607,13 +607,16 @@ def test_metrics_split_summary():
     summary = metrics.split_summary()
     assert summary["split_operators"] == 0
     assert summary["split_mean_chosen_ratio"] == 0
-    metrics.record_split(chosen_ratio=0.6, realized_ratio=0.4,
-                         rebalances=2, gpu_seconds=1.0, cpu_seconds=2.0)
-    metrics.record_split(chosen_ratio=0.2, realized_ratio=0.0,
-                         rebalances=0, gpu_seconds=0.0, cpu_seconds=3.0,
-                         degraded=True)
-    metrics.record_split_decline("ratio_floor")
-    metrics.record_split_wasted(0.25)
+    for degraded, chosen, realized, rebalances, gpu, cpu in (
+            (False, 0.6, 0.4, 2, 1.0, 2.0), (True, 0.2, 0.0, 0, 0.0, 3.0)):
+        metrics.count("split_operators", degraded=degraded)
+        metrics.count("split_rebalances", rebalances)
+        metrics.count("split_chosen_ratio", chosen)
+        metrics.count("split_realized_ratio", realized)
+        metrics.count("split_gpu_seconds", gpu)
+        metrics.count("split_cpu_seconds", cpu)
+    metrics.count("split_declines", reason="ratio_floor")
+    metrics.count("split_wasted_seconds", 0.25)
     summary = metrics.split_summary()
     assert summary["split_operators"] == 2
     assert summary["split_mean_chosen_ratio"] == pytest.approx(0.4)
@@ -629,8 +632,8 @@ def test_metrics_split_summary():
 def test_metrics_hedge_wasted():
     metrics = MetricsCollector()
     assert metrics.lifecycle_summary()["hedge_wasted_seconds"] == 0.0
-    metrics.record_hedge_wasted(0.5)
-    metrics.record_hedge_wasted(0.25)
+    metrics.count("hedge_wasted_seconds", 0.5)
+    metrics.count("hedge_wasted_seconds", 0.25)
     assert metrics.lifecycle_summary()["hedge_wasted_seconds"] == (
         pytest.approx(0.75))
 
