@@ -2,7 +2,29 @@
 
 Executes a bound :class:`QuerySpec` row-at-a-time in pure Python —
 deliberately sharing *no* execution code with the physical operators —
-so integration tests can cross-check every workload query end-to-end.
+so integration tests and the service's identity check can cross-check
+every workload query end to end.
+
+It does the naive work without paying to interpret it per value:
+
+* **decode once per call** — each column the query reads becomes one
+  Python list the first time it is read (``values.tolist()``; strings
+  through the dictionary): the ``int`` / ``float`` / ``str`` a row reads;
+* **compile once per call** — :func:`_compile` turns each expression
+  (filter, join key, group key, aggregate input, select item, HAVING)
+  into a closure over one row, evaluating left to right and stopping
+  AND / OR where ``all`` / ``any`` stop; an unknown node is a
+  ``TypeError``;
+* **a joined row is a tuple** of row positions, one per table in fold
+  order.
+
+What decides the answer stays naive: a row-by-row filter per table, a
+FROM-order fold of dictionary hash joins, first-seen groups emitted in
+``sorted`` key order, ``sum`` / ``min`` / ``max`` over the members in
+order, DISTINCT by a seen-set, a ``cmp_to_key`` ORDER BY, a LIMIT slice.
+Nothing is kept between calls, no numpy runs, and no operator, kernel or
+``Expression.evaluate`` is called — a second implementation, which is
+what an oracle has to be.
 
 Output convention matches the engine: for aggregation queries the
 columns are the group-by columns (in GROUP BY order) followed by the
@@ -11,117 +33,103 @@ aggregates (in SELECT order); strings are decoded.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+import functools
+import operator
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence
 
-from repro.engine.expressions import (
-    Aggregate,
-    And,
-    Arithmetic,
-    Between,
-    ColumnRef,
-    Comparison,
-    Expression,
-    InList,
-    Literal,
-    Not,
-    Or,
-)
-from typing import TYPE_CHECKING
+from repro.engine.expressions import (And, Arithmetic, Between, ColumnRef,
+                                      Comparison, Expression, InList,
+                                      Literal, Not, Or)
+from repro.storage import ColumnType, Database
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sql.binder import QuerySpec
-from repro.storage import ColumnType, Database
+
+    #: a compiled expression: one row (shaped by ``column_of``) -> value
+    Getter = Callable[[object], object]
+
+#: SQL spelling -> the Python operator applied to two decoded values
+_OPERATORS = MappingProxyType({
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv, "=": operator.eq, "<>": operator.ne,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+})
 
 
-def _scalar(expr: Expression, getval: Callable[[str], object]):
-    """Row-at-a-time expression evaluation on decoded Python values."""
+def _compile(expr: Expression, column_of: Callable[[str], Getter]) -> Getter:
+    """``expr`` as a closure over one row; ``column_of(key)`` reads a
+    column of that row."""
     if isinstance(expr, ColumnRef):
-        return getval(expr.key)
+        return column_of(expr.key)
     if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, Arithmetic):
-        left = _scalar(expr.left, getval)
-        right = _scalar(expr.right, getval)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        return left / right
-    if isinstance(expr, Comparison):
-        left = _scalar(expr.left, getval)
-        right = _scalar(expr.right, getval)
-        ops = {
-            "=": lambda a, b: a == b,
-            "<>": lambda a, b: a != b,
-            "<": lambda a, b: a < b,
-            "<=": lambda a, b: a <= b,
-            ">": lambda a, b: a > b,
-            ">=": lambda a, b: a >= b,
-        }
-        return ops[expr.op](left, right)
+        value = expr.value
+        return lambda row: value
+    if isinstance(expr, (Arithmetic, Comparison)):
+        apply = _OPERATORS[expr.op]
+        left = _compile(expr.left, column_of)
+        right = _compile(expr.right, column_of)
+        return lambda row: apply(left(row), right(row))
     if isinstance(expr, Between):
-        value = _scalar(expr.expr, getval)
-        return _scalar(expr.low, getval) <= value <= _scalar(expr.high, getval)
+        value, low, high = (_compile(part, column_of)
+                            for part in (expr.expr, expr.low, expr.high))
+
+        def between(row):
+            current = value(row)
+            return low(row) <= current <= high(row)
+        return between
     if isinstance(expr, InList):
-        return _scalar(expr.expr, getval) in expr.values
-    if isinstance(expr, And):
-        return all(_scalar(child, getval) for child in expr.children)
-    if isinstance(expr, Or):
-        return any(_scalar(child, getval) for child in expr.children)
+        value, members = _compile(expr.expr, column_of), expr.values
+        return lambda row: value(row) in members
+    if isinstance(expr, (And, Or)):
+        children = [_compile(child, column_of) for child in expr.children]
+        # AND ends at the first false child, OR at the first true one
+        decisive = isinstance(expr, Or)
+
+        def junction(row):
+            for child in children:
+                if (not child(row)) is not decisive:
+                    return decisive
+            return not decisive
+        return junction
     if isinstance(expr, Not):
-        return not _scalar(expr.child, getval)
+        child = _compile(expr.child, column_of)
+        return lambda row: not child(row)
     raise TypeError("unsupported expression {!r}".format(expr))
-
-
-class _RowReader:
-    """Decoded value access for one table."""
-
-    def __init__(self, database: Database, table: str):
-        self._columns = {}
-        for column in database.table(table).columns:
-            self._columns[column.key] = column
-
-    def value(self, key: str, row: int):
-        column = self._columns[key]
-        raw = column.values[row]
-        if column.ctype is ColumnType.STRING:
-            return column.dictionary[int(raw)]
-        if column.ctype in (ColumnType.FLOAT32, ColumnType.FLOAT64):
-            return float(raw)
-        return int(raw)
 
 
 def execute_reference(spec: "QuerySpec", database: Database) -> List[tuple]:
     """Evaluate ``spec`` naively; returns rows as tuples."""
-    readers = {table: _RowReader(database, table) for table in spec.tables}
+    decoded: Dict[str, list] = {}
 
-    def row_getter(assignment: Dict[str, int]) -> Callable[[str], object]:
-        def getval(key: str):
-            table = key.partition(".")[0]
-            return readers[table].value(key, assignment[table])
+    def column(key: str) -> list:
+        if key not in decoded:
+            source = database.column(key)
+            values = source.values.tolist()
+            if source.ctype is ColumnType.STRING:
+                values = [source.dictionary[code] for code in values]
+            decoded[key] = values
+        return decoded[key]
 
-        return getval
-
-    # 1. Per-table filters.
-    filtered: Dict[str, List[int]] = {}
+    # 1. Per-table filters; a row is its position.
+    filtered: Dict[str, Sequence[int]] = {}
     for table in spec.tables:
         predicate = spec.filters.get(table)
-        rows = []
-        n = database.table(table).actual_rows
-        for row in range(n):
-            if predicate is None or _scalar(
-                predicate, row_getter({table: row})
-            ):
-                rows.append(row)
+        rows = range(database.table(table).actual_rows)
+        if predicate is not None:
+            keep = _compile(predicate, lambda key: column(key).__getitem__)
+            rows = [row for row in rows if keep(row)]
         filtered[table] = rows
 
-    # 2. Joins: fold tables into tuples of row assignments.
-    first = spec.tables[0]
-    assignments: List[Dict[str, int]] = [{first: row} for row in filtered[first]]
-    joined_tables = {first}
-    remaining = [t for t in spec.tables[1:]]
+    # 2. Joins: fold tables into tuples of row positions, one slot each.
+    slots = {spec.tables[0]: 0}
+
+    def joined(key: str) -> Getter:
+        values, slot = column(key), slots[key.partition(".")[0]]
+        return lambda row: values[row[slot]]
+
+    assignments = [(row,) for row in filtered[spec.tables[0]]]
+    remaining = list(spec.tables[1:])
     edges = list(spec.join_edges)
     while remaining:
         progressed = False
@@ -129,8 +137,8 @@ def execute_reference(spec: "QuerySpec", database: Database) -> List[tuple]:
             usable = [
                 (left, right)
                 for left, right in edges
-                if (left.table == table and right.table in joined_tables)
-                or (right.table == table and left.table in joined_tables)
+                if (left.table == table and right.table in slots)
+                or (right.table == table and left.table in slots)
             ]
             if not usable:
                 continue
@@ -138,20 +146,14 @@ def execute_reference(spec: "QuerySpec", database: Database) -> List[tuple]:
             new_key, old_key = (left, right) if left.table == table else (right, left)
             # hash the new table's filtered rows on the join key
             buckets: Dict[object, List[int]] = {}
+            new_values = column(new_key.key)
             for row in filtered[table]:
-                value = readers[table].value(new_key.key, row)
-                buckets.setdefault(value, []).append(row)
-            joined = []
-            for assignment in assignments:
-                value = readers[old_key.table].value(
-                    old_key.key, assignment[old_key.table]
-                )
-                for row in buckets.get(value, ()):
-                    extended = dict(assignment)
-                    extended[table] = row
-                    joined.append(extended)
-            assignments = joined
-            joined_tables.add(table)
+                buckets.setdefault(new_values[row], []).append(row)
+            old_values, slot = column(old_key.key), slots[old_key.table]
+            assignments = [a + (row,) for a in assignments
+                           for row in buckets.get(old_values[a[slot]], ())]
+            # this fold step's number is the slot it just appended
+            slots[table] = len(spec.tables) - len(remaining)
             remaining.remove(table)
             progressed = True
         if not progressed:
@@ -159,14 +161,12 @@ def execute_reference(spec: "QuerySpec", database: Database) -> List[tuple]:
 
     # 3. Output.
     if spec.is_aggregation:
-        rows = _aggregate(spec, assignments, row_getter)
+        rows = _aggregate(spec, assignments, joined)
         if spec.having is not None:
             rows = _apply_having(spec, rows)
     else:
-        rows = [
-            tuple(_scalar(expr, row_getter(a)) for _, expr in spec.select_items)
-            for a in assignments
-        ]
+        items = [_compile(expr, joined) for _, expr in spec.select_items]
+        rows = [tuple([item(a) for item in items]) for a in assignments]
         if spec.distinct:
             seen = set()
             deduped = []
@@ -180,8 +180,6 @@ def execute_reference(spec: "QuerySpec", database: Database) -> List[tuple]:
     if spec.order_by:
         names = output_names(spec)
         indices = [(names.index(name), asc) for name, asc in spec.order_by]
-
-        import functools
 
         def compare(a, b):
             for index, ascending in indices:
@@ -203,13 +201,11 @@ def _apply_having(spec, rows: List[tuple]) -> List[tuple]:
     """Filter aggregated rows by the HAVING predicate."""
     names = output_names(spec)
 
-    def keep(row):
-        def getval(key: str):
-            name = key.partition(".")[2] or key
-            return row[names.index(name)]
+    def output(key: str) -> Getter:
+        name = key.partition(".")[2] or key
+        return lambda row: row[names.index(name)]
 
-        return _scalar(spec.having, getval)
-
+    keep = _compile(spec.having, output)
     return [row for row in rows if keep(row)]
 
 
@@ -222,33 +218,36 @@ def output_names(spec: "QuerySpec") -> List[str]:
     return [alias for alias, _ in spec.select_items]
 
 
-def _aggregate(spec, assignments, row_getter) -> List[tuple]:
-    groups: Dict[tuple, List[Dict[str, int]]] = {}
+def _aggregate(spec, assignments, joined) -> List[tuple]:
+    keys = [_compile(ref, joined) for ref in spec.group_by]
+    groups: Dict[tuple, List[tuple]] = {}
     for assignment in assignments:
-        getval = row_getter(assignment)
-        key = tuple(_scalar(ref, getval) for ref in spec.group_by)
+        key = tuple([group(assignment) for group in keys])
         groups.setdefault(key, []).append(assignment)
     # A scalar aggregate over zero rows still yields one row.
     if not spec.group_by and not groups:
         groups[()] = []
+    inputs = [None if aggregate.func == "count"
+              else _compile(aggregate.expr, joined)
+              for aggregate in spec.aggregates]
     rows = []
     for key in sorted(groups):
         members = groups[key]
         values = list(key)
-        for aggregate in spec.aggregates:
-            values.append(_apply_aggregate(aggregate, members, row_getter))
+        for aggregate, value in zip(spec.aggregates, inputs):
+            data = members if value is None else [value(a) for a in members]
+            values.append(_fold(aggregate.func, data))
         rows.append(tuple(values))
     return rows
 
 
-def _apply_aggregate(aggregate: Aggregate, members, row_getter):
-    if aggregate.func == "count":
-        return len(members)
-    data = [_scalar(aggregate.expr, row_getter(a)) for a in members]
-    if aggregate.func == "sum":
+def _fold(func: str, data: list):
+    if func == "count":
+        return len(data)
+    if func == "sum":
         return sum(data) if data else 0
-    if aggregate.func == "avg":
+    if func == "avg":
         return sum(data) / len(data) if data else 0.0
-    if aggregate.func == "min":
+    if func == "min":
         return min(data) if data else 0
     return max(data) if data else 0

@@ -679,6 +679,8 @@ class MorselPool:
         if worker.init_failed is not None:
             kind = worker.init_failed
             self.counters["worker_init_failures"] += 1
+            if kind == "integrity":
+                self.counters["shm_integrity_failures"] += 1
             self._record_event("worker_init_failed", state.name,
                                worker=worker.index, detail=kind)
             if kind in ("integrity", "missing"):

@@ -30,11 +30,6 @@ SRC = os.path.join(ROOT, "src", "repro")
 COLLECTOR = os.path.join(SRC, "metrics", "collector.py")
 POOL = os.path.join(SRC, "harness", "parallel.py")
 
-#: reported since the pool exists, counted by nothing: an init failure
-#: of kind "integrity" lands in ``worker_init_failures``.  Feeding it
-#: would change a view, so it waits for a PR that may.
-UNFED = {"shm_integrity_failures"}
-
 #: the labels of a booking written ``count(name, **qctx.labels())``
 QUERY_LABELS = tuple(QueryContext(Environment(), "q").labels())
 
@@ -112,7 +107,7 @@ def test_every_counted_name_is_reported_and_every_report_is_fed():
     booked, reported = set(counted()), set(selected())
     assert len(booked) > 40
     assert booked - reported == set(), "counted, reported by no view"
-    assert reported - booked == UNFED, "reported, counted by nothing"
+    assert reported - booked == set(), "reported, counted by nothing"
 
 
 def test_the_api_doc_lists_every_count():

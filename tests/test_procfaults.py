@@ -409,6 +409,33 @@ class TestPoolSelfHealing:
             assert pool.counters["worker_init_failures"] >= 1
         assert shm.leaked_segments() == []
 
+    def test_a_corrupted_export_is_counted_and_reexported(self, ssb_db):
+        """Column bytes that rot between the export and the pool's
+        start fail the worker's checksum at attach: the pool books an
+        integrity failure, re-exports once, and answers as sequential
+        execution does."""
+        queries = ssb.workload(ssb_db)
+        reference = _reference(ssb_db, queries, execute_functional)
+        shm.invalidate(ssb_db)
+        manifest = shm.export_database(ssb_db)  # memoised: the pool's
+        spec = manifest.columns[0]
+        path = os.path.join("/dev/shm", manifest.shm_name.lstrip("/"))
+        with open(path, "r+b") as handle:
+            handle.seek(spec.offset)
+            flipped = handle.read(1)[0] ^ 0xFF
+            handle.seek(spec.offset)
+            handle.write(bytes([flipped]))
+        with MorselPool(ssb_db, queries, jobs=1) as pool:
+            rows = _pool_rows(pool.run_queries())
+            metrics = MetricsCollector()
+            pool.record_metrics(metrics)
+        summary = metrics.pool_summary()
+        assert rows == reference
+        assert summary["shm_integrity_failures"] >= 1
+        assert summary["shm_reexports"] == 1
+        assert pool.fallbacks == 0
+        assert shm.leaked_segments() == []
+
     def test_pool_counters_land_in_metrics(self, ssb_db):
         queries = ssb.workload(ssb_db)
         with MorselPool(ssb_db, queries, jobs=2, faults=CHAOS,
