@@ -19,7 +19,8 @@ are skipped at pickup and its running operators are interrupted — and
 *straggler hedging*: a watchdog re-enqueues a GPU-placed operator onto
 the CPU pool once it exceeds ``hedge_factor`` times its HyPE estimate;
 the first finisher wins and the loser is cancelled.  With the layer off
-every query takes the exact pre-existing code path (zero overhead).
+(``lifecycle=None``) every operator takes the plain path (zero
+overhead), whatever context its query carries.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ class _Task:
         "ctx",
     )
 
-    def __init__(self, op: PhysicalOperator):
+    def __init__(self, op: PhysicalOperator, qctx: QueryContext,
+                 ctx: ExecutionContext):
         self.op = op
         self.parent: Optional[_Task] = None
         self.child_index = 0
@@ -62,11 +64,11 @@ class _Task:
         self.child_results: List = [None] * len(op.children)
         self.root_event: Optional[Event] = None
         self.estimate = 0.0
-        self.qctx: Optional[QueryContext] = None
+        self.qctx = qctx
         self.race: Optional[_HedgeRace] = None
         #: the executor's shared context, or the query's own (service
         #: mode pins a query to its snapshot epoch)
-        self.ctx: Optional[ExecutionContext] = None
+        self.ctx = ctx
 
 
 class _HedgeRace:
@@ -144,26 +146,26 @@ class ChoppingExecutor:
 
         Returns an event that fires with the root
         :class:`~repro.engine.intermediates.OperatorResult` once the
-        query completes.  With a ``qctx`` the event instead *fails*
-        with :class:`QueryCancelled` if the query is cancelled.  A
-        ``ctx`` pins every operator of this plan to another execution
-        context (service mode's epoch snapshots); the override must
-        share the executor's hardware and load tracker.
+        query completes, or *fails* with :class:`QueryCancelled` once
+        its ``qctx`` (a blank one when omitted) is cancelled.  A ``ctx``
+        pins every operator of this plan to another execution context
+        (service mode's epoch snapshots); the override must share the
+        executor's hardware and load tracker.
         """
+        if qctx is None:
+            qctx = QueryContext(self.ctx.env, plan.name)
         root_event = self.ctx.env.event()
+        ctx = self.ctx if ctx is None else ctx
         tasks: Dict[int, _Task] = {}
         for op in plan.operators:  # post order
-            task = _Task(op)
-            task.qctx = qctx
-            task.ctx = self.ctx if ctx is None else ctx
+            task = _Task(op, qctx, ctx)
             tasks[op.op_id] = task
             for index, child in enumerate(op.children):
                 child_task = tasks[child.op_id]
                 child_task.parent = task
                 child_task.child_index = index
         tasks[plan.root.op_id].root_event = root_event
-        if qctx is not None:
-            qctx.attach_root(root_event)
+        qctx.attach_root(root_event)
         # Leaves have no dependencies: they enter the stream immediately.
         for op in plan.operators:
             if not op.children:
@@ -174,14 +176,12 @@ class ChoppingExecutor:
 
     def _dispatch(self, task: _Task) -> None:
         """Place a ready operator and enqueue it (HyPE's tactical step)."""
-        qctx = task.qctx
-        if qctx is not None and qctx.cancelled:
+        if task.qctx.cancelled:
             # the query died before this operator became ready
             self._release_children(task)
             return
-        ctx = task.ctx
         name, task.estimate = place_operator(
-            ctx, self.strategy, task.op, task.child_results, qctx)
+            task.ctx, self.strategy, task.op, task.child_results, task.qctx)
         self.ready[name].put(task, priority=task.estimate)
 
     def _worker(self, name: str) -> Generator:
@@ -189,9 +189,7 @@ class ChoppingExecutor:
         while True:
             task = yield self.ready[name].get()
             ctx = task.ctx
-            if (task.qctx is None and task.race is None
-                    and not (self._hedging and name != "cpu"
-                             and not task.op.cpu_only)):
+            if self.lifecycle is None:
                 # Plain path — identical to the executor without the
                 # lifecycle layer (the zero-overhead guarantee).
                 result = yield from execute_operator(
@@ -200,6 +198,7 @@ class ChoppingExecutor:
                     task.child_results,
                     name,
                     admit_to_cache=self.strategy.admit_to_cache,
+                    qctx=task.qctx,
                 )
                 ctx.load.finish(name, task.estimate)
                 yield from self._complete(task, result)
@@ -218,7 +217,7 @@ class ChoppingExecutor:
         race = task.race
         estimate = (race.estimates.get(name, task.estimate)
                     if race is not None else task.estimate)
-        if qctx is not None and qctx.cancelled:
+        if qctx.cancelled:
             # skipped at pickup: the query died while the task queued
             ctx.load.finish(name, estimate)
             ctx.metrics.count("cancelled_task_skips")
@@ -239,8 +238,7 @@ class ChoppingExecutor:
             admit_to_cache=self.strategy.admit_to_cache, qctx=qctx,
         ))
         proc.defused = True
-        if qctx is not None:
-            qctx.register(proc)
+        qctx.register(proc)
         if race is not None:
             race.procs[name] = proc
         started = ctx.env.now
@@ -277,7 +275,7 @@ class ChoppingExecutor:
         if result is None:
             # interrupted mid-flight; the operator rolled its own device
             # state back, this task's staged inputs go with it
-            if qctx is not None and qctx.cancelled:
+            if qctx.cancelled:
                 self._release_children(task)
             return
         yield from self._complete(task, result)
@@ -298,16 +296,13 @@ class ChoppingExecutor:
             yield self.ctx.env.timeout(wait)
         except Interrupted:
             return
-        if race.done:
-            return
-        qctx = task.qctx
-        if qctx is not None and qctx.cancelled:
+        if race.done or task.qctx.cancelled:
             return
         race.hedged = True
         # a task context shares the executor's load tracker
         _, cpu_estimate = place_operator(
             task.ctx, self.strategy, task.op, task.child_results,
-            processor_name="cpu")
+            task.qctx, processor_name="cpu")
         race.estimates["cpu"] = cpu_estimate
         self.ctx.metrics.count("hedges_started")
         self.ready["cpu"].put(task, priority=cpu_estimate)

@@ -109,14 +109,14 @@ def resident_fraction(ctx: ExecutionContext, op, device) -> Optional[float]:
 
 
 def place_operator(ctx: ExecutionContext, strategy, op, child_results,
-                   qctx=None, processor_name: Optional[str] = None):
+                   qctx, processor_name: Optional[str] = None):
     """Place a ready operator (HyPE's tactical step) and queue its
     runtime estimate on that processor's load: the strategy decides, a
     query that admission degraded stays on the CPU, ``processor_name``
     pins the choice (the CPU copy of a hedged operator).  Returns
     ``(processor name, estimate)``; the caller owes ``ctx.load.finish``."""
     if processor_name is None:
-        if qctx is not None and qctx.force_cpu:
+        if qctx.force_cpu:
             processor_name = "cpu"
         else:
             processor_name = strategy.choose_processor(ctx, op,

@@ -18,8 +18,8 @@ from typing import Dict, Generator
 
 from repro.engine.execution.context import ExecutionContext, place_operator
 from repro.engine.execution.lease import deliver_to_host
+from repro.engine.execution.lifecycle import QueryContext
 from repro.engine.execution.operator_task import execute_operator
-from repro.engine.intermediates import OperatorResult
 from repro.engine.operators import PhysicalPlan
 from repro.sim import Process
 
@@ -28,13 +28,15 @@ def run_plan_eager(ctx: ExecutionContext, plan: PhysicalPlan,
                    strategy, qctx=None) -> Process:
     """Start ``plan``; returns a process yielding the root result.
 
-    With a ``qctx``
-    (:class:`~repro.engine.execution.lifecycle.QueryContext`) every
-    operator process registers for cooperative cancellation: a cancel
-    interrupts them all at the current simulated time and the abort
-    protocol rolls back their device state.
+    Every operator process registers with ``qctx`` (the query's
+    :class:`~repro.engine.execution.lifecycle.QueryContext`, a blank one
+    when omitted) for cooperative cancellation: a cancel interrupts them
+    all at the current simulated time and the abort protocol rolls back
+    their device state.
     """
     env = ctx.env
+    if qctx is None:
+        qctx = QueryContext(env, plan.name)
     processes: Dict[int, Process] = {}
 
     def operator_process(op, child_processes) -> Generator:
@@ -42,8 +44,7 @@ def run_plan_eager(ctx: ExecutionContext, plan: PhysicalPlan,
         for child_process in child_processes:
             child_result = yield child_process
             child_results.append(child_result)
-        if qctx is not None:
-            qctx.check()
+        qctx.check()
         processor_name, estimate = place_operator(
             ctx, strategy, op, child_results, qctx)
         try:
@@ -58,9 +59,8 @@ def run_plan_eager(ctx: ExecutionContext, plan: PhysicalPlan,
     for op in plan.operators:  # post order: children already created
         children = [processes[c.op_id] for c in op.children]
         process = env.process(operator_process(op, children))
-        if qctx is not None:
-            process.defused = True
-            qctx.register(process)
+        process.defused = True
+        qctx.register(process)
         processes[op.op_id] = process
 
     def root_process() -> Generator:
@@ -69,6 +69,5 @@ def run_plan_eager(ctx: ExecutionContext, plan: PhysicalPlan,
         return result
 
     root = env.process(root_process())
-    if qctx is not None:
-        qctx.register(root)
+    qctx.register(root)
     return root

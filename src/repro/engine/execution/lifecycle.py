@@ -26,10 +26,12 @@ resilience of :mod:`repro.engine.execution.resilience`:
 * Straggler hedging lives in the chopping executor (it owns the worker
   pools); :class:`LifecycleConfig.hedge_factor` configures it here.
 
-Zero-overhead guarantee: with ``lifecycle=None`` (or a config whose
-features are all off) the harness takes exactly the pre-existing code
-paths — no contexts, no watchdogs, no extra events — and simulated
-timings are byte-identical to a build without this module.
+Every query carries a :class:`QueryContext`.  With ``lifecycle=None``
+(or every feature off) it has nothing enabled — no watchdog, a gate
+that always admits, no extra DES event — so simulated timings are
+byte-identical to a build without this module (its host cost per
+query is measured in docs/robustness.md).  Whether the chopping
+executor supervises operators is its own lifecycle config's choice.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Deque, Generator, List, Optional
 
 from repro.faults import coerce_spec, parse_spec
-from repro.sim import Event, Interrupted
+from repro.sim import Event
 
 #: Floor under tiny HyPE estimates before ``hedge_factor`` applies.
 HEDGE_MIN_SECONDS = 0.001
@@ -151,7 +153,7 @@ class QueryContext:
         "env", "name", "user", "metrics", "deadline_seconds",
         "started_at", "finished", "cancelled", "cancel_reason",
         "cancelled_at", "force_cpu", "tenant", "slo_class",
-        "deadline_safety", "_procs", "_roots", "_results",
+        "deadline_safety", "watchdog", "_procs", "_roots", "_results",
         "_callbacks",
     )
 
@@ -177,6 +179,8 @@ class QueryContext:
         self.cancelled_at = 0.0
         #: admission degraded this query: placement must stay on the CPU
         self.force_cpu = False
+        #: the :func:`deadline_watchdog` process (None without a deadline)
+        self.watchdog = None
         self._procs: List = []
         self._roots: List[Event] = []
         self._results: List = []
@@ -215,10 +219,12 @@ class QueryContext:
             raise QueryCancelled(self.name, self.cancel_reason or "cancelled")
 
     def finish(self) -> None:
-        """The query completed; later deadline firings are no-ops."""
+        """The query is over: its watchdog stops, firings are no-ops."""
         self.finished = True
         self._results = []
         self._procs = []
+        if self.watchdog is not None and self.watchdog.is_alive:
+            self.watchdog.interrupt()
 
     # -- cancellation ---------------------------------------------------
 
@@ -261,8 +267,6 @@ class QueryContext:
             if process.is_alive or not process.processed:
                 try:
                     yield process
-                except (Interrupted, QueryCancelled):
-                    pass
                 except Exception:
                     pass
         if self.metrics is not None:
@@ -282,8 +286,7 @@ class AdmissionController:
     :meth:`release`.
     """
 
-    def __init__(self, env, hardware, config: LifecycleConfig,
-                 metrics=None):
+    def __init__(self, env, hardware, config: LifecycleConfig, metrics):
         self.env = env
         self.hardware = hardware
         self.config = config
@@ -312,40 +315,34 @@ class AdmissionController:
 
     # -- admission ------------------------------------------------------
 
-    def admit(self, qctx: Optional[QueryContext] = None) -> Generator:
-        if qctx is not None and qctx.cancelled:
+    def admit(self, qctx: QueryContext) -> Generator:
+        if qctx.cancelled:
             return "cancelled"
         if self.has_capacity():
             self.inflight += 1
             return "run"
         policy = self.config.overload_policy
-        labels = qctx.labels() if qctx is not None else {"query": "?"}
         if policy == "shed":
-            if self.metrics is not None:
-                self.metrics.count("sheds", **labels)
+            self.metrics.count("sheds", **qctx.labels())
             return "shed"
         if policy == "degrade-to-cpu":
             self.inflight += 1
-            if self.metrics is not None:
-                self.metrics.count("degraded", **labels)
+            self.metrics.count("degraded", **qctx.labels())
             return "degrade"
         # queue: FIFO backpressure
         waiter = self.env.event()
         self._waiters.append(waiter)
-        if qctx is not None:
-            qctx.on_cancel(lambda _qctx, w=waiter: self._cancel_waiter(w))
-        if self.metrics is not None:
-            self.metrics.record_admission_queue_depth(len(self._waiters))
+        qctx.on_cancel(lambda _qctx, w=waiter: self._cancel_waiter(w))
+        self.metrics.record_admission_queue_depth(len(self._waiters))
         started = self.env.now
         try:
             yield waiter
         except QueryCancelled:
             self._drop_waiter(waiter)
             return "cancelled"
-        if self.metrics is not None:
-            self.metrics.count("admission_waits")
-            self.metrics.count("admission_wait_seconds",
-                               self.env.now - started)
+        self.metrics.count("admission_waits")
+        self.metrics.count("admission_wait_seconds",
+                           self.env.now - started)
         # the slot was reserved by release() when it woke this waiter
         return "run"
 

@@ -36,6 +36,7 @@ from typing import Generator, List, Optional
 
 from repro.engine.execution.context import ExecutionContext
 from repro.engine.execution.lease import DeviceLease, pull_to_host
+from repro.engine.execution.lifecycle import QueryContext
 from repro.engine.execution.resilience import account_abort
 from repro.engine.intermediates import OperatorResult
 from repro.engine.operators import PhysicalOperator
@@ -50,7 +51,8 @@ def execute_operator(
     child_results: List[OperatorResult],
     processor_name: str,
     admit_to_cache: bool = True,
-    qctx=None,
+    *,
+    qctx: QueryContext,
 ) -> Generator:
     """DES process: run one operator, with GPU fault tolerance.
 
@@ -64,8 +66,7 @@ def execute_operator(
     attempts, and the produced result is tracked so a later cancel can
     release its device memory.
     """
-    if qctx is not None:
-        qctx.check()
+    qctx.check()
     database = ctx.database
     now = ctx.env.now
     for key in op.column_keys():
@@ -91,18 +92,16 @@ def execute_operator(
                 op.plan_name, qctx,
             )
     if result is None:
-        if qctx is not None:
-            qctx.check()
+        qctx.check()
         result = yield from _run_cpu(ctx, op, child_results, input_bytes)
     for child in child_results:
         child.release_device_memory()
-    if qctx is not None:
-        qctx.track(result)
+    qctx.track(result)
     return result
 
 
 def _try_gpu(ctx, device, op, child_results, input_bytes, admit_to_cache,
-             qctx=None):
+             qctx):
     """One co-processor attempt; returns the fault when it aborts.
 
     Device memory is allocated in several steps and held (the paper's

@@ -250,7 +250,7 @@ class ResilienceManager:
 
     def attempts(self, env, device: str,
                  attempt_once: Callable[[], Generator],
-                 plan_name: Optional[str] = None, qctx=None) -> Generator:
+                 plan_name: Optional[str], qctx) -> Generator:
         """DES generator: run device attempts until one settles.
 
         ``attempt_once()`` starts one attempt — a generator returning
@@ -285,13 +285,13 @@ class ResilienceManager:
             self.metrics.record_retry(device=device,
                                       fault=outcome.fault_class,
                                       query=plan_name,
-                                      tenant=qctx.tenant if qctx else None)
+                                      tenant=qctx.tenant)
             # a cancelled query's backoff aborts early instead of
             # retrying
             yield from self.backoff(env, attempt, qctx)
             attempt += 1
 
-    def backoff(self, env, attempt: int, qctx=None):
+    def backoff(self, env, attempt: int, qctx):
         """DES generator: sleep one retry backoff, honouring cancellation.
 
         A query cancelled while its operator sleeps between attempts
@@ -300,12 +300,11 @@ class ResilienceManager:
         on wake-up (an interrupt mid-sleep surfaces on its own).
         """
         yield env.timeout(self.policy.backoff_seconds(attempt))
-        if qctx is not None:
-            qctx.check()
+        qctx.check()
 
 
 def account_abort(ctx, op, device: str, fault: DeviceFault, start: float,
-                  qctx=None) -> float:
+                  qctx) -> float:
     """Book one aborted device attempt of ``op``: the time since
     ``start`` is wasted (the paper's metric, Sec. 2.5.1), attributed to
     the query, the faulting device, the fault class and the owning
@@ -316,7 +315,7 @@ def account_abort(ctx, op, device: str, fault: DeviceFault, start: float,
     ctx.metrics.record_abort(wasted, query=op.plan_name,
                              device=fault.device or device,
                              fault=fault.fault_class,
-                             tenant=qctx.tenant if qctx else None)
+                             tenant=qctx.tenant)
     if ctx.trace is not None:
         ctx.trace.record(op.label, op.kind, device, op.plan_name,
                          start, now, aborted=True, fault=fault.fault_class)

@@ -188,7 +188,7 @@ class SplitState:
         ctx.metrics.count("split_declines", reason=reason)
 
     def try_split(self, ctx, device, op, child_results, input_bytes,
-                  qctx=None) -> Generator:
+                  qctx) -> Generator:
         """DES process: split ``op`` between the CPU and ``device``.
 
         Returns the :class:`OperatorResult`, or None when the split
@@ -204,7 +204,7 @@ class SplitState:
                           "identity_gate" if op.plan_name in self.ungated
                           else "ungated_plan")
             return None
-        if qctx is not None and qctx.force_cpu:
+        if qctx.force_cpu:
             self._decline(ctx, "force_cpu")
             return None
         if not ctx.resilience.available(device.name, env.now):
@@ -326,8 +326,7 @@ class SplitState:
             remaining = 1.0
             round_index = 0
             while remaining > 1e-12:
-                if qctx is not None:
-                    qctx.check()
+                qctx.check()
                 # past the planned rounds (a fault shrank a round's
                 # yield), the tail runs as one final round
                 frac = remaining / max(rounds - round_index, 1)
@@ -363,8 +362,7 @@ class SplitState:
                 if remaining <= 1e-12 or round_index >= rounds:
                     break
                 # -- round boundary: refresh load, re-divide ----------
-                if qctx is not None:
-                    qctx.check()
+                qctx.check()
                 if ratio > 0.0 and not self._deadline_safe(
                         qctx, remaining, t_cpu_full, t_gpu_full, ratio):
                     ratio = 0.0
@@ -439,7 +437,7 @@ class SplitState:
         then degrades to pure CPU rather than risk GPU retries.  The
         safety multiple is ``SystemConfig.deadline_safety`` unless the
         query carries a per-SLO-class override."""
-        if qctx is None or qctx.deadline_seconds is None:
+        if qctx.deadline_seconds is None:
             return True
         margin = (qctx.started_at + qctx.deadline_seconds
                   - qctx.env.now)

@@ -39,7 +39,7 @@ from repro.engine.execution.lease import (
     deliver_to_host,
     pull_to_host,
 )
-from repro.engine.execution.lifecycle import QueryCancelled
+from repro.engine.execution.lifecycle import QueryCancelled, QueryContext
 from repro.engine.execution.resilience import account_abort
 from repro.engine.intermediates import OperatorResult
 from repro.engine.operators import PhysicalOperator, PhysicalPlan
@@ -129,24 +129,29 @@ class VectorizedExecutor:
 
     # -- public API ----------------------------------------------------
 
-    def submit(self, plan: PhysicalPlan, qctx=None) -> Process:
+    def submit(self, plan: PhysicalPlan, qctx=None,
+               ctx: Optional[ExecutionContext] = None) -> Process:
         """Execute ``plan``; returns a process yielding the root result.
 
-        With a ``qctx``
-        (:class:`~repro.engine.execution.lifecycle.QueryContext`) the
-        plan process registers for cooperative cancellation; a cancel
-        interrupts it and every device-located intermediate is
-        released.
+        The plan process registers with ``qctx`` (a blank
+        :class:`~repro.engine.execution.lifecycle.QueryContext` when
+        omitted) for cooperative cancellation; a cancel interrupts it
+        and releases every device-located intermediate.  ``ctx`` runs
+        the plan over another context sharing this one's hardware.
         """
+        if ctx is not None and ctx is not self.ctx:
+            return VectorizedExecutor(
+                ctx, self.strategy, self.allow_split).submit(plan, qctx)
+        if qctx is None:
+            qctx = QueryContext(self.ctx.env, plan.name)
         process = self.ctx.env.process(self._run_plan(plan, qctx))
-        if qctx is not None:
-            process.defused = True
-            qctx.register(process)
+        process.defused = True
+        qctx.register(process)
         return process
 
     # -- internals ----------------------------------------------------------
 
-    def _run_plan(self, plan: PhysicalPlan, qctx=None) -> Generator:
+    def _run_plan(self, plan: PhysicalPlan, qctx) -> Generator:
         results: Dict[int, OperatorResult] = {}
         pipelines = [Pipeline(chain) for chain in build_pipelines(plan)]
         # map each pipeline to the (later) pipeline consuming its output
@@ -157,8 +162,7 @@ class VectorizedExecutor:
                     consumers[child.op_id] = pipeline
         try:
             for pipeline in pipelines:
-                if qctx is not None:
-                    qctx.check()
+                qctx.check()
                 consumer = consumers.get(pipeline.terminal.op_id)
                 yield from self._run_pipeline(pipeline, results, consumer,
                                               qctx)
@@ -176,10 +180,10 @@ class VectorizedExecutor:
                     results: Dict[int, OperatorResult],
                     result: OperatorResult,
                     consumer: Optional[Pipeline],
-                    qctx=None) -> Optional[str]:
+                    qctx) -> Optional[str]:
         """Device placement for a whole pipeline (None = CPU)."""
         ctx = self.ctx
-        if qctx is not None and qctx.force_cpu:
+        if qctx.force_cpu:
             return None
         required = pipeline.required_columns()
         candidates = [
@@ -217,8 +221,8 @@ class VectorizedExecutor:
 
     def _run_pipeline(self, pipeline: Pipeline,
                       results: Dict[int, OperatorResult],
-                      consumer: Optional[Pipeline] = None,
-                      qctx=None) -> Generator:
+                      consumer: Optional[Pipeline],
+                      qctx) -> Generator:
         ctx = self.ctx
         env = ctx.env
         database = ctx.database
@@ -292,7 +296,7 @@ class VectorizedExecutor:
                              results: Dict[int, OperatorResult],
                              result: OperatorResult,
                              device_name: str, start: float,
-                             qctx=None) -> Generator:
+                             qctx) -> Generator:
         """One device attempt; returns the fault when it aborts."""
         ctx = self.ctx
         env = ctx.env

@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Dict, List, Optional
+from typing import Dict, Generator, List, Optional
 
 from repro.core import (
     ChoppingExecutor,
@@ -153,6 +153,103 @@ def warm_platform(ctx: ExecutionContext, strategy: PlacementStrategy,
         ctx.split = split_state
 
 
+class QueryDriver:
+    """One run's query path: :meth:`open` builds a query's context and
+    starts its deadline watchdog, :meth:`admitted` acts on the admission
+    decision, :meth:`serve` runs it on the run's one executor and books
+    it; every completed result goes to :func:`check_result`.  Batch
+    sessions and the service dispatcher both drive their queries here.
+    """
+
+    def __init__(self, ctx: ExecutionContext, strategy: PlacementStrategy,
+                 lifecycle: Optional[LifecycleConfig],
+                 processing_model: str = "operator", **pools):
+        self.ctx = ctx
+        self.env = ctx.env
+        self.metrics = ctx.metrics
+        self.strategy = strategy
+        #: without a lifecycle the gate has nothing on: it always admits
+        self.controller = AdmissionController(
+            ctx.env, ctx.hardware, lifecycle or LifecycleConfig(),
+            ctx.metrics)
+        # the run's one executor, as ``submit(plan, qctx, ctx)``
+        if processing_model == "vectorized":
+            # vector-at-a-time (Sec. 5.5): pipelines replace the
+            # operator-at-a-time executors entirely
+            self.submit = VectorizedExecutor(ctx, strategy).submit
+        elif strategy.executor == "chopping":
+            self.submit = ChoppingExecutor(
+                ctx, strategy, lifecycle=lifecycle, **pools).submit
+        else:
+            self.submit = lambda plan, qctx, run_ctx: run_plan_eager(
+                run_ctx, plan, strategy, qctx)
+
+    def open(self, name: str, user: int, deadline: Optional[float] = None,
+             **attribution) -> QueryContext:
+        """A new query's context.  Its deadline watchdog starts now, so
+        time queued for admission counts toward the deadline."""
+        qctx = QueryContext(self.env, name, user=user, metrics=self.metrics,
+                            deadline_seconds=deadline, **attribution)
+        if deadline is not None:
+            qctx.watchdog = self.env.process(deadline_watchdog(qctx))
+            qctx.watchdog.defused = True
+        return qctx
+
+    def admitted(self, qctx: QueryContext, start: float) -> Generator:
+        """Act on the admission decision: True when the query may run
+        (degraded: CPU-only); a shed or cancelled one is finished here."""
+        decision = yield from self.controller.admit(qctx)
+        if decision == "degrade":
+            qctx.force_cpu = True
+        elif decision != "run":
+            if decision == "cancelled":
+                self._cancelled(qctx, start)
+            qctx.finish()
+            return False
+        return True
+
+    def serve(self, qctx: QueryContext, query: WorkloadQuery, start: float,
+              admitted_at: Optional[float] = None,
+              ctx: Optional[ExecutionContext] = None) -> Generator:
+        """Plan, submit and await one admitted query (over ``ctx``, an
+        epoch snapshot, when given), book it, finish it and free its
+        admission slot.  Returns the result (None when cancelled)."""
+        ctx = self.ctx if ctx is None else ctx
+        wall = perf_counter()
+        plan = query.instantiate()
+        self.strategy.prepare_plan(ctx, plan)
+        self.metrics.record_phase("plan", perf_counter() - wall)
+        try:
+            result = yield self.submit(plan, qctx, ctx)
+        except (QueryCancelled, Interrupted):
+            result = None
+            self._cancelled(qctx, start)
+        else:
+            self.metrics.record_query(
+                query.name, qctx.user, start, self.env.now,
+                tenant=qctx.tenant, slo_class=qctx.slo_class,
+                admitted_at=admitted_at)
+        qctx.finish()
+        self.controller.release()
+        return result
+
+    def run(self) -> None:
+        """Run the simulation dry.  The DES phase is the event loop's
+        wall time minus the phases timed inside it."""
+        wall = perf_counter()
+        self.env.run()
+        self.metrics.record_phase("des", perf_counter() - wall - sum(
+            self.metrics.phase_seconds.get(phase, 0.0)
+            for phase in ("plan", "validate", "mutate")))
+        self.metrics.close(self.env.now)
+
+    def _cancelled(self, qctx: QueryContext, start: float) -> None:
+        self.metrics.record_cancelled_query(
+            qctx.name, qctx.user, start, self.env.now,
+            qctx.cancel_reason or "cancelled", tenant=qctx.tenant,
+            slo_class=qctx.slo_class)
+
+
 def run_workload(
     database: Database,
     queries: List[WorkloadQuery],
@@ -224,88 +321,19 @@ def run_workload(
     ]
     sessions = [all_runs[i::users] for i in range(users)]
 
-    chopper = None
-    vectorizer = None
-    if processing_model == "vectorized":
-        # vector-at-a-time (Sec. 5.5): pipelines replace the
-        # operator-at-a-time executors entirely
-        vectorizer = VectorizedExecutor(ctx, strategy_obj)
-    elif strategy_obj.executor == "chopping":
-        chopper = ChoppingExecutor(
-            ctx, strategy_obj, cpu_workers=cpu_workers,
-            gpu_workers=gpu_workers, scheduling=scheduling,
-            lifecycle=lifecycle_config,
-        )
+    driver = QueryDriver(
+        ctx, strategy_obj, lifecycle_config, processing_model,
+        cpu_workers=cpu_workers, gpu_workers=gpu_workers,
+        scheduling=scheduling)
     admission = None
     if strategy_obj.admission_limit is not None:
         admission = Resource(env, capacity=strategy_obj.admission_limit)
-    controller = None
-    if lifecycle_config is not None and lifecycle_config.admission_enabled:
-        controller = AdmissionController(
-            env, hardware, lifecycle_config, metrics=metrics
-        )
+    deadline = (lifecycle_config.deadline_seconds
+                if lifecycle_config is not None else None)
 
     if validate:
         collect_results = True
     results: Dict[str, object] = {}
-
-    def run_query(user_id: int, query: WorkloadQuery, qctx):
-        """Plan + submit + await one query (shared by both paths)."""
-        plan_start = perf_counter()
-        plan = query.instantiate()
-        strategy_obj.prepare_plan(ctx, plan)
-        metrics.record_phase("plan", perf_counter() - plan_start)
-        if vectorizer is not None:
-            result = yield vectorizer.submit(plan, qctx)
-        elif chopper is not None:
-            result = yield chopper.submit(plan, qctx)
-        else:
-            result = yield run_plan_eager(ctx, plan, strategy_obj, qctx)
-        return result
-
-    def lifecycle_query(user_id: int, query: WorkloadQuery, start: float):
-        """One query under the lifecycle layer (admission / deadline)."""
-        qctx = QueryContext(
-            env, query.name, user=user_id, metrics=metrics,
-            deadline_seconds=lifecycle_config.deadline_seconds,
-        )
-        watchdog = None
-        if lifecycle_config.deadlines_enabled:
-            # starts before admission: queue time counts toward the
-            # deadline, so a query can be cancelled while still queued
-            watchdog = env.process(deadline_watchdog(qctx))
-            watchdog.defused = True
-        decision = "run"
-        if controller is not None:
-            decision = yield from controller.admit(qctx)
-        if decision in ("shed", "cancelled"):
-            if watchdog is not None and watchdog.is_alive:
-                watchdog.interrupt()
-            if decision == "cancelled":
-                metrics.record_cancelled_query(
-                    query.name, user_id, start, env.now,
-                    qctx.cancel_reason or "deadline",
-                )
-            return
-        if decision == "degrade":
-            qctx.force_cpu = True
-        try:
-            result = yield from run_query(user_id, query, qctx)
-        except (QueryCancelled, Interrupted):
-            result = None
-            metrics.record_cancelled_query(
-                query.name, user_id, start, env.now,
-                qctx.cancel_reason or "cancelled",
-            )
-        else:
-            metrics.record_query(query.name, user_id, start, env.now)
-        qctx.finish()
-        if watchdog is not None and watchdog.is_alive:
-            watchdog.interrupt()
-        if controller is not None:
-            controller.release()
-        if result is not None and collect_results:
-            results[query.name] = result.payload
 
     def session(user_id: int, runs: List[WorkloadQuery]):
         for query in runs:
@@ -316,30 +344,18 @@ def run_workload(
             if admission is not None:
                 request = admission.request()
                 yield request
-            if lifecycle_config is not None:
-                yield from lifecycle_query(user_id, query, start)
-                if admission is not None:
-                    admission.release(request)
-                continue
-            result = yield from run_query(user_id, query, None)
-            metrics.record_query(query.name, user_id, start, env.now)
+            qctx = driver.open(query.name, user_id, deadline)
+            if (yield from driver.admitted(qctx, start)):
+                result = yield from driver.serve(qctx, query, start)
+                if result is not None and collect_results:
+                    results[query.name] = result.payload
             if admission is not None:
                 admission.release(request)
-            if collect_results:
-                results[query.name] = result.payload
 
-    wall_start = perf_counter()
     for user_id, runs in enumerate(sessions):
         if runs:
             env.process(session(user_id, runs))
-    env.run()
-    # The DES bucket is the event-loop wall time minus the planning
-    # slices timed inside the sessions.
-    metrics.record_phase(
-        "des",
-        perf_counter() - wall_start - metrics.phase_seconds.get("plan", 0.0),
-    )
-    metrics.close(env.now)
+    driver.run()
     if validate:
         wall_start = perf_counter()
         validate_results(database, queries, results)
@@ -366,28 +382,36 @@ def validate_results(database: Database, queries: List[WorkloadQuery],
     the answer.  Hand-built plans (no SQL) are skipped.
     """
     for query in queries:
-        if query.spec is None or query.name not in results:
-            continue
-        got = list(map(canonical_row, results[query.name].row_tuples()))
-        if query.spec.limit is None:
-            compare_rows(query.name, sorted(got),
-                         reference_rows(database, query))
-        else:
-            _compare_limited(database, query, got)
+        if query.spec is not None and query.name in results:
+            check_result(database, query, results[query.name], {})
 
 
-def _compare_limited(database: Database, query: WorkloadQuery, got) -> None:
+def check_result(database: Database, query: WorkloadQuery, payload,
+                 references: Dict[str, list]) -> None:
+    """The one validation site: raise :class:`ValidationError` unless
+    ``payload`` is a right answer to the SQL ``query`` over
+    ``database``.  ``references`` caches :func:`reference_rows` by query
+    name: service mode checks every completion of a template under one
+    snapshot against one evaluation."""
+    want = references.get(query.name)
+    if want is None:
+        want = references[query.name] = reference_rows(database, query)
+    got = list(map(canonical_row, payload.row_tuples()))
+    if query.spec.limit is None:
+        compare_rows(query.name, sorted(got), want)
+    else:
+        _compare_limited(query, got, want)
+
+
+def _compare_limited(query: WorkloadQuery, got, full) -> None:
     """A ``LIMIT`` the ``ORDER BY`` does not determine has many right
     answers (the reference emits joins in ``FROM`` order, the engine in
     fact order), so check what every one of them shares: the row count,
     the ``ORDER BY`` keys row by row, and every row drawn — as a
-    multiset — from the un-limited reference rows."""
-    from repro.engine import execute_reference
+    multiset — from the ``full`` un-limited reference rows."""
     from repro.engine.reference import output_names
 
     spec, name = query.spec, query.name
-    full = [canonical_row(row) for row in
-            execute_reference(replace(spec, limit=None), database)]
     names = output_names(spec)
     keys = [names.index(column) for column, _ in spec.order_by]
     compare_rows(name, [tuple(row[i] for i in keys) for row in got],
@@ -405,16 +429,14 @@ def _compare_limited(database: Database, query: WorkloadQuery, got) -> None:
 
 
 def reference_rows(database: Database, query: WorkloadQuery):
-    """Canonical, sorted reference-engine rows for one SQL query.
-
-    Service mode caches these per (epoch, query) — every completion of
-    the same query under the same snapshot checks against one
-    evaluation."""
+    """Canonical reference-engine rows for one SQL query: sorted, or —
+    under a ``LIMIT`` — the un-limited rows in the reference's order,
+    which :func:`_compare_limited` checks a limited answer against."""
     from repro.engine import execute_reference
 
-    return sorted(
-        map(canonical_row, execute_reference(query.spec, database))
-    )
+    rows = [canonical_row(row) for row in
+            execute_reference(replace(query.spec, limit=None), database)]
+    return sorted(rows) if query.spec.limit is None else rows
 
 
 def compare_rows(name: str, got, want) -> None:

@@ -42,34 +42,28 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from random import Random
 from time import perf_counter
 from typing import (Callable, Deque, Dict, List, Optional, Sequence,
                     Tuple)
 
-from repro.core import ChoppingExecutor, get_strategy
+from repro.core import get_strategy
 from repro.engine.execution import (
-    AdmissionController,
     ExecutionContext,
     LifecycleConfig,
-    QueryCancelled,
     QueryContext,
-    deadline_watchdog,
-    run_plan_eager,
 )
 from repro.harness.runner import (
+    QueryDriver,
     ValidationError,
     build_platform,
-    canonical_row,
-    compare_rows,
+    check_result,
     functional_warm,
-    reference_rows,
     warm_platform,
 )
 from repro.hardware import SystemConfig
 from repro.metrics import MetricsCollector
-from repro.sim import Interrupted
 from repro.storage import Database, EpochStore
 from repro.workloads import BENCHMARKS
 from repro.workloads.base import WorkloadQuery
@@ -240,16 +234,9 @@ class ServiceConfig:
 # -- arrival models ----------------------------------------------------
 
 
-class _PoissonArrivals:
-    def __init__(self, rate: float):
-        self.rate = rate
-
-    def next_interarrival(self, now: float, rng: Random) -> float:
-        return rng.expovariate(self.rate)
-
-
 class _DiurnalArrivals:
-    """Poisson with a sinusoidal rate — a day cycle in miniature."""
+    """Poisson with a sinusoidal rate — a day cycle in miniature (at
+    amplitude 0, plain Poisson: ``rate_at`` is then exactly ``rate``)."""
 
     def __init__(self, rate: float, amplitude: float, period: float):
         self.rate = rate
@@ -281,12 +268,11 @@ class _TraceArrivals:
 
 
 def _arrival_model(service: ServiceConfig):
-    if service.arrivals == "poisson":
-        return _PoissonArrivals(service.rate)
-    if service.arrivals == "diurnal":
-        return _DiurnalArrivals(service.rate, service.diurnal_amplitude,
-                                DIURNAL_PERIOD_SECONDS)
-    return _TraceArrivals(service.trace_times)
+    if service.arrivals == "trace":
+        return _TraceArrivals(service.trace_times)
+    amplitude = (service.diurnal_amplitude
+                 if service.arrivals == "diurnal" else 0.0)
+    return _DiurnalArrivals(service.rate, amplitude, DIURNAL_PERIOD_SECONDS)
 
 
 # -- tenancy -----------------------------------------------------------
@@ -321,21 +307,16 @@ def build_tenants(service: ServiceConfig) -> List[TenantSpec]:
     return tenants
 
 
+@dataclass(eq=False)
 class _Request:
     """One arrived query travelling through fair-share admission."""
 
-    __slots__ = ("tenant", "query_index", "arrived_at", "qctx",
-                 "watchdog", "overflow_degraded")
-
-    def __init__(self, tenant: TenantSpec, query_index: int,
-                 arrived_at: float, qctx: QueryContext, watchdog):
-        self.tenant = tenant
-        self.query_index = query_index
-        self.arrived_at = arrived_at
-        self.qctx = qctx
-        self.watchdog = watchdog
-        #: tenant-level overflow already degraded this query to CPU
-        self.overflow_degraded = False
+    tenant: TenantSpec
+    query_index: int
+    arrived_at: float
+    qctx: QueryContext
+    #: tenant-level overflow already degraded this query to CPU
+    overflow_degraded: bool = False
 
 
 class FairShareAdmission:
@@ -379,7 +360,7 @@ class FairShareAdmission:
                 if len(queue) >= 2 * tenant.slo.queue_cap:
                     self.metrics.count("sheds", **request.qctx.labels())
                     return "shed"
-                request.overflow_degraded = True
+                request.overflow_degraded = request.qctx.force_cpu = True
                 self.metrics.count("degraded", **request.qctx.labels())
                 queue.append(request)
                 return "degraded"
@@ -471,7 +452,6 @@ class ServiceResult:
     strategy: str
     faults_injected: int = 0
     fault_digest: Optional[str] = None
-    lifecycle_enabled: bool = True
 
     @property
     def simulated_seconds(self) -> float:
@@ -493,55 +473,44 @@ class _ServiceRun:
                                             List[WorkloadQuery]],
                  workload_name: str, strategy: str,
                  config: SystemConfig, service: ServiceConfig,
-                 placement_policy: str, cpu_workers: int,
-                 gpu_workers: int, scheduling: str, faults):
+                 placement_policy: str, faults, warm_cache: bool,
+                 **pools):
         from repro.faults import FaultConfig
 
         self.service = service
         self.workload_factory = workload_factory
         self.workload_name = workload_name
         self.strategy_name = strategy
-        self.config = config
         self.fault_config = FaultConfig.coerce(faults)
         self.ctx = build_platform(database, config, placement_policy,
                                   self.fault_config)
         self.env = self.ctx.env
         self.metrics = self.ctx.metrics
-        self.hardware = self.ctx.hardware
-        self.injector = self.hardware.injector
         self.strategy = get_strategy(strategy)
         self.rng = Random(service.seed)
         self.tenants = build_tenants(service)
         self.store = EpochStore(database)
-        self.queries = workload_factory(database)
-        if not self.queries:
+        queries = workload_factory(database)
+        if not queries:
             raise ValueError("service mode needs a non-empty workload")
-        self.epoch_queries: Dict[int, List[WorkloadQuery]] = {
-            0: self.queries}
+        self.epoch_queries: Dict[int, List[WorkloadQuery]] = {0: queries}
         self.epoch_ctx: Dict[int, ExecutionContext] = {0: self.ctx}
-        self._references: Dict[Tuple[int, str], list] = {}
+        #: reference rows per epoch and query name (see check_result)
+        self._references: Dict[int, Dict[str, list]] = {}
         self.divergences: List[str] = []
-        self.completed = 0
         self._rr: Counter = Counter()  # per-tenant query round-robin
         self._stir = self.env.event()
-        lifecycle = LifecycleConfig(
-            max_inflight=service.max_inflight,
-            overload_policy=service.global_overload_policy,
-            hedge_factor=service.hedge_factor,
-        )
-        self.lifecycle = lifecycle
-        self.controller = AdmissionController(
-            self.env, self.hardware, lifecycle, metrics=self.metrics)
         self.fair = FairShareAdmission(
             self.tenants, service.quantum, service.starvation_seconds,
             self.metrics)
-        self.chopper: Optional[ChoppingExecutor] = None
-        if self.strategy.executor == "chopping":
-            self.chopper = ChoppingExecutor(
-                self.ctx, self.strategy, cpu_workers=cpu_workers,
-                gpu_workers=gpu_workers, scheduling=scheduling,
-                lifecycle=lifecycle,
-            )
+        self.driver = QueryDriver(
+            self.ctx, self.strategy, LifecycleConfig(
+                max_inflight=service.max_inflight,
+                overload_policy=service.global_overload_policy,
+                hedge_factor=service.hedge_factor,
+            ), **pools)
+        warm_platform(self.ctx, self.strategy, queries, warm_cache,
+                      placement_policy)
 
     # -- arrivals -----------------------------------------------------
 
@@ -560,70 +529,41 @@ class _ServiceRun:
             yield self.env.timeout(dt)
             tenant = by_name[
                 self.rng.choices(names, weights=shares)[0]]
-            self._on_arrival(tenant)
-
-    def _on_arrival(self, tenant: TenantSpec) -> None:
-        service = self.service
-        queries = self.epoch_queries[self.store.epoch]
-        query_index = (tenant.index + self._rr[tenant.name]) \
-            % len(queries)
-        self._rr[tenant.name] += 1
-        name = queries[query_index].name
-        self.metrics.count("arrivals", tenant=tenant.name,
-                           slo_class=tenant.slo.name)
-        deadline = None
-        if service.deadline_seconds is not None:
-            deadline = (service.deadline_seconds
-                        * tenant.slo.deadline_multiplier)
-        qctx = QueryContext(
-            self.env, name, user=tenant.index, metrics=self.metrics,
-            deadline_seconds=deadline, tenant=tenant.name,
-            slo_class=tenant.slo.name,
-            deadline_safety=tenant.slo.deadline_safety,
-        )
-        watchdog = None
-        if deadline is not None:
-            # starts at arrival: tenant-queue time counts toward the
+            queries = self.epoch_queries[self.store.epoch]
+            query_index = (tenant.index + self._rr[tenant.name]) \
+                % len(queries)
+            self._rr[tenant.name] += 1
+            self.metrics.count("arrivals", tenant=tenant.name,
+                               slo_class=tenant.slo.name)
+            deadline = None
+            if service.deadline_seconds is not None:
+                deadline = (service.deadline_seconds
+                            * tenant.slo.deadline_multiplier)
+            # opened at arrival: tenant-queue time counts toward the
             # deadline, exactly like the PR5 admission queue
-            watchdog = self.env.process(deadline_watchdog(qctx))
-            watchdog.defused = True
-        request = _Request(tenant, query_index, self.env.now, qctx,
-                           watchdog)
-        outcome = self.fair.offer(request)
-        if outcome == "shed":
-            self._finish_request(request)
-            return
-        self._wake()
+            qctx = self.driver.open(
+                queries[query_index].name, tenant.index, deadline,
+                tenant=tenant.name, slo_class=tenant.slo.name,
+                deadline_safety=tenant.slo.deadline_safety,
+            )
+            request = _Request(tenant, query_index, self.env.now, qctx)
+            if self.fair.offer(request) == "shed":
+                qctx.finish()
+            else:
+                self._wake()
 
     # -- dispatcher ---------------------------------------------------
 
     def _dispatcher(self):
         while True:
-            while self.controller.has_capacity():
+            while self.driver.controller.has_capacity():
                 request = self.fair.next_request(self.env.now)
                 if request is None:
                     break
-                if request.qctx.cancelled:
-                    # deadline fired while queued at the tenant level
-                    self._record_cancelled(request)
-                    self._finish_request(request)
-                    continue
-                # a machine-level shed or degrade (the global gate lost
-                # the headroom race) is booked by admit() under the
-                # tenant and class the query context carries
-                decision = yield from self.controller.admit(request.qctx)
-                if decision == "shed":
-                    self._finish_request(request)
-                    continue
-                if decision == "cancelled":
-                    self._record_cancelled(request)
-                    self._finish_request(request)
-                    continue
-                if decision == "degrade":
-                    request.qctx.force_cpu = True
-                if request.overflow_degraded:
-                    request.qctx.force_cpu = True
-                self.env.process(self._serve(request))
+                # the driver books tenant-queue cancels and global sheds
+                if (yield from self.driver.admitted(request.qctx,
+                                                    request.arrived_at)):
+                    self.env.process(self._serve(request))
             yield self._stir
             self._stir = self.env.event()
 
@@ -634,70 +574,30 @@ class _ServiceRun:
     # -- per-query execution ------------------------------------------
 
     def _serve(self, request: _Request):
-        admitted_at = self.env.now
         epoch = self.store.pin()
         queries = self.epoch_queries[epoch]
         query = queries[request.query_index % len(queries)]
-        rctx = self.epoch_ctx[epoch]
-        qctx = request.qctx
-        tenant = request.tenant
-        result = None
-        try:
+        result = yield from self.driver.serve(
+            request.qctx, query, request.arrived_at,
+            admitted_at=self.env.now, ctx=self.epoch_ctx[epoch])
+        if (result is not None and self.service.validate
+                and query.spec is not None):
             wall = perf_counter()
-            plan = query.instantiate()
-            self.strategy.prepare_plan(rctx, plan)
-            self.metrics.record_phase("plan", perf_counter() - wall)
-            if self.chopper is not None:
-                result = yield self.chopper.submit(
-                    plan, qctx, ctx=rctx if epoch > 0 else None)
-            else:
-                result = yield run_plan_eager(rctx, plan, self.strategy,
-                                              qctx)
-        except (QueryCancelled, Interrupted):
-            self._record_cancelled(request)
-        else:
-            self.metrics.record_query(
-                query.name, tenant.index, request.arrived_at,
-                self.env.now, tenant=tenant.name,
-                slo_class=tenant.slo.name, admitted_at=admitted_at,
-            )
-            self.completed += 1
-            if self.service.validate and query.spec is not None:
-                self._check_identity(epoch, query, result)
-        self._finish_request(request)
-        self.controller.release()
+            self._check(epoch, query, result.payload)
+            self.metrics.record_phase("validate", perf_counter() - wall)
         for _ in range(self.store.unpin(epoch)):
             self.metrics.count("snapshots_retired")
         self._wake()
 
-    def _record_cancelled(self, request: _Request) -> None:
-        self.metrics.record_cancelled_query(
-            request.qctx.name, request.tenant.index, request.arrived_at,
-            self.env.now, request.qctx.cancel_reason or "cancelled",
-            tenant=request.tenant.name,
-            slo_class=request.tenant.slo.name,
-        )
-
-    def _finish_request(self, request: _Request) -> None:
-        request.qctx.finish()
-        if request.watchdog is not None and request.watchdog.is_alive:
-            request.watchdog.interrupt()
-
-    def _check_identity(self, epoch: int, query: WorkloadQuery,
-                        result) -> None:
-        wall = perf_counter()
-        key = (epoch, query.name)
-        want = self._references.get(key)
-        if want is None:
-            want = reference_rows(self.store.snapshot(epoch), query)
-            self._references[key] = want
-        got = sorted(map(canonical_row, result.payload.row_tuples()))
+    def _check(self, epoch: int, query: WorkloadQuery, payload,
+               where: str = "") -> None:
+        """One answer against the reference over its snapshot."""
         try:
-            compare_rows(query.name, got, want)
+            check_result(self.store.snapshot(epoch), query, payload,
+                         self._references.setdefault(epoch, {}))
         except ValidationError as error:
             self.divergences.append(
-                "epoch {}: {}".format(epoch, error))
-        self.metrics.record_phase("validate", perf_counter() - wall)
+                "epoch {}{}: {}".format(epoch, where, error))
 
     # -- concurrent mutation ------------------------------------------
 
@@ -743,21 +643,9 @@ class _ServiceRun:
             results = pool.run_queries()
             pool.record_metrics(self.metrics)
         for query in (sql_queries or queries):
-            if query.spec is None or query.name not in results:
-                continue
-            key = (self.store.epoch, query.name)
-            want = self._references.get(key)
-            if want is None:
-                want = reference_rows(snapshot, query)
-                self._references[key] = want
-            got = sorted(map(
-                canonical_row, results[query.name].payload.row_tuples()))
-            try:
-                compare_rows(query.name, got, want)
-            except ValidationError as error:
-                self.divergences.append(
-                    "epoch {} (chaos pool): {}".format(
-                        self.store.epoch, error))
+            if query.spec is not None and query.name in results:
+                self._check(self.store.epoch, query,
+                            results[query.name].payload, " (chaos pool)")
 
     # -- run ----------------------------------------------------------
 
@@ -767,17 +655,9 @@ class _ServiceRun:
         env.process(self._dispatcher())
         if self.service.mutation_interval_seconds is not None:
             env.process(self._mutator())
-        wall = perf_counter()
-        env.run()
-        self.metrics.record_phase(
-            "des",
-            perf_counter() - wall
-            - self.metrics.phase_seconds.get("plan", 0.0)
-            - self.metrics.phase_seconds.get("validate", 0.0)
-            - self.metrics.phase_seconds.get("mutate", 0.0),
-        )
+        self.driver.run()
         metrics = self.metrics
-        metrics.close(env.now)
+        injector = self.ctx.hardware.injector
         targets = self.service.targets()
         return ServiceResult(
             metrics=metrics,
@@ -786,7 +666,7 @@ class _ServiceRun:
             tenant_faults=metrics.tenant_fault_report(),
             targets=targets,
             arrivals=metrics.total("arrivals"),
-            completed=self.completed,
+            completed=len(metrics.queries),
             shed=metrics.total("sheds"),
             degraded=metrics.total("degraded"),
             cancelled=len(metrics.cancelled_queries),
@@ -794,10 +674,8 @@ class _ServiceRun:
             identical=not self.divergences,
             divergences=self.divergences,
             strategy=self.strategy_name,
-            faults_injected=(self.injector.total_injected
-                            if self.injector else 0),
-            fault_digest=(self.injector.schedule_digest()
-                          if self.injector else None),
+            faults_injected=injector.total_injected if injector else 0,
+            fault_digest=injector.schedule_digest() if injector else None,
         )
 
 
@@ -840,19 +718,22 @@ def run_service(
     ``workload_factory`` (``database -> [WorkloadQuery]``) is called
     once per table epoch so queries always bind to their snapshot;
     when omitted it is resolved from ``workload``/``query_names``.
-    All other knobs mirror :func:`run_workload`.
+    ``service`` shapes the traffic, tenancy, admission, deadlines and
+    hedging.  ``strategy``, ``config``, ``warm_cache``,
+    ``placement_policy``, the worker pools (``cpu_workers``,
+    ``gpu_workers``, ``scheduling``) and ``faults`` mean what they mean
+    for :func:`run_workload`; there is no ``processing_model`` (queries
+    run operator-at-a-time), no ``users`` or ``repetitions`` (``service``
+    sets the arrivals), no ``trace``, and algorithm selection is on.
     """
     config = config if config is not None else SystemConfig()
     service = service if service is not None else ServiceConfig()
     if workload_factory is None:
         workload_factory = resolve_workload_factory(workload, query_names)
-    run = _ServiceRun(
+    return _ServiceRun(
         database, workload_factory, workload, strategy, config, service,
-        placement_policy, cpu_workers, gpu_workers, scheduling, faults,
-    )
-    warm_platform(run.ctx, run.strategy, run.queries, warm_cache,
-                  placement_policy)
-    return run.run()
+        placement_policy, faults, warm_cache, cpu_workers=cpu_workers,
+        gpu_workers=gpu_workers, scheduling=scheduling).run()
 
 
 __all__ = [

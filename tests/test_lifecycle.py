@@ -170,11 +170,11 @@ def test_admission_controller_fifo_wakeup():
     env = Environment()
     hardware = type("H", (), {"gpus": ()})()
     controller = AdmissionController(
-        env, hardware, LifecycleConfig(max_inflight=1))
+        env, hardware, LifecycleConfig(max_inflight=1), MetricsCollector())
     order = []
 
     def query(name, hold):
-        decision = yield from controller.admit()
+        decision = yield from controller.admit(QueryContext(env, name))
         assert decision == "run"
         order.append(name)
         yield env.timeout(hold)

@@ -170,7 +170,7 @@ class TestMultiGpuExecution:
         assert strategy.choose_processor(ctx, join, results) == "cpu"
 
     def test_cross_device_transfer_is_charged_both_ways(self, toy_db):
-        from repro.engine.execution import execute_operator
+        from repro.engine.execution import QueryContext, execute_operator
         from repro.engine.expressions import ColumnRef, Comparison, Literal
         from repro.engine.operators import RefineSelect, ScanSelect
 
@@ -185,10 +185,12 @@ class TestMultiGpuExecution:
                               Comparison(">", amount, Literal(5)))
 
         def run():
-            first = yield from execute_operator(ctx, scan, [], "gpu")
+            qctx = QueryContext(env, "q")
+            first = yield from execute_operator(ctx, scan, [], "gpu",
+                                                qctx=qctx)
             assert first.location == "gpu"
             second = yield from execute_operator(
-                ctx, refine, [first], "gpu2"
+                ctx, refine, [first], "gpu2", qctx=qctx
             )
             assert second.location == "gpu2"
             second.release_device_memory()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tests.conftest import make_context
-from repro.engine.execution import execute_operator
+from repro.engine.execution import QueryContext, execute_operator
 from repro.engine.expressions import ColumnRef, Comparison, Literal
 from repro.engine.operators import HashJoin, Materialize, ScanSelect
 from repro.hardware import SystemConfig
@@ -16,7 +16,8 @@ AMOUNT = ColumnRef("sales", "amount")
 
 def run_op(env, ctx, op, child_results, processor, admit=True):
     proc = env.process(
-        execute_operator(ctx, op, child_results, processor, admit)
+        execute_operator(ctx, op, child_results, processor, admit,
+                         qctx=QueryContext(env, op.plan_name))
     )
     env.run()
     return proc.value
@@ -190,8 +191,10 @@ def test_cache_in_use_entries_survive_concurrent_eviction_pressure(toy_db):
     results = []
 
     def run_both():
-        first = env.process(execute_operator(ctx, op1, [], "gpu"))
-        second = env.process(execute_operator(ctx, op2, [], "gpu"))
+        first = env.process(execute_operator(
+            ctx, op1, [], "gpu", qctx=QueryContext(env, "q1")))
+        second = env.process(execute_operator(
+            ctx, op2, [], "gpu", qctx=QueryContext(env, "q2")))
         results.append((yield first))
         results.append((yield second))
 

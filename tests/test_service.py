@@ -139,7 +139,7 @@ def _tenant(name, slo, index=0):
 def _request(env, tenant, arrived_at=0.0):
     qctx = QueryContext(env, "Q1.1", user=tenant.index,
                         tenant=tenant.name, slo_class=tenant.slo.name)
-    return _Request(tenant, 0, arrived_at, qctx, None)
+    return _Request(tenant, 0, arrived_at, qctx)
 
 
 class TestFairShareAdmission:
@@ -336,6 +336,23 @@ class TestServiceRuns:
         # under a 1-slot gate queue time dominates: wait is visible
         assert any(row["mean_wait"] > 0 for row in busy)
         assert all(row["mean_service"] > 0 for row in busy)
+
+    def test_validation_accepts_the_rows_an_unordered_limit_kept(self):
+        """The batch check accepts this query
+        (tests/test_validation.py); the service checks every completion
+        at the same one site, so it accepts it too."""
+        from repro.workloads import sql_workload, ssb
+
+        db = ssb.generate(1, data_scale=0.01, seed=7)
+        sql = ("select c_city, s_city from customer, lineorder, supplier "
+               "where lo_custkey = c_custkey and lo_suppkey = s_suppkey "
+               "and c_nation = 'CHINA' and s_nation = 'CHINA' limit 4")
+        result = run_service(
+            db, workload_factory=lambda d: sql_workload(d, {"lim": sql}),
+            strategy="data_driven_chopping",
+            service=ServiceConfig(duration_seconds=1.0, rate=5))
+        assert result.completed > 0
+        assert result.identical, result.divergences
 
     def test_per_class_deadline_safety_reaches_queries(self, ssb_db):
         # the knob itself is exercised end-to-end by the split tests;

@@ -409,9 +409,11 @@ def test_split_waits_for_inflight_column(ssb_db):
     def arrive_mid_copy():
         yield env.timeout(ctx.bus.latency / 2)
         assert all(ctx.bus.in_flight("gpu", "h2d", key) for key in keys)
-        yield from execute_operator(ctx, split_op, [], "gpu")
+        yield from execute_operator(ctx, split_op, [], "gpu",
+                                    qctx=QueryContext(env, "split"))
 
-    pure_process = env.process(execute_operator(ctx, pure_op, [], "gpu"))
+    pure_process = env.process(execute_operator(
+        ctx, pure_op, [], "gpu", qctx=QueryContext(env, "pure")))
     split_process = env.process(arrive_mid_copy())
     on_the_wire_at_launch = []
     submit = device.processor.submit

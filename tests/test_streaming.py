@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from tests.conftest import make_context
-from repro.engine.execution import execute_operator
+from repro.engine.execution import QueryContext, execute_operator
 from repro.engine.expressions import ColumnRef, Comparison, Literal
 from repro.engine.operators import ScanSelect
 from repro.hardware import SystemConfig
@@ -27,7 +27,8 @@ def cold_config(streaming, **kwargs):
 def run_scan(toy_db, streaming):
     env, hw, ctx = make_context(toy_db, cold_config(streaming))
     op = ScanSelect("sales", Comparison("<", AMOUNT, Literal(30)))
-    proc = env.process(execute_operator(ctx, op, [], "gpu"))
+    proc = env.process(execute_operator(ctx, op, [], "gpu",
+                                        qctx=QueryContext(env, "q")))
     env.run()
     proc.value.release_device_memory()
     return env.now, hw
