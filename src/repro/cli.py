@@ -34,7 +34,7 @@ import time
 from typing import List, Optional
 
 from repro.core import STRATEGY_NAMES
-from repro.engine import morsel
+from repro.engine import kernels, morsel
 from repro.harness.figures import FIGURES
 from repro.harness.parallel import resolve_jobs
 from repro.harness.runner import run_workload
@@ -112,6 +112,8 @@ def cmd_run(args) -> int:
     faults = _resolve_faults(args)
     lifecycle = _resolve_lifecycle(args)
     fused_before = morsel.snapshot_stats()
+    probes = ("compiled_probes", "numpy_probes")
+    probes_before = [kernels.stats[key] for key in probes]
     run = run_workload(
         database, queries, args.strategy, config=config,
         users=args.users, repetitions=args.repetitions,
@@ -154,6 +156,8 @@ def cmd_run(args) -> int:
     for key, value in morsel.stats_since(fused_before).items():
         if value:
             print("    {:22s} {}".format(key, value))
+    for key, before in zip(probes, probes_before):
+        print("    {:22s} {}".format(key, kernels.stats[key] - before))
     if config.split:
         print("  split execution{}:".format(
             " (coupled GPU)" if config.coupled else ""))

@@ -30,6 +30,12 @@ alongside the plan cache.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import os
+import subprocess
+import tempfile
 from typing import Dict, Optional, Tuple
 from weakref import WeakKeyDictionary
 
@@ -53,16 +59,14 @@ stats = {
     "lookup_builds": 0,
     "lookup_hits": 0,
     "bounds_builds": 0,
+    "compiled_probes": 0,
+    "numpy_probes": 0,
 }
 
 
 def reset_stats() -> None:
     for key in stats:
         stats[key] = 0
-
-
-def snapshot_stats() -> Dict[str, int]:
-    return dict(stats)
 
 
 class JoinIndex:
@@ -252,7 +256,137 @@ def _as_int64(array: np.ndarray) -> np.ndarray:
     return array.astype(np.int64, copy=False)
 
 
-class _DenseProber:
+# The compiled probe: one gather-test-compact loop for the unchecked
+# dense prober with a ``key_mask`` and the unchecked lookup prober, fed
+# the probe column at the morsel's rows or at the lineage's tids.  Tids
+# and keys keep ``take``'s index rule: a negative one counts from the
+# end, one outside [-len, len) fails the call (-1: IndexError).
+_PROBE_C = r"""
+#include <stdint.h>
+#define PROBE(NAME, K, U, S, SHIFT, HIT, OUT)                              \
+int64_t NAME(const K *col, int64_t ncol, int64_t start,                  \
+             const int64_t *tids, int64_t n, const S *slots,             \
+             int64_t nslots, int64_t base, int64_t *idx, int64_t *out)   \
+{                                                                        \
+    int64_t j = 0;                                                       \
+    for (int64_t i = 0; i < n; i++) {  /* test, compact the index */     \
+        int64_t p = start + i;                                           \
+        if (tids) {                                                      \
+            p = tids[i] < 0 ? tids[i] + ncol : tids[i];                  \
+            if ((uint64_t)p >= (uint64_t)ncol) return -1;                \
+        }                                                                \
+        int64_t r = (K)((U)col[p] - (U)(SHIFT));                         \
+        if (r < 0) r += nslots;                                          \
+        if ((uint64_t)r >= (uint64_t)nslots) return -1;                  \
+        S s = slots[r];                                                  \
+        idx[j] = i;                                                      \
+        j += HIT;                                                        \
+    }                                                                    \
+    for (int64_t m = 0; m < j; m++) {  /* the hits' build tids */        \
+        int64_t p = tids ? tids[idx[m]] : start + idx[m];                \
+        K k = col[p < 0 ? p + ncol : p];                                 \
+        int64_t r = (K)((U)k - (U)(SHIFT));                              \
+        S s = slots[r < 0 ? r + nslots : r];                             \
+        out[m] = OUT;                                                    \
+    }                                                                    \
+    return j;                                                            \
+}
+PROBE(dense_int32_bool, int32_t, uint32_t, uint8_t, 0, s, (int64_t)k - base)
+PROBE(dense_int64_bool, int64_t, uint64_t, uint8_t, 0, s, k - base)
+PROBE(lookup_int32_int32, int32_t, uint32_t, int32_t, base, s >= 0, s)
+PROBE(lookup_int32_int64, int32_t, uint32_t, int64_t, base, s >= 0, s)
+PROBE(lookup_int64_int32, int64_t, uint64_t, int32_t, base, s >= 0, s)
+PROBE(lookup_int64_int64, int64_t, uint64_t, int64_t, base, s >= 0, s)
+"""
+_COMPILE = ("cc", "-O3", "-shared", "-fPIC")
+
+
+@functools.cache
+def _probe_loops():
+    """The compiled loops by (key dtype, slot dtype), each with the
+    range of bases its key type holds — built at first use, never at
+    import, and cached per user in a 0o700 directory named by the
+    sha256 of the source and the compile command; None, and every probe
+    runs in numpy, where no compiler, cache directory or load works."""
+    digest = hashlib.sha256(repr((_PROBE_C, _COMPILE)).encode()).hexdigest()
+    root = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+    directory = os.path.join(root, "repro", digest)
+    path = os.path.join(directory, "probe.so")
+    try:
+        os.makedirs(directory, mode=0o700, exist_ok=True)
+        info = os.stat(directory)
+        if info.st_uid != os.getuid() or info.st_mode & 0o077:
+            return None  # a library others can write is not loaded
+        if not os.path.exists(path):
+            with tempfile.TemporaryDirectory(dir=directory) as scratch:
+                source = os.path.join(scratch, "probe.c")
+                with open(source, "w") as handle:
+                    handle.write(_PROBE_C)
+                built = os.path.join(scratch, "probe.so")
+                subprocess.run(_COMPILE + ("-o", built, source),
+                               check=True, capture_output=True)
+                os.replace(built, path)
+        library = ctypes.CDLL(path)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    pointer, count = ctypes.c_void_p, ctypes.c_int64
+    loops = {}
+    for key in map(np.dtype, (np.int32, np.int64)):
+        for slot in map(np.dtype, (np.bool_, np.int32, np.int64)):
+            loop = getattr(library, "{}_{}_{}".format(
+                "dense" if slot == np.bool_ else "lookup", key, slot))
+            loop.argtypes = (pointer, count, count, pointer, count,
+                             pointer, count, count, pointer, pointer)
+            loop.restype = count
+            bounds = np.iinfo(key)
+            loops[key, slot] = loop, int(bounds.min), int(bounds.max)
+    return loops
+
+
+def _compiled_probe(slots: np.ndarray, base: int, values: np.ndarray,
+                    start: int, stop: int, tids):
+    """``probe``'s outputs for the keys ``values[start:stop]`` (or
+    ``values[tids]``) through the loop over ``slots`` — the key mask or
+    the position table — or None where it does not apply: no loops,
+    keys or tids not contiguous native int32 / int64, or a base the key
+    type cannot hold (numpy raises on that one)."""
+    loops = _probe_loops()
+    found = loops and loops.get((values.dtype, slots.dtype))
+    if (not found or not found[1] <= base <= found[2]
+            or not values.flags.c_contiguous
+            or not 0 <= start <= stop <= len(values)
+            or tids is not None and (tids.dtype != np.int64
+                                     or not tids.flags.c_contiguous)):
+        return None
+    n = stop - start if tids is None else len(tids)
+    probe_idx = np.empty(n, dtype=np.int64)
+    build_tids = np.empty(n, dtype=np.int64)
+    hits = found[0](values.ctypes.data, len(values), start,
+                    None if tids is None else tids.ctypes.data, n,
+                    slots.ctypes.data, len(slots), base,
+                    probe_idx.ctypes.data, build_tids.ctypes.data)
+    if hits < 0:
+        raise IndexError("probe key or tid out of range")
+    stats["compiled_probes"] += 1
+    probe_idx.resize(hits, refcheck=False)
+    build_tids.resize(hits, refcheck=False)
+    return probe_idx, build_tids
+
+
+class _Prober:
+    """``probe_rows`` — what ``HashJoin.match`` asks every prober: the
+    matches of the keys ``values[start:stop]`` (or ``values[tids]``),
+    by default the numpy ``probe`` of the gathered keys."""
+
+    __slots__ = ()
+
+    def probe_rows(self, values, start, stop, tids):
+        stats["numpy_probes"] += 1
+        return self.probe(values[start:stop] if tids is None
+                          else values[tids])
+
+
+class _DenseProber(_Prober):
     """Positional probe against a dense ascending key column.
 
     ``checked`` is False when the cached probe-column bounds prove every
@@ -300,8 +434,17 @@ class _DenseProber:
         pos -= self.base
         return np.arange(len(fk), dtype=np.int64), pos
 
+    def probe_rows(self, values, start, stop, tids):
+        if self.key_mask is not None:  # unchecked and filtered
+            found = _compiled_probe(self.key_mask, self.base, values,
+                                    start, stop, tids)
+            if found is not None:
+                stats["dense_joins"] += 1
+                return found
+        return super().probe_rows(values, start, stop, tids)
 
-class _LookupProber:
+
+class _LookupProber(_Prober):
     """O(1) probe through a unique-key position table.
 
     A filtered build folds its selection mask into a *copy* of the
@@ -335,8 +478,17 @@ class _LookupProber:
             hit = pos >= 0
         return np.flatnonzero(hit), _as_int64(pos[hit])
 
+    def probe_rows(self, values, start, stop, tids):
+        if not self.checked:
+            found = _compiled_probe(self.table, self.base, values,
+                                    start, stop, tids)
+            if found is not None:
+                stats["lookup_joins"] += 1
+                return found
+        return super().probe_rows(values, start, stop, tids)
 
-class _SortedProber:
+
+class _SortedProber(_Prober):
     """General probe through a stable sort order: the engine's one
     1:N match expansion.  ``counter`` names the statistic a probe
     moves — the cached index of a base column, or an index

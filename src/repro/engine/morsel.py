@@ -234,41 +234,62 @@ class FusedPipeline:
                        for name, tids in self.entry_tids.items()}
         lineages = [lineage]
         for stage in self.stages:
-            tids = lineage[stage.op.probe_key.table]
-            keys = (stage.probe_values[start:stop] if tids is None
-                    else stage.probe_values[tids])
-            lineage = stage.op.match(stage.prober, keys, lineage, start)
+            lineage = stage.op.match(
+                stage.prober, stage.probe_values, lineage, start, stop,
+                lineage[stage.op.probe_key.table])
             lineages.append(lineage)
         return masks, lineages
 
-    def morsel_partial(self, start: int, stop: int) -> ChunkPartial:
-        """The breaker's partial over fact rows ``[start, stop)``,
-        stamped with the morsel's first row and the chain's per-operator
-        output counts."""
-        masks, lineages = self.run_morsel(start, stop)
-        n_rows = stop - start
-        # the last selection's count is the fact lineage's length, a
-        # join's the length of the build tids it added; only the masks
-        # that were ANDed further are counted
-        fact_tids = lineages[0][self.fact_table]
-        counts = [n_rows if mask is None else int(np.count_nonzero(mask))
-                  for mask in masks[:-1]]
-        counts.append(n_rows if fact_tids is None else len(fact_tids))
-        for stage, lineage in zip(self.stages, lineages[1:]):
-            counts.append(len(lineage[stage.op.build_key.table]))
-        lineage = lineages[-1]
-        if len(lineage) == 1 and lineage[self.fact_table] is None:
+    def batches(self, start: int, stop: int, rows: int, progress=None):
+        """``(stop, partial)`` per batch of fact rows ``[start, stop)``
+        — ``stop`` where the batch ends: the chain runs morsel by morsel
+        (``progress``, a no-arg callable, fires after each), its output
+        is buffered until it holds ``rows`` rows or the range ends, and
+        the breaker's partial over the buffer is stamped with the
+        batch's first row and its morsels' summed output counts."""
+        buffered, totals, first = [], None, start
+        spans = self._spans(start, stop)
+        for number, (span_start, span_stop) in enumerate(spans, 1):
+            masks, lineages = self.run_morsel(span_start, span_stop)
+            n_rows = span_stop - span_start
+            # the last selection's count is the fact lineage's length, a
+            # join's the length of the build tids it added; only the
+            # masks that were ANDed further are counted
+            fact_tids = lineages[0][self.fact_table]
+            counts = [n_rows if mask is None else int(np.count_nonzero(mask))
+                      for mask in masks[:-1]]
+            counts.append(n_rows if fact_tids is None else len(fact_tids))
+            for stage, lineage in zip(self.stages, lineages[1:]):
+                counts.append(len(lineage[stage.op.build_key.table]))
+            totals = (tuple(counts) if totals is None else
+                      tuple(a + b for a, b in zip(totals, counts)))
+            buffered.append((span_start, span_stop, lineages[-1]))
+            if progress is not None:
+                progress()
+            if totals[-1] >= rows or number == len(spans):
+                partial = self.breaker.partial(self._frame(buffered),
+                                               totals[-1])
+                partial.index, partial.chain_counts = first, totals
+                yield span_stop, partial
+                buffered, totals, first = [], None, span_stop
+
+    def _frame(self, buffered) -> Frame:
+        """The breaker's input over buffered ``(start, stop, lineage)``
+        morsels: their rows in order (a lineage's None: all of them)."""
+        first, last, lineage = buffered[0]
+        if (len(buffered) == 1 and len(lineage) == 1
+                and lineage[self.fact_table] is None):
             frame = BlockFrame(self.database)
-            frame.set_range(start, stop)
-        else:
-            frame = Frame(self.database, {
-                name: (np.arange(start, stop, dtype=np.int64)
-                       if tids is None else tids)
-                for name, tids in lineage.items()
-            })
-        partial = self.breaker.partial(frame, counts[-1])
-        partial.index, partial.chain_counts = start, tuple(counts)
-        return partial
+            frame.set_range(first, last)
+            return frame
+        tables = {}
+        for name in lineage:
+            chunks = [np.arange(start, stop, dtype=np.int64)
+                      if tids[name] is None else tids[name]
+                      for start, stop, tids in buffered]
+            tables[name] = (chunks[0] if len(chunks) == 1
+                            else np.concatenate(chunks))
+        return Frame(self.database, tables)
 
     # -- merging (pooled) ---------------------------------------------
 
@@ -332,20 +353,18 @@ class FusedPipeline:
     def run_chunk(self, start: int, stop: int,
                   progress=None) -> ChunkPartial:
         """Run every morsel of fact rows ``[start, stop)`` and merge
-        them locally into ONE picklable partial — the pool ships a
-        single message per worker chunk instead of one per morsel.
+        its batches (:meth:`batches`, a morsel's worth of rows each)
+        locally into ONE picklable partial — the pool ships a single
+        message per worker chunk, and the breaker runs once per batch
+        instead of once per morsel.
 
         ``progress`` (no-arg callable) fires after each morsel; pool
         workers heartbeat through it so the parent's watchdog can tell
         a slow chunk from a hung process.
         """
-        def morsels():
-            for span_start, span_stop in self._spans(start, stop):
-                yield self.morsel_partial(span_start, span_stop)
-                if progress is not None:
-                    progress()
-
-        acc, totals = self._absorb_all(morsels())
+        acc, totals = self._absorb_all(
+            partial for _, partial in
+            self.batches(start, stop, morsel_rows(), progress))
         packed = self.breaker.merge(acc)
         packed.index, packed.chain_counts = start, totals
         return packed
@@ -575,8 +594,8 @@ def execute_direct(plan, database) -> Optional[OperatorResult]:
         def prefix():
             nonlocal stopped_at
             gathered = 0
-            for start, stop in pipe.ranges():
-                partial = pipe.morsel_partial(start, stop)
+            # a batch ends once it holds n rows: where the limit is met
+            for stop, partial in pipe.batches(0, pipe.fact_rows, root.n):
                 yield partial
                 gathered += partial.chain_counts[-1]
                 if gathered >= root.n:

@@ -96,23 +96,27 @@ class HashJoin(PhysicalOperator):
         )
         return n_out, nominal, TID_BYTES * n_tables
 
-    def match(self, prober, keys: np.ndarray,
+    def match(self, prober, values: np.ndarray,
               lineage: Dict[str, Optional[np.ndarray]],
-              offset: int = 0) -> Dict[str, np.ndarray]:
-        """Chunk kernel: probe ``keys`` — the probe column at the
-        chunk's rows — and align every reachable table to the matches.
+              start: int = 0, stop: Optional[int] = None,
+              tids: Optional[np.ndarray] = None) -> Dict[str, np.ndarray]:
+        """Chunk kernel: probe the keys — ``values[start:stop]``, or
+        ``values[tids]`` (the probe column at the chunk's rows, read by
+        the prober itself) — and align every reachable table to the
+        matches.
 
         ``lineage`` maps each table of the probe side to its tids, row
-        for row with ``keys``; None stands for the chunk's own rows
-        ``offset, offset + 1, ...``.  The result adds the build table
+        for row with the keys; None stands for the chunk's own rows
+        ``start, start + 1, ...``.  The result adds the build table
         under what ``prober`` returns for it.  Probers list matches in
         probe order, so the lineages of consecutive row ranges
         concatenate to the lineage of the whole column — the one-chunk
         call ``run()`` makes."""
-        probe_idx, build_tids = prober.probe(keys)
+        probe_idx, build_tids = prober.probe_rows(
+            values, start, len(values) if stop is None else stop, tids)
         aligned = {
-            name: offset + probe_idx if tids is None else tids[probe_idx]
-            for name, tids in lineage.items()
+            name: start + probe_idx if rows is None else rows[probe_idx]
+            for name, rows in lineage.items()
         }
         aligned[self.build_key.table] = build_tids
         return aligned

@@ -304,6 +304,7 @@ def _pool_worker_main(index: int, manifest, workload,
     from repro.engine import morsel
 
     shm.forget_exports()  # fork-inherited exports belong to the parent
+    database = None
     try:
         # attach the shared database and build the workload's plans
         # once: a benchmark name, or (name, sql) pairs for custom SQL
@@ -315,11 +316,11 @@ def _pool_worker_main(index: int, manifest, workload,
     except shm.ShmIntegrityError as exc:
         result_w.send(("init", index, False, "integrity", repr(exc)))
         return
-    except FileNotFoundError as exc:
-        result_w.send(("init", index, False, "missing", repr(exc)))
-        return
-    except Exception as exc:  # pragma: no cover - defensive
-        result_w.send(("init", index, False, "error", repr(exc)))
+    except Exception as exc:
+        # only the attach can find the segment missing
+        missing = database is None and isinstance(exc, FileNotFoundError)
+        result_w.send(("init", index, False,
+                       "missing" if missing else "error", repr(exc)))
         return
     result_w.send(("init", index, True, "", ""))
     queries = {query.name: query for query in built}
@@ -438,17 +439,19 @@ except (AttributeError, ValueError, OSError):  # pragma: no cover
 class _Worker:
     """Parent-side handle for one pool worker process."""
 
-    __slots__ = ("index", "process", "conn", "task_w", "ready",
-                 "init_failed", "task", "task_id", "last_beat",
-                 "last_cpu")
+    __slots__ = ("index", "process", "conn", "task_w", "manifest", "ready",
+                 "init_failed", "init_error", "task", "task_id",
+                 "last_beat", "last_cpu")
 
-    def __init__(self, index, process, conn, task_w):
+    def __init__(self, index, process, conn, task_w, manifest):
         self.index = index
         self.process = process
         self.conn = conn
         self.task_w = task_w
+        self.manifest = manifest  # the segment it attaches at init
         self.ready = False
         self.init_failed = None  # "integrity" | "missing" | "error"
+        self.init_error = ""  # the worker's repr of what it raised
         self.task = None  # outstanding _ChunkTask
         self.task_id = None
         self.last_beat = 0.0
@@ -550,6 +553,8 @@ class MorselPool:
         self.orphans_reaped = shm.reap_orphans() if reap else 0
         self._ctx = _pool_context()
         self._manifest = shm.export_database(database)
+        #: replaced exports a starting worker may still attach
+        self._retired: List[object] = []
         self._task_seq = 0
         self._restarts_used = 0
         self._float_gate: Dict[str, bool] = {}
@@ -577,7 +582,7 @@ class MorselPool:
         # track the child's life, not ours.
         task_r.close()
         result_w.close()
-        worker = _Worker(index, process, result_r, task_w)
+        worker = _Worker(index, process, result_r, task_w, self._manifest)
         worker.last_beat = monotonic()
         return worker
 
@@ -608,11 +613,26 @@ class MorselPool:
         """Export the database again under a fresh epoch.
 
         Surviving workers keep their (still mapped) old segment; only
-        future respawns use the new manifest.
+        future respawns use the new manifest.  The old one is unlinked
+        once no worker spawned for it is still attaching: unlinked under
+        such a worker, its init fails too, and that failure's re-export
+        fails the next one — the two slots in turn, to the restart cap.
         """
-        shm.invalidate(self.database)
+        retired = shm.retire(self.database)
+        if retired is not None:
+            self._retired.append(retired)
         self._manifest = shm.export_database(self.database)
         self.counters["shm_reexports"] += 1
+        self._unlink_retired()
+
+    def _unlink_retired(self) -> None:
+        """Unlink the replaced exports no starting worker still needs."""
+        starting = {worker.manifest.shm_name for worker in self._workers
+                    if not worker.ready}
+        for export in [export for export in self._retired
+                       if export.manifest.shm_name not in starting]:
+            export.unlink()
+            self._retired.remove(export)
 
     def _degrade(self, reason: str, query: str) -> None:
         if self.degraded is None:
@@ -682,7 +702,8 @@ class MorselPool:
             if kind == "integrity":
                 self.counters["shm_integrity_failures"] += 1
             self._record_event("worker_init_failed", state.name,
-                               worker=worker.index, detail=kind)
+                               worker=worker.index,
+                               detail="{}: {}".format(kind, worker.init_error))
             if kind in ("integrity", "missing"):
                 self._reexport()
             # An init failure never counts against the chunk.
@@ -729,6 +750,7 @@ class MorselPool:
                     worker.ready = True
                 else:
                     worker.init_failed = msg[3] or "error"
+                    worker.init_error = msg[4]
             elif kind == "hb":
                 worker.last_beat = monotonic()
             elif kind == "ok":
@@ -779,6 +801,8 @@ class MorselPool:
                     self.counters["hang_cpu_grants"] += 1
                     continue
                 self._handle_hang(state, worker)
+        if self._retired:
+            self._unlink_retired()
 
     def _run_pooled(self, name: str, pipe, tasks: List[_ChunkTask]):
         """Schedule one query's chunks across the (healing) workers."""
@@ -952,6 +976,7 @@ class MorselPool:
             worker.close_pipes()
         self._workers = []
         self._pipelines.clear()
+        self._unlink_retired()
         shm.invalidate(self.database)
         leaked = shm.leaked_segments()
         if leaked:

@@ -472,6 +472,14 @@ def invalidate(database: Optional[Database] = None) -> None:
     _reap_dead_exports()
 
 
+def retire(database: Database) -> Optional[_Export]:
+    """Take ``database``'s export out of the registry WITHOUT unlinking
+    it — the next :func:`export_database` makes a fresh one.  The caller
+    owns the returned export and must ``unlink()`` it; until then
+    :func:`leaked_segments` reports it."""
+    return _exports.pop(id(database), None)
+
+
 def export_count(database: Optional[Database] = None) -> int:
     if database is not None:
         return 1 if id(database) in _exports else 0

@@ -33,6 +33,8 @@ def test_run_command(capsys):
     out = capsys.readouterr().out
     assert "workload_seconds" in out
     assert "Q4.3" in out
+    # which probe path the warm-up took is printed, never silent
+    assert "compiled_probes" in out and "numpy_probes" in out
 
 
 def test_run_command_multi_gpu(capsys):

@@ -9,8 +9,17 @@ invalidation contract of the cache registry.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.engine import Planner, caches, execute_reference, kernels, plan_cache
+from repro.engine import (
+    Planner,
+    caches,
+    execute_reference,
+    kernels,
+    morsel,
+    plan_cache,
+)
 from repro.engine.execution import execute_functional, execute_operators
 from repro.engine.expressions import ColumnRef, Comparison, Literal
 from repro.engine.intermediates import SelectionVector, TidSet
@@ -24,6 +33,7 @@ from repro.engine.operators import (
 )
 from repro.sql import bind
 from repro.storage import ColumnType, Database
+from repro.storage.column import Column
 from repro.storage.compression import compress_database
 from repro.workloads import micro, ssb, tpch
 
@@ -368,6 +378,185 @@ class TestProbers:
         fk[7] = int(values.max()) + 100_000
         with pytest.raises(IndexError):
             prober.probe(fk)
+        with pytest.raises(IndexError):  # the compiled loop, if built
+            prober.probe_rows(fk, 0, len(fk), None)
+
+
+# ---------------------------------------------------------------------------
+# The compiled probe loop against the numpy probe it stands in for
+# ---------------------------------------------------------------------------
+
+def _require_the_loop():
+    if kernels._probe_loops() is None:
+        pytest.skip("the probe loop did not build here")
+
+
+@st.composite
+def _probe_cases(draw):
+    """A dense or lookup prober, unchecked (the loop's two), over a
+    mask that selects all, none or some keys; a probe column of int32
+    or int64 keys — every slot index, negative ones in [-n, 0), some
+    out of range and the key type's extremes — and a range or tids
+    entry (tids out of range included)."""
+    kind = draw(st.sampled_from(["dense", "lookup"]))
+    key_type = draw(st.sampled_from([np.int32, np.int64]))
+    n_build = draw(st.integers(1, 30))
+    base = draw(st.integers(0, 40))
+    if kind == "dense":
+        build = np.arange(base, base + n_build)
+    else:
+        step = draw(st.integers(1, 3))
+        build = np.random.default_rng(draw(st.integers(0, 9))).permutation(
+            np.arange(base, base + step * n_build, step))
+    mask = draw(st.sampled_from(["all", "none", "some"]))
+    mask = {"all": np.ones(n_build, bool), "none": np.zeros(n_build, bool),
+            "some": np.arange(n_build) % 3 != 1}[mask]
+    if kind == "dense":
+        prober = kernels._DenseProber(base, n_build, mask, False)
+        slots = len(prober.key_mask)
+    else:
+        lookup = kernels._build_position_lookup(build.astype(key_type))
+        prober = kernels._LookupProber(lookup, mask, False)
+        slots = prober.span
+    offset = 0 if kind == "dense" else base
+    info = np.iinfo(key_type)
+    inside = st.integers(offset - slots, offset + slots - 1)
+    keys = st.one_of(inside, inside, inside, st.integers(
+        offset - slots - 3, offset + slots + 3), st.sampled_from(
+        [int(info.min), int(info.max)]))
+    column = np.array(draw(st.lists(keys, max_size=60)), dtype=key_type)
+    m = len(column)
+    if draw(st.booleans()):
+        start = draw(st.integers(0, m))
+        return prober, column, start, draw(st.integers(start, m)), None
+    tids = st.one_of(st.integers(-m, m - 1) if m else st.nothing(),
+                     st.integers(-m - 2, m + 2))
+    return prober, column, 0, 0, np.array(
+        draw(st.lists(tids, max_size=40)), dtype=np.int64)
+
+
+class TestCompiledProbe:
+    @given(case=_probe_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_the_loop_answers_as_the_numpy_probe(self, case):
+        _require_the_loop()
+        prober, column, start, stop, tids = case
+        try:
+            want = prober.probe(column[start:stop] if tids is None
+                                else column[tids])
+        except IndexError:
+            with pytest.raises(IndexError):
+                prober.probe_rows(column, start, stop, tids)
+            return
+        before = kernels.stats["compiled_probes"]
+        got = prober.probe_rows(column, start, stop, tids)
+        assert kernels.stats["compiled_probes"] == before + 1
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.int64
+            assert a.tobytes() == b.tobytes()
+
+    @staticmethod
+    def _engine(db, queries, rows):
+        """Per template at ``rows`` per morsel: the memo of every
+        operator a cold fused recording covers, and the rows and sizes
+        of a two-chunk pooled merge."""
+        def sized(result):
+            payload = result[0]
+            body = (payload.row_tuples() if hasattr(payload, "columns")
+                    else [(name, payload.positions(name).dtype.str,
+                           payload.positions(name).tobytes())
+                          for name in payload.table_names])
+            return body, tuple(result[1:])
+
+        out = {}
+        with morsel.sized(rows):
+            for query in queries:
+                plan_cache.invalidate()
+                plan = query.instantiate()
+                assert morsel.prepare_fused(plan, db), query.name
+                memo = [sized(op._cached_result) for op in plan.operators
+                        if op._cached_result is not None]
+                pipe = morsel.build(query.instantiate(), db)
+                half = pipe.fact_rows // 2
+                merged = pipe.merge([pipe.run_chunk(0, half),
+                                     pipe.run_chunk(half, pipe.fact_rows)])
+                out[query.name] = memo, sized((
+                    merged.payload, merged.actual_rows, merged.nominal_rows,
+                    merged.row_width_bytes))
+        return out
+
+    @staticmethod
+    def _cut(db, fact, rows):
+        """``db`` with its fact table cut to the first ``rows`` rows:
+        what a morsel of one row costs stays small."""
+        cut = Database(db.name)
+        for table in db.tables:
+            twin = cut.create_table(table.name, table._nominal_rows)
+            for column in table.columns:
+                twin._attach(Column(
+                    table.name, column.name, column.ctype,
+                    column.values[:rows] if table.name == fact
+                    else column.values, column.nominal_rows,
+                    column.dictionary))
+        return cut
+
+    @pytest.mark.parametrize("module, fact", [(ssb, "lineorder"),
+                                              (tpch, "lineitem")])
+    def test_engine_outputs_equal_with_the_loop_on_and_off(
+            self, module, fact, monkeypatch):
+        _require_the_loop()
+        full = module.generate(scale_factor=0.01, data_scale=0.01, seed=8)
+        for rows, cut in ((1, 250), (7, 1400), (65536, None)):
+            db = full if cut is None else self._cut(full, fact, cut)
+            queries = module.workload(db)
+            kernels.reset_stats()
+            on = self._engine(db, queries, rows)
+            assert kernels.stats["compiled_probes"] > 0
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "_probe_loops", lambda: None)
+                kernels.reset_stats()
+                off = self._engine(db, queries, rows)
+                assert kernels.stats["compiled_probes"] == 0
+            assert on == off, rows
+
+    @pytest.fixture()
+    def rebuilt(self, monkeypatch):
+        """Patches for the build; the library memoised under them is
+        dropped once they are undone."""
+        yield monkeypatch
+        monkeypatch.undo()
+        kernels._probe_loops.cache_clear()
+
+    @pytest.mark.parametrize("failure", ["compiler", "cache", "load"])
+    def test_a_failed_build_is_booked_and_answers_the_same(
+            self, rebuilt, failure, ssb_db, tmp_path):
+        _require_the_loop()
+        queries = ssb.workload(ssb_db)
+
+        def rows():
+            kernels.reset_stats()
+            return {query.name: run_query(ssb_db, ssb.QUERIES[query.name],
+                                          query.name)
+                    for query in queries}
+
+        expected = rows()
+        assert kernels.stats["compiled_probes"] > 0
+        rebuilt.setenv("XDG_CACHE_HOME", str(tmp_path))
+        if failure == "compiler":
+            rebuilt.setattr(kernels, "_COMPILE",
+                            ("repro-no-such-cc",) + kernels._COMPILE[1:])
+        elif failure == "cache":  # a directory cannot be made in a file
+            (tmp_path / "file").write_text("")
+            rebuilt.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+        else:
+            def refuse(path):
+                raise OSError("cannot load " + path)
+            rebuilt.setattr(kernels.ctypes, "CDLL", refuse)
+        kernels._probe_loops.cache_clear()
+        assert kernels._probe_loops() is None
+        assert rows() == expected
+        assert kernels.stats["compiled_probes"] == 0
+        assert kernels.stats["numpy_probes"] > 0
 
 
 # ---------------------------------------------------------------------------

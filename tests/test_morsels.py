@@ -38,6 +38,7 @@ from repro.engine import (
     plan_cache,
 )
 from repro.engine.execution import execute_functional, execute_operators
+from repro.engine.frame import BlockFrame, Frame
 from repro.engine.intermediates import SelectionVector, TidSet
 from repro.engine.operators import GroupByAggregate, PhysicalPlan, ScanSelect
 from repro.engine.operators.aggregate import (
@@ -889,6 +890,78 @@ _CAP = GROUP_DOMAIN_CAP
 def test_union_merge_edge_cases(grouped, domain, id_lists):
     for cut in range(len(id_lists) + 1):
         _check_merge(grouped, domain, id_lists, seed=cut, cut=cut)
+
+
+# ---------------------------------------------------------------------------
+# A chunk's breaker per batch against the per-morsel merge it replaced
+# ---------------------------------------------------------------------------
+
+def _per_morsel_chunk(pipe, start, stop):
+    """The oracle: ``run_chunk`` as it stood before the breaker ran once
+    per batch (through ``FusedPipeline.morsel_partial``) — the breaker's
+    partial over every morsel, the partials merged."""
+    partials = []
+    for span_start, span_stop in pipe._spans(start, stop):
+        masks, lineages = pipe.run_morsel(span_start, span_stop)
+        n_rows = span_stop - span_start
+        fact_tids = lineages[0][pipe.fact_table]
+        counts = [n_rows if mask is None else int(np.count_nonzero(mask))
+                  for mask in masks[:-1]]
+        counts.append(n_rows if fact_tids is None else len(fact_tids))
+        for stage, lineage in zip(pipe.stages, lineages[1:]):
+            counts.append(len(lineage[stage.op.build_key.table]))
+        lineage = lineages[-1]
+        if len(lineage) == 1 and lineage[pipe.fact_table] is None:
+            frame = BlockFrame(pipe.database)
+            frame.set_range(span_start, span_stop)
+        else:
+            frame = Frame(pipe.database, {
+                name: (np.arange(span_start, span_stop, dtype=np.int64)
+                       if tids is None else tids)
+                for name, tids in lineage.items()})
+        partial = pipe.breaker.partial(frame, counts[-1])
+        partial.index, partial.chain_counts = span_start, tuple(counts)
+        partials.append(partial)
+    acc, totals = pipe._absorb_all(partials)
+    packed = pipe.breaker.merge(acc)
+    packed.index, packed.chain_counts = start, totals
+    return packed
+
+
+@pytest.mark.parametrize("module,fixture", [(ssb, "ssb_db"),
+                                            (tpch, "tpch_db")])
+@pytest.mark.parametrize("rows_per_morsel", [64, 1000])
+def test_a_chunk_per_batch_equals_the_per_morsel_merge(
+        module, fixture, rows_per_morsel, request):
+    """Byte for byte, dtype for dtype — but for float sums, which the
+    batch accumulates in one pass where the merge compensated per
+    morsel: those stay behind the pool's byte-identity gate and are
+    held here to float64's rounding."""
+    db = request.getfixturevalue(fixture)
+    with morsel.sized(rows_per_morsel):
+        for query in module.workload(db):
+            pipe = morsel.build(query.instantiate(), db)
+            if not pipe.supports_partials:
+                continue
+            cut = pipe.fact_rows // 3
+            for start, stop in ((0, cut), (cut, pipe.fact_rows)):
+                got = pipe.run_chunk(start, stop)
+                want = _per_morsel_chunk(pipe, start, stop)
+                assert (got.index, got.chain_counts) == (
+                    want.index, want.chain_counts), query.name
+                if not isinstance(want, AggregatePartial):
+                    assert got.columns.keys() == want.columns.keys()
+                    for alias, column in want.columns.items():
+                        assert got.columns[alias].dtype == column.dtype
+                        assert (got.columns[alias].tobytes()
+                                == column.tobytes()), (query.name, alias)
+                    continue
+                floats = pipe.breaker.dense.compensated
+                for alias in floats:
+                    np.testing.assert_allclose(
+                        got.values.pop(alias), want.values.pop(alias),
+                        rtol=1e-12, err_msg=query.name)
+                _assert_same_partial(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -194,8 +194,7 @@ class TestOneChunkKernel:
                     callers.setdefault(getattr(node.func, "attr", ""),
                                        []).append(function.name)
         assert callers["select"] == callers["match"] == ["run_morsel"]
-        assert sorted(callers["run_morsel"]) == ["morsel_partial",
-                                                 "run_recorded"]
+        assert sorted(callers["run_morsel"]) == ["batches", "run_recorded"]
 
     @pytest.fixture()
     def spied(self, monkeypatch):
@@ -248,10 +247,12 @@ class TestOneChunkKernel:
             assert len(pipe.ranges()) == 3
             pipe.run_recorded()
             assert spied == {**dict.fromkeys(chain, 3), kernels[-1]: 1}
-            # pooled: every kernel per morsel
+            # pooled: the chain per morsel, the breaker once per batch
+            # of a morsel's worth of its output rows — the first two
+            # morsels' (~140 rows each), then the last one's
             spied.clear()
             merged = pipe.merge([pipe.run_chunk(0, rows)])
-            assert spied == dict.fromkeys(kernels, 3)
+            assert spied == {**dict.fromkeys(chain, 3), kernels[-1]: 2}
         assert (merged.payload.row_tuples()
                 == reference.payload.row_tuples())
         plan_cache.invalidate()

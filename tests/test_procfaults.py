@@ -435,6 +435,31 @@ class TestPoolSelfHealing:
         assert summary["shm_reexports"] == 1
         assert pool.fallbacks == 0
         assert shm.leaked_segments() == []
+        # the event says why, in the worker's own words
+        failed = [event["detail"] for event in pool.events
+                  if event["event"] == "worker_init_failed"]
+        assert failed and all(detail.startswith(
+            "integrity: ShmIntegrityError(") for detail in failed)
+
+    def test_a_reexport_keeps_the_segment_a_starting_worker_attaches(
+            self, ssb_db):
+        """Two workers that fail on one lost segment re-export twice;
+        the second re-export must not unlink the segment the worker
+        respawned after the first is still attaching, or its init
+        fails too, and so on, slot after slot, to the restart cap."""
+        queries = ssb.workload(ssb_db)
+        with MorselPool(ssb_db, queries, jobs=1) as pool:
+            starting = pool._spawn_worker(1)
+            pool._workers.append(starting)
+            attaching = starting.manifest.shm_name
+            pool._reexport()
+            assert not starting.ready and shm.segment_exists(attaching)
+            pool.warm()  # every worker acks its init ...
+            assert starting.ready and starting.init_failed is None
+            # ... and the replaced segment goes once none still needs it
+            assert not shm.segment_exists(attaching)
+            assert pool.counters["shm_reexports"] == 1
+        assert shm.leaked_segments() == []
 
     def test_pool_counters_land_in_metrics(self, ssb_db):
         queries = ssb.workload(ssb_db)
