@@ -359,18 +359,16 @@ def _compiled_probe(slots: np.ndarray, base: int, values: np.ndarray,
                                      or not tids.flags.c_contiguous)):
         return None
     n = stop - start if tids is None else len(tids)
-    probe_idx = np.empty(n, dtype=np.int64)
-    build_tids = np.empty(n, dtype=np.int64)
+    out = np.empty((2, n), dtype=np.int64)
+    at = out.ctypes.data
     hits = found[0](values.ctypes.data, len(values), start,
                     None if tids is None else tids.ctypes.data, n,
-                    slots.ctypes.data, len(slots), base,
-                    probe_idx.ctypes.data, build_tids.ctypes.data)
+                    slots.ctypes.data, len(slots), base, at, at + 8 * n)
     if hits < 0:
         raise IndexError("probe key or tid out of range")
     stats["compiled_probes"] += 1
-    probe_idx.resize(hits, refcheck=False)
-    build_tids.resize(hits, refcheck=False)
-    return probe_idx, build_tids
+    # copies of the hits: a view would pin all n rows of ``out``
+    return out[0, :hits].copy(), out[1, :hits].copy()
 
 
 class _Prober:
