@@ -298,7 +298,7 @@ PROBE(lookup_int32_int64, int32_t, uint32_t, int64_t, base, s >= 0, s)
 PROBE(lookup_int64_int32, int64_t, uint64_t, int32_t, base, s >= 0, s)
 PROBE(lookup_int64_int64, int64_t, uint64_t, int64_t, base, s >= 0, s)
 """
-_COMPILE = ("cc", "-O3", "-shared", "-fPIC")
+_COMPILE = ("cc", "-O3", "-funroll-loops", "-shared", "-fPIC")
 
 
 @functools.cache
