@@ -318,11 +318,11 @@ def _probe_loops():
         if info.st_uid != os.getuid() or info.st_mode & 0o077:
             return None  # a library others can write is not loaded
         if not os.path.exists(path):
-            with tempfile.TemporaryDirectory(dir=directory) as scratch:
-                source = os.path.join(scratch, "probe.c")
+            with tempfile.TemporaryDirectory(dir=directory) as building:
+                source = os.path.join(building, "probe.c")
                 with open(source, "w") as handle:
                     handle.write(_PROBE_C)
-                built = os.path.join(scratch, "probe.so")
+                built = os.path.join(building, "probe.so")
                 subprocess.run(_COMPILE + ("-o", built, source),
                                check=True, capture_output=True)
                 os.replace(built, path)
