@@ -22,10 +22,10 @@ demand copies at chunk boundaries.
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, Generator, List, Optional, Sequence, Set
+from weakref import WeakKeyDictionary
 
-from repro.engine import caches as _cache_registry
+from repro.engine import caches
 from repro.hardware import DeviceCache, PCIeTransferFault
 from repro.storage import Database
 
@@ -169,7 +169,10 @@ class PlacementPrefetcher:
     Prefetched columns are admitted to the cache unpinned, so they age
     out under the cache's own policy if the ranking was wrong; a column
     that no longer fits, or whose copy faults, is skipped for the rest
-    of the run rather than retried in a loop.
+    of the run rather than retried in a loop — or until the database is
+    forgotten (:func:`repro.engine.caches.forget`, e.g. when its epoch
+    retires): a key is given up because *that* database's cache content
+    and column sizes left no room.
     """
 
     def __init__(self, hardware, placement: DataPlacementManager,
@@ -182,16 +185,12 @@ class PlacementPrefetcher:
         self.placement = placement
         self.depth = depth
         self.engine = hardware.bus
-        self._skip: Dict[str, Set[str]] = {}
-        _prefetchers.add(self)
 
-    def clear_skips(self) -> None:
-        """Forget every given-up key (cache contents changed)."""
-        self._skip.clear()
-
-    def skip_count(self) -> int:
-        """Total given-up keys across devices (registry sizing hook)."""
-        return sum(len(keys) for keys in self._skip.values())
+    def _skips(self) -> Dict[str, Set[str]]:
+        """Given-up keys per device: this prefetcher's entry in its
+        database's ``"prefetch_skips"`` memo."""
+        return caches.memo(self.placement.database, "prefetch_skips",
+                           WeakKeyDictionary).setdefault(self, {})
 
     def start(self) -> None:
         """Spawn one prefetch process per co-processor."""
@@ -222,7 +221,7 @@ class PlacementPrefetcher:
                     prefetch=True,
                 )
             except PCIeTransferFault:
-                self._skip.setdefault(device.name, set()).add(key)
+                self._skips().setdefault(device.name, set()).add(key)
                 continue
             # demand traffic may have filled the cache while the copy
             # was on the wire; a failed admit stays failed, so give up
@@ -234,11 +233,11 @@ class PlacementPrefetcher:
                     self.hardware.metrics.record_prefetch(nbytes)
                 fetched += 1
             else:
-                self._skip.setdefault(device.name, set()).add(key)
+                self._skips().setdefault(device.name, set()).add(key)
 
     def _candidates(self, index: int, device):
         """(key, nbytes) pairs worth prefetching, hottest first."""
-        skip = self._skip.get(device.name, ())
+        skip = self._skips().get(device.name, ())
         engine = self.engine
         for key in self.placement.partition()[index]:
             if key in device.cache or key in skip:
@@ -251,32 +250,3 @@ class PlacementPrefetcher:
                 continue
             yield key, column.nominal_bytes
 
-
-#: Live prefetchers (weakly held): their per-device skip sets are
-#: derived state against a database — a key is given up because *that*
-#: database's cache content and column sizes left no room — so
-#: ``clear_database_caches`` must reset them along with every other
-#: registered cache, or a reused harness process would refuse to
-#: prefetch keys that a fresh run happily fetches.
-_prefetchers: "weakref.WeakSet[PlacementPrefetcher]" = weakref.WeakSet()
-
-
-def _clear_prefetch_skips(database=None) -> None:
-    for prefetcher in list(_prefetchers):
-        if (database is not None
-                and prefetcher.placement.database is not database):
-            continue
-        prefetcher.clear_skips()
-
-
-def _prefetch_skip_count(database=None) -> int:
-    return sum(
-        prefetcher.skip_count()
-        for prefetcher in list(_prefetchers)
-        if database is None or prefetcher.placement.database is database
-    )
-
-
-_cache_registry.register(
-    "prefetch_skips", _clear_prefetch_skips, _prefetch_skip_count
-)

@@ -33,13 +33,6 @@ class _Template(NamedTuple):
     host_only: Tuple[bool, ...]
 
 
-#: database -> {root fingerprint: _Template}.  Sizes depend on the
-#: database and the plan's structure only (the shape on the structure
-#: alone), so every arrival of a template shares them; a registered
-#: cache, so whatever mutates or retires a database drops them.
-_size_memo = caches.per_database("placement_sizes")
-
-
 class CriticalPath(PlacementStrategy):
     """Iterative-refinement response-time optimizer."""
 
@@ -146,14 +139,15 @@ class CriticalPath(PlacementStrategy):
     def _template(self, ctx, plan: PhysicalPlan) -> _Template:
         """Sampled selectivities propagated through the plan (one
         estimate per operator, in post order) and the plan's shape.
-        Computed once per (database, plan structure); a plan without a
-        fingerprint is estimated afresh every time."""
+        Computed once per (database, plan structure) — sizes depend on
+        nothing else, the shape on the structure alone — and kept in the
+        database's ``"placement_sizes"`` memo, keyed by root fingerprint,
+        so whatever mutates or retires a database drops them.  A plan
+        without a fingerprint is estimated afresh every time."""
         database = ctx.database
         fingerprint = plan.root.fingerprint()
         if fingerprint is not None:
-            memo = _size_memo.get(database)
-            if memo is None:
-                memo = _size_memo[database] = {}
+            memo = caches.memo(database, "placement_sizes")
             template = memo.get(fingerprint)
             if template is None:
                 template = memo[fingerprint] = self._sample(database, plan)

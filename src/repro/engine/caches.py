@@ -1,68 +1,49 @@
-"""Registry of the engine's per-database acceleration caches.
+"""Everything derived from a database, in one memo map.
 
 Several layers memoise derived state against a live database —
-:mod:`repro.engine.plan_cache` keeps functional subplan results,
-:mod:`repro.engine.kernels` keeps join indexes and key bounds.  Anything
-that mutates a database in place (``compress_database``) or wants a
-clean slate (``clear_database_caches``, the test-session fixture) must
-drop *all* of them; this registry is the single place that knows the
-full set.
+:mod:`repro.engine.plan_cache` keeps functional subplan results
+(``"plan"``), :mod:`repro.engine.kernels` keeps join indexes and key
+bounds (``"kernels"``), the critical-path optimizer keeps sampled
+sizes (``"placement_sizes"``).  Each reads and fills its own entry of
+:func:`memo`; the entries die with their database, like the per-column
+access statistics the database carries itself.
 
-Caches self-register at import time.  That is sound: a cache whose
-module was never imported cannot hold state, so invalidating only the
-registered ones can never miss a populated cache.
+Anything that mutates a database in place (``compress_database``),
+retires it (``EpochStore.retire``) or wants a clean slate
+(``clear_database_caches``, the test-session fixture) calls
+:func:`forget`, the one place that drops all of it — the database's
+shared-memory export included.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable
 from weakref import WeakKeyDictionary
 
-#: name -> (invalidate(database=None), cache_size(database=None))
-_registry: "Dict[str, Tuple[Callable, Callable]]" = {}
+from repro.storage import shm
+
+#: database -> {memo name: derived state}
+_memos: "WeakKeyDictionary" = WeakKeyDictionary()
 
 
-def register(name: str, invalidate: Callable, cache_size: Callable) -> None:
-    """Register one cache's invalidation and sizing hooks."""
-    _registry[name] = (invalidate, cache_size)
+def memo(database, name: str, factory: Callable = dict):
+    """``database``'s memo called ``name``, made by ``factory`` on
+    first use."""
+    memos = _memos.get(database)
+    if memos is None:
+        memos = _memos[database] = {}
+    value = memos.get(name)
+    if value is None:
+        value = memos[name] = factory()
+    return value
 
 
-def per_database(name: str) -> "WeakKeyDictionary":
-    """A new registered memo ``database -> {key: derived value}``.
+def forget(database=None) -> None:
+    """Drop everything derived from ``database`` — or from every
+    database — and unlink its shared-memory export."""
+    if database is None:
+        _memos.clear()
+    else:
+        _memos.pop(database, None)
+    shm.invalidate(database)
 
-    Entries die with their database and with ``invalidate_all``; the
-    owner only reads and fills the mapping.
-    """
-    memo: "WeakKeyDictionary" = WeakKeyDictionary()
-
-    def invalidate(database=None) -> None:
-        if database is None:
-            memo.clear()
-        else:
-            memo.pop(database, None)
-
-    def cache_size(database=None) -> int:
-        if database is not None:
-            return len(memo.get(database) or ())
-        return sum(len(entries) for entries in memo.values())
-
-    register(name, invalidate, cache_size)
-    return memo
-
-
-def registered() -> Tuple[str, ...]:
-    """Names of every registered cache."""
-    return tuple(sorted(_registry))
-
-
-def invalidate_all(database=None) -> None:
-    """Invalidate every registered cache — globally, or one database's."""
-    for invalidate, _ in _registry.values():
-        invalidate(database)
-
-
-def cache_sizes(database=None) -> Dict[str, int]:
-    """Entry counts per registered cache (for tests and benchmarks)."""
-    return {
-        name: size(database) for name, (_, size) in sorted(_registry.items())
-    }

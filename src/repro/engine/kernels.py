@@ -23,9 +23,9 @@ byte-identical to the row-by-row expansion (probe order, then the
 ascending-tid order of equal build keys), which
 ``tests/test_kernels.py::TestProbers`` keeps as the reference of every
 prober; a build side no cached structure covers probes through
-:func:`gathered_prober`.  The cache registers itself with :mod:`repro.engine.caches`, so
-``compress_database`` and ``clear_database_caches`` invalidate it
-alongside the plan cache.
+:func:`gathered_prober`.  A database's :class:`KernelCache` is its
+``"kernels"`` memo of :mod:`repro.engine.caches`, so ``caches.forget``
+drops it alongside the plan cache.
 """
 
 from __future__ import annotations
@@ -37,14 +37,8 @@ import os
 import subprocess
 import tempfile
 from typing import Dict, Optional, Tuple
-from weakref import WeakKeyDictionary
 
 import numpy as np
-
-from repro.engine import caches
-
-#: database -> KernelCache
-_caches: "WeakKeyDictionary" = WeakKeyDictionary()
 
 #: Event counters for benchmarks and tests.
 stats = {
@@ -150,8 +144,7 @@ class KernelCache:
 
     All are keyed by column key and validated against the column's
     current array length, but the authoritative invalidation is
-    explicit (:func:`invalidate` via the cache registry) — exactly like
-    the plan cache.
+    explicit (``caches.forget``) — exactly like the plan cache.
     """
 
     def __init__(self):
@@ -199,42 +192,12 @@ class KernelCache:
         self._bounds[column.key] = (n_col, bounds)
         return bounds
 
-    def clear(self) -> None:
-        self._join_indexes.clear()
-        self._lookups.clear()
-        self._bounds.clear()
-
     def __len__(self) -> int:
         return (
             len(self._join_indexes)
             + len(self._lookups)
             + len(self._bounds)
         )
-
-
-def cache_for(database) -> KernelCache:
-    """The database's kernel cache (created on first use)."""
-    cache = _caches.get(database)
-    if cache is None:
-        cache = KernelCache()
-        _caches[database] = cache
-    return cache
-
-
-def invalidate(database=None) -> None:
-    """Drop cached kernels — all of them, or one database's."""
-    if database is None:
-        _caches.clear()
-    else:
-        _caches.pop(database, None)
-
-
-def cache_size(database=None) -> int:
-    """Number of cached kernel structures (one or all databases)."""
-    if database is not None:
-        cache = _caches.get(database)
-        return len(cache) if cache is not None else 0
-    return sum(len(cache) for cache in _caches.values())
 
 
 # ---------------------------------------------------------------------------
@@ -574,5 +537,3 @@ def prober_for(cache: KernelCache, build_column, build_selection,
                              unproven(lookup.base, len(lookup.table)))
     return _SortedProber(index, mask)
 
-
-caches.register("kernels", invalidate, cache_size)

@@ -40,12 +40,11 @@ shape outside the fused form declines (reason-counted in
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine import kernels, plan_cache
+from repro.engine import caches, kernels, plan_cache
 from repro.engine.frame import BlockFrame, Frame
 from repro.engine.intermediates import (
     OperatorResult,
@@ -55,10 +54,8 @@ from repro.engine.intermediates import (
 from repro.engine.operators.base import ChunkPartial
 
 #: Rows per morsel: roughly the L2-sized ranges morsel-driven schedulers
-#: hand out.
-DEFAULT_MORSEL_ROWS = 65536
-
-_morsel_rows_override: Optional[int] = None
+#: hand out.  Read at call time; results do not depend on it.
+MORSEL_ROWS = 65536
 
 #: Event counters for metrics, benchmarks, and tests.
 stats = {
@@ -94,33 +91,6 @@ def stats_since(before: Dict[str, int]) -> Dict[str, int]:
     """Counter movement since a :func:`snapshot_stats` — what ``repro
     run`` and the report print around one workload."""
     return {key: value - before[key] for key, value in stats.items()}
-
-
-def morsel_rows() -> int:
-    """Effective morsel size: the test override, else 64K."""
-    if _morsel_rows_override is not None:
-        return _morsel_rows_override
-    return DEFAULT_MORSEL_ROWS
-
-
-def set_morsel_rows(rows: Optional[int]) -> None:
-    """Override the morsel size (None restores the default).  Results
-    do not depend on it; tests sweep it to prove that."""
-    global _morsel_rows_override
-    if rows is not None and int(rows) < 1:
-        raise ValueError("morsel_rows must be >= 1")
-    _morsel_rows_override = None if rows is None else int(rows)
-
-
-@contextmanager
-def sized(rows: Optional[int]):
-    """Run a block at ``rows`` per morsel, then restore the size."""
-    previous = _morsel_rows_override
-    set_morsel_rows(rows)
-    try:
-        yield
-    finally:
-        set_morsel_rows(previous)
 
 
 class Decline(Exception):
@@ -201,9 +171,8 @@ class FusedPipeline:
         no rows: an ungrouped aggregate still owes its row)."""
         if start == stop:
             return [(start, stop)]
-        size = morsel_rows()
-        return [(pos, min(pos + size, stop))
-                for pos in range(start, stop, size)]
+        return [(pos, min(pos + MORSEL_ROWS, stop))
+                for pos in range(start, stop, MORSEL_ROWS)]
 
     # -- per-morsel execution -----------------------------------------
 
@@ -364,7 +333,7 @@ class FusedPipeline:
         """
         acc, totals = self._absorb_all(
             partial for _, partial in
-            self.batches(start, stop, morsel_rows(), progress))
+            self.batches(start, stop, MORSEL_ROWS, progress))
         packed = self.breaker.merge(acc)
         packed.index, packed.chain_counts = start, totals
         return packed
@@ -540,7 +509,7 @@ def build(plan, database, resume: bool = False) -> FusedPipeline:
     """Analyse and bind ``plan``; raises :class:`Decline` when the plan
     cannot run fused.  The chain enters at the scan unless ``resume``
     (recording) starts it where the recorded results end."""
-    cache = kernels.cache_for(database)
+    cache = caches.memo(database, "kernels", kernels.KernelCache)
     pipe = FusedPipeline(plan, database)
     _analyze_structure(pipe)
     pipe.fact_rows = database.table(pipe.fact_table).actual_rows

@@ -6,7 +6,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
-from repro.engine import kernels
+from repro.engine import caches, kernels
 from repro.engine.expressions import Aggregate, ColumnRef
 from repro.engine.frame import BlockFrame, Frame
 from repro.engine.intermediates import OperatorResult, ResultFrame, TidSet
@@ -139,7 +139,7 @@ class GroupByAggregate(PhysicalOperator):
         ``np.unique``'s lexicographic order, so both ways of finding
         them finish to the same frame."""
         self.dense = None
-        cache = kernels.cache_for(database)
+        cache = caches.memo(database, "kernels", kernels.KernelCache)
         terms: List[_GroupTerm] = []
         domain = 1
         for ref in self.group_refs:

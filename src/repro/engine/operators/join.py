@@ -6,7 +6,7 @@ from typing import Dict, List, Optional, Set
 
 import numpy as np
 
-from repro.engine import kernels
+from repro.engine import caches, kernels
 from repro.engine.expressions import ColumnRef
 from repro.engine.intermediates import OperatorResult, TidSet
 from repro.engine.operators.base import (
@@ -142,8 +142,8 @@ class HashJoin(PhysicalOperator):
         build_selection = build_payload.selection(build_table)
         if build_selection is not None and len(build_payload.tables) == 1:
             prober = kernels.prober_for(
-                kernels.cache_for(database), build_column, build_selection,
-                probe_column,
+                caches.memo(database, "kernels", kernels.KernelCache),
+                build_column, build_selection, probe_column,
             )
         gathered = prober is None
         if gathered:

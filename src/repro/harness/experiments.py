@@ -66,7 +66,8 @@ def tpch_database(scale_factor: float, data_scale: float = DATA_SCALE) -> Databa
 
 
 def clear_database_caches() -> None:
-    """Drop every cached database, workload, and memoised plan result.
+    """Drop every cached database and workload, and everything derived
+    from any database (:func:`repro.engine.caches.forget`).
 
     Up to 8 full databases per generator can accumulate in a process
     (16 with the per-cell workload cache on top); long pytest sessions
@@ -76,9 +77,7 @@ def clear_database_caches() -> None:
     ssb_database.cache_clear()
     tpch_database.cache_clear()
     clear_workload_cache()
-    # Registry-wide: plan cache, kernel cache (join indexes, lookups,
-    # bounds), and anything registered later.
-    caches.invalidate_all()
+    caches.forget()
 
 
 # -- the one loop: grid points -> Cells -> run_cells -> rows ----------------

@@ -14,13 +14,10 @@ Guarantees:
   tables built from a parallel run are byte-identical to a sequential
   run.
 * **Amortised setup.**  Databases and workload query lists are cached
-  per ``(workload, scale_factor, data_scale)`` in each process, so a
-  worker builds SSB at scale factor 10 once no matter how many cells it
-  executes against it.
-* **Zero-copy columns.**  Unless ``REPRO_SHM=0``, the parent exports
-  each grid's databases once via :mod:`repro.storage.shm` and workers
-  *attach* — mapping the same physical pages read-only instead of
-  regenerating (or pickling) gigabytes per process.
+  per ``(workload, scale_factor)`` in each process.  The parent builds
+  every database of the grid before it starts the workers, so a forked
+  worker inherits them; a spawned one generates each once (a few
+  milliseconds at ``DATA_SCALE``), deterministically.
 
 :class:`MorselPool` adds **intra-query** parallelism on the same
 foundation: persistent workers attach the database from shared memory
@@ -54,16 +51,6 @@ WORKLOADS = tuple(BENCHMARKS) + ("micro_serial", "micro_parallel")
 #: Environment variable consulted when no explicit jobs count is given.
 JOBS_ENV = "REPRO_JOBS"
 
-#: Set to "0" to disable shared-memory column export to workers.
-SHM_ENV = "REPRO_SHM"
-
-
-def shm_enabled() -> bool:
-    """True when workers should attach databases from shared memory."""
-    return (os.environ.get(SHM_ENV, "").strip() != "0"
-            and shm.available())
-
-
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Effective worker count: explicit > $REPRO_JOBS > 1."""
     if jobs is None:
@@ -94,8 +81,6 @@ class Cell:
     workload: str = "ssb"
     scale_factor: float = 10.0
     strategy: str = "cpu_only"
-    #: None uses the experiment module's DATA_SCALE default
-    data_scale: Optional[float] = None
     config: Optional[SystemConfig] = None
     users: int = 1
     repetitions: int = 1
@@ -139,47 +124,17 @@ class CellOutcome:
     fault_digest: Optional[str] = None
 
 
-#: (family, scale_factor, data_scale) -> ShmManifest; populated in
-#: worker processes by the pool initializer so ``_cell_workload``
-#: attaches shared columns instead of regenerating the dataset.
-_cell_manifests: Dict[Tuple, object] = {}
-
-
-def _database_family(workload: str) -> str:
-    """Which generated database a cell workload runs against."""
-    return "tpch" if workload == "tpch" else "ssb"
-
-
-def _default_data_scale() -> float:
-    from repro.harness import experiments as E
-    return E.DATA_SCALE
-
-
-def _shm_worker_init(manifests: Dict[Tuple, object]) -> None:
-    """Pool initializer: receive the parent's shared-column manifests."""
-    _cell_manifests.update(manifests)
-    # Fork-inherited parent databases would shadow the shared mappings.
-    _cell_workload.cache_clear()
-
-
 @functools.lru_cache(maxsize=64)
 def _cell_workload(workload: str, scale_factor: float,
-                   data_scale: Optional[float],
                    query_names: Optional[Tuple[str, ...]]):
     """Per-process cache of (database, queries) for one cell shape."""
     # Imported lazily: experiments imports this module at load time.
     from repro.harness import experiments as E
 
-    if data_scale is None:
-        data_scale = E.DATA_SCALE
-    family = _database_family(workload)
-    manifest = _cell_manifests.get((family, scale_factor, data_scale))
-    if manifest is not None:
-        database = shm.attach_database(manifest)
-    elif family == "tpch":
-        database = E.tpch_database(scale_factor, data_scale)
+    if workload == "tpch":
+        database = E.tpch_database(scale_factor)
     else:
-        database = E.ssb_database(scale_factor, data_scale)
+        database = E.ssb_database(scale_factor)
     if workload in BENCHMARKS:
         queries = BENCHMARKS[workload].workload(database)
     elif workload == "micro_serial":
@@ -200,7 +155,7 @@ def clear_workload_cache() -> None:
 def execute_cell(cell: Cell) -> CellOutcome:
     """Execute one cell in the current process."""
     database, queries = _cell_workload(
-        cell.workload, cell.scale_factor, cell.data_scale, cell.query_names
+        cell.workload, cell.scale_factor, cell.query_names
     )
     footprint = workload_footprint_bytes(queries, database)
     if cell.measure == "footprint":
@@ -234,22 +189,10 @@ def run_cells(cells: Iterable[Cell],
     jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(cells) <= 1:
         return [execute_cell(cell) for cell in cells]
-    workers = min(jobs, len(cells))
-    initializer, initargs = None, ()
-    if shm_enabled():
-        manifests: Dict[Tuple, object] = {}
-        for cell in cells:
-            database, _ = _cell_workload(
-                cell.workload, cell.scale_factor, cell.data_scale, None
-            )
-            key = (_database_family(cell.workload), cell.scale_factor,
-                   cell.data_scale if cell.data_scale is not None
-                   else _default_data_scale())
-            if key not in manifests:
-                manifests[key] = shm.export_database(database)
-        initializer, initargs = _shm_worker_init, (manifests,)
-    with ProcessPoolExecutor(max_workers=workers, initializer=initializer,
-                             initargs=initargs) as pool:
+    for cell in cells:  # built here, so forked workers inherit them
+        _cell_workload(cell.workload, cell.scale_factor, None)
+    with ProcessPoolExecutor(max_workers=min(jobs, len(cells)),
+                             mp_context=_pool_context()) as pool:
         return list(pool.map(execute_cell, cells))
 
 
@@ -991,7 +934,8 @@ class MorselPool:
 
 
 def _pool_context():
-    """Fork when available (zero-cost attach), spawn otherwise."""
+    """Fork when available (workers inherit the parent's databases),
+    spawn otherwise."""
     import multiprocessing
 
     methods = multiprocessing.get_all_start_methods()

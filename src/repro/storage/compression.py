@@ -229,12 +229,11 @@ def compress_column(column: Column) -> ColumnCompression:
 def compress_database(database: Database) -> Dict[str, ColumnCompression]:
     """Compress every column; returns {column key: compression}."""
     # Compression rewrites column metadata in place: results memoised
-    # against the uncompressed database must not survive it.  The
-    # imports force plan_cache/kernels to self-register before the
-    # registry-wide invalidation runs.
-    from repro.engine import caches, kernels, plan_cache  # noqa: F401
+    # against the uncompressed database must not survive it.  Imported
+    # here: storage must not depend on the engine at import time.
+    from repro.engine import caches
 
-    caches.invalidate_all(database)
+    caches.forget(database)
     report = {}
     for column in database.columns():
         report[column.key] = compress_column(column)

@@ -14,9 +14,9 @@ Every in-flight query *pins* the epoch it was admitted under and
 executes against that snapshot — results stay byte-identical to the
 reference engine evaluated over the same snapshot, however many
 appends land mid-query.  Once a superseded snapshot drains (no pins),
-:meth:`EpochStore.retire` invalidates everything derived from it —
-join indexes, memoised plans, size estimates, shm manifests — through the
-cache registry (:mod:`repro.engine.caches`), exactly the bookkeeping a
+:meth:`EpochStore.retire` drops everything derived from it — join
+indexes, memoised plans, size estimates, its shm export — with
+:func:`repro.engine.caches.forget`, exactly the bookkeeping a
 real system performs when a delta merges into the read-optimised
 store.
 
@@ -146,8 +146,8 @@ class EpochStore:
     # -- retirement ---------------------------------------------------
 
     def retire(self) -> int:
-        """Invalidate every drained, superseded snapshot's derived
-        state through the cache registry; returns how many retired."""
+        """Forget every drained, superseded snapshot's derived state;
+        returns how many retired."""
         # imported here: storage must not depend on the engine package
         # at import time (the engine builds on storage)
         from repro.engine import caches
@@ -155,7 +155,7 @@ class EpochStore:
         for epoch in sorted(self._snapshots):
             if (epoch < self.epoch and epoch not in self._retired
                     and self._pins[epoch] == 0):
-                caches.invalidate_all(self._snapshots[epoch])
+                caches.forget(self._snapshots[epoch])
                 self._retired.add(epoch)
                 count += 1
         return count

@@ -1,10 +1,9 @@
 """Zero-copy database sharing via POSIX shared memory.
 
-``harness/parallel.py`` historically shipped work to worker processes
-by *pickling* — either whole databases (fork-inherited, then copied on
-write) or by regenerating the dataset per process.  Both make the
-"parallel" grid slower than sequential for any real data size.  This
-module exports a database's column arrays **once** into a single
+:class:`~repro.harness.parallel.MorselPool` is the one user: its
+persistent workers attach the parent's database instead of pickling or
+regenerating it.  This module exports a database's
+column arrays **once** into a single
 :class:`multiprocessing.shared_memory.SharedMemory` segment and hands
 workers a small picklable :class:`ShmManifest`; attaching maps the
 segment and wraps read-only numpy views around the same physical pages
@@ -14,14 +13,15 @@ Lifecycle:
 
 * :func:`export_database` lays out every column back-to-back in one
   segment and returns the manifest.  Exports are memoised per database
-  object, registered with :mod:`repro.engine.caches` (so
-  ``clear_database_caches`` unlinks them), and unlinked at interpreter
-  exit as a fallback.
-* :func:`attach_database` (worker side) opens the segment by name and
-  rebuilds an equivalent :class:`~repro.storage.Database` whose column
-  ``values`` are read-only views into shared pages.  The attach is
-  unregistered from :mod:`multiprocessing.resource_tracker` so a worker
-  exiting cannot destroy a segment the parent still owns.
+  object, unlinked by :func:`invalidate` (which
+  ``repro.engine.caches.forget`` calls) and, as a fallback, at
+  interpreter exit.
+* :func:`attach_database` (worker side) opens the segment by name,
+  checks its header and every column's crc32, and rebuilds an
+  equivalent :class:`~repro.storage.Database` whose column ``values``
+  are read-only views into shared pages.  The attach is unregistered
+  from :mod:`multiprocessing.resource_tracker` so a worker exiting
+  cannot destroy a segment the parent still owns.
 * :func:`detach_all` closes a process's attachments (used by tests; a
   worker exiting cleans up via the same atexit hook).
 
@@ -43,7 +43,6 @@ from weakref import WeakValueDictionary
 
 import numpy as np
 
-from repro.engine import caches
 from repro.storage.column import Column
 from repro.storage.database import Database
 from repro.storage.table import Table
@@ -69,9 +68,6 @@ _HEADER_SIZE = _ALIGN  # struct needs 32 bytes; pad to one cache line
 #: without any side-channel registry.
 _NAME_PREFIX = "repro-"
 
-#: environment toggle for per-column checksum verification on attach
-VERIFY_ENV = "REPRO_SHM_VERIFY"
-
 #: export/attach accounting (surfaced by MetricsCollector)
 stats = {
     "exports": 0,
@@ -96,11 +92,6 @@ def reset_stats() -> None:
 
 class ShmIntegrityError(RuntimeError):
     """A segment failed header or checksum validation on attach."""
-
-
-def verify_enabled() -> bool:
-    """True unless ``REPRO_SHM_VERIFY=0`` disables checksum verification."""
-    return os.environ.get(VERIFY_ENV, "1") != "0"
 
 
 def available() -> bool:
@@ -351,8 +342,6 @@ def _validate_segment(shm, manifest: ShmManifest) -> None:
             "epoch {} / {} bytes".format(
                 manifest.shm_name, manifest.epoch, manifest.total_bytes,
                 epoch, total))
-    if not verify_enabled():
-        return
     for spec in manifest.columns:
         nbytes = np.dtype(spec.dtype).itemsize * spec.rows
         actual = zlib.crc32(
@@ -457,9 +446,8 @@ def _reap_dead_exports() -> None:
 def invalidate(database: Optional[Database] = None) -> None:
     """Unlink shared exports — all of them, or one database's.
 
-    Registered with :mod:`repro.engine.caches`, so
-    ``clear_database_caches`` tears shared segments down alongside every
-    other per-database cache.
+    ``repro.engine.caches.forget`` calls it, so shared segments go
+    down with every other piece of state derived from a database.
     """
     if database is None:
         for export in _exports.values():
@@ -484,9 +472,6 @@ def export_count(database: Optional[Database] = None) -> int:
     if database is not None:
         return 1 if id(database) in _exports else 0
     return len(_exports)
-
-
-caches.register("shm", invalidate, export_count)
 
 
 @atexit.register

@@ -1,13 +1,13 @@
 """Shared fixtures: small deterministic databases and simulation
 contexts."""
 
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.engine import morsel
+from repro.engine import morsel, plan_cache
 from repro.engine.execution import ExecutionContext
 from repro.engine.expressions import ColumnRef, Comparison, Literal
 from repro.engine.intermediates import OperatorResult, TidSet
@@ -51,6 +51,40 @@ def operator_path():
             mock.patch.object(morsel, "execute_direct",
                               lambda plan, database: None):
         yield
+
+
+@contextmanager
+def morsel_rows(rows):
+    """Inside the block a morsel holds ``rows`` fact rows instead of
+    ``morsel.MORSEL_ROWS`` (None keeps that); forked pool workers
+    inherit the size.  Results do not depend on it — tests sweep it to
+    prove that — and the program has no switch for it."""
+    with mock.patch.object(morsel, "MORSEL_ROWS",
+                           morsel.MORSEL_ROWS if rows is None else rows):
+        yield
+
+
+@contextmanager
+def cold_plan_cache():
+    """Inside the block the cross-plan cache is cold and stores nothing:
+    no subplan result is served from it or kept in it, and no hit or
+    miss is counted.  The program has no switch for it."""
+    with mock.patch.object(plan_cache, "lookup",
+                           lambda database, fingerprint: None), \
+            mock.patch.object(plan_cache, "peek",
+                              lambda database, fingerprint: None), \
+            mock.patch.object(plan_cache, "store",
+                              lambda database, fingerprint, cached: None):
+        yield
+
+
+@pytest.fixture()
+def plan_cache_off():
+    """The test runs under :func:`cold_plan_cache`;
+    ``plan_cache_off.close()`` warms the cache again."""
+    with ExitStack() as cold:
+        cold.enter_context(cold_plan_cache())
+        yield cold
 
 
 @contextmanager

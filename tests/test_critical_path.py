@@ -537,12 +537,12 @@ class TestSizeMemo:
         CriticalPath().prepare_plan(ctx, template.clone())
         CriticalPath().prepare_plan(ctx, make_plan(toy_db))
         assert len(sampling_calls) == sampled
-        assert caches.cache_sizes(toy_db)["placement_sizes"] == 1
+        assert len(caches.memo(toy_db, "placement_sizes")) == 1
         # another template is another entry
         CriticalPath().prepare_plan(
             ctx, make_plan(toy_db, "select amount from sales where amount < 9"))
         assert len(sampling_calls) > sampled
-        assert caches.cache_sizes(toy_db)["placement_sizes"] == 2
+        assert len(caches.memo(toy_db, "placement_sizes")) == 2
 
     def test_recomputed_after_compression(self, toy_db, sampling_calls):
         env, hw, ctx = make_context(toy_db)
@@ -550,7 +550,7 @@ class TestSizeMemo:
         before = CriticalPath()._template(ctx, plan).sizes
         sampled = len(sampling_calls)
         compress_database(toy_db)
-        assert caches.cache_sizes(toy_db)["placement_sizes"] == 0
+        assert len(caches.memo(toy_db, "placement_sizes")) == 0
         after = CriticalPath()._template(ctx, plan).sizes
         assert len(sampling_calls) == 2 * sampled
         assert after is not before
@@ -562,7 +562,7 @@ class TestSizeMemo:
         CriticalPath().prepare_plan(ctx, plan)
         sampled = len(sampling_calls)
         clear_database_caches()
-        assert caches.cache_sizes()["placement_sizes"] == 0
+        assert len(caches._memos) == 0  # no database keeps a memo
         CriticalPath().prepare_plan(ctx, plan)
         assert len(sampling_calls) == 2 * sampled
 
@@ -582,10 +582,10 @@ class TestSizeMemo:
         assert new[scan].input_bytes > old[scan].input_bytes
         assert new[scan].out_rows > old[scan].out_rows
         # the superseded snapshot keeps its entry while a query pins it
-        assert caches.cache_sizes(base)["placement_sizes"] == 1
+        assert len(caches.memo(base, "placement_sizes")) == 1
         assert store.unpin(pinned) == 1  # drained: retired
-        assert caches.cache_sizes(base)["placement_sizes"] == 0
-        assert caches.cache_sizes(grown)["placement_sizes"] == 1
+        assert len(caches.memo(base, "placement_sizes")) == 0
+        assert len(caches.memo(grown, "placement_sizes")) == 1
 
     def test_plan_cache_counters_untouched(self, toy_db):
         env, hw, ctx = make_context(toy_db)
@@ -606,7 +606,7 @@ class TestSizeMemo:
         sampled = len(sampling_calls)
         CriticalPath().prepare_plan(ctx, plan)
         assert len(sampling_calls) == 2 * sampled
-        assert caches.cache_sizes(toy_db)["placement_sizes"] == 0
+        assert len(caches.memo(toy_db, "placement_sizes")) == 0
 
 
 class TestPlanShape:
@@ -685,21 +685,21 @@ class TestPlanShape:
         # statement get the very same object, in the one registered cache
         assert CriticalPath()._template(ctx, template.clone()) is entry
         assert CriticalPath()._template(ctx, make_plan(toy_db)) is entry
-        assert caches.cache_sizes(toy_db)["placement_sizes"] == 1
+        assert len(caches.memo(toy_db, "placement_sizes")) == 1
         # and whatever drops the sizes drops the shape with them
         compress_database(toy_db)
-        assert caches.cache_sizes(toy_db)["placement_sizes"] == 0
+        assert len(caches.memo(toy_db, "placement_sizes")) == 0
         again = CriticalPath()._template(ctx, template)
         assert again is not entry and again[1:] == entry[1:]
         clear_database_caches()
-        assert caches.cache_sizes()["placement_sizes"] == 0
+        assert len(caches._memos) == 0  # no database keeps a memo
         store = EpochStore(toy_db)
         CriticalPath()._template(ctx, template)
         pinned = store.pin()
         store.advance(fraction=0.5, tables=["sales"])
-        assert caches.cache_sizes(toy_db)["placement_sizes"] == 1
+        assert len(caches.memo(toy_db, "placement_sizes")) == 1
         assert store.unpin(pinned) == 1  # drained: retired
-        assert caches.cache_sizes(toy_db)["placement_sizes"] == 0
+        assert len(caches.memo(toy_db, "placement_sizes")) == 0
 
     def test_shape_is_fixed(self, toy_db):
         plan = make_plan(toy_db)

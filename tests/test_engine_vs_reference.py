@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.engine import Planner, execute_reference, plan_cache
+from repro.engine import Planner, caches, execute_reference, plan_cache
 from repro.engine.execution import execute_functional, execute_operators
 from repro.sql import bind
 from repro.workloads import micro, ssb, tpch
@@ -42,11 +42,11 @@ def run_both(database, sql, name):
     spec = bind(sql, database, name=name)
     reference_rows = execute_reference(spec, database)
     for execute in SCHEDULES:
-        plan_cache.invalidate()
+        caches.memo(database, "plan").clear()
         plan = Planner(database).plan(spec)
         engine_rows = execute(plan, database).payload.row_tuples()
         yield spec, engine_rows, reference_rows
-    plan_cache.invalidate()
+    caches.memo(database, "plan").clear()
 
 
 @pytest.mark.parametrize("name", list(ssb.QUERIES))
@@ -112,7 +112,7 @@ def test_micro_parallel_chain_equals_fused_selection(ssb_db):
 def test_cross_plan_cache_serves_fresh_templates_correctly(ssb_db):
     """A rebuilt workload (new template plans) is served from the
     fingerprint cache and must still match the reference evaluator."""
-    plan_cache.invalidate(ssb_db)
+    caches.memo(ssb_db, "plan").clear()
     plan_cache.reset_stats()
     for query in ssb.workload(ssb_db):
         execute_functional(query.instantiate(), ssb_db)
@@ -129,13 +129,13 @@ def test_cross_plan_cache_serves_fresh_templates_correctly(ssb_db):
         assert rows_close(engine_rows, reference_rows), query.name
     assert plan_cache.stats["hits"] > warm_stats["hits"]
     assert plan_cache.stats["stores"] == warm_stats["stores"]
-    plan_cache.invalidate(ssb_db)
+    caches.memo(ssb_db, "plan").clear()
 
 
 def test_clone_memo_poisoning_does_not_leak_across_runs(ssb_db):
     """Rebinding ``_cached_result`` on a clone's operators must affect
     neither the template, the cross-plan cache, nor later clones."""
-    plan_cache.invalidate(ssb_db)
+    caches.memo(ssb_db, "plan").clear()
     query = ssb.workload(ssb_db)[0]
     execute_functional(query.template_plan(), ssb_db)
 
@@ -149,23 +149,23 @@ def test_clone_memo_poisoning_does_not_leak_across_runs(ssb_db):
     assert rows_close(engine_rows, reference_rows)
     for op in query.template_plan().root.walk():
         assert op._cached_result != (None, -1, -1, -1)
-    plan_cache.invalidate(ssb_db)
+    caches.memo(ssb_db, "plan").clear()
 
 
 def test_plan_cache_invalidate_forces_recomputation(ssb_db):
     """After invalidation a fresh template stores anew (no stale hits)."""
-    plan_cache.invalidate(ssb_db)
+    caches.memo(ssb_db, "plan").clear()
     plan_cache.reset_stats()
     query = ssb.workload(ssb_db)[0]
     execute_functional(query.instantiate(), ssb_db)
-    assert plan_cache.cache_size(ssb_db) > 0
-    plan_cache.invalidate(ssb_db)
-    assert plan_cache.cache_size(ssb_db) == 0
+    assert len(caches.memo(ssb_db, "plan")) > 0
+    caches.forget(ssb_db)
+    assert len(caches.memo(ssb_db, "plan")) == 0
     stores_before = plan_cache.stats["stores"]
     rebuilt = ssb.workload(ssb_db)[0]
     execute_functional(rebuilt.instantiate(), ssb_db)
     assert plan_cache.stats["stores"] > stores_before
-    plan_cache.invalidate(ssb_db)
+    caches.memo(ssb_db, "plan").clear()
 
 
 def test_ssb_q11_revenue_value(ssb_db):

@@ -4,7 +4,7 @@ Every kernel (cached join indexes, lazy selection vectors) is a pure
 acceleration — these tests pin the byte-identity against the
 operators' general branches (materialised tid arrays in, see
 ``conftest.materialised_scans``) on the SSB and TPC-H grids, and the
-invalidation contract of the cache registry.
+invalidation contract of ``caches.forget``.
 """
 
 import numpy as np
@@ -18,7 +18,6 @@ from repro.engine import (
     execute_reference,
     kernels,
     morsel,
-    plan_cache,
 )
 from repro.engine.execution import execute_functional, execute_operators
 from repro.engine.expressions import ColumnRef, Comparison, Literal
@@ -32,29 +31,28 @@ from repro.engine.operators import (
     TidIntersect,
 )
 from repro.sql import bind
-from repro.storage import ColumnType, Database
+from repro.harness.runner import run_workload
+from repro.storage import ColumnType, Database, shm
 from repro.storage.column import Column
 from repro.storage.compression import compress_database
 from repro.workloads import micro, ssb, tpch
 
-from tests.conftest import materialised_scans
+from tests.conftest import materialised_scans, morsel_rows
 
 
 @pytest.fixture(autouse=True)
 def _kernel_state():
     """Each test starts from empty caches and zeroed counters; the
     caches are dropped again afterwards."""
-    kernels.invalidate()
-    plan_cache.invalidate()
+    caches.forget()
     kernels.reset_stats()
     yield
-    kernels.invalidate()
-    plan_cache.invalidate()
+    caches.forget()
 
 
 def run_query(database, sql, name):
     """Fresh plan + functional execution (no cross-plan memoisation)."""
-    plan_cache.invalidate()
+    caches.memo(database, "plan").clear()
     spec = bind(sql, database, name=name)
     plan = Planner(database).plan(spec)
     return execute_functional(plan, database).payload.row_tuples()
@@ -126,7 +124,7 @@ def _join_plan(database):
 class TestCachedJoinIndexes:
     def _rows(self, database):
         # the operator path: these tests are about HashJoin.run itself
-        plan_cache.invalidate()
+        caches.memo(database, "plan").clear()
         return execute_operators(_join_plan(database),
                                  database).payload.row_tuples()
 
@@ -160,7 +158,7 @@ class TestCachedJoinIndexes:
         dim.add_column("w", ColumnType.INT32, rng.integers(0, 5, 200))
 
         def rows():
-            plan_cache.invalidate()
+            caches.memo(db, "plan").clear()
             scan = ScanSelect("f")
             build = ScanSelect(
                 "d", Comparison("<", ColumnRef("d", "w"), Literal(3))
@@ -256,12 +254,13 @@ class TestProbers:
         build = db.column("d.k")
         selection = (SelectionVector(n=len(build.values)) if mask is None
                      else SelectionVector(mask))
-        return kernels.prober_for(kernels.cache_for(db), build, selection,
-                                  db.column("f.k"))
+        return kernels.prober_for(
+            caches.memo(db, "kernels", kernels.KernelCache), build,
+            selection, db.column("f.k"))
 
     def test_unique_sparse_build_matches_seed(self, sparse_db):
         def rows():
-            plan_cache.invalidate()
+            caches.memo(sparse_db, "plan").clear()
             build = ScanSelect(
                 "d", Comparison("<", ColumnRef("d", "w"), Literal(3)))
             join = HashJoin(ScanSelect("f"), build, ColumnRef("f", "k"),
@@ -280,7 +279,8 @@ class TestProbers:
         assert kernels.stats["sorted_joins"] == 0
 
     def test_position_lookup_is_built_narrow(self, sparse_db):
-        lookup = kernels.cache_for(sparse_db).position_lookup(
+        lookup = caches.memo(sparse_db, "kernels",
+                             kernels.KernelCache).position_lookup(
             sparse_db.column("d.k"))
         assert lookup.table.dtype == np.int32
         # ... and probe outputs stay int64, so nothing downstream moves
@@ -293,7 +293,8 @@ class TestProbers:
             sparse_db.column("f.k").values[probe_idx])
 
     def test_only_a_masked_prober_copies_the_cached_table(self, sparse_db):
-        lookup = kernels.cache_for(sparse_db).position_lookup(
+        lookup = caches.memo(sparse_db, "kernels",
+                             kernels.KernelCache).position_lookup(
             sparse_db.column("d.k"))
         pristine = lookup.table.copy()
         assert self._prober(sparse_db).table is lookup.table
@@ -469,9 +470,9 @@ class TestCompiledProbe:
             return body, tuple(result[1:])
 
         out = {}
-        with morsel.sized(rows):
+        with morsel_rows(rows):
             for query in queries:
-                plan_cache.invalidate()
+                caches.memo(db, "plan").clear()
                 plan = query.instantiate()
                 assert morsel.prepare_fused(plan, db), query.name
                 memo = [sized(op._cached_result) for op in plan.operators
@@ -566,7 +567,7 @@ class TestCompiledProbe:
 class TestLazySelectionChains:
     def test_refine_chain_matches_seed(self, ssb_db):
         def rows():
-            plan_cache.invalidate()
+            caches.memo(ssb_db, "plan").clear()
             plan = micro.build_parallel_selection_plan(ssb_db)
             return execute_operators(plan, ssb_db).payload.row_tuples()
 
@@ -584,7 +585,7 @@ class TestLazySelectionChains:
         def rows():
             # Fresh plan per run: per-template memos must not leak the
             # other mode's payload into the comparison.
-            plan_cache.invalidate()
+            caches.memo(toy_db, "plan").clear()
             left = ScanSelect("sales", Comparison(">", amount, Literal(30)))
             right = ScanSelect("sales", Comparison("<", price, Literal(25)))
             intersect = TidIntersect(left, right, "sales")
@@ -612,33 +613,46 @@ class TestLazySelectionChains:
 # Invalidation
 # ---------------------------------------------------------------------------
 
-class TestInvalidation:
-    def test_registry_contains_both_caches(self):
-        assert "plan" in caches.registered()
-        assert "kernels" in caches.registered()
+def _derived(db):
+    """Entries of the three memos a workload fills, and the export."""
+    return (len(caches.memo(db, "plan")),
+            len(caches.memo(db, "kernels", kernels.KernelCache)),
+            len(caches.memo(db, "placement_sizes")),
+            shm.export_count(db))
 
+
+class TestInvalidation:
     def test_compress_drops_kernel_cache(self, toy_db):
         self_rows = execute_functional(_join_plan(toy_db), toy_db)
         assert self_rows is not None
-        assert kernels.cache_size(toy_db) > 0
+        assert len(caches.memo(toy_db, "kernels", kernels.KernelCache)) > 0
         compress_database(toy_db)
-        assert kernels.cache_size(toy_db) == 0
-        assert plan_cache.cache_size(toy_db) == 0
+        assert len(caches.memo(toy_db, "kernels", kernels.KernelCache)) == 0
+        assert len(caches.memo(toy_db, "plan")) == 0
 
     def test_clear_database_caches_drops_everything(self, toy_db):
         execute_functional(_join_plan(toy_db), toy_db)
-        assert kernels.cache_size() > 0
+        assert len(caches.memo(toy_db, "kernels", kernels.KernelCache)) > 0
         from repro.harness.experiments import clear_database_caches
 
         clear_database_caches()
-        assert kernels.cache_size() == 0
-        assert plan_cache.cache_size() == 0
+        assert len(caches._memos) == 0  # no database keeps a memo
+
+    @pytest.mark.parametrize("drop", [caches.forget, compress_database])
+    def test_one_call_drops_a_workloads_memos_and_export(self, drop):
+        db = ssb.generate(scale_factor=0.01, data_scale=0.01, seed=3)
+        run_workload(db, ssb.workload(db), "critical_path")
+        name = shm.export_database(db).shm_name
+        assert all(_derived(db))
+        drop(db)
+        assert _derived(db) == (0, 0, 0, 0)
+        assert not shm.segment_exists(name)
 
     def test_results_stay_correct_after_compression(self, toy_db):
         before = execute_functional(_join_plan(toy_db),
                                     toy_db).payload.row_tuples()
         compress_database(toy_db)
-        plan_cache.invalidate()
+        caches.memo(toy_db, "plan").clear()
         after = execute_functional(_join_plan(toy_db),
                                    toy_db).payload.row_tuples()
         assert before == after

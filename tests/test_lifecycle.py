@@ -3,7 +3,7 @@
 Covers the three tentpole features (admission control, deadlines with
 cooperative cancellation, straggler hedging), the zero-overhead
 guarantee of the disabled layer, and the PR's satellites: prefetcher
-skip-set invalidation through the cache registry, per-device breaker
+skip sets kept per run and dropped with their database, per-device breaker
 open time in ``fault_summary``, cancellation racing an in-flight
 coalesced copy-engine transfer, and the hypothesis property that a
 prefix-cancelled query stream leaves the system in a state where
@@ -29,6 +29,7 @@ from repro.faults import FaultConfig
 from repro.harness import experiments as E
 from repro.harness.runner import run_workload
 from repro.hardware import SystemConfig
+from repro.hardware.calibration import MIB
 from repro.hardware.copy_engine import CopyEngine
 from repro.hardware.errors import PCIeTransferFault
 from repro.metrics import MetricsCollector
@@ -351,10 +352,10 @@ def test_fault_summary_reports_breaker_open_seconds(ssb_db):
 
 
 # ---------------------------------------------------------------------------
-# Satellite: prefetcher skip sets clear through the cache registry
+# Satellite: prefetcher skip sets belong to one run and one database
 # ---------------------------------------------------------------------------
 
-def test_prefetch_skips_cleared_by_cache_registry(ssb_db, tpch_db):
+def test_prefetch_skips_are_forgotten_with_their_database(ssb_db, tpch_db):
     from repro.core.data_placement import (
         DataPlacementManager, PlacementPrefetcher)
 
@@ -362,18 +363,47 @@ def test_prefetch_skips_cleared_by_cache_registry(ssb_db, tpch_db):
     manager = DataPlacementManager(ssb_db, cache=hw.gpu_cache)
     prefetcher = PlacementPrefetcher(hw, manager)
     device = hw.gpu_names[0]
-    prefetcher._skip[device] = {"some.column", "other.column"}
-    assert "prefetch_skips" in caches.registered()
-    assert caches.cache_sizes()["prefetch_skips"] >= 2
-    # clearing caches of an unrelated database leaves the skips alone
-    caches.invalidate_all(database=tpch_db)
-    assert prefetcher.skip_count() == 2
-    # clearing this database's caches (or everything) drops them
-    caches.invalidate_all(database=ssb_db)
-    assert prefetcher.skip_count() == 0
-    prefetcher._skip[device] = {"some.column"}
+    prefetcher._skips()[device] = {"some.column", "other.column"}
+    # forgetting an unrelated database leaves the skips alone
+    caches.forget(tpch_db)
+    assert prefetcher._skips() == {device: {"some.column", "other.column"}}
+    # forgetting this database (or every database) drops them
+    caches.forget(ssb_db)
+    assert prefetcher._skips() == {}
+    prefetcher._skips()[device] = {"some.column"}
     E.clear_database_caches()
-    assert prefetcher.skip_count() == 0
+    assert prefetcher._skips() == {}
+
+
+def test_consecutive_copy_engine_runs_prefetch_alike(monkeypatch):
+    """Keys one run gives up on never reach the next run on the same
+    database: both record the same prefetches, though the first gave
+    up on a key."""
+    from repro.core.data_placement import PlacementPrefetcher
+
+    skip_sets = []
+    skips = PlacementPrefetcher._skips
+
+    def recording(self):
+        skip_sets.append(skips(self))
+        return skip_sets[-1]
+
+    monkeypatch.setattr(PlacementPrefetcher, "_skips", recording)
+    db = ssb.generate(10, data_scale=1e-4, seed=7)
+    config = SystemConfig(copy_engine=True, gpu_cache_bytes=256 * MIB)
+
+    def prefetches():
+        run = run_workload(db, ssb.workload(db), "runtime", config=config,
+                           users=2, warm_cache=False,
+                           faults="pcie=0.05,seed=3")
+        metrics = run.metrics
+        return (metrics.prefetch_transfers, metrics.prefetch_bytes,
+                metrics.prefetch_hits, run.fault_digest)
+
+    first = prefetches()
+    assert first[0] > 0
+    assert any(any(keys.values()) for keys in skip_sets)  # the premise
+    assert prefetches() == first
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.engine import (
     Planner,
+    caches,
     execute_reference,
     kernels,
     morsel,
@@ -55,19 +56,15 @@ from repro.workloads import micro, sql_workload, ssb, tpch
 
 from benchmarks.e2e import sqlgen
 from tests import test_random_queries as random_queries
-from tests.conftest import operator_path
+from tests.conftest import cold_plan_cache, morsel_rows, operator_path
 
 FORK_OK = "fork" in multiprocessing.get_all_start_methods()
 
 
 @pytest.fixture(autouse=True)
-def _fresh_engine_state():
+def _fresh_engine_state(plan_cache_off):
     """Plan cache off (every execution must re-run), counters zeroed."""
-    plan_cache.enable(False)
     morsel.reset_stats()
-    yield
-    plan_cache.enable(True)
-    morsel.set_morsel_rows(None)
 
 
 def _batch(database, queries, execute=execute_functional):
@@ -89,7 +86,7 @@ def test_fused_workload_identity(module, fixture, rows_per_morsel, request):
     db = request.getfixturevalue(fixture)
     queries = module.workload(db)
     reference = _batch(db, queries, execute_operators)
-    with morsel.sized(rows_per_morsel):
+    with morsel_rows(rows_per_morsel):
         fused = _batch(db, queries)
     assert fused == reference
     assert morsel.snapshot_stats()["fused_queries"] > 0
@@ -130,7 +127,7 @@ def test_the_catch_alls_stay_silent(rows_per_morsel, ssb_db, tpch_db):
     same kernels), so what the catch-all can still hide is a bug of the
     schedule itself: over every shipped workload it must count none."""
     gathered = kernels.stats["gathered_joins"]
-    with morsel.sized(rows_per_morsel):
+    with morsel_rows(rows_per_morsel):
         for db, queries in ((ssb_db, ssb.workload(ssb_db)),
                             (tpch_db, tpch.workload(tpch_db)),
                             (ssb_db, micro.parallel_selection_workload(ssb_db)),
@@ -162,7 +159,7 @@ def test_the_catch_alls_stay_silent_on_random_queries(
     answers that file checks against the reference evaluator)."""
     db = random_queries.DATABASES[seed]
     plan = Planner(db).plan(bind(shape.format(predicate), db, name="rand"))
-    with morsel.sized(rows_per_morsel):
+    with morsel_rows(rows_per_morsel):
         execute_functional(plan, db)
     _assert_no_swallowed_errors()
 
@@ -233,7 +230,7 @@ def test_recorded_operators_match_operator_path(module, fixture,
     db = request.getfixturevalue(fixture)
     queries = (micro.parallel_selection_workload(db) if module is micro
                else module.workload(db))
-    with morsel.sized(rows_per_morsel):
+    with morsel_rows(rows_per_morsel):
         for query in queries:
             _assert_records_identical(db, query.instantiate, query.name)
     stats = morsel.snapshot_stats()
@@ -282,7 +279,7 @@ def test_edge_shapes_through_sparse_finalisation(name, rows_per_morsel):
     db = _edge_db()
     (query,) = sql_workload(db, {name: EDGE_QUERIES[name]})
     reference = execute_operators(query.instantiate(), db)
-    with morsel.sized(rows_per_morsel):
+    with morsel_rows(rows_per_morsel):
         _assert_records_identical(db, query.instantiate, name)
         sequential = execute_functional(query.instantiate(), db).payload
         pipe = morsel.build(query.instantiate(), db)
@@ -382,12 +379,8 @@ def _assert_resumed_records_identical(db, fresh_plan, label=""):
     reference = fresh_plan()
     for op in reference.operators:
         op._cached_result = None
-    enabled = plan_cache.enabled()
-    plan_cache.enable(False)  # cold: nothing served, nothing stored
-    try:
+    with cold_plan_cache():  # nothing served, nothing stored
         execute_operators(reference, db)
-    finally:
-        plan_cache.enable(enabled)
     _assert_same_records(plan, reference, {id(op) for op in covered}, label)
     return moved
 
@@ -395,7 +388,7 @@ def _assert_resumed_records_identical(db, fresh_plan, label=""):
 @pytest.mark.parametrize("source", ["ssb", "tpch", "sqlgen", "resume_db"])
 @pytest.mark.parametrize("rows_per_morsel", RESUME_SIZES)
 def test_statements_in_sequence_record_what_a_cold_run_records(
-        source, rows_per_morsel, request):
+        source, rows_per_morsel, request, plan_cache_off):
     """The plan cache is never invalidated between the statements, so
     each one starts wherever the earlier ones' recordings end."""
     if source == "resume_db":
@@ -407,15 +400,15 @@ def test_statements_in_sequence_record_what_a_cold_run_records(
         queries = (sql_workload(db, sqlgen.generate(5, 39))
                    if source == "sqlgen"
                    else {"ssb": ssb, "tpch": tpch}[source].workload(db))
-    plan_cache.enable(True)
-    plan_cache.invalidate(db)
+    plan_cache_off.close()
+    caches.memo(db, "plan").clear()
     try:
-        with morsel.sized(rows_per_morsel):
+        with morsel_rows(rows_per_morsel):
             for query in queries:
                 _assert_resumed_records_identical(
                     db, query.instantiate, query.name)
     finally:
-        plan_cache.invalidate(db)
+        caches.memo(db, "plan").clear()
     _assert_no_swallowed_errors()
     stats = morsel.snapshot_stats()
     assert stats["declined_queries"] == 0
@@ -497,14 +490,14 @@ RESUME_CASES = {
 @pytest.mark.parametrize("name", sorted(RESUME_CASES))
 @pytest.mark.parametrize("memo_only", [False, True])
 @pytest.mark.parametrize("rows_per_morsel", RESUME_SIZES)
-def test_resume_edges(name, memo_only, rows_per_morsel):
+def test_resume_edges(name, memo_only, rows_per_morsel, plan_cache_off):
     """``memo_only``: the plan cache is off and the recording sits in
     the plan's own template memo (the chain below the resumed depth
     memoised, everything above forgotten)."""
     first, sql, resumed, runs_morsels = RESUME_CASES[name]
     db = _resume_db()
     (query,) = sql_workload(db, {name: sql})
-    with morsel.sized(rows_per_morsel):
+    with morsel_rows(rows_per_morsel):
         if memo_only:
             template = query.template_plan()
             execute_operators(template, db)
@@ -513,7 +506,7 @@ def test_resume_edges(name, memo_only, rows_per_morsel):
                 if op not in chain[:resumed]:
                     op._cached_result = None
         else:
-            plan_cache.enable(True)
+            plan_cache_off.close()
             for earlier in sql_workload(db, dict(enumerate(first))):
                 execute_functional(earlier.instantiate(), db)
         moved = _assert_resumed_records_identical(
@@ -533,12 +526,12 @@ def test_resume_edges(name, memo_only, rows_per_morsel):
     "select min(x) from f, d where f.fk = d.id and y > 1000"])  # ... join
 @pytest.mark.parametrize("rows_per_morsel", [7, 1_000_000_000])
 def test_an_empty_recorded_prefix_still_owes_the_scalar_row(
-        sql, rows, first, rows_per_morsel):
+        sql, rows, first, rows_per_morsel, plan_cache_off):
     db = _edge_db()
-    plan_cache.enable(True)
+    plan_cache_off.close()
     (earlier,) = sql_workload(db, {"first": first})
     (query,) = sql_workload(db, {"empty": sql})
-    with morsel.sized(rows_per_morsel):
+    with morsel_rows(rows_per_morsel):
         execute_functional(earlier.instantiate(), db)
         moved = _assert_resumed_records_identical(
             db, query.instantiate, sql)
@@ -549,14 +542,14 @@ def test_an_empty_recorded_prefix_still_owes_the_scalar_row(
             == sorted(execute_reference(query.spec, db)))
 
 
-def test_a_recorded_tid_array_is_no_entry_for_a_selection():
+def test_a_recorded_tid_array_is_no_entry_for_a_selection(plan_cache_off):
     """A selection's recording is a lazy mask wherever the program made
     it; ``materialised_scans`` plants a tid array, and the fused path
     declines rather than slice it as a mask."""
     from tests.conftest import materialised_scans
 
     db = _resume_db()
-    plan_cache.enable(True)
+    plan_cache_off.close()
     run = lambda sql: execute_functional(
         sql_workload(db, {"q": sql})[0].instantiate(), db)
     with materialised_scans():
@@ -587,17 +580,17 @@ def chain_calls(monkeypatch):
 
 
 def test_a_resumed_recording_calls_no_kernel_of_a_resumed_operator(
-        chain_calls):
+        chain_calls, plan_cache_off):
     """The kernel spy of ``TestOneChunkKernel``, by operator: ``match``
     never runs for a resumed stage and runs once per morsel for every
     stage after it; ``select`` never once the entry is past the
     selections."""
     db = _resume_db()
-    plan_cache.enable(True)
+    plan_cache_off.close()
     scan, join_d, join_e = "Scan(f)", "Join(f.fk=d.id)", "Join(f.ek=e.eid)"
     run = lambda sql: execute_functional(
         sql_workload(db, {"q": sql})[0].instantiate(), db)
-    with morsel.sized(100):  # five morsels of fact rows
+    with morsel_rows(100):  # five morsels of fact rows
         run(_FD)
         assert chain_calls == [scan, join_d] * 5
         del chain_calls[:]
@@ -618,14 +611,15 @@ def test_a_resumed_recording_calls_no_kernel_of_a_resumed_operator(
 
 @pytest.mark.parametrize("stale", ["clear_database_caches",
                                    "compress_database", "epoch"])
-def test_a_stale_recording_is_never_resumed(stale, chain_calls):
+def test_a_stale_recording_is_never_resumed(stale, chain_calls,
+                                           plan_cache_off):
     """After anything that drops or outdates the plan cache the next
     statement enters at the scan — and answers as the reference does."""
     from repro.storage import EpochStore
     from repro.storage.compression import compress_database
 
     db = _resume_db()
-    plan_cache.enable(True)
+    plan_cache_off.close()
     execute_functional(sql_workload(db, {"a": _FD})[0].instantiate(), db)
     if stale == "clear_database_caches":
         E.clear_database_caches()
@@ -682,7 +676,6 @@ def test_random_queries_identical_across_morsel_sizes(
         seed, template, op, literal, rows_per_morsel):
     db = RAND_DBS[seed]
     sql = template.format("y {} {}".format(op, literal))
-    plan_cache.enable(False)
 
     def run(execute):
         plan = Planner(db).plan(bind(sql, db, name="rand"))
@@ -691,7 +684,7 @@ def test_random_queries_identical_across_morsel_sizes(
                 result.nominal_rows, result.row_width_bytes)
 
     reference = run(execute_operators)
-    with morsel.sized(rows_per_morsel):
+    with morsel_rows(rows_per_morsel):
         fused = run(execute_functional)
         _assert_records_identical(
             db, lambda: Planner(db).plan(bind(sql, db, name="rand")), sql)
@@ -938,7 +931,7 @@ def test_a_chunk_per_batch_equals_the_per_morsel_merge(
     morsel: those stay behind the pool's byte-identity gate and are
     held here to float64's rounding."""
     db = request.getfixturevalue(fixture)
-    with morsel.sized(rows_per_morsel):
+    with morsel_rows(rows_per_morsel):
         for query in module.workload(db):
             pipe = morsel.build(query.instantiate(), db)
             if not pipe.supports_partials:
@@ -1008,10 +1001,10 @@ def test_shm_attached_database_answers_queries():
     try:
         assert _batch(attached, ssb.workload(attached),
                       execute_operators) == reference
-        with morsel.sized(1000):
+        with morsel_rows(1000):
             assert _batch(attached, ssb.workload(attached)) == reference
     finally:
-        kernels.invalidate(attached)
+        caches.forget(attached)
         shm.invalidate(db)
         shm.detach_all()
 
@@ -1150,7 +1143,7 @@ def test_morsel_pool_survives_worker_kill():
 # ---------------------------------------------------------------------------
 
 def _sim_run(db, **kwargs):
-    plan_cache.invalidate(db)
+    caches.memo(db, "plan").clear()
     run = run_workload(db, ssb.workload(db), "runtime",
                        config=E.FULL_CONFIG, users=2, repetitions=1,
                        collect_results=True, **kwargs)
@@ -1197,12 +1190,12 @@ def test_run_workload_morsels_with_lifecycle_identical():
 # Warm-up: records everything once, then builds nothing
 # ---------------------------------------------------------------------------
 
-def test_warm_run_builds_nothing(monkeypatch):
+def test_warm_run_builds_nothing(monkeypatch, plan_cache_off):
     """A second warm-up on the same database asks whether the plans are
     memoised *before* analysing them: no pipeline is built, no kernel
     cache is consulted, no counter moves."""
     db = ssb.generate(scale_factor=0.01, data_scale=0.01, seed=21)
-    plan_cache.enable(True)
+    plan_cache_off.close()
     try:
         functional_warm(db, ssb.workload(db))
         assert morsel.snapshot_stats()["fused_queries"] == len(ssb.QUERIES)
@@ -1222,7 +1215,7 @@ def test_warm_run_builds_nothing(monkeypatch):
         assert morsel.snapshot_stats() == before
         assert dict(morsel.decline_reasons) == reasons
     finally:
-        plan_cache.invalidate(db)
+        caches.memo(db, "plan").clear()
 
 
 LIMIT_SQL = ("select lo_orderkey, lo_quantity from lineorder "
@@ -1236,7 +1229,7 @@ def test_warm_up_records_limit_templates():
     db = E.ssb_database(1)
 
     def run():
-        plan_cache.invalidate(db)
+        caches.memo(db, "plan").clear()
         queries = sql_workload(db, {"lim": LIMIT_SQL})
         result = run_workload(db, queries, "runtime", config=E.FULL_CONFIG,
                               collect_results=True)
@@ -1262,20 +1255,20 @@ def test_warm_up_records_limit_templates():
 
 
 # ---------------------------------------------------------------------------
-# Counters and the one setting
+# Counters
 # ---------------------------------------------------------------------------
 
-def test_metrics_surface_morsel_counters():
+def test_metrics_surface_morsel_counters(plan_cache_off):
     """One run's warm-up shows in ``morsel.stats`` (what ``repro run``
     and the report print the movement of)."""
     db = E.ssb_database(1)
-    plan_cache.enable(True)  # as ``repro run`` has it
-    plan_cache.invalidate(db)
+    plan_cache_off.close()  # as ``repro run`` has it
+    caches.memo(db, "plan").clear()
     before = morsel.snapshot_stats()
     try:
         run_workload(db, ssb.workload(db), "runtime", config=E.FULL_CONFIG)
     finally:
-        plan_cache.invalidate(db)  # the database is shared
+        caches.memo(db, "plan").clear()  # the database is shared
     moved = morsel.stats_since(before)
     assert moved["fused_queries"] == len(ssb.QUERIES)
     assert moved["morsels"] >= moved["fused_queries"]
@@ -1288,15 +1281,3 @@ def test_metrics_surface_morsel_counters():
                   for query in ssb.workload(db))
     assert (moved["fused_operators"] + moved["resumed_operators"]
             == covered)
-
-
-def test_morsel_rows_override():
-    assert morsel.morsel_rows() == morsel.DEFAULT_MORSEL_ROWS
-    with morsel.sized(512):
-        assert morsel.morsel_rows() == 512
-        with morsel.sized(64):
-            assert morsel.morsel_rows() == 64
-        assert morsel.morsel_rows() == 512
-    assert morsel.morsel_rows() == morsel.DEFAULT_MORSEL_ROWS
-    with pytest.raises(ValueError):
-        morsel.set_morsel_rows(0)

@@ -226,23 +226,25 @@ class TestOneChunkKernel:
     @pytest.mark.parametrize("breaker", [GroupByAggregate, Materialize])
     def test_both_schedules_go_through_the_class_kernels(self, toy_db,
                                                          spied, breaker):
-        from repro.engine import morsel, plan_cache
+        from repro.engine import caches, morsel
         from repro.engine.execution import execute_operators
+
+        from tests.conftest import morsel_rows
 
         chain = [("ScanSelect", "select"), ("RefineSelect", "select"),
                  ("HashJoin", "match")]
         kernels = chain + [(breaker.__name__, "partial")]
-        plan_cache.invalidate()
+        caches.memo(toy_db, "plan").clear()
         reference = execute_operators(self._plan(breaker), toy_db)
         # operator at a time: every kernel once, over the whole column
         # (the build-side scan has no predicate, so nothing to select)
         assert spied == dict.fromkeys(kernels, 1)
 
         rows = toy_db.table("sales").actual_rows
-        with morsel.sized(-(-rows // 3)):  # three morsels
+        with morsel_rows(-(-rows // 3)):  # three morsels
             # recording: the chain per morsel, the breaker at the barrier
             spied.clear()
-            plan_cache.invalidate()
+            caches.memo(toy_db, "plan").clear()
             pipe = morsel.build(self._plan(breaker), toy_db)
             assert len(pipe.ranges()) == 3
             pipe.run_recorded()
@@ -255,7 +257,7 @@ class TestOneChunkKernel:
             assert spied == {**dict.fromkeys(chain, 3), kernels[-1]: 2}
         assert (merged.payload.row_tuples()
                 == reference.payload.row_tuples())
-        plan_cache.invalidate()
+        caches.memo(toy_db, "plan").clear()
 
 
 class TestScanSelect:

@@ -10,6 +10,7 @@ from repro.harness.parallel import (
     resolve_jobs,
     run_cells,
 )
+from repro.storage import shm
 
 #: Cheap but non-trivial cells: tiny scale factor, one query each.
 SMOKE_CELLS = [
@@ -108,8 +109,10 @@ class TestRunCells:
                     outcome.metrics, phase_seconds={}))
 
         sequential = [simulated(o) for o in run_cells(SMOKE_CELLS, jobs=1)]
+        exports = shm.stats["exports"]
         parallel = [simulated(o) for o in run_cells(SMOKE_CELLS, jobs=2)]
         assert parallel == sequential
+        assert shm.stats["exports"] == exports  # the workers inherit
 
     def test_empty_grid(self):
         assert run_cells([], jobs=4) == []

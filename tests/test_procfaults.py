@@ -28,7 +28,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.engine import morsel, plan_cache
+from repro.engine import caches, morsel
 from repro.engine.execution import (
     LifecycleConfig,
     execute_functional,
@@ -48,7 +48,7 @@ from repro.storage import ColumnType, Database, shm
 from repro.workloads import ssb, tpch
 from repro.workloads.base import sql_workload
 
-from tests.conftest import operator_path
+from tests.conftest import morsel_rows, operator_path
 
 FORK_OK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -59,12 +59,8 @@ pool_ready = pytest.mark.skipif(
 
 
 @pytest.fixture(autouse=True)
-def _fresh_engine_state():
-    plan_cache.enable(False)
+def _fresh_engine_state(plan_cache_off):
     morsel.reset_stats()
-    yield
-    plan_cache.enable(True)
-    morsel.set_morsel_rows(None)
 
 
 def _reference(database, queries, execute=execute_operators):
@@ -322,7 +318,7 @@ class TestPoolSelfHealing:
                              unlinkrace=0.01, hang_seconds=5.0, seed=82)
         # morsels small enough, and a deadline long enough, that a busy
         # one-core box cannot starve a healthy worker into a false hang
-        with morsel.sized(8192), \
+        with morsel_rows(8192), \
                 MorselPool(database, queries, workload=name, jobs=2,
                            faults=faults, heartbeat_seconds=0.75) as pool:
             pool.warm()
@@ -507,7 +503,7 @@ class TestHeartbeatCadence:
         queries = ssb.workload(ssb_db)
         reference = _reference(ssb_db, queries)
         kinds = []
-        with morsel.sized(256):  # forked workers inherit the size
+        with morsel_rows(256):  # forked workers inherit the size
             with MorselPool(ssb_db, queries, jobs=2) as pool:
                 pool.warm()
                 for worker in pool._workers:
@@ -533,7 +529,7 @@ class TestHeartbeatCadence:
         queries = [query for query in ssb.workload(db)
                    if query.name == "Q2.1"]
         reference = _reference(db, queries)
-        with morsel.sized(1):  # 24,000 morsels in the one chunk
+        with morsel_rows(1):  # 24,000 morsels in the one chunk
             with MorselPool(db, queries, jobs=1,
                             heartbeat_seconds=heartbeat) as pool:
                 pool.warm()
@@ -570,7 +566,7 @@ class TestCompensatedFloats:
         db = _float_db(rng.normal(size=4096) * 1e6)
         queries = sql_workload(db, [("f1", FLOAT_SQL)])
         reference = _reference(db, queries)
-        with morsel.sized(512):
+        with morsel_rows(512):
             fused = _reference(db, queries, execute_functional)
         assert fused == reference
         assert morsel.snapshot_stats()["fused_queries"] == 1
@@ -582,8 +578,8 @@ class TestCompensatedFloats:
         db = _float_db(np.arange(1, 2049, dtype=np.float64))
         queries = sql_workload(db, [("f1", FLOAT_SQL)])
         reference = _reference(db, queries)
-        morsel.set_morsel_rows(256)
-        with MorselPool(db, queries, workload="sql", jobs=2) as pool:
+        with morsel_rows(256), \
+                MorselPool(db, queries, workload="sql", jobs=2) as pool:
             rows = _pool_rows(pool.run_queries())
             assert rows == reference
             assert pool.counters["float_gate_declines"] == 0
@@ -596,8 +592,8 @@ class TestCompensatedFloats:
         db = _float_db([1e16, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1e16])
         queries = sql_workload(db, [("f1", FLOAT_SQL)])
         reference = _reference(db, queries)
-        morsel.set_morsel_rows(4)
-        with MorselPool(db, queries, workload="sql", jobs=2) as pool:
+        with morsel_rows(4), \
+                MorselPool(db, queries, workload="sql", jobs=2) as pool:
             first = pool.run_query("f1").payload.row_tuples()
             assert first == reference["f1"]
             if pool.counters["float_gate_declines"]:
@@ -614,7 +610,7 @@ class TestCompensatedFloats:
 # ---------------------------------------------------------------------------
 
 def _sim_run(db, config, **kwargs):
-    plan_cache.invalidate(db)
+    caches.memo(db, "plan").clear()
     run = run_workload(db, ssb.workload(db), "chopping", config=config,
                        users=2, repetitions=1, collect_results=True,
                        **kwargs)

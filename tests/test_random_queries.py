@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Planner, execute_reference, plan_cache
+from repro.engine import Planner, caches, execute_reference
 from repro.engine.execution import execute_functional, execute_operators
 from repro.sql import bind
 from repro.storage import ColumnType, Database
@@ -78,11 +78,11 @@ def check(db, sql):
     spec = bind(sql, db, name="rand")
     reference_rows = execute_reference(spec, db)
     for execute in (execute_functional, execute_operators):
-        plan_cache.invalidate()
+        caches.memo(db, "plan").clear()
         plan = Planner(db).plan(spec)
         engine_rows = execute(plan, db).payload.row_tuples()
         assert rows_match(engine_rows, reference_rows), (execute.__name__, sql)
-    plan_cache.invalidate()
+    caches.memo(db, "plan").clear()
 
 
 @given(seed=st.integers(0, 2), predicate=predicates())
@@ -158,12 +158,12 @@ def test_random_statement_after_its_prefix(seed, predicate, pair, op,
         plan = Planner(db).plan(bind(sql, db, name="rand"))
         return execute_functional(plan, db).payload.row_tuples()
 
-    plan_cache.invalidate()
+    caches.memo(db, "plan").clear()
     cold = run(second)
-    plan_cache.invalidate()
+    caches.memo(db, "plan").clear()
     run(first)
     resumed = run(second)
-    plan_cache.invalidate()
+    caches.memo(db, "plan").clear()
     assert resumed == cold, (first, second)
     assert rows_match(resumed, execute_reference(
         bind(second, db, name="rand"), db)), (first, second)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.core import get_strategy
 from repro.core.placement import STRATEGY_NAMES, SplitHype
-from repro.engine import morsel, plan_cache
+from repro.engine import caches, morsel
 from repro.engine.execution import (
     LifecycleConfig,
     QueryContext,
@@ -45,18 +45,14 @@ from repro.hype.models import SplitCostModel
 from repro.metrics import MetricsCollector
 from repro.workloads import ssb, sql_workload
 
-from tests.conftest import make_context
+from tests.conftest import make_context, morsel_rows
 
 
 @pytest.fixture(autouse=True)
-def _fresh_engine_state():
+def _fresh_engine_state(plan_cache_off):
     """Plan cache off (every execution must re-run), counters zeroed —
     same discipline as the morsel tests."""
-    plan_cache.enable(False)
     morsel.reset_stats()
-    yield
-    plan_cache.enable(True)
-    morsel.set_morsel_rows(None)
 
 
 def _signature(result):
@@ -547,7 +543,7 @@ def _run_sql(db, sql, execute=execute_functional):
 @pytest.mark.parametrize("rows_per_morsel", [100, 1000, 1_000_000_000])
 def test_limit_fused_identity(ssb_db, rows_per_morsel):
     reference = _run_sql(ssb_db, LIMIT_SQL, execute_operators)
-    with morsel.sized(rows_per_morsel):
+    with morsel_rows(rows_per_morsel):
         fused = _run_sql(ssb_db, LIMIT_SQL)
     assert _signature(fused) == _signature(reference)
     stats = morsel.snapshot_stats()
@@ -555,7 +551,7 @@ def test_limit_fused_identity(ssb_db, rows_per_morsel):
 
 
 def test_limit_early_stop_skips_morsels(ssb_db):
-    with morsel.sized(100):
+    with morsel_rows(100):
         _run_sql(ssb_db, LIMIT_SQL)
     stats = morsel.snapshot_stats()
     assert stats["limit_early_stops"] == 1
@@ -563,7 +559,7 @@ def test_limit_early_stop_skips_morsels(ssb_db):
 
 
 def test_limit_no_early_stop_with_one_chunk(ssb_db):
-    with morsel.sized(1_000_000_000):
+    with morsel_rows(1_000_000_000):
         _run_sql(ssb_db, LIMIT_SQL)
     stats = morsel.snapshot_stats()
     assert stats["limit_fused_queries"] == 1
@@ -575,7 +571,7 @@ def test_limit_over_sort_declines_but_matches(ssb_db):
     sql = ("select lo_orderkey from lineorder where lo_discount >= 5 "
            "order by lo_orderkey limit 10")
     reference = _run_sql(ssb_db, sql, execute_operators)
-    with morsel.sized(100):
+    with morsel_rows(100):
         fused = _run_sql(ssb_db, sql)
     assert _signature(fused) == _signature(reference)
     stats = morsel.snapshot_stats()
@@ -583,21 +579,20 @@ def test_limit_over_sort_declines_but_matches(ssb_db):
     assert morsel.decline_reasons.get("limit_tail", 0) >= 1
 
 
-def test_limit_never_memoises_prefix(ssb_db):
+def test_limit_never_memoises_prefix(ssb_db, plan_cache_off):
     """An early-stopped run must not poison shared-chain memos: the
     same scan re-run without the limit yields the full result."""
     no_limit = LIMIT_SQL.rsplit(" limit", 1)[0]
     full_reference = _run_sql(ssb_db, no_limit, execute_operators)
-    plan_cache.enable(True)
+    plan_cache_off.close()
     try:
-        with morsel.sized(100):
+        with morsel_rows(100):
             limited = _run_sql(ssb_db, LIMIT_SQL)
             full = _run_sql(ssb_db, no_limit)
         assert limited.actual_rows == 50
         assert _signature(full) == _signature(full_reference)
     finally:
-        plan_cache.invalidate(ssb_db)
-        plan_cache.enable(False)
+        caches.memo(ssb_db, "plan").clear()
 
 
 # ---------------------------------------------------------------------------
