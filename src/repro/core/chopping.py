@@ -27,7 +27,11 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional
 
-from repro.engine.execution.context import ExecutionContext, place_operator
+from repro.engine.execution.context import (
+    ExecutionContext,
+    place_operator,
+    queue_estimate,
+)
 from repro.engine.execution.lease import deliver_to_host
 from repro.engine.execution.lifecycle import (
     HEDGE_MIN_SECONDS,
@@ -50,6 +54,8 @@ class _Task:
         "child_results",
         "root_event",
         "estimate",
+        "input_bytes",
+        "footprint",
         "qctx",
         "race",
         "ctx",
@@ -64,6 +70,9 @@ class _Task:
         self.child_results: List = [None] * len(op.children)
         self.root_event: Optional[Event] = None
         self.estimate = 0.0
+        #: the operator's sizes, from placement
+        self.input_bytes = 0
+        self.footprint = None
         self.qctx = qctx
         self.race: Optional[_HedgeRace] = None
         #: the executor's shared context, or the query's own (service
@@ -180,8 +189,9 @@ class ChoppingExecutor:
             # the query died before this operator became ready
             self._release_children(task)
             return
-        name, task.estimate = place_operator(
-            task.ctx, self.strategy, task.op, task.child_results, task.qctx)
+        name, task.estimate, task.input_bytes, task.footprint = (
+            place_operator(task.ctx, self.strategy, task.op,
+                           task.child_results, task.qctx))
         self.ready[name].put(task, priority=task.estimate)
 
     def _worker(self, name: str) -> Generator:
@@ -199,6 +209,8 @@ class ChoppingExecutor:
                     name,
                     admit_to_cache=self.strategy.admit_to_cache,
                     qctx=task.qctx,
+                    input_bytes=task.input_bytes,
+                    footprint=task.footprint,
                 )
                 ctx.load.finish(name, task.estimate)
                 yield from self._complete(task, result)
@@ -236,6 +248,7 @@ class ChoppingExecutor:
         proc = ctx.env.process(execute_operator(
             ctx, task.op, task.child_results, name,
             admit_to_cache=self.strategy.admit_to_cache, qctx=qctx,
+            input_bytes=task.input_bytes, footprint=task.footprint,
         ))
         proc.defused = True
         qctx.register(proc)
@@ -300,9 +313,8 @@ class ChoppingExecutor:
             return
         race.hedged = True
         # a task context shares the executor's load tracker
-        _, cpu_estimate = place_operator(
-            task.ctx, self.strategy, task.op, task.child_results,
-            task.qctx, processor_name="cpu")
+        cpu_estimate = queue_estimate(task.ctx, task.op, "cpu",
+                                      task.input_bytes)
         race.estimates["cpu"] = cpu_estimate
         self.ctx.metrics.count("hedges_started")
         self.ready["cpu"].put(task, priority=cpu_estimate)

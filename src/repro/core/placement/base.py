@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple
 
-# estimate_runtime / processor_kind live beside the context so the
-# executors can use them too (core.placement imports engine.execution,
-# never the reverse); re-exported here for placement code
+# processor_kind lives beside the context so the executors can use it
+# too (core.placement imports engine.execution, never the reverse);
+# re-exported here for placement code
 from repro.engine.execution.context import (  # noqa: F401
     ExecutionContext,
-    estimate_runtime,
     processor_kind,
 )
 from repro.engine.intermediates import OperatorResult
@@ -39,6 +38,8 @@ class PlacementStrategy:
     uses_data_placement = False
     #: maximum queries admitted concurrently (None = unbounded)
     admission_limit: Optional[int] = None
+    #: whether :meth:`choose_processor` reads the device footprint
+    reads_footprint = False
 
     def __init__(self, name: Optional[str] = None, executor: Optional[str] = None):
         if name is not None:
@@ -52,8 +53,11 @@ class PlacementStrategy:
         """Fix compile-time placements (no-op for run-time strategies)."""
 
     def choose_processor(self, ctx: ExecutionContext, op: PhysicalOperator,
-                         child_results: List[OperatorResult]) -> str:
-        """Processor for ``op``, consulted when its inputs are ready."""
+                         child_results: List[OperatorResult],
+                         input_bytes: Optional[int] = None,
+                         footprint: Optional[int] = None) -> str:
+        """Processor for ``op``, consulted when its inputs are ready
+        (with its sizes, where the caller has them)."""
         if op.cpu_only:
             return "cpu"
         return op.placement or "cpu"

@@ -85,15 +85,6 @@ def processor_kind(name: str) -> ProcessorKind:
     return ProcessorKind.CPU if name == "cpu" else ProcessorKind.GPU
 
 
-def estimate_runtime(ctx: ExecutionContext, op, child_results,
-                     processor_name: str) -> float:
-    """HyPE runtime estimate for load tracking and placement costing."""
-    input_bytes = op.input_nominal_bytes(ctx.database, child_results)
-    return ctx.cost_model.estimate(
-        op.kind, processor_kind(processor_name), input_bytes
-    )
-
-
 def resident_fraction(ctx: ExecutionContext, op, device) -> Optional[float]:
     """Fraction of ``op``'s base-column bytes resident in ``device``'s
     cache (None when it reads no column bytes): staging those costs
@@ -109,18 +100,29 @@ def resident_fraction(ctx: ExecutionContext, op, device) -> Optional[float]:
 
 
 def place_operator(ctx: ExecutionContext, strategy, op, child_results,
-                   qctx, processor_name: Optional[str] = None):
+                   qctx):
     """Place a ready operator (HyPE's tactical step) and queue its
     runtime estimate on that processor's load: the strategy decides, a
-    query that admission degraded stays on the CPU, ``processor_name``
-    pins the choice (the CPU copy of a hedged operator).  Returns
-    ``(processor name, estimate)``; the caller owes ``ctx.load.finish``."""
-    if processor_name is None:
-        if qctx.force_cpu:
-            processor_name = "cpu"
-        else:
-            processor_name = strategy.choose_processor(ctx, op,
-                                                       child_results)
-    estimate = estimate_runtime(ctx, op, child_results, processor_name)
+    query that admission degraded stays on the CPU.  The one place an
+    operator is sized: returns ``(processor name, estimate, input
+    bytes, footprint)``, the footprint None unless the strategy reads
+    it; the caller owes ``ctx.load.finish``."""
+    input_bytes = op.input_nominal_bytes(ctx.database, child_results)
+    footprint = None
+    if strategy.reads_footprint and not (op.cpu_only or qctx.force_cpu):
+        footprint = op.device_footprint_bytes(
+            ctx.profile, ctx.database, child_results, input_bytes)
+    processor_name = "cpu" if qctx.force_cpu else strategy.choose_processor(
+        ctx, op, child_results, input_bytes, footprint)
+    estimate = queue_estimate(ctx, op, processor_name, input_bytes)
+    return processor_name, estimate, input_bytes, footprint
+
+
+def queue_estimate(ctx: ExecutionContext, op, processor_name: str,
+                   input_bytes: int) -> float:
+    """Queue (and return) ``op``'s HyPE runtime estimate on
+    ``processor_name``'s load; the caller owes ``ctx.load.finish``."""
+    estimate = ctx.cost_model.estimate(
+        op.kind, processor_kind(processor_name), input_bytes)
     ctx.load.assign(processor_name, estimate)
-    return processor_name, estimate
+    return estimate

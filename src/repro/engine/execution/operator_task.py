@@ -53,12 +53,15 @@ def execute_operator(
     admit_to_cache: bool = True,
     *,
     qctx: QueryContext,
+    input_bytes: Optional[int] = None,
+    footprint: Optional[int] = None,
 ) -> Generator:
     """DES process: run one operator, with GPU fault tolerance.
 
     Returns the :class:`OperatorResult`; its ``location`` records where
     the result resides.  Consumed child results release their device
-    memory here (single-consumer plans).
+    memory here (single-consumer plans).  ``input_bytes`` and
+    ``footprint`` come from ``place_operator`` (None: sized here).
 
     ``qctx`` (a :class:`~repro.engine.execution.lifecycle.QueryContext`)
     makes execution *cancellable*: cooperative checkpoints raise
@@ -68,27 +71,29 @@ def execute_operator(
     """
     qctx.check()
     database = ctx.database
-    now = ctx.env.now
-    for key in op.column_keys():
-        database.statistics.record_access(key, now)
+    database.statistics.record_accesses(op.column_keys(), ctx.env.now)
+    if input_bytes is None:
+        input_bytes = op.input_nominal_bytes(database, child_results)
 
-    input_bytes = op.input_nominal_bytes(database, child_results)
     result: Optional[OperatorResult] = None
     if processor_name != "cpu" and not op.cpu_only:
         device = ctx.hardware.device(processor_name)
+        if footprint is None:
+            footprint = op.device_footprint_bytes(
+                ctx.profile, database, child_results, input_bytes)
         if ctx.split is not None:
             # intra-operator co-processing: divide the operator between
             # the CPU and this device; None = declined, run pure
             result = yield from ctx.split.try_split(
-                ctx, device, op, child_results, input_bytes, qctx,
+                ctx, device, op, child_results, input_bytes, footprint, qctx,
             )
         if result is None:
             # device attempts under the retry policy and the device's
             # circuit breaker; None = restart on the CPU
             result = yield from ctx.resilience.attempts(
-                ctx.env, device.name,
-                lambda: _try_gpu(ctx, device, op, child_results,
-                                 input_bytes, admit_to_cache, qctx),
+                ctx.env, device.name, _try_gpu,
+                (ctx, device, op, child_results, input_bytes, footprint,
+                 admit_to_cache, qctx),
                 op.plan_name, qctx,
             )
     if result is None:
@@ -100,8 +105,8 @@ def execute_operator(
     return result
 
 
-def _try_gpu(ctx, device, op, child_results, input_bytes, admit_to_cache,
-             qctx):
+def _try_gpu(ctx, device, op, child_results, input_bytes, footprint,
+             admit_to_cache, qctx):
     """One co-processor attempt; returns the fault when it aborts.
 
     Device memory is allocated in several steps and held (the paper's
@@ -145,9 +150,6 @@ def _try_gpu(ctx, device, op, child_results, input_bytes, admit_to_cache,
                 lease.stage(child.nominal_bytes)
                 yield from lease.copy(child.nominal_bytes, "h2d")
         # 3. First half of the working memory, held while queueing.
-        footprint = op.device_footprint_bytes(
-            ctx.profile, ctx.database, child_results
-        )
         working_target = max(footprint - lease.staged_bytes, 0)
         first_half = working_target // 2
         lease.allocate(first_half)

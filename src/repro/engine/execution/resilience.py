@@ -249,11 +249,11 @@ class ResilienceManager:
         self.breaker(device).record_failure(now)
 
     def attempts(self, env, device: str,
-                 attempt_once: Callable[[], Generator],
+                 attempt: Callable[..., Generator], args: tuple,
                  plan_name: Optional[str], qctx) -> Generator:
         """DES generator: run device attempts until one settles.
 
-        ``attempt_once()`` starts one attempt — a generator returning
+        ``attempt(*args)`` starts one attempt — a generator returning
         the result, or the :class:`DeviceFault` it aborted with after
         rolling the device back and booking the abort
         (:func:`account_abort`).  Returns the result on success, or None
@@ -262,12 +262,12 @@ class ResilienceManager:
         Sec. 2.5.1), after exhausting the transient-fault retry budget,
         or when the device's breaker denies the attempt outright.
         """
-        attempt = 0
+        retry = 0
         while True:
             if not self.admit(device, env.now):
                 self.metrics.count("breaker_skips", device=device)
                 return None
-            outcome = yield from attempt_once()
+            outcome = yield from attempt(*args)
             if not isinstance(outcome, DeviceFault):
                 # success, or a non-fault abort — either way the device
                 # itself behaved, so the breaker sees a success
@@ -280,7 +280,7 @@ class ResilienceManager:
                 self.record_success(device, env.now)
                 return None
             self.record_failure(device, env.now)
-            if attempt >= self.policy.max_retries:
+            if retry >= self.policy.max_retries:
                 return None
             self.metrics.record_retry(device=device,
                                       fault=outcome.fault_class,
@@ -288,8 +288,8 @@ class ResilienceManager:
                                       tenant=qctx.tenant)
             # a cancelled query's backoff aborts early instead of
             # retrying
-            yield from self.backoff(env, attempt, qctx)
-            attempt += 1
+            yield from self.backoff(env, retry, qctx)
+            retry += 1
 
     def backoff(self, env, attempt: int, qctx):
         """DES generator: sleep one retry backoff, honouring cancellation.

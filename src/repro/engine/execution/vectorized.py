@@ -180,8 +180,9 @@ class VectorizedExecutor:
                     results: Dict[int, OperatorResult],
                     result: OperatorResult,
                     consumer: Optional[Pipeline],
-                    qctx) -> Optional[str]:
-        """Device placement for a whole pipeline (None = CPU)."""
+                    qctx, seconds) -> Optional[str]:
+        """Device placement for a whole pipeline (None = CPU), given
+        its ``(CPU, GPU)`` compute seconds."""
         ctx = self.ctx
         if qctx.force_cpu:
             return None
@@ -198,16 +199,11 @@ class VectorizedExecutor:
         # cost-based: compare whole-pipeline estimates per device.  The
         # breaker output ships back to the host unless the consuming
         # pipeline could itself run on this device.
-        _, compute = self._io_and_compute(pipeline, results, None)
-        cpu_cost = compute[ProcessorKind.CPU]
         best: Optional[str] = None
-        best_cost = cpu_cost
+        best_cost = seconds[0]
         for device in candidates:
-            stream_bytes, compute = self._io_and_compute(
-                pipeline, results, device.name
-            )
-            cost = max(compute[ProcessorKind.GPU],
-                       ctx.bus.transfer_time(stream_bytes))
+            stream_bytes = self._stream_bytes(pipeline, results, device)
+            cost = max(seconds[1], ctx.bus.transfer_time(stream_bytes))
             consumer_stays = consumer is not None and all(
                 key in device.cache
                 for key in consumer.required_columns()
@@ -228,14 +224,14 @@ class VectorizedExecutor:
         database = ctx.database
         start = env.now
         for op in pipeline.operators:
-            for key in op.column_keys():
-                database.statistics.record_access(key, env.now)
+            database.statistics.record_accesses(op.column_keys(), env.now)
 
         # functional execution first (zero simulated time): run-time
         # placement sees exact input and output cardinalities
         result = self._materialise(pipeline, results)
+        seconds = self._compute_seconds(pipeline, results)
         device_name = self._device_for(pipeline, results, result, consumer,
-                                       qctx)
+                                       qctx, seconds)
         placed = None
         if device_name is not None:
             # transient injected faults are retried with backoff under
@@ -243,13 +239,14 @@ class VectorizedExecutor:
             # abort falls back immediately, as in the
             # operator-at-a-time engine
             placed = yield from ctx.resilience.attempts(
-                env, device_name,
-                lambda: self._attempt_device_once(
-                    pipeline, results, result, device_name, start, qctx),
+                env, device_name, self._attempt_device_once,
+                (pipeline, results, result, device_name, start, qctx,
+                 seconds),
                 pipeline.terminal.plan_name, qctx,
             )
         if placed is None:
-            yield from self._run_on_cpu(pipeline, results, result)
+            yield from self._run_on_cpu(pipeline, results, result,
+                                        seconds[0])
         # single-consumer plans: release inputs the pipeline consumed
         for child_result in pipeline.inputs(results):
             if child_result is not result:
@@ -266,46 +263,47 @@ class VectorizedExecutor:
             results[op.op_id] = result
         return result
 
-    def _io_and_compute(self, pipeline: Pipeline,
-                        results: Dict[int, OperatorResult],
-                        device_name: Optional[str]):
-        """(bytes to stream over the bus, compute seconds per kind)."""
-        ctx = self.ctx
+    def _stream_bytes(self, pipeline: Pipeline,
+                      results: Dict[int, OperatorResult], device) -> int:
+        """Bytes the pipeline streams over the bus to ``device``."""
         stream_bytes = 0
-        if device_name is not None:
-            device = ctx.hardware.device(device_name)
-            for key in pipeline.required_columns():
-                if key not in device.cache:
-                    stream_bytes += ctx.database.column(key).nominal_bytes
-            for child_result in pipeline.inputs(results):
-                if child_result.location != device_name:
-                    stream_bytes += child_result.nominal_bytes
-        compute = {}
+        for key in pipeline.required_columns():
+            if key not in device.cache:
+                stream_bytes += self.ctx.database.column(key).nominal_bytes
+        for child_result in pipeline.inputs(results):
+            if child_result.location != device.name:
+                stream_bytes += child_result.nominal_bytes
+        return stream_bytes
+
+    def _compute_seconds(self, pipeline: Pipeline,
+                         results: Dict[int, OperatorResult]):
+        """``[CPU, GPU]`` compute seconds of the chain, each operator
+        sized once."""
+        ctx = self.ctx
+        sizes = [
+            op.input_nominal_bytes(
+                ctx.database, [results[c.op_id] for c in op.children])
+            for op in pipeline.operators]
+        seconds = []
         for kind in (ProcessorKind.CPU, ProcessorKind.GPU):
             total = 0.0
-            for op in pipeline.operators:
-                child_results = [results[c.op_id] for c in op.children]
-                input_bytes = op.input_nominal_bytes(ctx.database,
-                                                     child_results)
+            for op, input_bytes in zip(pipeline.operators, sizes):
                 total += ctx.profile.compute_seconds(op.kind, kind,
                                                      input_bytes)
-            compute[kind] = total
-        return stream_bytes, compute
+            seconds.append(total)
+        return seconds
 
     def _attempt_device_once(self, pipeline: Pipeline,
                              results: Dict[int, OperatorResult],
                              result: OperatorResult,
                              device_name: str, start: float,
-                             qctx) -> Generator:
+                             qctx, seconds) -> Generator:
         """One device attempt; returns the fault when it aborts."""
         ctx = self.ctx
         env = ctx.env
         device = ctx.hardware.device(device_name)
-        stream_bytes, compute = self._io_and_compute(
-            pipeline, results, device_name
-        )
-        gpu_seconds = compute[ProcessorKind.GPU]
-        cpu_seconds = compute[ProcessorKind.CPU]
+        stream_bytes = self._stream_bytes(pipeline, results, device)
+        cpu_seconds, gpu_seconds = seconds
 
         split = 0.0  # fraction of vectors handled by the host
         if self.allow_split and gpu_seconds > 0:
@@ -393,10 +391,10 @@ class VectorizedExecutor:
 
     def _run_on_cpu(self, pipeline: Pipeline,
                     results: Dict[int, OperatorResult],
-                    result: OperatorResult) -> Generator:
+                    result: OperatorResult,
+                    cpu_seconds: float) -> Generator:
         ctx = self.ctx
         # inputs produced on a device stream back to the host
         yield from pull_to_host(ctx, pipeline.inputs(results))
-        _, compute = self._io_and_compute(pipeline, results, None)
-        yield from ctx.hardware.cpu.execute(compute[ProcessorKind.CPU])
+        yield from ctx.hardware.cpu.execute(cpu_seconds)
         result.location = "cpu"

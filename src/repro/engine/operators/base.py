@@ -141,16 +141,18 @@ class PhysicalOperator:
         raise NotImplementedError
 
     def device_footprint_bytes(self, profile, database: Database,
-                               child_results: List[OperatorResult]) -> int:
-        """Device heap demand when executing on the co-processor.
+                               child_results: List[OperatorResult],
+                               input_bytes: Optional[int] = None) -> int:
+        """Device heap demand when executing on the co-processor
+        (``input_bytes``: :meth:`input_nominal_bytes`, if known).
 
         Defaults to the profile's per-kind factor over the input
         volume; operators with different working-memory shapes (hash
         joins) override this.
         """
-        return profile.footprint_bytes(
-            self.kind, self.input_nominal_bytes(database, child_results)
-        )
+        if input_bytes is None:
+            input_bytes = self.input_nominal_bytes(database, child_results)
+        return profile.footprint_bytes(self.kind, input_bytes)
 
     def state_key(self) -> Optional[Tuple]:
         """Stable tuple of every parameter that shapes :meth:`run`'s output.
@@ -291,20 +293,32 @@ class PhysicalPlan:
 
         Placement and per-execution state are reset; immutable pieces
         (predicates, memoised result payloads, fingerprints and column
-        keys) are shared.
+        keys) are shared.  One pass over the template's post order: a
+        twin's children are the last subtrees made.
         """
-        def clone_tree(op: PhysicalOperator) -> PhysicalOperator:
+        plan = object.__new__(PhysicalPlan)
+        plan.name = name = self.name
+        operators, leaves, made = [], [], []
+        for op in self.operators:
             op.required_columns()  # memoise on the template, not per clone
             # a shallow copy: operators are plain-``__dict__`` objects
             # (no ``__slots__``, ``__copy__`` or ``__reduce__`` to honour)
             twin = object.__new__(type(op))
-            twin.__dict__.update(op.__dict__)
+            twin.__dict__ = op.__dict__.copy()
             twin.op_id = next(_op_counter)
             twin.placement = None
-            twin.children = [clone_tree(child) for child in op.children]
-            return twin
-
-        return PhysicalPlan(clone_tree(self.root), name=self.name)
+            twin.plan_name = name
+            split = len(made) - len(op.children)
+            twin.children = made[split:]
+            del made[split:]
+            if not twin.children:
+                leaves.append(twin)
+            made.append(twin)
+            operators.append(twin)
+        plan.root = twin
+        plan.operators = tuple(operators)
+        plan.leaves = tuple(leaves)
+        return plan
 
     def __repr__(self) -> str:
         return "<PhysicalPlan {} ops={}>".format(self.name, len(self.operators))

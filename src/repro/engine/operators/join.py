@@ -78,7 +78,8 @@ class HashJoin(PhysicalOperator):
             out_rows * 2 * TID_BYTES,
         )
 
-    def device_footprint_bytes(self, profile, database, child_results) -> int:
+    def device_footprint_bytes(self, profile, database, child_results,
+                               input_bytes=None) -> int:
         """Hash-join working memory: the hash table over the build side
         plus output buffers sized by the streamed probe side."""
         probe, build = child_results

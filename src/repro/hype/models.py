@@ -31,6 +31,8 @@ class LearnedCostModel:
         self.store = store if store is not None else ObservationStore()
         self.min_observations = min_observations
         self.refit_interval = refit_interval
+        #: ``[1, input_bytes]`` rows; a refit fills column 1 in place
+        self._design = np.ones((self.store.max_observations, 2))
 
     # -- learning -------------------------------------------------------
 
@@ -45,15 +47,15 @@ class LearnedCostModel:
             self._refit(window)
 
     def _refit(self, window: Window) -> None:
-        if len(window.inputs) < self.min_observations:
+        x, y = window.views()
+        if len(x) < self.min_observations:
             return
-        x = np.array(window.inputs)
-        y = np.array(window.durations)
-        if np.ptp(x) == 0:
+        if x.max() == x.min():
             # Degenerate input sizes: constant model.
             window.fit = (float(y.mean()), 0.0)
         else:
-            design = np.vstack([np.ones_like(x), x]).T
+            design = self._design[:len(x)]
+            design[:, 1] = x
             (a, b), *_ = np.linalg.lstsq(design, y, rcond=None)
             window.fit = (float(a), float(b))
         window.since_fit = 0

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+import numpy as np
+
 from repro.hardware.processor import ProcessorKind
 
 
@@ -23,20 +25,24 @@ class Observation(NamedTuple):
 
 
 class Window:
-    """One key's history: the observations and, beside them, their
-    ``input_bytes`` and ``seconds`` as two plain float lists — what a
-    regression reads — grown and trimmed together, plus the fit the
-    cost model keeps over them (one lookup serves an observation)."""
+    """One key's history: ``input_bytes`` over ``seconds`` in a float64
+    buffer that doubles up to ``(2, 2·max)``, the window its columns
+    ``[start, end)`` (copied to the front once ``end`` hits the end),
+    ``sources`` the tags of ``[0, end)``, and the cost model's fit."""
 
-    __slots__ = ("observations", "inputs", "durations", "fit", "since_fit")
+    __slots__ = ("buffer", "sources", "start", "end", "fit", "since_fit")
 
-    def __init__(self):
-        self.observations: List[Observation] = []
-        self.inputs: List[float] = []
-        self.durations: List[float] = []
+    def __init__(self, max_observations: int):
+        self.buffer = np.empty((2, min(16, 2 * max_observations)))
+        self.sources: List[str] = []
+        self.start = self.end = 0
         #: ``(intercept, slope)`` once fitted, and observations since
         self.fit: Optional[Tuple[float, float]] = None
         self.since_fit = 0
+
+    def views(self) -> np.ndarray:
+        """The window's ``(input_bytes, seconds)`` rows, as a view."""
+        return self.buffer[:, self.start:self.end]
 
 
 class ObservationStore:
@@ -48,7 +54,7 @@ class ObservationStore:
     """
 
     def __init__(self, max_observations_per_key: int = 512):
-        self._max = max_observations_per_key
+        self.max_observations = max_observations_per_key
         self._cpu: Dict[str, Window] = {}
         self._gpu: Dict[str, Window] = {}
         #: every key, in the order each was first observed
@@ -68,32 +74,49 @@ class ObservationStore:
                  else self._cpu)
         window = table.get(op_kind)
         if window is None:
-            window = table[op_kind] = Window()
+            window = table[op_kind] = Window(self.max_observations)
             self._keys.append((op_kind, processor_kind))
-        input_bytes = float(input_bytes)
-        seconds = float(seconds)
-        observations = window.observations
-        observations.append(Observation(input_bytes, seconds, source))
-        window.inputs.append(input_bytes)
-        window.durations.append(seconds)
-        excess = len(observations) - self._max
-        if excess > 0:
-            # Keep the most recent window (workload drift).
-            del (observations[:excess], window.inputs[:excess],
-                 window.durations[:excess])
+        buffer, end = window.buffer, window.end
+        if end == buffer.shape[1]:
+            start = window.start
+            if start:
+                # Full: the window (the most recent observations,
+                # workload drift) moves to the front.
+                buffer[:, :end - start] = buffer[:, start:end]
+                del window.sources[:start]
+                window.start = 0
+                end -= start
+            else:
+                # Still filling: double the buffer, up to two windows.
+                window.buffer = np.empty(
+                    (2, min(2 * end, 2 * self.max_observations)))
+                window.buffer[:, :end] = buffer
+                buffer = window.buffer
+        buffer[0, end] = input_bytes
+        buffer[1, end] = seconds
+        window.sources.append(source)
+        window.end = end = end + 1
+        if end - window.start > self.max_observations:
+            window.start += 1
         return window
 
     def get(self, op_kind: str,
             processor_kind: ProcessorKind) -> List[Observation]:
+        """The key's window as observations, oldest first."""
         window = self.window(op_kind, processor_kind)
-        return window.observations if window else []
+        if window is None:
+            return []
+        return list(map(Observation, *self.series(op_kind, processor_kind),
+                        window.sources[window.start:]))
 
     def series(self, op_kind: str, processor_kind: ProcessorKind
                ) -> Tuple[List[float], List[float]]:
         """``(input_bytes, seconds)`` of the key's window, in
         observation order."""
         window = self.window(op_kind, processor_kind)
-        return (window.inputs, window.durations) if window else ([], [])
+        if window is None:
+            return [], []
+        return tuple(window.views().tolist())
 
     def count(self, op_kind: str, processor_kind: ProcessorKind) -> int:
         return len(self.get(op_kind, processor_kind))

@@ -22,20 +22,19 @@ class AccessStatistics:
 
     def record_access(self, column_key: str, now: float = None) -> None:
         """Record one operator access to ``column_key``."""
-        self._counts[column_key] += 1
-        self._tick += 1
-        self._last_access[column_key] = float(self._tick if now is None else now)
+        self.record_accesses((column_key,), now)
 
-    def record_accesses(self, column_keys) -> None:
-        """Record one access per key (the executor hot path; identical
-        to calling :meth:`record_access` for each key in order)."""
+    def record_accesses(self, column_keys, now: float = None) -> None:
+        """Record one access per key, in order: each bumps the key's
+        count and the tick, and stamps the key with ``now`` (the
+        simulated clock; None stamps the tick)."""
         counts = self._counts
         last = self._last_access
         tick = self._tick
         for key in column_keys:
             counts[key] += 1
             tick += 1
-            last[key] = float(tick)
+            last[key] = float(tick if now is None else now)
         self._tick = tick
 
     def access_count(self, column_key: str) -> int:

@@ -669,6 +669,75 @@ class TestPlanShape:
                for op in template.clone().operators]
         assert len(set(ids)) == len(ids)
 
+    def test_the_flat_clone_equals_the_recursive_clone(self, ssb_db,
+                                                       tpch_db):
+        """``clone`` walks the template's post order once; the recursive
+        clone it replaced stays here as its reference."""
+
+        def recursive_clone(plan):
+            def clone_tree(op):
+                op.required_columns()
+                twin = object.__new__(type(op))
+                twin.__dict__.update(op.__dict__)
+                twin.op_id = next(operators.base._op_counter)
+                twin.placement = None
+                twin.children = [clone_tree(child) for child in op.children]
+                return twin
+
+            return operators.PhysicalPlan(clone_tree(plan.root),
+                                          name=plan.name)
+
+        def shape(op):
+            return (type(op), op.label, op.plan_name,
+                    tuple(shape(child) for child in op.children))
+
+        def fields(plan):
+            return [{key: value for key, value in op.__dict__.items()
+                     if key not in ("op_id", "children")}
+                    for op in plan.operators]
+
+        templates = [query.template_plan()
+                     for database, module in ((ssb_db, ssb), (tpch_db, tpch))
+                     for query in module.workload(database)]
+        for number, template in enumerate(templates):
+            if number % 3 == 0:  # some templates carry memoised results
+                execute_functional(
+                    template, tpch_db if number >= 13 else ssb_db)
+            template.assign_all("gpu")
+            if number % 5 == 0:  # its operators now name another plan
+                operators.PhysicalPlan(template.root, name="adopted")
+            reference = recursive_clone(template)  # memoises _columns
+            before = [(op.op_id, op.placement, list(op.children),
+                       dict(op.__dict__)) for op in template.operators]
+            first_id = next(operators.base._op_counter) + 1
+            flat = template.clone()
+            again = flat.clone()
+            for clone in (flat, again):
+                assert shape(clone.root) == shape(reference.root)
+                assert clone.name == clone.root.plan_name == template.name
+                assert clone.root is clone.operators[-1]
+                assert clone.operators == tuple(clone.root.walk())
+                assert clone.leaves == tuple(
+                    op for op in clone.operators if not op.children)
+                assert len(clone.leaves) == len(reference.leaves)
+                assert fields(clone) == fields(reference)
+                for twin, original in zip(clone.operators,
+                                          template.operators):
+                    assert twin.placement is None
+                    assert twin._cached_result is original._cached_result
+                    assert twin._columns is original._columns is not None
+                    assert twin._fingerprint is original._fingerprint
+            # fresh ids, handed out in post order
+            assert [op.op_id for op in flat.operators] == list(
+                range(first_id, first_id + len(template.operators)))
+            assert [op.op_id for op in again.operators] == list(
+                range(first_id + len(template.operators),
+                      first_id + 2 * len(template.operators)))
+            # the template is untouched
+            assert before == [(op.op_id, op.placement, list(op.children),
+                               dict(op.__dict__))
+                              for op in template.operators]
+
     def test_the_memo_keeps_the_shape_beside_the_sizes(self, toy_db):
         env, hw, ctx = make_context(toy_db)
         template = make_plan(toy_db)

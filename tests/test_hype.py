@@ -54,8 +54,12 @@ class TestObservationStore:
         assert observations[-1].input_bytes == 24.0
 
     def test_series_and_get_agree_after_the_window_wrapped(self):
-        store = ObservationStore(max_observations_per_key=10)
-        for i in range(37):
+        for window in (10, 40):  # the buffer compacts / grows first
+            self.check_window_wraps(window)
+
+    def check_window_wraps(self, window):
+        store = ObservationStore(max_observations_per_key=window)
+        for i in range(97):
             store.add("join", ProcessorKind.CPU, i * 3, i / 7,
                       source="split" if i % 2 else "pure")
             observations = store.get("join", ProcessorKind.CPU)
@@ -63,7 +67,11 @@ class TestObservationStore:
             assert input_bytes == [o.input_bytes for o in observations]
             assert seconds == [o.seconds for o in observations]
             assert all(type(x) is float for x in input_bytes + seconds)
-        assert len(input_bytes) == 10 and input_bytes[0] == 27 * 3.0
+            kept = range(max(0, i + 1 - window), i + 1)
+            assert observations == [
+                (j * 3.0, j / 7, "split" if j % 2 else "pure") for j in kept]
+        assert len(input_bytes) == window
+        assert input_bytes[0] == (97 - window) * 3.0
         store.clear()
         assert store.series("join", ProcessorKind.CPU) == ([], [])
 
@@ -316,23 +324,40 @@ def assert_same_cost_state(model, oracle, profile, sizes):
                         oracle, profile, op_kind, processor_kind, size))
 
 
+PROFILES = pytest.mark.parametrize(
+    "profile", [COGADB_PROFILE, OCELOT_PROFILE],
+    ids=lambda profile: profile.name)
+
+
 class TestKeyingIsInvisible:
-    @pytest.mark.parametrize("profile", [COGADB_PROFILE, OCELOT_PROFILE],
-                             ids=lambda profile: profile.name)
+    @PROFILES
     def test_same_answers_as_the_tuple_keyed_model(self, profile):
-        model = LearnedCostModel(profile)
-        oracle = TupleKeyedModel(profile)
+        self.check_same_answers(profile, refit_interval=16)
+
+    @PROFILES
+    def test_same_answers_refitting_after_every_observation(self, profile):
+        self.check_same_answers(profile, refit_interval=1)
+
+    def check_same_answers(self, profile, refit_interval):
+        model = LearnedCostModel(profile, refit_interval=refit_interval)
+        oracle = TupleKeyedModel(profile, refit_interval=refit_interval)
         sizes = (0.0, 4096.0, 1e6, 3.5e8, float(GIB))
         assert_same_cost_state(model, oracle, profile, sizes)
-        stream = observation_stream(profile, seed=16, length=4000)
+        received = defaultdict(int)
+        stream = observation_stream(profile, seed=16, length=9000)
         for step, observation in enumerate(stream, 1):
             model.observe(*observation)
             oracle.observe(*observation)
             op_kind, processor_kind, size = observation[:3]
+            received[(op_kind, processor_kind)] += 1
             assert (model.estimate(op_kind, processor_kind, size)
                     == oracle.estimate(op_kind, processor_kind, size))
             if step % 500 == 0:
                 assert_same_cost_state(model, oracle, profile, sizes)
+        assert_same_cost_state(model, oracle, profile, sizes)
+        # the hot key's window (512 wide, in a buffer grown to 1,024
+        # columns) was compacted at least twice
+        assert max(received.values()) >= 4 * 512
         counts = [oracle.store.count(*key) for key in cost_keys(profile)]
         assert max(counts) == 512 and min(counts) >= 8  # wrapped; all fitted
         assert all(model.is_learned(*key) for key in cost_keys(profile))

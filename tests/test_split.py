@@ -302,8 +302,10 @@ def _manual_split(db, config, deadline_seconds=None):
     device = hardware.device("gpu")
     qctx = QueryContext(env, queries[0].name, metrics=ctx.metrics,
                         deadline_seconds=deadline_seconds)
+    footprint = target.device_footprint_bytes(ctx.profile, db, children,
+                                              input_bytes)
     process = env.process(state.try_split(
-        ctx, device, target, children, input_bytes, qctx))
+        ctx, device, target, children, input_bytes, footprint, qctx))
     process.defused = True
     qctx.register(process)
     return env, ctx, device, process, qctx
