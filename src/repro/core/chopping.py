@@ -27,11 +27,8 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional
 
-from repro.engine.execution.context import (
-    ExecutionContext,
-    place_operator,
-    queue_estimate,
-)
+from repro.engine.execution.context import (ExecutionContext,
+                                            place_operator, queue_estimate)
 from repro.engine.execution.lease import deliver_to_host
 from repro.engine.execution.lifecycle import (
     HEDGE_MIN_SECONDS,
@@ -55,7 +52,6 @@ class _Task:
         "root_event",
         "estimate",
         "input_bytes",
-        "footprint",
         "qctx",
         "race",
         "ctx",
@@ -70,9 +66,8 @@ class _Task:
         self.child_results: List = [None] * len(op.children)
         self.root_event: Optional[Event] = None
         self.estimate = 0.0
-        #: the operator's sizes, from placement
+        #: the operator's input size, from placement
         self.input_bytes = 0
-        self.footprint = None
         self.qctx = qctx
         self.race: Optional[_HedgeRace] = None
         #: the executor's shared context, or the query's own (service
@@ -176,9 +171,8 @@ class ChoppingExecutor:
         tasks[plan.root.op_id].root_event = root_event
         qctx.attach_root(root_event)
         # Leaves have no dependencies: they enter the stream immediately.
-        for op in plan.operators:
-            if not op.children:
-                self._dispatch(tasks[op.op_id])
+        for op in plan.leaves:
+            self._dispatch(tasks[op.op_id])
         return root_event
 
     # -- scheduling ---------------------------------------------------------
@@ -189,9 +183,8 @@ class ChoppingExecutor:
             # the query died before this operator became ready
             self._release_children(task)
             return
-        name, task.estimate, task.input_bytes, task.footprint = (
-            place_operator(task.ctx, self.strategy, task.op,
-                           task.child_results, task.qctx))
+        name, task.estimate, task.input_bytes = place_operator(
+            task.ctx, self.strategy, task.op, task.child_results, task.qctx)
         self.ready[name].put(task, priority=task.estimate)
 
     def _worker(self, name: str) -> Generator:
@@ -210,7 +203,6 @@ class ChoppingExecutor:
                     admit_to_cache=self.strategy.admit_to_cache,
                     qctx=task.qctx,
                     input_bytes=task.input_bytes,
-                    footprint=task.footprint,
                 )
                 ctx.load.finish(name, task.estimate)
                 yield from self._complete(task, result)
@@ -248,7 +240,7 @@ class ChoppingExecutor:
         proc = ctx.env.process(execute_operator(
             ctx, task.op, task.child_results, name,
             admit_to_cache=self.strategy.admit_to_cache, qctx=qctx,
-            input_bytes=task.input_bytes, footprint=task.footprint,
+            input_bytes=task.input_bytes,
         ))
         proc.defused = True
         qctx.register(proc)

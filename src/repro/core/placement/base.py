@@ -38,8 +38,6 @@ class PlacementStrategy:
     uses_data_placement = False
     #: maximum queries admitted concurrently (None = unbounded)
     admission_limit: Optional[int] = None
-    #: whether :meth:`choose_processor` reads the device footprint
-    reads_footprint = False
 
     def __init__(self, name: Optional[str] = None, executor: Optional[str] = None):
         if name is not None:
@@ -54,10 +52,9 @@ class PlacementStrategy:
 
     def choose_processor(self, ctx: ExecutionContext, op: PhysicalOperator,
                          child_results: List[OperatorResult],
-                         input_bytes: Optional[int] = None,
-                         footprint: Optional[int] = None) -> str:
+                         input_bytes: Optional[int] = None) -> str:
         """Processor for ``op``, consulted when its inputs are ready
-        (with its sizes, where the caller has them)."""
+        (``input_bytes``: its input size, where the caller has it)."""
         if op.cpu_only:
             return "cpu"
         return op.placement or "cpu"

@@ -102,8 +102,8 @@ class DataDrivenRuntime(PlacementStrategy):
     admit_to_cache = False
     uses_data_placement = True
 
-    def choose_processor(self, ctx, op, child_results, input_bytes=None,
-                         footprint=None) -> str:
+    def choose_processor(self, ctx, op, child_results,
+                         input_bytes=None) -> str:
         if op.cpu_only:
             return "cpu"
         child_locations = [

@@ -23,10 +23,9 @@ class RuntimeHype(PlacementStrategy):
     *Chopping*)."""
 
     name = "runtime"
-    reads_footprint = True
 
-    def choose_processor(self, ctx, op, child_results, input_bytes=None,
-                         footprint=None) -> str:
+    def choose_processor(self, ctx, op, child_results,
+                         input_bytes=None) -> str:
         if op.cpu_only:
             return "cpu"
         # re-snapshot the breaker penalties: a breaker that opened (or
@@ -35,9 +34,8 @@ class RuntimeHype(PlacementStrategy):
         ctx.load.refresh()
         if input_bytes is None:
             input_bytes = op.input_nominal_bytes(ctx.database, child_results)
-        if footprint is None:
-            footprint = op.device_footprint_bytes(
-                ctx.profile, ctx.database, child_results, input_bytes)
+        footprint = op.device_footprint_bytes(
+            ctx.profile, ctx.database, child_results, input_bytes)
         best_name = "cpu"
         best_cost = self._estimated_cost(ctx, op, child_results, "cpu",
                                          input_bytes, None)

@@ -104,18 +104,13 @@ def place_operator(ctx: ExecutionContext, strategy, op, child_results,
     """Place a ready operator (HyPE's tactical step) and queue its
     runtime estimate on that processor's load: the strategy decides, a
     query that admission degraded stays on the CPU.  The one place an
-    operator is sized: returns ``(processor name, estimate, input
-    bytes, footprint)``, the footprint None unless the strategy reads
-    it; the caller owes ``ctx.load.finish``."""
+    operator's input is sized: returns ``(processor name, estimate,
+    input bytes)``; the caller owes ``ctx.load.finish``."""
     input_bytes = op.input_nominal_bytes(ctx.database, child_results)
-    footprint = None
-    if strategy.reads_footprint and not (op.cpu_only or qctx.force_cpu):
-        footprint = op.device_footprint_bytes(
-            ctx.profile, ctx.database, child_results, input_bytes)
     processor_name = "cpu" if qctx.force_cpu else strategy.choose_processor(
-        ctx, op, child_results, input_bytes, footprint)
+        ctx, op, child_results, input_bytes)
     estimate = queue_estimate(ctx, op, processor_name, input_bytes)
-    return processor_name, estimate, input_bytes, footprint
+    return processor_name, estimate, input_bytes
 
 
 def queue_estimate(ctx: ExecutionContext, op, processor_name: str,

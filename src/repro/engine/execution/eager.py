@@ -45,13 +45,13 @@ def run_plan_eager(ctx: ExecutionContext, plan: PhysicalPlan,
             child_result = yield child_process
             child_results.append(child_result)
         qctx.check()
-        processor_name, estimate, input_bytes, footprint = place_operator(
+        processor_name, estimate, input_bytes = place_operator(
             ctx, strategy, op, child_results, qctx)
         try:
             result = yield from execute_operator(
                 ctx, op, child_results, processor_name,
                 admit_to_cache=strategy.admit_to_cache, qctx=qctx,
-                input_bytes=input_bytes, footprint=footprint,
+                input_bytes=input_bytes,
             )
         finally:
             ctx.load.finish(processor_name, estimate)

@@ -53,15 +53,14 @@ def execute_operator(
     admit_to_cache: bool = True,
     *,
     qctx: QueryContext,
-    input_bytes: Optional[int] = None,
-    footprint: Optional[int] = None,
+    input_bytes: int,
 ) -> Generator:
     """DES process: run one operator, with GPU fault tolerance.
 
     Returns the :class:`OperatorResult`; its ``location`` records where
     the result resides.  Consumed child results release their device
-    memory here (single-consumer plans).  ``input_bytes`` and
-    ``footprint`` come from ``place_operator`` (None: sized here).
+    memory here (single-consumer plans).  ``input_bytes`` is the
+    operator's input size, from ``place_operator``.
 
     ``qctx`` (a :class:`~repro.engine.execution.lifecycle.QueryContext`)
     makes execution *cancellable*: cooperative checkpoints raise
@@ -70,29 +69,23 @@ def execute_operator(
     release its device memory.
     """
     qctx.check()
-    database = ctx.database
-    database.statistics.record_accesses(op.column_keys(), ctx.env.now)
-    if input_bytes is None:
-        input_bytes = op.input_nominal_bytes(database, child_results)
+    ctx.database.statistics.record_accesses(op.column_keys(), ctx.env.now)
 
     result: Optional[OperatorResult] = None
     if processor_name != "cpu" and not op.cpu_only:
         device = ctx.hardware.device(processor_name)
-        if footprint is None:
-            footprint = op.device_footprint_bytes(
-                ctx.profile, database, child_results, input_bytes)
         if ctx.split is not None:
             # intra-operator co-processing: divide the operator between
             # the CPU and this device; None = declined, run pure
             result = yield from ctx.split.try_split(
-                ctx, device, op, child_results, input_bytes, footprint, qctx,
+                ctx, device, op, child_results, input_bytes, qctx,
             )
         if result is None:
             # device attempts under the retry policy and the device's
             # circuit breaker; None = restart on the CPU
             result = yield from ctx.resilience.attempts(
                 ctx.env, device.name, _try_gpu,
-                (ctx, device, op, child_results, input_bytes, footprint,
+                (ctx, device, op, child_results, input_bytes,
                  admit_to_cache, qctx),
                 op.plan_name, qctx,
             )
@@ -105,8 +98,8 @@ def execute_operator(
     return result
 
 
-def _try_gpu(ctx, device, op, child_results, input_bytes, footprint,
-             admit_to_cache, qctx):
+def _try_gpu(ctx, device, op, child_results, input_bytes, admit_to_cache,
+             qctx):
     """One co-processor attempt; returns the fault when it aborts.
 
     Device memory is allocated in several steps and held (the paper's
@@ -150,6 +143,8 @@ def _try_gpu(ctx, device, op, child_results, input_bytes, footprint,
                 lease.stage(child.nominal_bytes)
                 yield from lease.copy(child.nominal_bytes, "h2d")
         # 3. First half of the working memory, held while queueing.
+        footprint = op.device_footprint_bytes(
+            ctx.profile, ctx.database, child_results, input_bytes)
         working_target = max(footprint - lease.staged_bytes, 0)
         first_half = working_target // 2
         lease.allocate(first_half)

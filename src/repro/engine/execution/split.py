@@ -188,7 +188,7 @@ class SplitState:
         ctx.metrics.count("split_declines", reason=reason)
 
     def try_split(self, ctx, device, op, child_results, input_bytes,
-                  footprint, qctx) -> Generator:
+                  qctx) -> Generator:
         """DES process: split ``op`` between the CPU and ``device``.
 
         Returns the :class:`OperatorResult`, or None when the split
@@ -211,6 +211,8 @@ class SplitState:
             self._decline(ctx, "breaker_open")
             return None
 
+        footprint = op.device_footprint_bytes(
+            ctx.profile, ctx.database, child_results, input_bytes)
         ratio = self.choose_ratio(ctx, op, device, input_bytes)
         ratio_cap = 1.0
         if footprint > 0 and not self.config.coupled:

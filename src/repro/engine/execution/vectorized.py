@@ -221,10 +221,9 @@ class VectorizedExecutor:
                       qctx) -> Generator:
         ctx = self.ctx
         env = ctx.env
-        database = ctx.database
         start = env.now
         for op in pipeline.operators:
-            database.statistics.record_accesses(op.column_keys(), env.now)
+            ctx.database.statistics.record_accesses(op.column_keys(), start)
 
         # functional execution first (zero simulated time): run-time
         # placement sees exact input and output cardinalities
@@ -245,8 +244,7 @@ class VectorizedExecutor:
                 pipeline.terminal.plan_name, qctx,
             )
         if placed is None:
-            yield from self._run_on_cpu(pipeline, results, result,
-                                        seconds[0])
+            yield from self._run_on_cpu(pipeline, results, result, seconds[0])
         # single-consumer plans: release inputs the pipeline consumed
         for child_result in pipeline.inputs(results):
             if child_result is not result:
@@ -280,18 +278,12 @@ class VectorizedExecutor:
         """``[CPU, GPU]`` compute seconds of the chain, each operator
         sized once."""
         ctx = self.ctx
-        sizes = [
-            op.input_nominal_bytes(
-                ctx.database, [results[c.op_id] for c in op.children])
+        sized = [(op.kind, op.input_nominal_bytes(
+            ctx.database, [results[c.op_id] for c in op.children]))
             for op in pipeline.operators]
-        seconds = []
-        for kind in (ProcessorKind.CPU, ProcessorKind.GPU):
-            total = 0.0
-            for op, input_bytes in zip(pipeline.operators, sizes):
-                total += ctx.profile.compute_seconds(op.kind, kind,
-                                                     input_bytes)
-            seconds.append(total)
-        return seconds
+        return [sum(ctx.profile.compute_seconds(op_kind, kind, input_bytes)
+                    for op_kind, input_bytes in sized)
+                for kind in (ProcessorKind.CPU, ProcessorKind.GPU)]
 
     def _attempt_device_once(self, pipeline: Pipeline,
                              results: Dict[int, OperatorResult],

@@ -142,16 +142,14 @@ class PhysicalOperator:
 
     def device_footprint_bytes(self, profile, database: Database,
                                child_results: List[OperatorResult],
-                               input_bytes: Optional[int] = None) -> int:
+                               input_bytes: int) -> int:
         """Device heap demand when executing on the co-processor
-        (``input_bytes``: :meth:`input_nominal_bytes`, if known).
+        (``input_bytes``: :meth:`input_nominal_bytes`).
 
         Defaults to the profile's per-kind factor over the input
         volume; operators with different working-memory shapes (hash
         joins) override this.
         """
-        if input_bytes is None:
-            input_bytes = self.input_nominal_bytes(database, child_results)
         return profile.footprint_bytes(self.kind, input_bytes)
 
     def state_key(self) -> Optional[Tuple]:

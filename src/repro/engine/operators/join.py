@@ -79,7 +79,7 @@ class HashJoin(PhysicalOperator):
         )
 
     def device_footprint_bytes(self, profile, database, child_results,
-                               input_bytes=None) -> int:
+                               input_bytes) -> int:
         """Hash-join working memory: the hash table over the build side
         plus output buffers sized by the streamed probe side."""
         probe, build = child_results

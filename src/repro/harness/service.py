@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import accumulate
 from random import Random
 from time import perf_counter
 from typing import (Callable, Deque, Dict, List, Optional, Sequence,
@@ -519,8 +518,7 @@ class _ServiceRun:
         service = self.service
         model = _arrival_model(service)
         names = [t.name for t in self.tenants]
-        # what ``choices`` would accumulate from the shares on every call
-        cum_shares = list(accumulate(t.share for t in self.tenants))
+        shares = [t.share for t in self.tenants]
         by_name = {t.name: t for t in self.tenants}
         while True:
             dt = model.next_interarrival(self.env.now, self.rng)
@@ -530,7 +528,7 @@ class _ServiceRun:
                 return
             yield self.env.timeout(dt)
             tenant = by_name[
-                self.rng.choices(names, cum_weights=cum_shares)[0]]
+                self.rng.choices(names, weights=shares)[0]]
             queries = self.epoch_queries[self.store.epoch]
             query_index = (tenant.index + self._rr[tenant.name]) \
                 % len(queries)

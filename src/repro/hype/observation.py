@@ -76,22 +76,19 @@ class ObservationStore:
         if window is None:
             window = table[op_kind] = Window(self.max_observations)
             self._keys.append((op_kind, processor_kind))
-        buffer, end = window.buffer, window.end
+        buffer, start, end = window.buffer, window.start, window.end
         if end == buffer.shape[1]:
-            start = window.start
-            if start:
-                # Full: the window (the most recent observations,
-                # workload drift) moves to the front.
-                buffer[:, :end - start] = buffer[:, start:end]
-                del window.sources[:start]
-                window.start = 0
-                end -= start
-            else:
-                # Still filling: double the buffer, up to two windows.
+            # Still filling: double the buffer, up to two windows; else
+            # the window (the most recent observations, workload drift)
+            # moves to the front.
+            if not start:
                 window.buffer = np.empty(
                     (2, min(2 * end, 2 * self.max_observations)))
-                window.buffer[:, :end] = buffer
-                buffer = window.buffer
+            window.buffer[:, :end - start] = buffer[:, start:end]
+            buffer = window.buffer
+            del window.sources[:start]
+            window.start = 0
+            end -= start
         buffer[0, end] = input_bytes
         buffer[1, end] = seconds
         window.sources.append(source)
@@ -104,22 +101,19 @@ class ObservationStore:
             processor_kind: ProcessorKind) -> List[Observation]:
         """The key's window as observations, oldest first."""
         window = self.window(op_kind, processor_kind)
-        if window is None:
-            return []
-        return list(map(Observation, *self.series(op_kind, processor_kind),
-                        window.sources[window.start:]))
+        return list(map(Observation, *window.views().tolist(),
+                        window.sources[window.start:])) if window else []
 
     def series(self, op_kind: str, processor_kind: ProcessorKind
                ) -> Tuple[List[float], List[float]]:
         """``(input_bytes, seconds)`` of the key's window, in
         observation order."""
         window = self.window(op_kind, processor_kind)
-        if window is None:
-            return [], []
-        return tuple(window.views().tolist())
+        return tuple(window.views().tolist()) if window else ([], [])
 
     def count(self, op_kind: str, processor_kind: ProcessorKind) -> int:
-        return len(self.get(op_kind, processor_kind))
+        window = self.window(op_kind, processor_kind)
+        return window.end - window.start if window else 0
 
     def keys(self):
         return list(self._keys)

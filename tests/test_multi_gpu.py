@@ -186,12 +186,14 @@ class TestMultiGpuExecution:
 
         def run():
             qctx = QueryContext(env, "q")
-            first = yield from execute_operator(ctx, scan, [], "gpu",
-                                                qctx=qctx)
+            first = yield from execute_operator(
+                ctx, scan, [], "gpu", qctx=qctx,
+                input_bytes=scan.input_nominal_bytes(ctx.database, []))
             assert first.location == "gpu"
             second = yield from execute_operator(
-                ctx, refine, [first], "gpu2", qctx=qctx
-            )
+                ctx, refine, [first], "gpu2", qctx=qctx,
+                input_bytes=refine.input_nominal_bytes(ctx.database,
+                                                       [first]))
             assert second.location == "gpu2"
             second.release_device_memory()
 

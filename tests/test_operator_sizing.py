@@ -1,9 +1,8 @@
 """Every placed operator is sized once.
 
-``place_operator`` computes an operator's ``input_nominal_bytes`` (and
-its device footprint, where the strategy reads it) and hands the sizes
-to the strategy, the load estimate, ``execute_operator`` and the device
-attempt.  A spy on every class's ``input_nominal_bytes`` shows exactly
+``place_operator`` computes an operator's ``input_nominal_bytes`` and
+hands it to the strategy, the load estimate, ``execute_operator`` and
+the device attempt, which derive the device footprint from it.  A spy on every class's ``input_nominal_bytes`` shows exactly
 one executor-path call per placed operator — under run-time placement
 on the eager executor, under chopping, and under the compile-time
 ``critical_path`` of the service — and that what HyPE learned from was

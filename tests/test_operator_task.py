@@ -17,7 +17,9 @@ AMOUNT = ColumnRef("sales", "amount")
 def run_op(env, ctx, op, child_results, processor, admit=True):
     proc = env.process(
         execute_operator(ctx, op, child_results, processor, admit,
-                         qctx=QueryContext(env, op.plan_name))
+                         qctx=QueryContext(env, op.plan_name),
+                         input_bytes=op.input_nominal_bytes(ctx.database,
+                                                            child_results))
     )
     env.run()
     return proc.value
@@ -192,9 +194,11 @@ def test_cache_in_use_entries_survive_concurrent_eviction_pressure(toy_db):
 
     def run_both():
         first = env.process(execute_operator(
-            ctx, op1, [], "gpu", qctx=QueryContext(env, "q1")))
+            ctx, op1, [], "gpu", qctx=QueryContext(env, "q1"),
+            input_bytes=op1.input_nominal_bytes(ctx.database, [])))
         second = env.process(execute_operator(
-            ctx, op2, [], "gpu", qctx=QueryContext(env, "q2")))
+            ctx, op2, [], "gpu", qctx=QueryContext(env, "q2"),
+            input_bytes=op2.input_nominal_bytes(ctx.database, [])))
         results.append((yield first))
         results.append((yield second))
 

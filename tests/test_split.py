@@ -302,10 +302,8 @@ def _manual_split(db, config, deadline_seconds=None):
     device = hardware.device("gpu")
     qctx = QueryContext(env, queries[0].name, metrics=ctx.metrics,
                         deadline_seconds=deadline_seconds)
-    footprint = target.device_footprint_bytes(ctx.profile, db, children,
-                                              input_bytes)
     process = env.process(state.try_split(
-        ctx, device, target, children, input_bytes, footprint, qctx))
+        ctx, device, target, children, input_bytes, qctx))
     process.defused = True
     qctx.register(process)
     return env, ctx, device, process, qctx
@@ -407,11 +405,13 @@ def test_split_waits_for_inflight_column(ssb_db):
     def arrive_mid_copy():
         yield env.timeout(ctx.bus.latency / 2)
         assert all(ctx.bus.in_flight("gpu", "h2d", key) for key in keys)
-        yield from execute_operator(ctx, split_op, [], "gpu",
-                                    qctx=QueryContext(env, "split"))
+        yield from execute_operator(
+            ctx, split_op, [], "gpu", qctx=QueryContext(env, "split"),
+            input_bytes=split_op.input_nominal_bytes(ctx.database, []))
 
     pure_process = env.process(execute_operator(
-        ctx, pure_op, [], "gpu", qctx=QueryContext(env, "pure")))
+        ctx, pure_op, [], "gpu", qctx=QueryContext(env, "pure"),
+        input_bytes=pure_op.input_nominal_bytes(ctx.database, [])))
     split_process = env.process(arrive_mid_copy())
     on_the_wire_at_launch = []
     submit = device.processor.submit

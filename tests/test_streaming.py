@@ -27,8 +27,9 @@ def cold_config(streaming, **kwargs):
 def run_scan(toy_db, streaming):
     env, hw, ctx = make_context(toy_db, cold_config(streaming))
     op = ScanSelect("sales", Comparison("<", AMOUNT, Literal(30)))
-    proc = env.process(execute_operator(ctx, op, [], "gpu",
-                                        qctx=QueryContext(env, "q")))
+    proc = env.process(execute_operator(
+        ctx, op, [], "gpu", qctx=QueryContext(env, "q"),
+        input_bytes=op.input_nominal_bytes(ctx.database, [])))
     env.run()
     proc.value.release_device_memory()
     return env.now, hw

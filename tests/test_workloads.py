@@ -197,6 +197,7 @@ class TestMicroWorkloads:
         db = ssb.generate(10, data_scale=1e-5)
         plan = micro.build_parallel_selection_plan(db)
         first = plan.operators[0]
-        footprint = first.device_footprint_bytes(COGADB_PROFILE, db, [])
+        footprint = first.device_footprint_bytes(
+            COGADB_PROFILE, db, [], first.input_nominal_bytes(db, []))
         column = db.column("lineorder.lo_discount").nominal_bytes
         assert footprint == int(3.25 * column)
