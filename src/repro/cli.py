@@ -35,6 +35,7 @@ from typing import List, Optional
 
 from repro.core import STRATEGY_NAMES
 from repro.engine import kernels, morsel
+from repro.engine.execution.lifecycle import OVERLOAD_POLICIES
 from repro.harness.figures import FIGURES
 from repro.harness.parallel import resolve_jobs
 from repro.harness.runner import run_workload
@@ -58,12 +59,6 @@ def cmd_figures(args) -> int:
         if figure_id not in FIGURES:
             print("unknown figure {!r}; choose from: {}".format(
                 figure_id, ", ".join(FIGURES)))
-            return 1
-    if args.jobs is not None:
-        try:
-            resolve_jobs(args.jobs)
-        except ValueError as error:
-            print("--jobs: {}".format(error))
             return 1
     start = time.time()
     for figure_id in figures:
@@ -345,6 +340,48 @@ def cmd_compress(args) -> int:
     return 0
 
 
+def add_common(p, scale_factor=10, data_scale=1e-4,
+               strategy="data_driven_chopping"):
+    """The database flags, plus ``--strategy`` unless it is None."""
+    p.add_argument("--benchmark", choices=tuple(BENCHMARKS), default="ssb")
+    p.add_argument("--scale-factor", type=float, default=scale_factor)
+    p.add_argument("--data-scale", type=float, default=data_scale)
+    if strategy is not None:
+        p.add_argument("--strategy", choices=STRATEGY_NAMES,
+                       default=strategy)
+
+
+def add_faults(p):
+    p.add_argument("--faults", default=None, metavar="SPEC",
+                   help="deterministic fault injection, e.g. "
+                        "'pcie=0.01,kernel=0.005,seed=42', a bare uniform "
+                        "rate '0.02', or pool's process classes "
+                        "'crash=0.1,hang=0.05' (default: $REPRO_FAULTS)")
+
+
+def add_lifecycle(p, max_inflight=None):
+    """The query-lifecycle flags ``run`` and ``serve`` share."""
+    p.add_argument("--max-inflight", type=int, default=max_inflight,
+                   metavar="N",
+                   help="admission control: at most N queries in flight "
+                        "(default: {})".format(max_inflight or "unlimited"))
+    p.add_argument("--deadline", type=float, default=None,
+                   metavar="SECONDS",
+                   help="per-query deadline in simulated seconds (serve: "
+                        "each SLO class multiplies it, premium 4x, "
+                        "standard 2x); late queries are cancelled "
+                        "cooperatively")
+    p.add_argument("--hedge-factor", type=float, default=None, metavar="K",
+                   help="hedge a straggling GPU operator onto the CPU once "
+                        "it exceeds K times its runtime estimate "
+                        "(default: off)")
+
+
+def add_jobs(p):
+    p.add_argument("--jobs", type=int, default=None, metavar="N",
+                   help="worker processes (default: $REPRO_JOBS, else 1)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -358,18 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="figure ids (default: all)")
     figures.add_argument("--fast", action="store_true",
                          help="reduced sweep sizes")
-    figures.add_argument("--jobs", type=int, default=None, metavar="N",
-                         help="worker processes per figure grid "
-                              "(default: $REPRO_JOBS or sequential)")
+    add_jobs(figures)
     figures.set_defaults(func=cmd_figures)
-
-    def add_common(p):
-        p.add_argument("--benchmark", choices=tuple(BENCHMARKS),
-                       default="ssb")
-        p.add_argument("--scale-factor", type=float, default=10)
-        p.add_argument("--data-scale", type=float, default=1e-4)
-        p.add_argument("--strategy", choices=STRATEGY_NAMES,
-                       default="data_driven_chopping")
 
     runner = sub.add_parser("run", help="run a benchmark workload")
     add_common(runner)
@@ -403,43 +430,20 @@ def build_parser() -> argparse.ArgumentParser:
                              "staging cost; implies --split")
     runner.add_argument("--trace", action="store_true",
                         help="print the operator timeline")
-    runner.add_argument("--faults", default=None, metavar="SPEC",
-                        help="deterministic fault injection, e.g. "
-                             "'pcie=0.01,kernel=0.005,seed=42' or a bare "
-                             "uniform rate '0.02' (default: $REPRO_FAULTS)")
-    runner.add_argument("--max-inflight", type=int, default=None,
-                        metavar="N",
-                        help="admission control: at most N queries in "
-                             "flight (default: unlimited)")
-    runner.add_argument("--overload-policy",
-                        choices=("queue", "shed", "degrade-to-cpu"),
+    add_faults(runner)
+    add_lifecycle(runner)
+    runner.add_argument("--overload-policy", choices=OVERLOAD_POLICIES,
                         default="queue",
                         help="what happens to queries beyond the "
                              "in-flight limit (default: queue)")
-    runner.add_argument("--deadline", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-query deadline in simulated seconds; "
-                             "late queries are cancelled cooperatively")
-    runner.add_argument("--hedge-factor", type=float, default=None,
-                        metavar="K",
-                        help="hedge a straggling GPU operator onto the "
-                             "CPU once it exceeds K times its runtime "
-                             "estimate (default: off)")
     runner.set_defaults(func=cmd_run)
 
     pool = sub.add_parser(
         "pool", help="chaos-soak the self-healing morsel pool"
     )
-    pool.add_argument("--benchmark", choices=tuple(BENCHMARKS), default="ssb")
-    pool.add_argument("--scale-factor", type=float, default=1)
-    pool.add_argument("--data-scale", type=float, default=1e-2)
-    pool.add_argument("--jobs", type=int, default=None, metavar="N",
-                      help="worker processes (default: $REPRO_JOBS or "
-                           "cpu count)")
-    pool.add_argument("--faults", default=None, metavar="SPEC",
-                      help="process-fault spec, e.g. "
-                           "'crash=0.1,hang=0.05,seed=7' "
-                           "(classes: crash, hang, slowexit, unlinkrace)")
+    add_common(pool, scale_factor=1, data_scale=1e-2, strategy=None)
+    add_jobs(pool)
+    add_faults(pool)
     pool.add_argument("--heartbeat", type=float, default=None,
                       metavar="SECONDS",
                       help="hang-watchdog heartbeat deadline "
@@ -452,12 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="run the machine as a multi-tenant service"
     )
-    serve.add_argument("--benchmark", choices=tuple(BENCHMARKS),
-                       default="ssb")
-    serve.add_argument("--scale-factor", type=float, default=1)
-    serve.add_argument("--data-scale", type=float, default=1e-2)
-    serve.add_argument("--strategy", choices=STRATEGY_NAMES,
-                       default="critical_path")
+    add_common(serve, scale_factor=1, data_scale=1e-2,
+               strategy="critical_path")
     serve.add_argument("--duration", type=float, default=20.0,
                        metavar="SECONDS",
                        help="simulated seconds of arrival traffic")
@@ -468,17 +468,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "(queries per simulated second)")
     serve.add_argument("--tenants", type=int, default=2, metavar="N",
                        help="tenants per SLO class (default: 2)")
-    serve.add_argument("--max-inflight", type=int, default=4, metavar="N")
-    serve.add_argument("--deadline", type=float, default=None,
-                       metavar="SECONDS",
-                       help="base per-query deadline; each SLO class "
-                            "multiplies it (premium 4x, standard 2x)")
+    add_lifecycle(serve, max_inflight=4)
     serve.add_argument("--target", type=float, default=None,
                        metavar="SECONDS",
                        help="base p99 latency target for the attainment "
                             "ledger (same per-class multipliers)")
-    serve.add_argument("--hedge-factor", type=float, default=None,
-                       metavar="K")
     serve.add_argument("--mutation-interval", type=float, default=None,
                        metavar="SECONDS",
                        help="append-batch cadence in simulated seconds "
@@ -491,18 +485,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-validate", action="store_true",
                        help="skip reference-engine identity checks")
     serve.add_argument("--seed", type=int, default=11)
-    serve.add_argument("--faults", default=None, metavar="SPEC",
-                       help="deterministic fault injection spec "
-                            "(default: $REPRO_FAULTS)")
+    add_faults(serve)
     serve.set_defaults(func=cmd_serve)
 
     query = sub.add_parser("query", help="run ad-hoc SQL")
     query.add_argument("sql")
     add_common(query)
     query.add_argument("--limit", type=int, default=20)
-    query.add_argument("--faults", default=None, metavar="SPEC",
-                       help="deterministic fault injection spec "
-                            "(default: $REPRO_FAULTS)")
+    add_faults(query)
     query.set_defaults(func=cmd_query)
 
     strategies = sub.add_parser("strategies",
@@ -525,8 +515,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if "jobs" in args:
+        # --jobs, else $REPRO_JOBS: a bad value is an error, not a trace
+        try:
+            args.jobs = resolve_jobs(args.jobs)
+        except ValueError as error:
+            print("jobs: {}".format(error))
+            return 1
     return args.func(args)
 
 

@@ -9,10 +9,10 @@ adds the corresponding query-level layer on top of the operator-level
 resilience of :mod:`repro.engine.execution.resilience`:
 
 * :class:`AdmissionController` — a gate in front of the executors with
-  a configurable in-flight query limit and a device-heap headroom
-  check.  Excess queries *queue* (FIFO, woken as slots free up), are
-  *shed* (rejected outright), or are *degraded to the CPU* (admitted
-  but barred from the co-processors), per the configured policy.
+  a configurable in-flight query limit.  Excess queries *queue* (FIFO,
+  woken as slots free up), are *shed* (rejected outright), or are
+  *degraded to the CPU* (admitted but barred from the co-processors),
+  per the configured policy.
 * :class:`QueryContext` — per-query deadline/cancel state threaded
   through the executors.  Cancellation is *cooperative and true*: the
   context interrupts every registered DES process (the kernel throws
@@ -71,9 +71,6 @@ class LifecycleConfig:
     max_inflight: Optional[int] = None
     #: what happens to a query arriving beyond the limit
     overload_policy: str = "queue"
-    #: admission additionally requires this fraction of every device
-    #: heap to be free (0 disables the headroom check)
-    heap_headroom_fraction: float = 0.0
     #: per-query deadline in simulated seconds (None = no deadline)
     deadline_seconds: Optional[float] = None
     #: hedge a GPU-placed operator once it exceeds this multiple of its
@@ -87,8 +84,6 @@ class LifecycleConfig:
             raise ValueError(
                 "overload_policy must be one of {}".format(OVERLOAD_POLICIES)
             )
-        if not 0.0 <= self.heap_headroom_fraction < 1.0:
-            raise ValueError("heap_headroom_fraction must be in [0, 1)")
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ValueError("deadline_seconds must be positive")
         if self.hedge_factor is not None and self.hedge_factor <= 0:
@@ -98,8 +93,7 @@ class LifecycleConfig:
 
     @property
     def admission_enabled(self) -> bool:
-        return (self.max_inflight is not None
-                or self.heap_headroom_fraction > 0.0)
+        return self.max_inflight is not None
 
     @property
     def deadlines_enabled(self) -> bool:
@@ -122,15 +116,13 @@ class LifecycleConfig:
         """Parse a spec string, e.g. ``"max_inflight=4,policy=shed"``.
 
         Accepted keys are the field names plus the short aliases
-        ``policy`` (overload_policy), ``deadline`` (deadline_seconds),
-        ``hedge`` (hedge_factor), and ``headroom``
-        (heap_headroom_fraction).
+        ``policy`` (overload_policy), ``deadline`` (deadline_seconds)
+        and ``hedge`` (hedge_factor).
         """
         return parse_spec(cls, spec, "lifecycle", aliases={
             "policy": "overload_policy",
             "deadline": "deadline_seconds",
             "hedge": "hedge_factor",
-            "headroom": "heap_headroom_fraction",
         })
 
     @classmethod
@@ -170,7 +162,7 @@ class QueryContext:
         #: service-mode attribution: owning tenant and its SLO class
         self.tenant = tenant
         self.slo_class = slo_class
-        #: per-class override of ``SystemConfig.deadline_safety``
+        #: per-class override of ``split.DEADLINE_SAFETY``
         self.deadline_safety = deadline_safety
         self.started_at = env.now
         self.finished = False
@@ -286,9 +278,8 @@ class AdmissionController:
     :meth:`release`.
     """
 
-    def __init__(self, env, hardware, config: LifecycleConfig, metrics):
+    def __init__(self, env, config: LifecycleConfig, metrics):
         self.env = env
-        self.hardware = hardware
         self.config = config
         self.metrics = metrics
         self.inflight = 0
@@ -297,21 +288,8 @@ class AdmissionController:
     # -- capacity -------------------------------------------------------
 
     def has_capacity(self) -> bool:
-        config = self.config
-        if (config.max_inflight is not None
-                and self.inflight >= config.max_inflight):
-            return False
-        if config.heap_headroom_fraction > 0.0 and self.inflight > 0:
-            # Headroom guard: only gate while something is running —
-            # an empty system always admits, so the gate cannot deadlock
-            # on leftover pressure.
-            needed = config.heap_headroom_fraction
-            for device in self.hardware.gpus:
-                heap = device.heap
-                if (heap.capacity > 0
-                        and heap.available < needed * heap.capacity):
-                    return False
-        return True
+        limit = self.config.max_inflight
+        return limit is None or self.inflight < limit
 
     # -- admission ------------------------------------------------------
 
@@ -351,7 +329,7 @@ class AdmissionController:
         and wake the first still-live queued waiter if capacity allows."""
         self.inflight -= 1
         while self._waiters:
-            if not (self.has_capacity() or self.inflight == 0):
+            if not self.has_capacity():
                 return
             waiter = self._waiters.popleft()
             if waiter.triggered:

@@ -79,9 +79,8 @@ REBALANCE_EPSILON = 0.01
 BUSY_FACTOR = 1.0
 
 #: Degrade to pure CPU when the deadline margin falls below this
-#: multiple of the estimated remaining makespan.  This is the default
-#: for ``SystemConfig.deadline_safety``; service mode overrides it per
-#: SLO class through ``QueryContext.deadline_safety``.
+#: multiple of the estimated remaining makespan.  Service mode
+#: overrides it per SLO class through ``QueryContext.deadline_safety``.
 DEADLINE_SAFETY = 2.0
 
 
@@ -434,17 +433,16 @@ class SplitState:
         """False when the deadline margin no longer covers the
         estimated remaining makespan with safety to spare — the split
         then degrades to pure CPU rather than risk GPU retries.  The
-        safety multiple is ``SystemConfig.deadline_safety`` unless the
-        query carries a per-SLO-class override."""
+        safety multiple is :data:`DEADLINE_SAFETY` unless the query
+        carries a per-SLO-class override."""
         if qctx.deadline_seconds is None:
             return True
         margin = (qctx.started_at + qctx.deadline_seconds
                   - qctx.env.now)
         estimate = remaining * max(t_cpu_full * (1.0 - ratio),
                                    t_gpu_full * ratio)
-        safety = getattr(self.config, "deadline_safety", DEADLINE_SAFETY)
-        if qctx.deadline_safety is not None:
-            safety = qctx.deadline_safety
+        safety = (qctx.deadline_safety if qctx.deadline_safety is not None
+                  else DEADLINE_SAFETY)
         return margin >= safety * estimate
 
 

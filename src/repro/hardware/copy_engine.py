@@ -138,7 +138,6 @@ class CopyEngine:
         bandwidth_bytes_per_second: float,
         latency_seconds: float = 0.0,
         chunk_bytes: int = 32 * (1 << 20),
-        coalescing: bool = True,
         metrics: Optional[MetricsCollector] = None,
         busy_probe: Optional[Callable[[str], bool]] = None,
         topology: str = ASYNC,
@@ -156,13 +155,12 @@ class CopyEngine:
         if topology == SERIALIZED:
             # the topology fixes the engine knobs: nothing to coalesce
             # onto, no overlap classification, byte-exact fault progress
-            chunk_bytes, coalescing, busy_probe = 1, False, None
+            chunk_bytes, busy_probe = 1, None
             self._shared = _Channel(env)
         self.env = env
         self.bandwidth = float(bandwidth_bytes_per_second)
         self.latency = float(latency_seconds)
         self.chunk_bytes = int(chunk_bytes)
-        self.coalescing = bool(coalescing)
         self.metrics = metrics
         #: answers "is this device computing right now?" — used to
         #: classify completed wire time as overlapped with compute
@@ -210,10 +208,10 @@ class CopyEngine:
     def attach(self, device: Optional[str], direction: str,
                key) -> Optional[Event]:
         """Coalesce onto an in-flight copy of ``key``; None if there is
-        none (or coalescing is disabled).  Yielding the returned event
-        waits for the one copy already on the wire — it raises the
+        none (always, on the serialized link).  Yielding the returned
+        event waits for the one copy already on the wire — it raises the
         copy's :class:`PCIeTransferFault` if that copy dies."""
-        if not self.coalescing or key is None:
+        if key is None:
             return None
         handle = self._inflight.get((device, direction, key))
         if handle is None:

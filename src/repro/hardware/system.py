@@ -9,11 +9,11 @@ collector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Generator, Optional
 
 from repro.hardware.cache import DeviceCache
-from repro.hardware.calibration import COGADB_PROFILE, GIB, MIB, EngineProfile
+from repro.hardware.calibration import COGADB_PROFILE, GIB, EngineProfile
 from repro.hardware.copy_engine import ASYNC, SERIALIZED, CopyEngine
 from repro.hardware.memory import DeviceHeap
 from repro.hardware.processor import Processor, ProcessorKind
@@ -35,8 +35,6 @@ class SystemConfig:
     #: slice of device memory used as column cache ("GPU buffer size");
     #: the remainder is operator heap
     gpu_cache_bytes: int = 2 * GIB
-    #: cache eviction policy: "lru" or "lfu"
-    gpu_cache_policy: str = "lru"
     #: effective PCIe bandwidth and latency (page-locked, async streams)
     pcie_bandwidth_bytes_per_second: float = 2.4 * GIB
     pcie_latency_seconds: float = 15e-6
@@ -51,16 +49,6 @@ class SystemConfig:
     #: placement-driven prefetch.  False (default) = serialized: one
     #: blocking channel for everything, the paper-faithful baseline.
     copy_engine: bool = False
-    #: DMA chunk size: fault granularity, prefetch preemption points,
-    #: and the vector size of double-buffered streaming (async
-    #: topology only, like the two knobs below)
-    copy_chunk_bytes: int = 32 * MIB
-    #: attach concurrent operators to an in-flight copy of the same
-    #: column instead of queueing a duplicate transfer
-    copy_coalescing: bool = True
-    #: columns the prefetcher pulls per idle bus window (0 disables the
-    #: prefetcher)
-    prefetch_depth: int = 2
     #: intra-operator split execution (repro.engine.execution.split):
     #: one operator's morsel range divided between CPU and GPU by a
     #: HyPE-chosen ratio, rebalanced mid-operator by the load tracker.
@@ -76,11 +64,6 @@ class SystemConfig:
     #: share one physical memory, so staging to the device and merging
     #: results back skip the PCIe hop entirely
     coupled: bool = False
-    #: "nearing deadline" degradation threshold: a deadline-carrying
-    #: query keeps its GPU share only while the remaining margin covers
-    #: this multiple of the estimated remaining work (service mode
-    #: overrides it per SLO class via ``QueryContext.deadline_safety``)
-    deadline_safety: float = 2.0
     #: cost calibration
     profile: EngineProfile = COGADB_PROFILE
 
@@ -91,37 +74,16 @@ class SystemConfig:
             raise ValueError("memory sizes must be >= 0")
         if self.gpu_count < 1:
             raise ValueError("at least one co-processor is required")
-        if self.copy_chunk_bytes <= 0:
-            raise ValueError("copy chunk size must be positive")
-        if self.prefetch_depth < 0:
-            raise ValueError("prefetch depth must be >= 0")
         if self.split_ratio is not None and not (
                 0.0 <= self.split_ratio <= 1.0):
             raise ValueError("split_ratio must be in [0, 1]")
         if self.split_rounds < 1:
             raise ValueError("split_rounds must be >= 1")
-        if self.deadline_safety <= 0:
-            raise ValueError("deadline_safety must be > 0")
 
     @property
     def gpu_heap_bytes(self) -> int:
         """Device memory left for operator intermediates and results."""
         return self.gpu_memory_bytes - self.gpu_cache_bytes
-
-    def with_profile(self, profile: EngineProfile) -> "SystemConfig":
-        return replace(self, profile=profile)
-
-    def with_copy_engine(self, enabled: bool = True,
-                         **overrides) -> "SystemConfig":
-        """Copy of this config with the copy engine toggled (plus any
-        engine knob overrides: chunk size, coalescing, prefetch depth)."""
-        return replace(self, copy_engine=enabled, **overrides)
-
-    def with_split(self, enabled: bool = True,
-                   **overrides) -> "SystemConfig":
-        """Copy of this config with split execution toggled (plus any
-        split knob overrides: ``split_ratio``, ``split_rounds``)."""
-        return replace(self, split=enabled, **overrides)
 
     @classmethod
     def coupled_gpu(cls, **overrides) -> "SystemConfig":
@@ -178,8 +140,6 @@ class HardwareSystem:
             env,
             bandwidth_bytes_per_second=self.config.pcie_bandwidth_bytes_per_second,
             latency_seconds=self.config.pcie_latency_seconds,
-            chunk_bytes=self.config.copy_chunk_bytes,
-            coalescing=self.config.copy_coalescing,
             metrics=self.metrics,
             busy_probe=self._device_computing,
             topology=ASYNC if self.config.copy_engine else SERIALIZED,
@@ -202,7 +162,6 @@ class HardwareSystem:
                                     metrics=self.metrics, name=name),
                     cache=DeviceCache(
                         self.config.gpu_cache_bytes,
-                        policy=self.config.gpu_cache_policy,
                         metrics=self.metrics,
                         clock=lambda: env.now,
                     ),

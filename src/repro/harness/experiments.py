@@ -354,7 +354,7 @@ def engine_comparison(benchmark: str, scale_factor: float = 10,
         lambda engine, backend: Cell(
             workload=benchmark, scale_factor=scale_factor,
             strategy=backend + "_only", repetitions=repetitions,
-            config=roomy.with_profile(profiles[engine])),
+            config=replace(roomy, profile=profiles[engine])),
         _latencies, jobs,
         notes="Configuration without thrashing or contention (App. A): "
               "a device large enough to hold the working set.",

@@ -139,12 +139,10 @@ def warm_platform(ctx: ExecutionContext, strategy: PlacementStrategy,
         # Data-driven placement needs the manager even for a cold
         # start; an empty cache simply keeps every operator on the CPU.
         placement.apply_placement()
-    if hardware.bus.asynchronous and config.prefetch_depth > 0:
+    if hardware.bus.asynchronous:
         # background prefetch rides the link's idle h2d windows,
         # driven by the same LFU/LRU ranking the manager uses
-        PlacementPrefetcher(
-            hardware, placement, depth=config.prefetch_depth
-        ).start()
+        PlacementPrefetcher(hardware, placement).start()
     if config.split:
         # Intra-operator co-processing: gate each query template for
         # chunk-merge byte identity, then hang the split state off the
@@ -173,8 +171,7 @@ class QueryDriver:
         self.strategy = strategy
         #: without a lifecycle the gate has nothing on: it always admits
         self.controller = AdmissionController(
-            ctx.env, ctx.hardware, lifecycle or LifecycleConfig(),
-            ctx.metrics)
+            ctx.env, lifecycle or LifecycleConfig(), ctx.metrics)
         # the run's one executor, as ``submit(plan, qctx, ctx)``
         if processing_model == "vectorized":
             # vector-at-a-time (Sec. 5.5): pipelines replace the

@@ -5,14 +5,14 @@ of queries, issued by a fixed number of sessions, measured by makespan.
 The paper's robustness claim only matters at *steady state*, so this
 module runs the machine as a service:
 
-* **Streaming arrivals** over simulated time — Poisson, diurnal
-  (sinusoidally modulated rate), or a replayed trace of absolute
-  arrival times — from N tenants partitioned into SLO classes.
+* **Streaming arrivals** over simulated time — Poisson or diurnal
+  (sinusoidally modulated rate) — from N tenants partitioned into SLO
+  classes.
 * **SLO classes** (premium / standard / best-effort by default) with
   per-class deadline multipliers, p99 latency targets, fair-share
   weights, tenant queue caps, and per-class "nearing deadline"
   degradation thresholds (``SLOClass.deadline_safety`` overrides the
-  ``SystemConfig.deadline_safety`` knob per query).
+  split executor's ``DEADLINE_SAFETY`` per query).
 * **Fair-share admission** layered *on top of* the PR5 lifecycle: a
   weighted deficit-round-robin dispatcher over per-tenant FIFO queues
   decides *who* goes next; tenant-level shed/degrade (queue caps with
@@ -92,7 +92,7 @@ class SLOClass:
     #: the query runs CPU-only)
     overflow_policy: str = "queue"
     #: per-class "nearing deadline" degradation threshold overriding
-    #: ``SystemConfig.deadline_safety`` (None = use the config knob)
+    #: ``split.DEADLINE_SAFETY`` (None = use that default)
     deadline_safety: Optional[float] = None
 
     def __post_init__(self):
@@ -135,8 +135,13 @@ DEFAULT_CLASSES: Tuple[SLOClass, ...] = (PREMIUM, STANDARD, BEST_EFFORT)
 
 # -- configuration -----------------------------------------------------
 
-#: Period P of the diurnal arrival modulation, in simulated seconds.
+#: Diurnal arrivals: rate(t) = rate * (1 + A sin(2 pi t / P)) with
+#: amplitude A and period P in simulated seconds.
+DIURNAL_AMPLITUDE = 0.75
 DIURNAL_PERIOD_SECONDS = 8.0
+
+#: Deficit quantum per dispatcher round (queries per unit weight).
+QUANTUM = 1.0
 
 #: The dispatcher tops deficits up by ``quantum x weight`` per round
 #: until a backlogged tenant reaches 1.0; a class alone in the backlog
@@ -151,21 +156,15 @@ class ServiceConfig:
 
     #: simulated seconds of arrival traffic (the run then drains)
     duration_seconds: float = 20.0
-    #: arrival model: "poisson", "diurnal", or "trace"
+    #: arrival model: "poisson" or "diurnal" (DIURNAL_AMPLITUDE)
     arrivals: str = "poisson"
     #: aggregate mean arrival rate (queries per simulated second)
     rate: float = 10.0
-    #: diurnal modulation: rate(t) = rate * (1 + A sin(2 pi t / P))
-    diurnal_amplitude: float = 0.75
-    #: replayed trace: absolute arrival times in simulated seconds
-    trace_times: Optional[Tuple[float, ...]] = None
     #: tenants per SLO class (tenant names are "<class>-<i>")
     tenants_per_class: int = 2
     classes: Tuple[SLOClass, ...] = DEFAULT_CLASSES
     #: machine-level gate (the PR5 lifecycle layer underneath)
     max_inflight: int = 4
-    #: what the *global* gate does if fair share overruns it anyway
-    global_overload_policy: str = "shed"
     #: base per-query deadline (x class deadline_multiplier); None
     #: disables deadlines and cancellation
     deadline_seconds: Optional[float] = None
@@ -176,16 +175,14 @@ class ServiceConfig:
     hedge_factor: Optional[float] = None
     #: promote any tenant whose queue head waited this long
     starvation_seconds: float = 5.0
-    #: deficit quantum per dispatcher round (queries per unit weight)
-    quantum: float = 1.0
     #: append-batch cadence in simulated seconds (None = no mutation)
     mutation_interval_seconds: Optional[float] = None
     #: fraction of each target table appended per batch
     append_fraction: float = 0.05
     #: run each epoch warm-up through a PR8 self-healing MorselPool
-    #: under process chaos as an identity sidecar (requires shm)
+    #: of two workers under process chaos as an identity sidecar
+    #: (requires shm)
     pool_chaos: bool = False
-    pool_jobs: int = 2
     #: cross-check every completed query against the reference engine
     #: evaluated over its pinned snapshot
     validate: bool = True
@@ -194,32 +191,26 @@ class ServiceConfig:
     def __post_init__(self):
         if self.duration_seconds <= 0:
             raise ValueError("duration_seconds must be positive")
-        if self.arrivals not in ("poisson", "diurnal", "trace"):
-            raise ValueError("arrivals must be poisson/diurnal/trace")
-        if self.arrivals == "trace" and not self.trace_times:
-            raise ValueError("trace arrivals need trace_times")
+        if self.arrivals not in ("poisson", "diurnal"):
+            raise ValueError("arrivals must be poisson/diurnal")
         if self.rate <= 0:
             raise ValueError("rate must be positive")
         if self.tenants_per_class < 1:
             raise ValueError("tenants_per_class must be >= 1")
         if not self.classes:
             raise ValueError("at least one SLO class is required")
-        if self.global_overload_policy not in ("shed", "degrade-to-cpu"):
-            # "queue" would block the dispatcher loop itself
-            raise ValueError(
-                "global_overload_policy must be shed or degrade-to-cpu")
         if self.starvation_seconds <= 0:
             raise ValueError("starvation_seconds must be positive")
-        if self.quantum <= 0:
-            raise ValueError("quantum must be positive")
+        if (self.mutation_interval_seconds is not None
+                and self.mutation_interval_seconds <= 0):
+            # a zero cadence would append forever at one simulated time
+            raise ValueError("mutation_interval_seconds must be positive")
         for cls in self.classes:
-            if self.quantum * cls.weight * MAX_TOPUP_ROUNDS < 1.0:
+            if QUANTUM * cls.weight * MAX_TOPUP_ROUNDS < 1.0:
                 raise ValueError(
                     "quantum x weight of class {!r} is below 1/{}: one "
                     "dispatch would take more top-up rounds than "
                     "that".format(cls.name, MAX_TOPUP_ROUNDS))
-        if not 0.0 <= self.diurnal_amplitude < 1.0:
-            raise ValueError("diurnal_amplitude must be in [0, 1)")
 
     def targets(self) -> Dict[str, float]:
         """Per-class p99 latency targets in simulated seconds."""
@@ -250,29 +241,6 @@ class _DiurnalArrivals:
 
     def next_interarrival(self, now: float, rng: Random) -> float:
         return rng.expovariate(self.rate_at(now))
-
-
-class _TraceArrivals:
-    """Replay absolute arrival times (e.g. from a recorded trace)."""
-
-    def __init__(self, times: Sequence[float]):
-        self.times = sorted(float(t) for t in times)
-        self.cursor = 0
-
-    def next_interarrival(self, now: float, rng: Random) -> float:
-        if self.cursor >= len(self.times):
-            return math.inf
-        t = self.times[self.cursor]
-        self.cursor += 1
-        return max(t - now, 0.0)
-
-
-def _arrival_model(service: ServiceConfig):
-    if service.arrivals == "trace":
-        return _TraceArrivals(service.trace_times)
-    amplitude = (service.diurnal_amplitude
-                 if service.arrivals == "diurnal" else 0.0)
-    return _DiurnalArrivals(service.rate, amplitude, DIURNAL_PERIOD_SECONDS)
 
 
 # -- tenancy -----------------------------------------------------------
@@ -501,12 +469,14 @@ class _ServiceRun:
         self._rr: Counter = Counter()  # per-tenant query round-robin
         self._stir = self.env.event()
         self.fair = FairShareAdmission(
-            self.tenants, service.quantum, service.starvation_seconds,
+            self.tenants, QUANTUM, service.starvation_seconds,
             self.metrics)
+        # the global gate sheds what fair share overruns it with:
+        # "queue" would block the dispatcher loop itself
         self.driver = QueryDriver(
             self.ctx, self.strategy, LifecycleConfig(
                 max_inflight=service.max_inflight,
-                overload_policy=service.global_overload_policy,
+                overload_policy="shed",
                 hedge_factor=service.hedge_factor,
             ), **pools)
         warm_platform(self.ctx, self.strategy, queries, warm_cache,
@@ -516,14 +486,15 @@ class _ServiceRun:
 
     def _arrivals(self):
         service = self.service
-        model = _arrival_model(service)
+        model = _DiurnalArrivals(
+            service.rate,
+            DIURNAL_AMPLITUDE if service.arrivals == "diurnal" else 0.0,
+            DIURNAL_PERIOD_SECONDS)
         names = [t.name for t in self.tenants]
         shares = [t.share for t in self.tenants]
         by_name = {t.name: t for t in self.tenants}
         while True:
             dt = model.next_interarrival(self.env.now, self.rng)
-            if not math.isfinite(dt):
-                return
             if self.env.now + dt >= service.duration_seconds:
                 return
             yield self.env.timeout(dt)
@@ -638,7 +609,7 @@ class _ServiceRun:
         if workload == "sql" and not sql_queries:
             return
         with MorselPool(snapshot, sql_queries or queries,
-                        workload=workload, jobs=self.service.pool_jobs,
+                        workload=workload, jobs=2,
                         faults=self.fault_config) as pool:
             results = pool.run_queries()
             pool.record_metrics(self.metrics)

@@ -1,8 +1,21 @@
-"""Tests for the command-line interface."""
+"""Tests for the command-line interface.
+
+``python tests/test_cli.py --record`` rewrites ``tests/golden/
+cli_flags.json`` from the current parser; do that only when a flag is
+added or removed on purpose.
+"""
+
+import argparse
+import json
+import os
+import sys
 
 import pytest
 
 from repro.cli import FIGURE_DRIVERS, build_parser, main
+
+GOLDEN_FLAGS = os.path.join(os.path.dirname(__file__), "golden",
+                            "cli_flags.json")
 
 
 def test_strategies_command(capsys):
@@ -84,6 +97,15 @@ def test_figures_unknown_id(capsys):
     assert "unknown figure" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [["figures", "fig16", "--fast"],
+                                  ["pool"]])
+def test_a_bad_repro_jobs_is_an_error_not_a_traceback(argv, monkeypatch,
+                                                      capsys):
+    monkeypatch.setenv("REPRO_JOBS", "abc")
+    assert main(argv) == 1
+    assert "REPRO_JOBS='abc' is not an integer" in capsys.readouterr().out
+
+
 def test_figure_driver_table_covers_all_paper_figures():
     """``FIGURE_DRIVERS`` is the view of ``repro.harness.figures.FIGURES``
     that ``benchmarks/e2e`` reads: ``(callable, full kwargs, --fast
@@ -132,3 +154,50 @@ def test_parser_rejects_bad_strategy():
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+def declared_flags(parser):
+    """Per subcommand: option string (or positional dest) -> dest,
+    default, type and choices, as ``build_parser()`` declares them."""
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    table = {}
+    for name, sub in commands.choices.items():
+        table[name] = {
+            " ".join(action.option_strings) or action.dest: {
+                "dest": action.dest,
+                "default": action.default,
+                "type": getattr(action.type, "__name__", action.type),
+                "choices": (list(action.choices)
+                            if action.choices is not None else None),
+            }
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+        }
+    return table
+
+
+def test_every_flag_is_declared_and_parses_as_recorded():
+    """Each subcommand keeps every option string, with its dest,
+    default, type and choices, of ``tests/golden/cli_flags.json``, and
+    parses each option to that default."""
+    with open(GOLDEN_FLAGS) as handle:
+        golden = json.load(handle)
+    parser = build_parser()
+    assert json.loads(json.dumps(declared_flags(parser))) == golden
+    for command, flags in golden.items():
+        positionals = [key for key in flags if not key.startswith("-")]
+        argv = [command] + ["x" for key in positionals
+                            if key not in ("figures",)]
+        args = vars(parser.parse_args(argv))
+        for key, flag in flags.items():
+            if key.startswith("-"):
+                assert args[flag["dest"]] == flag["default"], (command, key)
+
+
+if __name__ == "__main__":
+    if "--record" in sys.argv[1:]:
+        with open(GOLDEN_FLAGS, "w") as handle:
+            json.dump(declared_flags(build_parser()), handle, indent=1)
+            handle.write("\n")
+        print("wrote", GOLDEN_FLAGS)

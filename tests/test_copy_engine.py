@@ -17,11 +17,10 @@ from repro.sim import Environment
 from repro.workloads import ssb
 
 
-def make_engine(env, metrics=None, chunk_bytes=256, coalescing=True,
-                bandwidth=1000.0):
+def make_engine(env, metrics=None, chunk_bytes=256, bandwidth=1000.0):
     return CopyEngine(env, bandwidth_bytes_per_second=bandwidth,
                       latency_seconds=0.0, chunk_bytes=chunk_bytes,
-                      coalescing=coalescing, metrics=metrics)
+                      metrics=metrics)
 
 
 def pcie_injector(env, rate=1.0, seed=3):
@@ -128,24 +127,6 @@ def test_concurrent_same_key_copies_coalesce():
     assert metrics.coalesced_bytes == 1000
     assert metrics.cpu_to_gpu_seconds == pytest.approx(1.0)
     assert metrics.cpu_to_gpu_bytes == 1000
-
-
-def test_coalescing_disabled_queues_duplicate_copies():
-    env = Environment()
-    metrics = MetricsCollector()
-    engine = make_engine(env, metrics, coalescing=False)
-    ends = []
-
-    def mover():
-        yield from engine.transfer(1000, "h2d", device="gpu", key="t.c0")
-        ends.append(env.now)
-
-    env.process(mover())
-    env.process(mover())
-    env.run()
-    assert ends == [pytest.approx(1.0), pytest.approx(2.0)]
-    assert metrics.coalesced_transfers == 0
-    assert metrics.cpu_to_gpu_seconds == pytest.approx(2.0)
 
 
 def test_coalesced_waiter_observes_the_fault():
@@ -289,10 +270,10 @@ def test_disabled_config_is_the_serialized_topology():
 
 def test_with_copy_engine_constructs_and_hooks_injector():
     env = Environment()
-    config = SystemConfig().with_copy_engine(True, copy_chunk_bytes=1 << 20)
-    hardware = HardwareSystem(env, config, MetricsCollector())
+    hardware = HardwareSystem(env, SystemConfig(copy_engine=True),
+                              MetricsCollector())
     assert hardware.bus.asynchronous
-    assert hardware.bus.chunk_bytes == 1 << 20
+    assert hardware.bus.chunk_bytes == 32 * (1 << 20)
     assert (hardware.bus.channel("gpu", "h2d")
             is not hardware.bus.channel("gpu", "d2h"))
     injector = pcie_injector(env)
@@ -302,8 +283,8 @@ def test_with_copy_engine_constructs_and_hooks_injector():
 
 def test_host_transfer_never_faults():
     env = Environment()
-    config = SystemConfig().with_copy_engine(True)
-    hardware = HardwareSystem(env, config, MetricsCollector())
+    hardware = HardwareSystem(env, SystemConfig(copy_engine=True),
+                              MetricsCollector())
     hardware.install_faults(pcie_injector(env))
     done = []
 
@@ -337,24 +318,18 @@ def _run(db, config, **kwargs):
 
 
 def test_engine_results_identical_to_baseline(overlap_db):
-    config = SystemConfig()
-    base = _run(overlap_db, config, validate=True)
-    eng = _run(overlap_db, config.with_copy_engine(True), validate=True)
+    base = _run(overlap_db, SystemConfig(), validate=True)
+    eng = _run(overlap_db, SystemConfig(copy_engine=True), validate=True)
     assert _digest(base.results) == _digest(eng.results)
     assert eng.seconds <= base.seconds
 
 
 def test_engine_knobs_inert_when_disabled(overlap_db):
+    """The serialized link coalesces, prefetches and classifies
+    nothing; overlapped staging on it is still not "the engine"."""
     plain = _run(overlap_db, SystemConfig())
-    knobs = _run(overlap_db, SystemConfig().with_copy_engine(
-        False, copy_chunk_bytes=4096, copy_coalescing=False,
-        prefetch_depth=0,
-    ))
-    assert plain.seconds == knobs.seconds
-    assert _digest(plain.results) == _digest(knobs.results)
-    # overlapped staging on the serialized link is still not "the engine"
     streaming = _run(overlap_db, SystemConfig(streaming_transfers=True))
-    for run in (plain, knobs, streaming):
+    for run in (plain, streaming):
         metrics = run.metrics
         assert metrics.coalesced_transfers == 0
         assert metrics.prefetch_transfers == 0
@@ -363,7 +338,7 @@ def test_engine_knobs_inert_when_disabled(overlap_db):
 
 
 def test_engine_deterministic_under_faults(overlap_db):
-    config = SystemConfig().with_copy_engine(True)
+    config = SystemConfig(copy_engine=True)
     spec = FaultConfig.uniform(0.05, seed=5)
     first = _run(overlap_db, config, faults=spec)
     second = _run(overlap_db, config, faults=spec)
@@ -373,7 +348,7 @@ def test_engine_deterministic_under_faults(overlap_db):
 
 
 def test_overlap_counters_populated(overlap_db):
-    eng = _run(overlap_db, SystemConfig().with_copy_engine(True))
+    eng = _run(overlap_db, SystemConfig(copy_engine=True))
     metrics = eng.metrics
     assert metrics.transfer_seconds > 0
     assert 0.0 <= metrics.overlap_ratio <= 1.0

@@ -193,7 +193,7 @@ def test_partition_ignores_stale_statistics(stats_db):
 # -- placement-driven prefetch ----------------------------------------------
 
 
-def engine_hardware(stats_db, prefetch_depth=2, gpu_count=1):
+def engine_hardware(stats_db, gpu_count=1):
     from repro.hardware import HardwareSystem
     from repro.metrics import MetricsCollector
 
@@ -204,7 +204,6 @@ def engine_hardware(stats_db, prefetch_depth=2, gpu_count=1):
         gpu_memory_bytes=5 * nbytes,
         gpu_cache_bytes=3 * nbytes,
         copy_engine=True,
-        prefetch_depth=prefetch_depth,
     )
     hardware = HardwareSystem(env, config, MetricsCollector())
     manager = DataPlacementManager(
@@ -230,7 +229,7 @@ def test_prefetcher_requires_the_copy_engine(stats_db):
 def test_prefetcher_fills_idle_window_with_ranked_columns(stats_db):
     from repro.core import PlacementPrefetcher
 
-    env, hardware, manager = engine_hardware(stats_db, prefetch_depth=2)
+    env, hardware, manager = engine_hardware(stats_db)
     PlacementPrefetcher(hardware, manager, depth=2).start()
     env.run()
     cache = hardware.gpu_cache
@@ -248,7 +247,7 @@ def test_prefetcher_fills_idle_window_with_ranked_columns(stats_db):
 def test_prefetched_entries_are_unpinned_and_evictable(stats_db):
     from repro.core import PlacementPrefetcher
 
-    env, hardware, manager = engine_hardware(stats_db, prefetch_depth=2)
+    env, hardware, manager = engine_hardware(stats_db)
     PlacementPrefetcher(hardware, manager, depth=2).start()
     env.run()
     cache = hardware.gpu_cache
@@ -261,7 +260,7 @@ def test_prefetcher_skips_faulted_columns_and_terminates(stats_db):
     from repro.core import PlacementPrefetcher
     from repro.faults import FaultConfig, FaultInjector
 
-    env, hardware, manager = engine_hardware(stats_db, prefetch_depth=2)
+    env, hardware, manager = engine_hardware(stats_db)
     hardware.install_faults(FaultInjector(
         FaultConfig.parse("pcie=1,seed=3"), clock=lambda: env.now,
     ))
@@ -274,7 +273,7 @@ def test_prefetcher_skips_faulted_columns_and_terminates(stats_db):
 def test_prefetcher_refills_after_device_reset_with_pinned_entries(stats_db):
     from repro.core import PlacementPrefetcher
 
-    env, hardware, manager = engine_hardware(stats_db, prefetch_depth=2)
+    env, hardware, manager = engine_hardware(stats_db)
     cache = hardware.gpu_cache
     nbytes = column_bytes(stats_db)
     # a pinned entry referenced by a running operator...

@@ -63,12 +63,11 @@ def test_config_defaults_are_disabled():
 
 def test_config_parse_spec_and_aliases():
     config = LifecycleConfig.parse(
-        "max_inflight=4,policy=shed,deadline=2.5,hedge=3,headroom=0.1")
+        "max_inflight=4,policy=shed,deadline=2.5,hedge=3")
     assert config.max_inflight == 4
     assert config.overload_policy == "shed"
     assert config.deadline_seconds == 2.5
     assert config.hedge_factor == 3.0
-    assert config.heap_headroom_fraction == 0.1
     assert config.enabled
     assert LifecycleConfig.coerce("max_inflight=2").max_inflight == 2
 
@@ -169,9 +168,8 @@ def test_admission_bounds_the_tail_at_four_times_the_load():
 def test_admission_controller_fifo_wakeup():
     """Direct-drive: queued waiters are woken in order, slots balance."""
     env = Environment()
-    hardware = type("H", (), {"gpus": ()})()
     controller = AdmissionController(
-        env, hardware, LifecycleConfig(max_inflight=1), MetricsCollector())
+        env, LifecycleConfig(max_inflight=1), MetricsCollector())
     order = []
 
     def query(name, hold):

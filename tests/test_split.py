@@ -16,6 +16,8 @@ Covers the split tentpole end to end:
 * metrics/CLI surface the split summary; disabled runs pay nothing.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -222,7 +224,7 @@ def test_split_beats_the_best_pure_placement_under_heap_pressure():
     --scale-factor 5 --strategy runtime`` prints the split block)."""
     pure_cpu = _pressure_run("cpu_only", PRESSURE)
     pure_gpu = _pressure_run("gpu_only", PRESSURE)
-    split = _pressure_run("runtime", PRESSURE.with_split(True))
+    split = _pressure_run("runtime", replace(PRESSURE, split=True))
     assert pure_gpu.metrics.aborts > 0  # the pressure is real
     assert split.metrics.total("split_operators") > 0
     assert split.metrics.aborts == 0
@@ -234,7 +236,7 @@ def test_split_wastes_less_than_hedging_under_heap_pressure():
     """The same pressure drives straggler hedging to burn
     redundant-copy time; splitting wastes strictly less and aborts no
     more than the unsplit run."""
-    split = _pressure_run("runtime", PRESSURE.with_split(True))
+    split = _pressure_run("runtime", replace(PRESSURE, split=True))
     unsplit = _pressure_run("runtime", PRESSURE)
     hedged = _pressure_run("chopping", PRESSURE,
                            lifecycle=LifecycleConfig(hedge_factor=1.5))
@@ -246,7 +248,7 @@ def test_split_wastes_less_than_hedging_under_heap_pressure():
 def test_split_runs_are_deterministic_under_heap_pressure():
     """Rebalancing reads only simulated state: two identical runs agree
     on the makespan, every result row and every split counter."""
-    config = PRESSURE.with_split(True)
+    config = replace(PRESSURE, split=True)
     first = _pressure_run("runtime", config, collect_results=True)
     second = _pressure_run("runtime", config, collect_results=True)
     assert first.metrics.total("split_rebalances") > 0
@@ -455,8 +457,7 @@ def test_config_validation():
         SystemConfig(split_ratio=1.5)
     with pytest.raises(ValueError):
         SystemConfig(split_rounds=0)
-    toggled = SystemConfig().with_split(True, split_ratio=0.5)
-    assert toggled.split and toggled.split_ratio == 0.5
+    SystemConfig(split=True, split_ratio=0.5)
 
 
 def test_coupled_ratio_shifts_toward_gpu(ssb_db):
