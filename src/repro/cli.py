@@ -91,8 +91,6 @@ def _resolve_lifecycle(args):
 
 
 def cmd_run(args) -> int:
-    database = _database(args.benchmark, args.scale_factor, args.data_scale)
-    queries = BENCHMARKS[args.benchmark].workload(database)
     config_kwargs = dict(
         gpu_count=args.gpus,
         gpu_memory_bytes=int(args.gpu_memory_gib * GIB),
@@ -106,6 +104,8 @@ def cmd_run(args) -> int:
               else SystemConfig(**config_kwargs))
     faults = _resolve_faults(args)
     lifecycle = _resolve_lifecycle(args)
+    database = _database(args.benchmark, args.scale_factor, args.data_scale)
+    queries = BENCHMARKS[args.benchmark].workload(database)
     fused_before = morsel.snapshot_stats()
     probes = ("compiled_probes", "numpy_probes")
     probes_before = [kernels.stats[key] for key in probes]
@@ -180,6 +180,7 @@ def cmd_pool(args) -> int:
     if not shm.available():
         print("shared memory is not available on this platform")
         return 1
+    faults = _resolve_faults(args)
     database = _database(args.benchmark, args.scale_factor, args.data_scale)
     queries = BENCHMARKS[args.benchmark].workload(database)
     reference = {
@@ -187,7 +188,6 @@ def cmd_pool(args) -> int:
             query.instantiate(), database).payload.row_tuples()
         for query in queries
     }
-    faults = _resolve_faults(args)
     start = time.time()
     with MorselPool(database, queries, workload=args.benchmark,
                     jobs=args.jobs, faults=faults,
@@ -231,7 +231,6 @@ def cmd_serve(args) -> int:
     """Run the machine as a multi-tenant service; print the ledger."""
     from repro.harness.service import ServiceConfig, run_service
 
-    database = _database(args.benchmark, args.scale_factor, args.data_scale)
     service = ServiceConfig(
         duration_seconds=args.duration,
         arrivals=args.arrivals,
@@ -247,10 +246,12 @@ def cmd_serve(args) -> int:
         validate=not args.no_validate,
         seed=args.seed,
     )
+    faults = _resolve_faults(args)
+    database = _database(args.benchmark, args.scale_factor, args.data_scale)
     start = time.time()
     result = run_service(
         database, workload=args.benchmark, strategy=args.strategy,
-        service=service, faults=_resolve_faults(args),
+        service=service, faults=faults,
     )
     elapsed = time.time() - start
     print("service: {} x{:.0f}s simulated {} arrivals @ {:g}/s, "
@@ -297,10 +298,11 @@ def cmd_serve(args) -> int:
 
 
 def cmd_query(args) -> int:
+    faults = _resolve_faults(args)
     database = _database(args.benchmark, args.scale_factor, args.data_scale)
     queries = sql_workload(database, {"adhoc": args.sql})
     run = run_workload(database, queries, args.strategy,
-                       collect_results=True, faults=_resolve_faults(args))
+                       collect_results=True, faults=faults)
     payload = run.results["adhoc"]
     for row in payload.row_tuples()[: args.limit]:
         print(row)
@@ -516,14 +518,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if "jobs" in args:
-        # --jobs, else $REPRO_JOBS: a bad value is an error, not a trace
-        try:
+    # a bad flag value (or $REPRO_JOBS, or SQL that does not parse, bind
+    # or plan) is a one-line error, not a traceback
+    try:
+        if "jobs" in args:
             args.jobs = resolve_jobs(args.jobs)
-        except ValueError as error:
-            print("jobs: {}".format(error))
-            return 1
-    return args.func(args)
+        return args.func(args)
+    except ValueError as error:
+        print("error: {}".format(error))
+        return 1
 
 
 if __name__ == "__main__":

@@ -129,30 +129,6 @@ class DataPlacementManager:
         for key in new_set & old_set:
             cache.pin(key)
 
-    def place(self, bus) -> Generator:
-        """DES process: run Algorithm 1, charging PCIe time for newly
-        cached columns (the online background job)."""
-        for cache, keys in zip(self.caches, self.partition()):
-            new_set = set(keys)
-            old_set = set(cache.keys)
-            for key in old_set - new_set:
-                entry = cache.entry(key)
-                if entry.refcount > 0:
-                    continue
-                cache.evict(key)
-            for key in sorted(new_set - old_set):
-                column = self.database.column(key)
-                if cache.admit(key, column.nominal_bytes, pinned=True):
-                    yield from bus.transfer(column.nominal_bytes, "h2d")
-            for key in new_set & old_set:
-                cache.pin(key)
-
-    def background_job(self, bus, interval_seconds: float) -> Generator:
-        """DES process: periodically re-run placement."""
-        while True:
-            yield bus.env.timeout(interval_seconds)
-            yield from self.place(bus)
-
 
 class PlacementPrefetcher:
     """Fills idle h2d windows with the next-ranked hot columns.

@@ -30,7 +30,6 @@ from repro.core.placement.runtime import RuntimeHype, SplitHype
 _REGISTRY = {
     "cpu_only": CpuOnly,
     "gpu_only": GpuPreferred,
-    "gpu_preferred": GpuPreferred,
     "critical_path": CriticalPath,
     "data_driven": DataDrivenCompile,
     "runtime": RuntimeHype,

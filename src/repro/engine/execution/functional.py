@@ -12,9 +12,6 @@ of every covered operator into its memo; :func:`execute_operators` —
 the operator-at-a-time post-order loop — then serves those memos, runs
 whatever fusion did not cover (tail sorts/limits, declined plan
 shapes), and performs the per-operator statistics bookkeeping.
-``Limit``-rooted materialisations short-circuit through
-``execute_direct`` instead, which stops scanning morsels once enough
-rows are gathered and records nothing.
 
 :func:`execute_operators` on its own is the operator path: the
 reference the identity gates compare fused and pooled results with,
@@ -46,13 +43,5 @@ def execute_operators(plan: PhysicalPlan, database: Database) -> OperatorResult:
 
 def execute_functional(plan: PhysicalPlan, database: Database) -> OperatorResult:
     """Execute ``plan`` immediately; returns the root result."""
-    direct = morsel.execute_direct(plan, database)
-    if direct is not None:
-        # Limit-rooted plan served with cross-chunk early termination;
-        # replay the per-operator access bookkeeping the post-order
-        # loop would have performed.
-        for op in plan.operators:
-            database.statistics.record_accesses(op.column_keys())
-        return direct
     morsel.prepare_fused(plan, database)
     return execute_operators(plan, database)

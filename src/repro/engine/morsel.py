@@ -14,8 +14,8 @@ operator's *chunk kernel*, on its class — ``ScanSelect.select`` /
 the same kernel called once over the whole column; the reasons chunk
 outputs concatenate to the one-chunk output stand with the kernels.
 Here are the ranges, the chain loop, what gets recorded where, the
-order partials are absorbed in, the replay of the nominal-row rule, the
-``Limit`` early stop and the reasons to decline.
+order partials are absorbed in, the replay of the nominal-row rule and
+the reasons to decline.
 
 Sequential execution is *recording*: a fused run fills the
 per-template result memo (and the cross-plan cache) of every covered
@@ -31,10 +31,10 @@ its morsels are cut over the payload of the deepest covered operator
 the template memo or the plan cache already answers — a selection's
 fact mask, a join's aligned tids — and only the operators after it run.
 Pooled execution ships one breaker partial per worker chunk instead
-and merges them (:meth:`FusedPipeline.merge`); its chunks, like the
-``Limit`` prefix, are fact-row ranges and enter at the scan.  A plan
-shape outside the fused form declines (reason-counted in
-:data:`decline_reasons`) and the plan runs operator by operator.
+and merges them (:meth:`FusedPipeline.merge`); its chunks are fact-row
+ranges and enter at the scan.  A plan shape outside the fused form
+declines (reason-counted in :data:`decline_reasons`) and the plan runs
+operator by operator.
 """
 
 from __future__ import annotations
@@ -68,9 +68,6 @@ stats = {
     "dense_aggregates": 0,
     "barrier_breakers": 0,
     "compensated_merges": 0,
-    "limit_fused_queries": 0,
-    "limit_early_stops": 0,
-    "limit_rows_skipped": 0,
 }
 
 #: Why fusion declined, by reason (diagnostics; reset with the stats).
@@ -209,13 +206,13 @@ class FusedPipeline:
             lineages.append(lineage)
         return masks, lineages
 
-    def batches(self, start: int, stop: int, rows: int, progress=None):
-        """``(stop, partial)`` per batch of fact rows ``[start, stop)``
-        — ``stop`` where the batch ends: the chain runs morsel by morsel
-        (``progress``, a no-arg callable, fires after each), its output
-        is buffered until it holds ``rows`` rows or the range ends, and
-        the breaker's partial over the buffer is stamped with the
-        batch's first row and its morsels' summed output counts."""
+    def batches(self, start: int, stop: int, progress=None):
+        """One partial per batch of fact rows ``[start, stop)``: the
+        chain runs morsel by morsel (``progress``, a no-arg callable,
+        fires after each), its output is buffered until it holds
+        :data:`MORSEL_ROWS` rows or the range ends, and the breaker's
+        partial over the buffer is stamped with the batch's first row
+        and its morsels' summed output counts."""
         buffered, totals, first = [], None, start
         spans = self._spans(start, stop)
         for number, (span_start, span_stop) in enumerate(spans, 1):
@@ -235,11 +232,11 @@ class FusedPipeline:
             buffered.append((span_start, span_stop, lineages[-1]))
             if progress is not None:
                 progress()
-            if totals[-1] >= rows or number == len(spans):
+            if totals[-1] >= MORSEL_ROWS or number == len(spans):
                 partial = self.breaker.partial(self._frame(buffered),
                                                totals[-1])
                 partial.index, partial.chain_counts = first, totals
-                yield span_stop, partial
+                yield partial
                 buffered, totals, first = [], None, span_stop
 
     def _frame(self, buffered) -> Frame:
@@ -277,8 +274,8 @@ class FusedPipeline:
         acc.append(partial)
 
     def _absorb_all(self, partials):
-        """Absorb ``partials`` (consumed in order, so a generator may
-        stop early); returns (accumulator, summed chain counts)."""
+        """Absorb ``partials`` in order; returns (accumulator, summed
+        chain counts)."""
         acc = self.new_accumulator()
         totals: Optional[Tuple[int, ...]] = None
         for partial in partials:
@@ -291,8 +288,8 @@ class FusedPipeline:
     def merge(self, partials) -> OperatorResult:
         """Root result from chunk or morsel partials: absorb, replay
         the nominal-row arithmetic, finalise the breaker, run the tail
-        — the one merge the morsel pool, the split identity gate and
-        the fused ``Limit`` path share."""
+        — the one merge the morsel pool and the split identity gate
+        share."""
         acc, totals = self._absorb_all(partials)
         _, prev_nominal = self.replay_nominal(totals)
         return self.run_tail(self.finalize(acc, prev_nominal))
@@ -331,9 +328,7 @@ class FusedPipeline:
         workers heartbeat through it so the parent's watchdog can tell
         a slow chunk from a hung process.
         """
-        acc, totals = self._absorb_all(
-            partial for _, partial in
-            self.batches(start, stop, MORSEL_ROWS, progress))
+        acc, totals = self._absorb_all(self.batches(start, stop, progress))
         packed = self.breaker.merge(acc)
         packed.index, packed.chain_counts = start, totals
         return packed
@@ -519,73 +514,6 @@ def build(plan, database, resume: bool = False) -> FusedPipeline:
         _resume(pipe)
     _prepare_probers(pipe, cache)
     return pipe
-
-
-def execute_direct(plan, database) -> Optional[OperatorResult]:
-    """Serve a ``Limit``-rooted plan straight from the fused chain with
-    cross-chunk early termination, or return None.
-
-    Eligible plans have a materialising breaker whose only tail
-    operator is the root ``Limit``: morsels are consumed in ascending
-    fact order, and once the merged frame holds ``n`` rows the
-    remaining ranges never run.  Identity with the reference path is
-    structural: the processed prefix's concatenation equals the full
-    run's first rows (ascending chunk merge), and ``Limit``'s nominal
-    count is ``min(child_nominal, n)`` — when the scan stops early the
-    gathered rows already reach ``n`` and ``scaled_nominal_rows`` keeps
-    every chain nominal at or above its actual count, so both the
-    partial and the full child nominal clamp to ``n``.  Aggregating
-    breakers (every input row matters) and extra tail operators (a
-    ``Sort`` below the ``Limit`` needs all rows) are declined,
-    reason-counted under ``limit_*``.
-
-    The served result is **never memoised**: the covered operators'
-    memos would hold prefix-only intermediates, poisoning later plans
-    that share the chain.
-    """
-    root = plan.root
-    if root.kind != "limit":  # ``Limit`` alone declares this kind
-        return None
-    try:
-        if root.n <= 0:
-            raise Decline("limit_nonpositive")
-        if _recorded(root, database) is not None:
-            # the ordinary path serves the memo for free — and the
-            # direct path must never shadow recorded full results
-            raise Decline("limit_memoised")
-        pipe = build(plan, database)
-        if pipe.breaker.role != "project":
-            raise Decline("limit_breaker")
-        if pipe.tail != [root]:
-            raise Decline("limit_tail")
-        stopped_at: Optional[int] = None
-
-        def prefix():
-            nonlocal stopped_at
-            gathered = 0
-            # a batch ends once it holds n rows: where the limit is met
-            for stop, partial in pipe.batches(0, pipe.fact_rows, root.n):
-                yield partial
-                gathered += partial.chain_counts[-1]
-                if gathered >= root.n:
-                    stopped_at = stop
-                    return
-
-        result = pipe.merge(prefix())
-    except Decline as decline:
-        reason = decline.reason
-        if not reason.startswith("limit_"):
-            reason = "limit_" + reason
-        decline_reasons[reason] += 1
-        return None
-    except Exception:
-        decline_reasons["limit_error"] += 1
-        return None
-    stats["limit_fused_queries"] += 1
-    if stopped_at is not None and stopped_at < pipe.fact_rows:
-        stats["limit_early_stops"] += 1
-        stats["limit_rows_skipped"] += pipe.fact_rows - stopped_at
-    return result
 
 
 def _recorded(op, database) -> Optional[Tuple]:

@@ -190,13 +190,6 @@ class FaultConfig:
         return cls(**values)
 
     @classmethod
-    def uniform_process(cls, rate: float, **overrides) -> "FaultConfig":
-        """One rate applied to every *process* fault class."""
-        values = {name: rate for name in PROCESS_FAULT_CLASSES}
-        values.update(overrides)
-        return cls(**values)
-
-    @classmethod
     def parse(cls, spec: str) -> "FaultConfig":
         """Parse a ``--faults`` / ``REPRO_FAULTS`` spec string.
 
@@ -233,18 +226,6 @@ class FaultConfig:
         """True when any process fault class has a nonzero rate."""
         return any(getattr(self, name) > 0.0
                    for name in PROCESS_FAULT_CLASSES)
-
-    def rates(self) -> Dict[str, float]:
-        """Per-class hardware injection rates (for reporting)."""
-        return {name: getattr(self, name) for name in FAULT_CLASSES}
-
-    def process_rates(self) -> Dict[str, float]:
-        """Per-class process injection rates (for reporting)."""
-        return {name: getattr(self, name)
-                for name in PROCESS_FAULT_CLASSES}
-
-    def with_seed(self, seed: int) -> "FaultConfig":
-        return replace(self, seed=int(seed))
 
 
 class FaultInjector:

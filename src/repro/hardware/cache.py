@@ -158,11 +158,6 @@ class DeviceCache:
         if self.metrics is not None:
             self.metrics.record_cache_eviction()
 
-    def evict_all(self) -> None:
-        """Drop every entry regardless of pins (used between experiments)."""
-        for key in list(self._entries):
-            self.evict(key)
-
     def reset(self) -> None:
         """Flush the cache after an injected device reset.
 
@@ -184,17 +179,6 @@ class DeviceCache:
     def unpin(self, key: Hashable) -> None:
         self._entries[key].pinned = False
 
-    def set_capacity(self, capacity_bytes: int) -> None:
-        """Change the budget; evicts per policy until within budget."""
-        if capacity_bytes < 0:
-            raise ValueError("cache capacity must be >= 0")
-        self.capacity = int(capacity_bytes)
-        while self.used > self.capacity:
-            victim = self._select_victim(include_pinned=True)
-            if victim is None:
-                raise RuntimeError("cannot shrink cache: all entries in use")
-            self.evict(victim.key)
-
     # -- internal -----------------------------------------------------
 
     def _evictable_bytes(self) -> int:
@@ -204,11 +188,11 @@ class DeviceCache:
             if not e.pinned and e.refcount == 0
         )
 
-    def _select_victim(self, include_pinned: bool = False) -> Optional[CacheEntry]:
+    def _select_victim(self) -> Optional[CacheEntry]:
         candidates = [
             e
             for e in self._entries.values()
-            if e.refcount == 0 and (include_pinned or not e.pinned)
+            if e.refcount == 0 and not e.pinned
         ]
         if not candidates:
             return None

@@ -93,10 +93,6 @@ class EngineProfile:
                             ("_algorithm_keys", keys)):
             object.__setattr__(self, name, value)
 
-    def algorithm_names(self, op_kind: str) -> Tuple[str, ...]:
-        """The candidate algorithms for an operator kind."""
-        return tuple(self.algorithms.get(op_kind) or ())
-
     def algorithm_keys(self, op_kind: str) -> Tuple[str, ...]:
         """The ``kind#algorithm`` cost keys of the candidates."""
         return self._algorithm_keys.get(op_kind, ())

@@ -51,6 +51,11 @@ WORKLOADS = tuple(BENCHMARKS) + ("micro_serial", "micro_parallel")
 #: Environment variable consulted when no explicit jobs count is given.
 JOBS_ENV = "REPRO_JOBS"
 
+#: Worker deaths one chunk may cause before :class:`MorselPool`
+#: quarantines it (computes it in-process).
+POISON_THRESHOLD = 2
+
+
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Effective worker count: explicit > $REPRO_JOBS > 1."""
     if jobs is None:
@@ -444,7 +449,7 @@ class MorselPool:
       worker is respawned (shm re-attach via the same manifest);
     * a worker that stops heartbeating past ``heartbeat_seconds`` is
       killed by the **watchdog** and handled like a crash;
-    * a chunk that kills ``poison_threshold`` workers is **quarantined**
+    * a chunk that kills :data:`POISON_THRESHOLD` workers is **quarantined**
       — computed in-process for that range only, not the whole query;
     * a respawn that fails to attach (segment unlinked or corrupted)
       triggers a **re-export** under a fresh epoch;
@@ -462,8 +467,7 @@ class MorselPool:
     def __init__(self, database, queries, workload: str = "ssb",
                  jobs: Optional[int] = None, faults=None,
                  heartbeat_seconds: Optional[float] = None,
-                 max_restarts: int = 16, poison_threshold: int = 2,
-                 reap: bool = True):
+                 max_restarts: int = 16):
         from repro.faults import FaultConfig, ProcessFaultInjector
 
         if workload != "sql" and workload not in BENCHMARKS:
@@ -488,12 +492,11 @@ class MorselPool:
             heartbeat_seconds = 2.0
         self.heartbeat_seconds = heartbeat_seconds
         self.max_restarts = max_restarts
-        self.poison_threshold = max(poison_threshold, 1)
         self.counters: Counter = Counter()
         self.events: List[Dict[str, object]] = []
         self.degraded: Optional[str] = None
         self.fallbacks = 0
-        self.orphans_reaped = shm.reap_orphans() if reap else 0
+        self.orphans_reaped = shm.reap_orphans()
         self._ctx = _pool_context()
         self._manifest = shm.export_database(database)
         #: replaced exports a starting worker may still attach
@@ -624,7 +627,7 @@ class MorselPool:
         task.kills += 1
         if state.failure is not None:
             return  # query is aborting: drop the chunk
-        if task.kills >= self.poison_threshold:
+        if task.kills >= POISON_THRESHOLD:
             self.counters["chunk_quarantines"] += 1
             self._record_event("chunk_quarantined", state.name,
                                chunk=task.chunk_index, worker=worker.index,

@@ -43,8 +43,3 @@ def render(verdicts: List[Verdict]) -> str:
     lines += ["", "{} of {} claims hold.".format(
         sum(holds for _, holds, _ in verdicts), len(verdicts))]
     return "\n".join(lines)
-
-
-def generate_report(full: bool = False, tables: Optional[dict] = None) -> str:
-    """Measure every claim and render the report."""
-    return render(evaluate_claims(full, tables))

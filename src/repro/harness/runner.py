@@ -25,7 +25,6 @@ from repro.core import (
 )
 from repro.core.chopping import check_pool_arguments
 from repro.core.placement.base import PlacementStrategy
-from repro.engine import morsel
 from repro.engine.execution import (
     AdmissionController,
     ExecutionContext,
@@ -34,7 +33,7 @@ from repro.engine.execution import (
     QueryContext,
     VectorizedExecutor,
     deadline_watchdog,
-    execute_operators,
+    execute_functional,
     run_plan_eager,
 )
 from repro.engine.intermediates import ResultFrame
@@ -96,16 +95,9 @@ def build_platform(database: Database, config: SystemConfig,
 
 def functional_warm(database: Database,
                     queries: List[WorkloadQuery]) -> None:
-    """Memoise the functional results of one snapshot's templates.
-
-    Recording, not answering: ``execute_functional``'s ``Limit``
-    shortcut serves a row prefix and by design memoises nothing, which
-    would leave the DES to re-run the chain on first touch.
-    """
+    """Memoise the functional results of one snapshot's templates."""
     for query in queries:
-        plan = query.template_plan()
-        morsel.prepare_fused(plan, database)
-        execute_operators(plan, database)
+        execute_functional(query.template_plan(), database)
 
 
 def warm_platform(ctx: ExecutionContext, strategy: PlacementStrategy,
@@ -259,7 +251,6 @@ def run_workload(
     repetitions: int = 1,
     warm_cache: bool = True,
     placement_policy: str = "lfu",
-    cpu_workers: int = 4,
     gpu_workers: int = 2,
     scheduling: str = "fifo",
     processing_model: str = "operator",
@@ -298,7 +289,7 @@ def run_workload(
         raise ValueError(
             "processing_model must be 'operator' or 'vectorized'"
         )
-    check_pool_arguments(cpu_workers, gpu_workers, scheduling)
+    check_pool_arguments(scheduling, gpu_workers)
     config = config if config is not None else SystemConfig()
     lifecycle_config = LifecycleConfig.coerce(lifecycle)
     if lifecycle_config is not None and not lifecycle_config.enabled:
@@ -323,8 +314,7 @@ def run_workload(
 
     driver = QueryDriver(
         ctx, strategy_obj, lifecycle_config, processing_model,
-        cpu_workers=cpu_workers, gpu_workers=gpu_workers,
-        scheduling=scheduling)
+        gpu_workers=gpu_workers, scheduling=scheduling)
     admission = None
     if strategy_obj.admission_limit is not None:
         admission = Resource(env, capacity=strategy_obj.admission_limit)

@@ -143,12 +143,6 @@ DIURNAL_PERIOD_SECONDS = 8.0
 #: Deficit quantum per dispatcher round (queries per unit weight).
 QUANTUM = 1.0
 
-#: The dispatcher tops deficits up by ``quantum x weight`` per round
-#: until a backlogged tenant reaches 1.0; a class alone in the backlog
-#: needs 1 / (quantum x weight) rounds per dispatch.  Configurations
-#: needing more rounds than this are refused when built.
-MAX_TOPUP_ROUNDS = 1024
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -162,7 +156,6 @@ class ServiceConfig:
     rate: float = 10.0
     #: tenants per SLO class (tenant names are "<class>-<i>")
     tenants_per_class: int = 2
-    classes: Tuple[SLOClass, ...] = DEFAULT_CLASSES
     #: machine-level gate (the PR5 lifecycle layer underneath)
     max_inflight: int = 4
     #: base per-query deadline (x class deadline_multiplier); None
@@ -197,20 +190,12 @@ class ServiceConfig:
             raise ValueError("rate must be positive")
         if self.tenants_per_class < 1:
             raise ValueError("tenants_per_class must be >= 1")
-        if not self.classes:
-            raise ValueError("at least one SLO class is required")
         if self.starvation_seconds <= 0:
             raise ValueError("starvation_seconds must be positive")
         if (self.mutation_interval_seconds is not None
                 and self.mutation_interval_seconds <= 0):
             # a zero cadence would append forever at one simulated time
             raise ValueError("mutation_interval_seconds must be positive")
-        for cls in self.classes:
-            if QUANTUM * cls.weight * MAX_TOPUP_ROUNDS < 1.0:
-                raise ValueError(
-                    "quantum x weight of class {!r} is below 1/{}: one "
-                    "dispatch would take more top-up rounds than "
-                    "that".format(cls.name, MAX_TOPUP_ROUNDS))
 
     def targets(self) -> Dict[str, float]:
         """Per-class p99 latency targets in simulated seconds."""
@@ -218,7 +203,7 @@ class ServiceConfig:
             return {}
         return {
             cls.name: self.latency_target_seconds * cls.target_multiplier
-            for cls in self.classes
+            for cls in DEFAULT_CLASSES
         }
 
 
@@ -260,10 +245,10 @@ class TenantSpec:
 def build_tenants(service: ServiceConfig) -> List[TenantSpec]:
     """Partition tenants over the SLO classes with arrival shares
     normalised so they sum to 1 across all tenants."""
-    total_share = sum(cls.arrival_share for cls in service.classes)
+    total_share = sum(cls.arrival_share for cls in DEFAULT_CLASSES)
     tenants: List[TenantSpec] = []
     index = 0
-    for cls in service.classes:
+    for cls in DEFAULT_CLASSES:
         per_tenant = (cls.arrival_share / total_share
                       / service.tenants_per_class)
         for i in range(service.tenants_per_class):
@@ -368,8 +353,7 @@ class FairShareAdmission:
         ring = self._ring
         n = len(ring)
         # terminates: every pass adds quantum x weight > 0 to each
-        # backlogged tenant under a cap >= 1 (ServiceConfig bounds the
-        # number of passes by MAX_TOPUP_ROUNDS)
+        # backlogged tenant under a cap >= 1
         while True:
             for step in range(n):
                 name = ring[(self._cursor + step) % n]
@@ -440,9 +424,7 @@ class _ServiceRun:
                  workload_factory: Callable[[Database],
                                             List[WorkloadQuery]],
                  workload_name: str, strategy: str,
-                 config: SystemConfig, service: ServiceConfig,
-                 placement_policy: str, faults, warm_cache: bool,
-                 **pools):
+                 config: SystemConfig, service: ServiceConfig, faults):
         from repro.faults import FaultConfig
 
         self.service = service
@@ -450,8 +432,8 @@ class _ServiceRun:
         self.workload_name = workload_name
         self.strategy_name = strategy
         self.fault_config = FaultConfig.coerce(faults)
-        self.ctx = build_platform(database, config, placement_policy,
-                                  self.fault_config)
+        self.ctx = build_platform(database, config,
+                                  faults=self.fault_config)
         self.env = self.ctx.env
         self.metrics = self.ctx.metrics
         self.strategy = get_strategy(strategy)
@@ -478,9 +460,8 @@ class _ServiceRun:
                 max_inflight=service.max_inflight,
                 overload_policy="shed",
                 hedge_factor=service.hedge_factor,
-            ), **pools)
-        warm_platform(self.ctx, self.strategy, queries, warm_cache,
-                      placement_policy)
+            ))
+        warm_platform(self.ctx, self.strategy, queries)
 
     # -- arrivals -----------------------------------------------------
 
@@ -677,11 +658,6 @@ def run_service(
     service: Optional[ServiceConfig] = None,
     workload: str = "ssb",
     query_names: Optional[Sequence[str]] = None,
-    warm_cache: bool = True,
-    placement_policy: str = "lfu",
-    cpu_workers: int = 4,
-    gpu_workers: int = 2,
-    scheduling: str = "fifo",
     faults=None,
 ) -> ServiceResult:
     """Run the simulated machine as a multi-tenant service.
@@ -690,12 +666,12 @@ def run_service(
     once per table epoch so queries always bind to their snapshot;
     when omitted it is resolved from ``workload``/``query_names``.
     ``service`` shapes the traffic, tenancy, admission, deadlines and
-    hedging.  ``strategy``, ``config``, ``warm_cache``,
-    ``placement_policy``, the worker pools (``cpu_workers``,
-    ``gpu_workers``, ``scheduling``) and ``faults`` mean what they mean
-    for :func:`run_workload`; there is no ``processing_model`` (queries
-    run operator-at-a-time), no ``users`` or ``repetitions`` (``service``
-    sets the arrivals), no ``trace``, and algorithm selection is on.
+    hedging.  ``strategy``, ``config`` and ``faults`` mean what they
+    mean for :func:`run_workload`, whose other defaults the service
+    keeps: a warm LFU cache, the default worker pools, FIFO ready
+    queues, operator-at-a-time queries and algorithm selection on; there
+    is no ``users`` or ``repetitions`` (``service`` sets the arrivals)
+    and no ``trace``.
     """
     config = config if config is not None else SystemConfig()
     service = service if service is not None else ServiceConfig()
@@ -703,8 +679,7 @@ def run_service(
         workload_factory = resolve_workload_factory(workload, query_names)
     return _ServiceRun(
         database, workload_factory, workload, strategy, config, service,
-        placement_policy, faults, warm_cache, cpu_workers=cpu_workers,
-        gpu_workers=gpu_workers, scheduling=scheduling).run()
+        faults).run()
 
 
 __all__ = [

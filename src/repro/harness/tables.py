@@ -37,9 +37,6 @@ class ExperimentResult:
             points.sort(key=lambda p: (p[0] is None, p[0]))
         return grouped
 
-    def column_values(self, name: str) -> List[object]:
-        return [row.get(name) for row in self.rows]
-
     def format_table(self, float_digits: int = 4) -> str:
         """Aligned plain-text table."""
         columns = self.columns()

@@ -13,7 +13,7 @@ query-processing simulation:
 * :class:`Event` — one-shot events with success/failure semantics.
 * :class:`Process` — a running generator, itself awaitable as an event.
 * :class:`Timeout` — an event that fires after a virtual delay.
-* :class:`AllOf` / :class:`AnyOf` — condition events over several events.
+* :class:`AllOf` — the condition event over several events.
 * :class:`Resource` — a counted resource with a FIFO wait queue (used to
   model processors, worker pools, and the PCIe bus).
 * :class:`Store` — an unbounded producer/consumer queue (used to model
@@ -24,13 +24,12 @@ virtual time, which makes every experiment in this repository exactly
 reproducible.
 """
 
-from repro.sim.events import AllOf, AnyOf, Event, Interrupted, Process, Timeout
+from repro.sim.events import AllOf, Event, Interrupted, Process, Timeout
 from repro.sim.environment import Environment
 from repro.sim.resources import PriorityStore, Resource, Store
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
     "Interrupted",

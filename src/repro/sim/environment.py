@@ -7,7 +7,6 @@ from typing import Any, Generator, List, Optional, Tuple
 
 from repro.sim.events import (
     AllOf,
-    AnyOf,
     Event,
     PRIORITY_NORMAL,
     Process,
@@ -58,10 +57,6 @@ class Environment:
     def all_of(self, events) -> AllOf:
         """Event that succeeds once all ``events`` succeed."""
         return AllOf(self, events)
-
-    def any_of(self, events) -> AnyOf:
-        """Event that succeeds once any of ``events`` succeeds."""
-        return AnyOf(self, events)
 
     # -- scheduling ---------------------------------------------------
 

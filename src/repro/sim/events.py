@@ -227,8 +227,8 @@ class Process(Event):
             return
 
 
-class Condition(Event):
-    """Base for events combining several sub-events.
+class AllOf(Event):
+    """Triggers once every sub-event has succeeded (fails fast).
 
     A sub-event counts as *done* once it has been processed (its
     callbacks ran), not merely once it is triggered — a ``Timeout`` is
@@ -251,7 +251,7 @@ class Condition(Event):
                     self._done += 1
             else:
                 event.callbacks.append(self._observe)
-        if self._ok is None and self._satisfied():
+        if self._ok is None and self._done == len(self.events):
             self._finalize()
 
     def _observe(self, event: Event) -> None:
@@ -264,35 +264,8 @@ class Condition(Event):
             self.fail(event._value)
             return
         self._done += 1
-        if self._satisfied():
+        if self._done == len(self.events):
             self._finalize()
 
-    def _satisfied(self) -> bool:
-        raise NotImplementedError
-
     def _finalize(self) -> None:
-        values = {
-            i: e._value
-            for i, e in enumerate(self.events)
-            if e.callbacks is None and e._ok
-        }
-        self.succeed(values)
-
-
-class AllOf(Condition):
-    """Triggers once every sub-event has succeeded (fails fast)."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._done == len(self.events)
-
-
-class AnyOf(Condition):
-    """Triggers once any sub-event has succeeded (or immediately when
-    created over an empty list)."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._done >= 1 or not self.events
+        self.succeed({i: e._value for i, e in enumerate(self.events)})

@@ -81,10 +81,6 @@ class Column:
             return int(raw * self.compression.ratio)
         return raw
 
-    @property
-    def actual_bytes(self) -> int:
-        return self.values.nbytes
-
     # -- string encoding ------------------------------------------------
 
     @classmethod

@@ -207,13 +207,6 @@ def choose_codec(values: np.ndarray) -> ColumnCompression:
     return ColumnCompression(best_name, best_ratio)
 
 
-def codec_by_name(name: str) -> Codec:
-    for codec in CODECS:
-        if codec.name == name:
-            return codec
-    raise KeyError("unknown codec {!r}".format(name))
-
-
 def compress_column(column: Column) -> ColumnCompression:
     """Measure and apply the best codec to ``column``.
 

@@ -19,7 +19,7 @@ class Database:
         self._resolved: Dict[str, Column] = {}
         #: per-column access counters (Sec. 3.2): incremented each time
         #: an operator accesses a column, consumed by the data-placement
-        #: manager's background job.
+        #: manager (Algorithm 1).
         self.statistics = AccessStatistics()
 
     def __contains__(self, table_name: str) -> bool:

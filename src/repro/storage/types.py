@@ -35,15 +35,6 @@ class ColumnType(enum.Enum):
         """Bytes per value as stored (dictionary codes for strings)."""
         return _ITEMSIZES[self._value_]
 
-    @property
-    def is_numeric(self) -> bool:
-        return self in (
-            ColumnType.INT32,
-            ColumnType.INT64,
-            ColumnType.FLOAT32,
-            ColumnType.FLOAT64,
-        )
-
 
 #: member value -> dtype / bytes per value.  Keyed by the value (a
 #: ``str``, whose hash is cached) because hashing an enum member is a

@@ -47,9 +47,7 @@ def operator_path():
     declined.  The unfused side of simulation-identity tests — the
     program itself has no switch for it."""
     with mock.patch.object(morsel, "prepare_fused",
-                           lambda plan, database: False), \
-            mock.patch.object(morsel, "execute_direct",
-                              lambda plan, database: None):
+                           lambda plan, database: False):
         yield
 
 

@@ -14,13 +14,13 @@ def cost_model():
 
 class TestProfileVariants:
     def test_kinds_with_variants(self):
-        assert set(COGADB_PROFILE.algorithm_names("join")) == {
-            "hash_join", "nested_loop_join",
+        assert set(COGADB_PROFILE.algorithm_keys("join")) == {
+            "join#hash_join", "join#nested_loop_join",
         }
-        assert set(COGADB_PROFILE.algorithm_names("sort")) == {
-            "radix_sort", "insertion_sort",
+        assert set(COGADB_PROFILE.algorithm_keys("sort")) == {
+            "sort#radix_sort", "sort#insertion_sort",
         }
-        assert COGADB_PROFILE.algorithm_names("selection") == ()
+        assert COGADB_PROFILE.algorithm_keys("selection") == ()
 
     def test_composite_key_addressing(self):
         bulk = COGADB_PROFILE.compute_seconds(

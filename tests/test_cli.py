@@ -106,6 +106,46 @@ def test_a_bad_repro_jobs_is_an_error_not_a_traceback(argv, monkeypatch,
     assert "REPRO_JOBS='abc' is not an integer" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv,message,generates", [
+    pytest.param(["run", "--gpus", "0"],
+                 "at least one co-processor is required", False,
+                 id="run-gpus"),
+    pytest.param(["run", "--split-rounds", "0"],
+                 "split_rounds must be >= 1", False, id="run-split-rounds"),
+    pytest.param(["run", "--gpu-cache-gib", "5"],
+                 "cache cannot exceed device memory", False,
+                 id="run-gpu-cache-gib"),
+    pytest.param(["run", "--users", "0"],
+                 "users and repetitions must be >= 1", True, id="run-users"),
+    pytest.param(["run", "--faults", "pcie=abc"],
+                 "fault spec pcie='abc' is not a number", False,
+                 id="run-faults"),
+    pytest.param(["serve", "--rate", "0"], "rate must be positive", False,
+                 id="serve-rate"),
+    pytest.param(["serve", "--tenants", "0"],
+                 "tenants_per_class must be >= 1", False, id="serve-tenants"),
+    pytest.param(["query", "select x from nowhere"],
+                 "unknown table 'nowhere'", True, id="query-bind"),
+])
+def test_a_bad_flag_value_is_an_error_not_a_traceback(
+        argv, message, generates, monkeypatch, capsys):
+    """One ``error:`` line and exit status 1; a bad config flag is
+    refused before the database is generated."""
+    from repro import cli
+
+    generated = []
+    generate = cli._database
+
+    def database(*args):
+        generated.append(args)
+        return generate(*args)
+
+    monkeypatch.setattr(cli, "_database", database)
+    assert main(argv) == 1
+    assert capsys.readouterr().out == "error: {}\n".format(message)
+    assert bool(generated) == generates
+
+
 def test_figure_driver_table_covers_all_paper_figures():
     """``FIGURE_DRIVERS`` is the view of ``repro.harness.figures.FIGURES``
     that ``benchmarks/e2e`` reads: ``(callable, full kwargs, --fast

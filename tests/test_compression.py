@@ -11,7 +11,6 @@ from repro.storage.compression import (
     DeltaBitPackCodec,
     RunLengthCodec,
     choose_codec,
-    codec_by_name,
     compress_column,
     compress_database,
     compression_summary,
@@ -81,12 +80,6 @@ def test_ratio_never_exceeds_one():
     values = rng.integers(-2**30, 2**30, 100).astype(np.int32)
     for codec in CODECS:
         assert codec.ratio(values) <= 1.0
-
-
-def test_codec_by_name():
-    assert codec_by_name("rle").name == "rle"
-    with pytest.raises(KeyError):
-        codec_by_name("zstd")
 
 
 def test_compress_column_shrinks_nominal_bytes():

@@ -5,7 +5,7 @@ tests: a CLI flag (its ``dest``), a call site under ``src/`` or
 ``benchmarks/`` that passes it by keyword, or a ``--faults`` spec
 string.  A field with none of these is set only by the tests that check
 the knob itself, and it doubles the configuration lattice for nothing.
-The three fields no program sets are listed with the golden or
+The two fields no program sets are listed with the golden or
 ablation test that moves a number with them.  Adding a field without
 an entry here fails tier-1.
 
@@ -75,10 +75,6 @@ CALLERS = {
         "starvation_seconds": (
             "test", "tests/test_driver_matrix.py::"
                     "test_run_matches_the_recording"),
-        "classes": (
-            "test", "tests/test_service.py::TestConfigValidation::"
-                    "test_a_weight_too_small_to_dispatch_is_refused_when_"
-                    "built"),
     },
 }
 
@@ -119,7 +115,7 @@ def test_every_field_is_listed():
 
 def test_field_counts():
     assert {cls.__name__: len(dataclasses.fields(cls)) for cls in CALLERS} \
-        == {"FaultConfig": 17, "LifecycleConfig": 4, "ServiceConfig": 15,
+        == {"FaultConfig": 17, "LifecycleConfig": 4, "ServiceConfig": 14,
             "SystemConfig": 12}
 
 

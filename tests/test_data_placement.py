@@ -5,7 +5,7 @@ import pytest
 
 from tests.conftest import make_context
 from repro.core import DataPlacementManager
-from repro.hardware import DeviceCache, PCIeBus, SystemConfig
+from repro.hardware import DeviceCache, SystemConfig
 from repro.sim import Environment
 from repro.storage import ColumnType, Database
 
@@ -95,36 +95,6 @@ def test_untouched_columns_never_cached(stats_db):
     manager = DataPlacementManager(stats_db, cache, policy="lfu")
     cached = manager.apply_placement()
     assert "t.cold" not in cached
-
-
-def test_online_place_charges_transfers(stats_db):
-    from repro.metrics import MetricsCollector
-
-    env = Environment()
-    metrics = MetricsCollector()
-    bus = PCIeBus(env, bandwidth_bytes_per_second=1000.0, metrics=metrics)
-    cache = DeviceCache(2 * column_bytes(stats_db), clock=lambda: env.now)
-    manager = DataPlacementManager(stats_db, cache, policy="lfu")
-
-    env.process(manager.place(bus))
-    env.run()
-    assert metrics.cpu_to_gpu_bytes == 2 * column_bytes(stats_db)
-    assert env.now > 0
-
-
-def test_background_job_repeats(stats_db):
-    env = Environment()
-    bus = PCIeBus(env, bandwidth_bytes_per_second=1e12)
-    cache = DeviceCache(2 * column_bytes(stats_db), clock=lambda: env.now)
-    manager = DataPlacementManager(stats_db, cache, policy="lfu")
-    env.process(manager.background_job(bus, interval_seconds=1.0))
-    env.run(until=2.5)
-    assert len(cache.keys) == 2
-    # workload shift is picked up on the next period
-    for _ in range(50):
-        stats_db.statistics.record_access("t.c0", now=100.0)
-    env.run(until=3.5)
-    assert "t.c0" in cache
 
 
 def test_stale_statistics_for_dropped_columns_ignored(stats_db):

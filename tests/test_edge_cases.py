@@ -159,27 +159,6 @@ class TestStringGrouping:
 
 
 class TestSimEdges:
-    def test_any_of_failure_before_success(self):
-        from repro.sim import AnyOf, Environment
-
-        env = Environment()
-        caught = []
-
-        def failing():
-            yield env.timeout(1.0)
-            raise ValueError("early")
-
-        def proc():
-            try:
-                yield AnyOf(env, [env.process(failing()),
-                                  env.timeout(5.0, "late")])
-            except ValueError:
-                caught.append(env.now)
-
-        env.process(proc())
-        env.run()
-        assert caught == [1.0]
-
     def test_processor_stale_timer_after_arrival(self):
         """A new arrival must reschedule the completion timer."""
         from repro.hardware.processor import Processor, ProcessorKind

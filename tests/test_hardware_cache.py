@@ -114,24 +114,6 @@ def test_used_never_exceeds_capacity():
         assert cache.used <= cache.capacity
 
 
-def test_set_capacity_shrink_evicts():
-    cache = make_cache(capacity=100)
-    cache.admit("a", 40)
-    cache.admit("b", 40)
-    cache.set_capacity(50)
-    assert cache.used <= 50
-    assert len(cache) == 1
-
-
-def test_evict_all():
-    cache = make_cache()
-    cache.admit("a", 10, pinned=True)
-    cache.admit("b", 10)
-    cache.evict_all()
-    assert len(cache) == 0
-    assert cache.used == 0
-
-
 def test_metrics_hits_misses_evictions():
     metrics = MetricsCollector()
     cache = DeviceCache(100, metrics=metrics)

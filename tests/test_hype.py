@@ -251,7 +251,7 @@ class TupleKeyedModel:
 
 def tuple_keyed_choose_algorithm(cost_model, profile, op_kind,
                                  processor_kind, input_bytes):
-    names = profile.algorithm_names(op_kind)
+    names = tuple(profile.algorithms.get(op_kind) or ())
     if not names:
         return op_kind, cost_model.estimate(
             op_kind, processor_kind, input_bytes)
@@ -383,7 +383,7 @@ class TestKeyingIsInvisible:
             COGADB_PROFILE.compute_seconds("scan", ProcessorKind.CPU, GIB))
         with pytest.raises(KeyError):
             profile.compute_seconds("scan", ProcessorKind.GPU, GIB)
-        assert profile.algorithm_names("join") == ()
+        assert profile.algorithm_keys("join") == ()
         assert dataclasses.replace(
             COGADB_PROFILE, name="renamed").compute_seconds(
                 "join#hash_join", ProcessorKind.GPU, GIB) == (

@@ -97,9 +97,6 @@ class TestExperimentResult:
         assert "strategy" in text
         assert "0.2500" in text
 
-    def test_column_values(self):
-        assert self.sample().column_values("x") == [1, 2, 1]
-
     def test_ragged_rows_render(self):
         result = ExperimentResult("ragged")
         result.add(a=1)

@@ -92,16 +92,11 @@ class TestProcessFaultConfig:
         assert config.crash_repeats == 2
         assert config.process_enabled
 
-    def test_uniform_process(self):
-        config = FaultConfig.uniform_process(0.25, seed=4)
-        assert config.process_rates() == {
-            name: 0.25 for name in PROCESS_FAULT_CLASSES}
-        assert config.process_enabled
-
     def test_hardware_spec_does_not_enable_process_faults(self):
         config = FaultConfig.uniform(0.3)
         assert not config.process_enabled
-        assert all(rate == 0.0 for rate in config.process_rates().values())
+        assert all(getattr(config, name) == 0.0
+                   for name in PROCESS_FAULT_CLASSES)
 
     def test_validation(self):
         with pytest.raises(ValueError):

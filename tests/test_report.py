@@ -13,7 +13,7 @@ from tests import test_paper_shapes
 
 @pytest.fixture(scope="module")
 def report(claim_tables):
-    return R.generate_report(tables=claim_tables)
+    return R.render(R.evaluate_claims(tables=claim_tables))
 
 
 def claim_named(name):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Event, Interrupted
+from repro.sim import AllOf, Environment, Event, Interrupted
 
 
 def test_timeout_advances_clock():
@@ -222,19 +222,6 @@ def test_all_of_fails_fast_on_first_failure():
     env.process(proc())
     env.run()
     assert caught == [1.0]
-
-
-def test_any_of_returns_on_first_completion():
-    env = Environment()
-    result = []
-
-    def proc():
-        values = yield AnyOf(env, [env.timeout(4.0, "slow"), env.timeout(2.0, "fast")])
-        result.append((env.now, list(values.values())))
-
-    env.process(proc())
-    env.run()
-    assert result == [(2.0, ["fast"])]
 
 
 def test_interrupt_wakes_waiting_process():

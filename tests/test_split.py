@@ -531,7 +531,7 @@ def test_load_tracker_refresh_resnapshots():
 
 
 # ---------------------------------------------------------------------------
-# Limit fusion: cross-chunk early termination
+# Limit over the fused chain: byte for byte the operator path
 # ---------------------------------------------------------------------------
 
 LIMIT_SQL = ("select lo_orderkey, lo_quantity from lineorder "
@@ -549,25 +549,6 @@ def test_limit_fused_identity(ssb_db, rows_per_morsel):
     with morsel_rows(rows_per_morsel):
         fused = _run_sql(ssb_db, LIMIT_SQL)
     assert _signature(fused) == _signature(reference)
-    stats = morsel.snapshot_stats()
-    assert stats["limit_fused_queries"] == 1
-
-
-def test_limit_early_stop_skips_morsels(ssb_db):
-    with morsel_rows(100):
-        _run_sql(ssb_db, LIMIT_SQL)
-    stats = morsel.snapshot_stats()
-    assert stats["limit_early_stops"] == 1
-    assert stats["limit_rows_skipped"] > 0
-
-
-def test_limit_no_early_stop_with_one_chunk(ssb_db):
-    with morsel_rows(1_000_000_000):
-        _run_sql(ssb_db, LIMIT_SQL)
-    stats = morsel.snapshot_stats()
-    assert stats["limit_fused_queries"] == 1
-    assert stats["limit_early_stops"] == 0
-    assert stats["limit_rows_skipped"] == 0
 
 
 def test_limit_over_sort_declines_but_matches(ssb_db):
@@ -577,14 +558,11 @@ def test_limit_over_sort_declines_but_matches(ssb_db):
     with morsel_rows(100):
         fused = _run_sql(ssb_db, sql)
     assert _signature(fused) == _signature(reference)
-    stats = morsel.snapshot_stats()
-    assert stats["limit_fused_queries"] == 0
-    assert morsel.decline_reasons.get("limit_tail", 0) >= 1
 
 
 def test_limit_never_memoises_prefix(ssb_db, plan_cache_off):
-    """An early-stopped run must not poison shared-chain memos: the
-    same scan re-run without the limit yields the full result."""
+    """A limited run must not poison shared-chain memos: the same scan
+    re-run without the limit yields the full result."""
     no_limit = LIMIT_SQL.rsplit(" limit", 1)[0]
     full_reference = _run_sql(ssb_db, no_limit, execute_operators)
     plan_cache_off.close()

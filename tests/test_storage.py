@@ -15,12 +15,6 @@ class TestColumnType:
         assert ColumnType.DATE.itemsize == 4
         assert ColumnType.STRING.itemsize == 4  # dictionary codes
 
-    def test_numeric_flag(self):
-        assert ColumnType.INT32.is_numeric
-        assert ColumnType.FLOAT64.is_numeric
-        assert not ColumnType.STRING.is_numeric
-        assert not ColumnType.DATE.is_numeric
-
 
 class TestColumn:
     def test_nominal_vs_actual_sizing(self):
@@ -29,7 +23,7 @@ class TestColumn:
         assert column.actual_rows == 100
         assert column.nominal_rows == 1_000_000
         assert column.nominal_bytes == 4_000_000
-        assert column.actual_bytes == 400
+        assert column.values.nbytes == 400
         assert column.key == "t.c"
 
     def test_nominal_defaults_to_actual(self):
