@@ -90,14 +90,19 @@ class Column:
         name: str,
         strings: Sequence[str],
         nominal_rows: Optional[int] = None,
+        *,
+        index: Optional[np.ndarray] = None,
     ) -> "Column":
-        """Dictionary-encode ``strings`` (sorted dictionary, so code
-        order preserves lexicographic order)."""
-        dictionary = sorted(set(strings))
+        """Dictionary-encode row ``i`` as ``strings[index[i]]``
+        (``index=None``: one row per string).  The dictionary is the
+        sorted set of the strings the index selects, so code order
+        preserves lexicographic order."""
+        if index is None:
+            index = np.arange(len(strings))
+        dictionary = sorted({strings[i] for i in np.unique(index)})
         code_of = {s: i for i, s in enumerate(dictionary)}
-        codes = np.fromiter(
-            (code_of[s] for s in strings), dtype=np.int32, count=len(strings)
-        )
+        codes = np.fromiter((code_of.get(s, -1) for s in strings),
+                            dtype=np.int32, count=len(strings))[index]
         column = cls(table, name, ColumnType.STRING, codes,
                      nominal_rows=nominal_rows, dictionary=dictionary)
         column._code_of = code_of

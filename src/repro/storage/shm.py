@@ -293,7 +293,7 @@ def export_database(database: Database) -> ShmManifest:
             dictionary=(tuple(column.dictionary)
                         if column.dictionary is not None else None),
             compression=column.compression,
-            checksum=zlib.crc32(values.tobytes()),
+            checksum=zlib.crc32(values),
         ))
     manifest = ShmManifest(
         shm_name=shm.name,
@@ -344,8 +344,7 @@ def _validate_segment(shm, manifest: ShmManifest) -> None:
                 epoch, total))
     for spec in manifest.columns:
         nbytes = np.dtype(spec.dtype).itemsize * spec.rows
-        actual = zlib.crc32(
-            bytes(shm.buf[spec.offset:spec.offset + nbytes]))
+        actual = zlib.crc32(shm.buf[spec.offset:spec.offset + nbytes])
         if actual != spec.checksum:
             raise ShmIntegrityError(
                 "checksum mismatch for {}.{} in {}: expected {:#010x}, "

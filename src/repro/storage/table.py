@@ -35,10 +35,12 @@ class Table:
                         nominal_rows=self._nominal_rows)
         return self._attach(column)
 
-    def add_string_column(self, name: str, strings) -> Column:
-        """Add a dictionary-encoded string column."""
+    def add_string_column(self, name: str, strings, index=None) -> Column:
+        """Add a dictionary-encoded string column: row ``i`` holds
+        ``strings[index[i]]``, or ``strings[i]`` without an index."""
         column = Column.from_strings(self.name, name, strings,
-                                     nominal_rows=self._nominal_rows)
+                                     nominal_rows=self._nominal_rows,
+                                     index=index)
         return self._attach(column)
 
     def adopt_column(self, column: Column) -> Column:

@@ -36,11 +36,20 @@ REGION_OF_NATION = {
 MONTH_NAMES = ["Jan", "Feb", "Mar", "Apr", "May", "Jun",
                "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"]
 
-
-def _city(nation: str, digit: int) -> str:
-    """SSB city naming: first 9 characters of the nation plus a digit
-    (e.g. 'UNITED KI1')."""
-    return "{:<9.9}{}".format(nation, digit)
+# Domains of the dictionary-encoded dimension columns; a generated row
+# holds a position in one of them (see ``Column.from_strings``).
+#: region of nation ``i`` of NATION_LIST
+NATION_REGIONS = [REGION_OF_NATION[nation] for nation in NATION_LIST]
+#: city ``10 * nation + digit``: the first 9 characters of the nation
+#: plus the digit (e.g. 'UNITED KI1')
+CITIES = ["{:<9.9}{}".format(nation, digit)
+          for nation in NATION_LIST for digit in range(10)]
+#: mfgr ``m``, category ``5 * m + c``, brand ``40 * (5 * m + c) + b``
+#: for zero-based draws m, c < 5 and b < 40 (SSB numbers them from 1)
+MFGRS = ["MFGR#{}".format(m) for m in range(1, 6)]
+CATEGORIES = ["{}{}".format(mfgr, c) for mfgr in MFGRS for c in range(1, 6)]
+BRANDS = ["{}{:02d}".format(category, b)
+          for category in CATEGORIES for b in range(1, 41)]
 
 
 def nominal_rows(scale_factor: float) -> Dict[str, int]:
@@ -58,6 +67,16 @@ def nominal_rows(scale_factor: float) -> Dict[str, int]:
 
 def _actual_rows(nominal: int, data_scale: float, floor: int) -> int:
     return max(min(nominal, floor), int(nominal * data_scale))
+
+
+def _add_geography(table, prefix: str, rows: int, rng) -> None:
+    """The ``<prefix>_nation``, ``_region`` and ``_city`` columns: one
+    nation and then one city digit drawn per row."""
+    nation = rng.integers(0, len(NATION_LIST), rows)
+    table.add_string_column(prefix + "_nation", NATION_LIST, nation)
+    table.add_string_column(prefix + "_region", NATION_REGIONS, nation)
+    table.add_string_column(prefix + "_city", CITIES,
+                            10 * nation + rng.integers(0, 10, rows))
 
 
 def generate(
@@ -109,16 +128,7 @@ def generate(
     customer.add_column(
         "c_custkey", ColumnType.INT32, np.arange(1, n_customer + 1)
     )
-    c_nation_idx = rng.integers(0, len(NATION_LIST), n_customer)
-    c_nations = [NATION_LIST[i] for i in c_nation_idx]
-    customer.add_string_column("c_nation", c_nations)
-    customer.add_string_column(
-        "c_region", [REGION_OF_NATION[n] for n in c_nations]
-    )
-    customer.add_string_column(
-        "c_city",
-        [_city(n, d) for n, d in zip(c_nations, rng.integers(0, 10, n_customer))],
-    )
+    _add_geography(customer, "c", n_customer, rng)
 
     # -- supplier --------------------------------------------------------
     n_supplier = _actual_rows(sizes["supplier"], data_scale, 800)
@@ -126,38 +136,18 @@ def generate(
     supplier.add_column(
         "s_suppkey", ColumnType.INT32, np.arange(1, n_supplier + 1)
     )
-    s_nation_idx = rng.integers(0, len(NATION_LIST), n_supplier)
-    s_nations = [NATION_LIST[i] for i in s_nation_idx]
-    supplier.add_string_column("s_nation", s_nations)
-    supplier.add_string_column(
-        "s_region", [REGION_OF_NATION[n] for n in s_nations]
-    )
-    supplier.add_string_column(
-        "s_city",
-        [_city(n, d) for n, d in zip(s_nations, rng.integers(0, 10, n_supplier))],
-    )
+    _add_geography(supplier, "s", n_supplier, rng)
 
     # -- part -------------------------------------------------------------
     n_part = _actual_rows(sizes["part"], data_scale, 2500)
     part = db.create_table("part", nominal_rows=sizes["part"])
     part.add_column("p_partkey", ColumnType.INT32, np.arange(1, n_part + 1))
-    mfgr_num = rng.integers(1, 6, n_part)
-    category_num = rng.integers(1, 6, n_part)
-    brand_num = rng.integers(1, 41, n_part)
-    part.add_string_column(
-        "p_mfgr", ["MFGR#{}".format(m) for m in mfgr_num]
-    )
-    part.add_string_column(
-        "p_category",
-        ["MFGR#{}{}".format(m, c) for m, c in zip(mfgr_num, category_num)],
-    )
-    part.add_string_column(
-        "p_brand1",
-        [
-            "MFGR#{}{}{:02d}".format(m, c, b)
-            for m, c, b in zip(mfgr_num, category_num, brand_num)
-        ],
-    )
+    mfgr = rng.integers(1, 6, n_part) - 1
+    category = 5 * mfgr + rng.integers(1, 6, n_part) - 1
+    brand = 40 * category + rng.integers(1, 41, n_part) - 1
+    part.add_string_column("p_mfgr", MFGRS, mfgr)
+    part.add_string_column("p_category", CATEGORIES, category)
+    part.add_string_column("p_brand1", BRANDS, brand)
 
     # -- lineorder --------------------------------------------------------
     n_fact = _actual_rows(sizes["lineorder"], data_scale, 5000)

@@ -99,8 +99,8 @@ def generate(
     customer.add_column("c_nationkey", ColumnType.INT32,
                         rng.integers(0, 25, n_customer))
     customer.add_string_column(
-        "c_mktsegment",
-        [SEGMENTS[i] for i in rng.integers(0, len(SEGMENTS), n_customer)],
+        "c_mktsegment", SEGMENTS,
+        rng.integers(0, len(SEGMENTS), n_customer),
     )
 
     n_part = _actual_rows(sizes["part"], data_scale, 1500)
@@ -130,8 +130,8 @@ def generate(
     o_dates, _ = _random_date(rng, n_orders)
     orders.add_column("o_orderdate", ColumnType.INT32, o_dates)
     orders.add_string_column(
-        "o_orderpriority",
-        [PRIORITIES[i] for i in rng.integers(0, len(PRIORITIES), n_orders)],
+        "o_orderpriority", PRIORITIES,
+        rng.integers(0, len(PRIORITIES), n_orders),
     )
 
     n_lineitem = _actual_rows(sizes["lineitem"], data_scale, 6000)

@@ -55,6 +55,24 @@ class TestColumn:
         # code order == lexicographic order
         assert column.encode("apple") < column.encode("fig") < column.encode("pear")
 
+    @pytest.mark.parametrize("domain,index", [
+        (["pear", "apple", "fig", "kiwi"], [0, 1, 0, 2]),   # kiwi unused
+        (["b", "a", "b", "c"], [2, 0, 1, 1, 3]),           # repeated string
+        (["a", "b"], []),
+    ])
+    def test_an_index_into_a_domain_encodes_the_rows_it_names(self, domain,
+                                                              index):
+        indexed = Column.from_strings("t", "c", domain, nominal_rows=9,
+                                      index=np.array(index, dtype=np.int64))
+        listed = Column.from_strings("t", "c", [domain[i] for i in index],
+                                     nominal_rows=9)
+        assert indexed.dictionary == listed.dictionary
+        assert indexed.values.dtype == listed.values.dtype == np.int32
+        assert indexed.values.tobytes() == listed.values.tobytes()
+        assert indexed.nominal_rows == 9
+        assert [indexed.encode(s) for s in domain] == [
+            listed.encode(s) for s in domain]
+
     def test_encode_unknown_string(self):
         column = Column.from_strings("t", "c", ["b", "d"])
         assert column.encode("a") == -1
