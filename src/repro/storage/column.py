@@ -99,7 +99,9 @@ class Column:
         preserves lexicographic order."""
         if index is None:
             index = np.arange(len(strings))
-        dictionary = sorted({strings[i] for i in np.unique(index)})
+        selected = np.zeros(len(strings), dtype=bool)
+        selected[index] = True
+        dictionary = sorted({strings[i] for i in np.flatnonzero(selected)})
         code_of = {s: i for i, s in enumerate(dictionary)}
         codes = np.fromiter((code_of.get(s, -1) for s in strings),
                             dtype=np.int32, count=len(strings))[index]
