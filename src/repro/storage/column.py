@@ -103,6 +103,7 @@ class Column:
         selected[index] = True
         dictionary = sorted({strings[i] for i in np.flatnonzero(selected)})
         code_of = {s: i for i, s in enumerate(dictionary)}
+        # a string no row selects maps to -1, which the gather never reads
         codes = np.fromiter((code_of.get(s, -1) for s in strings),
                             dtype=np.int32, count=len(strings))[index]
         column = cls(table, name, ColumnType.STRING, codes,

@@ -23,6 +23,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.storage import Column
 from repro.workloads import ssb, tpch
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
@@ -78,7 +79,6 @@ def test_every_column_matches_its_recording(point):
 
 
 def test_the_digest_sees_a_swapped_code_and_the_dictionary():
-    from repro.storage import Column
     column = Column.from_strings("t", "c", ["MFGR#1101", "MFGR#1110"])
     swapped = Column.from_strings("t", "c", ["MFGR#1110", "MFGR#1101"])
     assert column_digest(column) != column_digest(swapped)
