@@ -12,8 +12,8 @@ amortise their data-parallel primitives:
   (dimension primary keys) skip the search entirely and join by
   positional lookup; other unique keys probe an O(1) position table.
   The probers over these structures (bottom of this module) are what
-  ``HashJoin.match`` — the one join kernel, whichever schedule calls
-  it — probes through.
+  :func:`match_chain` — a morsel's joins in one compiled call — and
+  ``HashJoin.match``, one join, probe through.
 * **Column bounds** — the cached (min, max) of an integer column:
   they prove foreign-key containment (eliding the probers' range
   checks) and give the fused aggregation its group-id radixes.
@@ -219,62 +219,126 @@ def _as_int64(array: np.ndarray) -> np.ndarray:
     return array.astype(np.int64, copy=False)
 
 
-# The compiled probe: one gather-test-compact loop for the unchecked
-# dense prober with a ``key_mask`` and the unchecked lookup prober, fed
-# the probe column at the morsel's rows or at the lineage's tids.  Tids
-# and keys keep ``take``'s index rule: a negative one counts from the
-# end, one outside [-len, len) fails the call (-1: IndexError).
-_PROBE_C = r"""
+# The compiled join chain (docs/kernels.md): every join of a morsel in
+# one call.  Per stage, one branch-free pass over the rows alive tests
+# each row's key and compacts the row index; build tids are written for
+# survivors only.  Tids and keys keep ``take``'s index rule: a negative
+# one counts from the end, one outside [-len, len) fails the whole call.
+_CHAIN_C = r"""
 #include <stdint.h>
-#define PROBE(NAME, K, U, S, SHIFT, HIT, OUT)                              \
-int64_t NAME(const K *col, int64_t ncol, int64_t start,                  \
-             const int64_t *tids, int64_t n, const S *slots,             \
-             int64_t nslots, int64_t base, int64_t *idx, int64_t *out)   \
+#include <string.h>
+/* One kind of stage: key type K, slot type S (a bool slot's byte, 0 or
+   1, is its hit).  Mode 0 tests the rows alive and compacts their
+   index; mode 1 writes the build tids of the rows in idx by row, mode 2
+   in order. */
+#define KIND(NAME, K, S, SHIFT, LOAD, FETCH, HIT, OUT)                    \
+static int64_t NAME(const int64_t *g, int64_t start, const int64_t *in,  \
+                    int64_t *idx, int64_t j, int64_t *dst, int64_t mode) \
 {                                                                        \
-    int64_t j = 0;                                                       \
-    for (int64_t i = 0; i < n; i++) {  /* test, compact the index */     \
-        int64_t p = start + i;                                           \
-        if (tids) {                                                      \
-            p = tids[i] < 0 ? tids[i] + ncol : tids[i];                  \
+    const K *col = (const K *)g[1];                                      \
+    const S *slots = (const S *)g[3];                                    \
+    const int64_t *src = (const int64_t *)g[6];                          \
+    const int64_t ncol = g[2], nslots = g[4], base = g[5];               \
+    int64_t kept = 0;                                                    \
+    for (int64_t m = 0; mode == 0 && m < j; m++) {                       \
+        int64_t r = in ? in[m] : m, p = start + r;                       \
+        if (src) {                                                       \
+            p = src[r] < 0 ? src[r] + ncol : src[r];                     \
             if ((uint64_t)p >= (uint64_t)ncol) return -1;                \
         }                                                                \
-        int64_t r = (K)((U)col[p] - (U)(SHIFT));                         \
-        if (r < 0) r += nslots;                                          \
-        if ((uint64_t)r >= (uint64_t)nslots) return -1;                  \
-        S s = slots[r];                                                  \
-        idx[j] = i;                                                      \
-        j += HIT;                                                        \
+        K k = col[p];                                                    \
+        int64_t q = (K)((uint64_t)k - (uint64_t)(SHIFT));                \
+        if (q < 0) q += nslots;                                          \
+        LOAD                                                             \
+        idx[kept] = r;                                                   \
+        kept += HIT;                                                     \
     }                                                                    \
-    for (int64_t m = 0; m < j; m++) {  /* the hits' build tids */        \
-        int64_t p = tids ? tids[idx[m]] : start + idx[m];                \
+    for (int64_t m = 0; mode && m < j; m++) {                            \
+        int64_t r = idx[m], p = src ? src[r] : start + r;                \
         K k = col[p < 0 ? p + ncol : p];                                 \
-        int64_t r = (K)((U)k - (U)(SHIFT));                              \
-        S s = slots[r < 0 ? r + nslots : r];                             \
-        out[m] = OUT;                                                    \
+        int64_t q = (K)((uint64_t)k - (uint64_t)(SHIFT));                \
+        if (q < 0) q += nslots;                                          \
+        FETCH                                                            \
+        dst[mode == 1 ? r : m] = OUT;                                    \
     }                                                                    \
-    return j;                                                            \
+    return kept;                                                         \
 }
-PROBE(dense_int32_bool, int32_t, uint32_t, uint8_t, 0, s, (int64_t)k - base)
-PROBE(dense_int64_bool, int64_t, uint64_t, uint8_t, 0, s, k - base)
-PROBE(lookup_int32_int32, int32_t, uint32_t, int32_t, base, s >= 0, s)
-PROBE(lookup_int32_int64, int32_t, uint32_t, int64_t, base, s >= 0, s)
-PROBE(lookup_int64_int32, int64_t, uint64_t, int32_t, base, s >= 0, s)
-PROBE(lookup_int64_int64, int64_t, uint64_t, int64_t, base, s >= 0, s)
+#define SLOT if ((uint64_t)q >= (uint64_t)nslots) return -1; FETCH
+#define FETCH __typeof__(*slots) s = slots[q];
+#define DENSE (int64_t)((uint64_t)k - (uint64_t)base)
+#define KINDS(B, K)                                                       \
+KIND(all##B, K, uint8_t, 0, , , 1, DENSE)                                \
+KIND(dense##B, K, uint8_t, 0, SLOT, , s, DENSE)                          \
+KIND(lookup##B##_32, K, int32_t, base, SLOT, FETCH, s >= 0, s)           \
+KIND(lookup##B##_64, K, int64_t, base, SLOT, FETCH, s >= 0, s)
+KINDS(32, int32_t)
+KINDS(64, int64_t)
+static int64_t (*const STAGES[])(const int64_t *, int64_t, const int64_t *,
+                                 int64_t *, int64_t, int64_t *, int64_t) = {
+    all32, dense32, lookup32_32, lookup32_64,
+    all64, dense64, lookup64_32, lookup64_64};
+
+/* spec: 8 words per stage — kind, keys, their count, slots, their
+   count, base, the tids the keys are read at (0: start + row), whether
+   a later stage reads keys at its tids — then the tids of each entry
+   table (0: start + row).  scratch: the row index, each stage's build
+   tids by row, the rows entering and after each stage. */
+int64_t chain(int64_t n, int64_t start, const uint8_t *mask,
+              const int64_t *spec, int64_t nstages, int64_t nentry,
+              int64_t every, int64_t *scratch, int64_t *out)
+{
+    const int64_t *const *entry = (const int64_t *const *)(spec + 8 * nstages);
+    int64_t *idx = scratch, *counts = scratch + (nstages + 1) * n;
+    int64_t j = mask ? 0 : n, used = 0;
+    for (int64_t i = 0; mask && i < n; i += 8) {  /* skip zero words */
+        uint64_t word = 1;
+        if (n - i >= 8)
+            memcpy(&word, mask + i, 8);
+        for (int64_t r = i; word && r < n && r < i + 8; r++) {
+            idx[j] = r;
+            j += mask[r] != 0;
+        }
+    }
+    counts[0] = j;
+    for (int64_t s = 0; s < nstages; s++) {
+        const int64_t *g = spec + 8 * s;
+        j = STAGES[g[0]](g, start, mask || s ? idx : 0, idx, j, 0, 0);
+        if (j < 0)
+            return -1;
+        counts[s + 1] = j;
+        if (g[7])
+            STAGES[g[0]](g, start, 0, idx, j, scratch + (s + 1) * n, 1);
+        for (int64_t t = 0; (every || s == nstages - 1) && t < nentry;
+             t++, used += j)
+            for (int64_t m = 0; m < j; m++)
+                out[used + m] = entry[t] ? entry[t][idx[m]] : start + idx[m];
+        for (int64_t t = 0; (every || s == nstages - 1) && t <= s;
+             t++, used += j)
+            STAGES[spec[8 * t]](spec + 8 * t, start, 0, idx, j, out + used, 2);
+    }
+    return used;
+}
 """
 _COMPILE = ("cc", "-O3", "-funroll-loops", "-shared", "-fPIC")
+#: the kernel's kind numbers by key and slot type, and the bases a key
+#: type holds (numpy raises on the subtraction otherwise)
+_KEYS = {np.dtype(key): (kind, int(np.iinfo(key).min), int(np.iinfo(key).max))
+         for kind, key in ((0, np.int32), (4, np.int64))}
+_SLOTS = {np.dtype(slot): kind for kind, slot in enumerate(
+    (np.bool_, np.int32, np.int64), 1)}
+_BOOL, _TIDS = (np.dtype(np.bool_),), (np.dtype(np.int64),)
 
 
 @functools.cache
-def _probe_loops():
-    """The compiled loops by (key dtype, slot dtype), each with the
-    range of bases its key type holds — built at first use, never at
-    import, and cached per user in a 0o700 directory named by the
-    sha256 of the source and the compile command; None, and every probe
-    runs in numpy, where no compiler, cache directory or load works."""
-    digest = hashlib.sha256(repr((_PROBE_C, _COMPILE)).encode()).hexdigest()
+def _chain_kernel():
+    """The compiled chain — built at first use, never at import, and
+    cached per user in a 0o700 directory named by the sha256 of the
+    source and the compile command; None, and every probe runs in
+    numpy, where no compiler, cache directory or load works."""
+    digest = hashlib.sha256(repr((_CHAIN_C, _COMPILE)).encode()).hexdigest()
     root = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
     directory = os.path.join(root, "repro", digest)
-    path = os.path.join(directory, "probe.so")
+    path = os.path.join(directory, "chain.so")
     try:
         os.makedirs(directory, mode=0o700, exist_ok=True)
         info = os.stat(directory)
@@ -282,62 +346,103 @@ def _probe_loops():
             return None  # a library others can write is not loaded
         if not os.path.exists(path):
             with tempfile.TemporaryDirectory(dir=directory) as building:
-                source = os.path.join(building, "probe.c")
+                source = os.path.join(building, "chain.c")
                 with open(source, "w") as handle:
-                    handle.write(_PROBE_C)
-                built = os.path.join(building, "probe.so")
+                    handle.write(_CHAIN_C)
+                built = os.path.join(building, "chain.so")
                 subprocess.run(_COMPILE + ("-o", built, source),
                                check=True, capture_output=True)
                 os.replace(built, path)
-        library = ctypes.CDLL(path)
+        kernel = ctypes.CDLL(path).chain
     except (OSError, subprocess.CalledProcessError):
         return None
     pointer, count = ctypes.c_void_p, ctypes.c_int64
-    loops = {}
-    for key in map(np.dtype, (np.int32, np.int64)):
-        for slot in map(np.dtype, (np.bool_, np.int32, np.int64)):
-            loop = getattr(library, "{}_{}_{}".format(
-                "dense" if slot == np.bool_ else "lookup", key, slot))
-            loop.argtypes = (pointer, count, count, pointer, count,
-                             pointer, count, count, pointer, pointer)
-            loop.restype = count
-            bounds = np.iinfo(key)
-            loops[key, slot] = loop, int(bounds.min), int(bounds.max)
-    return loops
+    kernel.argtypes = (count, count, pointer, pointer, count, count, count,
+                       pointer, pointer)
+    kernel.restype = count
+    return kernel
 
 
-def _compiled_probe(slots: np.ndarray, base: int, values: np.ndarray,
-                    start: int, stop: int, tids):
-    """``probe``'s outputs for the keys ``values[start:stop]`` (or
-    ``values[tids]``) through the loop over ``slots`` — the key mask or
-    the position table — or None where it does not apply: no loops,
-    keys or tids not contiguous native int32 / int64, or a base the key
-    type cannot hold (numpy raises on that one)."""
-    loops = _probe_loops()
-    found = loops and loops.get((values.dtype, slots.dtype))
-    if (not found or not found[1] <= base <= found[2]
-            or not values.flags.c_contiguous
-            or not 0 <= start <= stop <= len(values)
-            or tids is not None and (tids.dtype != np.int64
-                                     or not tids.flags.c_contiguous)):
+def _native(array, dtypes, n=None) -> bool:
+    """True when C may read ``array`` as is: a C-contiguous array of one
+    of ``dtypes`` (native byte order), ``n`` long when ``n`` is given."""
+    return (isinstance(array, np.ndarray) and array.dtype in dtypes
+            and array.flags.c_contiguous and (n is None or len(array) == n))
+
+
+def match_chain(links, lineage, start, stop, mask=None, every=False):
+    """Probe a chain of joins over rows ``[start, stop)`` in one call.
+
+    ``lineage`` maps each table entering the chain to its tids, one per
+    row (None: ``start + row``); ``mask`` (bool, one per row) selects
+    the rows that enter.  ``links`` are the joins in order, ``(prober,
+    values, source, build)``: the keys are ``values`` at the tids of
+    table ``source`` (None: at ``start + row``), the matches add table
+    ``build``.  Returns ``(counts, lineages)`` — the rows entering and
+    after each join, and every reachable table's tids after each join
+    (``every``) or the last — bit for bit what ``HashJoin.match``'s
+    numpy probes return join by join; None where the kernel does not
+    apply: not built, a prober with no compiled form, or an array or
+    base it does not take as is.
+    """
+    kernel = _chain_kernel()
+    found = [prober.native() for prober, *_ in links]
+    n, names = stop - start, list(lineage)
+    entry = [lineage[name] for name in names]
+    if (kernel is None or not links or None in found or n < 0
+            or mask is not None and not _native(mask, _BOOL, n)
+            or not all(rows is None or _native(rows, _TIDS, n)
+                       for rows in entry)):
         return None
-    n = stop - start if tids is None else len(tids)
-    out = np.empty((2, n), dtype=np.int64)
-    at = out.ctypes.data
-    hits = found[0](values.ctypes.data, len(values), start,
-                    None if tids is None else tids.ctypes.data, n,
-                    slots.ctypes.data, len(slots), base, at, at + 8 * n)
-    if hits < 0:
+    emitted = range(len(links)) if every else [len(links) - 1]
+    pointers = [0 if rows is None else rows.ctypes.data for rows in entry]
+    # one buffer: the spec, the scratch, then the rows written out
+    words = 8 * len(links) + len(entry)
+    scratch = words + (n + 1) * (len(links) + 1)
+    buffer = np.empty(scratch + n * sum(len(entry) + 1 + s for s in emitted),
+                      dtype=np.int64)
+    address, spec = buffer.ctypes.data, []
+    for (dtypes, slots, base), (_, values, source, build) in zip(found, links):
+        at = -1 if source is None else names.index(source)
+        source = (0 if at < 0 else pointers[at] if at < len(entry)
+                  else address + 8 * (words + n * (1 + at - len(entry))))
+        if (not _native(values, _KEYS)
+                or slots is not None and not _native(slots, dtypes)
+                or not _KEYS[values.dtype][1] <= base <= _KEYS[values.dtype][2]
+                or not source and not 0 <= start <= stop <= len(values)):
+            return None
+        if at >= len(entry):  # a snowflake: keep the source's tids by row
+            spec[8 * (at - len(entry)) + 7] = 1
+        spec += (_KEYS[values.dtype][0], values.ctypes.data, len(values),
+                 0, 0, base, source, 0)
+        if slots is not None:
+            spec[-8] += _SLOTS[slots.dtype]
+            spec[-5:-3] = slots.ctypes.data, len(slots)
+        names.append(build)
+    buffer[:words] = spec + pointers
+    used = kernel(n, start, None if mask is None else mask.ctypes.data,
+                  address, len(links), len(entry), every,
+                  address + 8 * words, address + 8 * scratch)
+    if used < 0:
         raise IndexError("probe key or tid out of range")
-    stats["compiled_probes"] += 1
-    # copies of the hits: a view would pin all n rows of ``out``
-    return out[0, :hits].copy(), out[1, :hits].copy()
+    stats["compiled_probes"] += len(links)
+    for prober, *_ in links:
+        stats[prober.counter] += 1
+    counts = buffer[scratch - len(links) - 1:scratch].tolist()
+    # one copy of the rows written: views would pin the whole buffer
+    out, at, lineages = buffer[scratch:scratch + used].copy(), 0, []
+    for s in emitted:
+        lineages.append({})
+        for name in names[:len(entry) + 1 + s]:
+            lineages[-1][name] = out[at:at + counts[s + 1]]
+            at += counts[s + 1]
+    return counts, lineages
 
 
 class _Prober:
-    """``probe_rows`` — what ``HashJoin.match`` asks every prober: the
-    matches of the keys ``values[start:stop]`` (or ``values[tids]``),
-    by default the numpy ``probe`` of the gathered keys."""
+    """``probe_rows`` — what ``HashJoin.match`` asks a prober the chain
+    kernel does not take: the matches of the keys ``values[start:stop]``
+    (or ``values[tids]``), the numpy ``probe`` of the gathered keys."""
 
     __slots__ = ()
 
@@ -345,6 +450,14 @@ class _Prober:
         stats["numpy_probes"] += 1
         return self.probe(values[start:stop] if tids is None
                           else values[tids])
+
+    def native(self):
+        """What :func:`match_chain` probes with — ``(slot dtypes, slots,
+        base)``: a dense prober hits on a bool ``slots[key]`` (no slots:
+        every key) and adds ``key - base``, a lookup hits on an int32 /
+        int64 ``slots[key - base]`` >= 0 and adds it — or None: numpy
+        only."""
+        return None
 
 
 class _DenseProber(_Prober):
@@ -359,6 +472,7 @@ class _DenseProber(_Prober):
     """
 
     __slots__ = ("base", "n_col", "mask", "key_mask", "checked")
+    counter = "dense_joins"
 
     def __init__(self, base: int, n_col: int, mask, checked: bool):
         self.base = base
@@ -373,7 +487,7 @@ class _DenseProber(_Prober):
             self.key_mask = key_mask
 
     def probe(self, fk: np.ndarray):
-        stats["dense_joins"] += 1
+        stats[self.counter] += 1
         if self.checked:
             # int64: an unproven key may not fit the base's distance
             pos = fk.astype(np.int64) - self.base
@@ -395,14 +509,10 @@ class _DenseProber(_Prober):
         pos -= self.base
         return np.arange(len(fk), dtype=np.int64), pos
 
-    def probe_rows(self, values, start, stop, tids):
-        if self.key_mask is not None:  # unchecked and filtered
-            found = _compiled_probe(self.key_mask, self.base, values,
-                                    start, stop, tids)
-            if found is not None:
-                stats["dense_joins"] += 1
-                return found
-        return super().probe_rows(values, start, stop, tids)
+    def native(self):
+        if self.checked or self.mask is not None and self.key_mask is None:
+            return None
+        return _BOOL, self.key_mask, self.base
 
 
 class _LookupProber(_Prober):
@@ -416,6 +526,7 @@ class _LookupProber(_Prober):
     """
 
     __slots__ = ("base", "span", "table", "checked")
+    counter = "lookup_joins"
 
     def __init__(self, lookup: PositionLookup, mask, checked: bool):
         self.base = lookup.base
@@ -428,7 +539,7 @@ class _LookupProber(_Prober):
         self.checked = checked
 
     def probe(self, fk: np.ndarray):
-        stats["lookup_joins"] += 1
+        stats[self.counter] += 1
         if self.checked:
             rel = fk.astype(np.int64) - self.base
             in_span = (rel >= 0) & (rel < self.span)
@@ -439,14 +550,8 @@ class _LookupProber(_Prober):
             hit = pos >= 0
         return np.flatnonzero(hit), _as_int64(pos[hit])
 
-    def probe_rows(self, values, start, stop, tids):
-        if not self.checked:
-            found = _compiled_probe(self.table, self.base, values,
-                                    start, stop, tids)
-            if found is not None:
-                stats["lookup_joins"] += 1
-                return found
-        return super().probe_rows(values, start, stop, tids)
+    def native(self):
+        return None if self.checked else (_KEYS, self.table, self.base)
 
 
 class _SortedProber(_Prober):

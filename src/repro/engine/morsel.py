@@ -173,16 +173,19 @@ class FusedPipeline:
 
     # -- per-morsel execution -----------------------------------------
 
-    def run_morsel(self, start: int, stop: int):
+    def run_morsel(self, start: int, stop: int, every: bool = False):
         """Run the chain over rows ``[start, stop)`` — of the fact
         table, or of the entry when the chain starts after a recorded
         join: the chunk output of every chain operator left to run, as
-        ``(masks, lineages)`` — the cumulative mask after each selection
-        (None while no predicate has applied), and the aligned absolute
-        tids per reachable table entering the joins and after each one
-        (None: every row of the morsel)."""
+        ``(masks, counts, lineages)`` — the cumulative mask after each
+        selection (None while no predicate has applied), the rows after
+        each join, and the aligned absolute tids per reachable table
+        after each join (``every``) or of the chain's output only (the
+        entry's when there is no join; None: every row of the morsel).
+        The joins are one call of the chain kernel, or one ``match``
+        each where it does not apply."""
         stats["morsels"] += 1
-        masks = []
+        masks, mask = [], None
         if self.entry_tids is None:
             block = BlockFrame(self.database)
             block.set_range(start, stop)
@@ -193,18 +196,27 @@ class FusedPipeline:
                 if op.predicate is not None:  # a bare scan selects all
                     mask = op.select(block, mask)
                 masks.append(mask)
-            lineage = {self.fact_table: None if mask is None
-                       else start + np.flatnonzero(mask)}
+            lineage = {self.fact_table: None}
         else:
             lineage = {name: tids[start:stop]
                        for name, tids in self.entry_tids.items()}
-        lineages = [lineage]
+        links = [(stage.prober, stage.probe_values, stage.op.probe_key.table,
+                  stage.op.build_key.table) for stage in self.stages]
+        chain = (kernels.match_chain(links, lineage, start, stop, mask, every)
+                 if links else None)
+        if chain is not None:
+            counts, lineages = chain
+            return masks, counts[1:], lineages
+        if mask is not None:
+            lineage = {self.fact_table: start + np.flatnonzero(mask)}
+        counts, lineages = [], [lineage]
         for stage in self.stages:
             lineage = stage.op.match(
                 stage.prober, stage.probe_values, lineage, start, stop,
                 lineage[stage.op.probe_key.table])
+            counts.append(len(lineage[stage.op.build_key.table]))
             lineages.append(lineage)
-        return masks, lineages
+        return masks, counts, (lineages[1:] if every else lineages[-1:])
 
     def batches(self, start: int, stop: int, progress=None):
         """One partial per batch of fact rows ``[start, stop)``: the
@@ -216,17 +228,10 @@ class FusedPipeline:
         buffered, totals, first = [], None, start
         spans = self._spans(start, stop)
         for number, (span_start, span_stop) in enumerate(spans, 1):
-            masks, lineages = self.run_morsel(span_start, span_stop)
+            masks, joined, lineages = self.run_morsel(span_start, span_stop)
             n_rows = span_stop - span_start
-            # the last selection's count is the fact lineage's length, a
-            # join's the length of the build tids it added; only the
-            # masks that were ANDed further are counted
-            fact_tids = lineages[0][self.fact_table]
             counts = [n_rows if mask is None else int(np.count_nonzero(mask))
-                      for mask in masks[:-1]]
-            counts.append(n_rows if fact_tids is None else len(fact_tids))
-            for stage, lineage in zip(self.stages, lineages[1:]):
-                counts.append(len(lineage[stage.op.build_key.table]))
+                      for mask in masks] + joined
             totals = (tuple(counts) if totals is None else
                       tuple(a + b for a, b in zip(totals, counts)))
             buffered.append((span_start, span_stop, lineages[-1]))
@@ -373,10 +378,10 @@ class FusedPipeline:
         rows = (self.fact_rows if self.entry_tids is None
                 else self.entry.actual_rows)
         for start, stop in self._spans(0, rows) if chain else ():
-            masks, lineages = self.run_morsel(start, stop)
+            masks, _, lineages = self.run_morsel(start, stop, every=True)
             for chunks, mask in zip(mask_chunks, masks):
                 chunks.append(mask)
-            for chunks, lineage in zip(lineage_chunks, lineages[1:]):
+            for chunks, lineage in zip(lineage_chunks, lineages):
                 chunks.append(lineage)
 
         # payload per chain operator, in execution order

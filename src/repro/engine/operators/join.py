@@ -112,9 +112,17 @@ class HashJoin(PhysicalOperator):
         under what ``prober`` returns for it.  Probers list matches in
         probe order, so the lineages of consecutive row ranges
         concatenate to the lineage of the whole column — the one-chunk
-        call ``run()`` makes."""
-        probe_idx, build_tids = prober.probe_rows(
-            values, start, len(values) if stop is None else stop, tids)
+        call ``run()`` makes.  The compiled chain kernel answers as a
+        chain of this one join where it applies, the numpy prober
+        otherwise."""
+        stop = len(values) if stop is None else stop
+        chain = kernels.match_chain(
+            [(prober, values, None if tids is None else self.probe_key.table,
+              self.build_key.table)],
+            lineage, start, stop if tids is None else start + len(tids))
+        if chain is not None:
+            return chain[1][0]
+        probe_idx, build_tids = prober.probe_rows(values, start, stop, tids)
         aligned = {
             name: start + probe_idx if rows is None else rows[probe_idx]
             for name, rows in lineage.items()

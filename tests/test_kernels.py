@@ -379,88 +379,215 @@ class TestProbers:
         fk[7] = int(values.max()) + 100_000
         with pytest.raises(IndexError):
             prober.probe(fk)
-        with pytest.raises(IndexError):  # the compiled loop, if built
-            prober.probe_rows(fk, 0, len(fk), None)
+        with pytest.raises(IndexError):  # the chain kernel, if built
+            (kernels.match_chain([(prober, fk, "f", "b")], {"f": None}, 0,
+                                 len(fk))
+             or prober.probe_rows(fk, 0, len(fk), None))
 
 
 # ---------------------------------------------------------------------------
-# The compiled probe loop against the numpy probe it stands in for
+# The compiled chain kernel against the numpy chain it stands in for
 # ---------------------------------------------------------------------------
 
 def _require_the_loop():
-    if kernels._probe_loops() is None:
-        pytest.skip("the probe loop did not build here")
+    if kernels._chain_kernel() is None:
+        pytest.skip("the chain kernel did not build here")
 
 
 @st.composite
-def _probe_cases(draw):
-    """A dense or lookup prober, unchecked (the loop's two), over a
-    mask that selects all, none or some keys; a probe column of int32
-    or int64 keys — every slot index, negative ones in [-n, 0), some
-    out of range and the key type's extremes — and a range or tids
-    entry (tids out of range included)."""
-    kind = draw(st.sampled_from(["dense", "lookup"]))
-    key_type = draw(st.sampled_from([np.int32, np.int64]))
+def _stage_prober(draw):
+    """An unchecked prober — dense with a key mask, dense unfiltered, a
+    lookup over an int32 or int64 table (the kernel's) or dense with a
+    mask past the key-mask slack (numpy's) — over a mask that selects
+    all, none or some keys; with the range its keys hit around."""
+    kind = draw(st.sampled_from(
+        ["dense", "dense_all", "lookup32", "lookup64"] * 2 + ["dense_offset"]))
     n_build = draw(st.integers(1, 30))
-    base = draw(st.integers(0, 40))
-    if kind == "dense":
-        build = np.arange(base, base + n_build)
-    else:
-        step = draw(st.integers(1, 3))
-        build = np.random.default_rng(draw(st.integers(0, 9))).permutation(
-            np.arange(base, base + step * n_build, step))
+    base = draw(st.integers(0, 40)) + (70_000 if kind == "dense_offset"
+                                        else 0)
     mask = draw(st.sampled_from(["all", "none", "some"]))
     mask = {"all": np.ones(n_build, bool), "none": np.zeros(n_build, bool),
             "some": np.arange(n_build) % 3 != 1}[mask]
-    if kind == "dense":
-        prober = kernels._DenseProber(base, n_build, mask, False)
-        slots = len(prober.key_mask)
+    if kind.startswith("dense"):
+        prober = kernels._DenseProber(
+            base, n_build, None if kind == "dense_all" else mask, False)
+        assert (prober.key_mask is not None) == (kind == "dense")
+        offset = 0 if kind == "dense" else base
+        slots = len(prober.key_mask) if kind == "dense" else n_build
+        return prober, n_build, offset, slots
+    step = draw(st.integers(1, 3))
+    build = np.random.default_rng(draw(st.integers(0, 9))).permutation(
+        np.arange(base, base + step * n_build, step))
+    lookup = kernels._build_position_lookup(build)
+    if kind == "lookup64":
+        lookup = kernels.PositionLookup(
+            lookup.base, lookup.table.astype(np.int64), lookup.n_rows)
+    prober = kernels._LookupProber(lookup, mask, False)
+    assert prober.table.dtype == (np.int64 if kind == "lookup64"
+                                  else np.int32)
+    return prober, n_build, base, prober.span
+
+
+def _spoil(draw, values, bad):
+    """``values`` with, in one draw of eight, one entry drawn from
+    ``bad`` — an index that may be out of range."""
+    if len(values) and draw(st.integers(0, 7)) == 0:
+        values[draw(st.integers(0, len(values) - 1))] = draw(bad)
+    return values
+
+
+@st.composite
+def _chain_cases(draw):
+    """A chain of 1-4 joins out of table ``f`` (``f_rows`` rows), each
+    keyed by an int32 or int64 column of ``f`` or of an earlier build
+    table — every slot index, negative ones in [-n, 0), and sometimes
+    one out of range or a key type's extreme — entered as a range, a
+    range with a mask, or tids (negative ones, sometimes one out of
+    range, optionally beside a second table ``g`` of carried tids)."""
+    f_rows = draw(st.integers(0, 50))
+    rows = {"f": f_rows}
+    entry = draw(st.sampled_from(["range", "mask", "tids"]))
+    if entry == "tids":
+        m = max(f_rows, 1)
+        n = draw(st.integers(0, 40))
+        lineage = {"f": np.array(_spoil(
+            draw, draw(st.lists(st.integers(-m, m - 1), min_size=n,
+                                max_size=n)),
+            st.integers(-m - 2, m + 2)), np.int64)}
+        if draw(st.booleans()):
+            lineage["g"] = np.arange(100, 100 + n, dtype=np.int64)
+        start = draw(st.integers(0, 5))
+        stop, mask = start + n, None
     else:
-        lookup = kernels._build_position_lookup(build.astype(key_type))
-        prober = kernels._LookupProber(lookup, mask, False)
-        slots = prober.span
-    offset = 0 if kind == "dense" else base
-    info = np.iinfo(key_type)
-    inside = st.integers(offset - slots, offset + slots - 1)
-    keys = st.one_of(inside, inside, inside, st.integers(
-        offset - slots - 3, offset + slots + 3), st.sampled_from(
-        [int(info.min), int(info.max)]))
-    column = np.array(draw(st.lists(keys, max_size=60)), dtype=key_type)
-    m = len(column)
-    if draw(st.booleans()):
-        start = draw(st.integers(0, m))
-        return prober, column, start, draw(st.integers(start, m)), None
-    tids = st.one_of(st.integers(-m, m - 1) if m else st.nothing(),
-                     st.integers(-m - 2, m + 2))
-    return prober, column, 0, 0, np.array(
-        draw(st.lists(tids, max_size=40)), dtype=np.int64)
+        start = draw(st.integers(0, f_rows))
+        stop = draw(st.integers(start, f_rows))
+        lineage = {"f": None}
+        mask = (np.array(draw(st.lists(st.booleans(), min_size=stop - start,
+                                       max_size=stop - start)), bool)
+                if entry == "mask" else None)
+    links = []
+    for stage in range(draw(st.integers(1, 4))):
+        prober, n_build, offset, slots = draw(_stage_prober())
+        source = draw(st.sampled_from(["f"] + ["b%d" % i
+                                               for i in range(stage)]))
+        key_type = draw(st.sampled_from([np.int32, np.int64]))
+        info = np.iinfo(key_type)
+        keys = draw(st.lists(st.integers(offset - slots, offset + slots - 1),
+                             min_size=rows[source], max_size=rows[source]))
+        values = np.array(_spoil(draw, keys, st.one_of(
+            st.integers(offset - slots - 3, offset + slots + 3),
+            st.sampled_from([int(info.min), int(info.max)]))), key_type)
+        build = "b%d" % stage
+        rows[build] = n_build
+        links.append((prober, values, source, build))
+    return links, lineage, start, stop, mask
+
+
+def _numpy_chain(links, lineage, start, stop, mask):
+    """The reference: ``FusedPipeline.run_morsel``'s per-join loop over
+    ``HashJoin.match``'s numpy branch — rows entering and after each
+    join, and each join's aligned tids."""
+    if mask is not None:
+        lineage = {"f": start + np.flatnonzero(mask)}
+    counts = [stop - start if lineage["f"] is None else len(lineage["f"])]
+    lineages = []
+    for prober, values, source, build in links:
+        tids = lineage[source]
+        probe_idx, build_tids = prober.probe(
+            values[start:stop] if tids is None else values[tids])
+        lineage = {name: start + probe_idx if rows is None
+                   else rows[probe_idx] for name, rows in lineage.items()}
+        lineage[build] = build_tids
+        counts.append(len(build_tids))
+        lineages.append(lineage)
+    return counts, lineages
 
 
 class TestCompiledProbe:
-    @given(case=_probe_cases())
+    @given(case=_chain_cases(), every=st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_the_loop_answers_as_the_numpy_probe(self, case):
+    def test_the_loop_answers_as_the_numpy_probe(self, case, every):
         _require_the_loop()
-        prober, column, start, stop, tids = case
+        links, lineage, start, stop, mask = case
+        if any(prober.native() is None for prober, *_ in links):
+            assert kernels.match_chain(links, lineage, start, stop, mask,
+                                       every) is None
+            return
         try:
-            want = prober.probe(column[start:stop] if tids is None
-                                else column[tids])
+            want_counts, want = _numpy_chain(*case)
         except IndexError:
             with pytest.raises(IndexError):
-                prober.probe_rows(column, start, stop, tids)
+                kernels.match_chain(links, lineage, start, stop, mask, every)
             return
         before = kernels.stats["compiled_probes"]
-        got = prober.probe_rows(column, start, stop, tids)
-        assert kernels.stats["compiled_probes"] == before + 1
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype == np.int64
-            assert a.tobytes() == b.tobytes()
+        counts, got = kernels.match_chain(links, lineage, start, stop, mask,
+                                          every)
+        assert kernels.stats["compiled_probes"] == before + len(links)
+        assert counts == want_counts
+        assert len(got) == (len(links) if every else 1)
+        for a, b in zip(got, want if every else want[-1:]):
+            assert list(a) == list(b)
+            for name in a:
+                assert a[name].dtype == b[name].dtype == np.int64
+                assert a[name].tobytes() == b[name].tobytes()
+
+    @staticmethod
+    def _spoiled(case):
+        """A one-join chain whose ``case`` array C must not read as is,
+        and the join's numpy answer over the original arrays."""
+        build = np.random.default_rng(3).permutation(np.arange(5, 45))
+        lookup = kernels._build_position_lookup(build.astype(np.int32))
+        prober = kernels._LookupProber(lookup, build % 4 != 0, False)
+        values = np.arange(8, 40, dtype=np.int32)
+        tids = np.arange(31, -1, -2, dtype=np.int64)
+        want = prober.probe(values[tids])
+        if case == "strided slots":
+            prober.table = np.repeat(prober.table, 2)[::2]
+        elif case == "int16 slots":
+            prober.table = prober.table.astype(np.int16)
+        elif case == "big-endian slots":
+            prober.table = prober.table.astype(">i4")
+        elif case == "strided keys":
+            values = np.repeat(values, 2)[::2]
+        elif case == "int16 keys":
+            values = values.astype(np.int16)
+        elif case == "int32 tids":
+            tids = tids.astype(np.int32)
+        elif case == "strided tids":
+            tids = np.repeat(tids, 2)[::2]
+        return prober, values, tids, want
+
+    @pytest.mark.parametrize("case", [
+        "strided slots", "int16 slots", "big-endian slots", "strided keys",
+        "int16 keys", "int32 tids", "strided tids"])
+    def test_an_array_c_cannot_take_answers_like_numpy(self, case):
+        prober, values, tids, want = self._spoiled(case)
+        join = HashJoin(ScanSelect("f"), ScanSelect("b"),
+                        ColumnRef("f", "k"), ColumnRef("b", "id"))
+        links = [(prober, values, "f", "b")]
+        assert kernels.match_chain(links, {"f": tids}, 0, len(tids)) is None
+        got = join.match(prober, values, {"f": tids}, 0, len(tids), tids)
+        assert got["f"].tobytes() == tids[want[0]].tobytes()
+        assert got["b"].tobytes() == want[1].tobytes()
+        assert kernels.stats["compiled_probes"] == 0
+        assert kernels.stats["numpy_probes"] == 1
+
+    def test_a_mask_c_cannot_take_leaves_the_chain_to_numpy(self):
+        prober, values, _, _ = self._spoiled(None)
+        links = [(prober, values, "f", "b")]
+        n = len(values)
+        for mask in (np.ones(n, np.uint8), np.ones(2 * n, bool)[::2],
+                     np.ones(n - 1, bool)):
+            assert kernels.match_chain(links, {"f": None}, 0, n,
+                                       mask) is None
 
     @staticmethod
     def _engine(db, queries, rows):
         """Per template at ``rows`` per morsel: the memo of every
         operator a cold fused recording covers, and the rows and sizes
-        of a two-chunk pooled merge."""
+        of a two-chunk pooled merge; and, per template, its joins, its
+        morsels, its joins the kernel does not take and the probes
+        booked to each path."""
         def sized(result):
             payload = result[0]
             body = (payload.row_tuples() if hasattr(payload, "columns")
@@ -469,9 +596,11 @@ class TestCompiledProbe:
                           for name in payload.table_names])
             return body, tuple(result[1:])
 
-        out = {}
+        out, booked = {}, {}
         with morsel_rows(rows):
             for query in queries:
+                kernels.reset_stats()
+                morsel.reset_stats()
                 caches.memo(db, "plan").clear()
                 plan = query.instantiate()
                 assert morsel.prepare_fused(plan, db), query.name
@@ -484,7 +613,13 @@ class TestCompiledProbe:
                 out[query.name] = memo, sized((
                     merged.payload, merged.actual_rows, merged.nominal_rows,
                     merged.row_width_bytes))
-        return out
+                booked[query.name] = (
+                    len(pipe.stages), morsel.stats["morsels"],
+                    sum(stage.prober.native() is None
+                        for stage in pipe.stages),
+                    kernels.stats["compiled_probes"],
+                    kernels.stats["numpy_probes"])
+        return out, booked
 
     @staticmethod
     def _cut(db, fact, rows):
@@ -510,14 +645,22 @@ class TestCompiledProbe:
         for rows, cut in ((1, 250), (7, 1400), (65536, None)):
             db = full if cut is None else self._cut(full, fact, cut)
             queries = module.workload(db)
-            kernels.reset_stats()
-            on = self._engine(db, queries, rows)
-            assert kernels.stats["compiled_probes"] > 0
+            on, booked = self._engine(db, queries, rows)
+            # every morsel of every template probes each join the kernel
+            # takes in the kernel, and only the others in numpy (here:
+            # the SSB part join, whose sparse keys sort)
+            assert all(compiled == (joins - numpy_only) * morsels
+                       and numpy == numpy_only * morsels
+                       for joins, morsels, numpy_only, compiled, numpy
+                       in booked.values()), booked
+            assert all(numpy_only < joins for joins, _, numpy_only, *_
+                       in booked.values() if joins), booked
             with monkeypatch.context() as patch:
-                patch.setattr(kernels, "_probe_loops", lambda: None)
-                kernels.reset_stats()
-                off = self._engine(db, queries, rows)
-                assert kernels.stats["compiled_probes"] == 0
+                patch.setattr(kernels, "_chain_kernel", lambda: None)
+                off, booked = self._engine(db, queries, rows)
+            assert all(compiled == 0 and numpy == joins * morsels
+                       for joins, morsels, _, compiled, numpy
+                       in booked.values()), booked
             assert on == off, rows
 
     @pytest.fixture()
@@ -526,7 +669,7 @@ class TestCompiledProbe:
         dropped once they are undone."""
         yield monkeypatch
         monkeypatch.undo()
-        kernels._probe_loops.cache_clear()
+        kernels._chain_kernel.cache_clear()
 
     @pytest.mark.parametrize("failure", ["compiler", "cache", "load"])
     def test_a_failed_build_is_booked_and_answers_the_same(
@@ -553,8 +696,8 @@ class TestCompiledProbe:
             def refuse(path):
                 raise OSError("cannot load " + path)
             rebuilt.setattr(kernels.ctypes, "CDLL", refuse)
-        kernels._probe_loops.cache_clear()
-        assert kernels._probe_loops() is None
+        kernels._chain_kernel.cache_clear()
+        assert kernels._chain_kernel() is None
         assert rows() == expected
         assert kernels.stats["compiled_probes"] == 0
         assert kernels.stats["numpy_probes"] > 0

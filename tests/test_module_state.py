@@ -34,7 +34,7 @@ from repro.workloads import ssb
 #: module-level names that hold state across calls
 MODULE_STATE = {
     "repro.engine.caches._memos",
-    "repro.engine.kernels._probe_loops",
+    "repro.engine.kernels._chain_kernel",
     "repro.engine.kernels.stats",
     "repro.engine.morsel.decline_reasons",
     "repro.engine.morsel.stats",

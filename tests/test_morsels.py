@@ -558,19 +558,35 @@ def test_a_recorded_tid_array_is_no_entry_for_a_selection(plan_cache_off):
 
 @pytest.fixture()
 def chain_calls(monkeypatch):
-    """Labels of the chain operators whose ``select`` / ``match`` ran
-    (``_resume_db``'s fact table is ``f``; build-side scans are not
-    chain operators)."""
+    """Labels of the chain operators whose ``select`` / ``match`` ran,
+    or whose join a call of the chain kernel from the morsel schedule
+    probed (``_resume_db``'s fact table is ``f``, joined to ``d``, ``e``
+    and ``g``; build-side scans are not chain operators)."""
+    from repro.engine import kernels
     from repro.engine.operators import HashJoin, RefineSelect
 
-    calls = []
+    calls, inside = [], []  # inside: a kernel is running
     for cls, kernel in ((ScanSelect, "select"), (RefineSelect, "select"),
                         (HashJoin, "match")):
         def logging(self, *args, _inner=getattr(cls, kernel), **kwargs):
             if getattr(self, "table", "f") == "f":
                 calls.append(self.label)
-            return _inner(self, *args, **kwargs)
+            inside.append(self)
+            try:
+                return _inner(self, *args, **kwargs)
+            finally:
+                inside.pop()
         monkeypatch.setattr(cls, kernel, logging)
+
+    joins = {"d": "Join(f.fk=d.id)", "e": "Join(f.ek=e.eid)",
+             "g": "Join(f.gk=g.gid)"}
+
+    def chained(links, *args, _inner=kernels.match_chain, **kwargs):
+        found = _inner(links, *args, **kwargs)
+        if found is not None and not inside:  # not ``match``'s own
+            calls.extend(joins[build] for *_, build in links)
+        return found
+    monkeypatch.setattr(kernels, "match_chain", chained)
     return calls
 
 
@@ -890,14 +906,10 @@ def _per_morsel_chunk(pipe, start, stop):
     partial over every morsel, the partials merged."""
     partials = []
     for span_start, span_stop in pipe._spans(start, stop):
-        masks, lineages = pipe.run_morsel(span_start, span_stop)
+        masks, joined, lineages = pipe.run_morsel(span_start, span_stop)
         n_rows = span_stop - span_start
-        fact_tids = lineages[0][pipe.fact_table]
         counts = [n_rows if mask is None else int(np.count_nonzero(mask))
-                  for mask in masks[:-1]]
-        counts.append(n_rows if fact_tids is None else len(fact_tids))
-        for stage, lineage in zip(pipe.stages, lineages[1:]):
-            counts.append(len(lineage[stage.op.build_key.table]))
+                  for mask in masks] + joined
         lineage = lineages[-1]
         if len(lineage) == 1 and lineage[pipe.fact_table] is None:
             frame = BlockFrame(pipe.database)

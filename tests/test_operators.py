@@ -157,7 +157,8 @@ class TestOneChunkKernel:
     def test_the_morsel_schedule_computes_nothing(self):
         """``engine/morsel.py`` schedules and merges: it evaluates no
         expression, probes no index, and forms no group or aggregate —
-        every such call lives in an operator's chunk kernel."""
+        every such call lives in an operator's chunk kernel (or, for a
+        morsel's joins, in the kernel layer's chain kernel)."""
         from repro.engine import morsel
 
         tree = ast.parse(pathlib.Path(morsel.__file__).read_text())
@@ -179,9 +180,9 @@ class TestOneChunkKernel:
     def test_the_morsel_schedule_has_one_chain_loop(self):
         """A pool's chunk, the ``Limit`` prefix and a recording — from
         the scan or resumed after a recorded operator — all run the
-        chain through ``run_morsel``: ``morsel.py`` calls ``select`` and
-        ``match`` once each, there, and nothing else loops over the
-        stages to probe."""
+        chain through ``run_morsel``: ``morsel.py`` calls ``select``,
+        the chain kernel and its per-join fallback ``match`` once each,
+        there, and nothing else loops over the stages to probe."""
         from repro.engine import morsel
 
         tree = ast.parse(pathlib.Path(morsel.__file__).read_text())
@@ -193,12 +194,17 @@ class TestOneChunkKernel:
                 if isinstance(node, ast.Call):
                     callers.setdefault(getattr(node.func, "attr", ""),
                                        []).append(function.name)
-        assert callers["select"] == callers["match"] == ["run_morsel"]
+        assert (callers["select"] == callers["match"]
+                == callers["match_chain"] == ["run_morsel"])
         assert sorted(callers["run_morsel"]) == ["batches", "run_recorded"]
 
     @pytest.fixture()
     def spied(self, monkeypatch):
-        """Calls per (class name, kernel), counted on the classes."""
+        """Calls per (class name, kernel), counted on the classes, and
+        the calls the chain kernel answered, as ``("kernels",
+        "match_chain")``."""
+        from repro.engine import kernels
+
         calls = {}
         for cls, kernel in CHUNK_KERNELS:
             def counting(self, *args, _inner=getattr(cls, kernel),
@@ -206,6 +212,14 @@ class TestOneChunkKernel:
                 calls[_key] = calls.get(_key, 0) + 1
                 return _inner(self, *args, **kwargs)
             monkeypatch.setattr(cls, kernel, counting)
+
+        def chained(*args, _inner=kernels.match_chain, **kwargs):
+            found = _inner(*args, **kwargs)
+            if found is not None:
+                key = ("kernels", "match_chain")
+                calls[key] = calls.get(key, 0) + 1
+            return found
+        monkeypatch.setattr(kernels, "match_chain", chained)
         return calls
 
     @staticmethod
@@ -231,14 +245,22 @@ class TestOneChunkKernel:
 
         from tests.conftest import morsel_rows
 
-        chain = [("ScanSelect", "select"), ("RefineSelect", "select"),
-                 ("HashJoin", "match")]
-        kernels = chain + [(breaker.__name__, "partial")]
+        from repro.engine import kernels
+
+        # the joins of a morsel: one chain-kernel call, or one ``match``
+        # per join where the kernel did not build
+        compiled = kernels._chain_kernel() is not None
+        join = ("kernels", "match_chain") if compiled else ("HashJoin",
+                                                            "match")
+        chain = [("ScanSelect", "select"), ("RefineSelect", "select"), join]
+        partial = (breaker.__name__, "partial")
         caches.memo(toy_db, "plan").clear()
         reference = execute_operators(self._plan(breaker), toy_db)
         # operator at a time: every kernel once, over the whole column
-        # (the build-side scan has no predicate, so nothing to select)
-        assert spied == dict.fromkeys(kernels, 1)
+        # (the build-side scan has no predicate, so nothing to select);
+        # ``match`` asks the kernel for a chain of its one join
+        assert spied == dict.fromkeys(chain + [("HashJoin", "match"),
+                                               partial], 1)
 
         rows = toy_db.table("sales").actual_rows
         with morsel_rows(-(-rows // 3)):  # three morsels
@@ -248,13 +270,13 @@ class TestOneChunkKernel:
             pipe = morsel.build(self._plan(breaker), toy_db)
             assert len(pipe.ranges()) == 3
             pipe.run_recorded()
-            assert spied == {**dict.fromkeys(chain, 3), kernels[-1]: 1}
+            assert spied == {**dict.fromkeys(chain, 3), partial: 1}
             # pooled: the chain per morsel, the breaker once per batch
             # of a morsel's worth of its output rows — the first two
             # morsels' (~140 rows each), then the last one's
             spied.clear()
             merged = pipe.merge([pipe.run_chunk(0, rows)])
-            assert spied == {**dict.fromkeys(chain, 3), kernels[-1]: 2}
+            assert spied == {**dict.fromkeys(chain, 3), partial: 2}
         assert (merged.payload.row_tuples()
                 == reference.payload.row_tuples())
         caches.memo(toy_db, "plan").clear()
