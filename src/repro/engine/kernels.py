@@ -12,8 +12,8 @@ amortise their data-parallel primitives:
   (dimension primary keys) skip the search entirely and join by
   positional lookup; other unique keys probe an O(1) position table.
   The probers over these structures (bottom of this module) are what
-  :func:`match_chain` — a morsel's joins in one compiled call — and
-  ``HashJoin.match``, one join, probe through.
+  a :class:`Chain` — joins bound once, probed in one compiled call per
+  row range — and ``HashJoin.match``, one join, probe through.
 * **Column bounds** — the cached (min, max) of an integer column:
   they prove foreign-key containment (eliding the probers' range
   checks) and give the fused aggregation its group-id radixes.
@@ -33,6 +33,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import mmap
 import os
 import subprocess
 import tempfile
@@ -219,33 +220,34 @@ def _as_int64(array: np.ndarray) -> np.ndarray:
     return array.astype(np.int64, copy=False)
 
 
-# The compiled join chain (docs/kernels.md): every join of a morsel in
-# one call.  Per stage, one branch-free pass over the rows alive tests
-# each row's key and compacts the row index; build tids are written for
-# survivors only.  Tids and keys keep ``take``'s index rule: a negative
-# one counts from the end, one outside [-len, len) fails the whole call.
+# The compiled join chain (docs/kernels.md): every join of a row range
+# in one call, block by block.  Per stage, one branch-free pass over the
+# rows alive tests each row's key and compacts the row index; build tids
+# are written for survivors only.  Tids and keys keep ``take``'s index
+# rule: a negative one counts from the end, one outside [-len, len)
+# fails the whole call.
 _CHAIN_C = r"""
 #include <stdint.h>
 #include <string.h>
 /* One kind of stage: key type K, slot type S (a bool slot's byte, 0 or
-   1, is its hit).  Mode 0 tests the rows alive and compacts their
-   index; mode 1 writes the build tids of the rows in idx by row, mode 2
-   in order. */
+   1, is its hit); the keys are read at src[row], or at start + row where
+   src is null.  Mode 0 tests the rows alive and compacts their index;
+   mode 1 writes the build tids of the rows in idx by row, mode 2 in
+   order. */
 #define KIND(NAME, K, S, SHIFT, LOAD, FETCH, HIT, OUT)                    \
-static int64_t NAME(const int64_t *g, int64_t start, const int64_t *in,  \
-                    int64_t *idx, int64_t j, int64_t *dst, int64_t mode) \
+static int64_t NAME(const int64_t *g, const int64_t *src, int64_t start, \
+                    const int64_t *in, int64_t *idx, int64_t j,          \
+                    int64_t *dst, int64_t mode)                          \
 {                                                                        \
     const K *col = (const K *)g[1];                                      \
     const S *slots = (const S *)g[3];                                    \
-    const int64_t *src = (const int64_t *)g[6];                          \
     const int64_t ncol = g[2], nslots = g[4], base = g[5];               \
     int64_t kept = 0;                                                    \
+    (void)slots;                                                         \
     for (int64_t m = 0; mode == 0 && m < j; m++) {                       \
-        int64_t r = in ? in[m] : m, p = start + r;                       \
-        if (src) {                                                       \
-            p = src[r] < 0 ? src[r] + ncol : src[r];                     \
-            if ((uint64_t)p >= (uint64_t)ncol) return -1;                \
-        }                                                                \
+        int64_t r = in ? in[m] : m, p = src ? src[r] : start + r;        \
+        p += src && p < 0 ? ncol : 0;                                    \
+        if ((uint64_t)p >= (uint64_t)ncol) return -1;                    \
         K k = col[p];                                                    \
         int64_t q = (K)((uint64_t)k - (uint64_t)(SHIFT));                \
         if (q < 0) q += nslots;                                          \
@@ -273,50 +275,70 @@ KIND(lookup##B##_32, K, int32_t, base, SLOT, FETCH, s >= 0, s)           \
 KIND(lookup##B##_64, K, int64_t, base, SLOT, FETCH, s >= 0, s)
 KINDS(32, int32_t)
 KINDS(64, int64_t)
-static int64_t (*const STAGES[])(const int64_t *, int64_t, const int64_t *,
-                                 int64_t *, int64_t, int64_t *, int64_t) = {
+static int64_t (*const STAGES[])(const int64_t *, const int64_t *, int64_t,
+                                 const int64_t *, int64_t *, int64_t,
+                                 int64_t *, int64_t) = {
     all32, dense32, lookup32_32, lookup32_64,
     all64, dense64, lookup64_32, lookup64_64};
 
 /* spec: 8 words per stage — kind, keys, their count, slots, their
-   count, base, the tids the keys are read at (0: start + row), whether
-   a later stage reads keys at its tids — then the tids of each entry
-   table (0: start + row).  scratch: the row index, each stage's build
-   tids by row, the rows entering and after each stage. */
-int64_t chain(int64_t n, int64_t start, const uint8_t *mask,
+   count, base, where the keys are read (0: at start + row; t <= nentry:
+   at entry table t's tids; nentry + 1 + s: at stage s's), whether a
+   later stage reads keys there — then the tids of each entry table (0:
+   start + row).  Rows [start, start + rows) run in blocks of size rows
+   (one block when there are none); each block writes its counts, the
+   rows entering and after each stage, and appends each table's tids
+   after each stage (every) or the last to that one's run of rows words.
+   scratch: the row index, then each stage's build tids by row. */
+int64_t chain(int64_t rows, int64_t start, int64_t size, const uint8_t *mask,
               const int64_t *spec, int64_t nstages, int64_t nentry,
-              int64_t every, int64_t *scratch, int64_t *out)
+              int64_t every, int64_t *scratch, int64_t *counts, int64_t *out)
 {
     const int64_t *const *entry = (const int64_t *const *)(spec + 8 * nstages);
-    int64_t *idx = scratch, *counts = scratch + (nstages + 1) * n;
-    int64_t j = mask ? 0 : n, used = 0;
-    for (int64_t i = 0; mask && i < n; i += 8) {  /* skip zero words */
-        uint64_t word = 1;
-        if (n - i >= 8)
-            memcpy(&word, mask + i, 8);
-        for (int64_t r = i; word && r < n && r < i + 8; r++) {
-            idx[j] = r;
-            j += mask[r] != 0;
+    const int64_t *src[nstages];
+    int64_t nruns = every ? nstages * nentry + nstages * (nstages + 1) / 2
+                          : nentry + nstages, *runs[nruns];
+    for (int64_t k = 0; k < nruns; k++)
+        runs[k] = out + k * rows;
+    for (int64_t lo = 0; lo < rows || lo == 0; lo += size) {
+        const uint8_t *bits = mask ? mask + lo : 0;
+        int64_t n = rows - lo < size ? rows - lo : size, first = start + lo;
+        int64_t *idx = scratch, *count = counts + lo / size * (nstages + 1);
+        int64_t j = mask ? 0 : n, k = 0;
+        for (int64_t i = 0; bits && i < n; i += 8) {  /* skip zero words */
+            uint64_t word = 1;
+            if (n - i >= 8)
+                memcpy(&word, bits + i, 8);
+            for (int64_t r = i; word && r < n && r < i + 8; r++) {
+                idx[j] = r;
+                j += bits[r] != 0;
+            }
+        }
+        count[0] = j;
+        for (int64_t s = 0; s < nstages; s++) {
+            const int64_t *g = spec + 8 * s, at = g[6] - 1;
+            src[s] = at < 0 ? 0 : at >= nentry ? scratch + (at - nentry + 1) * n
+                   : entry[at] ? entry[at] + lo : 0;
+            j = STAGES[g[0]](g, src[s], first, bits || s ? idx : 0, idx, j,
+                             0, 0);
+            if (j < 0)
+                return -1;
+            count[s + 1] = j;
+            if (g[7])
+                STAGES[g[0]](g, src[s], first, 0, idx, j,
+                             scratch + (s + 1) * n, 1);
+            for (int64_t t = 0; (every || s == nstages - 1) && t < nentry;
+                 t++, runs[k++] += j)
+                for (int64_t m = 0; m < j; m++)
+                    runs[k][m] = entry[t] ? entry[t][lo + idx[m]]
+                                          : first + idx[m];
+            for (int64_t t = 0; (every || s == nstages - 1) && t <= s;
+                 t++, runs[k++] += j)
+                STAGES[spec[8 * t]](spec + 8 * t, src[t], first, 0, idx, j,
+                                    runs[k], 2);
         }
     }
-    counts[0] = j;
-    for (int64_t s = 0; s < nstages; s++) {
-        const int64_t *g = spec + 8 * s;
-        j = STAGES[g[0]](g, start, mask || s ? idx : 0, idx, j, 0, 0);
-        if (j < 0)
-            return -1;
-        counts[s + 1] = j;
-        if (g[7])
-            STAGES[g[0]](g, start, 0, idx, j, scratch + (s + 1) * n, 1);
-        for (int64_t t = 0; (every || s == nstages - 1) && t < nentry;
-             t++, used += j)
-            for (int64_t m = 0; m < j; m++)
-                out[used + m] = entry[t] ? entry[t][idx[m]] : start + idx[m];
-        for (int64_t t = 0; (every || s == nstages - 1) && t <= s;
-             t++, used += j)
-            STAGES[spec[8 * t]](spec + 8 * t, start, 0, idx, j, out + used, 2);
-    }
-    return used;
+    return 0;
 }
 """
 _COMPILE = ("cc", "-O3", "-funroll-loops", "-shared", "-fPIC")
@@ -330,12 +352,13 @@ _BOOL, _TIDS = (np.dtype(np.bool_),), (np.dtype(np.int64),)
 
 
 @functools.cache
-def _chain_kernel():
-    """The compiled chain — built at first use, never at import, and
-    cached per user in a 0o700 directory named by the sha256 of the
-    source and the compile command; None, and every probe runs in
-    numpy, where no compiler, cache directory or load works."""
-    digest = hashlib.sha256(repr((_CHAIN_C, _COMPILE)).encode()).hexdigest()
+def _chain_kernel(command=_COMPILE):
+    """The compiled chain, built by ``command`` (the compiler and its
+    flags) — at first use, never at import, and cached per user in a
+    0o700 directory named by the sha256 of the source and the command;
+    None, and every probe runs in numpy, where no compiler, cache
+    directory or load works."""
+    digest = hashlib.sha256(repr((_CHAIN_C, command)).encode()).hexdigest()
     root = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
     directory = os.path.join(root, "repro", digest)
     path = os.path.join(directory, "chain.so")
@@ -350,15 +373,15 @@ def _chain_kernel():
                 with open(source, "w") as handle:
                     handle.write(_CHAIN_C)
                 built = os.path.join(building, "chain.so")
-                subprocess.run(_COMPILE + ("-o", built, source),
+                subprocess.run(tuple(command) + ("-o", built, source),
                                check=True, capture_output=True)
                 os.replace(built, path)
         kernel = ctypes.CDLL(path).chain
     except (OSError, subprocess.CalledProcessError):
         return None
     pointer, count = ctypes.c_void_p, ctypes.c_int64
-    kernel.argtypes = (count, count, pointer, pointer, count, count, count,
-                       pointer, pointer)
+    kernel.argtypes = (count, count, count, pointer, pointer, count, count,
+                       count, pointer, pointer, pointer)
     kernel.restype = count
     return kernel
 
@@ -370,89 +393,108 @@ def _native(array, dtypes, n=None) -> bool:
             and array.flags.c_contiguous and (n is None or len(array) == n))
 
 
-def match_chain(links, lineage, start, stop, mask=None, every=False):
-    """Probe a chain of joins over rows ``[start, stop)`` in one call.
+class Chain:
+    """Joins bound once — for a pipeline's life, or one ``HashJoin.run``
+    — and probed over a row range in one call (docs/kernels.md).
+    ``links`` are the joins in order, ``(prober, values, source,
+    build)``: the keys are ``values`` at the tids of table ``source``
+    (None: at ``start + row``), the matches add table ``build``;
+    ``names`` are the tables entering, in lineage order.  Binding checks
+    the arrays C reads that do not change and packs the spec; ``kernel``
+    is None where the joins run as numpy probes (no library, or a
+    prober, array or base C does not take as is).  The binding holds
+    every array it points at and a buffer of anonymous pages, grown by
+    the calls that need more."""
 
-    ``lineage`` maps each table entering the chain to its tids, one per
-    row (None: ``start + row``); ``mask`` (bool, one per row) selects
-    the rows that enter.  ``links`` are the joins in order, ``(prober,
-    values, source, build)``: the keys are ``values`` at the tids of
-    table ``source`` (None: at ``start + row``), the matches add table
-    ``build``.  Returns ``(counts, lineages)`` — the rows entering and
-    after each join, and every reachable table's tids after each join
-    (``every``) or the last — bit for bit what ``HashJoin.match``'s
-    numpy probes return join by join; None where the kernel does not
-    apply: not built, a prober with no compiled form, or an array or
-    base it does not take as is.
-    """
-    kernel = _chain_kernel()
-    found = [prober.native() for prober, *_ in links]
-    n, names = stop - start, list(lineage)
-    entry = [lineage[name] for name in names]
-    if (kernel is None or not links or None in found or n < 0
-            or mask is not None and not _native(mask, _BOOL, n)
-            or not all(rows is None or _native(rows, _TIDS, n)
-                       for rows in entry)):
-        return None
-    emitted = range(len(links)) if every else [len(links) - 1]
-    pointers = [0 if rows is None else rows.ctypes.data for rows in entry]
-    # one buffer: the spec, the scratch, then the rows written out
-    words = 8 * len(links) + len(entry)
-    scratch = words + (n + 1) * (len(links) + 1)
-    buffer = np.empty(scratch + n * sum(len(entry) + 1 + s for s in emitted),
-                      dtype=np.int64)
-    address, spec = buffer.ctypes.data, []
-    for (dtypes, slots, base), (_, values, source, build) in zip(found, links):
-        at = -1 if source is None else names.index(source)
-        source = (0 if at < 0 else pointers[at] if at < len(entry)
-                  else address + 8 * (words + n * (1 + at - len(entry))))
-        if (not _native(values, _KEYS)
-                or slots is not None and not _native(slots, dtypes)
-                or not _KEYS[values.dtype][1] <= base <= _KEYS[values.dtype][2]
-                or not source and not 0 <= start <= stop <= len(values)):
+    __slots__ = ("links", "names", "kernel", "_tables", "_spec", "_buffer")
+
+    def __init__(self, links, names):
+        self.links, self.names = list(links), list(names)
+        self.kernel, self._buffer = None, (np.empty(0, np.int64), 0)
+        found = [prober.native() for prober, *_ in self.links]
+        if not links or None in found:
+            return
+        kernel, tables, spec = _chain_kernel(), list(names), []
+        for (dtypes, slots, base), (_, values, source, build) in zip(
+                found, self.links):
+            at = 0 if source is None else tables.index(source) + 1
+            if (kernel is None or not _native(values, _KEYS)
+                    or slots is not None and not _native(slots, dtypes)
+                    or not (_KEYS[values.dtype][1] <= base
+                            <= _KEYS[values.dtype][2])):
+                return
+            if at > len(names):  # a snowflake: keep the source's tids by row
+                spec[8 * (at - len(names) - 1) + 7] = 1
+            spec += (_KEYS[values.dtype][0], values.ctypes.data, len(values),
+                     0, 0, base, at, 0)
+            if slots is not None:
+                spec[-8] += _SLOTS[slots.dtype]
+                spec[-5:-3] = slots.ctypes.data, len(slots)
+            tables.append(build)
+        spec = np.array(spec + [0] * len(names), np.int64)
+        self._spec, self._tables = (spec, spec.ctypes.data), tables
+        self.kernel = kernel
+
+    def run(self, lineage, start, stop, mask=None, every=False, block=None):
+        """Probe rows ``[start, stop)`` in blocks of ``block`` rows (None:
+        one block): ``lineage`` maps each entering table to its tids, one
+        per row (None: ``start + row``), and ``mask`` (bool, one per row)
+        selects the rows that enter.  Returns ``(counts, lineages)`` —
+        per block, the rows entering and after each join; each table's
+        tids after each join (``every``) or the last, over all blocks,
+        as views of the buffer valid until the next call — bit for bit
+        the numpy probes' join by join, block after block.  None where
+        the kernel is not bound or does not take an array of the call; a
+        key or tid out of range raises ``IndexError``, booking nothing."""
+        n, stages = stop - start, len(self.links)
+        entry = [lineage[name] for name in self.names]
+        if (self.kernel is None or start < 0 or n < 0
+                or mask is not None and not _native(mask, _BOOL, n)
+                or not all(rows is None or _native(rows, _TIDS, n)
+                           for rows in entry)):
             return None
-        if at >= len(entry):  # a snowflake: keep the source's tids by row
-            spec[8 * (at - len(entry)) + 7] = 1
-        spec += (_KEYS[values.dtype][0], values.ctypes.data, len(values),
-                 0, 0, base, source, 0)
-        if slots is not None:
-            spec[-8] += _SLOTS[slots.dtype]
-            spec[-5:-3] = slots.ctypes.data, len(slots)
-        names.append(build)
-    buffer[:words] = spec + pointers
-    used = kernel(n, start, None if mask is None else mask.ctypes.data,
-                  address, len(links), len(entry), every,
-                  address + 8 * words, address + 8 * scratch)
-    if used < 0:
-        raise IndexError("probe key or tid out of range")
-    stats["compiled_probes"] += len(links)
-    for prober, *_ in links:
-        stats[prober.counter] += 1
-    counts = buffer[scratch - len(links) - 1:scratch].tolist()
-    # one copy of the rows written: views would pin the whole buffer
-    out, at, lineages = buffer[scratch:scratch + used].copy(), 0, []
-    for s in emitted:
-        lineages.append({})
-        for name in names[:len(entry) + 1 + s]:
-            lineages[-1][name] = out[at:at + counts[s + 1]]
-            at += counts[s + 1]
-    return counts, lineages
+        size = max(min(block or n, n), 1)
+        blocks = max(-(-n // size), 1)
+        emitted = range(stages) if every else [stages - 1]
+        widths = [len(entry) + 1 + s for s in emitted]
+        counted = (stages + 1) * size
+        written = counted + blocks * (stages + 1)
+        if len(self._buffer[0]) < written + sum(widths) * n:
+            # anonymous pages: no malloc arena or mmap threshold moves,
+            # and a page costs memory once written
+            buffer = np.frombuffer(mmap.mmap(
+                -1, 8 * (written + sum(widths) * n), flags=mmap.MAP_PRIVATE),
+                np.int64)
+            self._buffer = buffer, buffer.ctypes.data
+        (buffer, address), (spec, at) = self._buffer, self._spec
+        spec[8 * stages:] = [0 if rows is None else rows.ctypes.data
+                             for rows in entry]
+        if self.kernel(n, start, size,
+                       None if mask is None else mask.ctypes.data, at,
+                       stages, len(entry), every, address,
+                       address + 8 * counted, address + 8 * written) < 0:
+            raise IndexError("probe key or tid out of range")
+        stats["compiled_probes"] += stages * blocks
+        for prober, *_ in self.links:
+            stats[prober.counter] += blocks
+        counts = buffer[counted:written].reshape(blocks, stages + 1).copy()
+        totals = (counts.sum(axis=0) if blocks > 1 else counts[0]).tolist()
+        lineages = []
+        for s, width in zip(emitted, widths):
+            lineages.append({name: buffer[written + n * t:
+                                          written + n * t + totals[s + 1]]
+                             for t, name in enumerate(self._tables[:width])})
+            written += n * width
+        return counts, lineages
 
 
 class _Prober:
-    """``probe_rows`` — what ``HashJoin.match`` asks a prober the chain
-    kernel does not take: the matches of the keys ``values[start:stop]``
-    (or ``values[tids]``), the numpy ``probe`` of the gathered keys."""
+    """A prober: ``probe(keys)``, the numpy matches, and ``native()``."""
 
     __slots__ = ()
 
-    def probe_rows(self, values, start, stop, tids):
-        stats["numpy_probes"] += 1
-        return self.probe(values[start:stop] if tids is None
-                          else values[tids])
-
     def native(self):
-        """What :func:`match_chain` probes with — ``(slot dtypes, slots,
+        """What a :class:`Chain` probes with — ``(slot dtypes, slots,
         base)``: a dense prober hits on a bool ``slots[key]`` (no slots:
         every key) and adds ``key - base``, a lookup hits on an int32 /
         int64 ``slots[key - base]`` >= 0 and adds it — or None: numpy

@@ -13,9 +13,10 @@ operator's *chunk kernel*, on its class — ``ScanSelect.select`` /
 ``partial`` / ``merge`` / ``finish`` — and an operator's ``run()`` is
 the same kernel called once over the whole column; the reasons chunk
 outputs concatenate to the one-chunk output stand with the kernels.
-Here are the ranges, the chain loop, what gets recorded where, the
-order partials are absorbed in, the replay of the nominal-row rule and
-the reasons to decline.
+Here are the ranges, the chain over a range (the joins bound once per
+pipeline, :class:`~repro.engine.kernels.Chain`), what gets recorded
+where, the order partials are absorbed in, the replay of the nominal-row
+rule and the reasons to decline.
 
 Sequential execution is *recording*: a fused run fills the
 per-template result memo (and the cross-plan cache) of every covered
@@ -24,8 +25,8 @@ tuples the operator path would produce, then
 :func:`~repro.engine.execution.functional.execute_operators`' ordinary
 post-order loop serves them — tail operators
 (Sort/Limit/Distinct/FrameFilter) and all bookkeeping run unchanged.
-The chain's chunk outputs are concatenated per operator and the
-breaker runs once, at the barrier, over the recorded chain output.
+The chain runs over the entry in one pass and the breaker runs once,
+at the barrier, over the recorded chain output.
 A recording starts where the recorded results end (:func:`_resume`):
 its morsels are cut over the payload of the deepest covered operator
 the template memo or the plan cache already answers — a selection's
@@ -99,15 +100,15 @@ class Decline(Exception):
 
 
 class _Stage:
-    """One fused join: its probe column, the build-side prober, and the
-    tables its output aligns (in TidSet order)."""
+    """One fused join: its build-side prober, the join bound alone (what
+    ``run_morsel`` matches through), and the tables its output aligns
+    (in TidSet order)."""
 
-    __slots__ = ("op", "probe_values", "prober", "table_order")
+    __slots__ = ("op", "prober", "chain", "table_order")
 
     def __init__(self, op, table_order):
         self.op = op
-        self.probe_values = None
-        self.prober = None
+        self.prober = self.chain = None
         self.table_order = table_order
 
 
@@ -133,6 +134,8 @@ class FusedPipeline:
         self.scan_op = None
         self.selections: List = []  # the scan, then its refines
         self.stages: List[_Stage] = []
+        #: the joins bound for the chain kernel; None: per morsel
+        self.chain: Optional[kernels.Chain] = None
         #: the ``aggregate`` / ``project`` operator the chain ends in
         self.breaker = None
         self.tail: List = []  # breaker → root, in execution order
@@ -171,96 +174,116 @@ class FusedPipeline:
         return [(pos, min(pos + MORSEL_ROWS, stop))
                 for pos in range(start, stop, MORSEL_ROWS)]
 
-    # -- per-morsel execution -----------------------------------------
+    # -- the chain over a row range ------------------------------------
 
-    def run_morsel(self, start: int, stop: int, every: bool = False):
-        """Run the chain over rows ``[start, stop)`` — of the fact
-        table, or of the entry when the chain starts after a recorded
-        join: the chunk output of every chain operator left to run, as
-        ``(masks, counts, lineages)`` — the cumulative mask after each
-        selection (None while no predicate has applied), the rows after
-        each join, and the aligned absolute tids per reachable table
-        after each join (``every``) or of the chain's output only (the
-        entry's when there is no join; None: every row of the morsel).
-        The joins are one call of the chain kernel, or one ``match``
-        each where it does not apply."""
+    def _enter(self, start: int, stop: int):
+        """What enters the joins over rows ``[start, stop)``: the mask
+        after each selection left to run (None while no predicate has
+        applied; one ``select`` each over the range), the last one, and
+        the entering tables' tids (None: every row)."""
+        if self.entry_tids is not None:
+            return [], None, {name: tids[start:stop]
+                              for name, tids in self.entry_tids.items()}
+        block = BlockFrame(self.database)
+        block.set_range(start, stop)
+        mask = None if self.entry_mask is None else self.entry_mask[start:stop]
+        masks = []
+        for op in self.selections:
+            if op.predicate is not None:  # a bare scan selects all
+                mask = op.select(block, mask)
+            masks.append(mask)
+        return masks, mask, {self.fact_table: None}
+
+    def run_morsel(self, lineage, start: int, stop: int, mask=None,
+                   every: bool = False):
+        """The joins over the rows ``[start, stop)`` of one morsel, one
+        ``match`` each through the join's binding of one: the reference
+        of the chain kernel, and :meth:`_run`'s path where the pipeline
+        has none.  Takes what :meth:`_enter` returns for the morsel;
+        returns the rows entering and after each join, and the absolute
+        tids per reachable table after each (``every``) or the last
+        (with no join, the entry's; None: every row)."""
         stats["morsels"] += 1
-        masks, mask = [], None
-        if self.entry_tids is None:
-            block = BlockFrame(self.database)
-            block.set_range(start, stop)
-            mask = self.entry_mask
-            if mask is not None:
-                mask = mask[start:stop]
-            for op in self.selections:
-                if op.predicate is not None:  # a bare scan selects all
-                    mask = op.select(block, mask)
-                masks.append(mask)
-            lineage = {self.fact_table: None}
-        else:
-            lineage = {name: tids[start:stop]
-                       for name, tids in self.entry_tids.items()}
-        links = [(stage.prober, stage.probe_values, stage.op.probe_key.table,
-                  stage.op.build_key.table) for stage in self.stages]
-        chain = (kernels.match_chain(links, lineage, start, stop, mask, every)
-                 if links else None)
-        if chain is not None:
-            counts, lineages = chain
-            return masks, counts[1:], lineages
         if mask is not None:
             lineage = {self.fact_table: start + np.flatnonzero(mask)}
-        counts, lineages = [], [lineage]
+        counts, lineages = [stop - start if mask is None
+                            else len(lineage[self.fact_table])], [lineage]
         for stage in self.stages:
-            lineage = stage.op.match(
-                stage.prober, stage.probe_values, lineage, start, stop,
-                lineage[stage.op.probe_key.table])
+            lineage = stage.op.match(stage.chain, lineage, start,
+                                     start + counts[-1])
             counts.append(len(lineage[stage.op.build_key.table]))
             lineages.append(lineage)
-        return masks, counts, (lineages[1:] if every else lineages[-1:])
+        return counts, (lineages[1:] if every else lineages[-1:])
+
+    def _run(self, start: int, stop: int, every: bool = False):
+        """The chain over rows ``[start, stop)``, morsel by morsel in one
+        pass: each selection's mask over the range; per morsel, the rows
+        entering the joins and after each; and each table's tids over the
+        range after each join (``every``: arrays of their own) or the
+        last (views valid until the next call) — from one call of the
+        chain kernel, or :meth:`run_morsel` per morsel without one."""
+        masks, mask, lineage = self._enter(start, stop)
+        # each morsel's first row, counted from ``start`` (as ``_spans``)
+        starts = np.arange(0, max(stop - start, 1), MORSEL_ROWS)
+        if not self.stages:  # what the selections keep is the output
+            rows = np.diff(starts, append=stop - start)
+            if mask is not None:
+                lineage = {self.fact_table: start + np.flatnonzero(mask)}
+                if len(mask):
+                    rows = np.add.reduceat(mask, starts, dtype=np.int64)
+            found = rows[:, None], [lineage]
+        else:
+            found = self.chain and self.chain.run(lineage, start, stop, mask,
+                                                  every, MORSEL_ROWS)
+        if found is None:
+            runs = [self.run_morsel(
+                {name: None if tids is None else tids[low - start:high - start]
+                 for name, tids in lineage.items()}, low, high,
+                None if mask is None else mask[low - start:high - start],
+                every) for low, high in self._spans(start, stop)]
+            return masks, np.array([counts for counts, _ in runs]), [
+                {name: np.concatenate([run[k][name] for _, run in runs])
+                 for name in tables}
+                for k, tables in enumerate(runs[0][1])]
+        stats["morsels"] += len(starts)
+        counts, lineages = found
+        if every and self.stages:
+            lineages = [{name: tids.copy() for name, tids in lineage.items()}
+                        for lineage in lineages]
+        return masks, counts, lineages
 
     def batches(self, start: int, stop: int, progress=None):
-        """One partial per batch of fact rows ``[start, stop)``: the
-        chain runs morsel by morsel (``progress``, a no-arg callable,
-        fires after each), its output is buffered until it holds
+        """One partial per batch of fact rows ``[start, stop)``, cut from
+        one :meth:`_run`: a batch closes once its morsels' output holds
         :data:`MORSEL_ROWS` rows or the range ends, and the breaker's
-        partial over the buffer is stamped with the batch's first row
-        and its morsels' summed output counts."""
-        buffered, totals, first = [], None, start
-        spans = self._spans(start, stop)
-        for number, (span_start, span_stop) in enumerate(spans, 1):
-            masks, joined, lineages = self.run_morsel(span_start, span_stop)
-            n_rows = span_stop - span_start
-            counts = [n_rows if mask is None else int(np.count_nonzero(mask))
-                      for mask in masks] + joined
-            totals = (tuple(counts) if totals is None else
-                      tuple(a + b for a, b in zip(totals, counts)))
-            buffered.append((span_start, span_stop, lineages[-1]))
+        partial over it is stamped with its first row and its rows after
+        each chain operator; ``progress`` (no-arg) fires after each."""
+        masks, counts, (lineage,) = self._run(start, stop)
+        first, done, total = 0, 0, 0
+        for number, rows in enumerate(counts[:, -1].tolist(), 1):
+            total += rows
+            if total < MORSEL_ROWS and number < len(counts):
+                continue
+            low = start + first * MORSEL_ROWS
+            high = min(start + number * MORSEL_ROWS, stop)
+            if lineage[self.fact_table] is None:  # every row of the range
+                frame = BlockFrame(self.database)
+                frame.set_range(low, high)
+            else:
+                frame = Frame(self.database, {
+                    name: tids[done:done + total]
+                    for name, tids in lineage.items()})
+            partial = self.breaker.partial(frame, total)
+            partial.index = low
+            partial.chain_counts = tuple(
+                [high - low if mask is None else
+                 int(np.count_nonzero(mask[low - start:high - start]))
+                 for mask in masks]
+                + counts[first:number, 1:].sum(axis=0).tolist())
             if progress is not None:
                 progress()
-            if totals[-1] >= MORSEL_ROWS or number == len(spans):
-                partial = self.breaker.partial(self._frame(buffered),
-                                               totals[-1])
-                partial.index, partial.chain_counts = first, totals
-                yield partial
-                buffered, totals, first = [], None, span_stop
-
-    def _frame(self, buffered) -> Frame:
-        """The breaker's input over buffered ``(start, stop, lineage)``
-        morsels: their rows in order (a lineage's None: all of them)."""
-        first, last, lineage = buffered[0]
-        if (len(buffered) == 1 and len(lineage) == 1
-                and lineage[self.fact_table] is None):
-            frame = BlockFrame(self.database)
-            frame.set_range(first, last)
-            return frame
-        tables = {}
-        for name in lineage:
-            chunks = [np.arange(start, stop, dtype=np.int64)
-                      if tids[name] is None else tids[name]
-                      for start, stop, tids in buffered]
-            tables[name] = (chunks[0] if len(chunks) == 1
-                            else np.concatenate(chunks))
-        return Frame(self.database, tables)
+            yield partial
+            first, done, total = number, done + total, 0
 
     # -- merging (pooled) ---------------------------------------------
 
@@ -326,12 +349,11 @@ class FusedPipeline:
         """Run every morsel of fact rows ``[start, stop)`` and merge
         its batches (:meth:`batches`, a morsel's worth of rows each)
         locally into ONE picklable partial — the pool ships a single
-        message per worker chunk, and the breaker runs once per batch
-        instead of once per morsel.
+        message per worker chunk, and the breaker runs once per batch.
 
-        ``progress`` (no-arg callable) fires after each morsel; pool
-        workers heartbeat through it so the parent's watchdog can tell
-        a slow chunk from a hung process.
+        ``progress`` (no-arg callable) fires after each batch; pool
+        workers heartbeat through it and, through the kernel call (which
+        releases the GIL), from their heartbeat thread.
         """
         acc, totals = self._absorb_all(self.batches(start, stop, progress))
         packed = self.breaker.merge(acc)
@@ -367,35 +389,27 @@ class FusedPipeline:
     # -- recording -----------------------------------------------------
 
     def run_recorded(self) -> None:
-        """Sequential fused execution: run every morsel of the entry
-        (none when only the breaker is left), then fill the memo of
-        every operator left to run with the byte-identical result tuple
-        — the chain's from its concatenated chunk outputs, the breaker's
-        by running it once, at the barrier, over the chain's last."""
+        """Sequential fused execution: run every morsel of the entry in
+        one pass (none when only the breaker is left), then fill the memo
+        of every operator left to run with the byte-identical result
+        tuple — the chain's from its outputs, the breaker's by running it
+        once, at the barrier, over the chain's last."""
         selections, chain = self.selections, self.covered_ops[:-1]
-        mask_chunks: List[list] = [[] for _ in selections]
-        lineage_chunks: List[list] = [[] for _ in self.stages]
-        rows = (self.fact_rows if self.entry_tids is None
-                else self.entry.actual_rows)
-        for start, stop in self._spans(0, rows) if chain else ():
-            masks, _, lineages = self.run_morsel(start, stop, every=True)
-            for chunks, mask in zip(mask_chunks, masks):
-                chunks.append(mask)
-            for chunks, lineage in zip(lineage_chunks, lineages):
-                chunks.append(lineage)
+        masks, lineages = [], []
+        if chain:
+            rows = (self.fact_rows if self.entry_tids is None
+                    else self.entry.actual_rows)
+            masks, _, lineages = self._run(0, rows, every=True)
 
         # payload per chain operator, in execution order
         payloads = []
-        for op, chunks in zip(selections, mask_chunks):
+        for op, mask in zip(selections, masks):
             entry = (SelectionVector(n=self.fact_rows)
-                     if op.predicate is None
-                     else SelectionVector(np.concatenate(chunks)))
+                     if op.predicate is None else SelectionVector(mask))
             payloads.append(TidSet({self.fact_table: entry}))
-        for stage, chunks in zip(self.stages, lineage_chunks):
-            payloads.append(TidSet({
-                name: np.concatenate([chunk[name] for chunk in chunks])
-                for name in stage.table_order
-            }))
+        for stage, lineage in zip(self.stages, lineages):
+            payloads.append(TidSet({name: lineage[name]
+                                    for name in stage.table_order}))
 
         sizes = self._chain_sizes(tuple(len(payload) for payload in payloads))
         result = self.entry
@@ -487,8 +501,12 @@ def _resume(pipe: FusedPipeline) -> None:
 
 
 def _prepare_probers(pipe: FusedPipeline, cache) -> None:
-    """Run the build-side scans (memoised) and pick a prober each."""
+    """Run the build-side scans (memoised), pick a prober each, and bind
+    the joins once: each alone, and all for the chain kernel (None
+    where it does not take them all: they run per morsel)."""
     database = pipe.database
+    names = list(pipe.entry_tids or [pipe.fact_table])
+    links = []
     for stage in pipe.stages:
         join = stage.op
         build_result = join.children[1].produce(database, [])
@@ -496,13 +514,18 @@ def _prepare_probers(pipe: FusedPipeline, cache) -> None:
         if selection is None:
             raise Decline("build_not_lazy")
         probe_column = database.column(join.probe_key.key)
-        stage.probe_values = probe_column.values
         stage.prober = kernels.prober_for(
             cache, database.column(join.build_key.key), selection,
             probe_column,
         )
         if stage.prober is None:
             raise Decline("build_stale")
+        links.append((stage.prober, probe_column.values,
+                      join.probe_key.table, join.build_key.table))
+        stage.chain = kernels.Chain(links[-1:], names + [
+            build for *_, build in links[:-1]])
+    chain = kernels.Chain(links, names)
+    pipe.chain = None if chain.kernel is None else chain
 
 
 def build(plan, database, resume: bool = False) -> FusedPipeline:

@@ -97,37 +97,38 @@ class HashJoin(PhysicalOperator):
         )
         return n_out, nominal, TID_BYTES * n_tables
 
-    def match(self, prober, values: np.ndarray,
-              lineage: Dict[str, Optional[np.ndarray]],
-              start: int = 0, stop: Optional[int] = None,
-              tids: Optional[np.ndarray] = None) -> Dict[str, np.ndarray]:
-        """Chunk kernel: probe the keys — ``values[start:stop]``, or
-        ``values[tids]`` (the probe column at the chunk's rows, read by
-        the prober itself) — and align every reachable table to the
-        matches.
+    def match(self, chain, lineage: Dict[str, Optional[np.ndarray]],
+              start: int = 0, stop: Optional[int] = None
+              ) -> Dict[str, np.ndarray]:
+        """Chunk kernel: probe this join over rows ``[start, stop)``
+        (None: to the probe column's end) and align every reachable
+        table to the matches.  ``chain`` is the join bound once, a
+        :class:`~repro.engine.kernels.Chain` of one link ``(prober,
+        values, source, build)``: the keys are ``values`` at the tids of
+        table ``source``, or at ``start + row`` (None).
 
-        ``lineage`` maps each table of the probe side to its tids, row
-        for row with the keys; None stands for the chunk's own rows
-        ``start, start + 1, ...``.  The result adds the build table
-        under what ``prober`` returns for it.  Probers list matches in
-        probe order, so the lineages of consecutive row ranges
-        concatenate to the lineage of the whole column — the one-chunk
-        call ``run()`` makes.  The compiled chain kernel answers as a
-        chain of this one join where it applies, the numpy prober
-        otherwise."""
+        ``lineage`` maps each table of the probe side to its tids, one
+        per row; None stands for the chunk's own rows ``start, start +
+        1, ...``.  The result adds the build table under what the prober
+        returns for it.  Probers list matches in probe order, so the
+        lineages of consecutive row ranges concatenate to the lineage of
+        the whole column — the one-chunk call ``run()`` makes.  The
+        compiled kernel answers where the binding took the join, the
+        numpy prober otherwise."""
+        prober, values, source, build = chain.links[0]
         stop = len(values) if stop is None else stop
-        chain = kernels.match_chain(
-            [(prober, values, None if tids is None else self.probe_key.table,
-              self.build_key.table)],
-            lineage, start, stop if tids is None else start + len(tids))
-        if chain is not None:
-            return chain[1][0]
-        probe_idx, build_tids = prober.probe_rows(values, start, stop, tids)
+        found = chain.run(lineage, start, stop)
+        if found is not None:
+            return {name: rows.copy() for name, rows in found[1][0].items()}
+        kernels.stats["numpy_probes"] += 1
+        tids = None if source is None else lineage[source]
+        probe_idx, build_tids = prober.probe(
+            values[start:stop] if tids is None else values[tids])
         aligned = {
             name: start + probe_idx if rows is None else rows[probe_idx]
             for name, rows in lineage.items()
         }
-        aligned[self.build_key.table] = build_tids
+        aligned[build] = build_tids
         return aligned
 
     def run(self, database: Database,
@@ -164,10 +165,10 @@ class HashJoin(PhysicalOperator):
             selection = probe_payload.selection(name)
             whole = selection is not None and selection.is_all
             lineage[name] = None if whole else probe_payload.positions(name)
+        keys = probe_payload.gather(self.probe_key.table, probe_column)
         tables = self.match(
-            prober, probe_payload.gather(self.probe_key.table, probe_column),
-            lineage,
-        )
+            kernels.Chain([(prober, keys, None, build_table)], lineage),
+            lineage)
         if gathered:
             build_idx = tables.pop(build_table)
             for name in build_payload.table_names:

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.engine import morsel, plan_cache
+from repro.engine import kernels, morsel, plan_cache
 from repro.engine.execution import ExecutionContext
 from repro.engine.expressions import ColumnRef, Comparison, Literal
 from repro.engine.intermediates import OperatorResult, TidSet
@@ -22,6 +22,33 @@ from repro.hardware import HardwareSystem, SystemConfig
 from repro.sim import Environment
 from repro.storage import ColumnType, Database
 from repro.workloads import ssb, tpch
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--chain-cc", metavar="COMMAND",
+        help="build the join-chain kernel with COMMAND (a compiler and "
+             "its flags, split on spaces) instead of its default one — "
+             "e.g. with -fsanitize=address,undefined, the runtimes "
+             "preloaded")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _chain_command(request):
+    """Under ``--chain-cc`` every build of the chain kernel in the
+    session passes that command, the kernel's parameter (a build per
+    command: the cache key holds it)."""
+    command = request.config.getoption("--chain-cc")
+    if command is None:
+        yield
+        return
+    build = kernels._chain_kernel
+
+    def built(flags=tuple(command.split())):
+        return build(flags)
+    built.cache_clear = build.cache_clear
+    with mock.patch.object(kernels, "_chain_kernel", built):
+        yield
 
 
 @pytest.fixture(scope="session")

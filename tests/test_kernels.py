@@ -380,9 +380,9 @@ class TestProbers:
         with pytest.raises(IndexError):
             prober.probe(fk)
         with pytest.raises(IndexError):  # the chain kernel, if built
-            (kernels.match_chain([(prober, fk, "f", "b")], {"f": None}, 0,
-                                 len(fk))
-             or prober.probe_rows(fk, 0, len(fk), None))
+            (kernels.Chain([(prober, fk, "f", "b")], ["f"]).run(
+                {"f": None}, 0, len(fk))
+             or prober.probe(fk))
 
 
 # ---------------------------------------------------------------------------
@@ -442,14 +442,16 @@ def _chain_cases(draw):
     keyed by an int32 or int64 column of ``f`` or of an earlier build
     table — every slot index, negative ones in [-n, 0), and sometimes
     one out of range or a key type's extreme — entered as a range, a
-    range with a mask, or tids (negative ones, sometimes one out of
-    range, optionally beside a second table ``g`` of carried tids)."""
-    f_rows = draw(st.integers(0, 50))
+    range with a mask (sometimes one that clears a run of rows: whole
+    blocks of it select nothing), or tids (negative ones, sometimes one
+    out of range, optionally beside a second table ``g`` of carried
+    tids)."""
+    f_rows = draw(st.integers(0, 100))
     rows = {"f": f_rows}
     entry = draw(st.sampled_from(["range", "mask", "tids"]))
     if entry == "tids":
         m = max(f_rows, 1)
-        n = draw(st.integers(0, 40))
+        n = draw(st.integers(0, 90))
         lineage = {"f": np.array(_spoil(
             draw, draw(st.lists(st.integers(-m, m - 1), min_size=n,
                                 max_size=n)),
@@ -465,6 +467,9 @@ def _chain_cases(draw):
         mask = (np.array(draw(st.lists(st.booleans(), min_size=stop - start,
                                        max_size=stop - start)), bool)
                 if entry == "mask" else None)
+        if mask is not None and draw(st.booleans()):
+            cleared = draw(st.integers(0, len(mask)))
+            mask[cleared:draw(st.integers(cleared, len(mask)))] = False
     links = []
     for stage in range(draw(st.integers(1, 4))):
         prober, n_build, offset, slots = draw(_stage_prober())
@@ -503,33 +508,78 @@ def _numpy_chain(links, lineage, start, stop, mask):
     return counts, lineages
 
 
+def _numpy_blocks(links, lineage, start, stop, mask, block):
+    """The reference of a ranged call: :func:`_numpy_chain` block by
+    block of ``block`` rows (None: one block), each block's entry tids
+    and mask cut from the call's — per block counts, and each join's
+    tids concatenated over the blocks."""
+    n = stop - start
+    size = max(min(block or n, n), 1)
+    counts, parts = [], []
+    for low in range(0, max(n, 1), size):
+        high = min(low + size, n)
+        cut = {name: None if rows is None else rows[low:high]
+               for name, rows in lineage.items()}
+        got = _numpy_chain(links, cut, start + low, start + high,
+                           None if mask is None else mask[low:high])
+        counts.append(got[0])
+        parts.append(got[1])
+    lineages = [{name: np.concatenate([part[k][name] for part in parts])
+                 for name in parts[0][k]} for k in range(len(links))]
+    return counts, lineages
+
+
 class TestCompiledProbe:
-    @given(case=_chain_cases(), every=st.booleans())
+    @given(case=_chain_cases(), every=st.booleans(),
+           block=st.sampled_from([None, 1, 7, 64]))
     @settings(max_examples=300, deadline=None)
-    def test_the_loop_answers_as_the_numpy_probe(self, case, every):
+    def test_the_loop_answers_as_the_numpy_probe(self, case, every, block):
+        """One call over a range, in blocks of 1, 7 or 64 rows (the last
+        one ragged) or one block, answers as the numpy chain block by
+        block: per-block counts, and each table's tids concatenated."""
         _require_the_loop()
         links, lineage, start, stop, mask = case
+        chain = kernels.Chain(links, list(lineage))
         if any(prober.native() is None for prober, *_ in links):
-            assert kernels.match_chain(links, lineage, start, stop, mask,
-                                       every) is None
+            assert chain.kernel is None
+            assert chain.run(lineage, start, stop, mask, every,
+                             block) is None
             return
         try:
-            want_counts, want = _numpy_chain(*case)
+            want_counts, want = _numpy_blocks(*case, block)
         except IndexError:
+            before = dict(kernels.stats)
             with pytest.raises(IndexError):
-                kernels.match_chain(links, lineage, start, stop, mask, every)
+                chain.run(lineage, start, stop, mask, every, block)
+            assert kernels.stats == before  # nothing booked
             return
         before = kernels.stats["compiled_probes"]
-        counts, got = kernels.match_chain(links, lineage, start, stop, mask,
-                                          every)
-        assert kernels.stats["compiled_probes"] == before + len(links)
-        assert counts == want_counts
+        counts, got = chain.run(lineage, start, stop, mask, every, block)
+        assert kernels.stats["compiled_probes"] == (
+            before + len(links) * len(want_counts))
+        assert counts.tolist() == want_counts
         assert len(got) == (len(links) if every else 1)
         for a, b in zip(got, want if every else want[-1:]):
             assert list(a) == list(b)
             for name in a:
                 assert a[name].dtype == b[name].dtype == np.int64
                 assert a[name].tobytes() == b[name].tobytes()
+
+    def test_a_key_out_of_range_in_a_late_block_books_nothing(self):
+        """Blocks before the bad key run and write, but the call raises
+        and books no probe: a recording over it records nothing."""
+        _require_the_loop()
+        prober = kernels._DenseProber(0, 10, np.arange(10) % 2 == 0, False)
+        values = np.arange(300, dtype=np.int32) % 10
+        tids = np.arange(300, dtype=np.int64)[::-1].copy()
+        chain = kernels.Chain([(prober, values, "f", "b")], ["f"])
+        counts, _ = chain.run({"f": tids}, 0, 300, block=64)
+        assert counts.shape == (5, 2) and kernels.stats["dense_joins"] == 5
+        kernels.reset_stats()
+        values[9] = 10  # read at row 290, in the last block
+        with pytest.raises(IndexError):
+            chain.run({"f": tids}, 0, 300, block=64)
+        assert not any(kernels.stats.values())
 
     @staticmethod
     def _spoiled(case):
@@ -561,12 +611,16 @@ class TestCompiledProbe:
         "strided slots", "int16 slots", "big-endian slots", "strided keys",
         "int16 keys", "int32 tids", "strided tids"])
     def test_an_array_c_cannot_take_answers_like_numpy(self, case):
+        """A slot or key array C cannot take unbinds the join; tids,
+        which are a call's own, refuse that call."""
         prober, values, tids, want = self._spoiled(case)
         join = HashJoin(ScanSelect("f"), ScanSelect("b"),
                         ColumnRef("f", "k"), ColumnRef("b", "id"))
-        links = [(prober, values, "f", "b")]
-        assert kernels.match_chain(links, {"f": tids}, 0, len(tids)) is None
-        got = join.match(prober, values, {"f": tids}, 0, len(tids), tids)
+        chain = kernels.Chain([(prober, values, "f", "b")], ["f"])
+        assert (chain.kernel is None) == (case.endswith(("slots", "keys"))
+                                          or kernels._chain_kernel() is None)
+        assert chain.run({"f": tids}, 0, len(tids)) is None
+        got = join.match(chain, {"f": tids}, 0, len(tids))
         assert got["f"].tobytes() == tids[want[0]].tobytes()
         assert got["b"].tobytes() == want[1].tobytes()
         assert kernels.stats["compiled_probes"] == 0
@@ -574,12 +628,11 @@ class TestCompiledProbe:
 
     def test_a_mask_c_cannot_take_leaves_the_chain_to_numpy(self):
         prober, values, _, _ = self._spoiled(None)
-        links = [(prober, values, "f", "b")]
+        chain = kernels.Chain([(prober, values, "f", "b")], ["f"])
         n = len(values)
         for mask in (np.ones(n, np.uint8), np.ones(2 * n, bool)[::2],
                      np.ones(n - 1, bool)):
-            assert kernels.match_chain(links, {"f": None}, 0, n,
-                                       mask) is None
+            assert chain.run({"f": None}, 0, n, mask) is None
 
     @staticmethod
     def _engine(db, queries, rows):
@@ -663,6 +716,38 @@ class TestCompiledProbe:
                        in booked.values()), booked
             assert on == off, rows
 
+    def test_a_chain_numpy_must_probe_is_decided_once(self, monkeypatch):
+        """SSB's part-first chains (Q2.x, Q4.x) enter at ``part`` and
+        join ``lineorder`` 1:N through a sorted ``lo_partkey`` index,
+        which C does not take: the binding leaves the whole chain to
+        numpy when the pipeline is built, so no morsel asks the kernel
+        for the chain, and every other join is one kernel call per
+        morsel, through its binding of one."""
+        _require_the_loop()
+        db = self._cut(ssb.generate(scale_factor=0.01, data_scale=0.01,
+                                    seed=8), "lineorder", 1400)
+        calls, checked = [], 0  # the joins of each call that has a kernel
+
+        def counted(self, *args, _inner=kernels.Chain.run):
+            if self.kernel is not None:
+                calls.append(len(self.links))
+            return _inner(self, *args)
+        monkeypatch.setattr(kernels.Chain, "run", counted)
+        with morsel_rows(7):
+            for query in ssb.workload(db):
+                pipe = morsel.build(query.instantiate(), db)
+                native = [stage.prober.native() is not None
+                          for stage in pipe.stages]
+                if all(native):
+                    continue
+                assert pipe.chain is None, query.name
+                del calls[:]
+                morsel.reset_stats()
+                pipe.run_chunk(0, pipe.fact_rows)
+                assert calls == [1] * sum(native) * morsel.stats["morsels"]
+                checked += 1
+        assert checked == 6
+
     @pytest.fixture()
     def rebuilt(self, monkeypatch):
         """Patches for the build; the library memoised under them is
@@ -685,10 +770,11 @@ class TestCompiledProbe:
 
         expected = rows()
         assert kernels.stats["compiled_probes"] > 0
+        build = kernels._chain_kernel
         rebuilt.setenv("XDG_CACHE_HOME", str(tmp_path))
-        if failure == "compiler":
-            rebuilt.setattr(kernels, "_COMPILE",
-                            ("repro-no-such-cc",) + kernels._COMPILE[1:])
+        if failure == "compiler":  # the command is the kernel's parameter
+            rebuilt.setattr(kernels, "_chain_kernel", lambda: build(
+                ("repro-no-such-cc",) + kernels._COMPILE[1:]))
         elif failure == "cache":  # a directory cannot be made in a file
             (tmp_path / "file").write_text("")
             rebuilt.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
@@ -696,7 +782,7 @@ class TestCompiledProbe:
             def refuse(path):
                 raise OSError("cannot load " + path)
             rebuilt.setattr(kernels.ctypes, "CDLL", refuse)
-        kernels._chain_kernel.cache_clear()
+        build.cache_clear()
         assert kernels._chain_kernel() is None
         assert rows() == expected
         assert kernels.stats["compiled_probes"] == 0

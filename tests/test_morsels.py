@@ -559,9 +559,10 @@ def test_a_recorded_tid_array_is_no_entry_for_a_selection(plan_cache_off):
 @pytest.fixture()
 def chain_calls(monkeypatch):
     """Labels of the chain operators whose ``select`` / ``match`` ran,
-    or whose join a call of the chain kernel from the morsel schedule
-    probed (``_resume_db``'s fact table is ``f``, joined to ``d``, ``e``
-    and ``g``; build-side scans are not chain operators)."""
+    or whose join a call of a pipeline's chain kernel probed (not a
+    ``match``'s own binding of one); ``_resume_db``'s fact table is
+    ``f``, joined to ``d``, ``e`` and ``g``, and build-side scans are
+    not chain operators."""
     from repro.engine import kernels
     from repro.engine.operators import HashJoin, RefineSelect
 
@@ -581,43 +582,58 @@ def chain_calls(monkeypatch):
     joins = {"d": "Join(f.fk=d.id)", "e": "Join(f.ek=e.eid)",
              "g": "Join(f.gk=g.gid)"}
 
-    def chained(links, *args, _inner=kernels.match_chain, **kwargs):
-        found = _inner(links, *args, **kwargs)
+    def chained(self, *args, _inner=kernels.Chain.run, **kwargs):
+        found = _inner(self, *args, **kwargs)
         if found is not None and not inside:  # not ``match``'s own
-            calls.extend(joins[build] for *_, build in links)
+            calls.extend(joins[build] for *_, build in self.links)
         return found
-    monkeypatch.setattr(kernels, "match_chain", chained)
+    monkeypatch.setattr(kernels.Chain, "run", chained)
     return calls
 
 
 def test_a_resumed_recording_calls_no_kernel_of_a_resumed_operator(
         chain_calls, plan_cache_off):
-    """The kernel spy of ``TestOneChunkKernel``, by operator: ``match``
-    never runs for a resumed stage and runs once per morsel for every
-    stage after it; ``select`` never once the entry is past the
-    selections."""
+    """The kernel spy of ``TestOneChunkKernel``, by operator: no kernel
+    runs for a resumed stage, and every stage after it runs once per
+    recording — one ``select`` and one chain-kernel call over all its
+    morsels, or, where the kernel did not build or does not take a join
+    (``e``'s 1:N key sorts), one ``select`` and a ``match`` per morsel —
+    while the morsels are booked one by one either way; ``select``
+    never runs once the entry is past the selections."""
+    from repro.engine import kernels
+
     db = _resume_db()
     plan_cache_off.close()
     scan, join_d, join_e = "Scan(f)", "Join(f.fk=d.id)", "Join(f.ek=e.eid)"
+    compiled = kernels._chain_kernel() is not None
     run = lambda sql: execute_functional(
         sql_workload(db, {"q": sql})[0].instantiate(), db)
-    with morsel_rows(100):  # five morsels of fact rows
-        run(_FD)
-        assert chain_calls == [scan, join_d] * 5
+
+    def per_recording(selects, joins, morsels, native=True):
+        moved = morsel.stats_since(before)["morsels"]
+        calls = 1 if compiled and native else morsels
+        assert (chain_calls, moved) == (selects + joins * calls, morsels)
         del chain_calls[:]
+
+    with morsel_rows(100):  # five morsels of fact rows
+        before = morsel.snapshot_stats()
+        run(_FD)
+        per_recording([scan], [join_d], 5)
         survivors = len(plan_cache.peek(db, sql_workload(
             db, {"q": _FD})[0].template_plan().root.children[0]
             .fingerprint())[0])
+        before = morsel.snapshot_stats()
         run(_FDE.format("tag", "tag"))
         # morsels of the recorded join's rows, not of the fact table
-        assert chain_calls == [join_e] * -(-survivors // 100)
-        del chain_calls[:]
+        per_recording([], [join_e], -(-survivors // 100), native=False)
+        before = morsel.snapshot_stats()
         run(_FDE.format("kind", "kind"))  # only the breaker is left
         run(_FDE.format("kind", "kind"))  # everything is recorded
-        assert chain_calls == []
+        per_recording([], [], 0)
         # entry at the scan's recorded mask: every join runs, no select
+        before = morsel.snapshot_stats()
         run(_FG)
-        assert chain_calls == ["Join(f.gk=g.gid)"] * 5
+        per_recording([], ["Join(f.gk=g.gid)"], 5)
 
 
 @pytest.mark.parametrize("stale", ["clear_database_caches",
@@ -906,10 +922,12 @@ def _per_morsel_chunk(pipe, start, stop):
     partial over every morsel, the partials merged."""
     partials = []
     for span_start, span_stop in pipe._spans(start, stop):
-        masks, joined, lineages = pipe.run_morsel(span_start, span_stop)
+        masks, mask, lineage = pipe._enter(span_start, span_stop)
+        joined, lineages = pipe.run_morsel(lineage, span_start, span_stop,
+                                           mask)
         n_rows = span_stop - span_start
         counts = [n_rows if mask is None else int(np.count_nonzero(mask))
-                  for mask in masks] + joined
+                  for mask in masks] + joined[1:]
         lineage = lineages[-1]
         if len(lineage) == 1 and lineage[pipe.fact_table] is None:
             frame = BlockFrame(pipe.database)

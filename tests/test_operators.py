@@ -180,9 +180,13 @@ class TestOneChunkKernel:
     def test_the_morsel_schedule_has_one_chain_loop(self):
         """A pool's chunk, the ``Limit`` prefix and a recording — from
         the scan or resumed after a recorded operator — all run the
-        chain through ``run_morsel``: ``morsel.py`` calls ``select``,
-        the chain kernel and its per-join fallback ``match`` once each,
-        there, and nothing else loops over the stages to probe."""
+        chain through ``_run``, over a whole row range: ``morsel.py``
+        calls ``select`` in ``_enter`` only (the masks of a range), the
+        pipeline's chain kernel in ``_run`` only (one call per range),
+        and ``match`` in ``run_morsel`` only — the per-join loop over one
+        morsel, the reference and ``_run``'s path where the kernel does
+        not take every join; nothing else loops over the stages to
+        probe."""
         from repro.engine import morsel
 
         tree = ast.parse(pathlib.Path(morsel.__file__).read_text())
@@ -192,17 +196,22 @@ class TestOneChunkKernel:
                 continue
             for node in ast.walk(function):
                 if isinstance(node, ast.Call):
-                    callers.setdefault(getattr(node.func, "attr", ""),
-                                       []).append(function.name)
-        assert (callers["select"] == callers["match"]
-                == callers["match_chain"] == ["run_morsel"])
-        assert sorted(callers["run_morsel"]) == ["batches", "run_recorded"]
+                    name = getattr(node.func, "attr", "")
+                    if getattr(getattr(node.func, "value", None), "attr",
+                               "") == "chain":
+                        name = "chain." + name
+                    callers.setdefault(name, []).append(function.name)
+        assert callers["select"] == ["_enter"]
+        assert callers["chain.run"] == ["_run"]
+        assert callers["match"] == ["run_morsel"]
+        assert callers["_enter"] == callers["run_morsel"] == ["_run"]
+        assert sorted(callers["_run"]) == ["batches", "run_recorded"]
 
     @pytest.fixture()
     def spied(self, monkeypatch):
         """Calls per (class name, kernel), counted on the classes, and
         the calls the chain kernel answered, as ``("kernels",
-        "match_chain")``."""
+        "Chain.run")``."""
         from repro.engine import kernels
 
         calls = {}
@@ -213,13 +222,13 @@ class TestOneChunkKernel:
                 return _inner(self, *args, **kwargs)
             monkeypatch.setattr(cls, kernel, counting)
 
-        def chained(*args, _inner=kernels.match_chain, **kwargs):
-            found = _inner(*args, **kwargs)
+        def chained(self, *args, _inner=kernels.Chain.run, **kwargs):
+            found = _inner(self, *args, **kwargs)
             if found is not None:
-                key = ("kernels", "match_chain")
+                key = ("kernels", "Chain.run")
                 calls[key] = calls.get(key, 0) + 1
             return found
-        monkeypatch.setattr(kernels, "match_chain", chained)
+        monkeypatch.setattr(kernels.Chain, "run", chained)
         return calls
 
     @staticmethod
@@ -247,36 +256,45 @@ class TestOneChunkKernel:
 
         from repro.engine import kernels
 
-        # the joins of a morsel: one chain-kernel call, or one ``match``
-        # per join where the kernel did not build
+        # the chain of a range: one ``select`` each and one chain-kernel
+        # call, or, where the kernel did not build, one ``select`` each
+        # and one ``match`` per join for every morsel
         compiled = kernels._chain_kernel() is not None
-        join = ("kernels", "match_chain") if compiled else ("HashJoin",
-                                                            "match")
+        join = ("kernels", "Chain.run") if compiled else ("HashJoin", "match")
         chain = [("ScanSelect", "select"), ("RefineSelect", "select"), join]
+        per_range = {**dict.fromkeys(chain, 1), join: 1 if compiled else 3}
         partial = (breaker.__name__, "partial")
         caches.memo(toy_db, "plan").clear()
         reference = execute_operators(self._plan(breaker), toy_db)
         # operator at a time: every kernel once, over the whole column
         # (the build-side scan has no predicate, so nothing to select);
-        # ``match`` asks the kernel for a chain of its one join
+        # ``match`` runs its join through a binding of one
         assert spied == dict.fromkeys(chain + [("HashJoin", "match"),
                                                partial], 1)
 
         rows = toy_db.table("sales").actual_rows
         with morsel_rows(-(-rows // 3)):  # three morsels
-            # recording: the chain per morsel, the breaker at the barrier
+            # recording: the chain once over the range, the breaker at
+            # the barrier; the probes and morsels booked one by one
             spied.clear()
+            kernels.reset_stats()
+            before = morsel.snapshot_stats()
             caches.memo(toy_db, "plan").clear()
             pipe = morsel.build(self._plan(breaker), toy_db)
             assert len(pipe.ranges()) == 3
             pipe.run_recorded()
-            assert spied == {**dict.fromkeys(chain, 3), partial: 1}
-            # pooled: the chain per morsel, the breaker once per batch
-            # of a morsel's worth of its output rows — the first two
-            # morsels' (~140 rows each), then the last one's
+            assert spied == {**per_range, partial: 1}
+            assert morsel.stats_since(before)["morsels"] == 3
+            assert kernels.stats["compiled_probes"] == 3 * compiled
+            # pooled: the chain once over the worker chunk, the breaker
+            # once per batch of a morsel's worth of its output rows —
+            # the first two morsels' (~140 rows each), then the last
             spied.clear()
+            before = morsel.snapshot_stats()
             merged = pipe.merge([pipe.run_chunk(0, rows)])
-            assert spied == {**dict.fromkeys(chain, 3), partial: 2}
+            assert spied == {**per_range, partial: 2}
+            assert morsel.stats_since(before)["morsels"] == 3
+            assert kernels.stats["compiled_probes"] == 6 * compiled
         assert (merged.payload.row_tuples()
                 == reference.payload.row_tuples())
         caches.memo(toy_db, "plan").clear()

@@ -520,11 +520,14 @@ class TestHeartbeatCadence:
         from time import perf_counter
 
         heartbeat = 0.15
-        db = ssb.generate(scale_factor=1.0, data_scale=0.004, seed=17)
+        db = ssb.generate(scale_factor=1.0, data_scale=0.15, seed=17)
         queries = [query for query in ssb.workload(db)
                    if query.name == "Q2.1"]
         reference = _reference(db, queries)
-        with morsel_rows(1):  # 24,000 morsels in the one chunk
+        # 900,000 morsels in the one chunk: its joins are one kernel
+        # call, and the chunk lasts by its 7,629 batches of one output
+        # row each
+        with morsel_rows(1):
             with MorselPool(db, queries, jobs=1,
                             heartbeat_seconds=heartbeat) as pool:
                 pool.warm()
