@@ -94,7 +94,9 @@ class TidSet:
     """Aligned row positions for one or more base tables.
 
     Each entry is a tid array or a :class:`SelectionVector`;
-    :meth:`positions` always yields the materialised tid array.
+    :meth:`positions` always yields the materialised tid array.  A
+    :meth:`deferred` one knows only its length until ``tables`` is
+    first read.
     """
 
     def __init__(self, tables: Dict[str, np.ndarray]):
@@ -103,10 +105,27 @@ class TidSet:
         lengths = {name: len(tids) for name, tids in tables.items()}
         if len(set(lengths.values())) != 1:
             raise ValueError("misaligned TidSet lengths: {}".format(lengths))
-        self.tables = tables
+        self._tables, self._rows = tables, len(next(iter(tables.values())))
+        self._compute = None
+
+    @classmethod
+    def deferred(cls, rows: int, compute) -> "TidSet":
+        """A TidSet of ``rows`` rows whose tables ``compute()`` returns
+        on the first read of :attr:`tables` — once; ``len()`` reads
+        nothing."""
+        payload = cls.__new__(cls)
+        payload._tables, payload._rows = None, int(rows)
+        payload._compute = compute
+        return payload
+
+    @property
+    def tables(self) -> Dict[str, np.ndarray]:
+        if self._tables is None:
+            self._tables, self._compute = self._compute(), None
+        return self._tables
 
     def __len__(self) -> int:
-        return len(next(iter(self.tables.values())))
+        return self._rows
 
     def __contains__(self, table_name: str) -> bool:
         return table_name in self.tables
@@ -131,7 +150,8 @@ class TidSet:
         return gather(self.tables[table_name], column)
 
     def __repr__(self) -> str:
-        return "<TidSet {} rows over {}>".format(len(self), self.table_names)
+        names = "deferred" if self._tables is None else self.table_names
+        return "<TidSet {} rows over {}>".format(len(self), names)
 
 
 class ResultFrame:

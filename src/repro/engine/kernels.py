@@ -220,127 +220,8 @@ def _as_int64(array: np.ndarray) -> np.ndarray:
     return array.astype(np.int64, copy=False)
 
 
-# The compiled join chain (docs/kernels.md): every join of a row range
-# in one call, block by block.  Per stage, one branch-free pass over the
-# rows alive tests each row's key and compacts the row index; build tids
-# are written for survivors only.  Tids and keys keep ``take``'s index
-# rule: a negative one counts from the end, one outside [-len, len)
-# fails the whole call.
-_CHAIN_C = r"""
-#include <stdint.h>
-#include <string.h>
-/* One kind of stage: key type K, slot type S (a bool slot's byte, 0 or
-   1, is its hit); the keys are read at src[row], or at start + row where
-   src is null.  Mode 0 tests the rows alive and compacts their index;
-   mode 1 writes the build tids of the rows in idx by row, mode 2 in
-   order. */
-#define KIND(NAME, K, S, SHIFT, LOAD, FETCH, HIT, OUT)                    \
-static int64_t NAME(const int64_t *g, const int64_t *src, int64_t start, \
-                    const int64_t *in, int64_t *idx, int64_t j,          \
-                    int64_t *dst, int64_t mode)                          \
-{                                                                        \
-    const K *col = (const K *)g[1];                                      \
-    const S *slots = (const S *)g[3];                                    \
-    const int64_t ncol = g[2], nslots = g[4], base = g[5];               \
-    int64_t kept = 0;                                                    \
-    (void)slots;                                                         \
-    for (int64_t m = 0; mode == 0 && m < j; m++) {                       \
-        int64_t r = in ? in[m] : m, p = src ? src[r] : start + r;        \
-        p += src && p < 0 ? ncol : 0;                                    \
-        if ((uint64_t)p >= (uint64_t)ncol) return -1;                    \
-        K k = col[p];                                                    \
-        int64_t q = (K)((uint64_t)k - (uint64_t)(SHIFT));                \
-        if (q < 0) q += nslots;                                          \
-        LOAD                                                             \
-        idx[kept] = r;                                                   \
-        kept += HIT;                                                     \
-    }                                                                    \
-    for (int64_t m = 0; mode && m < j; m++) {                            \
-        int64_t r = idx[m], p = src ? src[r] : start + r;                \
-        K k = col[p < 0 ? p + ncol : p];                                 \
-        int64_t q = (K)((uint64_t)k - (uint64_t)(SHIFT));                \
-        if (q < 0) q += nslots;                                          \
-        FETCH                                                            \
-        dst[mode == 1 ? r : m] = OUT;                                    \
-    }                                                                    \
-    return kept;                                                         \
-}
-#define SLOT if ((uint64_t)q >= (uint64_t)nslots) return -1; FETCH
-#define FETCH __typeof__(*slots) s = slots[q];
-#define DENSE (int64_t)((uint64_t)k - (uint64_t)base)
-#define KINDS(B, K)                                                       \
-KIND(all##B, K, uint8_t, 0, , , 1, DENSE)                                \
-KIND(dense##B, K, uint8_t, 0, SLOT, , s, DENSE)                          \
-KIND(lookup##B##_32, K, int32_t, base, SLOT, FETCH, s >= 0, s)           \
-KIND(lookup##B##_64, K, int64_t, base, SLOT, FETCH, s >= 0, s)
-KINDS(32, int32_t)
-KINDS(64, int64_t)
-static int64_t (*const STAGES[])(const int64_t *, const int64_t *, int64_t,
-                                 const int64_t *, int64_t *, int64_t,
-                                 int64_t *, int64_t) = {
-    all32, dense32, lookup32_32, lookup32_64,
-    all64, dense64, lookup64_32, lookup64_64};
-
-/* spec: 8 words per stage — kind, keys, their count, slots, their
-   count, base, where the keys are read (0: at start + row; t <= nentry:
-   at entry table t's tids; nentry + 1 + s: at stage s's), whether a
-   later stage reads keys there — then the tids of each entry table (0:
-   start + row).  Rows [start, start + rows) run in blocks of size rows
-   (one block when there are none); each block writes its counts, the
-   rows entering and after each stage, and appends each table's tids
-   after each stage (every) or the last to that one's run of rows words.
-   scratch: the row index, then each stage's build tids by row. */
-int64_t chain(int64_t rows, int64_t start, int64_t size, const uint8_t *mask,
-              const int64_t *spec, int64_t nstages, int64_t nentry,
-              int64_t every, int64_t *scratch, int64_t *counts, int64_t *out)
-{
-    const int64_t *const *entry = (const int64_t *const *)(spec + 8 * nstages);
-    const int64_t *src[nstages];
-    int64_t nruns = every ? nstages * nentry + nstages * (nstages + 1) / 2
-                          : nentry + nstages, *runs[nruns];
-    for (int64_t k = 0; k < nruns; k++)
-        runs[k] = out + k * rows;
-    for (int64_t lo = 0; lo < rows || lo == 0; lo += size) {
-        const uint8_t *bits = mask ? mask + lo : 0;
-        int64_t n = rows - lo < size ? rows - lo : size, first = start + lo;
-        int64_t *idx = scratch, *count = counts + lo / size * (nstages + 1);
-        int64_t j = mask ? 0 : n, k = 0;
-        for (int64_t i = 0; bits && i < n; i += 8) {  /* skip zero words */
-            uint64_t word = 1;
-            if (n - i >= 8)
-                memcpy(&word, bits + i, 8);
-            for (int64_t r = i; word && r < n && r < i + 8; r++) {
-                idx[j] = r;
-                j += bits[r] != 0;
-            }
-        }
-        count[0] = j;
-        for (int64_t s = 0; s < nstages; s++) {
-            const int64_t *g = spec + 8 * s, at = g[6] - 1;
-            src[s] = at < 0 ? 0 : at >= nentry ? scratch + (at - nentry + 1) * n
-                   : entry[at] ? entry[at] + lo : 0;
-            j = STAGES[g[0]](g, src[s], first, bits || s ? idx : 0, idx, j,
-                             0, 0);
-            if (j < 0)
-                return -1;
-            count[s + 1] = j;
-            if (g[7])
-                STAGES[g[0]](g, src[s], first, 0, idx, j,
-                             scratch + (s + 1) * n, 1);
-            for (int64_t t = 0; (every || s == nstages - 1) && t < nentry;
-                 t++, runs[k++] += j)
-                for (int64_t m = 0; m < j; m++)
-                    runs[k][m] = entry[t] ? entry[t][lo + idx[m]]
-                                          : first + idx[m];
-            for (int64_t t = 0; (every || s == nstages - 1) && t <= s;
-                 t++, runs[k++] += j)
-                STAGES[spec[8 * t]](spec + 8 * t, src[t], first, 0, idx, j,
-                                    runs[k], 2);
-        }
-    }
-    return 0;
-}
-"""
+#: the compiled join chain (docs/kernels.md), shipped beside this module
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "chain.c")
 _COMPILE = ("cc", "-O3", "-funroll-loops", "-shared", "-fPIC")
 #: the kernel's kind numbers by key and slot type, and the bases a key
 #: type holds (numpy raises on the subtraction otherwise)
@@ -353,27 +234,26 @@ _BOOL, _TIDS = (np.dtype(np.bool_),), (np.dtype(np.int64),)
 
 @functools.cache
 def _chain_kernel(command=_COMPILE):
-    """The compiled chain, built by ``command`` (the compiler and its
-    flags) — at first use, never at import, and cached per user in a
-    0o700 directory named by the sha256 of the source and the command;
-    None, and every probe runs in numpy, where no compiler, cache
-    directory or load works."""
-    digest = hashlib.sha256(repr((_CHAIN_C, command)).encode()).hexdigest()
+    """The compiled chain, built from ``chain.c`` by ``command`` (the
+    compiler and its flags) — at first use, never at import, and cached
+    per user in a 0o700 directory named by the sha256 of the source's
+    bytes and the command; None, and every probe runs in numpy, where no
+    source, compiler, cache directory or load works."""
     root = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
-    directory = os.path.join(root, "repro", digest)
-    path = os.path.join(directory, "chain.so")
     try:
+        with open(_SOURCE, "rb") as handle:
+            source = handle.read()
+        digest = hashlib.sha256(source + repr(command).encode()).hexdigest()
+        directory = os.path.join(root, "repro", digest)
+        path = os.path.join(directory, "chain.so")
         os.makedirs(directory, mode=0o700, exist_ok=True)
         info = os.stat(directory)
         if info.st_uid != os.getuid() or info.st_mode & 0o077:
             return None  # a library others can write is not loaded
         if not os.path.exists(path):
             with tempfile.TemporaryDirectory(dir=directory) as building:
-                source = os.path.join(building, "chain.c")
-                with open(source, "w") as handle:
-                    handle.write(_CHAIN_C)
                 built = os.path.join(building, "chain.so")
-                subprocess.run(tuple(command) + ("-o", built, source),
+                subprocess.run(tuple(command) + ("-o", built, _SOURCE),
                                check=True, capture_output=True)
                 os.replace(built, path)
         kernel = ctypes.CDLL(path).chain
@@ -381,7 +261,7 @@ def _chain_kernel(command=_COMPILE):
         return None
     pointer, count = ctypes.c_void_p, ctypes.c_int64
     kernel.argtypes = (count, count, count, pointer, pointer, count, count,
-                       count, pointer, pointer, pointer)
+                       pointer, pointer, pointer)
     kernel.restype = count
     return kernel
 
@@ -435,17 +315,17 @@ class Chain:
         self._spec, self._tables = (spec, spec.ctypes.data), tables
         self.kernel = kernel
 
-    def run(self, lineage, start, stop, mask=None, every=False, block=None):
+    def run(self, lineage, start, stop, mask=None, block=None):
         """Probe rows ``[start, stop)`` in blocks of ``block`` rows (None:
         one block): ``lineage`` maps each entering table to its tids, one
         per row (None: ``start + row``), and ``mask`` (bool, one per row)
-        selects the rows that enter.  Returns ``(counts, lineages)`` —
-        per block, the rows entering and after each join; each table's
-        tids after each join (``every``) or the last, over all blocks,
-        as views of the buffer valid until the next call — bit for bit
-        the numpy probes' join by join, block after block.  None where
-        the kernel is not bound or does not take an array of the call; a
-        key or tid out of range raises ``IndexError``, booking nothing."""
+        selects the rows that enter.  Returns ``(counts, lineage)`` — per
+        block, the rows entering and after each join; each table's tids
+        after the last, over all blocks, as views of the buffer valid
+        until the next call — bit for bit the numpy probes' join by join,
+        block after block.  None where the kernel is not bound or does
+        not take an array of the call; a key or tid out of range raises
+        ``IndexError``, booking nothing."""
         n, stages = stop - start, len(self.links)
         entry = [lineage[name] for name in self.names]
         if (self.kernel is None or start < 0 or n < 0
@@ -455,37 +335,30 @@ class Chain:
             return None
         size = max(min(block or n, n), 1)
         blocks = max(-(-n // size), 1)
-        emitted = range(stages) if every else [stages - 1]
-        widths = [len(entry) + 1 + s for s in emitted]
         counted = (stages + 1) * size
         written = counted + blocks * (stages + 1)
-        if len(self._buffer[0]) < written + sum(widths) * n:
+        needed = written + len(self._tables) * n
+        if len(self._buffer[0]) < needed:
             # anonymous pages: no malloc arena or mmap threshold moves,
             # and a page costs memory once written
             buffer = np.frombuffer(mmap.mmap(
-                -1, 8 * (written + sum(widths) * n), flags=mmap.MAP_PRIVATE),
-                np.int64)
+                -1, 8 * needed, flags=mmap.MAP_PRIVATE), np.int64)
             self._buffer = buffer, buffer.ctypes.data
         (buffer, address), (spec, at) = self._buffer, self._spec
         spec[8 * stages:] = [0 if rows is None else rows.ctypes.data
                              for rows in entry]
         if self.kernel(n, start, size,
                        None if mask is None else mask.ctypes.data, at,
-                       stages, len(entry), every, address,
+                       stages, len(entry), address,
                        address + 8 * counted, address + 8 * written) < 0:
             raise IndexError("probe key or tid out of range")
         stats["compiled_probes"] += stages * blocks
         for prober, *_ in self.links:
             stats[prober.counter] += blocks
         counts = buffer[counted:written].reshape(blocks, stages + 1).copy()
-        totals = (counts.sum(axis=0) if blocks > 1 else counts[0]).tolist()
-        lineages = []
-        for s, width in zip(emitted, widths):
-            lineages.append({name: buffer[written + n * t:
-                                          written + n * t + totals[s + 1]]
-                             for t, name in enumerate(self._tables[:width])})
-            written += n * width
-        return counts, lineages
+        rows = int(counts[:, -1].sum())
+        return counts, {name: buffer[written + n * t:written + n * t + rows]
+                        for t, name in enumerate(self._tables)}
 
 
 class _Prober:

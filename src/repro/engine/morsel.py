@@ -26,11 +26,14 @@ tuples the operator path would produce, then
 post-order loop serves them — tail operators
 (Sort/Limit/Distinct/FrameFilter) and all bookkeeping run unchanged.
 The chain runs over the entry in one pass and the breaker runs once,
-at the barrier, over the recorded chain output.
-A recording starts where the recorded results end (:func:`_resume`):
-its morsels are cut over the payload of the deepest covered operator
-the template memo or the plan cache already answers — a selection's
-fact mask, a join's aligned tids — and only the operators after it run.
+at the barrier, over the chain's output.  A join's recording is its
+sizes, from the chain's per-stage counts, over a deferred payload
+(:func:`_deferred`): nothing reads a join's tids once its breaker is
+recorded, and a read runs the join's own operator path.
+A recording starts where the recorded selections end (:func:`_resume`):
+its morsels are cut over the fact mask of the deepest covered selection
+the template memo or the plan cache already answers, and only the
+operators after it run.
 Pooled execution ships one breaker partial per worker chunk instead
 and merges them (:meth:`FusedPipeline.merge`); its chunks are fact-row
 ranges and enter at the scan.  A plan shape outside the fused form
@@ -40,6 +43,7 @@ operator by operator.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
@@ -69,6 +73,7 @@ stats = {
     "dense_aggregates": 0,
     "barrier_breakers": 0,
     "compensated_merges": 0,
+    "deferred_reads": 0,
 }
 
 #: Why fusion declined, by reason (diagnostics; reset with the stats).
@@ -100,15 +105,15 @@ class Decline(Exception):
 
 
 class _Stage:
-    """One fused join: its build-side prober, the join bound alone (what
-    ``run_morsel`` matches through), and the tables its output aligns
-    (in TidSet order)."""
+    """One fused join: its build side's recorded scan, its prober, the
+    join bound alone (what ``run_morsel`` matches through), and the
+    tables its output aligns (in TidSet order)."""
 
-    __slots__ = ("op", "prober", "chain", "table_order")
+    __slots__ = ("op", "build", "prober", "chain", "table_order")
 
     def __init__(self, op, table_order):
         self.op = op
-        self.prober = self.chain = None
+        self.build = self.prober = self.chain = None
         self.table_order = table_order
 
 
@@ -141,11 +146,10 @@ class FusedPipeline:
         self.tail: List = []  # breaker → root, in execution order
         self.covered_ops: List = []
         #: where the chain starts (:func:`_resume`; None: the scan) and
-        #: what its morsels slice: a selection's mask or a join's tids.
-        #: The three lists above then hold only what is left to run.
+        #: the selection's mask its morsels slice.  The three lists
+        #: above then hold only what is left to run.
         self.entry: Optional[OperatorResult] = None
         self.entry_mask: Optional[np.ndarray] = None
-        self.entry_tids: Optional[Dict[str, np.ndarray]] = None
         self.resumed = 0
 
     # -- capability queries -------------------------------------------
@@ -179,11 +183,7 @@ class FusedPipeline:
     def _enter(self, start: int, stop: int):
         """What enters the joins over rows ``[start, stop)``: the mask
         after each selection left to run (None while no predicate has
-        applied; one ``select`` each over the range), the last one, and
-        the entering tables' tids (None: every row)."""
-        if self.entry_tids is not None:
-            return [], None, {name: tids[start:stop]
-                              for name, tids in self.entry_tids.items()}
+        applied; one ``select`` each over the range) and the last one."""
         block = BlockFrame(self.database)
         block.set_range(start, stop)
         mask = None if self.entry_mask is None else self.entry_mask[start:stop]
@@ -192,37 +192,35 @@ class FusedPipeline:
             if op.predicate is not None:  # a bare scan selects all
                 mask = op.select(block, mask)
             masks.append(mask)
-        return masks, mask, {self.fact_table: None}
+        return masks, mask
 
-    def run_morsel(self, lineage, start: int, stop: int, mask=None,
-                   every: bool = False):
+    def run_morsel(self, start: int, stop: int, mask=None):
         """The joins over the rows ``[start, stop)`` of one morsel, one
         ``match`` each through the join's binding of one: the reference
         of the chain kernel, and :meth:`_run`'s path where the pipeline
-        has none.  Takes what :meth:`_enter` returns for the morsel;
+        has none.  Takes the morsel's last mask from :meth:`_enter`;
         returns the rows entering and after each join, and the absolute
-        tids per reachable table after each (``every``) or the last
-        (with no join, the entry's; None: every row)."""
+        tids per reachable table after the last (with no join, the fact
+        table's; None: all rows)."""
         stats["morsels"] += 1
-        if mask is not None:
-            lineage = {self.fact_table: start + np.flatnonzero(mask)}
-        counts, lineages = [stop - start if mask is None
-                            else len(lineage[self.fact_table])], [lineage]
+        tids = None if mask is None else start + np.flatnonzero(mask)
+        lineage = {self.fact_table: tids}
+        counts = [stop - start if tids is None else len(tids)]
         for stage in self.stages:
             lineage = stage.op.match(stage.chain, lineage, start,
                                      start + counts[-1])
             counts.append(len(lineage[stage.op.build_key.table]))
-            lineages.append(lineage)
-        return counts, (lineages[1:] if every else lineages[-1:])
+        return counts, lineage
 
-    def _run(self, start: int, stop: int, every: bool = False):
+    def _run(self, start: int, stop: int):
         """The chain over rows ``[start, stop)``, morsel by morsel in one
         pass: each selection's mask over the range; per morsel, the rows
         entering the joins and after each; and each table's tids over the
-        range after each join (``every``: arrays of their own) or the
-        last (views valid until the next call) — from one call of the
-        chain kernel, or :meth:`run_morsel` per morsel without one."""
-        masks, mask, lineage = self._enter(start, stop)
+        range after the last join (views valid until the next call) —
+        from one call of the chain kernel, or :meth:`run_morsel` per
+        morsel without one."""
+        masks, mask = self._enter(start, stop)
+        lineage = {self.fact_table: None}  # all rows of the range
         # each morsel's first row, counted from ``start`` (as ``_spans``)
         starts = np.arange(0, max(stop - start, 1), MORSEL_ROWS)
         if not self.stages:  # what the selections keep is the output
@@ -231,26 +229,19 @@ class FusedPipeline:
                 lineage = {self.fact_table: start + np.flatnonzero(mask)}
                 if len(mask):
                     rows = np.add.reduceat(mask, starts, dtype=np.int64)
-            found = rows[:, None], [lineage]
+            found = rows[:, None], lineage
         else:
             found = self.chain and self.chain.run(lineage, start, stop, mask,
-                                                  every, MORSEL_ROWS)
+                                                  MORSEL_ROWS)
         if found is None:
-            runs = [self.run_morsel(
-                {name: None if tids is None else tids[low - start:high - start]
-                 for name, tids in lineage.items()}, low, high,
-                None if mask is None else mask[low - start:high - start],
-                every) for low, high in self._spans(start, stop)]
-            return masks, np.array([counts for counts, _ in runs]), [
-                {name: np.concatenate([run[k][name] for _, run in runs])
-                 for name in tables}
-                for k, tables in enumerate(runs[0][1])]
+            runs = [self.run_morsel(low, high, None if mask is None else
+                                    mask[low - start:high - start])
+                    for low, high in self._spans(start, stop)]
+            return masks, np.array([counts for counts, _ in runs]), {
+                name: np.concatenate([run[name] for _, run in runs])
+                for name in runs[0][1]}
         stats["morsels"] += len(starts)
-        counts, lineages = found
-        if every and self.stages:
-            lineages = [{name: tids.copy() for name, tids in lineage.items()}
-                        for lineage in lineages]
-        return masks, counts, lineages
+        return (masks, *found)
 
     def batches(self, start: int, stop: int, progress=None):
         """One partial per batch of fact rows ``[start, stop)``, cut from
@@ -258,7 +249,7 @@ class FusedPipeline:
         :data:`MORSEL_ROWS` rows or the range ends, and the breaker's
         partial over it is stamped with its first row and its rows after
         each chain operator; ``progress`` (no-arg) fires after each."""
-        masks, counts, (lineage,) = self._run(start, stop)
+        masks, counts, lineage = self._run(start, stop)
         first, done, total = 0, 0, 0
         for number, rows in enumerate(counts[:, -1].tolist(), 1):
             total += rows
@@ -391,33 +382,44 @@ class FusedPipeline:
     def run_recorded(self) -> None:
         """Sequential fused execution: run every morsel of the entry in
         one pass (none when only the breaker is left), then fill the memo
-        of every operator left to run with the byte-identical result
-        tuple — the chain's from its outputs, the breaker's by running it
-        once, at the barrier, over the chain's last."""
-        selections, chain = self.selections, self.covered_ops[:-1]
-        masks, lineages = [], []
-        if chain:
-            rows = (self.fact_rows if self.entry_tids is None
-                    else self.entry.actual_rows)
-            masks, _, lineages = self._run(0, rows, every=True)
-
-        # payload per chain operator, in execution order
-        payloads = []
-        for op, mask in zip(selections, masks):
-            entry = (SelectionVector(n=self.fact_rows)
-                     if op.predicate is None else SelectionVector(mask))
-            payloads.append(TidSet({self.fact_table: entry}))
-        for stage, lineage in zip(self.stages, lineages):
-            payloads.append(TidSet({name: lineage[name]
-                                    for name in stage.table_order}))
-
-        sizes = self._chain_sizes(tuple(len(payload) for payload in payloads))
+        of every operator left to run with its result tuple — a
+        selection's from its mask, a join's sizes from the chain's counts
+        over a :func:`_deferred` payload — and the breaker's by running
+        it once, at the barrier, over the chain's output."""
         result = self.entry
-        for op, payload, size in zip(chain, payloads, sizes):
-            result = op.record(self.database, OperatorResult(payload, *size))
+        if len(self.covered_ops) > 1:
+            masks, counts, lineage = self._run(0, self.fact_rows)
+            payloads = [TidSet({self.fact_table: SelectionVector(
+                mask, self.fact_rows)}) for mask in masks]
+            sizes = self._chain_sizes([len(payload) for payload in payloads]
+                                      + counts[:, 1:].sum(axis=0).tolist())
+            for op, payload, size in zip(self.selections, payloads, sizes):
+                result = op.record(self.database,
+                                   OperatorResult(payload, *size))
+            for stage, size in zip(self.stages, sizes[len(payloads):]):
+                result = stage.op.record(self.database, OperatorResult(
+                    _deferred(stage, self.database, result, size[0]),
+                    *size))
+            if self.stages:  # the breaker reads the last join's tids
+                result = OperatorResult(TidSet(lineage), *sizes[-1])
         self._count_breaker()
         self.breaker.record(self.database, self.breaker.run(
             self.database, [result]))
+
+
+def _deferred(stage: _Stage, database, probe: OperatorResult,
+              rows: int) -> TidSet:
+    """``stage``'s join output, ``rows`` rows, as a TidSet computed on
+    its first read (counted in ``deferred_reads``) by the join's own
+    operator path over its recorded children: ``probe``, the result
+    recorded below it, and the build side's scan.  The database is held
+    weakly, as the memo holding the payload holds it."""
+    join, build, database = stage.op, stage.build, weakref.ref(database)
+
+    def compute():
+        stats["deferred_reads"] += 1
+        return join.run(database(), [probe, build]).payload.tables
+    return TidSet.deferred(rows, compute)
 
 
 # ---------------------------------------------------------------------------
@@ -477,27 +479,25 @@ def _analyze_structure(pipe: FusedPipeline) -> None:
 
 
 def _resume(pipe: FusedPipeline) -> None:
-    """Start the chain after the deepest covered operator whose result
-    is already recorded — the test ``produce()`` trusts — and keep only
-    what is left to run: nothing when that is the breaker itself."""
-    for depth in range(len(pipe.covered_ops), 0, -1):
-        cached = _recorded(pipe.covered_ops[depth - 1], pipe.database)
+    """Start the chain after the deepest selection whose result is
+    already recorded — the test ``produce()`` trusts — and keep only what
+    is left to run: nothing when the breaker is recorded.  A recorded
+    join is no entry (its tids are deferred): the joins run again."""
+    if _recorded(pipe.breaker, pipe.database) is not None:
+        del pipe.covered_ops[:], pipe.selections[:], pipe.stages[:]
+        return
+    for depth in range(len(pipe.selections), 0, -1):
+        cached = _recorded(pipe.selections[depth - 1], pipe.database)
         if cached is not None:
             break
     else:
         return  # nothing recorded: enter at the scan
-    joins = max(depth - len(pipe.selections), 0)
-    del pipe.covered_ops[:depth], pipe.selections[:depth], pipe.stages[:joins]
-    if not pipe.covered_ops:
-        return
+    del pipe.covered_ops[:depth], pipe.selections[:depth]
     pipe.resumed, pipe.entry = depth, OperatorResult(*cached)
-    if joins:
-        pipe.entry_tids = pipe.entry.payload.tables
-    else:
-        selection = pipe.entry.payload.selection(pipe.fact_table)
-        if selection is None:
-            raise Decline("entry_not_lazy")
-        pipe.entry_mask = selection.mask
+    selection = pipe.entry.payload.selection(pipe.fact_table)
+    if selection is None:
+        raise Decline("entry_not_lazy")
+    pipe.entry_mask = selection.mask
 
 
 def _prepare_probers(pipe: FusedPipeline, cache) -> None:
@@ -505,12 +505,12 @@ def _prepare_probers(pipe: FusedPipeline, cache) -> None:
     the joins once: each alone, and all for the chain kernel (None
     where it does not take them all: they run per morsel)."""
     database = pipe.database
-    names = list(pipe.entry_tids or [pipe.fact_table])
+    names = [pipe.fact_table]
     links = []
     for stage in pipe.stages:
         join = stage.op
-        build_result = join.children[1].produce(database, [])
-        selection = build_result.payload.selection(join.build_key.table)
+        stage.build = join.children[1].produce(database, [])
+        selection = stage.build.payload.selection(join.build_key.table)
         if selection is None:
             raise Decline("build_not_lazy")
         probe_column = database.column(join.probe_key.key)

@@ -119,7 +119,7 @@ class HashJoin(PhysicalOperator):
         stop = len(values) if stop is None else stop
         found = chain.run(lineage, start, stop)
         if found is not None:
-            return {name: rows.copy() for name, rows in found[1][0].items()}
+            return {name: rows.copy() for name, rows in found[1].items()}
         kernels.stats["numpy_probes"] += 1
         tids = None if source is None else lineage[source]
         probe_idx, build_tids = prober.probe(

@@ -80,16 +80,6 @@ stats = {
 }
 
 
-def reset_stats() -> None:
-    stats["exports"] = 0
-    stats["attaches"] = 0
-    stats["exported_bytes"] = 0
-    stats["attach_seconds"] = 0.0
-    stats["integrity_failures"] = 0
-    stats["verified_columns"] = 0
-    stats["orphans_reaped"] = 0
-
-
 class ShmIntegrityError(RuntimeError):
     """A segment failed header or checksum validation on attach."""
 

@@ -491,11 +491,10 @@ def _chain_cases(draw):
 def _numpy_chain(links, lineage, start, stop, mask):
     """The reference: ``FusedPipeline.run_morsel``'s per-join loop over
     ``HashJoin.match``'s numpy branch — rows entering and after each
-    join, and each join's aligned tids."""
+    join, and the last join's aligned tids."""
     if mask is not None:
         lineage = {"f": start + np.flatnonzero(mask)}
     counts = [stop - start if lineage["f"] is None else len(lineage["f"])]
-    lineages = []
     for prober, values, source, build in links:
         tids = lineage[source]
         probe_idx, build_tids = prober.probe(
@@ -504,14 +503,13 @@ def _numpy_chain(links, lineage, start, stop, mask):
                    else rows[probe_idx] for name, rows in lineage.items()}
         lineage[build] = build_tids
         counts.append(len(build_tids))
-        lineages.append(lineage)
-    return counts, lineages
+    return counts, lineage
 
 
 def _numpy_blocks(links, lineage, start, stop, mask, block):
     """The reference of a ranged call: :func:`_numpy_chain` block by
     block of ``block`` rows (None: one block), each block's entry tids
-    and mask cut from the call's — per block counts, and each join's
+    and mask cut from the call's — per block counts, and the last join's
     tids concatenated over the blocks."""
     n = stop - start
     size = max(min(block or n, n), 1)
@@ -524,16 +522,14 @@ def _numpy_blocks(links, lineage, start, stop, mask, block):
                            None if mask is None else mask[low:high])
         counts.append(got[0])
         parts.append(got[1])
-    lineages = [{name: np.concatenate([part[k][name] for part in parts])
-                 for name in parts[0][k]} for k in range(len(links))]
-    return counts, lineages
+    return counts, {name: np.concatenate([part[name] for part in parts])
+                    for name in parts[0]}
 
 
 class TestCompiledProbe:
-    @given(case=_chain_cases(), every=st.booleans(),
-           block=st.sampled_from([None, 1, 7, 64]))
+    @given(case=_chain_cases(), block=st.sampled_from([None, 1, 7, 64]))
     @settings(max_examples=300, deadline=None)
-    def test_the_loop_answers_as_the_numpy_probe(self, case, every, block):
+    def test_the_loop_answers_as_the_numpy_probe(self, case, block):
         """One call over a range, in blocks of 1, 7 or 64 rows (the last
         one ragged) or one block, answers as the numpy chain block by
         block: per-block counts, and each table's tids concatenated."""
@@ -542,28 +538,25 @@ class TestCompiledProbe:
         chain = kernels.Chain(links, list(lineage))
         if any(prober.native() is None for prober, *_ in links):
             assert chain.kernel is None
-            assert chain.run(lineage, start, stop, mask, every,
-                             block) is None
+            assert chain.run(lineage, start, stop, mask, block) is None
             return
         try:
             want_counts, want = _numpy_blocks(*case, block)
         except IndexError:
             before = dict(kernels.stats)
             with pytest.raises(IndexError):
-                chain.run(lineage, start, stop, mask, every, block)
+                chain.run(lineage, start, stop, mask, block)
             assert kernels.stats == before  # nothing booked
             return
         before = kernels.stats["compiled_probes"]
-        counts, got = chain.run(lineage, start, stop, mask, every, block)
+        counts, got = chain.run(lineage, start, stop, mask, block)
         assert kernels.stats["compiled_probes"] == (
             before + len(links) * len(want_counts))
         assert counts.tolist() == want_counts
-        assert len(got) == (len(links) if every else 1)
-        for a, b in zip(got, want if every else want[-1:]):
-            assert list(a) == list(b)
-            for name in a:
-                assert a[name].dtype == b[name].dtype == np.int64
-                assert a[name].tobytes() == b[name].tobytes()
+        assert list(got) == list(want)
+        for name in got:
+            assert got[name].dtype == want[name].dtype == np.int64
+            assert got[name].tobytes() == want[name].tobytes()
 
     def test_a_key_out_of_range_in_a_late_block_books_nothing(self):
         """Blocks before the bad key run and write, but the call raises
@@ -579,6 +572,24 @@ class TestCompiledProbe:
         values[9] = 10  # read at row 290, in the last block
         with pytest.raises(IndexError):
             chain.run({"f": tids}, 0, 300, block=64)
+        assert not any(kernels.stats.values())
+
+    def test_a_tid_one_past_the_end_raises(self):
+        """A tid equal to the key column's length fails the call even
+        where the memory after the column holds a valid key — the
+        column here is the front of a longer array, and an unfiltered
+        dense build hits on any key — so only the bound check refuses
+        it, as ``take`` does."""
+        _require_the_loop()
+        prober = kernels._DenseProber(0, 10, None, False)
+        values = np.arange(11, dtype=np.int32)[:10]
+        tids = np.array([0, 9, 10], np.int64)
+        chain = kernels.Chain([(prober, values, "f", "b")], ["f"])
+        assert chain.kernel is not None
+        with pytest.raises(IndexError):
+            values.take(tids)
+        with pytest.raises(IndexError):
+            chain.run({"f": tids}, 0, len(tids))
         assert not any(kernels.stats.values())
 
     @staticmethod
@@ -657,21 +668,22 @@ class TestCompiledProbe:
                 caches.memo(db, "plan").clear()
                 plan = query.instantiate()
                 assert morsel.prepare_fused(plan, db), query.name
-                memo = [sized(op._cached_result) for op in plan.operators
-                        if op._cached_result is not None]
                 pipe = morsel.build(query.instantiate(), db)
                 half = pipe.fact_rows // 2
                 merged = pipe.merge([pipe.run_chunk(0, half),
                                      pipe.run_chunk(half, pipe.fact_rows)])
-                out[query.name] = memo, sized((
-                    merged.payload, merged.actual_rows, merged.nominal_rows,
-                    merged.row_width_bytes))
                 booked[query.name] = (
                     len(pipe.stages), morsel.stats["morsels"],
                     sum(stage.prober.native() is None
                         for stage in pipe.stages),
                     kernels.stats["compiled_probes"],
                     kernels.stats["numpy_probes"])
+                # booked before the joins' deferred tids are read here
+                out[query.name] = [
+                    sized(op._cached_result) for op in plan.operators
+                    if op._cached_result is not None], sized((
+                        merged.payload, merged.actual_rows,
+                        merged.nominal_rows, merged.row_width_bytes))
         return out, booked
 
     @staticmethod

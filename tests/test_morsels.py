@@ -36,7 +36,6 @@ from repro.engine import (
     execute_reference,
     kernels,
     morsel,
-    plan_cache,
 )
 from repro.engine.execution import execute_functional, execute_operators
 from repro.engine.frame import BlockFrame, Frame
@@ -466,16 +465,17 @@ RESUME_CASES = {
     "entry_at_a_selection": (
         ["select sum(x) from f where y < 60"],
         _FG, 1, True),
-    # the entry is a join, and the join after it is 1:N
+    # a recorded join is no entry (its tids are deferred): the chain
+    # enters at the scan's mask, and the join after it is 1:N
     "one_to_many_after_the_entry": (
-        [_FD], _FDE.format("tag", "tag"), 2, True),
-    # same joins, another group by: only the breaker is left
+        [_FD], _FDE.format("tag", "tag"), 1, True),
+    # same joins, another group by: the joins run again
     "new_breaker_over_a_recorded_chain": (
-        [_FDE.format("tag", "tag")], _FDE.format("kind", "kind"), 3, False),
-    # an empty recorded join is one empty morsel for the join after it
+        [_FDE.format("tag", "tag")], _FDE.format("kind", "kind"), 1, True),
+    # an empty recorded scan mask is empty morsels for the joins
     "empty_join_entry": (
         [_FD.replace("y < 60", "y < 0")],
-        _FDE.format("tag", "tag").replace("y < 60", "y < 0"), 2, True),
+        _FDE.format("tag", "tag").replace("y < 60", "y < 0"), 1, True),
     # nothing in common but the statement shape: enters at the scan
     "nothing_recorded": (
         ["select sum(x) from f where y < 61"], _FD, 0, True),
@@ -594,12 +594,12 @@ def chain_calls(monkeypatch):
 def test_a_resumed_recording_calls_no_kernel_of_a_resumed_operator(
         chain_calls, plan_cache_off):
     """The kernel spy of ``TestOneChunkKernel``, by operator: no kernel
-    runs for a resumed stage, and every stage after it runs once per
+    runs for a resumed selection, and every stage after it runs once per
     recording — one ``select`` and one chain-kernel call over all its
     morsels, or, where the kernel did not build or does not take a join
     (``e``'s 1:N key sorts), one ``select`` and a ``match`` per morsel —
-    while the morsels are booked one by one either way; ``select``
-    never runs once the entry is past the selections."""
+    while the morsels are booked one by one either way.  A recorded join
+    is no entry: the joins run again after the recorded scan."""
     from repro.engine import kernels
 
     db = _resume_db()
@@ -619,15 +619,11 @@ def test_a_resumed_recording_calls_no_kernel_of_a_resumed_operator(
         before = morsel.snapshot_stats()
         run(_FD)
         per_recording([scan], [join_d], 5)
-        survivors = len(plan_cache.peek(db, sql_workload(
-            db, {"q": _FD})[0].template_plan().root.children[0]
-            .fingerprint())[0])
+        for group in ("tag", "kind"):  # the joins after the scan run
+            before = morsel.snapshot_stats()
+            run(_FDE.format(group, group))
+            per_recording([], [join_d, join_e], 5, native=False)
         before = morsel.snapshot_stats()
-        run(_FDE.format("tag", "tag"))
-        # morsels of the recorded join's rows, not of the fact table
-        per_recording([], [join_e], -(-survivors // 100), native=False)
-        before = morsel.snapshot_stats()
-        run(_FDE.format("kind", "kind"))  # only the breaker is left
         run(_FDE.format("kind", "kind"))  # everything is recorded
         per_recording([], [], 0)
         # entry at the scan's recorded mask: every join runs, no select
@@ -663,6 +659,104 @@ def test_a_stale_recording_is_never_resumed(stale, chain_calls,
     assert chain_calls == ["Scan(f)", "Join(f.fk=d.id)", "Join(f.ek=e.eid)"]
     assert (sorted(result.payload.row_tuples())
             == sorted(execute_reference(query.spec, db)))
+
+
+# ---------------------------------------------------------------------------
+# Deferred join payloads: a recording keeps a join's sizes, and computes
+# its tids only when something reads them
+# ---------------------------------------------------------------------------
+
+_FDEG = ("select w, tag, count(*) from f, d, e, g where f.fk = d.id "
+         "and f.ek = e.eid and f.gk = g.gid and kind = 0 and w < 10 "
+         "and y < 60 group by w, tag")
+
+
+def _recorded_joins(db, sql, execute=None):
+    """``sql``'s joins, bottom up, after a cold fused recording (or
+    ``execute``'s run of a fresh plan)."""
+    (query,) = sql_workload(db, {"q": sql})
+    plan = query.instantiate()
+    if execute is None:
+        assert morsel.prepare_fused(plan, db)
+    else:
+        execute(plan, db)
+    return [op for op in plan.operators if op.role == "join"]
+
+
+def test_a_recorded_join_reads_nothing_for_its_sizes():
+    """``len()`` and the three sizing ints come from the chain's counts:
+    they equal the operator path's, and serving the recording to the
+    executor loop reads no join."""
+    db = _resume_db()
+    joins = _recorded_joins(db, _FDEG)
+    reference = _recorded_joins(db, _FDEG, execute_operators)
+    assert len(joins) == 3
+    for op, ref_op in zip(joins, reference):
+        payload, *sizes = op._cached_result
+        ref_payload, *ref_sizes = ref_op._cached_result
+        assert sizes == ref_sizes and len(payload) == len(ref_payload)
+        assert "deferred" in repr(payload)
+    morsel.reset_stats()
+    (query,) = sql_workload(db, {"q": _FDEG})
+    plan = query.instantiate()
+    assert morsel.prepare_fused(plan, db)
+    execute_operators(plan, db)
+    assert morsel.stats["deferred_reads"] == 0
+
+
+def test_the_first_read_is_the_operator_path_once():
+    """Read top down, the last join's read reads each join below it
+    once; every payload then equals the operator path's byte for byte,
+    and no read after the first computes anything."""
+    db = _resume_db()
+    joins = _recorded_joins(db, _FDEG)
+    reference = _recorded_joins(db, _FDEG, execute_operators)
+    morsel.reset_stats()
+    joins[-1]._cached_result[0].tables
+    assert morsel.stats["deferred_reads"] == len(joins)
+    for op, ref_op in zip(joins, reference):
+        payload = op._cached_result[0]
+        assert payload.tables is payload.tables
+        _assert_same_payload(payload, ref_op._cached_result[0], op.label)
+    assert morsel.stats["deferred_reads"] == len(joins)
+
+
+def test_a_read_after_compress_database_equals_one_before():
+    """``compress_database`` drops the kernel cache and rewrites column
+    sizing; a payload recorded before it and read after it equals one
+    read before it."""
+    from repro.storage.compression import compress_database
+
+    db = _resume_db()
+    before = _recorded_joins(db, _FDEG)
+    after = _recorded_joins(db, _FDEG)
+    for op in before:
+        op._cached_result[0].tables
+    compress_database(db)
+    for op, ref_op in zip(after, before):
+        _assert_same_payload(op._cached_result[0], ref_op._cached_result[0],
+                             op.label)
+    assert morsel.stats["deferred_reads"] == 2 * len(before)
+
+
+def test_no_program_path_reads_a_deferred_join(ssb_db, plan_cache_off):
+    """An SSB ``run_workload`` under data-driven chopping, and ``sqlgen``
+    statements one after another over a warm plan cache — where one
+    statement's recorded joins are served to the next — read no join's
+    tids."""
+    caches.memo(ssb_db, "plan").clear()
+    plan_cache_off.close()
+    try:
+        run_workload(ssb_db, ssb.workload(ssb_db), "data_driven_chopping",
+                     config=E.FULL_CONFIG, users=2, repetitions=1)
+        assert morsel.stats["fused_queries"] == len(ssb.QUERIES)
+        for query in sql_workload(ssb_db, sqlgen.generate(5, 39)):
+            execute_functional(query.instantiate(), ssb_db)
+    finally:
+        caches.memo(ssb_db, "plan").clear()
+    assert morsel.stats["fused_queries"] > len(ssb.QUERIES)
+    assert morsel.stats["deferred_reads"] == 0
+    _assert_no_swallowed_errors()
 
 
 # ---------------------------------------------------------------------------
@@ -922,13 +1016,11 @@ def _per_morsel_chunk(pipe, start, stop):
     partial over every morsel, the partials merged."""
     partials = []
     for span_start, span_stop in pipe._spans(start, stop):
-        masks, mask, lineage = pipe._enter(span_start, span_stop)
-        joined, lineages = pipe.run_morsel(lineage, span_start, span_stop,
-                                           mask)
+        masks, mask = pipe._enter(span_start, span_stop)
+        joined, lineage = pipe.run_morsel(span_start, span_stop, mask)
         n_rows = span_stop - span_start
         counts = [n_rows if mask is None else int(np.count_nonzero(mask))
                   for mask in masks] + joined[1:]
-        lineage = lineages[-1]
         if len(lineage) == 1 and lineage[pipe.fact_table] is None:
             frame = BlockFrame(pipe.database)
             frame.set_range(span_start, span_stop)
