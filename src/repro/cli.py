@@ -98,7 +98,6 @@ def cmd_run(args) -> int:
         copy_engine=args.copy_engine,
         split=args.split or args.split_ratio is not None or args.coupled,
         split_ratio=args.split_ratio,
-        split_rounds=args.split_rounds,
     )
     config = (SystemConfig.coupled_gpu(**config_kwargs) if args.coupled
               else SystemConfig(**config_kwargs))
@@ -416,16 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
     runner.add_argument("--split", action="store_true",
                         help="intra-operator co-processing: divide each "
                              "eligible operator between the CPU and a GPU "
-                             "by a HyPE-chosen ratio, rebalanced "
-                             "mid-operator (default: off)")
+                             "by a HyPE-chosen ratio (default: off)")
     runner.add_argument("--split-ratio", type=float, default=None,
                         metavar="R",
                         help="fixed GPU work fraction in [0, 1] for split "
                              "execution (default: cost-model chosen); "
                              "implies --split")
-    runner.add_argument("--split-rounds", type=int, default=4, metavar="N",
-                        help="rebalancing rounds per split operator "
-                             "(default: 4)")
     runner.add_argument("--coupled", action="store_true",
                         help="coupled/integrated-GPU preset per arXiv "
                              "1307.1955: shared physical memory, no PCIe "

@@ -145,15 +145,13 @@ class QueryContext:
         "env", "name", "user", "metrics", "deadline_seconds",
         "started_at", "finished", "cancelled", "cancel_reason",
         "cancelled_at", "force_cpu", "tenant", "slo_class",
-        "deadline_safety", "watchdog", "_procs", "_roots", "_results",
-        "_callbacks",
+        "watchdog", "_procs", "_roots", "_results", "_callbacks",
     )
 
     def __init__(self, env, name: str, user: int = 0, metrics=None,
                  deadline_seconds: Optional[float] = None,
                  tenant: Optional[str] = None,
-                 slo_class: Optional[str] = None,
-                 deadline_safety: Optional[float] = None):
+                 slo_class: Optional[str] = None):
         self.env = env
         self.name = name
         self.user = user
@@ -162,8 +160,6 @@ class QueryContext:
         #: service-mode attribution: owning tenant and its SLO class
         self.tenant = tenant
         self.slo_class = slo_class
-        #: per-class override of ``split.DEADLINE_SAFETY``
-        self.deadline_safety = deadline_safety
         self.started_at = env.now
         self.finished = False
         self.cancelled = False

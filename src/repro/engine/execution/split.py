@@ -26,15 +26,13 @@ This module implements that split over the morsel substrate of
   ``ratio_hint`` (fraction of inputs already device-resident).  On a
   coupled system (``SystemConfig.coupled``) ``t_x`` is zero and the
   ratio shifts toward the GPU — the paper's headline effect.
-* **Mid-operator rebalancing.**  The operator runs in
-  ``split_rounds`` rounds; at each boundary the load tracker is
-  refreshed (:meth:`~repro.hype.load.LoadTracker.refresh`) and the
-  remaining work re-divided as queue depths and breaker states shift.
-* **Graceful degradation.**  A device fault mid-round wastes only that
-  round's GPU share (recorded as split wasted work); the remaining
-  work degrades to pure CPU.  An open breaker (PR3) or a nearing
-  deadline (PR5) degrades the same way; cancellation (PR5) unwinds
-  both halves through the ``finally`` rollback, leaving no residue.
+* **One round.**  The CPU share and the GPU share are submitted once,
+  concurrently; the operator finishes when the slower side does.
+* **Graceful degradation.**  A device fault wastes the GPU share
+  (recorded as split wasted work), and that share then runs on the
+  CPU after the CPU share.  An open circuit breaker declines the
+  split up front; cancellation unwinds both halves through the
+  ``finally`` rollback, leaving no residue.
 
 The simulated timing divides between the devices; the *result* is
 still served by ``op.produce`` (the memoised functional layer), so a
@@ -69,19 +67,11 @@ SPLIT_KINDS = frozenset(("selection", "join", "groupby", "projection"))
 #: Below this share the split degenerates: run the pure placement.
 MIN_SHARE = 0.05
 
-#: Ratio changes smaller than this do not count as a rebalance.
-REBALANCE_EPSILON = 0.01
-
 #: Decline to split when the device's queued *other* work exceeds this
-#: multiple of the op's own GPU share — a split's rounds couple the CPU
-#: half to the device queue, so splitting onto a congested device slows
-#: the operator below its pure-CPU time.
+#: multiple of the op's own GPU share — the split finishes only when
+#: its GPU share does, so splitting onto a congested device slows the
+#: operator below its pure-CPU time.
 BUSY_FACTOR = 1.0
-
-#: Degrade to pure CPU when the deadline margin falls below this
-#: multiple of the estimated remaining makespan.  Service mode
-#: overrides it per SLO class through ``QueryContext.deadline_safety``.
-DEADLINE_SAFETY = 2.0
 
 
 def merged_split_result(pipe, boundaries):
@@ -213,10 +203,8 @@ class SplitState:
         footprint = op.device_footprint_bytes(
             ctx.profile, ctx.database, child_results, input_bytes)
         ratio = self.choose_ratio(ctx, op, device, input_bytes)
-        ratio_cap = 1.0
         if footprint > 0 and not self.config.coupled:
-            ratio_cap = min(device.heap.available / footprint, 1.0)
-            ratio = min(ratio, ratio_cap)
+            ratio = min(ratio, device.heap.available / footprint, 1.0)
         if ratio < MIN_SHARE:
             self._decline(ctx, "ratio_floor")
             return None
@@ -226,7 +214,7 @@ class SplitState:
         if self.config.split_ratio is None:
             # the dispatcher already queued this op's own estimate on
             # the device; anything beyond that is other operators' work
-            # our rounds would wait behind
+            # our GPU share would wait behind
             t_gpu_est = ctx.cost_model.estimate(
                 op.kind, ProcessorKind.GPU, input_bytes)
             ctx.load.refresh(device.name)
@@ -239,11 +227,11 @@ class SplitState:
 
         return (yield from self._run_split(
             ctx, device, op, child_results, input_bytes, footprint,
-            ratio, ratio_cap, qctx,
+            ratio, qctx,
         ))
 
     def _run_split(self, ctx, device, op, child_results, input_bytes,
-                   footprint, ratio, ratio_cap, qctx) -> Generator:
+                   footprint, ratio, qctx) -> Generator:
         env = ctx.env
         hardware = ctx.hardware
         cpu = hardware.cpu
@@ -256,29 +244,21 @@ class SplitState:
             op.kind, ProcessorKind.GPU, input_bytes)
         t_cpu_full = ctx.profile.compute_seconds(
             op.kind, ProcessorKind.CPU, input_bytes)
-        t_x = self._transfer_seconds(ctx, input_bytes)
-        # the dispatcher queued this operator's own full estimate on
-        # the device (eager/chopping load tracking); rebalancing must
-        # compare only the *other* outstanding work, or the op sees
-        # its own shadow as device pressure and starves the GPU half
-        self_load = ctx.cost_model.estimate(
-            op.kind, ProcessorKind.GPU, input_bytes)
 
         # the GPU half's device state; its copies run in the foreground
-        # — a round computes on its share only once the share is there
+        # — the GPU computes on its share only once the share is there
         lease = DeviceLease(ctx, device, op.label)
         gpu_seconds = 0.0
         cpu_seconds = 0.0
         gpu_done = 0.0  # fraction of the operator the GPU completed
-        rebalances = 0
         degraded = False
 
-        def degrade(fault, round_start) -> None:
-            """GPU faulted mid-round: the round's GPU share is wasted;
-            the rest of the operator runs pure-CPU."""
+        def degrade(fault, attempt_start) -> None:
+            """The GPU share faulted: its time is wasted and the rest
+            of the operator runs pure-CPU."""
             nonlocal ratio, degraded
             wasted = account_abort(ctx, op, device.name, fault,
-                                   round_start, qctx)
+                                   attempt_start, qctx)
             ctx.metrics.count("split_wasted_seconds", wasted)
             if fault.transient:
                 ctx.resilience.record_failure(device.name, env.now)
@@ -309,7 +289,7 @@ class SplitState:
                 lease.allocate(
                     max(int(footprint * ratio) - lease.staged_bytes, 0))
                 # a cached column can still be on the wire (async link):
-                # the first round may not start before it has landed
+                # the GPU share may not start before it has landed
                 yield from lease.join()
             except DeviceFault as fault:
                 # staging failed — concurrent operators outran the
@@ -319,69 +299,36 @@ class SplitState:
                 lease.release()
                 degrade(fault, start)
 
-            # -- compute in rounds, rebalancing at the boundaries -----
-            rounds = max(int(self.config.split_rounds), 1)
-            remaining = 1.0
-            round_index = 0
-            while remaining > 1e-12:
-                qctx.check()
-                # past the planned rounds (a fault shrank a round's
-                # yield), the tail runs as one final round
-                frac = remaining / max(rounds - round_index, 1)
-                round_index += 1
-                gpu_share = frac * ratio
-                cpu_share = frac * (1.0 - ratio)
-                round_start = env.now
-                cpu_event = cpu.submit(t_cpu_full * cpu_share)
-                cpu_event.defused = True
-                if gpu_share > 0.0:
-                    try:
-                        gpu_event = gpu.submit(t_gpu_full * gpu_share)
-                        gpu_event.defused = True
-                        yield env.all_of([gpu_event, cpu_event])
-                    except DeviceFault as fault:
-                        # the launch was rejected before any GPU time
-                        # passed, or a stalled kernel failed after real
-                        # simulated time: either way the CPU share of
-                        # this round still lands
-                        yield cpu_event
-                        cpu_seconds += t_cpu_full * cpu_share
-                        remaining -= cpu_share
-                        degrade(fault, round_start)
-                        continue
-                    gpu_seconds += t_gpu_full * gpu_share
-                    gpu_done += gpu_share
+            # -- both shares at once ----------------------------------
+            qctx.check()
+            cpu_share = 1.0 - ratio
+            compute_start = env.now
+            cpu_event = cpu.submit(t_cpu_full * cpu_share)
+            cpu_event.defused = True
+            if ratio > 0.0:
+                try:
+                    gpu_event = gpu.submit(t_gpu_full * ratio)
+                    gpu_event.defused = True
+                    yield env.all_of([gpu_event, cpu_event])
+                    gpu_seconds = t_gpu_full * ratio
+                    gpu_done = ratio
                     ctx.resilience.record_success(device.name, env.now)
-                else:
+                except DeviceFault as fault:
+                    # the launch was rejected before any GPU time
+                    # passed, or a stalled kernel failed after real
+                    # simulated time: either way the CPU share still
+                    # lands, and the GPU share runs on the CPU after it
                     yield cpu_event
-                cpu_seconds += t_cpu_full * cpu_share
-                remaining -= frac
-
-                if remaining <= 1e-12 or round_index >= rounds:
-                    break
-                # -- round boundary: refresh load, re-divide ----------
-                qctx.check()
-                if ratio > 0.0 and not self._deadline_safe(
-                        qctx, remaining, t_cpu_full, t_gpu_full, ratio):
-                    ratio = 0.0
-                    degraded = True
-                    continue
-                if self.config.split_ratio is not None or degraded:
-                    continue
-                ctx.load.refresh()
-                load_gpu = max(
-                    ctx.load.estimated_completion(device.name)
-                    - self_load, 0.0)
-                new_ratio = self.model.rebalance(
-                    remaining, ratio, t_cpu_full, t_gpu_full, t_x,
-                    ctx.load.estimated_completion("cpu"), load_gpu,
-                )
-                new_ratio = min(new_ratio, ratio_cap)
-                if new_ratio == 0.0 and ratio > 0.0:
-                    degraded = True
-                if abs(new_ratio - ratio) > REBALANCE_EPSILON:
-                    rebalances += 1
-                ratio = new_ratio
+                    cpu_seconds = t_cpu_full * cpu_share
+                    degrade(fault, compute_start)
+                    qctx.check()
+                    cpu_share = 1.0 - cpu_share  # the GPU's share
+                    cpu_event = cpu.submit(t_cpu_full * cpu_share)
+                    cpu_event.defused = True
+                    yield cpu_event
+            else:
+                yield cpu_event
+            cpu_seconds += t_cpu_full * cpu_share
 
             # -- merge at the breaker ---------------------------------
             result = op.produce(ctx.database, child_results)
@@ -409,11 +356,10 @@ class SplitState:
                     input_bytes * gpu_done, gpu_seconds,
                     source="split")
             # chosen: the GPU work fraction the cost model picked up
-            # front; realized: the fraction the GPU completed (lower
-            # when the split degraded mid-operator)
+            # front; realized: the fraction the GPU completed (zero
+            # when the split degraded)
             metrics = ctx.metrics
             metrics.count("split_operators", degraded=degraded)
-            metrics.count("split_rebalances", rebalances)
             metrics.count("split_chosen_ratio", chosen_ratio)
             metrics.count("split_realized_ratio", gpu_done)
             metrics.count("split_gpu_seconds", gpu_seconds)
@@ -427,23 +373,6 @@ class SplitState:
             # rollback both halves: cancellation, faults, or normal
             # completion all release the GPU share here
             lease.release()
-
-    def _deadline_safe(self, qctx, remaining, t_cpu_full, t_gpu_full,
-                       ratio) -> bool:
-        """False when the deadline margin no longer covers the
-        estimated remaining makespan with safety to spare — the split
-        then degrades to pure CPU rather than risk GPU retries.  The
-        safety multiple is :data:`DEADLINE_SAFETY` unless the query
-        carries a per-SLO-class override."""
-        if qctx.deadline_seconds is None:
-            return True
-        margin = (qctx.started_at + qctx.deadline_seconds
-                  - qctx.env.now)
-        estimate = remaining * max(t_cpu_full * (1.0 - ratio),
-                                   t_gpu_full * ratio)
-        safety = (qctx.deadline_safety if qctx.deadline_safety is not None
-                  else DEADLINE_SAFETY)
-        return margin >= safety * estimate
 
 
 __all__ = ["SplitState", "merged_split_result", "SPLIT_KINDS",

@@ -121,11 +121,9 @@ def build_pipelines(plan: PhysicalPlan) -> List[List[PhysicalOperator]]:
 class VectorizedExecutor:
     """Runs plans pipeline-at-a-time with vector streaming."""
 
-    def __init__(self, ctx: ExecutionContext, strategy,
-                 allow_split: bool = True):
+    def __init__(self, ctx: ExecutionContext, strategy):
         self.ctx = ctx
         self.strategy = strategy
-        self.allow_split = allow_split
 
     # -- public API ----------------------------------------------------
 
@@ -140,8 +138,7 @@ class VectorizedExecutor:
         the plan over another context sharing this one's hardware.
         """
         if ctx is not None and ctx is not self.ctx:
-            return VectorizedExecutor(
-                ctx, self.strategy, self.allow_split).submit(plan, qctx)
+            return VectorizedExecutor(ctx, self.strategy).submit(plan, qctx)
         if qctx is None:
             qctx = QueryContext(self.ctx.env, plan.name)
         process = self.ctx.env.process(self._run_plan(plan, qctx))
@@ -298,7 +295,7 @@ class VectorizedExecutor:
         cpu_seconds, gpu_seconds = seconds
 
         split = 0.0  # fraction of vectors handled by the host
-        if self.allow_split and gpu_seconds > 0:
+        if gpu_seconds > 0:
             if ctx.split is not None:
                 # the split cost model's balance point: accounts for
                 # the PCIe stream (zero on a coupled platform) and any

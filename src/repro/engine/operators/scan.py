@@ -192,9 +192,9 @@ class RefineSelect(PhysicalOperator):
 class TidIntersect(PhysicalOperator):
     """Positional AND of two tid lists over the same table.
 
-    Used by the micro benchmarks (Appendix B.2), where one query is a
-    chain of single-column selections combined positionally — the
-    paper's "four different operators executed consecutively".
+    No workload or SQL plan builds it; the tests do, to reach the one
+    binary selection shape (``tests/conftest.py``'s random bushy
+    selection plans).
     """
 
     kind = "selection"

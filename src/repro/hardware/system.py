@@ -51,15 +51,12 @@ class SystemConfig:
     copy_engine: bool = False
     #: intra-operator split execution (repro.engine.execution.split):
     #: one operator's morsel range divided between CPU and GPU by a
-    #: HyPE-chosen ratio, rebalanced mid-operator by the load tracker.
+    #: HyPE-chosen ratio, both shares running at once.
     #: Off by default — placement stays all-or-nothing per operator.
     split: bool = False
     #: fixed GPU work fraction in [0, 1] (None = let the split cost
-    #: model choose and the rebalancer adjust)
+    #: model choose)
     split_ratio: Optional[float] = None
-    #: rebalance points per split operator (ratio is re-evaluated at
-    #: each round boundary; 1 = choose once, never rebalance)
-    split_rounds: int = 4
     #: coupled/integrated-GPU platform (arXiv 1307.1955): CPU and GPU
     #: share one physical memory, so staging to the device and merging
     #: results back skip the PCIe hop entirely
@@ -77,8 +74,6 @@ class SystemConfig:
         if self.split_ratio is not None and not (
                 0.0 <= self.split_ratio <= 1.0):
             raise ValueError("split_ratio must be in [0, 1]")
-        if self.split_rounds < 1:
-            raise ValueError("split_rounds must be >= 1")
 
     @property
     def gpu_heap_bytes(self) -> int:

@@ -10,9 +10,7 @@ module runs the machine as a service:
   classes.
 * **SLO classes** (premium / standard / best-effort by default) with
   per-class deadline multipliers, p99 latency targets, fair-share
-  weights, tenant queue caps, and per-class "nearing deadline"
-  degradation thresholds (``SLOClass.deadline_safety`` overrides the
-  split executor's ``DEADLINE_SAFETY`` per query).
+  weights and tenant queue caps.
 * **Fair-share admission** layered *on top of* the PR5 lifecycle: a
   weighted deficit-round-robin dispatcher over per-tenant FIFO queues
   decides *who* goes next; tenant-level shed/degrade (queue caps with
@@ -91,9 +89,6 @@ class SLOClass:
     #: queueing), "shed" (reject now), "degrade-to-cpu" (queue, but
     #: the query runs CPU-only)
     overflow_policy: str = "queue"
-    #: per-class "nearing deadline" degradation threshold overriding
-    #: ``split.DEADLINE_SAFETY`` (None = use that default)
-    deadline_safety: Optional[float] = None
 
     def __post_init__(self):
         if self.weight <= 0:
@@ -118,17 +113,16 @@ class SLOClass:
 PREMIUM = SLOClass(
     "premium", weight=16.0, deadline_multiplier=4.0,
     target_multiplier=4.0, arrival_share=0.10, queue_cap=16,
-    overflow_policy="queue", deadline_safety=3.0,
+    overflow_policy="queue",
 )
 STANDARD = SLOClass(
     "standard", weight=2.0, deadline_multiplier=2.0, target_multiplier=2.0,
     arrival_share=0.35, queue_cap=6, overflow_policy="degrade-to-cpu",
-    deadline_safety=2.0,
 )
 BEST_EFFORT = SLOClass(
     "best_effort", weight=1.0, deadline_multiplier=1.0,
     target_multiplier=1.0, arrival_share=0.55, queue_cap=3,
-    overflow_policy="shed", deadline_safety=1.0,
+    overflow_policy="shed",
 )
 DEFAULT_CLASSES: Tuple[SLOClass, ...] = (PREMIUM, STANDARD, BEST_EFFORT)
 
@@ -496,7 +490,6 @@ class _ServiceRun:
             qctx = self.driver.open(
                 queries[query_index].name, tenant.index, deadline,
                 tenant=tenant.name, slo_class=tenant.slo.name,
-                deadline_safety=tenant.slo.deadline_safety,
             )
             request = _Request(tenant, query_index, self.env.now, qctx)
             if self.fair.offer(request) == "shed":

@@ -25,9 +25,9 @@ class LoadTracker:
         self._outstanding: Dict[str, float] = {}
         self._resilience = None
         self._clock = None
-        #: breaker-penalty snapshots, refreshed explicitly so a long
-        #: operator (or the split rebalancer) re-reads breaker state at
-        #: its own boundaries instead of once at placement time
+        #: breaker-penalty snapshots, refreshed explicitly so a
+        #: placement decision reads the breaker state of its own moment,
+        #: not one snapshotted at an earlier placement
         self._penalty: Dict[str, float] = {}
 
     def attach_resilience(self, resilience, clock) -> None:
@@ -38,10 +38,10 @@ class LoadTracker:
 
     def refresh(self, processor_name: str = None) -> None:
         """Re-snapshot the breaker penalty for one processor (or all
-        known ones).  Placement strategies call this at choose time and
-        the split rebalancer at every round boundary, so mid-operator
-        breaker transitions show up in :meth:`estimated_completion`
-        instead of the stale placement-time reading."""
+        known ones).  Placement strategies and the split's busy-device
+        check call this at choose time, so breaker transitions since an
+        earlier placement show up in :meth:`estimated_completion`
+        instead of a stale reading."""
         if self._resilience is None or not self._resilience.enabled:
             self._penalty.clear()
             return

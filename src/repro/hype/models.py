@@ -122,29 +122,3 @@ class SplitCostModel:
         if hint is not None:
             ratio = 0.5 * (ratio + min(max(hint, 0.0), 1.0))
         return min(max(ratio, 0.0), 1.0)
-
-    def rebalance(self, remaining: float, ratio: float,
-                  t_cpu: float, t_gpu: float, t_x: float,
-                  load_cpu: float, load_gpu: float) -> float:
-        """Adjusted GPU fraction *of the remaining work* given current
-        per-device queue depths.  ``remaining`` is the untouched
-        fraction of the operator; the absolute GPU share that equalises
-        finish times is::
-
-            r_abs = (load_cpu - load_gpu + remaining * t_cpu)
-                    / (t_cpu + t_gpu + t_x)
-
-        normalised back to a fraction of ``remaining``.  An infinite
-        ``load_gpu`` (open breaker) yields 0.0 — degrade to pure CPU.
-        """
-        if remaining <= 0.0:
-            return ratio
-        if load_gpu == float("inf"):
-            return 0.0
-        if load_cpu == float("inf"):
-            return 1.0
-        denominator = t_cpu + t_gpu + t_x
-        if denominator <= 0.0:
-            return ratio
-        r_abs = (load_cpu - load_gpu + remaining * t_cpu) / denominator
-        return min(max(r_abs / remaining, 0.0), 1.0)

@@ -10,7 +10,7 @@ from operator begin to abort, accumulated); operator counts and busy
 time per processor; peak heap usage and cache hits.
 
 Everything rarer — a shed, a degrade, a deadline miss, a hedge, a split
-round, a breaker skip, an arrival, a pool respawn, the fault class,
+operator, a breaker skip, an arrival, a pool respawn, the fault class,
 device and tenant of an abort — is booked **once**, with labels, into
 the one labelled counter (:meth:`MetricsCollector.count`), and every
 ``*_summary`` / ``*_ledger`` / ``*_report`` view is a selection over it
@@ -623,7 +623,7 @@ class MetricsCollector:
 
     def split_summary(self) -> Dict[str, float]:
         """Split-execution view: operators split, mean chosen/realized
-        GPU ratios, rebalances, degrades, per-side busy time, and
+        GPU ratios, degrades, per-side busy time, and
         decline totals (all zero when the split path is off)."""
         ops = self.total("split_operators")
         return {
@@ -632,7 +632,6 @@ class MetricsCollector:
                 self.total("split_chosen_ratio") / ops if ops else 0.0),
             "split_mean_realized_ratio": (
                 self.total("split_realized_ratio") / ops if ops else 0.0),
-            "split_rebalances": float(self.total("split_rebalances")),
             "split_degrades": float(
                 self.total("split_operators", degraded=True)),
             **self._totals("split_declines", "split_gpu_seconds",

@@ -7,12 +7,14 @@ added or removed on purpose.
 
 import argparse
 import json
+import multiprocessing
 import os
 import sys
 
 import pytest
 
 from repro.cli import FIGURE_DRIVERS, build_parser, main
+from repro.storage import shm
 
 GOLDEN_FLAGS = os.path.join(os.path.dirname(__file__), "golden",
                             "cli_flags.json")
@@ -84,6 +86,33 @@ def test_run_command_attributes_faults_to_queries(capsys):
     assert sum(row[3] for row in rows.values()) == totals["retries"]
 
 
+def test_run_command_prints_the_lifecycle_block(capsys):
+    code = main([
+        "run", "--scale-factor", "1", "--data-scale", "1e-3",
+        "--strategy", "chopping", "--users", "4", "--max-inflight", "2",
+        "--deadline", "0.5", "--hedge-factor", "3",
+    ])
+    assert code == 0
+    assert ("  query lifecycle (admission, deadlines, hedging):"
+            in capsys.readouterr().out.splitlines())
+
+
+@pytest.mark.skipif(
+    not (shm.available()
+         and "fork" in multiprocessing.get_all_start_methods()),
+    reason="needs fork and shared memory",
+)
+def test_pool_command_survives_worker_crashes(capsys):
+    """``repro pool`` under seeded worker crashes: the pool respawns,
+    its rows equal the sequential engine's, and no segment leaks."""
+    code = main(["pool", "--data-scale", "1e-3", "--jobs", "2",
+                 "--faults", "crash=0.3,seed=3"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  byte-identical to sequential: True" in lines
+    assert "  leaked segments: 0" in lines
+
+
 def test_figures_selected(capsys):
     code = main(["figures", "fig16", "--fast"])
     assert code == 0
@@ -110,8 +139,6 @@ def test_a_bad_repro_jobs_is_an_error_not_a_traceback(argv, monkeypatch,
     pytest.param(["run", "--gpus", "0"],
                  "at least one co-processor is required", False,
                  id="run-gpus"),
-    pytest.param(["run", "--split-rounds", "0"],
-                 "split_rounds must be >= 1", False, id="run-split-rounds"),
     pytest.param(["run", "--gpu-cache-gib", "5"],
                  "cache cannot exceed device memory", False,
                  id="run-gpu-cache-gib"),

@@ -42,8 +42,7 @@ CALLERS = {
     SystemConfig: {
         **_flags(gpu_count="gpus", gpu_memory_bytes="gpu_memory_gib",
                  gpu_cache_bytes="gpu_cache_gib", copy_engine="copy_engine",
-                 split="split", split_ratio="split_ratio",
-                 split_rounds="split_rounds"),
+                 split="split", split_ratio="split_ratio"),
         # the --coupled preset, SystemConfig.coupled_gpu
         "pcie_bandwidth_bytes_per_second": ("call", SYSTEM),
         "pcie_latency_seconds": ("call", SYSTEM),
@@ -116,7 +115,7 @@ def test_every_field_is_listed():
 def test_field_counts():
     assert {cls.__name__: len(dataclasses.fields(cls)) for cls in CALLERS} \
         == {"FaultConfig": 17, "LifecycleConfig": 4, "ServiceConfig": 14,
-            "SystemConfig": 12}
+            "SystemConfig": 11}
 
 
 @pytest.mark.parametrize(

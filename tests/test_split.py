@@ -3,10 +3,10 @@
 Covers the split tentpole end to end:
 
 * the chunk-merge substrate yields byte-identical results for any cut
-  ratio and any rebalance schedule (fixed sweep + hypothesis);
+  ratio and any chunk schedule (fixed sweep + hypothesis);
 * DES runs with split enabled validate against the reference across
-  ratio overrides and round counts, and compose with fault injection
-  (breaker opens mid-split) and cancellation (both halves roll back);
+  ratio overrides, and compose with fault injection (a faulted GPU
+  share runs on the CPU) and cancellation (both halves roll back);
 * the ratio comes from the HyPE split-cost model, shifts toward the
   GPU on the coupled-platform preset, and feeds per-device realized
   throughput back into the observation store;
@@ -94,7 +94,7 @@ def test_merged_split_identity_every_ratio(ssb_db):
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_merged_split_identity_any_schedule(ssb_db, data):
-    """Any rebalance schedule — arbitrary, unordered, duplicated, or
+    """Any chunk schedule — arbitrary, unordered, duplicated, or
     out-of-range cut points — merges byte-identically."""
     gated = _split_pipes(ssb_db)
     _, reference, pipe = data.draw(st.sampled_from(gated))
@@ -116,7 +116,7 @@ def test_gate_accepts_ssb_suite(ssb_db):
 
 
 # ---------------------------------------------------------------------------
-# DES execution: validated runs across ratios, rounds, strategies
+# DES execution: validated runs across ratios and strategies
 # ---------------------------------------------------------------------------
 
 def _run_split(db, config, **kwargs):
@@ -140,20 +140,11 @@ def test_split_ratio_override_validates(ssb_db, ratio):
     assert 0.0 <= summary["split_mean_realized_ratio"] <= 1.0
 
 
-@pytest.mark.parametrize("rounds", [1, 2, 7])
-def test_split_rounds_validate(ssb_db, rounds):
-    run = _run_split(ssb_db,
-                     SystemConfig(split=True, split_rounds=rounds))
-    assert run.metrics.total("split_operators") > 0
-
-
 def test_split_adaptive_ratio_validates_and_rebalances(ssb_db):
     run = _run_split(ssb_db, SystemConfig(split=True), repetitions=2)
     summary = run.metrics.split_summary()
     assert summary["split_operators"] > 0
     assert 0.0 < summary["split_mean_chosen_ratio"] < 1.0
-    # the adaptive path must actually exercise mid-operator rebalancing
-    assert summary["split_rebalances"] > 0
 
 
 def test_split_strategy_registered_and_runs(ssb_db):
@@ -246,12 +237,12 @@ def test_split_wastes_less_than_hedging_under_heap_pressure():
 
 
 def test_split_runs_are_deterministic_under_heap_pressure():
-    """Rebalancing reads only simulated state: two identical runs agree
+    """The ratio reads only simulated state: two identical runs agree
     on the makespan, every result row and every split counter."""
     config = replace(PRESSURE, split=True)
     first = _pressure_run("runtime", config, collect_results=True)
     second = _pressure_run("runtime", config, collect_results=True)
-    assert first.metrics.total("split_rebalances") > 0
+    assert first.metrics.total("split_operators") > 0
     assert first.seconds == second.seconds
     assert first.metrics.split_summary() == second.metrics.split_summary()
     assert _rows(first) == _rows(second)
@@ -263,7 +254,7 @@ def test_split_runs_are_deterministic_under_heap_pressure():
 
 def test_split_composes_with_faults(ssb_db):
     """Kernel faults mid-split degrade the operator to pure CPU (the
-    round's GPU share is wasted work) and still validate."""
+    GPU share's time is wasted work) and still validate."""
     run = _run_split(ssb_db, SystemConfig(split=True),
                      faults="kernel=0.6,seed=11", repetitions=2)
     assert run.faults_injected > 0
@@ -283,7 +274,7 @@ def test_split_declines_when_breaker_open(ssb_db):
     assert run.metrics.total("split_operators", degraded=True) > 0
 
 
-def _manual_split(db, config, deadline_seconds=None):
+def _manual_split(db, config):
     """Drive one try_split as a raw DES process; returns
     (env, ctx, device, process, qctx)."""
     env, hardware, ctx = make_context(db, config)
@@ -302,8 +293,7 @@ def _manual_split(db, config, deadline_seconds=None):
     children = [produce(c) for c in target.children]
     input_bytes = target.input_nominal_bytes(db, children)
     device = hardware.device("gpu")
-    qctx = QueryContext(env, queries[0].name, metrics=ctx.metrics,
-                        deadline_seconds=deadline_seconds)
+    qctx = QueryContext(env, queries[0].name, metrics=ctx.metrics)
     process = env.process(state.try_split(
         ctx, device, target, children, input_bytes, qctx))
     process.defused = True
@@ -311,7 +301,7 @@ def _manual_split(db, config, deadline_seconds=None):
     return env, ctx, device, process, qctx
 
 
-SPLIT_HALF = dict(split=True, split_ratio=0.5, split_rounds=4)
+SPLIT_HALF = dict(split=True, split_ratio=0.5)
 
 
 def test_manual_split_completes_and_observes(ssb_db):
@@ -365,30 +355,12 @@ def test_cancellation_rolls_back_both_halves(ssb_db):
     assert ctx.metrics.total("split_operators") == 0
 
 
-def test_deadline_pressure_degrades_to_cpu(ssb_db):
-    env, _, _, _, _ = _manual_split(ssb_db, SystemConfig(**SPLIT_HALF))
-    env.run()
-    duration = env.now
-
-    # a deadline the split cannot safely meet: degrade at the first
-    # round boundary, finish pure-CPU, never cancel
-    env, ctx, device, process, qctx = _manual_split(
-        ssb_db, SystemConfig(**SPLIT_HALF),
-        deadline_seconds=duration * 0.6)
-    env.run()
-    assert process.value is not None
-    assert ctx.metrics.total("split_operators") == 1
-    assert ctx.metrics.total("split_operators", degraded=True) == 1
-    assert device.heap.used == 0
-
-
 def test_split_waits_for_inflight_column(ssb_db):
     """Split on the async link: a cached column can still be on the
     wire (the pure operator below admitted it while its background copy
-    runs).  The split operator coalesces onto that copy and its first
-    GPU round waits for it to land."""
-    config = SystemConfig(split=True, copy_engine=True, split_ratio=0.5,
-                          split_rounds=2)
+    runs).  The split operator coalesces onto that copy and its GPU
+    share waits for it to land."""
+    config = SystemConfig(split=True, copy_engine=True, split_ratio=0.5)
     env, hardware, ctx = make_context(ssb_db, config)
     pure_query, split_query = ssb.workload(ssb_db)[:2]
     ctx.split = SplitState(config, ctx.cost_model)
@@ -429,7 +401,7 @@ def test_split_waits_for_inflight_column(ssb_db):
     env.run()
     assert ctx.metrics.total("split_operators") == 1
     assert ctx.metrics.total("split_declines", reason="ungated_plan") == 1
-    assert on_the_wire_at_launch  # the split did launch GPU rounds
+    assert on_the_wire_at_launch  # the split did launch its GPU share
     assert on_the_wire_at_launch[0] == []
     assert ctx.metrics.coalesced_transfers >= 1
     # only the pure operator's device-resident result is left
@@ -448,15 +420,13 @@ def test_coupled_preset_fields():
     pcie = SystemConfig()
     assert (config.pcie_bandwidth_bytes_per_second
             > pcie.pcie_bandwidth_bytes_per_second)
-    override = SystemConfig.coupled_gpu(split_rounds=2)
-    assert override.split_rounds == 2 and override.coupled
+    override = SystemConfig.coupled_gpu(split_ratio=0.5)
+    assert override.split_ratio == 0.5 and override.coupled
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         SystemConfig(split_ratio=1.5)
-    with pytest.raises(ValueError):
-        SystemConfig(split_rounds=0)
     SystemConfig(split=True, split_ratio=0.5)
 
 
@@ -484,21 +454,6 @@ def test_split_cost_model_balance():
     assert model.balance(1.0, 1.0, 2.0) == 0.25
     # a fast GPU earns a larger share
     assert model.balance(3.0, 1.0, 0.0) == 0.75
-
-
-def test_split_cost_model_rebalance():
-    model = SplitCostModel(None)
-    inf = float("inf")
-    assert model.rebalance(0.0, 0.7, 1.0, 1.0, 0.0, 0.0, 0.0) == 0.7
-    # an unavailable (open-breaker) device gets nothing
-    assert model.rebalance(0.5, 0.7, 1.0, 1.0, 0.0, 0.0, inf) == 0.0
-    assert model.rebalance(0.5, 0.7, 1.0, 1.0, 0.0, inf, 0.0) == 1.0
-    # balanced devices, no queues: keep an even division
-    even = model.rebalance(0.5, 0.5, 1.0, 1.0, 0.0, 0.0, 0.0)
-    assert even == pytest.approx(0.5)
-    # a loaded CPU pushes work to the GPU
-    loaded = model.rebalance(0.5, 0.5, 1.0, 1.0, 0.0, 1.0, 0.0)
-    assert loaded > even
 
 
 class _StubResilience:
@@ -585,10 +540,9 @@ def test_metrics_split_summary():
     summary = metrics.split_summary()
     assert summary["split_operators"] == 0
     assert summary["split_mean_chosen_ratio"] == 0
-    for degraded, chosen, realized, rebalances, gpu, cpu in (
-            (False, 0.6, 0.4, 2, 1.0, 2.0), (True, 0.2, 0.0, 0, 0.0, 3.0)):
+    for degraded, chosen, realized, gpu, cpu in (
+            (False, 0.6, 0.4, 1.0, 2.0), (True, 0.2, 0.0, 0.0, 3.0)):
         metrics.count("split_operators", degraded=degraded)
-        metrics.count("split_rebalances", rebalances)
         metrics.count("split_chosen_ratio", chosen)
         metrics.count("split_realized_ratio", realized)
         metrics.count("split_gpu_seconds", gpu)
@@ -599,7 +553,6 @@ def test_metrics_split_summary():
     assert summary["split_operators"] == 2
     assert summary["split_mean_chosen_ratio"] == pytest.approx(0.4)
     assert summary["split_mean_realized_ratio"] == pytest.approx(0.2)
-    assert summary["split_rebalances"] == 2
     assert summary["split_degrades"] == 1
     assert summary["split_declines"] == 1
     assert summary["split_gpu_seconds"] == pytest.approx(1.0)
@@ -630,7 +583,7 @@ def test_cli_split_report(capsys):
 def test_cli_coupled_implies_split(capsys):
     code = main([
         "run", "--scale-factor", "1", "--repetitions", "1",
-        "--strategy", "runtime", "--coupled", "--split-rounds", "2",
+        "--strategy", "runtime", "--coupled",
     ])
     assert code == 0
     assert "split execution" in capsys.readouterr().out

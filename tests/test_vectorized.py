@@ -156,7 +156,7 @@ class TestVectorizedExecution:
     def test_streaming_avoids_column_staging(self, toy_db):
         """Vectors stream: uncached inputs never occupy the heap."""
         env, hw, ctx = make_context(toy_db)  # cold cache
-        executor = VectorizedExecutor(ctx, RuntimeHype(), allow_split=False)
+        executor = VectorizedExecutor(ctx, RuntimeHype())
         peaks = []
         original = hw.gpu_heap.allocate
 
@@ -231,7 +231,7 @@ class TestVectorizedExecution:
         env, hw, ctx = make_context(toy_db)
         for column in toy_db.columns():
             hw.gpu_cache.admit(column.key, column.nominal_bytes, pinned=True)
-        executor = VectorizedExecutor(ctx, RuntimeHype(), allow_split=True)
+        executor = VectorizedExecutor(ctx, RuntimeHype())
         process = executor.submit(make_plan(toy_db))
         env.run()
         busy = hw.metrics.busy_seconds
