@@ -37,7 +37,7 @@ from repro.engine.execution.lifecycle import (
 )
 from repro.engine.execution.operator_task import execute_operator
 from repro.engine.operators import PhysicalOperator, PhysicalPlan
-from repro.sim import Event, Interrupted, PriorityStore, Store
+from repro.sim import Event, Interrupted, Store
 
 
 class _Task:
@@ -102,13 +102,11 @@ class _HedgeRace:
         self.watchdog = None
 
 
-def check_pool_arguments(scheduling: str, *workers: int) -> None:
-    """Reject worker counts and ready-queue disciplines the executor
-    cannot run (``run_workload`` asks before it builds a platform)."""
+def check_pool_arguments(*workers: int) -> None:
+    """Reject worker counts the executor cannot run (``run_workload``
+    asks before it builds a platform)."""
     if min(workers) < 1:
         raise ValueError("worker pools need at least one thread")
-    if scheduling not in ("fifo", "sjf"):
-        raise ValueError("scheduling must be 'fifo' or 'sjf'")
 
 
 class ChoppingExecutor:
@@ -116,8 +114,8 @@ class ChoppingExecutor:
 
     def __init__(self, ctx: ExecutionContext, strategy,
                  cpu_workers: int = 4, gpu_workers: int = 2,
-                 scheduling: str = "fifo", lifecycle=None):
-        check_pool_arguments(scheduling, cpu_workers, gpu_workers)
+                 lifecycle=None):
+        check_pool_arguments(cpu_workers, gpu_workers)
         self.ctx = ctx
         self.strategy = strategy
         self.cpu_workers = cpu_workers
@@ -125,18 +123,14 @@ class ChoppingExecutor:
         #: query-lifecycle config (hedging knobs); None = layer off
         self.lifecycle = lifecycle
         self._hedging = lifecycle is not None and lifecycle.hedging_enabled
-        #: ready-queue discipline: FIFO (the paper's thread pool) or
-        #: shortest-job-first by HyPE's runtime estimate
-        self.scheduling = scheduling
         env = ctx.env
-        store_class = Store if scheduling == "fifo" else PriorityStore
-        #: per-processor ready queues fed by the global operator stream
-        #: (one queue and one worker pool per co-processor)
-        self.ready: Dict[str, Store] = {"cpu": store_class(env)}
+        #: per-processor FIFO ready queues fed by the global operator
+        #: stream (one queue and one worker pool per co-processor)
+        self.ready: Dict[str, Store] = {"cpu": Store(env)}
         for _ in range(cpu_workers):
             env.process(self._worker("cpu"))
         for name in ctx.hardware.gpu_names:
-            self.ready[name] = store_class(env)
+            self.ready[name] = Store(env)
             for _ in range(gpu_workers):
                 env.process(self._worker(name))
 
@@ -184,7 +178,7 @@ class ChoppingExecutor:
             return
         name, task.estimate, task.input_bytes = place_operator(
             task.ctx, self.strategy, task.op, task.child_results, task.qctx)
-        self.ready[name].put(task, priority=task.estimate)
+        self.ready[name].put(task)
 
     def _worker(self, name: str) -> Generator:
         """One worker thread: pull, execute, notify the parent."""
@@ -308,7 +302,7 @@ class ChoppingExecutor:
                                       task.input_bytes)
         race.estimates["cpu"] = cpu_estimate
         self.ctx.metrics.count("hedges_started")
-        self.ready["cpu"].put(task, priority=cpu_estimate)
+        self.ready["cpu"].put(task)
 
     def _complete(self, task: _Task, result) -> Generator:
         """Return the root result (d2h) or notify the parent task."""

@@ -115,11 +115,10 @@ def _try_gpu(ctx, device, op, child_results, input_bytes, admit_to_cache,
     gpu = device.processor
     link = ctx.bus
     start = env.now
-    #: with overlap, copies run as background processes overlapping the
-    #: kernel; the operator completes once both its compute and its
-    #: transfers have finished
-    lease = DeviceLease(ctx, device, op.label,
-                        ctx.hardware.overlap_transfers)
+    #: on the async link copies run as background processes overlapping
+    #: the kernel (Sec. 5.5); the operator completes once both its
+    #: compute and its transfers have finished
+    lease = DeviceLease(ctx, device, op.label, link.asynchronous)
     try:
         # 1. Stage base columns.
         for key in op.column_keys():

@@ -193,9 +193,6 @@ class SplitState:
                           "identity_gate" if op.plan_name in self.ungated
                           else "ungated_plan")
             return None
-        if qctx.force_cpu:
-            self._decline(ctx, "force_cpu")
-            return None
         if not ctx.resilience.available(device.name, env.now):
             self._decline(ctx, "breaker_open")
             return None

@@ -38,13 +38,9 @@ class SystemConfig:
     #: effective PCIe bandwidth and latency (page-locked, async streams)
     pcie_bandwidth_bytes_per_second: float = 2.4 * GIB
     pcie_latency_seconds: float = 15e-6
-    #: overlap input transfers with kernel execution (the
-    #: vector-at-a-time optimization of Sec. 5.5: "overlap data
-    #: transfer and computation on the co-processor"); CoGaDB's
-    #: operator-at-a-time engine stages first, so the default is off
-    streaming_transfers: bool = False
     #: PCIe link topology (repro.hardware.copy_engine).  True = async:
-    #: independent h2d/d2h DMA channels per device, in-flight transfer
+    #: independent h2d/d2h DMA channels per device, operator staging
+    #: overlapped with the kernel (Sec. 5.5), in-flight transfer
     #: coalescing, double-buffered vector streaming, and
     #: placement-driven prefetch.  False (default) = serialized: one
     #: blocking channel for everything, the paper-faithful baseline.
@@ -139,12 +135,6 @@ class HardwareSystem:
             busy_probe=self._device_computing,
             topology=ASYNC if self.config.copy_engine else SERIALIZED,
         )
-        #: staging copies run in the background and are joined after
-        #: the kernel.  The async topology always overlaps (that is
-        #: what its channels are for); ``streaming_transfers`` opts the
-        #: serialized link into the same shape (Sec. 5.5)
-        self.overlap_transfers = (self.config.streaming_transfers
-                                  or self.config.copy_engine)
         self.gpus = []
         for index in range(self.config.gpu_count):
             name = "gpu" if index == 0 else "gpu{}".format(index + 1)

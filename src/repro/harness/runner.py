@@ -156,7 +156,7 @@ class QueryDriver:
 
     def __init__(self, ctx: ExecutionContext, strategy: PlacementStrategy,
                  lifecycle: Optional[LifecycleConfig],
-                 processing_model: str = "operator", **pools):
+                 processing_model: str = "operator", gpu_workers: int = 2):
         self.ctx = ctx
         self.env = ctx.env
         self.metrics = ctx.metrics
@@ -171,7 +171,8 @@ class QueryDriver:
             self.submit = VectorizedExecutor(ctx, strategy).submit
         elif strategy.executor == "chopping":
             self.submit = ChoppingExecutor(
-                ctx, strategy, lifecycle=lifecycle, **pools).submit
+                ctx, strategy, gpu_workers=gpu_workers,
+                lifecycle=lifecycle).submit
         else:
             self.submit = lambda plan, qctx, run_ctx: run_plan_eager(
                 run_ctx, plan, strategy, qctx)
@@ -252,7 +253,6 @@ def run_workload(
     warm_cache: bool = True,
     placement_policy: str = "lfu",
     gpu_workers: int = 2,
-    scheduling: str = "fifo",
     processing_model: str = "operator",
     collect_results: bool = False,
     trace: bool = False,
@@ -289,7 +289,7 @@ def run_workload(
         raise ValueError(
             "processing_model must be 'operator' or 'vectorized'"
         )
-    check_pool_arguments(scheduling, gpu_workers)
+    check_pool_arguments(gpu_workers)
     config = config if config is not None else SystemConfig()
     lifecycle_config = LifecycleConfig.coerce(lifecycle)
     if lifecycle_config is not None and not lifecycle_config.enabled:
@@ -314,7 +314,7 @@ def run_workload(
 
     driver = QueryDriver(
         ctx, strategy_obj, lifecycle_config, processing_model,
-        gpu_workers=gpu_workers, scheduling=scheduling)
+        gpu_workers=gpu_workers)
     admission = None
     if strategy_obj.admission_limit is not None:
         admission = Resource(env, capacity=strategy_obj.admission_limit)

@@ -26,14 +26,13 @@ reproducible.
 
 from repro.sim.events import AllOf, Event, Interrupted, Process, Timeout
 from repro.sim.environment import Environment
-from repro.sim.resources import PriorityStore, Resource, Store
+from repro.sim.resources import Resource, Store
 
 __all__ = [
     "AllOf",
     "Environment",
     "Event",
     "Interrupted",
-    "PriorityStore",
     "Process",
     "Resource",
     "Store",

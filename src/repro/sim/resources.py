@@ -9,8 +9,7 @@ ready queues of the query-chopping executor.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
-from typing import Any, Deque, List, Optional
+from typing import Any, Deque, List
 
 from repro.sim.events import Event
 
@@ -82,63 +81,6 @@ class Resource:
             self._in_use -= 1
 
 
-class PriorityStore:
-    """An unbounded store delivering the lowest-priority item first.
-
-    Ties break in insertion order, so it degenerates to a FIFO when all
-    priorities are equal.  Used by the query-chopping executor's
-    shortest-job-first ready-queue variant.
-    """
-
-    __slots__ = ("env", "_heap", "_seq", "_getters", "_sorted_view")
-
-    def __init__(self, env):
-        self.env = env
-        self._heap: List = []
-        self._seq = 0
-        self._getters: Deque[Event] = deque()
-        #: memoised delivery-order snapshot; invalidated on put/get so
-        #: repeated inspection (scheduling heuristics, traces) does not
-        #: re-sort the whole heap on every call
-        self._sorted_view: Optional[List[Any]] = None
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def items(self) -> List[Any]:
-        """Snapshot of queued items in delivery order.
-
-        The sorted view is computed lazily and cached until the next
-        ``put``/``get`` — inspecting an unchanged store is O(1) instead
-        of O(n log n) per call.
-        """
-        if self._sorted_view is None:
-            self._sorted_view = [item for _, _, item in sorted(self._heap)]
-        return list(self._sorted_view)
-
-    def put(self, item: Any, priority: float = 0.0) -> None:
-        """Queue ``item``; wakes the oldest waiting consumer, if any."""
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            return
-        self._seq += 1
-        heappush(self._heap, (priority, self._seq, item))
-        self._sorted_view = None
-
-    def get(self) -> Event:
-        """Event that succeeds with the lowest-priority item."""
-        event = Event(self.env)
-        if self._heap:
-            _, _, item = heappop(self._heap)
-            self._sorted_view = None
-            event.succeed(item)
-        else:
-            self._getters.append(event)
-        return event
-
-
 class Store:
     """An unbounded FIFO store with blocking ``get``."""
 
@@ -157,13 +99,8 @@ class Store:
         """Snapshot of the queued items (oldest first)."""
         return list(self._items)
 
-    def put(self, item: Any, priority: float = 0.0) -> None:
-        """Add ``item``; wakes the oldest waiting consumer, if any.
-
-        ``priority`` is accepted (and ignored) so FIFO and priority
-        stores are call-compatible.
-        """
-        del priority
+    def put(self, item: Any) -> None:
+        """Add ``item``; wakes the oldest waiting consumer, if any."""
         if self._getters:
             getter = self._getters.popleft()
             getter.succeed(item)

@@ -5,9 +5,14 @@ tests: a CLI flag (its ``dest``), a call site under ``src/`` or
 ``benchmarks/`` that passes it by keyword, or a ``--faults`` spec
 string.  A field with none of these is set only by the tests that check
 the knob itself, and it doubles the configuration lattice for nothing.
-The two fields no program sets are listed with the golden or
-ablation test that moves a number with them.  Adding a field without
-an entry here fails tier-1.
+The one field no program sets is listed with the golden test that
+moves a number with it.  Adding a field without an entry here fails
+tier-1.
+
+``run_workload``'s keyword parameters are locked the same way: each
+maps to a CLI flag its ``run_workload`` call reads, a ``src/`` or
+``benchmarks/`` call of ``run_workload`` that passes it, or the one
+test that needs it.
 
 ``python tests/test_config_fields.py`` prints the table (class, field,
 default, caller).
@@ -15,6 +20,7 @@ default, caller).
 
 import ast
 import dataclasses
+import inspect
 import os
 
 import pytest
@@ -23,12 +29,14 @@ from repro.cli import build_parser
 from repro.engine.execution import LifecycleConfig
 from repro.faults import FaultConfig
 from repro.hardware import SystemConfig
+from repro.harness import run_workload
 from repro.harness.service import ServiceConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLI = os.path.join("src", "repro", "cli.py")
 SYSTEM = os.path.join("src", "repro", "hardware", "system.py")
 EXPERIMENTS = os.path.join("src", "repro", "harness", "experiments.py")
+PARALLEL = os.path.join("src", "repro", "harness", "parallel.py")
 
 
 def _flags(**dests):
@@ -49,9 +57,6 @@ CALLERS = {
         "coupled": ("call", SYSTEM),
         # App. A's engine comparison
         "profile": ("call", EXPERIMENTS),
-        "streaming_transfers": (
-            "test", "tests/test_streaming.py::"
-                    "test_ablation_staged_vs_streaming_transfers"),
     },
     FaultConfig: {
         field.name: ("spec", "{}={}".format(
@@ -80,6 +85,34 @@ CALLERS = {
 ROWS = [(cls, field, CALLERS[cls].get(field.name))
         for cls in CALLERS for field in dataclasses.fields(cls)]
 
+#: run_workload keyword -> (kind, where), kinds as in CALLERS; "test"
+#: names the one test that passes the keyword
+RUN_WORKLOAD = {
+    **_flags(users="users", repetitions="repetitions", warm_cache="cold",
+             trace="trace"),
+    "config": ("call", PARALLEL),
+    "placement_policy": ("call", PARALLEL),
+    "validate": ("call", PARALLEL),
+    "faults": ("call", PARALLEL),
+    "lifecycle": ("call", PARALLEL),
+    # repro query
+    "collect_results": ("call", CLI),
+    # the paper's worker-width ablation
+    "gpu_workers": (
+        "test", "tests/test_chopping.py::test_ablation_gpu_worker_pool_width"),
+    # the vectorized extension (Sec. 5.5)
+    "processing_model": (
+        "test", "tests/test_vectorized.py::"
+                "test_extension_operator_vs_vector_at_a_time"),
+    "algorithm_selection": (
+        "test", "tests/test_algorithm_selection.py::"
+                "test_ablation_algorithm_selection_on_and_off"),
+}
+
+KEYWORDS = [name for name, parameter
+            in inspect.signature(run_workload).parameters.items()
+            if parameter.default is not inspect.Parameter.empty]
+
 
 def _tree(path):
     with open(os.path.join(ROOT, path)) as handle:
@@ -90,6 +123,14 @@ def _keywords(tree, name):
     """Every ``name=`` keyword argument of a call in ``tree``."""
     return [keyword for node in ast.walk(tree)
             if isinstance(node, ast.Call)
+            for keyword in node.keywords if keyword.arg == name]
+
+
+def _run_workload_keywords(tree, name):
+    """Every ``name=`` keyword argument of a ``run_workload`` call."""
+    return [keyword for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "run_workload"
             for keyword in node.keywords if keyword.arg == name]
 
 
@@ -115,7 +156,7 @@ def test_every_field_is_listed():
 def test_field_counts():
     assert {cls.__name__: len(dataclasses.fields(cls)) for cls in CALLERS} \
         == {"FaultConfig": 17, "LifecycleConfig": 4, "ServiceConfig": 14,
-            "SystemConfig": 11}
+            "SystemConfig": 10}
 
 
 @pytest.mark.parametrize(
@@ -146,6 +187,30 @@ def test_field_has_its_caller(cls, field, caller):
         assert _keywords(module, field.name)
 
 
+def test_every_run_workload_keyword_is_listed():
+    assert sorted(RUN_WORKLOAD) == sorted(KEYWORDS)
+
+
+@pytest.mark.parametrize("keyword", KEYWORDS)
+def test_run_workload_keyword_has_its_caller(keyword):
+    kind, where = RUN_WORKLOAD[keyword]
+    if kind == "flag":
+        assert where in _declared_dests()
+        assert any(_reads_args(node.value, where) for node in
+                   _run_workload_keywords(_tree(CLI), keyword))
+    elif kind == "call":
+        assert where.startswith(("src", "benchmarks"))
+        assert _run_workload_keywords(_tree(where), keyword)
+    else:
+        assert kind == "test"
+        path, name = where.split("::")
+        test = next((node for node in ast.walk(_tree(path))
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name == name), None)
+        assert test is not None, "no test {}".format(where)
+        assert _run_workload_keywords(test, keyword)
+
+
 def table():
     lines = ["{:16s} {:32s} {:24s} {}".format(
         "class", "field", "default", "caller")]
@@ -159,6 +224,10 @@ def table():
             cls.__name__, field.name, text,
             "{} {}".format(*caller) if caller else "-"))
     lines.append("{} fields".format(len(ROWS)))
+    for keyword in KEYWORDS:
+        lines.append("{:16s} {:32s} {:24s} {} {}".format(
+            "run_workload", keyword, "", *RUN_WORKLOAD[keyword]))
+    lines.append("{} run_workload keywords".format(len(KEYWORDS)))
     return "\n".join(lines)
 
 

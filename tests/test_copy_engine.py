@@ -326,15 +326,12 @@ def test_engine_results_identical_to_baseline(overlap_db):
 
 def test_engine_knobs_inert_when_disabled(overlap_db):
     """The serialized link coalesces, prefetches and classifies
-    nothing; overlapped staging on it is still not "the engine"."""
-    plain = _run(overlap_db, SystemConfig())
-    streaming = _run(overlap_db, SystemConfig(streaming_transfers=True))
-    for run in (plain, streaming):
-        metrics = run.metrics
-        assert metrics.coalesced_transfers == 0
-        assert metrics.prefetch_transfers == 0
-        assert metrics.prefetch_hits == 0
-        assert metrics.overlapped_transfer_seconds == 0.0
+    nothing."""
+    metrics = _run(overlap_db, SystemConfig()).metrics
+    assert metrics.coalesced_transfers == 0
+    assert metrics.prefetch_transfers == 0
+    assert metrics.prefetch_hits == 0
+    assert metrics.overlapped_transfer_seconds == 0.0
 
 
 def test_engine_deterministic_under_faults(overlap_db):

@@ -519,14 +519,17 @@ class TestHeartbeatCadence:
         watchdog never had to ask the CPU clock for a second opinion."""
         from time import perf_counter
 
-        heartbeat = 0.15
-        db = ssb.generate(scale_factor=1.0, data_scale=0.15, seed=17)
+        # the worker beats every heartbeat / 4 = 0.1 s, so a gap has to
+        # outlast four beats to count; on a 2-core host, idle or running
+        # a second test suite, no gap exceeded 0.13 s
+        heartbeat = 0.4
+        db = ssb.generate(scale_factor=1.0, data_scale=0.12, seed=17)
         queries = [query for query in ssb.workload(db)
-                   if query.name == "Q2.1"]
+                   if query.name == "Q3.1"]
         reference = _reference(db, queries)
-        # 900,000 morsels in the one chunk: its joins are one kernel
-        # call, and the chunk lasts by its 7,629 batches of one output
-        # row each
+        # 720,000 morsels in the one chunk: its joins are one kernel
+        # call, and the chunk lasts by its 25,859 batches of one output
+        # row each (2.8-3.1 s, against the 1.2 s the premise needs)
         with morsel_rows(1):
             with MorselPool(db, queries, jobs=1,
                             heartbeat_seconds=heartbeat) as pool:

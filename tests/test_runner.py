@@ -129,8 +129,8 @@ def test_invalid_arguments_rejected(toy_db):
 
 
 @pytest.mark.parametrize("bad", [
-    dict(processing_model="quantum"), dict(scheduling="lifo"),
-    dict(users=0), dict(gpu_workers=0),
+    dict(processing_model="quantum"), dict(users=0), dict(gpu_workers=0),
+    dict(repetitions=0),
 ])
 def test_arguments_are_checked_before_a_platform_is_built(
         toy_db, monkeypatch, bad):

@@ -45,7 +45,7 @@ from repro.hardware.calibration import GIB
 from repro.hype.load import LoadTracker
 from repro.hype.models import SplitCostModel
 from repro.metrics import MetricsCollector
-from repro.workloads import ssb, sql_workload
+from repro.workloads import ssb, sql_workload, tpch
 
 from tests.conftest import make_context, morsel_rows
 
@@ -272,6 +272,79 @@ def test_split_declines_when_breaker_open(ssb_db):
                      strategy="gpu_only")
     assert run.metrics.total("split_declines", reason="breaker_open") > 0
     assert run.metrics.total("split_operators", degraded=True) > 0
+
+
+def _validated_run(monkeypatch, db, queries, strategy, config, **kwargs):
+    """A validated ``run_workload`` and the platform it ran on."""
+    from repro.harness import runner
+
+    built = []
+    build = runner.build_platform
+
+    def capture(*args, **build_kwargs):
+        built.append(build(*args, **build_kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(runner, "build_platform", capture)
+    run = run_workload(db, queries, strategy, config=config, validate=True,
+                       **kwargs)
+    return run, built[0]
+
+
+def _heaps_empty(ctx):
+    return all(gpu.heap.used == 0 and not gpu.heap.live_allocations
+               for gpu in ctx.hardware.gpus)
+
+
+def test_split_declines_at_the_ratio_ceiling(tpch_db, monkeypatch):
+    """A GPU share above 1 - MIN_SHARE runs the pure placement instead.
+    On the coupled preset with a warm cache nothing crosses a bus, and
+    HyPE's linear fit of the GPU selection extrapolates to zero seconds
+    at TPC-H's smaller fact scans, so r* = 1 there."""
+    run, ctx = _validated_run(monkeypatch, tpch_db, tpch.workload(tpch_db),
+                              "gpu_only", SystemConfig.coupled_gpu(),
+                              repetitions=2)
+    assert run.metrics.total("split_declines", reason="ratio_ceiling") > 0
+    assert run.metrics.total("split_operators") > 0
+    assert _heaps_empty(ctx)
+
+
+@pytest.mark.parametrize("faults", ["pcie=0.3,seed=1", "heap=0.3,seed=1"])
+def test_failed_staging_degrades_the_split_to_pure_cpu(ssb_db, monkeypatch,
+                                                       faults):
+    """A transfer or heap fault while the GPU share stages wastes the
+    staging time and leaves the whole operator to the CPU share.  No
+    kernel fault is injected, so every degrade here is a staging one."""
+    run, ctx = _validated_run(monkeypatch, ssb_db, ssb.workload(ssb_db),
+                              "runtime", SystemConfig(split=True),
+                              faults=faults, repetitions=2)
+    assert set(run.fault_classes) == {faults.split("=")[0]}
+    assert run.metrics.total("split_operators", degraded=True) > 0
+    assert run.metrics.total("split_wasted_seconds") > 0
+    assert _heaps_empty(ctx)
+
+
+def test_a_query_degraded_to_the_cpu_never_splits(ssb_db, monkeypatch):
+    """Admission's degrade-to-cpu policy bars a query from the
+    co-processors: placement sends every operator of it to the CPU, so
+    none reaches the split, while the queries admitted normally do."""
+    calls = []
+    try_split = SplitState.try_split
+
+    def spy(self, ctx, device, op, child_results, input_bytes, qctx):
+        calls.append(qctx.force_cpu)
+        return try_split(self, ctx, device, op, child_results, input_bytes,
+                         qctx)
+
+    monkeypatch.setattr(SplitState, "try_split", spy)
+    run, ctx = _validated_run(
+        monkeypatch, ssb_db, ssb.workload(ssb_db), "runtime",
+        SystemConfig(split=True), users=4,
+        lifecycle="max_inflight=1,policy=degrade-to-cpu")
+    assert run.metrics.total("degraded") > 0
+    assert run.metrics.total("split_operators") > 0
+    assert calls and not any(calls)
+    assert _heaps_empty(ctx)
 
 
 def _manual_split(db, config):

@@ -1,7 +1,7 @@
 """Golden identity matrix for the transfer model and the attempt loop.
 
-{operator, vectorized} x {serialized, serialized + streaming_transfers,
-async} x {no faults, pcie/kernel/heap faults} on a small 2-GPU SSB run.
+{operator, vectorized} x {serialized, async} x {no faults,
+pcie/kernel/heap faults} on a small 2-GPU SSB run.
 The simulated numbers in ``tests/golden/transfer_matrix.json`` were
 recorded at the commit *before* ``PCIeBus`` was folded into
 ``CopyEngine`` and the retry loops into ``ResilienceManager``; every
@@ -26,7 +26,6 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
 FAULTS = "pcie=0.05,kernel=0.03,heap=0.03,seed=7"
 LINKS = {
     "serialized": {},
-    "serialized+streaming": {"streaming_transfers": True},
     "async": {"copy_engine": True},
 }
 #: (device memory, column cache) per processing model, sized so that
