@@ -246,11 +246,16 @@ def _pool_worker_main(index: int, manifest, workload,
     injected hang freezes *both* — it models a fully stuck process — so
     the parent's watchdog still fires.
     """
+    import gc
     import threading
     import time
 
     from repro.engine import morsel
 
+    # the heap inherited at fork is the parent's: a full collection
+    # would walk all of it holding the GIL, and neither the heartbeater
+    # nor the compute loop could beat meanwhile
+    gc.freeze()
     shm.forget_exports()  # fork-inherited exports belong to the parent
     database = None
     try:

@@ -543,6 +543,44 @@ class TestHeartbeatCadence:
                 assert pool.counters["hang_cpu_grants"] == 0
                 assert pool.fallbacks == 0
 
+    def test_a_large_parent_heap_does_not_silence_the_beats(self):
+        """A worker forked from a process holding a large heap inherits
+        it.  Were the worker's collector to walk that heap, the
+        collection would hold the GIL past the heartbeat deadline and
+        the watchdog would have to ask the CPU clock for a second
+        opinion (a ``hang_cpu_grants``).  The worker freezes what it
+        inherits, so its collections walk only its own objects."""
+        import gc
+
+        db = ssb.generate(scale_factor=1.0, data_scale=0.01, seed=17)
+        queries = [query for query in ssb.workload(db)
+                   if query.name == "Q2.1"]
+        reference = _reference(db, queries)
+        thresholds = gc.get_threshold()
+        # two million container objects, still young at the fork (built
+        # with the collector paused, after a full collection), and a
+        # middle generation collected every third young collection: the
+        # worker's first middle collection, during its chunk, would
+        # walk all of them (0.3 s on a 2-core host)
+        gc.collect()
+        gc.disable()
+        try:
+            heap = [(i, []) for i in range(1_000_000)]
+        finally:
+            gc.enable()
+        gc.set_threshold(thresholds[0], 3, thresholds[2])
+        try:
+            with morsel_rows(1):
+                with MorselPool(db, queries, jobs=1,
+                                heartbeat_seconds=0.2) as pool:
+                    pool.warm()
+                    assert _pool_rows(pool.run_queries()) == reference
+                    assert pool.counters["worker_hangs"] == 0
+                    assert pool.counters["hang_cpu_grants"] == 0
+        finally:
+            gc.set_threshold(*thresholds)
+        assert len(heap) == 1_000_000
+
 
 # ---------------------------------------------------------------------------
 # Compensated float partials: byte identity or pinned fallback
