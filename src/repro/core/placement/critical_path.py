@@ -50,7 +50,7 @@ class CriticalPath(PlacementStrategy):
         estimate = ctx.cost_model.estimate
         transfer_time = ctx.hardware.bus.transfer_time
         column = ctx.database.column
-        gpu_cache = ctx.gpu_cache
+        gpu_cache = ctx.hardware.gpu_cache
         cpu_seconds: List[float] = []
         gpu_seconds: List[float] = []
         #: PCIe seconds for the base columns missing from the GPU cache

@@ -68,14 +68,6 @@ class ExecutionContext:
         return fork
 
     @property
-    def gpu_cache(self):
-        return self.hardware.gpu_cache
-
-    @property
-    def gpu_heap(self):
-        return self.hardware.gpu_heap
-
-    @property
     def bus(self):
         return self.hardware.bus
 

@@ -1,14 +1,11 @@
 """Everything one device attempt holds, and the one way to give it back.
 
-The paper's robustness contract is a single protocol (Sec. 2.5.1, 4.1):
-stage inputs, allocate, compute, keep the result resident — and on any
-device failure roll *everything* back and restart on the CPU.  A
-:class:`DeviceLease` owns the device state of one such attempt and
-defines the cache-hit protocol, the cache-miss protocol and the rollback
-once.  The executors keep the *order* of its primitives, because the
-order decides when an out-of-memory abort fires and which seeded
-fault-injection roll a ``heap.allocate`` / ``transfer`` / ``submit``
-consumes (docs/robustness.md lists who calls what).
+A :class:`DeviceLease` owns the device state of one
+:func:`~repro.engine.execution.operator_task.device_attempt` and
+defines the cache-hit protocol, the cache-miss protocol and the
+rollback once; the attempt keeps the *order* of its primitives, which
+decides when an out-of-memory abort fires and which seeded fault roll
+each consumes (docs/robustness.md).
 """
 
 from __future__ import annotations
@@ -108,6 +105,7 @@ class DeviceLease:
         fault of a copy that died."""
         for transfer in self.inflight:
             yield transfer
+        self.inflight.clear()
 
     def stage(self, nbytes: int) -> None:
         """Heap staging area for an input (zero bytes included: every

@@ -25,8 +25,10 @@ count against a breaker: a full heap is the *allocator working as
 specified* under contention (the paper's core effect), not flakiness.
 
 Both mechanisms live in one loop, :meth:`ResilienceManager.attempts`,
-which every executor's device attempt runs under; an attempt that dies
-books its wasted time through :func:`account_abort`.
+which runs the one device attempt of an operator or a pipeline (a split
+share books its breaker outcome itself); an attempt that dies books its
+wasted time through
+:func:`~repro.engine.execution.operator_task.account_abort`.
 
 With no fault config installed the manager is inert: ``admit`` and
 ``available`` answer True without touching any state, the recording
@@ -89,24 +91,13 @@ class CircuitBreaker:
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
         self.opened_at = 0.0
-        #: accumulated seconds of *completed* OPEN episodes
-        self.open_seconds_total = 0.0
         self._probe_budget = 0
 
     def _transition(self, new_state: BreakerState, now: float) -> None:
         old = self.state
-        if old is BreakerState.OPEN and new_state is not BreakerState.OPEN:
-            self.open_seconds_total += now - self.opened_at
         self.state = new_state
         if self.on_transition is not None:
             self.on_transition(self.device, old.value, new_state.value, now)
-
-    def open_elapsed_seconds(self, now: float) -> float:
-        """Total simulated time this breaker has spent OPEN so far."""
-        elapsed = self.open_seconds_total
-        if self.state is BreakerState.OPEN:
-            elapsed += now - self.opened_at
-        return elapsed
 
     def _maybe_half_open(self, now: float) -> None:
         if (self.state is BreakerState.OPEN
@@ -209,13 +200,6 @@ class ResilienceManager:
         """Current state per device (devices never attempted omitted)."""
         return {name: b.state.value for name, b in self._breakers.items()}
 
-    def breaker_open_seconds(self, now: float) -> Dict[str, float]:
-        """Time-spent-open per device (live view at time ``now``)."""
-        return {
-            name: breaker.open_elapsed_seconds(now)
-            for name, breaker in self._breakers.items()
-        }
-
     # -- placement hooks ---------------------------------------------------
 
     def available(self, device: str, now: float) -> bool:
@@ -255,12 +239,12 @@ class ResilienceManager:
 
         ``attempt(*args)`` starts one attempt — a generator returning
         the result, or the :class:`DeviceFault` it aborted with after
-        rolling the device back and booking the abort
-        (:func:`account_abort`).  Returns the result on success, or None
-        once the work must restart on the CPU: after a genuine
-        out-of-memory abort (retrying a full heap is pointless,
-        Sec. 2.5.1), after exhausting the transient-fault retry budget,
-        or when the device's breaker denies the attempt outright.
+        rolling the device back and booking the abort.  Returns the
+        result on success, or None once the work must restart on the
+        CPU: after a genuine out-of-memory abort (retrying a full heap
+        is pointless, Sec. 2.5.1), after exhausting the transient-fault
+        retry budget, or when the device's breaker denies the attempt
+        outright.
         """
         retry = 0
         while True:
@@ -303,29 +287,9 @@ class ResilienceManager:
         qctx.check()
 
 
-def account_abort(ctx, op, device: str, fault: DeviceFault, start: float,
-                  qctx) -> float:
-    """Book one aborted device attempt of ``op``: the time since
-    ``start`` is wasted (the paper's metric, Sec. 2.5.1), attributed to
-    the query, the faulting device, the fault class and the owning
-    tenant, and shown on the trace as an aborted span of ``device``.
-    Returns the wasted seconds."""
-    now = ctx.env.now
-    wasted = now - start
-    ctx.metrics.record_abort(wasted, query=op.plan_name,
-                             device=fault.device or device,
-                             fault=fault.fault_class,
-                             tenant=qctx.tenant)
-    if ctx.trace is not None:
-        ctx.trace.record(op.label, op.kind, device, op.plan_name,
-                         start, now, aborted=True, fault=fault.fault_class)
-    return wasted
-
-
 __all__ = [
     "BreakerState",
     "CircuitBreaker",
     "ResilienceManager",
     "RetryPolicy",
-    "account_abort",
 ]

@@ -1,48 +1,35 @@
 """Intra-operator co-processing: split one operator across CPU + GPU.
 
-Placement in this system is all-or-nothing per operator, and hedging
-(PR5) buys robustness by running *redundant* copies.  "Revisiting
-Co-Processing for Hash Joins on the Coupled CPU-GPU Architecture"
-(arXiv 1307.1955) shows a third point in the design space: divide one
-operator's work between the processors by a *ratio*, so both devices
-contribute and neither the GPU's heap ceiling nor the CPU's throughput
-floor caps the operator alone.
-
-This module implements that split over the morsel substrate of
+Placement is all-or-nothing per operator, and hedging buys robustness
+with *redundant* copies.  arXiv 1307.1955 ("Revisiting Co-Processing
+for Hash Joins on the Coupled CPU-GPU Architecture") shows a third
+point: divide one operator's work between the processors by a
+*ratio*, so neither the GPU's heap ceiling nor the CPU's throughput
+floor caps it alone.  Over the morsel substrate of
 :mod:`repro.engine.morsel`:
 
 * **Identity gate first.**  At warm-up, :meth:`SplitState.prepare`
-  executes every query's fused pipeline as *two* chunk schedules (an
-  even split and an uneven three-way split), merges the partials at
-  the breaker exactly as the morsel pool does, and compares the result
-  byte-for-byte against the operator path.  Only plans that
-  pass may split; everything else declines silently (reason-counted)
-  and runs on the ordinary pure placement — the same contract every
-  prior layer honours.
+  runs every query's fused pipeline as two chunk schedules (an even
+  and an uneven three-way split), merges the partials at the breaker
+  as the morsel pool does, and compares the result byte for byte with
+  the operator path.  Other plans decline (reason-counted) and run on
+  the pure placement.
 * **Ratio from HyPE.**  :class:`~repro.hype.models.SplitCostModel`
-  picks the GPU work fraction ``r* = t_c / (t_c + t_g + t_x)`` from
-  the learned per-device runtimes and the PCIe transfer time of the
-  operator's input, blended with the placement strategy's
-  ``ratio_hint`` (fraction of inputs already device-resident).  On a
-  coupled system (``SystemConfig.coupled``) ``t_x`` is zero and the
-  ratio shifts toward the GPU — the paper's headline effect.
-* **One round.**  The CPU share and the GPU share are submitted once,
-  concurrently; the operator finishes when the slower side does.
-* **Graceful degradation.**  A device fault wastes the GPU share
-  (recorded as split wasted work), and that share then runs on the
-  CPU after the CPU share.  An open circuit breaker declines the
-  split up front; cancellation unwinds both halves through the
-  ``finally`` rollback, leaving no residue.
+  picks the GPU fraction ``r* = t_c / (t_c + t_g + t_x)`` from the
+  learned runtimes and the PCIe time of the operator's input, blended
+  with the strategy's ``ratio_hint``.  On a coupled system ``t_x`` is
+  zero and the ratio shifts toward the GPU.
+* **The one device attempt with a share.**  The GPU share ``r`` and
+  the CPU share ``1 - r`` run at once as
+  :func:`~repro.engine.execution.operator_task.device_attempt`; a
+  device fault wastes the GPU share, which then runs on the CPU.  An
+  open breaker declines the split up front.
 
-The simulated timing divides between the devices; the *result* is
-still served by ``op.produce`` (the memoised functional layer), so a
-split execution is byte-identical to a pure one by construction — the
-warm-up gate is what proves the division itself would merge
-identically if the work were physically divided, mirroring how the
-morsel pool validates its chunk merges.
-
-Zero overhead when disabled: ``ctx.split`` stays ``None`` and the
-dispatch hook is a single ``is not None`` test.
+The result is still served by ``op.produce`` (the memoised functional
+layer), so a split is byte-identical to a pure execution by
+construction; the gate proves the division would merge identically
+were the work physically divided.  Disabled, ``ctx.split`` is None and
+costs one ``is not None`` test.
 """
 
 from __future__ import annotations
@@ -52,9 +39,7 @@ from typing import Generator, Optional
 from repro.engine import morsel
 from repro.engine.execution.context import resident_fraction
 from repro.engine.execution.functional import execute_operators
-from repro.engine.execution.lease import DeviceLease, pull_to_host
-from repro.engine.execution.resilience import account_abort
-from repro.hardware import DeviceFault
+from repro.engine.execution.operator_task import SHARE, device_attempt
 from repro.hardware.processor import ProcessorKind
 from repro.hype.models import SplitCostModel
 
@@ -184,7 +169,6 @@ class SplitState:
         declines *before any simulated time passed* — the caller then
         proceeds with the ordinary pure placement, unaffected.
         """
-        env = ctx.env
         if op.kind not in SPLIT_KINDS:
             self._decline(ctx, "op_kind")
             return None
@@ -193,7 +177,7 @@ class SplitState:
                           "identity_gate" if op.plan_name in self.ungated
                           else "ungated_plan")
             return None
-        if not ctx.resilience.available(device.name, env.now):
+        if not ctx.resilience.available(device.name, ctx.env.now):
             self._decline(ctx, "breaker_open")
             return None
 
@@ -221,155 +205,11 @@ class SplitState:
             if other_load > BUSY_FACTOR * max(ratio * t_gpu_est, 1e-12):
                 self._decline(ctx, "device_busy")
                 return None
-
-        return (yield from self._run_split(
-            ctx, device, op, child_results, input_bytes, footprint,
-            ratio, qctx,
-        ))
-
-    def _run_split(self, ctx, device, op, child_results, input_bytes,
-                   footprint, ratio, qctx) -> Generator:
-        env = ctx.env
-        hardware = ctx.hardware
-        cpu = hardware.cpu
-        gpu = device.processor
-        coupled = self.config.coupled
-        chosen_ratio = ratio
-        start = env.now
-
-        t_gpu_full = ctx.profile.compute_seconds(
-            op.kind, ProcessorKind.GPU, input_bytes)
-        t_cpu_full = ctx.profile.compute_seconds(
-            op.kind, ProcessorKind.CPU, input_bytes)
-
-        # the GPU half's device state; its copies run in the foreground
-        # — the GPU computes on its share only once the share is there
-        lease = DeviceLease(ctx, device, op.label)
-        gpu_seconds = 0.0
-        cpu_seconds = 0.0
-        gpu_done = 0.0  # fraction of the operator the GPU completed
-        degraded = False
-
-        def degrade(fault, attempt_start) -> None:
-            """The GPU share faulted: its time is wasted and the rest
-            of the operator runs pure-CPU."""
-            nonlocal ratio, degraded
-            wasted = account_abort(ctx, op, device.name, fault,
-                                   attempt_start, qctx)
-            ctx.metrics.count("split_wasted_seconds", wasted)
-            if fault.transient:
-                ctx.resilience.record_failure(device.name, env.now)
-            else:
-                ctx.resilience.record_success(device.name, env.now)
-            ratio = 0.0
-            degraded = True
-
-        try:
-            # the CPU half needs every device-resident intermediate
-            # host-side, whatever happens to the GPU half below
-            yield from pull_to_host(ctx, child_results)
-            # -- stage the GPU's share of the inputs ------------------
-            try:
-                if not coupled:
-                    for key in op.column_keys():
-                        if not lease.hit(key):
-                            yield from lease.miss(
-                                key, ctx.database.column(key).nominal_bytes,
-                                share=ratio)
-                    # copy, then allocate (a pure placement allocates
-                    # first): the order decides when an OOM fires
-                    for child in child_results:
-                        if child.location != device.name:
-                            share = int(child.nominal_bytes * ratio)
-                            yield from lease.copy(share, "h2d")
-                            lease.stage(share)
-                lease.allocate(
-                    max(int(footprint * ratio) - lease.staged_bytes, 0))
-                # a cached column can still be on the wire (async link):
-                # the GPU share may not start before it has landed
-                yield from lease.join()
-            except DeviceFault as fault:
-                # staging failed — concurrent operators outran the
-                # heap headroom the ratio cap was computed against, or
-                # an injected transfer fault hit.  The staging time is
-                # wasted; the operator degrades to pure CPU.
-                lease.release()
-                degrade(fault, start)
-
-            # -- both shares at once ----------------------------------
-            qctx.check()
-            cpu_share = 1.0 - ratio
-            compute_start = env.now
-            cpu_event = cpu.submit(t_cpu_full * cpu_share)
-            cpu_event.defused = True
-            if ratio > 0.0:
-                try:
-                    gpu_event = gpu.submit(t_gpu_full * ratio)
-                    gpu_event.defused = True
-                    yield env.all_of([gpu_event, cpu_event])
-                    gpu_seconds = t_gpu_full * ratio
-                    gpu_done = ratio
-                    ctx.resilience.record_success(device.name, env.now)
-                except DeviceFault as fault:
-                    # the launch was rejected before any GPU time
-                    # passed, or a stalled kernel failed after real
-                    # simulated time: either way the CPU share still
-                    # lands, and the GPU share runs on the CPU after it
-                    yield cpu_event
-                    cpu_seconds = t_cpu_full * cpu_share
-                    degrade(fault, compute_start)
-                    qctx.check()
-                    cpu_share = 1.0 - cpu_share  # the GPU's share
-                    cpu_event = cpu.submit(t_cpu_full * cpu_share)
-                    cpu_event.defused = True
-                    yield cpu_event
-            else:
-                yield cpu_event
-            cpu_seconds += t_cpu_full * cpu_share
-
-            # -- merge at the breaker ---------------------------------
-            result = op.produce(ctx.database, child_results)
-            if not coupled and gpu_done > 0.0:
-                merge_bytes = int(result.nominal_bytes * gpu_done)
-                if merge_bytes > 0:
-                    # result delivery: never fault-injected, like the
-                    # CPU fallback path
-                    yield from hardware.host_transfer(
-                        merge_bytes, "d2h", device=device.name)
-            result.location = "cpu"
-            ctx.metrics.record_operator("cpu", cpu_seconds)
-            if gpu_seconds > 0.0:
-                ctx.metrics.record_operator(gpu.name, gpu_seconds)
-            # feed per-device realized throughput back into HyPE so
-            # subsequent *pure* placements learn from split runs too
-            if cpu_seconds > 0.0:
-                ctx.cost_model.observe(
-                    op.kind, ProcessorKind.CPU,
-                    input_bytes * (1.0 - gpu_done), cpu_seconds,
-                    source="split")
-            if gpu_done > 0.0:
-                ctx.cost_model.observe(
-                    op.kind, ProcessorKind.GPU,
-                    input_bytes * gpu_done, gpu_seconds,
-                    source="split")
-            # chosen: the GPU work fraction the cost model picked up
-            # front; realized: the fraction the GPU completed (zero
-            # when the split degraded)
-            metrics = ctx.metrics
-            metrics.count("split_operators", degraded=degraded)
-            metrics.count("split_chosen_ratio", chosen_ratio)
-            metrics.count("split_realized_ratio", gpu_done)
-            metrics.count("split_gpu_seconds", gpu_seconds)
-            metrics.count("split_cpu_seconds", cpu_seconds)
-            if ctx.trace is not None:
-                ctx.trace.record(op.label, op.kind,
-                                 "cpu+{}".format(device.name),
-                                 op.plan_name, start, env.now)
-            return result
-        finally:
-            # rollback both halves: cancellation, faults, or normal
-            # completion all release the GPU share here
-            lease.release()
+        # the device attempt with a share: both shares run at once, a
+        # device fault degrades the operator to the CPU
+        return (yield from device_attempt(
+            ctx, device, op, child_results, input_bytes, qctx, SHARE,
+            ratio, False))
 
 
 __all__ = ["SplitState", "merged_split_result", "SPLIT_KINDS",

@@ -1,32 +1,26 @@
 """Vector-at-a-time execution (the alternative processing model of
 Sec. 5.5).
 
-The operator-at-a-time engine materialises every intermediate.  A
-vectorized engine instead streams cache-resident chunks (vectors)
-through *pipelines* — maximal operator chains without a pipeline
-breaker — and only materialises at the breakers (hash-table builds,
-aggregation, sorting, result delivery).
+Instead of materialising every intermediate, a vectorized engine
+streams cache-resident chunks (vectors) through *pipelines* — maximal
+operator chains without a breaker — and materialises only at the
+breakers (hash-table builds, aggregation, sorting, result delivery):
 
-Consequences modelled here, following the paper's discussion:
+* **No column staging**: vectors stream over the bus beside the
+  kernel; an uncached input costs ``max(transfer, compute)`` and never
+  occupies the device heap.
+* **Heap demand shrinks to the breakers**, whose outputs still need
+  device memory, so heap contention persists for "reasonably complex
+  query workloads" — the paper's point.
+* **Cross-processor vector splitting** (Chen et al.): the host takes
+  the share of the vectors that makes both processors finish together.
 
-* **No column staging**: vectors stream over the bus, overlapping
-  compute; an uncached input costs ``max(transfer, compute)`` instead
-  of their sum, and never occupies the device heap.
-* **Heap demand shrinks to the breakers**: hash tables and
-  materialised breaker outputs still need device memory, so heap
-  contention persists for "reasonably complex query workloads" —
-  exactly the paper's point.
-* **Cross-processor vector splitting** (Chen et al.): when both
-  processors can run a pipeline, its vectors are split so CPU and GPU
-  finish together; the GPU's share is bounded by the PCIe rate when
-  the inputs are not cached.
-
-Pipelines are placed as a unit: the data-driven rule requires every
-column any member operator reads to be device-resident; the cost-based
-rule compares whole-pipeline estimates.
-
-Functional results are produced by the same operator implementations,
-so vectorized runs return exactly the same answers.
+A pipeline is a composite operator to the one device attempt of
+:mod:`repro.engine.execution.operator_task` (inputs streamed, device
+share ``1 -`` the host's).  It is placed as a unit: the data-driven
+rule wants every column of every member device-resident, the
+cost-based rule compares whole-pipeline estimates.  Results come from
+the same operator implementations, so the answers are the same.
 """
 
 from __future__ import annotations
@@ -34,16 +28,11 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional, Set
 
 from repro.engine.execution.context import ExecutionContext
-from repro.engine.execution.lease import (
-    DeviceLease,
-    deliver_to_host,
-    pull_to_host,
-)
+from repro.engine.execution.lease import deliver_to_host, pull_to_host
 from repro.engine.execution.lifecycle import QueryCancelled, QueryContext
-from repro.engine.execution.resilience import account_abort
+from repro.engine.execution.operator_task import STREAM, device_attempt
 from repro.engine.intermediates import OperatorResult
 from repro.engine.operators import PhysicalOperator, PhysicalPlan
-from repro.hardware import DeviceFault
 from repro.hardware.processor import ProcessorKind
 from repro.sim import Interrupted, Process
 
@@ -59,16 +48,21 @@ def is_pipelineable(op: PhysicalOperator) -> bool:
 
 class Pipeline:
     """A maximal chain of pipelineable operators ending in a breaker
-    (or in the plan root)."""
+    (or in the plan root) — to the device attempt, one composite
+    operator named after its breaker."""
 
     def __init__(self, operators: List[PhysicalOperator]):
         if not operators:
             raise ValueError("a pipeline has at least one operator")
         self.operators = operators
-
-    @property
-    def terminal(self) -> PhysicalOperator:
-        return self.operators[-1]
+        terminal = operators[-1]
+        self.label = terminal.label
+        self.kind = terminal.kind
+        self.plan_name = terminal.plan_name
+        #: the breaker's materialised output and the chain's ``[CPU,
+        #: GPU]`` compute seconds, known before the pipeline is placed
+        self.result: Optional[OperatorResult] = None
+        self.seconds = None
 
     def required_columns(self) -> Set[str]:
         keys: Set[str] = set()
@@ -83,6 +77,38 @@ class Pipeline:
                 child_result = results.get(child.op_id)
                 if child_result is not None:
                     yield child_result
+
+    def stream_bytes(self, database, inputs, device) -> int:
+        """Bytes the pipeline streams over the bus to ``device``."""
+        return (sum(database.column(key).nominal_bytes
+                    for key in self.required_columns()
+                    if key not in device.cache)
+                + sum(child.nominal_bytes for child in inputs
+                      if child.location != device.name))
+
+    def host_share(self, ctx, stream_bytes: int) -> float:
+        """Fraction of the vectors the host takes (Chen et al.): the
+        split layer's :meth:`~repro.engine.execution.split.SplitState.
+        vector_ratio` when it is on, else the share that makes both
+        processors finish together."""
+        cpu_seconds, gpu_seconds = self.seconds
+        if gpu_seconds <= 0:
+            return 0.0
+        if ctx.split is not None:
+            return ctx.split.vector_ratio(ctx, cpu_seconds, gpu_seconds,
+                                          stream_bytes)
+        gpu_rate = 1.0 / gpu_seconds
+        cpu_rate = 1.0 / cpu_seconds if cpu_seconds > 0 else 0.0
+        return cpu_rate / (cpu_rate + gpu_rate)
+
+    def device_footprint_bytes(self, profile, database, child_results,
+                               input_bytes) -> int:
+        """The breaker's materialised output (or hash table) is the
+        pipeline's only heap demand — vectors themselves stream."""
+        return self.result.nominal_bytes
+
+    def produce(self, database, child_results) -> OperatorResult:
+        return self.result
 
     def __repr__(self) -> str:
         return "<Pipeline {}>".format(
@@ -160,7 +186,7 @@ class VectorizedExecutor:
         try:
             for pipeline in pipelines:
                 qctx.check()
-                consumer = consumers.get(pipeline.terminal.op_id)
+                consumer = consumers.get(pipeline.operators[-1].op_id)
                 yield from self._run_pipeline(pipeline, results, consumer,
                                               qctx)
             result = results[plan.root.op_id]
@@ -173,13 +199,9 @@ class VectorizedExecutor:
             raise
         return result
 
-    def _device_for(self, pipeline: Pipeline,
-                    results: Dict[int, OperatorResult],
-                    result: OperatorResult,
-                    consumer: Optional[Pipeline],
-                    qctx, seconds) -> Optional[str]:
-        """Device placement for a whole pipeline (None = CPU), given
-        its ``(CPU, GPU)`` compute seconds."""
+    def _device_for(self, pipeline: Pipeline, inputs: List[OperatorResult],
+                    consumer: Optional[Pipeline], qctx) -> Optional[str]:
+        """Device placement for a whole pipeline (None = CPU)."""
         ctx = self.ctx
         if qctx.force_cpu:
             return None
@@ -196,17 +218,20 @@ class VectorizedExecutor:
         # cost-based: compare whole-pipeline estimates per device.  The
         # breaker output ships back to the host unless the consuming
         # pipeline could itself run on this device.
+        cpu_seconds, gpu_seconds = pipeline.seconds
         best: Optional[str] = None
-        best_cost = seconds[0]
+        best_cost = cpu_seconds
         for device in candidates:
-            stream_bytes = self._stream_bytes(pipeline, results, device)
-            cost = max(seconds[1], ctx.bus.transfer_time(stream_bytes))
+            stream_bytes = pipeline.stream_bytes(ctx.database, inputs,
+                                                 device)
+            cost = max(gpu_seconds, ctx.bus.transfer_time(stream_bytes))
             consumer_stays = consumer is not None and all(
                 key in device.cache
                 for key in consumer.required_columns()
             )
             if not consumer_stays:
-                cost += ctx.bus.transfer_time(result.nominal_bytes)
+                cost += ctx.bus.transfer_time(
+                    pipeline.result.nominal_bytes)
             if cost < best_cost:
                 best = device.name
                 best_cost = cost
@@ -222,168 +247,51 @@ class VectorizedExecutor:
         for op in pipeline.operators:
             ctx.database.statistics.record_accesses(op.column_keys(), start)
 
-        # functional execution first (zero simulated time): run-time
-        # placement sees exact input and output cardinalities
-        result = self._materialise(pipeline, results)
-        seconds = self._compute_seconds(pipeline, results)
-        device_name = self._device_for(pipeline, results, result, consumer,
-                                       qctx, seconds)
+        # functional execution first: run-time placement sees exact
+        # input and output cardinalities
+        self._materialise(pipeline, results)
+        result = pipeline.result
+        inputs = list(pipeline.inputs(results))
+        device_name = self._device_for(pipeline, inputs, consumer, qctx)
         placed = None
         if device_name is not None:
-            # transient injected faults are retried with backoff under
-            # the device's circuit breaker; a genuine out-of-memory
-            # abort falls back immediately, as in the
-            # operator-at-a-time engine
+            # the one device attempt, streaming its inputs, under the
+            # retry policy and the device's circuit breaker; its wasted
+            # time counts from the pipeline's start
             placed = yield from ctx.resilience.attempts(
-                env, device_name, self._attempt_device_once,
-                (pipeline, results, result, device_name, start, qctx,
-                 seconds),
-                pipeline.terminal.plan_name, qctx,
+                env, device_name, device_attempt,
+                (ctx, ctx.hardware.device(device_name), pipeline, inputs,
+                 0, qctx, STREAM, 1.0, False, start),
+                pipeline.plan_name, qctx,
             )
         if placed is None:
-            yield from self._run_on_cpu(pipeline, results, result, seconds[0])
+            cpu_start = env.now
+            # inputs produced on a device stream back to the host
+            yield from pull_to_host(ctx, inputs)
+            yield from ctx.hardware.cpu.execute(pipeline.seconds[0])
+            result.location = "cpu"
+            if ctx.trace is not None:
+                ctx.trace.record(pipeline.label, pipeline.kind, "cpu",
+                                 pipeline.plan_name, cpu_start, env.now)
         # single-consumer plans: release inputs the pipeline consumed
-        for child_result in pipeline.inputs(results):
+        for child_result in inputs:
             if child_result is not result:
                 child_result.release_device_memory()
 
     def _materialise(self, pipeline: Pipeline,
-                     results: Dict[int, OperatorResult]) -> OperatorResult:
-        """Functional execution of the chain (shared numpy work)."""
-        database = self.ctx.database
-        result = None
+                     results: Dict[int, OperatorResult]) -> None:
+        """Functional execution of the chain (shared numpy work, zero
+        simulated time) and its ``[CPU, GPU]`` compute seconds, each
+        operator sized once."""
+        ctx = self.ctx
+        sized = []
         for op in pipeline.operators:
             child_results = [results[c.op_id] for c in op.children]
-            result = op.produce(database, child_results)
-            results[op.op_id] = result
-        return result
-
-    def _stream_bytes(self, pipeline: Pipeline,
-                      results: Dict[int, OperatorResult], device) -> int:
-        """Bytes the pipeline streams over the bus to ``device``."""
-        stream_bytes = 0
-        for key in pipeline.required_columns():
-            if key not in device.cache:
-                stream_bytes += self.ctx.database.column(key).nominal_bytes
-        for child_result in pipeline.inputs(results):
-            if child_result.location != device.name:
-                stream_bytes += child_result.nominal_bytes
-        return stream_bytes
-
-    def _compute_seconds(self, pipeline: Pipeline,
-                         results: Dict[int, OperatorResult]):
-        """``[CPU, GPU]`` compute seconds of the chain, each operator
-        sized once."""
-        ctx = self.ctx
-        sized = [(op.kind, op.input_nominal_bytes(
-            ctx.database, [results[c.op_id] for c in op.children]))
-            for op in pipeline.operators]
-        return [sum(ctx.profile.compute_seconds(op_kind, kind, input_bytes)
-                    for op_kind, input_bytes in sized)
-                for kind in (ProcessorKind.CPU, ProcessorKind.GPU)]
-
-    def _attempt_device_once(self, pipeline: Pipeline,
-                             results: Dict[int, OperatorResult],
-                             result: OperatorResult,
-                             device_name: str, start: float,
-                             qctx, seconds) -> Generator:
-        """One device attempt; returns the fault when it aborts."""
-        ctx = self.ctx
-        env = ctx.env
-        device = ctx.hardware.device(device_name)
-        stream_bytes = self._stream_bytes(pipeline, results, device)
-        cpu_seconds, gpu_seconds = seconds
-
-        split = 0.0  # fraction of vectors handled by the host
-        if gpu_seconds > 0:
-            if ctx.split is not None:
-                # the split cost model's balance point: accounts for
-                # the PCIe stream (zero on a coupled platform) and any
-                # fixed --split-ratio override
-                split = ctx.split.vector_ratio(
-                    ctx, cpu_seconds, gpu_seconds, stream_bytes
-                )
-            else:
-                # balance completion: the host takes the share that
-                # makes both sides finish together
-                gpu_rate = 1.0 / gpu_seconds
-                cpu_rate = 1.0 / cpu_seconds if cpu_seconds > 0 else 0.0
-                split = cpu_rate / (cpu_rate + gpu_rate)
-
-        lease = DeviceLease(ctx, device, pipeline.terminal.label)
-        try:
-            # the breaker's materialised output (or hash table) is the
-            # pipeline's only heap demand — vectors themselves stream
-            lease.allocate(result.nominal_bytes)
-            if ctx.bus.asynchronous and stream_bytes:
-                # double-buffered streaming: the async link moves
-                # vector k+1 while the kernel consumes vector k
-                gpu_done = env.process(self._stream_vectors(
-                    device, int(stream_bytes * (1 - split)),
-                    gpu_seconds * (1 - split),
-                ))
-            else:
-                if stream_bytes:
-                    # one copy overlapping the kernel, joined below
-                    lease.spawn(ctx.bus.transfer(
-                        int(stream_bytes * (1 - split)), "h2d",
-                        device=device_name))
-                gpu_done = device.processor.submit(gpu_seconds * (1 - split))
-            cpu_done = ctx.hardware.cpu.submit(cpu_seconds * split)
-            yield env.all_of([gpu_done, cpu_done])
-            yield from lease.join()
-            ctx.metrics.record_operator(device.processor.name,
-                                        gpu_seconds * (1 - split))
-            if split > 0:
-                ctx.metrics.record_operator("cpu", cpu_seconds * split)
-            lease.retain(result)
-            return result
-        except DeviceFault as fault:
-            account_abort(ctx, pipeline.terminal, device_name, fault, start,
-                          qctx)
-            return fault
-        finally:
-            # covers the fault path *and* a cancellation interrupt while
-            # blocked on the device — the heap never leaks either way
-            lease.release()
-
-    def _stream_vectors(self, device, stream_bytes: int,
-                        compute_seconds: float) -> Generator:
-        """DES process: double-buffered vector streaming (Sec. 5.5).
-
-        The pipeline's uncached inputs move one chunk-sized vector at a
-        time over the device's h2d channel; vector ``k+1`` is on the
-        wire while the kernel consumes vector ``k``, so the pipeline
-        costs roughly ``max(transfer, compute)`` plus one vector of
-        fill latency.  An injected PCIe fault or a kernel fault fails
-        this process, which the caller observes through ``all_of``.
-        """
-        link = self.ctx.bus
-        chunk = link.chunk_bytes
-        remaining = int(stream_bytes)
-        vectors = max(1, -(-remaining // chunk))
-        per_compute = compute_seconds / vectors
-        pending = None
-        for _ in range(vectors):
-            vector_bytes = min(chunk, remaining)
-            remaining -= vector_bytes
-            yield from link.transfer(vector_bytes, "h2d",
-                                     device=device.name)
-            if pending is not None:
-                yield pending
-            pending = device.processor.submit(per_compute)
-            # a stall-failing kernel whose stream dies first must not
-            # escalate as an unwaited failure
-            pending.defused = True
-        if pending is not None:
-            yield pending
-
-    def _run_on_cpu(self, pipeline: Pipeline,
-                    results: Dict[int, OperatorResult],
-                    result: OperatorResult,
-                    cpu_seconds: float) -> Generator:
-        ctx = self.ctx
-        # inputs produced on a device stream back to the host
-        yield from pull_to_host(ctx, pipeline.inputs(results))
-        yield from ctx.hardware.cpu.execute(cpu_seconds)
-        result.location = "cpu"
+            results[op.op_id] = pipeline.result = op.produce(
+                ctx.database, child_results)
+            sized.append((op.kind, op.input_nominal_bytes(ctx.database,
+                                                          child_results)))
+        pipeline.seconds = [
+            sum(ctx.profile.compute_seconds(op_kind, kind, input_bytes)
+                for op_kind, input_bytes in sized)
+            for kind in (ProcessorKind.CPU, ProcessorKind.GPU)]

@@ -111,8 +111,8 @@ class HardwareSystem:
 
     With ``config.gpu_count > 1`` the system carries several identical
     co-processors (named ``gpu``, ``gpu2``, ``gpu3``, ...) sharing one
-    PCIe link; ``gpu``/``gpu_heap``/``gpu_cache`` keep referring to the
-    first device so single-GPU code is unaffected.
+    PCIe link; ``gpu``/``gpu_cache`` keep referring to the first device
+    so single-GPU code is unaffected.
     """
 
     def __init__(
@@ -200,10 +200,6 @@ class HardwareSystem:
     @property
     def gpu(self) -> Processor:
         return self.gpus[0].processor
-
-    @property
-    def gpu_heap(self) -> DeviceHeap:
-        return self.gpus[0].heap
 
     @property
     def gpu_cache(self) -> DeviceCache:

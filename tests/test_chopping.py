@@ -136,7 +136,7 @@ def test_gpu_heap_clean_after_workload(toy_db):
               for i in range(4)]
     env.run()
     assert all(e.ok for e in events)
-    assert hw.gpu_heap.used == 0
+    assert hw.gpus[0].heap.used == 0
 
 
 def test_chopping_with_aborts_still_correct(toy_db):

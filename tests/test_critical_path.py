@@ -87,7 +87,7 @@ def oracle_plan_cost(ctx, plan, gpu_leaves, estimates):
             op.kind, PROCESSOR_KINDS[processor], estimate.input_bytes
         )
         transfer = pending_transfer_seconds(
-            ctx, op, ctx.gpu_cache if processor == "gpu" else None,
+            ctx, op, ctx.hardware.gpu_cache if processor == "gpu" else None,
             [(estimates[child.op_id].out_bytes, 1.0)
              for child in op.children
              if placement[child.op_id] != processor],

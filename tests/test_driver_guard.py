@@ -9,6 +9,9 @@
   no ``... if qctx else ...``, no ``qctx=None`` default — except at the
   executors' public entry points, which give a caller that brings no
   context a blank one.
+* Under ``src/repro/engine/`` a device attempt has one body
+  (``operator_task.device_attempt``): a ``DeviceLease`` is built and an
+  abort booked (``account_abort``) at exactly one site each.
 """
 
 import ast
@@ -22,6 +25,12 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 #: the one call site per step of a query's life
 ONE_SITE = ("QueryContext", "deadline_watchdog", "admit", "record_query",
             "record_cancelled_query")
+
+#: the one site under src/repro/engine of each step of a device attempt
+ONE_ATTEMPT = {
+    "DeviceLease": ("engine/execution/operator_task.py", "device_attempt"),
+    "account_abort": ("engine/execution/operator_task.py", "device_attempt"),
+}
 
 #: (module under src/repro, function) that may default a missing context
 ENTRY_POINTS = {
@@ -107,6 +116,40 @@ def test_each_step_of_a_query_has_one_site_in_the_harness():
         path, scope, _ = where[0]
         assert (path, scope.split(".")[0]) == (
             "harness/runner.py", "QueryDriver"), (name, where)
+
+
+def _attempt_sites(modules):
+    """``{name: [(path, function, line)]}`` of every call of a name in
+    :data:`ONE_ATTEMPT`."""
+    sites = {name: [] for name in ONE_ATTEMPT}
+    for path, tree in modules:
+        for scope, node in _scoped(tree):
+            if isinstance(node, ast.Call) and _called(node) in sites:
+                sites[_called(node)].append((path, scope, node.lineno))
+    return sites
+
+
+def test_a_device_attempt_has_one_body_in_the_engine():
+    for name, where in _attempt_sites(_modules("engine")).items():
+        assert [(path, scope) for path, scope, _ in where] == [
+            ONE_ATTEMPT[name]], (name, where)
+
+
+def test_the_attempt_guard_sees_a_second_site():
+    planted = ast.parse(
+        "def device_attempt(ctx):\n"
+        "    lease = DeviceLease(ctx)\n"
+        "    account_abort(ctx)\n"
+        "class VectorizedExecutor:\n"
+        "    def _attempt(self, ctx):\n"
+        "        lease = lease_module.DeviceLease(ctx)\n"
+        "        self.account_abort(ctx)\n")
+    path = "engine/execution/operator_task.py"
+    sites = _attempt_sites([(path, planted)])
+    assert {name: [scope for _, scope, _ in where]
+            for name, where in sites.items()} == {
+        "DeviceLease": ["device_attempt", "VectorizedExecutor._attempt"],
+        "account_abort": ["device_attempt", "VectorizedExecutor._attempt"]}
 
 
 def test_no_engine_code_asks_whether_a_query_has_a_context():

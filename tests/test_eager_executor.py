@@ -44,7 +44,7 @@ def test_eager_gpu_result_returned_to_host(toy_db):
     result = run(env, ctx, make_plan(toy_db), GpuPreferred())
     # the root result always ends on the host, device memory released
     assert result.location == "cpu"
-    assert hw.gpu_heap.used == 0
+    assert hw.gpus[0].heap.used == 0
 
 
 def test_eager_children_run_in_parallel(toy_db):
@@ -89,7 +89,7 @@ def test_eager_gpu_preferred_on_starved_device_falls_back(toy_db):
     result = run(env, ctx, make_plan(toy_db), GpuPreferred())
     assert result.payload.row_tuples() == expected.payload.row_tuples()
     assert hw.metrics.aborts > 0
-    assert hw.gpu_heap.used == 0
+    assert hw.gpus[0].heap.used == 0
 
 
 def test_explain_shows_kinds_and_placements(toy_db):

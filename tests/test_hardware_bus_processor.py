@@ -530,7 +530,7 @@ def test_hardware_system_wiring():
     system = HardwareSystem(env, SystemConfig(gpu_cache_bytes=GIB))
     assert system.cpu.kind is ProcessorKind.CPU
     assert system.gpu.kind is ProcessorKind.GPU
-    assert system.gpu_heap.capacity == system.config.gpu_heap_bytes
+    assert system.gpus[0].heap.capacity == system.config.gpu_heap_bytes
     assert system.gpu_cache.capacity == GIB
     assert system.processor("cpu") is system.cpu
     with pytest.raises(KeyError):

@@ -578,4 +578,4 @@ def test_prefix_cancelled_stream_leaves_byte_identical_rerun(
     assert sorted(second_pass) == list(range(len(queries)))
     for index, rows in second_pass.items():
         assert rows == expected[index]
-    assert hw.gpu_heap.used == 0
+    assert hw.gpus[0].heap.used == 0

@@ -41,7 +41,6 @@ class TestHardwareSystem:
         env = Environment()
         hardware = HardwareSystem(env, multi_config(2))
         assert hardware.gpu is hardware.gpus[0].processor
-        assert hardware.gpu_heap is hardware.gpus[0].heap
         assert hardware.gpu_cache is hardware.gpus[0].cache
 
     def test_devices_have_independent_memory(self):

@@ -49,13 +49,12 @@ def sizing(monkeypatch):
                             spy(originals[cls]))
     record_execution = operator_task._record_execution
 
-    def recording(ctx, op, processor_name, kind, algorithm_key,
-                  input_bytes, seconds, start):
+    def recording(ctx, op, kind, algorithm_key, input_bytes, seconds):
         child_results = sys._getframe(1).f_locals["child_results"]
         recorded.append((op, ctx.database, list(child_results),
                          input_bytes))
-        return record_execution(ctx, op, processor_name, kind,
-                                algorithm_key, input_bytes, seconds, start)
+        return record_execution(ctx, op, kind, algorithm_key, input_bytes,
+                                seconds)
 
     monkeypatch.setattr(operator_task, "_record_execution", recording)
     return calls, recorded, originals

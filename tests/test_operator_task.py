@@ -76,7 +76,7 @@ def test_data_driven_staging_does_not_admit(toy_db):
     assert hw.metrics.cpu_to_gpu_bytes > 0
     assert "sales.amount" not in hw.gpu_cache
     result.release_device_memory()
-    assert hw.gpu_heap.used == 0
+    assert hw.gpus[0].heap.used == 0
 
 
 def test_cpu_only_operator_never_runs_on_gpu(toy_db):
@@ -97,7 +97,7 @@ def test_oom_abort_falls_back_to_cpu(toy_db):
     result = run_op(env, ctx, op, [], "gpu")
     assert result.location == "cpu"
     assert hw.metrics.aborts == 1
-    assert hw.gpu_heap.used == 0  # rollback complete
+    assert hw.gpus[0].heap.used == 0  # rollback complete
     # the functional result is still correct
     expected = np.flatnonzero(toy_db.column("sales.amount").values < 30)
     assert np.array_equal(result.payload.positions("sales"), expected)
@@ -119,9 +119,9 @@ def test_gpu_result_stays_on_heap_until_released(toy_db):
     op = ScanSelect("sales", Comparison("<", AMOUNT, Literal(30)))
     result = run_op(env, ctx, op, [], "gpu")
     assert result.allocation is not None
-    assert hw.gpu_heap.used == result.nominal_bytes
+    assert hw.gpus[0].heap.used == result.nominal_bytes
     result.release_device_memory()
-    assert hw.gpu_heap.used == 0
+    assert hw.gpus[0].heap.used == 0
 
 
 def test_parent_on_cpu_pays_d2h_for_gpu_child(toy_db):
@@ -137,10 +137,10 @@ def test_parent_consumption_frees_child_device_memory(toy_db):
     env, hw, ctx = make_context(toy_db)
     scan = ScanSelect("sales", Comparison("<", AMOUNT, Literal(30)))
     scan_result = run_op(env, ctx, scan, [], "gpu")
-    assert hw.gpu_heap.used > 0
+    assert hw.gpus[0].heap.used > 0
     mat = Materialize(scan, [("amount", AMOUNT)])
     run_op(env, ctx, mat, [scan_result], "cpu")
-    assert hw.gpu_heap.used == 0
+    assert hw.gpus[0].heap.used == 0
 
 
 def test_gpu_parent_of_cpu_child_pays_h2d(toy_db):
@@ -208,4 +208,4 @@ def test_cache_in_use_entries_survive_concurrent_eviction_pressure(toy_db):
     assert len(results) == 2
     for result in results:
         result.release_device_memory()
-    assert hw.gpu_heap.used == 0
+    assert hw.gpus[0].heap.used == 0

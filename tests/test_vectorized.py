@@ -151,21 +151,21 @@ class TestVectorizedExecution:
             toy_db, make_plan(toy_db), DataDrivenRuntime()
         )
         assert result.location == "cpu"
-        assert hw.gpu_heap.used == 0
+        assert hw.gpus[0].heap.used == 0
 
     def test_streaming_avoids_column_staging(self, toy_db):
         """Vectors stream: uncached inputs never occupy the heap."""
         env, hw, ctx = make_context(toy_db)  # cold cache
         executor = VectorizedExecutor(ctx, RuntimeHype())
         peaks = []
-        original = hw.gpu_heap.allocate
+        original = hw.gpus[0].heap.allocate
 
         def tracking(nbytes, owner="?"):
             allocation = original(nbytes, owner)
-            peaks.append(hw.gpu_heap.used)
+            peaks.append(hw.gpus[0].heap.used)
             return allocation
 
-        hw.gpu_heap.allocate = tracking
+        hw.gpus[0].heap.allocate = tracking
         process = executor.submit(make_plan(toy_db))
         env.run()
         column_bytes = toy_db.column("sales.amount").nominal_bytes
