@@ -252,9 +252,9 @@ def _pool_worker_main(index: int, manifest, workload,
 
     from repro.engine import morsel
 
-    # the heap inherited at fork is the parent's: a full collection
-    # would walk all of it holding the GIL, and neither the heartbeater
-    # nor the compute loop could beat meanwhile
+    # the heap inherited at fork is the parent's: a collection that
+    # reached it would walk all of it holding the GIL, and neither the
+    # heartbeater nor the compute loop could beat meanwhile
     gc.freeze()
     shm.forget_exports()  # fork-inherited exports belong to the parent
     database = None
