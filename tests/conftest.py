@@ -22,6 +22,7 @@ from repro.hardware import HardwareSystem, SystemConfig
 from repro.sim import Environment
 from repro.storage import ColumnType, Database
 from repro.workloads import ssb, tpch
+from tests import rules
 
 
 def pytest_addoption(parser):
@@ -173,6 +174,13 @@ def _bounded_experiment_caches():
     assert not leaked, (
         "shared-memory segments leaked past the test session: "
         "{}".format(leaked))
+
+
+@pytest.fixture(scope="session")
+def source_index():
+    """The program's files for the rules of ``tests/rules.py``, each
+    parsed at most once in the session."""
+    return rules.Index()
 
 
 @pytest.fixture(scope="session")

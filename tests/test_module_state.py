@@ -4,14 +4,12 @@ Every module under ``repro`` is imported and each name it binds at
 module level is snapshotted — a container by its contents, a cached
 function by its ``cache_info()``, anything else by its ``repr`` — around
 a small mixed workload.  The names whose value moved, plus the names a
-function rebinds with ``global``, must be exactly :data:`MODULE_STATE`:
-the list ROADMAP item 5 wants emptied, kept honest by the program
-rather than by hand.
+function rebinds with ``global``, must be exactly ``MODULE_STATE`` of
+``tests/rules.py`` (its ``unlisted_state`` rule): the list ROADMAP item
+5 wants emptied, kept honest by the program rather than by hand.
 """
 
-import ast
 import importlib
-import inspect
 import pkgutil
 import types
 from collections import deque
@@ -30,27 +28,7 @@ from repro.harness.parallel import Cell, MorselPool, run_cells
 from repro.harness.runner import run_workload
 from repro.storage import shm
 from repro.workloads import ssb
-
-#: module-level names that hold state across calls
-MODULE_STATE = {
-    "repro.engine.caches._memos",
-    "repro.engine.kernels._chain_kernel",
-    "repro.engine.kernels.stats",
-    "repro.engine.morsel.decline_reasons",
-    "repro.engine.morsel.stats",
-    "repro.engine.operators.base._op_counter",
-    "repro.engine.plan_cache.stats",
-    "repro.harness.experiments.ssb_database",
-    "repro.harness.experiments.tpch_database",
-    "repro.harness.parallel._cell_workload",
-    "repro.storage.shm._attached",
-    "repro.storage.shm._created_names",
-    "repro.storage.shm._epoch",
-    "repro.storage.shm._export_owners",
-    "repro.storage.shm._exports",
-    "repro.storage.shm._verified",
-    "repro.storage.shm.stats",
-}
+from tests import rules
 
 _SCALARS = (int, float, complex, str, bytes, bool, type(None))
 
@@ -59,40 +37,6 @@ def _modules():
     return [importlib.import_module(info.name)
             for info in pkgutil.walk_packages(repro.__path__, "repro.")
             if info.name != "repro.__main__"]
-
-
-def _top_level(body):
-    """Statements executed at import time (into ``if`` / ``try``, not
-    into functions or classes)."""
-    for node in body:
-        yield node
-        if isinstance(node, (ast.If, ast.Try)):
-            for block in (node.body, node.orelse,
-                          getattr(node, "finalbody", ()),
-                          *(handler.body for handler
-                            in getattr(node, "handlers", ()))):
-                yield from _top_level(block)
-
-
-def _own_names(module):
-    """(names the module binds itself, names a function rebinds)."""
-    tree = ast.parse(inspect.getsource(module))
-    bound = set()
-    for node in _top_level(tree.body):
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-            targets = [node.target]
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            bound.add(node.name)
-            continue
-        else:
-            continue
-        bound.update(target.id for target in targets
-                     if isinstance(target, ast.Name))
-    rebound = {name for node in ast.walk(tree)
-               if isinstance(node, ast.Global) for name in node.names}
-    return bound, rebound
 
 
 def _leaf(value):
@@ -121,10 +65,10 @@ def _snapshot(value):
     return repr(value)
 
 
-def _state():
+def _state(index):
     state = {}
     for module in _modules():
-        bound, _ = _own_names(module)
+        bound, _ = index.bindings[module.__name__]
         for name in bound:
             if name.startswith("__") or not hasattr(module, name):
                 continue
@@ -160,32 +104,14 @@ def _workload():
 
 
 @pytest.mark.skipif(not shm.available(), reason="needs shared memory")
-def test_module_state_is_the_listed_names():
-    before = _state()
-    moved = {name for _ in _workload() for name, value in _state().items()
+def test_module_state_is_the_listed_names(source_index):
+    before = _state(source_index)
+    moved = {name for _ in _workload()
+             for name, value in _state(source_index).items()
              if before.get(name) != value}
-    rebound = {"{}.{}".format(module.__name__, name)
-               for module in _modules() for name in _own_names(module)[1]}
-    assert moved | rebound == MODULE_STATE
+    assert rules.unlisted_state(source_index, moved) == []
 
 
-def test_no_storage_module_imports_a_layer_above_at_import_time():
-    """Storage is the bottom layer: what depends on it is imported
-    inside the function that needs it, never at module level."""
-    above = ("repro.engine", "repro.core", "repro.harness")
-    offenders = []
-    for module in _modules():
-        if not module.__name__.startswith("repro.storage"):
-            continue
-        tree = ast.parse(inspect.getsource(module))
-        for node in _top_level(tree.body):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            offenders.extend(
-                "{}: {}".format(module.__name__, name) for name in names
-                if name.startswith(above))
-    assert offenders == []
+def test_no_storage_module_imports_a_layer_above_at_import_time(
+        source_index):
+    assert rules.storage_imports_above(source_index) == []

@@ -1,13 +1,9 @@
 """Unit tests for the physical operators (functional semantics and
 nominal-size accounting) against brute-force numpy oracles."""
 
-import ast
-import pathlib
-
 import numpy as np
 import pytest
 
-import repro
 from repro.engine.expressions import (
     Aggregate,
     Arithmetic,
@@ -35,6 +31,8 @@ from repro.engine.operators import (
 from repro.engine.operators.base import TID_BYTES
 from repro.hardware.calibration import COGADB_PROFILE, OCELOT_PROFILE
 from repro.hardware.processor import ProcessorKind
+from tests import rules
+from tests.rules import operator_classes
 
 
 AMOUNT = ColumnRef("sales", "amount")
@@ -46,17 +44,6 @@ SIZE = ColumnRef("store", "size")
 
 
 # -- an operator is declared once, on its class ----------------------------
-
-def _operator_classes():
-    """Every concrete operator class the program defines."""
-    found, pending = [], [PhysicalOperator]
-    while pending:
-        for cls in pending.pop().__subclasses__():
-            pending.append(cls)
-            if cls.__module__.startswith("repro."):
-                found.append(cls)
-    return sorted(found, key=lambda cls: cls.__name__)
-
 
 def _one_of_each():
     """{class: an instance} — a new operator class needs an entry."""
@@ -87,10 +74,10 @@ class TestOperatorDeclarations:
     of an operator is answered on its class, and nowhere else."""
 
     def test_every_class_is_sampled(self):
-        assert len(_operator_classes()) >= 10
-        assert set(_operator_classes()) == set(_one_of_each())
+        assert len(operator_classes()) >= 10
+        assert set(operator_classes()) == set(_one_of_each())
 
-    @pytest.mark.parametrize("cls", _operator_classes(),
+    @pytest.mark.parametrize("cls", operator_classes(),
                              ids=lambda cls: cls.__name__)
     def test_declaration_is_complete(self, cls):
         assert set(ARITY) == set(ROLES)
@@ -107,42 +94,8 @@ class TestOperatorDeclarations:
         assert inherits == (cls in VOLUME_PRESERVING)
         assert cls.run is not PhysicalOperator.run
 
-    def test_no_type_tests_outside_the_class(self):
-        """No ``isinstance(x, <operator class or tuple of them>)`` in
-        ``src/repro`` outside the module that defines the class:
-        capability questions read the declaration."""
-        home = {cls.__name__: cls.__module__ for cls in _operator_classes()}
-
-        def named(node, aliases):
-            """Operator class names an expression mentions."""
-            if isinstance(node, ast.Tuple):
-                return [name for element in node.elts
-                        for name in named(element, aliases)]
-            name = getattr(node, "id", getattr(node, "attr", None))
-            return aliases.get(name) or ([name] if name in home else [])
-
-        root = pathlib.Path(repro.__file__).parent
-        offences = []
-        for path in sorted(root.rglob("*.py")):
-            module = ".".join(
-                ("repro",) + path.relative_to(root).with_suffix("").parts)
-            tree = ast.parse(path.read_text())
-            # module-level tuples of classes, tested through their name
-            aliases = {}
-            for node in tree.body:
-                if isinstance(node, ast.Assign) and named(node.value, {}):
-                    for target in node.targets:
-                        aliases[target.id] = named(node.value, {})
-            for node in ast.walk(tree):
-                if (isinstance(node, ast.Call)
-                        and getattr(node.func, "id", "") == "isinstance"
-                        and len(node.args) == 2):
-                    offences += [
-                        "{}:{} isinstance(., {})".format(
-                            path.relative_to(root), node.lineno, name)
-                        for name in named(node.args[1], aliases)
-                        if home[name] != module]
-        assert offences == []
+    def test_no_type_tests_outside_the_class(self, source_index):
+        assert rules.type_tests(source_index) == []
 
 
 # -- an operator computes once, in its chunk kernel --------------------------
@@ -154,58 +107,11 @@ CHUNK_KERNELS = [(ScanSelect, "select"), (RefineSelect, "select"),
 
 
 class TestOneChunkKernel:
-    def test_the_morsel_schedule_computes_nothing(self):
-        """``engine/morsel.py`` schedules and merges: it evaluates no
-        expression, probes no index, and forms no group or aggregate —
-        every such call lives in an operator's chunk kernel (or, for a
-        morsel's joins, in the kernel layer's chain kernel)."""
-        from repro.engine import morsel
+    def test_the_morsel_schedule_computes_nothing(self, source_index):
+        assert rules.morsel_computes(source_index) == []
 
-        tree = ast.parse(pathlib.Path(morsel.__file__).read_text())
-        offences = []
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Call)
-                    and getattr(node.func, "attr", "") in ("evaluate",
-                                                           "probe")):
-                offences.append("{}: .{}()".format(node.lineno,
-                                                   node.func.attr))
-            name = getattr(node, "attr", getattr(node, "id", ""))
-            # ... and keeps no kind string of its own to pick a breaker
-            # by: the breaker object answers
-            if (name in ("unique", "bincount", "reduce_groups",
-                         "finish_aggregate") or name.endswith("_kind")):
-                offences.append("{}: {}".format(node.lineno, name))
-        assert offences == []
-
-    def test_the_morsel_schedule_has_one_chain_loop(self):
-        """A pool's chunk, the ``Limit`` prefix and a recording — from
-        the scan or resumed after a recorded operator — all run the
-        chain through ``_run``, over a whole row range: ``morsel.py``
-        calls ``select`` in ``_enter`` only (the masks of a range), the
-        pipeline's chain kernel in ``_run`` only (one call per range),
-        and ``match`` in ``run_morsel`` only — the per-join loop over one
-        morsel, the reference and ``_run``'s path where the kernel does
-        not take every join; nothing else loops over the stages to
-        probe."""
-        from repro.engine import morsel
-
-        tree = ast.parse(pathlib.Path(morsel.__file__).read_text())
-        callers = {}  # method called -> functions it is called from
-        for function in ast.walk(tree):
-            if not isinstance(function, ast.FunctionDef):
-                continue
-            for node in ast.walk(function):
-                if isinstance(node, ast.Call):
-                    name = getattr(node.func, "attr", "")
-                    if getattr(getattr(node.func, "value", None), "attr",
-                               "") == "chain":
-                        name = "chain." + name
-                    callers.setdefault(name, []).append(function.name)
-        assert callers["select"] == ["_enter"]
-        assert callers["chain.run"] == ["_run"]
-        assert callers["match"] == ["run_morsel"]
-        assert callers["_enter"] == callers["run_morsel"] == ["_run"]
-        assert sorted(callers["_run"]) == ["batches", "run_recorded"]
+    def test_the_morsel_schedule_has_one_chain_loop(self, source_index):
+        assert rules.chain_loops(source_index) == []
 
     @pytest.fixture()
     def spied(self, monkeypatch):
