@@ -39,7 +39,6 @@ from repro.engine.execution.resilience import (
     RetryPolicy,
 )
 from repro.engine.execution.split import SplitState
-from repro.engine.execution.vectorized import VectorizedExecutor
 
 __all__ = [
     "AdmissionController",
@@ -52,7 +51,6 @@ __all__ = [
     "ResilienceManager",
     "RetryPolicy",
     "SplitState",
-    "VectorizedExecutor",
     "deadline_watchdog",
     "execute_functional",
     "execute_operator",

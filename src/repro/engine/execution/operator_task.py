@@ -2,8 +2,7 @@
 
 The paper's fault-tolerant execution (Sec. 2.5.1, 4.1) is one protocol,
 and :func:`device_attempt` is its one body — for an operator placed on
-a co-processor, for the device share of a split operator, and for a
-pipeline of the vectorized model:
+a co-processor and for the device share of a split operator:
 
 1. *Stage inputs.*  Cached base columns are hits; misses cross PCIe
    and, under operator-driven data placement, are admitted to the
@@ -95,59 +94,55 @@ def execute_operator(
 #: How an attempt's inputs reach the device: STAGE copies whole
 #: columns and children onto its heap (a pure placement), SHARE the
 #: device's share ``r`` of them (a split share beside a CPU share
-#: ``1 - r``, arXiv 1307.1955), STREAM nothing — vectors move beside
-#: the kernel (a pipeline, Sec. 5.5; its share is the vector split).
-STAGE, SHARE, STREAM = "stage", "share", "stream"
+#: ``1 - r``, arXiv 1307.1955).
+STAGE, SHARE = "stage", "share"
 
 
-def device_attempt(ctx, device, work, child_results, input_bytes, qctx,
-                   inputs=STAGE, share=1.0, admit=True, since=None):
-    """One co-processor attempt of ``work`` (an operator, or a pipeline
-    as a composite operator) with the device share ``share`` (1 for a
-    pure placement); returns the result, or the fault it aborted with.
+def device_attempt(ctx, device, op, child_results, input_bytes, qctx,
+                   inputs=STAGE, share=1.0, admit=True):
+    """One co-processor attempt of ``op`` with the device share
+    ``share`` (1 for a pure placement); returns the result, or the fault
+    it aborted with.
 
-    Wasted time counts from ``since`` (the attempt's start by default).
-    The forms keep the order of their steps, which decides when an
+    The two forms keep the order of their steps, which decides when an
     out-of-memory abort fires and which seeded fault roll a
     ``heap.allocate`` / ``transfer`` / ``submit`` consumes:
 
     * a pure child is allocated, then copied; a split child copied,
       then allocated;
     * a pure placement allocates its working memory in two halves
-      around the kernel, a split share and a pipeline in one step
-      before it;
-    * a split submits its CPU share first, books a device fault once
-      that share landed, runs the device's share on the CPU and returns
-      the operator's result; a pipeline submits its device share first
-      and, like a pure placement, books a fault at once and returns it.
+      around the kernel, a split share in one step before it;
+    * a pure placement books a device fault at once and returns it; a
+      split submits its CPU share first, books a device fault once that
+      share landed, runs the device's share on the CPU and returns the
+      operator's result.
     """
     env = ctx.env
     gpu = device.processor
     link = ctx.bus
-    start = env.now
-    since = start if since is None else since
+    start = since = env.now
     coupled = inputs is SHARE and ctx.split.config.coupled
-    if inputs is not STAGE:  # (CPU, GPU) seconds of the whole work
-        t_cpu, t_gpu = work.seconds if inputs is STREAM else (
-            ctx.profile.compute_seconds(work.kind, kind, input_bytes)
+    if inputs is SHARE:  # (CPU, GPU) seconds of the whole operator
+        t_cpu, t_gpu = (
+            ctx.profile.compute_seconds(op.kind, kind, input_bytes)
             for kind in (ProcessorKind.CPU, ProcessorKind.GPU))
     # on the async link a pure placement's copies run as background
     # processes overlapping the kernel (Sec. 5.5); it completes once
     # both its compute and its transfers have finished
-    lease = DeviceLease(ctx, device, work.label,
+    lease = DeviceLease(ctx, device, op.label,
                         inputs is STAGE and link.asynchronous)
     cpu_event = None
     cpu_share = cpu_seconds = gpu_seconds = 0.0
-    done = 0.0  # fraction of the work the device completed
+    done = 0.0  # fraction of the operator the device completed
     try:
         try:
             if inputs is SHARE:
                 # the CPU share needs every device-resident child
                 # host-side, whatever happens to the device share
                 yield from pull_to_host(ctx, child_results)
-            if inputs is not STREAM and not coupled:
+            if not coupled:
                 # 1. Stage base columns ...
-                for key in work.column_keys():
+                for key in op.column_keys():
                     if not lease.hit(key):
                         yield from lease.miss(
                             key, ctx.database.column(key).nominal_bytes,
@@ -174,7 +169,7 @@ def device_attempt(ctx, device, work, child_results, input_bytes, qctx,
                         lease.stage(child.nominal_bytes)
                         yield from lease.copy(child.nominal_bytes, "h2d")
             # 2. Working memory, held while queueing.
-            footprint = work.device_footprint_bytes(
+            footprint = op.device_footprint_bytes(
                 ctx.profile, ctx.database, child_results, input_bytes)
             if inputs is SHARE:
                 footprint = int(footprint * share)
@@ -186,50 +181,30 @@ def device_attempt(ctx, device, work, child_results, input_bytes, qctx,
                 # the second allocation step happens mid-kernel and can
                 # fail after real work was done
                 algorithm_key, gpu_seconds = _pick_algorithm(
-                    ctx, work, ProcessorKind.GPU, input_bytes)
+                    ctx, op, ProcessorKind.GPU, input_bytes)
                 yield gpu.submit(gpu_seconds / 2)
                 lease.allocate(working - first)
                 yield gpu.submit(gpu_seconds / 2)
             else:
-                if inputs is SHARE:
-                    # a copy still on the wire (coalesced onto) must
-                    # land before the device share starts
-                    yield from lease.join()
-                    qctx.check()
-                    since = env.now
-                    cpu_share = 1.0 - share
-                else:
-                    streamed = work.stream_bytes(ctx.database,
-                                                 child_results, device)
-                    cpu_share = work.host_share(ctx, streamed)
-                    share = 1 - cpu_share
+                # a copy still on the wire (coalesced onto) must land
+                # before the device share starts
+                yield from lease.join()
+                qctx.check()
+                since = env.now
+                cpu_share = 1.0 - share
                 cpu_seconds = t_cpu * cpu_share
                 gpu_seconds = t_gpu * share
-                if inputs is SHARE:
-                    cpu_event = ctx.hardware.cpu.submit(cpu_seconds)
-                if inputs is STREAM and link.asynchronous and streamed:
-                    gpu_event = env.process(_stream_vectors(
-                        link, device, int(streamed * share), gpu_seconds))
-                else:
-                    if inputs is STREAM and streamed:
-                        # one copy overlapping the kernel
-                        lease.spawn(link.transfer(int(streamed * share),
-                                                  "h2d", device=device.name))
-                    gpu_event = gpu.submit(gpu_seconds)
-                if cpu_event is None:
-                    cpu_event = ctx.hardware.cpu.submit(cpu_seconds)
+                cpu_event = ctx.hardware.cpu.submit(cpu_seconds)
+                gpu_event = gpu.submit(gpu_seconds)
                 gpu_event.defused = cpu_event.defused = True
                 yield env.all_of([gpu_event, cpu_event])
-                if inputs is SHARE:
-                    ctx.resilience.record_success(device.name, env.now)
+                ctx.resilience.record_success(device.name, env.now)
             if lease.inflight:
                 yield from lease.join()
             done = share
-            if inputs is not SHARE:
-                result = work.produce(ctx.database, child_results)
+            if inputs is STAGE:
+                result = op.produce(ctx.database, child_results)
                 ctx.metrics.record_operator(gpu.name, gpu_seconds)
-                if cpu_share > 0.0:
-                    ctx.metrics.record_operator("cpu", cpu_seconds)
                 # 4. The result stays on the device heap until the
                 #    consumer has read it.
                 lease.retain(result)
@@ -239,9 +214,9 @@ def device_attempt(ctx, device, work, child_results, input_bytes, qctx,
                     lease.release()  # staging failed: give it back now
                 else:
                     yield cpu_event  # the CPU share lands first
-            wasted = account_abort(ctx, work, device.name, fault, since,
+            wasted = account_abort(ctx, op, device.name, fault, since,
                                    qctx)
-            if inputs is not SHARE:
+            if inputs is STAGE:
                 return fault
             # the split degrades: its device share is wasted and runs
             # on the CPU after the CPU share
@@ -259,7 +234,7 @@ def device_attempt(ctx, device, work, child_results, input_bytes, qctx,
             gpu_seconds = 0.0
         if inputs is SHARE:
             # the split merges at the breaker, on the host
-            result = work.produce(ctx.database, child_results)
+            result = op.produce(ctx.database, child_results)
             merge_bytes = 0 if coupled else int(result.nominal_bytes * done)
             if merge_bytes > 0:
                 # result delivery: never fault-injected, like the CPU
@@ -275,12 +250,12 @@ def device_attempt(ctx, device, work, child_results, input_bytes, qctx,
             # placements learn from split runs too
             if cpu_seconds > 0.0:
                 ctx.cost_model.observe(
-                    work.kind, ProcessorKind.CPU,
+                    op.kind, ProcessorKind.CPU,
                     input_bytes * (1.0 - done), cpu_seconds,
                     source="split")
             if done > 0.0:
                 ctx.cost_model.observe(
-                    work.kind, ProcessorKind.GPU,
+                    op.kind, ProcessorKind.GPU,
                     input_bytes * done, gpu_seconds, source="split")
             # chosen: the GPU fraction picked up front; realized: the
             # one it completed (zero when the split degraded)
@@ -289,14 +264,14 @@ def device_attempt(ctx, device, work, child_results, input_bytes, qctx,
             metrics.count("split_realized_ratio", done)
             metrics.count("split_gpu_seconds", gpu_seconds)
             metrics.count("split_cpu_seconds", cpu_seconds)
-        elif inputs is STAGE:
-            _record_execution(ctx, work, ProcessorKind.GPU, algorithm_key,
+        else:
+            _record_execution(ctx, op, ProcessorKind.GPU, algorithm_key,
                               input_bytes, gpu_seconds)
         if ctx.trace is not None:
             ctx.trace.record(
-                work.label, work.kind,
+                op.label, op.kind,
                 device.name if inputs is STAGE else "cpu+" + device.name,
-                work.plan_name, start, env.now)
+                op.plan_name, start, env.now)
         return result
     finally:
         lease.release()
@@ -332,36 +307,6 @@ def _relay_child(link, child, target_device):
                                  device=child.location)
     yield from link.transfer(child.nominal_bytes, "h2d",
                              device=target_device)
-
-
-def _stream_vectors(link, device, stream_bytes: int,
-                    compute_seconds: float) -> Generator:
-    """DES process: double-buffered vector streaming (Sec. 5.5).
-
-    The pipeline's uncached inputs move one chunk-sized vector at a
-    time over the device's h2d channel; vector ``k+1`` is on the wire
-    while the kernel consumes vector ``k``, so the pipeline costs
-    roughly ``max(transfer, compute)`` plus one vector of fill latency.
-    An injected PCIe fault or a kernel fault fails this process, which
-    the attempt observes through ``all_of``.
-    """
-    chunk = link.chunk_bytes
-    remaining = int(stream_bytes)
-    vectors = max(1, -(-remaining // chunk))
-    per_compute = compute_seconds / vectors
-    pending = None
-    for _ in range(vectors):
-        vector_bytes = min(chunk, remaining)
-        remaining -= vector_bytes
-        yield from link.transfer(vector_bytes, "h2d", device=device.name)
-        if pending is not None:
-            yield pending
-        pending = device.processor.submit(per_compute)
-        # a stall-failing kernel whose stream dies first must not
-        # escalate as an unwaited failure
-        pending.defused = True
-    if pending is not None:
-        yield pending
 
 
 def _run_cpu(ctx, op, child_results, input_bytes):

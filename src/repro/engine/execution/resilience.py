@@ -25,8 +25,8 @@ count against a breaker: a full heap is the *allocator working as
 specified* under contention (the paper's core effect), not flakiness.
 
 Both mechanisms live in one loop, :meth:`ResilienceManager.attempts`,
-which runs the one device attempt of an operator or a pipeline (a split
-share books its breaker outcome itself); an attempt that dies books its
+which runs the one device attempt of a placed operator (a split share
+books its breaker outcome itself); an attempt that dies books its
 wasted time through
 :func:`~repro.engine.execution.operator_task.account_abort`.
 

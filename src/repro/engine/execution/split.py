@@ -142,20 +142,6 @@ class SplitState:
                * (1.0 - (resident_fraction(ctx, op, device) or 0.0)))
         return self.model.ratio(op.kind, input_bytes, t_x, hint=hint)
 
-    def vector_ratio(self, ctx, cpu_seconds: float, gpu_seconds: float,
-                     stream_bytes: float) -> float:
-        """Host-side work fraction for the vectorized executor's
-        static split: the cost model's balance point instead of the
-        pure compute-rate ratio, so the PCIe stream cost (absent on a
-        coupled platform) shifts vectors toward the host."""
-        if self.config.split_ratio is not None:
-            return 1.0 - self.config.split_ratio
-        gpu_share = self.model.balance(
-            cpu_seconds, gpu_seconds,
-            self._transfer_seconds(ctx, stream_bytes),
-        )
-        return 1.0 - gpu_share
-
     # -- the split execution itself ------------------------------------
 
     def _decline(self, ctx, reason: str) -> None:

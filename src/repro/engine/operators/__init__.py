@@ -7,8 +7,8 @@ tests an operator's type.  Every class declares
   engine profiles need a CPU curve for it, and a GPU one unless
 * ``cpu_only`` — the operator must run on the host,
 * ``role`` — its plan shape, one of :data:`ROLES`: what the fused
-  pipelines and the vectorized chains read to decide what chains, what
-  breaks and what trails the breaker,
+  pipelines read to decide what chains, what breaks and what trails
+  the breaker,
 * ``_read_columns()`` — the base columns it reads (behind
   ``required_columns()`` / ``column_keys()``: data-driven placement,
   staging, the access statistics),

@@ -58,9 +58,9 @@ class PhysicalOperator:
     kind = "scan"
     #: operators that must run on the host (e.g. final result delivery)
     cpu_only = False
-    #: plan shape, one of :data:`ROLES`: what the fused pipelines and
-    #: the vectorized chains read to decide what chains, what breaks
-    #: and what trails the breaker; subclasses override
+    #: plan shape, one of :data:`ROLES`: what the fused pipelines read
+    #: to decide what chains, what breaks and what trails the breaker;
+    #: subclasses override
     role = ""
 
     def __init__(self, children: Optional[List["PhysicalOperator"]] = None,

@@ -176,7 +176,7 @@ class CopyEngine:
     @property
     def asynchronous(self) -> bool:
         """True in the async topology — asked only where the topologies
-        *schedule* differently (relay ordering, vector streaming,
+        *schedule* differently (staging overlap, relay ordering,
         prefetch); moving bytes never needs to."""
         return self._shared is None
 

@@ -41,9 +41,9 @@ class SystemConfig:
     #: PCIe link topology (repro.hardware.copy_engine).  True = async:
     #: independent h2d/d2h DMA channels per device, operator staging
     #: overlapped with the kernel (Sec. 5.5), in-flight transfer
-    #: coalescing, double-buffered vector streaming, and
-    #: placement-driven prefetch.  False (default) = serialized: one
-    #: blocking channel for everything, the paper-faithful baseline.
+    #: coalescing and placement-driven prefetch.  False (default) =
+    #: serialized: one blocking channel for everything, the
+    #: paper-faithful baseline.
     copy_engine: bool = False
     #: intra-operator split execution (repro.engine.execution.split):
     #: one operator's morsel range divided between CPU and GPU by a

@@ -31,7 +31,6 @@ from repro.engine.execution import (
     LifecycleConfig,
     QueryCancelled,
     QueryContext,
-    VectorizedExecutor,
     deadline_watchdog,
     execute_functional,
     run_plan_eager,
@@ -156,7 +155,7 @@ class QueryDriver:
 
     def __init__(self, ctx: ExecutionContext, strategy: PlacementStrategy,
                  lifecycle: Optional[LifecycleConfig],
-                 processing_model: str = "operator", gpu_workers: int = 2):
+                 gpu_workers: int = 2):
         self.ctx = ctx
         self.env = ctx.env
         self.metrics = ctx.metrics
@@ -165,11 +164,7 @@ class QueryDriver:
         self.controller = AdmissionController(
             ctx.env, lifecycle or LifecycleConfig(), ctx.metrics)
         # the run's one executor, as ``submit(plan, qctx, ctx)``
-        if processing_model == "vectorized":
-            # vector-at-a-time (Sec. 5.5): pipelines replace the
-            # operator-at-a-time executors entirely
-            self.submit = VectorizedExecutor(ctx, strategy).submit
-        elif strategy.executor == "chopping":
+        if strategy.executor == "chopping":
             self.submit = ChoppingExecutor(
                 ctx, strategy, gpu_workers=gpu_workers,
                 lifecycle=lifecycle).submit
@@ -253,7 +248,6 @@ def run_workload(
     warm_cache: bool = True,
     placement_policy: str = "lfu",
     gpu_workers: int = 2,
-    processing_model: str = "operator",
     collect_results: bool = False,
     trace: bool = False,
     validate: bool = False,
@@ -285,10 +279,6 @@ def run_workload(
     """
     if users < 1 or repetitions < 1:
         raise ValueError("users and repetitions must be >= 1")
-    if processing_model not in ("operator", "vectorized"):
-        raise ValueError(
-            "processing_model must be 'operator' or 'vectorized'"
-        )
     check_pool_arguments(gpu_workers)
     config = config if config is not None else SystemConfig()
     lifecycle_config = LifecycleConfig.coerce(lifecycle)
@@ -313,8 +303,7 @@ def run_workload(
     sessions = [all_runs[i::users] for i in range(users)]
 
     driver = QueryDriver(
-        ctx, strategy_obj, lifecycle_config, processing_model,
-        gpu_workers=gpu_workers)
+        ctx, strategy_obj, lifecycle_config, gpu_workers=gpu_workers)
     admission = None
     if strategy_obj.admission_limit is not None:
         admission = Resource(env, capacity=strategy_obj.admission_limit)

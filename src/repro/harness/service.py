@@ -186,10 +186,13 @@ class ServiceConfig:
             raise ValueError("tenants_per_class must be >= 1")
         if self.starvation_seconds <= 0:
             raise ValueError("starvation_seconds must be positive")
-        if (self.mutation_interval_seconds is not None
-                and self.mutation_interval_seconds <= 0):
-            # a zero cadence would append forever at one simulated time
-            raise ValueError("mutation_interval_seconds must be positive")
+        # a zero deadline cancels every query, a negative one never
+        # fires; a zero cadence would append forever at one simulated time
+        for name in ("deadline_seconds", "latency_target_seconds",
+                     "mutation_interval_seconds"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError("{} must be positive".format(name))
 
     def targets(self) -> Dict[str, float]:
         """Per-class p99 latency targets in simulated seconds."""

@@ -46,11 +46,22 @@ rule                        holds when
                             groups and aggregates nothing.
 ``chain_loops``             ``engine/morsel.py`` runs a chain in one
                             loop, each kernel called from one function.
+``oracle_imports``          ``engine/reference.py`` imports no numpy and
+                            nothing of ``repro`` but expression node
+                            classes and ``repro.storage``.
+``oracle_engine_paths``     ``engine/reference.py`` calls no
+                            ``evaluate``, ``probe`` or ``gather``.
+``oracle_state``            ``engine/reference.py`` keeps nothing
+                            between calls: no mutable module-level
+                            binding, no ``global``, no mutable default.
+``dangling_citations``      every ``tests/<file>.py::<name>`` the docs
+                            cite names a test, class or function there.
 ==========================  ============================================
 
 ``python tests/rules.py`` prints the config-field and ``run_workload``
 table, one row per public name with its first program caller or its
-``ALLOWED`` reason, and docs/api.md's counter table.
+``ALLOWED`` reason, and docs/api.md's counter table; it exits 1 when a
+doc cites a test that does not exist.
 """
 
 import ast
@@ -69,11 +80,13 @@ if __name__ == "__main__":  # a script reads the program of its checkout
     sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from repro.cli import build_parser  # noqa: E402
+from repro.engine import expressions  # noqa: E402
 from repro.engine.execution import LifecycleConfig, QueryContext  # noqa: E402
 from repro.engine.operators import PhysicalOperator  # noqa: E402
 from repro.faults import FaultConfig  # noqa: E402
 from repro.hardware import SystemConfig  # noqa: E402
 from repro.harness import run_workload  # noqa: E402
+from repro.harness.figures import CLAIMS  # noqa: E402
 from repro.harness.service import ServiceConfig  # noqa: E402
 from repro.metrics.collector import POOL_COUNTS  # noqa: E402
 from repro.sim import Environment  # noqa: E402
@@ -87,6 +100,18 @@ PARALLEL = os.path.join("src", "repro", "harness", "parallel.py")
 COLLECTOR = os.path.join(PACKAGE, "metrics", "collector.py")
 MORSEL = os.path.join(PACKAGE, "engine", "morsel.py")
 UNIT = os.path.join("benchmarks", "e2e", "unit.py")
+REFERENCE = os.path.join(PACKAGE, "engine", "reference.py")
+#: the documents whose test citations must resolve (a folder: its
+#: ``.md`` files)
+DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs")
+#: ``tests/<file>.py::<name>[::<name>]``
+CITATION = re.compile(r"tests/\w+\.py(?:::\w+){1,2}")
+#: test file -> the tests it makes at import time, which its tree does
+#: not name
+GENERATED = {
+    "tests/test_paper_shapes.py": frozenset(
+        "test_" + claim.name for claim in CLAIMS),
+}
 
 
 def _flags(**dests):
@@ -157,10 +182,6 @@ RUN_WORKLOAD = {
     # the paper's worker-width ablation
     "gpu_workers": (
         "test", "tests/test_chopping.py::test_ablation_gpu_worker_pool_width"),
-    # the vectorized extension (Sec. 5.5)
-    "processing_model": (
-        "test", "tests/test_vectorized.py::"
-                "test_extension_operator_vs_vector_at_a_time"),
     "algorithm_selection": (
         "test", "tests/test_algorithm_selection.py::"
                 "test_ablation_algorithm_selection_on_and_off"),
@@ -251,7 +272,6 @@ ONE_ATTEMPT = {
 ENTRY_POINTS = {
     ("core/chopping.py", "ChoppingExecutor.submit"),
     ("engine/execution/eager.py", "run_plan_eager"),
-    ("engine/execution/vectorized.py", "VectorizedExecutor.submit"),
 }
 
 
@@ -332,6 +352,26 @@ class Index:
                 self._files[path] = SourceFile(path, handle.read(),
                                                self.parses)
         return self._files[path]
+
+    def exists(self, path):
+        """Whether the file ``path`` is in the tree."""
+        return path in self._files or (
+            not self._planted and os.path.isfile(os.path.join(ROOT, path)))
+
+    def documents(self):
+        """The Markdown files of ``DOCS`` (a planted tree's ``.md``
+        files)."""
+        if self._planted:
+            return [path for path in self._files if path.endswith(".md")]
+        found = []
+        for doc in DOCS:
+            if doc.endswith(".md"):
+                found.append(doc)
+            else:
+                found += [os.path.join(doc, name) for name in sorted(
+                    os.listdir(os.path.join(ROOT, doc)))
+                    if name.endswith(".md")]
+        return found
 
     def files(self, top):
         """The ``.py`` files under ``top``, a folder's before its
@@ -933,6 +973,134 @@ def chain_loops(index):
             if callers.get(name) != functions]
 
 
+def _runtime_nodes(tree):
+    """Every node of ``tree`` outside ``if TYPE_CHECKING:`` blocks."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                and node.test.id == "TYPE_CHECKING"):
+            stack.extend(node.orelse)
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _expression_class(name):
+    node_class = getattr(expressions, name, None)
+    return isinstance(node_class, type) and issubclass(
+        node_class, expressions.Expression)
+
+
+def oracle_imports(index):
+    """``line: module`` of each import of ``engine/reference.py`` (outside
+    ``if TYPE_CHECKING:``) of numpy, or of ``repro`` other than an
+    expression node class or ``repro.storage``: the oracle shares no
+    execution code with the engine it checks."""
+    offences = []
+    for node in _runtime_nodes(index[REFERENCE].tree):
+        if isinstance(node, ast.Import):
+            offences += ["{}: {}".format(node.lineno, alias.name)
+                         for alias in node.names
+                         if alias.name.split(".")[0] in ("numpy", "repro")]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            top = module.split(".")[0]
+            if top == "numpy" or (top == "repro" and module not in (
+                    "repro.engine.expressions", "repro.storage")):
+                offences.append("{}: {}".format(node.lineno, module))
+            elif module == "repro.engine.expressions":
+                offences += ["{}: {}.{}".format(node.lineno, module,
+                                                alias.name)
+                             for alias in node.names
+                             if not _expression_class(alias.name)]
+    return offences
+
+
+def oracle_engine_paths(index):
+    """``line: name`` wherever ``engine/reference.py`` names an
+    ``evaluate``, ``probe`` or ``gather`` of the engine."""
+    offences = []
+    for node in index[REFERENCE].nodes:
+        if (isinstance(node, ast.Attribute)
+                and node.attr in ("evaluate", "probe", "gather")):
+            offences.append("{}: .{}".format(node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id == "gather":
+            offences.append("{}: gather".format(node.lineno))
+    return offences
+
+
+def _frozen(value):
+    """Whether a module-level value is immutable: a constant, a tuple of
+    constants, a ``MappingProxyType`` or a ``frozenset``."""
+    return (isinstance(value, ast.Constant)
+            or (isinstance(value, ast.Tuple) and all(
+                isinstance(element, ast.Constant) for element in value.elts))
+            or (isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id in ("MappingProxyType", "frozenset")))
+
+
+def oracle_state(index):
+    """``line: what`` of each mutable module-level binding, ``global``
+    and default argument other than a constant in
+    ``engine/reference.py``: every list and dict lives and dies in one
+    call."""
+    tree = index[REFERENCE].tree
+    offences = ["{}: module-level binding".format(node.lineno)
+                for node in tree.body
+                if isinstance(node, (ast.Assign, ast.AnnAssign,
+                                     ast.AugAssign))
+                and not _frozen(node.value)]
+    for node in index[REFERENCE].nodes:
+        if isinstance(node, ast.Global):
+            offences.append("{}: global".format(node.lineno))
+        elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            offences += ["{}: default".format(node.lineno)
+                         for default in (node.args.defaults
+                                         + node.args.kw_defaults)
+                         if default is not None
+                         and not isinstance(default, ast.Constant)]
+    return offences
+
+
+def _matches(name, cited):
+    """Whether ``cited`` names ``name``; ending in ``_``, it is a
+    prefix."""
+    return name.startswith(cited) if cited.endswith("_") else name == cited
+
+
+def _defines(tree, names, generated):
+    """Whether ``tree`` defines a function or class ``names[0]`` with
+    ``names[1]`` inside it, or ``names`` is one of the ``generated``
+    tests."""
+    if len(names) == 1 and any(_matches(name, names[0])
+                               for name in generated):
+        return True
+    scopes = [tree]
+    for cited in names:
+        scopes = [node for scope in scopes
+                  for child in ast.iter_child_nodes(scope)
+                  for node in ast.walk(child)
+                  if isinstance(node, _DEFS) and _matches(node.name, cited)]
+    return bool(scopes)
+
+
+def dangling_citations(index):
+    """``doc:line citation`` of each ``tests/<file>.py::<name>`` in the
+    ``DOCS`` that names no function or class of that file."""
+    offences = []
+    for doc in index.documents():
+        for number, line in enumerate(index[doc].source.split("\n"), 1):
+            for citation in CITATION.findall(line):
+                path, *names = citation.split("::")
+                if not (index.exists(path) and _defines(
+                        index[path].tree, names, GENERATED.get(path, ()))):
+                    offences.append("{}:{} {}".format(doc, number,
+                                                      citation))
+    return offences
+
+
 def config_table():
     """One row per config field and ``run_workload`` keyword: class,
     field, default, caller."""
@@ -965,3 +1133,7 @@ if __name__ == "__main__":
     print("| name | labels | reported by |")
     print("|---|---|---|")
     print("\n".join(counter_rows(index)))
+    dangling = dangling_citations(index)
+    for citation in dangling:
+        print("cites no test: " + citation, file=sys.stderr)
+    sys.exit(1 if dangling else 0)

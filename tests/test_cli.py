@@ -151,6 +151,15 @@ def test_a_bad_repro_jobs_is_an_error_not_a_traceback(argv, monkeypatch,
                  id="serve-rate"),
     pytest.param(["serve", "--tenants", "0"],
                  "tenants_per_class must be >= 1", False, id="serve-tenants"),
+    pytest.param(["serve", "--deadline", "0"],
+                 "deadline_seconds must be positive", False,
+                 id="serve-deadline-zero"),
+    pytest.param(["serve", "--deadline", "-1"],
+                 "deadline_seconds must be positive", False,
+                 id="serve-deadline-negative"),
+    pytest.param(["serve", "--target", "-1"],
+                 "latency_target_seconds must be positive", False,
+                 id="serve-target-negative"),
     pytest.param(["query", "select x from nowhere"],
                  "unknown table 'nowhere'", True, id="query-bind"),
 ])

@@ -22,15 +22,15 @@ def test_the_attempt_guard_sees_a_second_site():
             "def device_attempt(ctx):\n"
             "    lease = DeviceLease(ctx)\n"
             "    account_abort(ctx)\n"
-            "class VectorizedExecutor:\n"
+            "class Second:\n"
             "    def _attempt(self, ctx):\n"
             "        lease = lease_module.DeviceLease(ctx)\n"
             "        self.account_abort(ctx)\n"})
     sites = rules.call_sites(planted, rules.ONE_ATTEMPT, "engine")
     assert {name: [scope for _, scope, _ in where]
             for name, where in sites.items()} == {
-        "DeviceLease": ["device_attempt", "VectorizedExecutor._attempt"],
-        "account_abort": ["device_attempt", "VectorizedExecutor._attempt"]}
+        "DeviceLease": ["device_attempt", "Second._attempt"],
+        "account_abort": ["device_attempt", "Second._attempt"]}
 
 
 def test_no_engine_code_asks_whether_a_query_has_a_context(source_index):

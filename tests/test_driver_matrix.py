@@ -9,7 +9,7 @@ in order, the labelled counter, the fault digest, and the number of
 events the run scheduled on the DES (a counting spy on
 ``Environment.schedule``).  Every run must reproduce them exactly.
 
-* Batch: the eager, chopping and vectorized executors, each without
+* Batch: the eager and the chopping executor, each without
   the lifecycle layer and under a queueing, a shedding and a degrading
   admission gate, a deadline (alone and behind the queueing and the
   shedding gate), and hedging; the compile-time strategy
@@ -39,12 +39,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
 
 #: small enough a heap that operators abort on out-of-memory
 PLATFORM = SystemConfig(gpu_memory_bytes=64 * MIB, gpu_cache_bytes=24 * MIB)
-#: (strategy, processing model) per executor
-EXECUTORS = {
-    "eager": ("runtime", "operator"),
-    "chopping": ("chopping", "operator"),
-    "vectorized": ("runtime", "vectorized"),
-}
+#: strategy per executor
+EXECUTORS = {"eager": "runtime", "chopping": "chopping"}
 #: lifecycle specs; the deadline cancels some queries of every executor
 LIFECYCLES = {
     "off": None,
@@ -60,8 +56,8 @@ LIFECYCLES = {
 }
 BATCH = {
     "batch/{}/{}".format(executor, lifecycle): dict(
-        strategy=strategy, processing_model=model, lifecycle=spec)
-    for executor, (strategy, model) in EXECUTORS.items()
+        strategy=strategy, lifecycle=spec)
+    for executor, strategy in EXECUTORS.items()
     for lifecycle, spec in LIFECYCLES.items()
 }
 BATCH["batch/compile_time/deadline"] = dict(

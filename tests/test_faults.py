@@ -361,14 +361,6 @@ class TestEndToEnd:
         # while open, placement skipped the device at least once
         assert run.metrics.total("breaker_skips") > 0
 
-    def test_vectorized_model_survives_faults(self, ssb_db):
-        clean = _run(ssb_db, faults=None,
-                     processing_model="vectorized")
-        faulted = _run(ssb_db, faults=HIGH_RATE,
-                       processing_model="vectorized", validate=True)
-        assert faulted.faults_injected > 0
-        assert _payload_rows(faulted) == _payload_rows(clean)
-
     def test_chopping_model_survives_faults(self, ssb_db):
         clean = _run(ssb_db, faults=None, strategy="chopping")
         faulted = _run(ssb_db, faults=HIGH_RATE, strategy="chopping",

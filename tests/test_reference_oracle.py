@@ -11,12 +11,10 @@ seeds, the 100 seeded ``sqlgen`` statements, the random-query strategy
 of ``tests/test_random_queries.py`` and hand-written edge shapes.
 
 Also here: ``compare_rows``'s exact-first check against the per-row
-walk it short-cuts, and an ``ast`` guard on the independence the
-evaluator's module docstring promises.
+walk it short-cuts, and the ``oracle_*`` rules of ``tests/rules.py``
+on the independence the evaluator's module docstring promises.
 """
 
-import ast
-import os
 from types import MappingProxyType
 from typing import Callable, Dict, List
 
@@ -25,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import expressions
 from repro.engine import reference as compiled
 from repro.engine.expressions import (
     Aggregate,
@@ -48,10 +45,8 @@ from repro.storage import ColumnType, Database
 from repro.workloads import ssb, tpch
 
 from benchmarks.e2e import sqlgen
+from tests import rules
 from tests import test_random_queries as random_queries
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-REFERENCE = os.path.join(ROOT, "src", "repro", "engine", "reference.py")
 
 
 # ---------------------------------------------------------------------------
@@ -530,72 +525,17 @@ def test_compare_rows_keeps_the_walks_verdict(case, got, want, verdict):
 # Independence: the evaluator shares no execution code with the engine
 # ---------------------------------------------------------------------------
 
-def _runtime_nodes(tree):
-    """Every node of ``tree`` outside ``if TYPE_CHECKING:`` blocks."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
-                and node.test.id == "TYPE_CHECKING"):
-            stack.extend(node.orelse)
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
+def test_the_oracle_imports_only_expression_nodes_and_storage(
+        source_index):
+    assert rules.oracle_imports(source_index) == []
 
 
-def test_the_oracle_imports_only_expression_nodes_and_storage():
-    with open(REFERENCE) as handle:
-        tree = ast.parse(handle.read())
-    for node in _runtime_nodes(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                assert alias.name.split(".")[0] not in ("numpy", "repro"), \
-                    alias.name
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            assert module.split(".")[0] != "numpy", module
-            if module.split(".")[0] != "repro":
-                continue
-            assert module in ("repro.engine.expressions", "repro.storage"), \
-                module
-            if module == "repro.engine.expressions":
-                for alias in node.names:
-                    node_class = getattr(expressions, alias.name)
-                    assert isinstance(node_class, type) and issubclass(
-                        node_class, Expression), alias.name
+def test_the_oracle_calls_no_engine_path(source_index):
+    assert rules.oracle_engine_paths(source_index) == []
 
 
-def test_the_oracle_calls_no_engine_path():
-    with open(REFERENCE) as handle:
-        tree = ast.parse(handle.read())
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            assert node.attr not in ("evaluate", "probe", "gather"), \
-                (node.attr, node.lineno)
-        elif isinstance(node, ast.Name):
-            assert node.id != "gather", node.lineno
-
-
-def test_the_oracle_keeps_nothing_between_calls():
+def test_the_oracle_keeps_nothing_between_calls(source_index):
     """No module-level mutable binding, no ``global``, no mutable
     default argument: every list and dict lives and dies in one call."""
-    with open(REFERENCE) as handle:
-        tree = ast.parse(handle.read())
-    for node in tree.body:
-        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            value = node.value
-            frozen = (isinstance(value, ast.Constant)
-                      or (isinstance(value, ast.Tuple) and all(
-                          isinstance(e, ast.Constant) for e in value.elts))
-                      or (isinstance(value, ast.Call)
-                          and isinstance(value.func, ast.Name)
-                          and value.func.id in ("MappingProxyType",
-                                                "frozenset")))
-            assert frozen, ast.dump(node)
-    for node in ast.walk(tree):
-        assert not isinstance(node, ast.Global), node.lineno
-        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
-            for default in node.args.defaults + node.args.kw_defaults:
-                assert default is None or isinstance(default, ast.Constant), \
-                    node.lineno
+    assert rules.oracle_state(source_index) == []
     assert isinstance(compiled._OPERATORS, MappingProxyType)

@@ -98,6 +98,29 @@ PLANTED = {
                        "    self.match()\n"
                        "def run_recorded(self):\n    self._run()\n"},
         ["match: ['run_morsel', 'batches']"]),
+    "an oracle importing numpy": (
+        rules.oracle_imports,
+        {rules.REFERENCE: "from repro.storage import Database\n"
+                          "import numpy as np\n"},
+        ["2: numpy"]),
+    "an oracle calling the engine's probe": (
+        rules.oracle_engine_paths,
+        {rules.REFERENCE: "def f(index, keys):\n"
+                          "    return index.probe(keys)\n"},
+        ["2: .probe"]),
+    "an oracle keeping a dict between calls": (
+        rules.oracle_state,
+        {rules.REFERENCE: "_OPS = MappingProxyType({})\n_SEEN = {}\n"},
+        ["2: module-level binding"]),
+    "a doc citing a test that is gone": (
+        rules.dangling_citations,
+        {"docs/m.md": "`tests/test_m.py::TestA::test_b`, "
+                      "`tests/test_m.py::test_kept_`,\n"
+                      "`tests/test_m.py::test_gone`\n",
+         "tests/test_m.py": "class TestA:\n    def test_b(self):\n"
+                            "        pass\ndef test_kept_here():\n"
+                            "    pass\n"},
+        ["docs/m.md:2 tests/test_m.py::test_gone"]),
 }
 
 
@@ -117,6 +140,10 @@ def test_the_api_doc_counter_table_is_the_generated_one(source_index):
     assert lines[start:end] == rules.counter_rows(source_index)
 
 
+def test_every_test_the_docs_cite_exists(source_index):
+    assert rules.dangling_citations(source_index) == []
+
+
 #: every rule, over the whole tree
 RULES = [rules.field_callers, rules.keyword_callers, rules.uncalled,
          rules.stale_allowances, rules.unlisted_state,
@@ -124,7 +151,9 @@ RULES = [rules.field_callers, rules.keyword_callers, rules.uncalled,
          rules.collector_writes, rules.missing_profile_sites,
          rules.query_steps, rules.attempt_sites, rules.asked_contexts,
          rules.entry_point_defaults, rules.type_tests,
-         rules.morsel_computes, rules.chain_loops]
+         rules.morsel_computes, rules.chain_loops, rules.oracle_imports,
+         rules.oracle_engine_paths, rules.oracle_state,
+         rules.dangling_citations]
 
 
 def test_each_file_is_parsed_once_in_the_session(source_index,

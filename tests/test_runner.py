@@ -129,7 +129,7 @@ def test_invalid_arguments_rejected(toy_db):
 
 
 @pytest.mark.parametrize("bad", [
-    dict(processing_model="quantum"), dict(users=0), dict(gpu_workers=0),
+    dict(lifecycle="deadline=0"), dict(users=0), dict(gpu_workers=0),
     dict(repetitions=0),
 ])
 def test_arguments_are_checked_before_a_platform_is_built(

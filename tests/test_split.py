@@ -154,12 +154,6 @@ def test_split_strategy_registered_and_runs(ssb_db):
     assert run.metrics.total("split_operators") > 0
 
 
-def test_split_vectorized_model_validates(ssb_db):
-    run = _run_split(ssb_db, SystemConfig(split=True),
-                     processing_model="vectorized")
-    assert run.seconds > 0
-
-
 # ---------------------------------------------------------------------------
 # Zero overhead when disabled / declined
 # ---------------------------------------------------------------------------

@@ -1,13 +1,10 @@
 """Tests for execution tracing."""
 
-import pytest
-
-from repro.engine.execution.vectorized import build_pipelines
 from repro.harness import run_workload
 from repro.hardware import SystemConfig
 from repro.hardware.calibration import MIB
 from repro.metrics import ExecutionTrace
-from repro.workloads import sql_workload, ssb
+from repro.workloads import sql_workload
 
 
 SQL = {
@@ -49,29 +46,6 @@ def test_trace_captures_gpu_and_fallback(toy_db):
     assert any(e.processor == "cpu" for e in run.trace.events)
     # metrics and trace agree on the abort count
     assert len(aborted) == run.metrics.aborts
-
-
-@pytest.mark.parametrize("faults",
-                         [None, "pcie=0.05,kernel=0.05,heap=0.05,seed=7"])
-def test_a_vectorized_trace_has_a_span_per_pipeline_and_per_abort(ssb_db,
-                                                                  faults):
-    """Every pipeline run leaves one span — the device attempt's
-    (``cpu+gpu``: the host takes its share of the vectors) or the CPU
-    run's — and every aborted attempt one more, so the trace covers the
-    run as an operator-at-a-time trace does."""
-    queries = ssb.workload(ssb_db)
-    run = run_workload(ssb_db, queries, "runtime", users=2, repetitions=2,
-                       processing_model="vectorized", faults=faults,
-                       trace=True)
-    pipelines = 2 * sum(len(build_pipelines(query.instantiate()))
-                        for query in queries)
-    aborts = run.metrics.aborts
-    assert len(run.trace) == pipelines + aborts
-    assert len(run.trace.aborted_events()) == aborts
-    assert (aborts > 0) == (faults is not None)
-    done = [e for e in run.trace.events if not e.aborted]
-    assert {e.processor for e in done} == {"cpu", "cpu+gpu"}
-    assert all(0.0 <= e.start <= e.end <= run.seconds for e in done)
 
 
 def test_trace_busy_seconds_by_processor(toy_db):

@@ -1,14 +1,14 @@
 """Golden identity matrix for the transfer model and the attempt loop.
 
-{operator, vectorized} x {serialized, async} x {no faults,
-pcie/kernel/heap faults} on a small 2-GPU SSB run, plus the same with
-``split=True`` and with ``SystemConfig.coupled_gpu()`` (split on).
+{serialized, async} x {no faults, pcie/kernel/heap faults} on a small
+2-GPU SSB run, plus the same with ``split=True`` and with
+``SystemConfig.coupled_gpu()`` (split on).
 The simulated numbers of the pure cells in
 ``tests/golden/transfer_matrix.json`` were recorded at the commit
 *before* ``PCIeBus`` was folded into ``CopyEngine`` and the retry loops
 into ``ResilienceManager``; the split cells (id suffix ``/split``) at
-the commit before the operator attempt, the split share and the
-pipeline attempt became one attempt.  Every cell must reproduce them
+the commit before the operator attempt and the split share became one
+device attempt.  Every cell must reproduce them
 exactly (floats compared by ``repr``).
 
 Regenerate (only when the hardware model changes on purpose):
@@ -34,18 +34,12 @@ LINKS = {
     #: the coupled platform of arXiv 1307.1955, its own heap and cache
     "coupled": None,
 }
-#: (device memory, column cache) per processing model, sized so that
-#: out-of-memory aborts, evictions and cross-device child relays all
-#: occur without faults: operators stage whole columns on the heap,
-#: pipelines only their breaker output
-PLATFORM = {
-    "operator": (64 * MIB, 24 * MIB),
-    "vectorized": (228 * MIB, 224 * MIB),
-}
+#: device memory and column cache, sized so that out-of-memory aborts,
+#: evictions and cross-device child relays all occur without faults
+MEMORY, CACHE = 64 * MIB, 24 * MIB
 CELLS = [
-    (model, link, faulted, split)
+    (link, faulted, split)
     for split in (False, True)
-    for model in ("operator", "vectorized")
     for link in LINKS
     for faulted in (False, True)
     if split or LINKS[link] is not None
@@ -53,27 +47,26 @@ CELLS = [
 
 
 def cell_id(cell) -> str:
-    model, link, faulted, split = cell
-    return "{}/{}/{}{}".format(model, link,
-                               "faults" if faulted else "clean",
-                               "/split" if split else "")
+    """``operator/<link>/<faults>[/split]``: operator-at-a-time cells,
+    keyed as recorded."""
+    link, faulted, split = cell
+    return "operator/{}/{}{}".format(link, "faults" if faulted else "clean",
+                                     "/split" if split else "")
 
 
-def config_of(model, link, split) -> SystemConfig:
+def config_of(link, split) -> SystemConfig:
     if LINKS[link] is None:
         return SystemConfig.coupled_gpu(gpu_count=2, split=split)
-    memory, cache = PLATFORM[model]
-    return SystemConfig(gpu_count=2, gpu_memory_bytes=memory,
-                        gpu_cache_bytes=cache, split=split, **LINKS[link])
+    return SystemConfig(gpu_count=2, gpu_memory_bytes=MEMORY,
+                        gpu_cache_bytes=CACHE, split=split, **LINKS[link])
 
 
 def measure(database, cell) -> dict:
     """The pinned simulated statistics of one matrix cell."""
-    model, link, faulted, split = cell
-    config = config_of(model, link, split)
+    link, faulted, split = cell
     run = run_workload(
-        database, ssb.workload(database), "runtime", config=config,
-        users=6, repetitions=2, processing_model=model,
+        database, ssb.workload(database), "runtime",
+        config=config_of(link, split), users=6, repetitions=2,
         faults=FAULTS if faulted else None,
     )
     metrics = run.metrics
@@ -116,7 +109,7 @@ def test_matrix_exercises_faults_and_aborts(golden):
     """The pins are only worth something if the cells do real work."""
     for cell in CELLS:
         pinned = golden[cell_id(cell)]
-        model, link, faulted, split = cell
+        link, faulted, split = cell
         assert pinned["h2d_bytes"] > 0
         if LINKS[link] is not None:
             assert pinned["aborts"] > 0  # clean cells: genuine OOM
@@ -125,25 +118,15 @@ def test_matrix_exercises_faults_and_aborts(golden):
             assert pinned["retries"] > 0
 
 
-@pytest.mark.parametrize("cell", [cell for cell in CELLS if cell[3]],
+@pytest.mark.parametrize("cell", [cell for cell in CELLS if cell[2]],
                          ids=cell_id)
 def test_split_cells_split(golden, cell):
-    """Each split cell runs the split: operator cells split operators
-    (and degrade some under faults); a vectorized cell's makespan
-    differs from the same cell without split, so the vector ratio of
-    the split cost model is what placed its vectors.  The coupled
-    platform has no cell without split: with no transfer term the
-    split cost model's balance point is the compute-rate split, up to
-    the last place of a float."""
-    model, link, faulted, _ = cell
+    """Each split cell splits operators, and degrades some under
+    faults."""
     pinned = golden[cell_id(cell)]
-    if model == "operator":
-        assert pinned["split_operators"] > 0
-        if faulted:
-            assert pinned["degraded"] > 0
-    elif LINKS[link] is not None:
-        unsplit = golden[cell_id((model, link, faulted, False))]
-        assert pinned["makespan"] != unsplit["makespan"]
+    assert pinned["split_operators"] > 0
+    if cell[1]:
+        assert pinned["degraded"] > 0
 
 
 if __name__ == "__main__":

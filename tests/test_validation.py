@@ -40,12 +40,6 @@ def test_validate_under_aborting_device(toy_db, strategy):
     assert run.seconds > 0
 
 
-def test_validate_vectorized_model(toy_db):
-    queries = sql_workload(toy_db, QUERIES)
-    run_workload(toy_db, queries, "runtime",
-                 processing_model="vectorized", validate=True)
-
-
 def test_validate_detects_corruption(toy_db):
     """Corrupting a memoised payload must be caught."""
     queries = sql_workload(toy_db, {"agg": QUERIES["agg"]})
