@@ -85,7 +85,6 @@ def _resolve_lifecycle(args):
         max_inflight=args.max_inflight,
         overload_policy=args.overload_policy,
         deadline_seconds=args.deadline,
-        hedge_factor=args.hedge_factor,
     )
     return config if config.enabled else None
 
@@ -141,7 +140,6 @@ def cmd_run(args) -> int:
             part for part, on in (
                 ("admission", lifecycle.admission_enabled),
                 ("deadlines", lifecycle.deadlines_enabled),
-                ("hedging", lifecycle.hedging_enabled),
             ) if on
         )))
         for key, value in run.metrics.lifecycle_summary().items():
@@ -238,7 +236,6 @@ def cmd_serve(args) -> int:
         max_inflight=args.max_inflight,
         deadline_seconds=args.deadline,
         latency_target_seconds=args.target,
-        hedge_factor=args.hedge_factor,
         mutation_interval_seconds=args.mutation_interval,
         append_fraction=args.append_fraction,
         pool_chaos=args.pool_chaos,
@@ -372,10 +369,6 @@ def add_lifecycle(p, max_inflight=None):
                         "each SLO class multiplies it, premium 4x, "
                         "standard 2x); late queries are cancelled "
                         "cooperatively")
-    p.add_argument("--hedge-factor", type=float, default=None, metavar="K",
-                   help="hedge a straggling GPU operator onto the CPU once "
-                        "it exceeds K times its runtime estimate "
-                        "(default: off)")
 
 
 def add_jobs(p):

@@ -14,27 +14,19 @@ what prevents heap contention (Sec. 5.2).
 
 With the query-lifecycle layer on
 (:mod:`repro.engine.execution.lifecycle`) the executor additionally
-supports *cooperative cancellation* — a cancelled query's queued tasks
-are skipped at pickup and its running operators are interrupted — and
-*straggler hedging*: a watchdog re-enqueues a GPU-placed operator onto
-the CPU pool once it exceeds ``hedge_factor`` times its HyPE estimate;
-the first finisher wins and the loser is cancelled.  With the layer off
-(``lifecycle=None``) every operator takes the plain path (zero
-overhead), whatever context its query carries.
+supports *cooperative cancellation*: a cancelled query's queued tasks
+are skipped at pickup and its running operators are interrupted.  With
+the layer off (``lifecycle=None``) every operator takes the plain path
+(zero overhead), whatever context its query carries.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional
 
-from repro.engine.execution.context import (ExecutionContext,
-                                            place_operator, queue_estimate)
+from repro.engine.execution.context import ExecutionContext, place_operator
 from repro.engine.execution.lease import deliver_to_host
-from repro.engine.execution.lifecycle import (
-    HEDGE_MIN_SECONDS,
-    QueryCancelled,
-    QueryContext,
-)
+from repro.engine.execution.lifecycle import QueryCancelled, QueryContext
 from repro.engine.execution.operator_task import execute_operator
 from repro.engine.operators import PhysicalOperator, PhysicalPlan
 from repro.sim import Event, Interrupted, Store
@@ -53,7 +45,6 @@ class _Task:
         "estimate",
         "input_bytes",
         "qctx",
-        "race",
         "ctx",
     )
 
@@ -69,37 +60,9 @@ class _Task:
         #: the operator's input size, from placement
         self.input_bytes = 0
         self.qctx = qctx
-        self.race: Optional[_HedgeRace] = None
         #: the executor's shared context, or the query's own (service
         #: mode pins a query to its snapshot epoch)
         self.ctx = ctx
-
-
-class _HedgeRace:
-    """Shared state of one hedged operator: primary vs. CPU copy.
-
-    The same :class:`_Task` object is enqueued on both pools; whichever
-    worker finishes first flips ``done``, interrupts the rival, and
-    performs the (single) parent notification.
-    """
-
-    __slots__ = (
-        "primary", "estimates", "procs", "done", "winner", "hedged",
-        "watchdog",
-    )
-
-    def __init__(self, primary: str, primary_estimate: float):
-        #: processor name of the original placement
-        self.primary = primary
-        #: per-processor HyPE estimates (for load-tracker bookkeeping)
-        self.estimates = {primary: primary_estimate}
-        #: per-processor operator processes
-        self.procs: Dict[str, object] = {}
-        self.done = False
-        self.winner: Optional[str] = None
-        #: True once the watchdog actually dispatched the CPU copy
-        self.hedged = False
-        self.watchdog = None
 
 
 def check_pool_arguments(*workers: int) -> None:
@@ -120,9 +83,8 @@ class ChoppingExecutor:
         self.strategy = strategy
         self.cpu_workers = cpu_workers
         self.gpu_workers = gpu_workers
-        #: query-lifecycle config (hedging knobs); None = layer off
+        #: query-lifecycle config; None = layer off
         self.lifecycle = lifecycle
-        self._hedging = lifecycle is not None and lifecycle.hedging_enabled
         env = ctx.env
         #: per-processor FIFO ready queues fed by the global operator
         #: stream (one queue and one worker pool per co-processor)
@@ -203,7 +165,7 @@ class ChoppingExecutor:
             yield from self._run_supervised(task, name)
 
     def _run_supervised(self, task: _Task, name: str) -> Generator:
-        """Run one cancellable (and possibly hedged) operator.
+        """Run one cancellable operator.
 
         The operator becomes its own DES process registered with the
         query context, so a cancel can interrupt it mid-execution; the
@@ -211,25 +173,12 @@ class ChoppingExecutor:
         """
         ctx = task.ctx
         qctx = task.qctx
-        race = task.race
-        estimate = (race.estimates.get(name, task.estimate)
-                    if race is not None else task.estimate)
         if qctx.cancelled:
             # skipped at pickup: the query died while the task queued
-            ctx.load.finish(name, estimate)
+            ctx.load.finish(name, task.estimate)
             ctx.metrics.count("cancelled_task_skips")
             self._release_children(task)
             return
-        if race is not None and race.done:
-            # the rival finished while this copy sat in the queue
-            ctx.load.finish(name, estimate)
-            return
-        if race is None and self._hedging and name != "cpu" \
-                and not task.op.cpu_only:
-            race = _HedgeRace(name, task.estimate)
-            task.race = race
-            race.watchdog = ctx.env.process(self._hedge_watchdog(task))
-            race.watchdog.defused = True
         proc = ctx.env.process(execute_operator(
             ctx, task.op, task.child_results, name,
             admit_to_cache=self.strategy.admit_to_cache, qctx=qctx,
@@ -237,39 +186,11 @@ class ChoppingExecutor:
         ))
         proc.defused = True
         qctx.register(proc)
-        if race is not None:
-            race.procs[name] = proc
-        started = ctx.env.now
         try:
             result = yield proc
         except (Interrupted, QueryCancelled):
             result = None
-        ctx.load.finish(name, estimate)
-        if race is not None:
-            if race.done:
-                # lost the race: the winner already notified the parent;
-                # everything this copy executed was hedging's wasted work
-                if race.hedged:
-                    ctx.metrics.count("hedge_wasted_seconds",
-                                      ctx.env.now - started)
-                if result is not None:
-                    result.release_device_memory()
-                return
-            if result is not None:
-                race.done = True
-                race.winner = name
-                if race.watchdog is not None and race.watchdog.is_alive:
-                    race.watchdog.interrupt()
-                for rival_name, rival in race.procs.items():
-                    if rival_name != name and rival.is_alive:
-                        rival.defused = True
-                        rival.interrupt(QueryCancelled(
-                            task.op.plan_name or "?", "hedged"
-                        ))
-                if race.hedged:
-                    # won: the CPU copy finished before the original
-                    ctx.metrics.count("hedge_races",
-                                      won=name != race.primary)
+        ctx.load.finish(name, task.estimate)
         if result is None:
             # interrupted mid-flight; the operator rolled its own device
             # state back, this task's staged inputs go with it
@@ -277,32 +198,6 @@ class ChoppingExecutor:
                 self._release_children(task)
             return
         yield from self._complete(task, result)
-
-    def _hedge_watchdog(self, task: _Task) -> Generator:
-        """Hedge ``task`` onto the CPU pool once the primary straggles.
-
-        Sleeps ``hedge_factor`` times the primary's HyPE estimate; if
-        the operator is still running then (heap-contention stall,
-        fault-induced retry storm), the same task is enqueued on the
-        CPU ready queue and the two copies race.
-        """
-        lifecycle = self.lifecycle
-        race = task.race
-        wait = max(task.estimate, HEDGE_MIN_SECONDS) \
-            * lifecycle.hedge_factor
-        try:
-            yield self.ctx.env.timeout(wait)
-        except Interrupted:
-            return
-        if race.done or task.qctx.cancelled:
-            return
-        race.hedged = True
-        # a task context shares the executor's load tracker
-        cpu_estimate = queue_estimate(task.ctx, task.op, "cpu",
-                                      task.input_bytes)
-        race.estimates["cpu"] = cpu_estimate
-        self.ctx.metrics.count("hedges_started")
-        self.ready["cpu"].put(task)
 
     def _complete(self, task: _Task, result) -> Generator:
         """Return the root result (d2h) or notify the parent task."""

@@ -9,7 +9,7 @@
   :mod:`...eager` (compile-time and run-time placement); the
   query-chopping executor lives in :mod:`repro.core.chopping`.
 * The overload-safe query lifecycle (admission control, deadlines with
-  cooperative cancellation, straggler hedging) lives in
+  cooperative cancellation) lives in
   :mod:`repro.engine.execution.lifecycle`.
 * Intra-operator CPU/GPU co-processing (ratio-split execution) lives
   in :mod:`repro.engine.execution.split`.

@@ -101,15 +101,7 @@ def place_operator(ctx: ExecutionContext, strategy, op, child_results,
     input_bytes = op.input_nominal_bytes(ctx.database, child_results)
     processor_name = "cpu" if qctx.force_cpu else strategy.choose_processor(
         ctx, op, child_results, input_bytes)
-    estimate = queue_estimate(ctx, op, processor_name, input_bytes)
-    return processor_name, estimate, input_bytes
-
-
-def queue_estimate(ctx: ExecutionContext, op, processor_name: str,
-                   input_bytes: int) -> float:
-    """Queue (and return) ``op``'s HyPE runtime estimate on
-    ``processor_name``'s load; the caller owes ``ctx.load.finish``."""
     estimate = ctx.cost_model.estimate(
         op.kind, processor_kind(processor_name), input_bytes)
     ctx.load.assign(processor_name, estimate)
-    return estimate
+    return processor_name, estimate, input_bytes

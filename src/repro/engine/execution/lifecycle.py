@@ -1,4 +1,4 @@
-"""Query-lifecycle robustness: admission control, deadlines, hedging.
+"""Query-lifecycle robustness: admission control and deadlines.
 
 The paper bounds *operator*-level parallelism (query chopping,
 Sec. 5.2) so the system degrades gracefully instead of thrashing, but
@@ -23,8 +23,6 @@ resilience of :mod:`repro.engine.execution.resilience`:
   in a state where subsequent queries produce byte-identical results.
 * :func:`deadline_watchdog` — a DES process that cancels a query once
   its deadline elapses.
-* Straggler hedging lives in the chopping executor (it owns the worker
-  pools); :class:`LifecycleConfig.hedge_factor` configures it here.
 
 Every query carries a :class:`QueryContext`.  With ``lifecycle=None``
 (or every feature off) it has nothing enabled — no watchdog, a gate
@@ -43,15 +41,12 @@ from typing import Any, Callable, Deque, Generator, List, Optional
 from repro.faults import coerce_spec, parse_spec
 from repro.sim import Event
 
-#: Floor under tiny HyPE estimates before ``hedge_factor`` applies.
-HEDGE_MIN_SECONDS = 0.001
-
 #: Admission policies for queries arriving beyond the in-flight limit.
 OVERLOAD_POLICIES = ("queue", "shed", "degrade-to-cpu")
 
 
 class QueryCancelled(Exception):
-    """A query was cancelled (deadline, hedge loss, or explicit)."""
+    """A query was cancelled (deadline or explicit)."""
 
     def __init__(self, query: str = "?", reason: str = "cancelled"):
         super().__init__("{}: {}".format(query, reason))
@@ -61,7 +56,7 @@ class QueryCancelled(Exception):
 
 @dataclass(frozen=True)
 class LifecycleConfig:
-    """Overload / deadline / hedging knobs for one workload run.
+    """Overload / deadline knobs for one workload run.
 
     Every feature defaults to *off*; a default-constructed config is
     equivalent to ``lifecycle=None`` (the zero-overhead path).
@@ -73,9 +68,6 @@ class LifecycleConfig:
     overload_policy: str = "queue"
     #: per-query deadline in simulated seconds (None = no deadline)
     deadline_seconds: Optional[float] = None
-    #: hedge a GPU-placed operator once it exceeds this multiple of its
-    #: HyPE runtime estimate (None = hedging off)
-    hedge_factor: Optional[float] = None
 
     def __post_init__(self):
         if self.max_inflight is not None and self.max_inflight < 1:
@@ -86,8 +78,6 @@ class LifecycleConfig:
             )
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ValueError("deadline_seconds must be positive")
-        if self.hedge_factor is not None and self.hedge_factor <= 0:
-            raise ValueError("hedge_factor must be positive")
 
     # -- feature queries ------------------------------------------------
 
@@ -100,14 +90,9 @@ class LifecycleConfig:
         return self.deadline_seconds is not None
 
     @property
-    def hedging_enabled(self) -> bool:
-        return self.hedge_factor is not None
-
-    @property
     def enabled(self) -> bool:
         """Any feature on?  False means the zero-overhead path."""
-        return (self.admission_enabled or self.deadlines_enabled
-                or self.hedging_enabled)
+        return self.admission_enabled or self.deadlines_enabled
 
     # -- constructors ---------------------------------------------------
 
@@ -116,13 +101,11 @@ class LifecycleConfig:
         """Parse a spec string, e.g. ``"max_inflight=4,policy=shed"``.
 
         Accepted keys are the field names plus the short aliases
-        ``policy`` (overload_policy), ``deadline`` (deadline_seconds)
-        and ``hedge`` (hedge_factor).
+        ``policy`` (overload_policy) and ``deadline`` (deadline_seconds).
         """
         return parse_spec(cls, spec, "lifecycle", aliases={
             "policy": "overload_policy",
             "deadline": "deadline_seconds",
-            "hedge": "hedge_factor",
         })
 
     @classmethod

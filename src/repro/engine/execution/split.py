@@ -1,11 +1,10 @@
 """Intra-operator co-processing: split one operator across CPU + GPU.
 
-Placement is all-or-nothing per operator, and hedging buys robustness
-with *redundant* copies.  arXiv 1307.1955 ("Revisiting Co-Processing
-for Hash Joins on the Coupled CPU-GPU Architecture") shows a third
-point: divide one operator's work between the processors by a
-*ratio*, so neither the GPU's heap ceiling nor the CPU's throughput
-floor caps it alone.  Over the morsel substrate of
+Placement is all-or-nothing per operator.  arXiv 1307.1955
+("Revisiting Co-Processing for Hash Joins on the Coupled CPU-GPU
+Architecture") shows another point: divide one operator's work
+between the processors by a *ratio*, so neither the GPU's heap ceiling
+nor the CPU's throughput floor caps it alone.  Over the morsel substrate of
 :mod:`repro.engine.morsel`:
 
 * **Identity gate first.**  At warm-up, :meth:`SplitState.prepare`

@@ -119,8 +119,6 @@ COLUMNS: Dict[str, Callable[[CellOutcome], object]] = {
     "degraded": lambda o: o.metrics.total("degraded"),
     "deadline_misses": lambda o: o.metrics.total("deadline_misses"),
     "cancelled": lambda o: len(o.metrics.cancelled_queries),
-    "hedges": lambda o: o.metrics.total("hedges_started"),
-    "hedge_wins": lambda o: o.metrics.total("hedge_races", won=True),
 }
 
 
@@ -494,7 +492,6 @@ def overload_sweep(
     repetitions: int = 2,
     max_inflight: int = 2, overload_policy: str = "queue",
     deadline_seconds: Optional[float] = None,
-    hedge_factor: Optional[float] = 3.0,
     fault_rate: float = 0.02, seed: int = 7,
     jobs: Optional[int] = None,
 ) -> ExperimentResult:
@@ -503,18 +500,17 @@ def overload_sweep(
     Each load level (concurrent user sessions issuing the same fixed
     SSB workload) runs twice: once with the lifecycle layer off — the
     unbounded query stream the paper's executors accept — and once with
-    admission control (``max_inflight``/``overload_policy``), optional
-    per-query deadlines, and straggler hedging.  Faulted cells exercise
-    the interplay with the fault-injection layer: retry storms create
-    exactly the stragglers hedging is for.  Every cell validates its
-    results, so the table doubles as the cancellation-correctness gate.
+    admission control (``max_inflight``/``overload_policy``) and optional
+    per-query deadlines.  Faulted cells exercise the interplay with the
+    fault-injection layer.  Every cell validates its results, so the
+    table doubles as the cancellation-correctness gate.
     """
     from repro.engine.execution import LifecycleConfig
     from repro.faults import FaultConfig
 
     lifecycle_on = LifecycleConfig(
         max_inflight=max_inflight, overload_policy=overload_policy,
-        deadline_seconds=deadline_seconds, hedge_factor=hedge_factor)
+        deadline_seconds=deadline_seconds)
     faults = (FaultConfig.uniform(fault_rate, seed=seed)
               if fault_rate > 0 else None)
     return _tabulate(
@@ -526,9 +522,8 @@ def overload_sweep(
             lifecycle=lifecycle_on if lifecycle == "on" else None),
         _measured("seconds", "p50_latency", "p99_latency", "completed",
                   "admission_waits", "admission_wait_seconds", "sheds",
-                  "degraded", "deadline_misses", "cancelled", "hedges",
-                  "hedge_wins"),
+                  "degraded", "deadline_misses", "cancelled"),
         jobs,
         notes="results validated in every cell; 'lifecycle' toggles "
-              "admission control, deadlines, and hedging",
+              "admission control and deadlines",
     )

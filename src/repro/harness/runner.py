@@ -61,8 +61,8 @@ class WorkloadResult:
     fault_digest: Optional[str] = None
     #: injected fault counts per class
     fault_classes: Optional[Dict[str, int]] = None
-    #: True when the query-lifecycle layer (admission / deadlines /
-    #: hedging) was active for this run
+    #: True when the query-lifecycle layer (admission / deadlines) was
+    #: active for this run
     lifecycle_enabled: bool = False
 
     @property
@@ -272,7 +272,7 @@ def run_workload(
 
     ``lifecycle`` activates the overload-safe query lifecycle: a
     :class:`~repro.engine.execution.lifecycle.LifecycleConfig`, a spec
-    string (``"max_inflight=4,policy=shed,deadline=0.5,hedge=3"`` — see
+    string (``"max_inflight=4,policy=shed,deadline=0.5"`` — see
     :meth:`LifecycleConfig.parse`), or None (the default — and a config
     with every feature off is treated exactly like None, the
     zero-overhead path).

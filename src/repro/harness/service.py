@@ -158,8 +158,6 @@ class ServiceConfig:
     #: base p99 latency target (x class target_multiplier) for the
     #: attainment ledger; None disables attainment accounting
     latency_target_seconds: Optional[float] = None
-    #: straggler hedging factor handed to the executor (None = off)
-    hedge_factor: Optional[float] = None
     #: promote any tenant whose queue head waited this long
     starvation_seconds: float = 5.0
     #: append-batch cadence in simulated seconds (None = no mutation)
@@ -184,6 +182,10 @@ class ServiceConfig:
             raise ValueError("rate must be positive")
         if self.tenants_per_class < 1:
             raise ValueError("tenants_per_class must be >= 1")
+        if self.max_inflight < 1:
+            raise ValueError("max_inflight must be >= 1")
+        if not 0.0 < self.append_fraction <= 1.0:
+            raise ValueError("append_fraction must be in (0, 1]")
         if self.starvation_seconds <= 0:
             raise ValueError("starvation_seconds must be positive")
         # a zero deadline cancels every query, a negative one never
@@ -408,8 +410,8 @@ class ServiceResult:
 
     def conserved(self) -> bool:
         """Every arrival is accounted for exactly once: completed,
-        shed (tenant- or machine-level), or cancelled.  Hedging races
-        and retries must never double-count."""
+        shed (tenant- or machine-level), or cancelled.  Retries must
+        never double-count."""
         return self.arrivals == self.completed + self.shed + self.cancelled
 
 
@@ -454,10 +456,7 @@ class _ServiceRun:
         # "queue" would block the dispatcher loop itself
         self.driver = QueryDriver(
             self.ctx, self.strategy, LifecycleConfig(
-                max_inflight=service.max_inflight,
-                overload_policy="shed",
-                hedge_factor=service.hedge_factor,
-            ))
+                max_inflight=service.max_inflight, overload_policy="shed"))
         warm_platform(self.ctx, self.strategy, queries)
 
     # -- arrivals -----------------------------------------------------
@@ -661,13 +660,13 @@ def run_service(
     ``workload_factory`` (``database -> [WorkloadQuery]``) is called
     once per table epoch so queries always bind to their snapshot;
     when omitted it is resolved from ``workload``/``query_names``.
-    ``service`` shapes the traffic, tenancy, admission, deadlines and
-    hedging.  ``strategy``, ``config`` and ``faults`` mean what they
-    mean for :func:`run_workload`, whose other defaults the service
-    keeps: a warm LFU cache, the default worker pools, FIFO ready
-    queues, operator-at-a-time queries and algorithm selection on; there
-    is no ``users`` or ``repetitions`` (``service`` sets the arrivals)
-    and no ``trace``.
+    ``service`` shapes the traffic, tenancy, admission and deadlines.
+    ``strategy``, ``config`` and ``faults`` mean what they mean for
+    :func:`run_workload`, whose other defaults the service keeps: a
+    warm LFU cache, the default worker pools, FIFO ready queues,
+    operator-at-a-time queries and algorithm selection on; there is no
+    ``users`` or ``repetitions`` (``service`` sets the arrivals) and no
+    ``trace``.
     """
     config = config if config is not None else SystemConfig()
     service = service if service is not None else ServiceConfig()

@@ -9,7 +9,7 @@ compute; abort counts and the *wasted time* metric (Sec. 6.2.2: time
 from operator begin to abort, accumulated); operator counts and busy
 time per processor; peak heap usage and cache hits.
 
-Everything rarer — a shed, a degrade, a deadline miss, a hedge, a split
+Everything rarer — a shed, a degrade, a deadline miss, a split
 operator, a breaker skip, an arrival, a pool respawn, the fault class,
 device and tenant of an abort — is booked **once**, with labels, into
 the one labelled counter (:meth:`MetricsCollector.count`), and every
@@ -601,8 +601,8 @@ class MetricsCollector:
         }
 
     def lifecycle_summary(self) -> Dict[str, float]:
-        """Query-lifecycle view: backpressure, deadline, cancel, and
-        hedging totals (all zero when the lifecycle layer is off)."""
+        """Query-lifecycle view: backpressure, deadline and cancel totals
+        (all zero when the lifecycle layer is off)."""
         cancels = self.total("cancels")
         cancel_seconds = float(self.total("cancel_seconds"))
         return {
@@ -615,10 +615,7 @@ class MetricsCollector:
             "cancels_drained": float(cancels),
             "cancel_seconds": cancel_seconds,
             "mean_cancel_latency": cancel_seconds / cancels if cancels else 0.0,
-            **self._totals("cancelled_task_skips", "hedges_started"),
-            "hedge_wins": float(self.total("hedge_races", won=True)),
-            "hedge_losses": float(self.total("hedge_races", won=False)),
-            "hedge_wasted_seconds": float(self.total("hedge_wasted_seconds")),
+            "cancelled_task_skips": float(self.total("cancelled_task_skips")),
         }
 
     def split_summary(self) -> Dict[str, float]:

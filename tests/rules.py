@@ -60,8 +60,9 @@ rule                        holds when
 
 ``python tests/rules.py`` prints the config-field and ``run_workload``
 table, one row per public name with its first program caller or its
-``ALLOWED`` reason, and docs/api.md's counter table; it exits 1 when a
-doc cites a test that does not exist.
+``ALLOWED`` reason, docs/api.md's counter table, and one ``surface:``
+line (:func:`surface_line`); it exits 1 when a doc cites a test that
+does not exist.
 """
 
 import ast
@@ -147,13 +148,12 @@ CALLERS = {
     },
     LifecycleConfig: _flags(
         max_inflight="max_inflight", overload_policy="overload_policy",
-        deadline_seconds="deadline", hedge_factor="hedge_factor"),
+        deadline_seconds="deadline"),
     ServiceConfig: {
         **_flags(duration_seconds="duration", arrivals="arrivals",
                  rate="rate", tenants_per_class="tenants",
                  max_inflight="max_inflight", deadline_seconds="deadline",
                  latency_target_seconds="target",
-                 hedge_factor="hedge_factor",
                  mutation_interval_seconds="mutation_interval",
                  append_fraction="append_fraction",
                  pool_chaos="pool_chaos", validate="no_validate",
@@ -1123,6 +1123,38 @@ def config_table():
     return "\n".join(lines)
 
 
+def _module_path(obj):
+    """The file under ``src/`` that defines ``obj``."""
+    return os.path.join("src", *obj.__module__.split(".")) + ".py"
+
+
+def surface_line(index):
+    """``surface: name=count ...``: the fields of each config class and
+    their total, the ``add_argument`` calls of the CLI and the keywords
+    of ``run_workload``, counted in the index's trees, then the
+    ``MODULE_STATE`` names and ``ALLOWED`` entries of this rulebook."""
+    counts = {}
+    for cls in CALLERS:
+        body = next(node for node in index[_module_path(cls)].tree.body
+                    if isinstance(node, ast.ClassDef)
+                    and node.name == cls.__name__).body
+        counts[cls.__name__] = sum(
+            isinstance(node, ast.AnnAssign) for node in body)
+    counts["config_fields"] = sum(counts.values())
+    counts["add_argument"] = sum(
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_argument" for node in index[CLI].nodes)
+    runner = next(node for node in index[_module_path(run_workload)].nodes
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "run_workload")
+    counts["run_workload_keywords"] = len(runner.args.defaults) + sum(
+        default is not None for default in runner.args.kw_defaults)
+    counts["MODULE_STATE"] = len(MODULE_STATE)
+    counts["ALLOWED"] = len(ALLOWED)
+    return "surface: " + " ".join(
+        "{}={}".format(name, count) for name, count in counts.items())
+
+
 if __name__ == "__main__":
     index = Index()
     print(config_table())
@@ -1136,4 +1168,5 @@ if __name__ == "__main__":
     dangling = dangling_citations(index)
     for citation in dangling:
         print("cites no test: " + citation, file=sys.stderr)
+    print(surface_line(index))
     sys.exit(1 if dangling else 0)

@@ -90,10 +90,10 @@ def test_run_command_prints_the_lifecycle_block(capsys):
     code = main([
         "run", "--scale-factor", "1", "--data-scale", "1e-3",
         "--strategy", "chopping", "--users", "4", "--max-inflight", "2",
-        "--deadline", "0.5", "--hedge-factor", "3",
+        "--deadline", "0.5",
     ])
     assert code == 0
-    assert ("  query lifecycle (admission, deadlines, hedging):"
+    assert ("  query lifecycle (admission, deadlines):"
             in capsys.readouterr().out.splitlines())
 
 
@@ -160,6 +160,13 @@ def test_a_bad_repro_jobs_is_an_error_not_a_traceback(argv, monkeypatch,
     pytest.param(["serve", "--target", "-1"],
                  "latency_target_seconds must be positive", False,
                  id="serve-target-negative"),
+    pytest.param(["serve", "--max-inflight", "0"],
+                 "max_inflight must be >= 1", False,
+                 id="serve-max-inflight"),
+    pytest.param(["serve", "--append-fraction", "2",
+                  "--mutation-interval", "1"],
+                 "append_fraction must be in (0, 1]", False,
+                 id="serve-append-fraction"),
     pytest.param(["query", "select x from nowhere"],
                  "unknown table 'nowhere'", True, id="query-bind"),
 ])

@@ -11,12 +11,12 @@ events the run scheduled on the DES (a counting spy on
 
 * Batch: the eager and the chopping executor, each without
   the lifecycle layer and under a queueing, a shedding and a degrading
-  admission gate, a deadline (alone and behind the queueing and the
-  shedding gate), and hedging; the compile-time strategy
+  admission gate, and a deadline (alone and behind the queueing and
+  the shedding gate); the compile-time strategy
   (its own ``admission_limit`` gate) under a deadline; one run under
   device faults.
 * Service: an eager and a chopping strategy, read-only and under
-  diurnal overload with deadlines, appends, hedging and device faults.
+  diurnal overload with deadlines, appends and device faults.
 
 Regenerate (only when the simulated model changes on purpose):
 ``PYTHONPATH=src:. python tests/test_driver_matrix.py``
@@ -48,7 +48,6 @@ LIFECYCLES = {
     "shed": "max_inflight=1,policy=shed",
     "degrade": "max_inflight=1,policy=degrade-to-cpu",
     "deadline": "deadline=0.08",
-    "hedge": "hedge=3",
     # a deadline behind the gate: cancelled while queued, shed while
     # its watchdog runs
     "queue_deadline": "max_inflight=2,deadline=0.08",
@@ -74,8 +73,7 @@ SERVICES = {
                             rate=250, deadline_seconds=0.1,
                             latency_target_seconds=0.05,
                             starvation_seconds=0.3,
-                            mutation_interval_seconds=0.6,
-                            hedge_factor=3.0, seed=47),
+                            mutation_interval_seconds=0.6, seed=47),
               "pcie=0.04,heap=0.03,kernel=0.03,seed=29"),
 }
 SERVICE = {
@@ -171,8 +169,8 @@ def test_run_matches_the_recording(database, golden, name):
 
 def test_the_matrix_exercises_every_decision(golden):
     """The pins are only worth something if the runs reach every branch
-    of a query's life: queued, shed, degraded, cancelled, hedged,
-    retried, completed."""
+    of a query's life: queued, shed, degraded, cancelled, retried,
+    completed."""
     def booked(name, event):
         return sum(1 for entry in golden[name]["counts"]
                    if entry[0] == event)
@@ -187,7 +185,6 @@ def test_the_matrix_exercises_every_decision(golden):
         assert golden[prefix + "deadline"]["queries"]
         assert golden[prefix + "queue_deadline"]["cancelled"]
         assert booked(prefix + "shed_deadline", "sheds")
-    assert booked("batch/chopping/hedge", "hedges_started")
     assert golden["batch/compile_time/deadline"]["cancelled"]
     assert golden["batch/chopping/faults"]["fault_digest"]
     for name in SERVICE:

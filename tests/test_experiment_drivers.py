@@ -131,7 +131,7 @@ def test_overload_sweep_rows_and_lifecycle_columns():
     )
     assert len(result.rows) == 4  # each load with the lifecycle off/on
     assert {"users", "lifecycle", "p99_latency", "admission_waits",
-            "hedges", "cancelled"} <= columns_of(result)
+            "deadline_misses", "cancelled"} <= columns_of(result)
     by_state = {(row["users"], row["lifecycle"]) for row in result.rows}
     assert by_state == {(1, "off"), (1, "on"), (4, "off"), (4, "on")}
     for row in result.rows:

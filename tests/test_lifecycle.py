@@ -1,9 +1,8 @@
 """Tests for the overload-safe query lifecycle layer.
 
-Covers the three tentpole features (admission control, deadlines with
-cooperative cancellation, straggler hedging), the zero-overhead
-guarantee of the disabled layer, and the PR's satellites: prefetcher
-skip sets kept per run and dropped with their database, per-device breaker
+Covers admission control and deadlines with cooperative cancellation,
+the zero-overhead guarantee of the disabled layer, prefetcher skip
+sets kept per run and dropped with their database, per-device breaker
 open time in ``fault_summary``, cancellation racing an in-flight
 coalesced copy-engine transfer, and the hypothesis property that a
 prefix-cancelled query stream leaves the system in a state where
@@ -15,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import make_context
+from repro.cli import build_parser
 from repro.core import ChoppingExecutor
 from repro.core.placement import RuntimeHype
 from repro.engine import caches
@@ -62,14 +62,17 @@ def test_config_defaults_are_disabled():
 
 
 def test_config_parse_spec_and_aliases():
-    config = LifecycleConfig.parse(
-        "max_inflight=4,policy=shed,deadline=2.5,hedge=3")
+    config = LifecycleConfig.parse("max_inflight=4,policy=shed,deadline=2.5")
     assert config.max_inflight == 4
     assert config.overload_policy == "shed"
     assert config.deadline_seconds == 2.5
-    assert config.hedge_factor == 3.0
     assert config.enabled
     assert LifecycleConfig.coerce("max_inflight=2").max_inflight == 2
+    # the spellings of the deleted hedging knob are refused, not ignored
+    with pytest.raises(ValueError, match="'hedge'"):
+        LifecycleConfig.parse("hedge=3")
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "--hedge-factor", "3"])
 
 
 def test_config_rejects_bad_values():
@@ -79,8 +82,6 @@ def test_config_rejects_bad_values():
         LifecycleConfig(overload_policy="panic")
     with pytest.raises(ValueError):
         LifecycleConfig(deadline_seconds=0.0)
-    with pytest.raises(ValueError):
-        LifecycleConfig(hedge_factor=-1.0)
     with pytest.raises(ValueError):
         LifecycleConfig.parse("no_such_knob=1")
 
@@ -272,58 +273,13 @@ def test_cancelled_run_leaves_device_state_clean(ssb_db):
     assert run.metrics.total("cancels") == len(run.metrics.cancelled_queries)
 
 
-# ---------------------------------------------------------------------------
-# Straggler hedging
-# ---------------------------------------------------------------------------
-
-def test_hedging_races_stragglers_and_stays_correct(ssb_db):
-    run = _run(ssb_db, users=2, validate=True,
-               faults=FaultConfig.parse("stall=0.4,seed=7"),
-               lifecycle=LifecycleConfig(hedge_factor=1.5))
-    metrics = run.metrics
-    assert metrics.total("hedges_started") > 0
-    # every resolved hedge has exactly one winner
-    assert (metrics.total("hedge_races", won=True) + metrics.total("hedge_races", won=False)
-            <= metrics.total("hedges_started"))
-    assert metrics.total("hedge_races", won=True) > 0
-    assert len(metrics.queries) == len(ssb.workload(ssb_db))
-
-
-def test_hedging_wins_while_the_cpu_pool_is_idle():
-    """The guard of the ROADMAP's "keep hedging" decision: the best
-    cell of the grid in docs/robustness.md.  One user leaves the CPU
-    workers idle, so the hedge copy of a stalled GPU operator finishes
-    long before the stall watchdog gives the kernel up."""
-    database = E.ssb_database(5)
-
-    def makespan(lifecycle):
-        run = run_workload(
-            database, ssb.workload(database), "chopping",
-            config=E.FULL_CONFIG, users=1, repetitions=2,
-            faults="stall=0.1,seed=7", lifecycle=lifecycle)
-        return run.metrics
-
-    unhedged = makespan(None)
-    hedged = makespan(LifecycleConfig(hedge_factor=1.5))
-    assert hedged.total("hedge_races", won=True) > hedged.total("hedge_races", won=False)
-    assert hedged.workload_seconds < unhedged.workload_seconds
-
-
-def test_hedging_disabled_on_runtime_strategy(ssb_db):
-    """The eager executor has no worker pools: hedging is a no-op."""
-    run = _run(ssb_db, strategy="runtime", users=2,
-               lifecycle=LifecycleConfig(hedge_factor=0.5))
-    assert run.metrics.total("hedges_started") == 0
-    assert len(run.metrics.queries) == len(ssb.workload(ssb_db))
-
-
 def test_combined_lifecycle_under_faults(ssb_db):
-    """Admission + deadlines + hedging + fault injection all at once."""
+    """Admission + deadlines + fault injection all at once."""
     base = _run(ssb_db, users=8)
     run = _run(ssb_db, users=8, validate=True,
                faults=FaultConfig.uniform(0.02, seed=7),
                lifecycle=LifecycleConfig(
-                   max_inflight=2, hedge_factor=3.0,
+                   max_inflight=2,
                    deadline_seconds=_median_latency(base) * 20.0))
     metrics = run.metrics
     total = len(ssb.workload(ssb_db))
@@ -533,9 +489,11 @@ def test_prefix_cancelled_stream_leaves_byte_identical_rerun(
     cancel_at = _clean_makespan(ssb_db) * fraction
 
     env, hw, ctx = make_context(ssb_db, E.FULL_CONFIG)
+    # a lifecycle config puts every operator on the supervised path,
+    # where a cancel interrupts it; the executor admits no query itself
     chopper = ChoppingExecutor(
         ctx, RuntimeHype(),
-        lifecycle=LifecycleConfig(hedge_factor=3.0))
+        lifecycle=LifecycleConfig(max_inflight=N_STREAM))
     queries = _stream_queries(ssb_db)
     first_pass = {}
     contexts = []

@@ -9,7 +9,7 @@ from tests import rules
 
 def test_every_counted_name_is_reported_and_every_report_is_fed(
         source_index):
-    assert len(source_index.counted) > 40
+    assert len(source_index.counted) >= 40
     assert rules.unreported_counts(source_index) == []
 
 

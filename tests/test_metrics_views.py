@@ -55,10 +55,8 @@ def service_run():
 #: lifecycle spec and uniform fault rate per batch run: one per overload
 #: policy, deadlines tight enough that some queries are cancelled
 BATCH = {
-    "batch_shed": ("max_inflight=4,policy=shed,deadline=0.1,hedge=3",
-                   "0.03"),
-    "batch_queue": ("max_inflight=3,policy=queue,deadline=0.15,hedge=3",
-                    "0.05"),
+    "batch_shed": ("max_inflight=4,policy=shed,deadline=0.1", "0.03"),
+    "batch_queue": ("max_inflight=3,policy=queue,deadline=0.15", "0.05"),
     "batch_degrade": ("max_inflight=3,policy=degrade-to-cpu,deadline=0.2",
                       "0.05"),
 }
@@ -66,7 +64,7 @@ BATCH = {
 
 def batch_run(name):
     """Split execution under heap pressure with admission control,
-    deadlines, hedging and uniform device faults."""
+    deadlines and uniform device faults."""
     lifecycle, faults = BATCH[name]
     database = ssb.generate(scale_factor=1, data_scale=2e-3, seed=99)
     config = SystemConfig(split=True, gpu_memory_bytes=64 * MIB,

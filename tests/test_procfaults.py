@@ -17,7 +17,7 @@ Covers the crash-tolerance tentpole end to end:
 * compensated float sum/avg partials merge byte-identically or the
   query is pinned to the fallback by the runtime identity gate;
 * composition (satellite): circuit-breaker half-open probes and the
-  PR5 lifecycle (hedging, deadlines) keep byte identity with the
+  query lifecycle (admission, deadlines) keep byte identity with the
   fused morsel path while a chaos pool runs on the same database.
 """
 
@@ -673,10 +673,12 @@ class TestFaultLayerComposition:
         transitions = fused_run.metrics.breaker_transition_counts()
         assert transitions.get("half_open", 0) > 0  # probes really ran
 
-    def test_hedging_and_deadlines_with_fused_warm_up(self):
+    def test_admission_and_deadlines_with_fused_warm_up(self):
         db = E.ssb_database(1)
         spec = FaultConfig.parse("stall=0.4,seed=7")
-        lifecycle = LifecycleConfig(hedge_factor=1.5, max_inflight=2)
+        # one query at a time, each watched by a deadline far past the
+        # makespan: every operator runs supervised, none is cancelled
+        lifecycle = LifecycleConfig(max_inflight=1, deadline_seconds=60.0)
         with operator_path():
             base_run, base_rows = _sim_run(db, E.FULL_CONFIG, faults=spec,
                                            lifecycle=lifecycle)
@@ -686,9 +688,11 @@ class TestFaultLayerComposition:
         assert fused_rows == base_rows
         assert fused_run.seconds == base_run.seconds
         assert fused_run.fault_digest == base_run.fault_digest
-        assert fused_run.metrics.total("hedges_started") > 0
-        assert fused_run.metrics.total("hedges_started") == (
-            base_run.metrics.total("hedges_started"))
+        assert fused_run.seconds < lifecycle.deadline_seconds
+        assert not fused_run.metrics.cancelled_queries
+        assert fused_run.metrics.total("admission_waits") > 0
+        assert fused_run.metrics.total("admission_waits") == (
+            base_run.metrics.total("admission_waits"))
 
     @pool_ready
     def test_simulation_unaffected_by_live_chaos_pool(self, ssb_db):

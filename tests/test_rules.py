@@ -2,12 +2,16 @@
 small in-memory tree, docs/api.md's counter table is the one the rules
 generate, and no file is parsed twice in a session."""
 
+import argparse
 import ast
+import dataclasses
 import functools
 import os
+import sys
 
 import pytest
 
+from repro import cli
 from tests import rules
 
 _FIELD = [row for row in rules.ROWS if row[1].name == "coupled"]
@@ -138,6 +142,35 @@ def test_the_api_doc_counter_table_is_the_generated_one(source_index):
                if not lines[number].startswith("|"))
     assert lines[start - 1] == "|---|---|---|"
     assert lines[start:end] == rules.counter_rows(source_index)
+
+
+def test_the_surface_line_counts_what_the_program_defines(source_index,
+                                                          monkeypatch):
+    """The ``surface:`` line ``python tests/rules.py`` ends with equals
+    ``dataclasses.fields`` of each config class, the ``add_argument``
+    call sites ``build_parser()`` runs and ``run_workload``'s
+    keywords."""
+    line = rules.surface_line(source_index)
+    assert line.startswith("surface: ")
+    counts = {name: int(count) for name, count in (
+        item.split("=") for item in line.split()[1:])}
+    fields = {cls.__name__: len(dataclasses.fields(cls))
+              for cls in rules.CALLERS}
+    sites = set()
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def spy(self, *args, **kwargs):
+        caller = sys._getframe(1)
+        if caller.f_code.co_filename == cli.__file__:
+            sites.add(caller.f_lineno)
+        return add_argument(self, *args, **kwargs)
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", spy)
+    cli.build_parser()
+    assert counts == {**fields, "config_fields": sum(fields.values()),
+                      "add_argument": len(sites),
+                      "run_workload_keywords": len(rules.KEYWORDS),
+                      "MODULE_STATE": len(rules.MODULE_STATE),
+                      "ALLOWED": len(rules.ALLOWED)}
 
 
 def test_every_test_the_docs_cite_exists(source_index):

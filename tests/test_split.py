@@ -27,7 +27,6 @@ from repro.core import get_strategy
 from repro.core.placement import STRATEGY_NAMES, SplitHype
 from repro.engine import caches, morsel
 from repro.engine.execution import (
-    LifecycleConfig,
     QueryContext,
     execute_functional,
     execute_operator,
@@ -198,36 +197,25 @@ def _pressure_run(strategy, config, **kwargs):
 
 def _wasted(run):
     metrics = run.metrics
-    return (metrics.wasted_seconds + metrics.total("split_wasted_seconds")
-            + metrics.total("hedge_wasted_seconds"))
+    return metrics.wasted_seconds + metrics.total("split_wasted_seconds")
 
 
 def test_split_beats_the_best_pure_placement_under_heap_pressure():
     """The GPU contributes its heap-capped share instead of aborting,
-    the CPU the rest: >= 1.15x over the better of cpu_only / gpu_only
-    (``repro run --split --gpu-memory-gib 1 --gpu-cache-gib 0.75
-    --scale-factor 5 --strategy runtime`` prints the split block)."""
+    the CPU the rest: >= 1.15x over the better of cpu_only / gpu_only,
+    and none of the work the GPU's aborts waste (``repro run --split
+    --gpu-memory-gib 1 --gpu-cache-gib 0.75 --scale-factor 5 --strategy
+    runtime`` prints the split block)."""
     pure_cpu = _pressure_run("cpu_only", PRESSURE)
     pure_gpu = _pressure_run("gpu_only", PRESSURE)
     split = _pressure_run("runtime", replace(PRESSURE, split=True))
     assert pure_gpu.metrics.aborts > 0  # the pressure is real
     assert split.metrics.total("split_operators") > 0
     assert split.metrics.aborts == 0
+    assert _wasted(split) == 0
+    assert _wasted(split) < _wasted(pure_gpu)
     assert (min(pure_cpu.seconds, pure_gpu.seconds)
             >= 1.15 * split.seconds)
-
-
-def test_split_wastes_less_than_hedging_under_heap_pressure():
-    """The same pressure drives straggler hedging to burn
-    redundant-copy time; splitting wastes strictly less and aborts no
-    more than the unsplit run."""
-    split = _pressure_run("runtime", replace(PRESSURE, split=True))
-    unsplit = _pressure_run("runtime", PRESSURE)
-    hedged = _pressure_run("chopping", PRESSURE,
-                           lifecycle=LifecycleConfig(hedge_factor=1.5))
-    assert hedged.metrics.total("hedges_started") > 0
-    assert _wasted(split) < _wasted(hedged)
-    assert split.metrics.aborts <= unsplit.metrics.aborts
 
 
 def test_split_runs_are_deterministic_under_heap_pressure():
@@ -625,15 +613,6 @@ def test_metrics_split_summary():
     assert summary["split_gpu_seconds"] == pytest.approx(1.0)
     assert summary["split_cpu_seconds"] == pytest.approx(5.0)
     assert summary["split_wasted_seconds"] == pytest.approx(0.25)
-
-
-def test_metrics_hedge_wasted():
-    metrics = MetricsCollector()
-    assert metrics.lifecycle_summary()["hedge_wasted_seconds"] == 0.0
-    metrics.count("hedge_wasted_seconds", 0.5)
-    metrics.count("hedge_wasted_seconds", 0.25)
-    assert metrics.lifecycle_summary()["hedge_wasted_seconds"] == (
-        pytest.approx(0.75))
 
 
 def test_cli_split_report(capsys):
