@@ -16,7 +16,7 @@ With the query-lifecycle layer on
 (:mod:`repro.engine.execution.lifecycle`) the executor additionally
 supports *cooperative cancellation*: a cancelled query's queued tasks
 are skipped at pickup and its running operators are interrupted.  With
-the layer off (``lifecycle=None``) every operator takes the plain path
+the layer off (``supervised=False``) every operator takes the plain path
 (zero overhead), whatever context its query carries.
 """
 
@@ -77,14 +77,14 @@ class ChoppingExecutor:
 
     def __init__(self, ctx: ExecutionContext, strategy,
                  cpu_workers: int = 4, gpu_workers: int = 2,
-                 lifecycle=None):
+                 supervised: bool = False):
         check_pool_arguments(cpu_workers, gpu_workers)
         self.ctx = ctx
         self.strategy = strategy
         self.cpu_workers = cpu_workers
         self.gpu_workers = gpu_workers
-        #: query-lifecycle config; None = layer off
-        self.lifecycle = lifecycle
+        #: the query-lifecycle layer is on: operators are cancellable
+        self.supervised = supervised
         env = ctx.env
         #: per-processor FIFO ready queues fed by the global operator
         #: stream (one queue and one worker pool per co-processor)
@@ -147,7 +147,7 @@ class ChoppingExecutor:
         while True:
             task = yield self.ready[name].get()
             ctx = task.ctx
-            if self.lifecycle is None:
+            if not self.supervised:
                 # Plain path — identical to the executor without the
                 # lifecycle layer (the zero-overhead guarantee).
                 result = yield from execute_operator(

@@ -1,7 +1,8 @@
 /* The join chain of engine/kernels.py (docs/kernels.md): all joins of a
-   row range in one call, block by block.  Per stage, one branch-free pass
-   over the rows alive tests each row's key and compacts the row index;
-   build tids are written for survivors only.  Tids and keys keep take's
+   row range in one call, block by block, behind the filter stages of its
+   selections.  Per stage, one branch-free pass over the rows alive tests
+   each row's key and compacts the row index; build tids are written for
+   survivors only, and a filter writes none.  Tids and keys keep take's
    index rule: a negative one counts from the end, one outside [-len, len)
    fails the whole call. */
 #include <stdint.h>
@@ -45,18 +46,22 @@ static int64_t NAME(const int64_t *g, const int64_t *src, int64_t start, \
 #define SLOT if ((uint64_t)q >= (uint64_t)nslots) return -1; FETCH
 #define FETCH __typeof__(*slots) s = slots[q];
 #define DENSE (int64_t)((uint64_t)k - (uint64_t)base)
+/* A filter tests bool slots[key - base], as a dense stage tests its key
+   mask, and adds no table: it has no tids to write. */
 #define KINDS(B, K)                                                       \
 KIND(all##B, K, uint8_t, 0, , , 1, DENSE)                                \
 KIND(dense##B, K, uint8_t, 0, SLOT, , s, DENSE)                          \
 KIND(lookup##B##_32, K, int32_t, base, SLOT, FETCH, s >= 0, s)           \
-KIND(lookup##B##_64, K, int64_t, base, SLOT, FETCH, s >= 0, s)
+KIND(lookup##B##_64, K, int64_t, base, SLOT, FETCH, s >= 0, s)           \
+KIND(filter##B, K, uint8_t, base, SLOT, , s, 0)
 KINDS(32, int32_t)
 KINDS(64, int64_t)
 static int64_t (*const STAGES[])(const int64_t *, const int64_t *, int64_t,
                                  const int64_t *, int64_t *, int64_t,
                                  int64_t *, int64_t) = {
-    all32, dense32, lookup32_32, lookup32_64,
-    all64, dense64, lookup64_32, lookup64_64};
+    all32, dense32, lookup32_32, lookup32_64, filter32,
+    all64, dense64, lookup64_32, lookup64_64, filter64};
+#define FILTER(kind) ((kind) % 5 == 4)
 
 /* spec: 8 words per stage — kind, keys, their count, slots, their
    count, base, where the keys are read (0: at start + row; t <= nentry:
@@ -65,7 +70,8 @@ static int64_t (*const STAGES[])(const int64_t *, const int64_t *, int64_t,
    start + row).  Rows [start, start + rows) run in blocks of size rows
    (one block when there are none); each block writes its counts, the
    rows entering and after each stage, and appends each table's tids
-   after the last stage to that table's run of rows words.
+   after the last stage to that table's run of rows words: the entry
+   tables', then each join's build table's, in stage order.
    scratch: the row index, then each stage's build tids by row. */
 int64_t chain(int64_t rows, int64_t start, int64_t size, const uint8_t *mask,
               const int64_t *spec, int64_t nstages, int64_t nentry,
@@ -73,8 +79,10 @@ int64_t chain(int64_t rows, int64_t start, int64_t size, const uint8_t *mask,
 {
     const int64_t *const *entry = (const int64_t *const *)(spec + 8 * nstages);
     const int64_t *src[nstages];
-    int64_t *runs[nentry + nstages];
-    for (int64_t t = 0; t < nentry + nstages; t++)
+    int64_t *runs[nentry + nstages], nruns = nentry;
+    for (int64_t s = 0; s < nstages; s++)
+        nruns += !FILTER(spec[8 * s]);
+    for (int64_t t = 0; t < nruns; t++)
         runs[t] = out + t * rows;
     for (int64_t lo = 0; lo < rows || lo == 0; lo += size) {
         const uint8_t *bits = mask ? mask + lo : 0;
@@ -107,9 +115,12 @@ int64_t chain(int64_t rows, int64_t start, int64_t size, const uint8_t *mask,
         for (int64_t t = 0; t < nentry; runs[t++] += j)
             for (int64_t m = 0; m < j; m++)
                 runs[t][m] = entry[t] ? entry[t][lo + idx[m]] : first + idx[m];
-        for (int64_t s = 0; s < nstages; runs[nentry + s++] += j)
-            STAGES[spec[8 * s]](spec + 8 * s, src[s], first, 0, idx, j,
-                                runs[nentry + s], 2);
+        for (int64_t s = 0, t = nentry; s < nstages; s++)
+            if (!FILTER(spec[8 * s])) {
+                STAGES[spec[8 * s]](spec + 8 * s, src[s], first, 0, idx, j,
+                                    runs[t], 2);
+                runs[t++] += j;
+            }
     }
     return 0;
 }

@@ -95,8 +95,8 @@ class TidSet:
 
     Each entry is a tid array or a :class:`SelectionVector`;
     :meth:`positions` always yields the materialised tid array.  A
-    :meth:`deferred` one knows only its length until ``tables`` is
-    first read.
+    :meth:`deferred` one (``is_deferred``, read or not) knows only its
+    length until ``tables`` is first read.
     """
 
     def __init__(self, tables: Dict[str, np.ndarray]):
@@ -106,7 +106,7 @@ class TidSet:
         if len(set(lengths.values())) != 1:
             raise ValueError("misaligned TidSet lengths: {}".format(lengths))
         self._tables, self._rows = tables, len(next(iter(tables.values())))
-        self._compute = None
+        self._compute, self.is_deferred = None, False
 
     @classmethod
     def deferred(cls, rows: int, compute) -> "TidSet":
@@ -115,7 +115,7 @@ class TidSet:
         nothing."""
         payload = cls.__new__(cls)
         payload._tables, payload._rows = None, int(rows)
-        payload._compute = compute
+        payload._compute, payload.is_deferred = compute, True
         return payload
 
     @property

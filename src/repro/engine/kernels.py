@@ -223,12 +223,14 @@ def _as_int64(array: np.ndarray) -> np.ndarray:
 #: the compiled join chain (docs/kernels.md), shipped beside this module
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "chain.c")
 _COMPILE = ("cc", "-O3", "-funroll-loops", "-shared", "-fPIC")
-#: the kernel's kind numbers by key and slot type, and the bases a key
-#: type holds (numpy raises on the subtraction otherwise)
+#: the kernel's kind numbers by key and slot type (a filter's: its key
+#: type's plus ``_FILTER``), and the bases a key type holds (numpy
+#: raises on the subtraction otherwise)
 _KEYS = {np.dtype(key): (kind, int(np.iinfo(key).min), int(np.iinfo(key).max))
-         for kind, key in ((0, np.int32), (4, np.int64))}
+         for kind, key in ((0, np.int32), (5, np.int64))}
 _SLOTS = {np.dtype(slot): kind for kind, slot in enumerate(
     (np.bool_, np.int32, np.int64), 1)}
+_FILTER = 4
 _BOOL, _TIDS = (np.dtype(np.bool_),), (np.dtype(np.int64),)
 
 
@@ -276,15 +278,16 @@ def _native(array, dtypes, n=None) -> bool:
 class Chain:
     """Joins bound once — for a pipeline's life, or one ``HashJoin.run``
     — and probed over a row range in one call (docs/kernels.md).
-    ``links`` are the joins in order, ``(prober, values, source,
+    ``links`` are the stages in order, ``(prober, values, source,
     build)``: the keys are ``values`` at the tids of table ``source``
-    (None: at ``start + row``), the matches add table ``build``;
-    ``names`` are the tables entering, in lineage order.  Binding checks
-    the arrays C reads that do not change and packs the spec; ``kernel``
-    is None where the joins run as numpy probes (no library, or a
-    prober, array or base C does not take as is).  The binding holds
-    every array it points at and a buffer of anonymous pages, grown by
-    the calls that need more."""
+    (None: at ``start + row``), the matches add table ``build`` — or,
+    with ``build`` None, the prober is a :class:`ValueFilter` and the
+    rows it passes add nothing; ``names`` are the tables entering, in
+    lineage order.  Binding checks the arrays C reads that do not
+    change and packs the spec; ``kernel`` is None where the joins run
+    as numpy probes (no library, or a prober, array or base C does not
+    take as is).  The binding holds every array it points at and a
+    buffer of anonymous pages, grown by the calls that need more."""
 
     __slots__ = ("links", "names", "kernel", "_tables", "_spec", "_buffer")
 
@@ -294,6 +297,7 @@ class Chain:
         found = [prober.native() for prober, *_ in self.links]
         if not links or None in found:
             return
+        # a filter's place holds None: stage s adds ``tables[nentry + s]``
         kernel, tables, spec = _chain_kernel(), list(names), []
         for (dtypes, slots, base), (_, values, source, build) in zip(
                 found, self.links):
@@ -308,11 +312,12 @@ class Chain:
             spec += (_KEYS[values.dtype][0], values.ctypes.data, len(values),
                      0, 0, base, at, 0)
             if slots is not None:
-                spec[-8] += _SLOTS[slots.dtype]
+                spec[-8] += _FILTER if build is None else _SLOTS[slots.dtype]
                 spec[-5:-3] = slots.ctypes.data, len(slots)
             tables.append(build)
         spec = np.array(spec + [0] * len(names), np.int64)
-        self._spec, self._tables = (spec, spec.ctypes.data), tables
+        self._spec = spec, spec.ctypes.data
+        self._tables = [name for name in tables if name is not None]
         self.kernel = kernel
 
     def run(self, lineage, start, stop, mask=None, block=None):
@@ -320,12 +325,13 @@ class Chain:
         one block): ``lineage`` maps each entering table to its tids, one
         per row (None: ``start + row``), and ``mask`` (bool, one per row)
         selects the rows that enter.  Returns ``(counts, lineage)`` — per
-        block, the rows entering and after each join; each table's tids
+        block, the rows entering and after each stage; each table's tids
         after the last, over all blocks, as views of the buffer valid
         until the next call — bit for bit the numpy probes' join by join,
         block after block.  None where the kernel is not bound or does
         not take an array of the call; a key or tid out of range raises
-        ``IndexError``, booking nothing."""
+        ``IndexError``, booking nothing; a join's probes are booked, a
+        filter's are not."""
         n, stages = stop - start, len(self.links)
         entry = [lineage[name] for name in self.names]
         if (self.kernel is None or start < 0 or n < 0
@@ -352,13 +358,27 @@ class Chain:
                        stages, len(entry), address,
                        address + 8 * counted, address + 8 * written) < 0:
             raise IndexError("probe key or tid out of range")
-        stats["compiled_probes"] += stages * blocks
-        for prober, *_ in self.links:
-            stats[prober.counter] += blocks
+        for prober, *_, build in self.links:
+            if build is not None:
+                stats["compiled_probes"] += blocks
+                stats[prober.counter] += blocks
         counts = buffer[counted:written].reshape(blocks, stages + 1).copy()
         rows = int(counts[:, -1].sum())
         return counts, {name: buffer[written + n * t:written + n * t + rows]
                         for t, name in enumerate(self._tables)}
+
+
+class ValueFilter:
+    """A selection term as a filter stage of a :class:`Chain`: a row
+    passes where ``table[key - low]``, the term at its key, is true."""
+
+    __slots__ = ("table", "low")
+
+    def __init__(self, table: np.ndarray, low: int):
+        self.table, self.low = table, low
+
+    def native(self):
+        return _BOOL, self.table, self.low
 
 
 class _Prober:

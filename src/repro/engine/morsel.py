@@ -14,9 +14,10 @@ operator's *chunk kernel*, on its class — ``ScanSelect.select`` /
 the same kernel called once over the whole column; the reasons chunk
 outputs concatenate to the one-chunk output stand with the kernels.
 Here are the ranges, the chain over a range (the joins bound once per
-pipeline, :class:`~repro.engine.kernels.Chain`), what gets recorded
-where, the order partials are absorbed in, the replay of the nominal-row
-rule and the reasons to decline.
+pipeline, :class:`~repro.engine.kernels.Chain`, behind the filter
+stages of the selections that fold into it), what gets recorded where,
+the order partials are absorbed in, the replay of the nominal-row rule
+and the reasons to decline.
 
 Sequential execution is *recording*: a fused run fills the
 per-template result memo (and the cross-plan cache) of every covered
@@ -26,10 +27,10 @@ tuples the operator path would produce, then
 post-order loop serves them — tail operators
 (Sort/Limit/Distinct/FrameFilter) and all bookkeeping run unchanged.
 The chain runs over the entry in one pass and the breaker runs once,
-at the barrier, over the chain's output.  A join's recording is its
-sizes, from the chain's per-stage counts, over a deferred payload
-(:func:`_deferred`): nothing reads a join's tids once its breaker is
-recorded, and a read runs the join's own operator path.
+at the barrier, over the chain's output.  A join's recording — and a
+folded selection's — is its sizes, from the chain's per-stage counts,
+over a deferred payload (:func:`_deferred`): nothing reads its tids
+once the breaker is recorded, and a read runs its own operator path.
 A recording starts where the recorded selections end (:func:`_resume`):
 its morsels are cut over the fact mask of the deepest covered selection
 the template memo or the plan cache already answers, and only the
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import weakref
 from collections import Counter
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -74,6 +76,7 @@ stats = {
     "barrier_breakers": 0,
     "compensated_merges": 0,
     "deferred_reads": 0,
+    "folded_selections": 0,
 }
 
 #: Why fusion declined, by reason (diagnostics; reset with the stats).
@@ -139,8 +142,13 @@ class FusedPipeline:
         self.scan_op = None
         self.selections: List = []  # the scan, then its refines
         self.stages: List[_Stage] = []
-        #: the joins bound for the chain kernel; None: per morsel
+        #: the joins bound for the chain kernel, behind the filter
+        #: stages of the last ``folded`` selections; None: per morsel
         self.chain: Optional[kernels.Chain] = None
+        self.folded = 0
+        #: the columns of the chain's counts after each folded
+        #: selection (its last filter stage) and each join
+        self.counted: List[int] = []
         #: the ``aggregate`` / ``project`` operator the chain ends in
         self.breaker = None
         self.tail: List = []  # breaker → root, in execution order
@@ -181,14 +189,15 @@ class FusedPipeline:
     # -- the chain over a row range ------------------------------------
 
     def _enter(self, start: int, stop: int):
-        """What enters the joins over rows ``[start, stop)``: the mask
-        after each selection left to run (None while no predicate has
-        applied; one ``select`` each over the range) and the last one."""
+        """What enters the chain over rows ``[start, stop)``: the mask
+        after each selection left to run that did not fold (None while
+        no predicate has applied; one ``select`` each over the range)
+        and the last one."""
         block = BlockFrame(self.database)
         block.set_range(start, stop)
         mask = None if self.entry_mask is None else self.entry_mask[start:stop]
         masks = []
-        for op in self.selections:
+        for op in self.selections[:len(self.selections) - self.folded]:
             if op.predicate is not None:  # a bare scan selects all
                 mask = op.select(block, mask)
             masks.append(mask)
@@ -214,25 +223,28 @@ class FusedPipeline:
 
     def _run(self, start: int, stop: int):
         """The chain over rows ``[start, stop)``, morsel by morsel in one
-        pass: each selection's mask over the range; per morsel, the rows
-        entering the joins and after each; and each table's tids over the
-        range after the last join (views valid until the next call) —
-        from one call of the chain kernel, or :meth:`run_morsel` per
-        morsel without one."""
+        pass: the mask of each selection :meth:`_enter` runs over the
+        range; per morsel, the rows entering the chain and after each
+        stage (:attr:`counted` picks the folded selections' and the
+        joins'); and each table's tids over the range after the last
+        stage (views valid until the next call) — from one call of the
+        chain kernel, or :meth:`run_morsel` per morsel without one."""
         masks, mask = self._enter(start, stop)
         lineage = {self.fact_table: None}  # all rows of the range
         # each morsel's first row, counted from ``start`` (as ``_spans``)
         starts = np.arange(0, max(stop - start, 1), MORSEL_ROWS)
-        if not self.stages:  # what the selections keep is the output
+        found = None
+        if self.chain is not None:
+            found = self.chain.run(lineage, start, stop, mask, MORSEL_ROWS)
+            if found is None and self.folded:
+                raise Decline("fold_refused")  # no numpy twin to fall to
+        elif not self.stages:  # what the selections keep is the output
             rows = np.diff(starts, append=stop - start)
             if mask is not None:
                 lineage = {self.fact_table: start + np.flatnonzero(mask)}
                 if len(mask):
                     rows = np.add.reduceat(mask, starts, dtype=np.int64)
             found = rows[:, None], lineage
-        else:
-            found = self.chain and self.chain.run(lineage, start, stop, mask,
-                                                  MORSEL_ROWS)
         if found is None:
             runs = [self.run_morsel(low, high, None if mask is None else
                                     mask[low - start:high - start])
@@ -270,7 +282,7 @@ class FusedPipeline:
                 [high - low if mask is None else
                  int(np.count_nonzero(mask[low - start:high - start]))
                  for mask in masks]
-                + counts[first:number, 1:].sum(axis=0).tolist())
+                + counts[first:number, self.counted].sum(axis=0).tolist())
             if progress is not None:
                 progress()
             yield partial
@@ -383,42 +395,50 @@ class FusedPipeline:
         """Sequential fused execution: run every morsel of the entry in
         one pass (none when only the breaker is left), then fill the memo
         of every operator left to run with its result tuple — a
-        selection's from its mask, a join's sizes from the chain's counts
-        over a :func:`_deferred` payload — and the breaker's by running
-        it once, at the barrier, over the chain's output."""
+        selection's from its mask, a folded selection's and a join's
+        sizes from the chain's counts over a :func:`_deferred` payload —
+        and the breaker's by running it once, at the barrier, over the
+        chain's output."""
         result = self.entry
         if len(self.covered_ops) > 1:
             masks, counts, lineage = self._run(0, self.fact_rows)
             payloads = [TidSet({self.fact_table: SelectionVector(
                 mask, self.fact_rows)}) for mask in masks]
             sizes = self._chain_sizes([len(payload) for payload in payloads]
-                                      + counts[:, 1:].sum(axis=0).tolist())
-            for op, payload, size in zip(self.selections, payloads, sizes):
+                                      + counts[:, self.counted].sum(
+                                          axis=0).tolist())
+            for op, size in zip(self.selections, sizes):
+                payload = (payloads.pop(0) if payloads else _deferred(
+                    op, [result][:len(op.children)], self.database,
+                    size[0]))
                 result = op.record(self.database,
                                    OperatorResult(payload, *size))
-            for stage, size in zip(self.stages, sizes[len(payloads):]):
+            for stage, size in zip(self.stages, sizes[len(self.selections):]):
                 result = stage.op.record(self.database, OperatorResult(
-                    _deferred(stage, self.database, result, size[0]),
+                    _deferred(stage.op, [result, stage.build],
+                              self.database, size[0]),
                     *size))
-            if self.stages:  # the breaker reads the last join's tids
+            if self.chain is not None or self.stages:
+                # the breaker reads the chain's tids, not a deferred read
                 result = OperatorResult(TidSet(lineage), *sizes[-1])
         self._count_breaker()
         self.breaker.record(self.database, self.breaker.run(
             self.database, [result]))
 
 
-def _deferred(stage: _Stage, database, probe: OperatorResult,
+def _deferred(op, children: List[OperatorResult], database,
               rows: int) -> TidSet:
-    """``stage``'s join output, ``rows`` rows, as a TidSet computed on
-    its first read (counted in ``deferred_reads``) by the join's own
-    operator path over its recorded children: ``probe``, the result
-    recorded below it, and the build side's scan.  The database is held
-    weakly, as the memo holding the payload holds it."""
-    join, build, database = stage.op, stage.build, weakref.ref(database)
+    """``op``'s output, ``rows`` rows, as a TidSet computed on its first
+    read (counted in ``deferred_reads``) by the operator's own path over
+    its recorded ``children``: a join's are the result recorded below it
+    and the build side's scan, a refine's the result below it.  The
+    database is held weakly, as the memo holding the payload holds
+    it."""
+    database = weakref.ref(database)
 
     def compute():
         stats["deferred_reads"] += 1
-        return join.run(database(), [probe, build]).payload.tables
+        return op.run(database(), children).payload.tables
     return TidSet.deferred(rows, compute)
 
 
@@ -482,13 +502,14 @@ def _resume(pipe: FusedPipeline) -> None:
     """Start the chain after the deepest selection whose result is
     already recorded — the test ``produce()`` trusts — and keep only what
     is left to run: nothing when the breaker is recorded.  A recorded
-    join is no entry (its tids are deferred): the joins run again."""
+    join or folded selection is no entry (its tids are deferred): it
+    runs again."""
     if _recorded(pipe.breaker, pipe.database) is not None:
         del pipe.covered_ops[:], pipe.selections[:], pipe.stages[:]
         return
     for depth in range(len(pipe.selections), 0, -1):
         cached = _recorded(pipe.selections[depth - 1], pipe.database)
-        if cached is not None:
+        if cached is not None and not cached[0].is_deferred:
             break
     else:
         return  # nothing recorded: enter at the scan
@@ -503,7 +524,9 @@ def _resume(pipe: FusedPipeline) -> None:
 def _prepare_probers(pipe: FusedPipeline, cache) -> None:
     """Run the build-side scans (memoised), pick a prober each, and bind
     the joins once: each alone, and all for the chain kernel (None
-    where it does not take them all: they run per morsel)."""
+    where it does not take them all: they run per morsel) behind the
+    filter stages of the last selections whose predicates fold, where
+    the kernel takes them too (:attr:`FusedPipeline.folded`)."""
     database = pipe.database
     names = [pipe.fact_table]
     links = []
@@ -524,8 +547,23 @@ def _prepare_probers(pipe: FusedPipeline, cache) -> None:
                       join.probe_key.table, join.build_key.table))
         stage.chain = kernels.Chain(links[-1:], names + [
             build for *_, build in links[:-1]])
-    chain = kernels.Chain(links, names)
+    folded = []  # each folded selection's filter stages, in order
+    for op in reversed(pipe.selections):
+        found = op.filter_stages(database)
+        if not found:
+            break
+        folded.insert(0, found)
+    filters = [(term, values, pipe.fact_table, None)
+               for found in folded for term, values in found]
+    chain = kernels.Chain(filters + links, names)
+    if chain.kernel is None and filters:  # the joins run per morsel
+        folded, filters = [], []
+        chain = kernels.Chain(links, names)
     pipe.chain = None if chain.kernel is None else chain
+    pipe.folded = len(folded)
+    pipe.counted = list(accumulate(len(found) for found in folded)) + list(
+        range(len(filters) + 1, len(filters) + len(links) + 1))
+    stats["folded_selections"] += pipe.folded
 
 
 def build(plan, database, resume: bool = False) -> FusedPipeline:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
@@ -19,10 +20,10 @@ from repro.engine.operators.base import (
 from repro.storage import ColumnType, Database
 
 #: Dense group-id domains above this find their groups by sorting
-#: instead.  Nothing of this size is ever allocated (partials and their
-#: merge are sparse): the cap keeps the mixed-radix ids far inside
-#: int64, and it decides which aggregates a pool can merge — so its
-#: value is part of the pinned statistics.
+#: instead.  Nothing of this size is allocated unless a chunk has as
+#: many rows (partials and their merge are sparse): the cap keeps the
+#: mixed-radix ids far inside int64, and it decides which aggregates a
+#: pool can merge — so its value is part of the pinned statistics.
 GROUP_DOMAIN_CAP = 1 << 21
 
 
@@ -41,10 +42,12 @@ class _GroupTerm:
 class _DenseAggregate:
     """Mixed-radix dense-id plan of one bound :class:`GroupByAggregate`."""
 
-    __slots__ = ("terms", "compensated")
+    __slots__ = ("terms", "domain", "compensated")
 
     def __init__(self, terms, compensated):
         self.terms = terms
+        #: how many ids the plan spans: the product of the radixes
+        self.domain = math.prod(term.radix for term in terms)
         #: aliases of the float sum/avg aggregates, whose partials merge
         #: with Neumaier compensation (pool path); identity with the
         #: one-pass reference is gated at runtime
@@ -197,8 +200,10 @@ class GroupByAggregate(PhysicalOperator):
         """Chunk kernel: the groups present among ``frame``'s
         ``n_rows`` rows (ascending), their row counts and each
         aggregate's per-group reduction.  A chunk is a morsel in the
-        pool and the whole input for ``run()``; nothing of the dense
-        domain's size is ever allocated."""
+        pool and the whole input for ``run()``.  Memory stays bounded
+        by the rows: dense ids are counted into a domain-sized table
+        only where the domain is no larger than ``n_rows``, and sorted
+        otherwise."""
         if not self.group_refs:
             # the one group of an ungrouped aggregate exists even over
             # zero rows (and needs no sort to find)
@@ -209,7 +214,10 @@ class GroupByAggregate(PhysicalOperator):
             for term in self.dense.terms:
                 values = np.asarray(term.ref.evaluate(frame))
                 ids += (values.astype(np.int64) - term.low) * term.stride
-            present, inverse = np.unique(ids, return_inverse=True)
+            present, inverse = (
+                _count_groups(ids, self.dense.domain)
+                if self.dense.domain <= n_rows
+                else np.unique(ids, return_inverse=True))
         else:
             keys = [np.asarray(ref.evaluate(frame)) for ref in self.group_refs]
             # a single key skips the row-matrix stack: the 1-D unique
@@ -331,6 +339,17 @@ class GroupByAggregate(PhysicalOperator):
         frame = Frame(database, payload.tables)
         return self.finish(database, self.partial(frame, len(payload)),
                            child.nominal_rows)
+
+
+def _count_groups(ids: np.ndarray, domain: int):
+    """``np.unique(ids, return_inverse=True)`` for ids in ``[0,
+    domain)``, by counting them into a table of ``domain`` slots: the
+    present ids are its nonzero slots, and a row's group is its id's
+    rank among them."""
+    present = np.flatnonzero(np.bincount(ids, minlength=domain))
+    rank = np.zeros(domain, dtype=np.int64)
+    rank[present] = np.arange(len(present))
+    return present, rank[ids]
 
 
 def reduce_groups(aggregate: Aggregate, frame, inverse: np.ndarray,

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import List, Optional, Set
 
 import numpy as np
 
-from repro.engine import kernels
+from repro.engine import caches, kernels
 from repro.engine.cardinality import estimate_selectivity
-from repro.engine.expressions import Expression
+from repro.engine.expressions import Expression, conjuncts
 from repro.engine.frame import Frame
 from repro.engine.intermediates import OperatorResult, SelectionVector, TidSet
 from repro.engine.operators.base import (
@@ -18,6 +19,12 @@ from repro.engine.operators.base import (
     scaled_nominal_rows,
 )
 from repro.storage import Database
+
+
+#: A selection folds into a pipeline's chain kernel as filter stages
+#: only where each term's column spans at most this many values: a term
+#: becomes one bool per value (docs/kernels.md).
+FILTER_SPAN_CAP = 1 << 16
 
 
 class ScanSelect(PhysicalOperator):
@@ -93,6 +100,48 @@ class ScanSelect(PhysicalOperator):
         found = np.asarray(self.predicate.evaluate(frame), dtype=bool)
         return found if mask is None else mask & found
 
+    def filter_stages(self, database: Database):
+        """The predicate as filter stages of a chain kernel, one per
+        conjunct: ``(kernels.ValueFilter, column values)``, the term
+        evaluated once over every value of the one column it reads —
+        an int32 / int64 column of this table whose cached bounds span
+        at most :data:`FILTER_SPAN_CAP` values.  Predicates are
+        elementwise, and a string literal resolves through the column's
+        dictionary as in :meth:`select`, so a row's slot is its
+        ``select`` answer.  None where a term does not fold (or there
+        is no predicate)."""
+        if self.predicate is None:
+            return None
+        cache = caches.memo(database, "kernels", kernels.KernelCache)
+        stages = []
+        for term in conjuncts(self.predicate):
+            keys = term.columns()  # exactly one, of this table
+            key = keys.pop() if len(keys) == 1 else ""
+            if key.partition(".")[0] != self.table:
+                return None
+            column = database.column(key)
+            bounds = cache.column_bounds(column)
+            if (column.values.dtype not in (np.int32, np.int64)
+                    or bounds is None
+                    or bounds[1] - bounds[0] >= FILTER_SPAN_CAP):
+                return None
+            values = np.arange(bounds[0], bounds[1] + 1,
+                               dtype=column.values.dtype)
+            # a frame whose one column holds each value of the span once
+            frame = SimpleNamespace(array=lambda key: values,
+                                    column_meta=lambda key: column)
+            try:  # over values the column may not hold: no warning
+                with np.errstate(all="ignore"):
+                    table = term.evaluate(frame)
+            except (TypeError, ValueError):  # ``select`` raises it, as ever
+                return None
+            if not (isinstance(table, np.ndarray) and table.dtype == bool
+                    and table.shape == values.shape):
+                return None
+            stages.append((kernels.ValueFilter(table, bounds[0]),
+                           column.values))
+        return stages
+
     def run(self, database: Database,
             child_results: List[OperatorResult]) -> OperatorResult:
         if self.predicate is None:
@@ -165,6 +214,7 @@ class RefineSelect(PhysicalOperator):
         return n_out, nominal, TID_BYTES
 
     select = ScanSelect.select
+    filter_stages = ScanSelect.filter_stages
 
     def run(self, database: Database,
             child_results: List[OperatorResult]) -> OperatorResult:

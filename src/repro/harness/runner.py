@@ -167,7 +167,7 @@ class QueryDriver:
         if strategy.executor == "chopping":
             self.submit = ChoppingExecutor(
                 ctx, strategy, gpu_workers=gpu_workers,
-                lifecycle=lifecycle).submit
+                supervised=lifecycle is not None).submit
         else:
             self.submit = lambda plan, qctx, run_ctx: run_plan_eager(
                 run_ctx, plan, strategy, qctx)

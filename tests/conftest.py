@@ -136,6 +136,24 @@ def materialised_scans():
         yield
 
 
+@contextmanager
+def numpy_selections():
+    """Inside the block no selection folds into a pipeline's chain
+    kernel: each runs its ``select`` in numpy and a recording keeps its
+    mask — what every selection does where its terms read a float
+    column or no kernel built.  For the tests of a recorded selection as
+    a chain's entry, which a folded (deferred) one never is, and for the
+    per-morsel reference of a folded chain.  The program has no switch
+    for it."""
+    with mock.patch.object(ScanSelect, "filter_stages", _unfolded), \
+            mock.patch.object(RefineSelect, "filter_stages", _unfolded):
+        yield
+
+
+def _unfolded(self, database):
+    return None
+
+
 def random_selection_plan(rng):
     """A bushy tree of 6-10 filtered ``toy_db`` scans combined by
     ``TidIntersect`` (some under a ``RefineSelect``), drawn from

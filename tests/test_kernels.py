@@ -20,7 +20,15 @@ from repro.engine import (
     morsel,
 )
 from repro.engine.execution import execute_functional, execute_operators
-from repro.engine.expressions import ColumnRef, Comparison, Literal
+from repro.engine.expressions import (
+    COMPARISON_OPS,
+    Between,
+    ColumnRef,
+    Comparison,
+    InList,
+    Literal,
+    conjunction,
+)
 from repro.engine.intermediates import SelectionVector, TidSet
 from repro.engine.operators import (
     HashJoin,
@@ -31,13 +39,19 @@ from repro.engine.operators import (
     TidIntersect,
 )
 from repro.sql import bind
+from repro.engine.operators.scan import FILTER_SPAN_CAP
 from repro.harness.runner import run_workload
 from repro.storage import ColumnType, Database, shm
 from repro.storage.column import Column
 from repro.storage.compression import compress_database
 from repro.workloads import micro, ssb, tpch
 
-from tests.conftest import materialised_scans, morsel_rows
+from tests.conftest import (
+    cold_plan_cache,
+    materialised_scans,
+    morsel_rows,
+    numpy_selections,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -799,6 +813,228 @@ class TestCompiledProbe:
         assert rows() == expected
         assert kernels.stats["compiled_probes"] == 0
         assert kernels.stats["numpy_probes"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Fact selections folded into the chain kernel as filter stages
+# ---------------------------------------------------------------------------
+
+CAP = FILTER_SPAN_CAP
+#: the string column's dictionary, and literals it holds or not
+_WORDS = ["ash", "elm", "fir", "oak", "yew"]
+_LITERALS = _WORDS + ["aaa", "ela", "zzz"]
+
+
+@st.composite
+def _fold_term(draw, spans):
+    """One conjunct over ``f`` — ``=, <>, <, <=, >, >=``, ``BETWEEN``
+    or ``IN`` over int32 ``a``, int64 ``b`` or string ``s`` (literals
+    around each column's range, so some select nothing or everything),
+    or a shape that must not fold: a float column, a term over two
+    columns — and whether it folds (a column spanning past the cap
+    does not either)."""
+    column = draw(st.sampled_from(["a", "b", "s", "a", "b", "s", "z", "ab"]))
+    if column == "z":
+        return Comparison("<", ColumnRef("f", "z"), Literal(0.25)), False
+    if column == "ab":
+        return Comparison("<", ColumnRef("f", "a"), ColumnRef("f", "b")), False
+    if column == "s":
+        value = st.sampled_from(_LITERALS)
+    else:
+        low, span = spans[column]
+        high = low + span - 1
+        value = st.one_of(st.integers(low - 3, low + 3),
+                          st.integers(high - 3, high + 3),
+                          st.integers(low, high))
+    ref = ColumnRef("f", column)
+    shape = draw(st.sampled_from(list(COMPARISON_OPS) + ["between", "in"]))
+    if shape == "between":
+        term = Between(ref, Literal(draw(value)), Literal(draw(value)))
+    elif shape == "in":
+        term = InList(ref, draw(st.lists(value, min_size=1, max_size=3)))
+    else:
+        term = Comparison(shape, ref, Literal(draw(value)))
+    return term, column == "s" or spans[column][1] <= CAP
+
+
+@st.composite
+def _fold_cases(draw):
+    """A fact table ``f`` — ``a`` int32 and ``b`` int64 over a drawn
+    range (negative lows; a span far inside the cap, at it or one past
+    it), ``s`` a string, ``z`` a float, ``fk`` into dimension ``d`` — a
+    scan and maybe a refine over it, each a conjunction of 1-2 terms,
+    maybe a join into ``d`` (filtered or not) and maybe the scan's
+    recorded mask as the entry; and whether each selection folds."""
+    n = draw(st.integers(0, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    spans = {"a": (draw(st.integers(-50, 50)),
+                   draw(st.sampled_from([draw(st.integers(1, 40)), CAP,
+                                         CAP + 1]))),
+             "b": (draw(st.integers(-10 ** 12, 10 ** 12)),
+                   draw(st.sampled_from([draw(st.integers(1, 40)), CAP,
+                                         CAP + 1])))}
+    db = Database("fold")
+    fact = db.create_table("f", nominal_rows=10 * n + 7)
+    for name, ctype in (("a", ColumnType.INT32), ("b", ColumnType.INT64)):
+        low, span = spans[name]
+        values = low + rng.integers(0, span, n)
+        values[:2] = [low, low + span - 1][:n]  # the whole span occurs
+        if n < 2:
+            spans[name] = (low, 1)
+        fact.add_column(name, ctype, values)
+    fact.add_string_column("s", _WORDS, rng.integers(0, len(_WORDS), n))
+    fact.add_column("z", ColumnType.FLOAT64, rng.random(n))
+    fact.add_column("fk", ColumnType.INT32, rng.integers(1, 6, n))
+    dim = db.create_table("d", nominal_rows=5)
+    dim.add_column("id", ColumnType.INT32, np.arange(1, 6))
+    dim.add_column("kind", ColumnType.INT32, np.arange(5) % 2)
+    selections = [draw(st.lists(_fold_term(spans), min_size=1, max_size=2))
+                  for _ in range(draw(st.integers(1, 2)))]
+    join = draw(st.sampled_from([None, "all", "some"]))
+
+    def plan():
+        node = None
+        for terms in selections:
+            predicate = conjunction([term for term, _ in terms])
+            node = (ScanSelect("f", predicate) if node is None
+                    else RefineSelect(node, "f", predicate))
+        if join is not None:
+            build = ScanSelect("d", None if join == "all" else Comparison(
+                "=", ColumnRef("d", "kind"), Literal(0)))
+            node = HashJoin(node, build, ColumnRef("f", "fk"),
+                            ColumnRef("d", "id"))
+        return PhysicalPlan(Materialize(node, [("a", ColumnRef("f", "a"))]))
+
+    entry = len(selections) == 2 and draw(st.booleans())
+    # an empty column has no bounds to span
+    folds = [n > 0 and all(folds for _, folds in terms)
+             for terms in selections]
+    return db, plan, entry, folds[1:] if entry else folds
+
+
+def _build_pipe(db, plan, entry):
+    """``plan`` bound as a pipeline — entered at its scan's recorded
+    mask when ``entry`` (the scan recorded by its operator path)."""
+    if entry:
+        scan = plan.root.children[0]
+        while scan.children:
+            scan = scan.children[0]
+        scan.produce(db, [])
+    return morsel.build(plan, db, resume=entry)
+
+
+def _probe_chain(plan):
+    """The chain operators of ``plan``, scan first: its probe side."""
+    chain, node = [], plan.root.children[0]
+    while node is not None:
+        chain.insert(0, node)
+        node = node.children[0] if node.children else None
+    return chain
+
+
+def _per_morsel(pipe):
+    """Per morsel, the rows after each chain operator; and each table's
+    tids after the last, over all fact rows: from the pipeline's one
+    call, or (built under ``numpy_selections``) from ``_enter`` and
+    ``run_morsel`` morsel by morsel."""
+    spans = pipe._spans(0, pipe.fact_rows)
+    rows = lambda mask, low, high: (high - low if mask is None else
+                                    int(np.count_nonzero(mask)))
+    if pipe.chain is not None and pipe.folded:
+        masks, counts, lineage = pipe._run(0, pipe.fact_rows)
+        return [[rows(mask if mask is None else mask[low:high], low, high)
+                 for mask in masks] + counts[number, pipe.counted].tolist()
+                for number, (low, high) in enumerate(spans)], {
+            name: tids.copy() for name, tids in lineage.items()}
+    counts, parts = [], []
+    for low, high in spans:
+        masks, mask = pipe._enter(low, high)
+        joined, lineage = pipe.run_morsel(low, high, mask)
+        counts.append([rows(mask, low, high) for mask in masks] + joined[1:])
+        parts.append({name: np.arange(low, high) if tids is None else tids
+                      for name, tids in lineage.items()})
+    return counts, {name: np.concatenate([part[name] for part in parts])
+                    for name in parts[0]}
+
+
+class TestFoldedSelections:
+    @given(case=_fold_cases(),
+           block=st.sampled_from([1, 7, morsel.MORSEL_ROWS]))
+    @settings(max_examples=300, deadline=None)
+    def test_a_folded_chain_answers_as_numpy_and_the_operators(
+            self, case, block):
+        """The kernel's per-morsel counts and lineage equal the numpy
+        selections' (``_enter``, then ``run_morsel``) and the operator
+        path's ``run()``, byte for byte; a selection folds exactly when
+        it and every selection after it have only foldable terms (and
+        the kernel built)."""
+        db, plan, entry, folds = case
+        compiled = kernels._chain_kernel() is not None
+        with morsel_rows(block), cold_plan_cache():
+            reference = plan()
+            execute_operators(reference, db)
+            pipe = _build_pipe(db, plan(), entry)
+            with numpy_selections():
+                unfolded = _build_pipe(db, plan(), entry)
+            got_counts, got = _per_morsel(pipe)
+            want_counts, want = _per_morsel(unfolded)
+        expected = 0
+        for folds_here in reversed(folds):
+            if not (compiled and folds_here):
+                break
+            expected += 1
+        assert (pipe.folded, unfolded.folded) == (expected, 0)
+        assert got_counts == want_counts
+        chain = _probe_chain(reference)
+        ran = chain[len(chain) + 1 - len(pipe.covered_ops):]
+        assert [sum(column) for column in zip(*got_counts)] == [
+            op._cached_result[1] for op in ran]
+        last = chain[-1]._cached_result[0]
+        assert list(got) == list(want) == last.table_names
+        for name in got:
+            assert got[name].dtype == want[name].dtype == np.int64
+            assert (got[name].tobytes() == want[name].tobytes()
+                    == last.positions(name).astype(np.int64).tobytes())
+        # and both record what the operator path records, deferred
+        # payloads read here
+        for built in (pipe, unfolded):
+            with morsel_rows(block), cold_plan_cache():
+                built.run_recorded()
+            for op, ref in zip(_probe_chain(built.plan) + [built.breaker],
+                               chain + [reference.root]):
+                (payload, *sizes), (want_payload, *want_sizes) = (
+                    op._cached_result, ref._cached_result)
+                assert sizes == want_sizes, op.label
+                if op is built.breaker:
+                    assert payload.row_tuples() == want_payload.row_tuples()
+                    continue
+                assert payload.table_names == want_payload.table_names
+                for name in payload.table_names:
+                    assert (payload.positions(name).tobytes()
+                            == want_payload.positions(name).tobytes())
+
+    def test_flight_one_folds_its_fact_selection(self):
+        """The witness that folding happens: every SSB flight-1
+        template's fact selection (``lo_discount BETWEEN ... AND
+        lo_quantity ...``) folds into the compiled chain, booked in
+        ``morsel.stats["folded_selections"]`` — so the fast path cannot
+        fall back to the numpy masks unnoticed — and answers as the
+        operator path."""
+        _require_the_loop()
+        db = ssb.generate(scale_factor=1, data_scale=0.01)
+        flight = [query for query in ssb.workload(db)
+                  if query.name.startswith("Q1.")]
+        assert len(flight) == 3
+        for query in flight:
+            morsel.reset_stats()
+            pipe = morsel.build(query.instantiate(), db)
+            assert (pipe.folded, morsel.stats["folded_selections"]) == (1, 1)
+            assert pipe.chain is not None and len(pipe.selections) == 1
+            merged = pipe.merge([pipe.run_chunk(0, pipe.fact_rows)])
+            with cold_plan_cache():
+                want = execute_operators(query.instantiate(), db)
+            assert (merged.payload.row_tuples()
+                    == want.payload.row_tuples()), query.name
 
 
 # ---------------------------------------------------------------------------

@@ -489,11 +489,9 @@ def test_prefix_cancelled_stream_leaves_byte_identical_rerun(
     cancel_at = _clean_makespan(ssb_db) * fraction
 
     env, hw, ctx = make_context(ssb_db, E.FULL_CONFIG)
-    # a lifecycle config puts every operator on the supervised path,
-    # where a cancel interrupts it; the executor admits no query itself
-    chopper = ChoppingExecutor(
-        ctx, RuntimeHype(),
-        lifecycle=LifecycleConfig(max_inflight=N_STREAM))
+    # every operator on the supervised path, where a cancel interrupts
+    # it; the executor admits no query itself
+    chopper = ChoppingExecutor(ctx, RuntimeHype(), supervised=True)
     queries = _stream_queries(ssb_db)
     first_pass = {}
     contexts = []

@@ -24,6 +24,7 @@ Covers the functional layer's default engine end to end:
 """
 
 import multiprocessing
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -55,7 +56,12 @@ from repro.workloads import micro, sql_workload, ssb, tpch
 
 from benchmarks.e2e import sqlgen
 from tests import test_random_queries as random_queries
-from tests.conftest import cold_plan_cache, morsel_rows, operator_path
+from tests.conftest import (
+    cold_plan_cache,
+    morsel_rows,
+    numpy_selections,
+    operator_path,
+)
 
 FORK_OK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -488,11 +494,13 @@ RESUME_CASES = {
 def test_resume_edges(name, memo_only, rows_per_morsel, plan_cache_off):
     """``memo_only``: the plan cache is off and the recording sits in
     the plan's own template memo (the chain below the resumed depth
-    memoised, everything above forgotten)."""
+    memoised, everything above forgotten).  The selections run in numpy:
+    a folded one is no entry
+    (``test_a_folded_selection_stays_deferred_and_is_no_entry``)."""
     first, sql, resumed, runs_morsels = RESUME_CASES[name]
     db = _resume_db()
     (query,) = sql_workload(db, {name: sql})
-    with morsel_rows(rows_per_morsel):
+    with morsel_rows(rows_per_morsel), numpy_selections():
         if memo_only:
             template = query.template_plan()
             execute_operators(template, db)
@@ -526,7 +534,8 @@ def test_an_empty_recorded_prefix_still_owes_the_scalar_row(
     plan_cache_off.close()
     (earlier,) = sql_workload(db, {"first": first})
     (query,) = sql_workload(db, {"empty": sql})
-    with morsel_rows(rows_per_morsel):
+    # the recorded empty scan mask is the entry: no selection folds
+    with morsel_rows(rows_per_morsel), numpy_selections():
         execute_functional(earlier.instantiate(), db)
         moved = _assert_resumed_records_identical(
             db, query.instantiate, sql)
@@ -599,7 +608,8 @@ def test_a_resumed_recording_calls_no_kernel_of_a_resumed_operator(
     morsels, or, where the kernel did not build or does not take a join
     (``e``'s 1:N key sorts), one ``select`` and a ``match`` per morsel —
     while the morsels are booked one by one either way.  A recorded join
-    is no entry: the joins run again after the recorded scan."""
+    is no entry: the joins run again after the recorded scan (which runs
+    in numpy here: a folded one is no entry either)."""
     from repro.engine import kernels
 
     db = _resume_db()
@@ -615,7 +625,7 @@ def test_a_resumed_recording_calls_no_kernel_of_a_resumed_operator(
         assert (chain_calls, moved) == (selects + joins * calls, morsels)
         del chain_calls[:]
 
-    with morsel_rows(100):  # five morsels of fact rows
+    with morsel_rows(100), numpy_selections():  # five morsels of fact rows
         before = morsel.snapshot_stats()
         run(_FD)
         per_recording([scan], [join_d], 5)
@@ -637,23 +647,27 @@ def test_a_resumed_recording_calls_no_kernel_of_a_resumed_operator(
 def test_a_stale_recording_is_never_resumed(stale, chain_calls,
                                            plan_cache_off):
     """After anything that drops or outdates the plan cache the next
-    statement enters at the scan — and answers as the reference does."""
+    statement enters at the scan — and answers as the reference does.
+    The scan runs in numpy, so that its recorded mask could be an
+    entry."""
     from repro.storage import EpochStore
     from repro.storage.compression import compress_database
 
     db = _resume_db()
     plan_cache_off.close()
-    execute_functional(sql_workload(db, {"a": _FD})[0].instantiate(), db)
-    if stale == "clear_database_caches":
-        E.clear_database_caches()
-    elif stale == "compress_database":
-        compress_database(db)
-    else:
-        db = EpochStore(db).advance(fraction=0.2)
-    (query,) = sql_workload(db, {"b": _FDE.format("tag", "tag")})
-    del chain_calls[:]
-    before = morsel.snapshot_stats()
-    result = execute_functional(query.instantiate(), db)
+    with numpy_selections():
+        execute_functional(sql_workload(db, {"a": _FD})[0].instantiate(),
+                           db)
+        if stale == "clear_database_caches":
+            E.clear_database_caches()
+        elif stale == "compress_database":
+            compress_database(db)
+        else:
+            db = EpochStore(db).advance(fraction=0.2)
+        (query,) = sql_workload(db, {"b": _FDE.format("tag", "tag")})
+        del chain_calls[:]
+        before = morsel.snapshot_stats()
+        result = execute_functional(query.instantiate(), db)
     moved = morsel.stats_since(before)
     assert moved["resumed_operators"] == 0 and moved["fused_operators"] == 4
     assert chain_calls == ["Scan(f)", "Join(f.fk=d.id)", "Join(f.ek=e.eid)"]
@@ -757,6 +771,63 @@ def test_no_program_path_reads_a_deferred_join(ssb_db, plan_cache_off):
     assert morsel.stats["fused_queries"] > len(ssb.QUERIES)
     assert morsel.stats["deferred_reads"] == 0
     _assert_no_swallowed_errors()
+
+
+def test_a_folded_selection_stays_deferred_and_is_no_entry(
+        ssb_db, tpch_db, plan_cache_off):
+    """A folded selection records its sizes over a deferred payload, as
+    a join does: every SSB and TPC-H template through
+    ``execute_functional`` and through ``run_workload`` reads none; one
+    explicit read is the operator path's mask byte for byte, and is one
+    read; and a later plan with the same predicate does not resume at
+    it (the same plans with the selections in numpy do)."""
+    compiled = kernels._chain_kernel() is not None
+    plan_cache_off.close()
+    for db, module in ((ssb_db, ssb), (tpch_db, tpch)):
+        for run in ("execute_functional", "run_workload"):
+            caches.memo(db, "plan").clear()
+            try:
+                if run == "run_workload":
+                    run_workload(db, module.workload(db),
+                                 "data_driven_chopping",
+                                 config=E.FULL_CONFIG, users=2, repetitions=1)
+                else:
+                    for query in module.workload(db):
+                        execute_functional(query.instantiate(), db)
+            finally:
+                caches.memo(db, "plan").clear()
+    assert (morsel.stats["folded_selections"] > 0) == compiled
+    assert morsel.stats["deferred_reads"] == 0
+    _assert_no_swallowed_errors()
+
+    first = ssb.QUERIES["Q1.1"]
+    later = first.replace("d_year = 1993", "d_year = 1994")
+    queries = sql_workload(ssb_db, {"first": first, "later": later})
+    try:
+        plan = queries[0].instantiate()
+        assert morsel.prepare_fused(plan, ssb_db)
+        (scan,) = [op for op in plan.operators
+                   if op.role == "scan" and op.table == "lineorder"]
+        payload = scan._cached_result[0]
+        assert payload.is_deferred == compiled
+        with cold_plan_cache():
+            reference = scan.run(ssb_db, []).payload
+        morsel.reset_stats()
+        _assert_same_payload(payload, reference, scan.label)
+        assert payload.tables is payload.tables
+        assert morsel.stats["deferred_reads"] == compiled
+        for numpy_only in (False, True):
+            caches.memo(ssb_db, "plan").clear()
+            with (numpy_selections() if numpy_only else nullcontext()):
+                execute_functional(queries[0].instantiate(), ssb_db)
+                morsel.reset_stats()
+                execute_functional(queries[1].instantiate(), ssb_db)
+            assert morsel.stats["resumed_operators"] == (
+                numpy_only or not compiled)
+            assert morsel.stats["folded_selections"] == (
+                compiled and not numpy_only)
+    finally:
+        caches.memo(ssb_db, "plan").clear()
 
 
 # ---------------------------------------------------------------------------
@@ -1013,7 +1084,8 @@ def test_union_merge_edge_cases(grouped, domain, id_lists):
 def _per_morsel_chunk(pipe, start, stop):
     """The oracle: ``run_chunk`` as it stood before the breaker ran once
     per batch (through ``FusedPipeline.morsel_partial``) — the breaker's
-    partial over every morsel, the partials merged."""
+    partial over every morsel, the partials merged.  ``pipe`` is built
+    under ``numpy_selections``: every selection is a ``select``."""
     partials = []
     for span_start, span_stop in pipe._spans(start, stop):
         masks, mask = pipe._enter(span_start, span_stop)
@@ -1053,10 +1125,12 @@ def test_a_chunk_per_batch_equals_the_per_morsel_merge(
             pipe = morsel.build(query.instantiate(), db)
             if not pipe.supports_partials:
                 continue
+            with numpy_selections():
+                unfolded = morsel.build(query.instantiate(), db)
             cut = pipe.fact_rows // 3
             for start, stop in ((0, cut), (cut, pipe.fact_rows)):
                 got = pipe.run_chunk(start, stop)
-                want = _per_morsel_chunk(pipe, start, stop)
+                want = _per_morsel_chunk(unfolded, start, stop)
                 assert (got.index, got.chain_counts) == (
                     want.index, want.chain_counts), query.name
                 if not isinstance(want, AggregatePartial):

@@ -155,54 +155,63 @@ class TestOneChunkKernel:
     @pytest.mark.parametrize("breaker", [GroupByAggregate, Materialize])
     def test_both_schedules_go_through_the_class_kernels(self, toy_db,
                                                          spied, breaker):
+        from contextlib import nullcontext
+
         from repro.engine import caches, morsel
         from repro.engine.execution import execute_operators
 
-        from tests.conftest import morsel_rows
+        from tests.conftest import morsel_rows, numpy_selections
 
         from repro.engine import kernels
 
-        # the chain of a range: one ``select`` each and one chain-kernel
-        # call, or, where the kernel did not build, one ``select`` each
-        # and one ``match`` per join for every morsel
+        # the chain of a range: one chain-kernel call, the selections
+        # folded into it as filter stages (or, kept in numpy, one
+        # ``select`` each before it); where the kernel did not build,
+        # one ``select`` each and one ``match`` per join for every morsel
         compiled = kernels._chain_kernel() is not None
         join = ("kernels", "Chain.run") if compiled else ("HashJoin", "match")
-        chain = [("ScanSelect", "select"), ("RefineSelect", "select"), join]
-        per_range = {**dict.fromkeys(chain, 1), join: 1 if compiled else 3}
+        selects = [("ScanSelect", "select"), ("RefineSelect", "select")]
         partial = (breaker.__name__, "partial")
         caches.memo(toy_db, "plan").clear()
         reference = execute_operators(self._plan(breaker), toy_db)
         # operator at a time: every kernel once, over the whole column
         # (the build-side scan has no predicate, so nothing to select);
         # ``match`` runs its join through a binding of one
-        assert spied == dict.fromkeys(chain + [("HashJoin", "match"),
-                                               partial], 1)
+        assert spied == dict.fromkeys(selects + [join, ("HashJoin", "match"),
+                                                 partial], 1)
 
         rows = toy_db.table("sales").actual_rows
-        with morsel_rows(-(-rows // 3)):  # three morsels
-            # recording: the chain once over the range, the breaker at
-            # the barrier; the probes and morsels booked one by one
-            spied.clear()
-            kernels.reset_stats()
-            before = morsel.snapshot_stats()
-            caches.memo(toy_db, "plan").clear()
-            pipe = morsel.build(self._plan(breaker), toy_db)
-            assert len(pipe.ranges()) == 3
-            pipe.run_recorded()
-            assert spied == {**per_range, partial: 1}
-            assert morsel.stats_since(before)["morsels"] == 3
-            assert kernels.stats["compiled_probes"] == 3 * compiled
-            # pooled: the chain once over the worker chunk, the breaker
-            # once per batch of a morsel's worth of its output rows —
-            # the first two morsels' (~140 rows each), then the last
-            spied.clear()
-            before = morsel.snapshot_stats()
-            merged = pipe.merge([pipe.run_chunk(0, rows)])
-            assert spied == {**per_range, partial: 2}
-            assert morsel.stats_since(before)["morsels"] == 3
-            assert kernels.stats["compiled_probes"] == 6 * compiled
-        assert (merged.payload.row_tuples()
-                == reference.payload.row_tuples())
+        for folding in (True, False):
+            per_range = {join: 1 if compiled else 3}
+            if not (folding and compiled):
+                per_range.update(dict.fromkeys(selects, 1))
+            with morsel_rows(-(-rows // 3)), (  # three morsels
+                    nullcontext() if folding else numpy_selections()):
+                # recording: the chain once over the range, the breaker
+                # at the barrier; the probes and morsels booked one by one
+                spied.clear()
+                kernels.reset_stats()
+                before = morsel.snapshot_stats()
+                caches.memo(toy_db, "plan").clear()
+                pipe = morsel.build(self._plan(breaker), toy_db)
+                assert len(pipe.ranges()) == 3
+                assert pipe.folded == 2 * (folding and compiled)
+                pipe.run_recorded()
+                assert spied == {**per_range, partial: 1}
+                assert morsel.stats_since(before)["morsels"] == 3
+                assert kernels.stats["compiled_probes"] == 3 * compiled
+                # pooled: the chain once over the worker chunk, the
+                # breaker once per batch of a morsel's worth of its output
+                # rows — the first two morsels' (~140 rows each), then the
+                # last
+                spied.clear()
+                before = morsel.snapshot_stats()
+                merged = pipe.merge([pipe.run_chunk(0, rows)])
+                assert spied == {**per_range, partial: 2}
+                assert morsel.stats_since(before)["morsels"] == 3
+                assert kernels.stats["compiled_probes"] == 6 * compiled
+            assert (merged.payload.row_tuples()
+                    == reference.payload.row_tuples())
         caches.memo(toy_db, "plan").clear()
 
 
@@ -453,6 +462,55 @@ class TestGroupByAggregate:
     def test_needs_groups_or_aggregates(self, toy_db):
         with pytest.raises(ValueError):
             GroupByAggregate(ScanSelect("sales"), [], [])
+
+    @pytest.mark.parametrize("n_rows", [12, 11, 0],
+                             ids=["domain_is_rows", "domain_is_rows_plus_1",
+                                  "zero_rows"])
+    def test_counted_groups_equal_sorted_groups(self, n_rows, monkeypatch):
+        """Dense ids over a 12-slot domain: counted into a table where
+        the domain fits the rows, sorted by ``np.unique`` otherwise.
+        Both ways give the same ``present``, ``inverse``, counts and
+        float sums (dtype and bytes), and ``partial`` counts exactly
+        where ``domain <= n_rows``."""
+        from repro.engine.frame import Frame
+        from repro.engine.operators import aggregate
+        from repro.storage import ColumnType, Database
+
+        rng = np.random.default_rng(n_rows)
+        db = Database("groups")
+        table = db.create_table("t", nominal_rows=300)
+        table.add_column("g", ColumnType.INT32,
+                         np.r_[0, 11, rng.integers(0, 12, 28)])
+        table.add_column("v", ColumnType.FLOAT64, rng.random(30))
+        op = GroupByAggregate(ScanSelect("t"), [ColumnRef("t", "g")],
+                              [Aggregate("sum", ColumnRef("t", "v"), "v")])
+        op.bind(db, ["t"])
+        assert op.dense.domain == 12
+        tids = rng.choice(30, n_rows, replace=False)
+        ids = db.column("t.g").values[tids].astype(np.int64)
+        weights = db.column("t.v").values[tids]
+        found = {"counted": aggregate._count_groups(ids, 12),
+                 "sorted": np.unique(ids, return_inverse=True)}
+        for way, (present, inverse) in found.items():
+            found[way] = (present, inverse,
+                          np.bincount(inverse, minlength=len(present)),
+                          np.bincount(inverse, weights=weights,
+                                      minlength=len(present)))
+        for got, want in zip(found["counted"], found["sorted"]):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+        calls = []
+
+        def counting(*args, _inner=aggregate._count_groups):
+            calls.append(args[1])
+            return _inner(*args)
+        monkeypatch.setattr(aggregate, "_count_groups", counting)
+        partial = op.partial(Frame(db, {"t": tids}), n_rows)
+        assert calls == [12] * (12 <= n_rows)
+        present, _, counts, sums = found["sorted"]
+        assert partial.present.tobytes() == present.tobytes()
+        assert partial.counts.tobytes() == counts.tobytes()
+        assert partial.values["v"].tobytes() == sums.tobytes()
 
 
 class TestMaterializeSortLimit:
