@@ -33,6 +33,8 @@ import sys
 import time
 from typing import List, Optional
 
+import numpy as np
+
 from repro.core import STRATEGY_NAMES
 from repro.engine import kernels, morsel
 from repro.engine.execution.lifecycle import OVERLOAD_POLICIES
@@ -301,7 +303,8 @@ def cmd_query(args) -> int:
                        collect_results=True, faults=faults)
     payload = run.results["adhoc"]
     for row in payload.row_tuples()[: args.limit]:
-        print(row)
+        print(tuple(value.item() if isinstance(value, np.generic) else value
+                    for value in row))
     print("[{} rows; {:.4f}s simulated; PCIe {:.4f}s; {} aborts]".format(
         len(payload), run.seconds, run.metrics.transfer_seconds,
         run.metrics.aborts))

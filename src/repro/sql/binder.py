@@ -39,7 +39,7 @@ from repro.sql.ast import (
     ParsedOr,
     SelectStatement,
 )
-from repro.storage import Database
+from repro.storage import ColumnType, Database
 
 
 class BindError(ValueError):
@@ -134,19 +134,40 @@ class _Binder:
             )
         raise BindError("unsupported expression {!r}".format(parsed))
 
+    def check_literals(self, expr: Expression, values) -> None:
+        """A string literal against a non-string column, or a number
+        against a string one, is a :class:`BindError` — not a
+        ``TypeError`` at the first run, nor dictionary codes compared
+        with a number."""
+        if not isinstance(expr, ColumnRef):
+            return
+        ctype = self.database.table(expr.table).column(expr.name).ctype
+        for value in values:
+            if isinstance(value, str) != (ctype is ColumnType.STRING):
+                raise BindError("{} literal {!r} against {} column {}".format(
+                    "string" if isinstance(value, str) else "numeric",
+                    value, ctype.value, expr.key))
+
     def bind_predicate(self, parsed) -> Expression:
         if isinstance(parsed, ParsedComparison):
-            return Comparison(
-                parsed.op, self.bind_expr(parsed.left), self.bind_expr(parsed.right)
-            )
+            left, right = self.bind_expr(parsed.left), self.bind_expr(parsed.right)
+            for expr, other in ((left, right), (right, left)):
+                if isinstance(other, Literal):
+                    self.check_literals(expr, [other.value])
+            return Comparison(parsed.op, left, right)
         if isinstance(parsed, ParsedBetween):
-            return Between(
+            bound = Between(
                 self.bind_expr(parsed.expr),
                 self.bind_expr(parsed.low),
                 self.bind_expr(parsed.high),
             )
+            self.check_literals(bound.expr, [
+                end.value for end in (bound.low, bound.high)
+                if isinstance(end, Literal)])
+            return bound
         if isinstance(parsed, ParsedIn):
             bound = InList(self.bind_expr(parsed.expr), parsed.values)
+            self.check_literals(bound.expr, parsed.values)
             if parsed.negated:
                 return Not(bound)
             return bound

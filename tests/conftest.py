@@ -53,6 +53,18 @@ def _chain_command(request):
 
 
 @pytest.fixture(scope="session")
+def chain_builds(request, _chain_command):
+    """The chain kernel as the session builds it, by build: ``vector``
+    as it is, ``scalar`` with its vector stages compiled out
+    (``-DCHAIN_SCALAR``), so the scalar stages are proven on a host that
+    takes the vector ones; a build is None where it did not build."""
+    command = request.config.getoption("--chain-cc")
+    command = tuple(command.split()) if command else kernels._COMPILE
+    return {"vector": kernels._chain_kernel(command),
+            "scalar": kernels._chain_kernel(command + ("-DCHAIN_SCALAR",))}
+
+
+@pytest.fixture(scope="session")
 def claim_tables():
     """``Grid -> measured table`` for every test that judges a claim of
     ``repro.harness.figures``: each claim sweep runs once per session,

@@ -169,6 +169,22 @@ def test_a_bad_repro_jobs_is_an_error_not_a_traceback(argv, monkeypatch,
                  id="serve-append-fraction"),
     pytest.param(["query", "select x from nowhere"],
                  "unknown table 'nowhere'", True, id="query-bind"),
+    pytest.param(["query", "select count(*) from lineorder "
+                           "where lo_discount = 'x'"],
+                 "string literal 'x' against int32 column "
+                 "lineorder.lo_discount", True, id="query-string-literal"),
+    pytest.param(["query", "select count(*) from lineorder "
+                           "where lo_discount between 'a' and 'b'"],
+                 "string literal 'a' against int32 column "
+                 "lineorder.lo_discount", True, id="query-string-between"),
+    pytest.param(["query", "select count(*) from lineorder "
+                           "where lo_discount in (1, 'b')"],
+                 "string literal 'b' against int32 column "
+                 "lineorder.lo_discount", True, id="query-string-in"),
+    pytest.param(["query", "select count(*) from customer "
+                           "where c_region = 1"],
+                 "numeric literal 1 against string column "
+                 "customer.c_region", True, id="query-numeric-literal"),
 ])
 def test_a_bad_flag_value_is_an_error_not_a_traceback(
         argv, message, generates, monkeypatch, capsys):
@@ -187,6 +203,16 @@ def test_a_bad_flag_value_is_an_error_not_a_traceback(
     assert main(argv) == 1
     assert capsys.readouterr().out == "error: {}\n".format(message)
     assert bool(generated) == generates
+
+
+def test_a_query_prints_plain_values(capsys):
+    """``repro query`` prints a row as Python values — no numpy scalar
+    reprs (``np.int64(...)``, ``np.str_(...)``) under numpy 2."""
+    assert main(["query", "select c_region, count(*) from customer "
+                          "where c_region = 'AMERICA' group by c_region"]) == 0
+    row, summary = capsys.readouterr().out.splitlines()
+    assert "np." not in row and row.startswith("('AMERICA', ")
+    assert summary.startswith("[1 rows;")
 
 
 def test_figure_driver_table_covers_all_paper_figures():

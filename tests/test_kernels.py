@@ -7,6 +7,10 @@ operators' general branches (materialised tid arrays in, see
 invalidation contract of ``caches.forget``.
 """
 
+import ctypes
+import mmap
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -408,27 +412,64 @@ def _require_the_loop():
         pytest.skip("the chain kernel did not build here")
 
 
+def _bound(builds, build, links, names):
+    """``Chain(links, names)`` bound to the kernel's ``build`` (the
+    ``chain_builds`` fixture's), skipping where it did not build."""
+    if builds[build] is None:
+        pytest.skip("the chain kernel did not build here")
+    with mock.patch.object(kernels, "_chain_kernel", lambda: builds[build]):
+        return kernels.Chain(links, names)
+
+
+#: the kernel's builds held to the numpy probes on the same cases
+BUILDS = ["vector", "scalar"]
+
+
+def _byte_offset_view(table, offset, fill):
+    """``table`` as a view ``offset`` bytes into a longer array whose
+    other entries are ``fill``: a read past either end of the view
+    reads a valid slot there, so only the bounds keep the answer."""
+    if not offset:
+        return table
+    size = table.dtype.itemsize
+    spare = np.full(len(table) + 8, fill, table.dtype).view(np.uint8)
+    spare = spare[offset:offset + size * len(table)].view(table.dtype)
+    spare[:] = table
+    return spare
+
+
 @st.composite
 def _stage_prober(draw):
-    """An unchecked prober — dense with a key mask, dense unfiltered, a
-    lookup over an int32 or int64 table (the kernel's) or dense with a
-    mask past the key-mask slack (numpy's) — over a mask that selects
-    all, none or some keys; with the range its keys hit around."""
+    """An unchecked prober — dense with a key mask (one of up to 70
+    bytes, or one around 1,024), dense unfiltered, a lookup over an int32
+    or int64 table (the kernel's), a selection term's ``ValueFilter`` or
+    dense with a mask past the key-mask slack (numpy's) — over a mask
+    that selects all, none or some keys; its byte slots a view 0-3 bytes,
+    its int32 ones 0 or 4, into a longer array of hits; with the range
+    its keys hit around."""
     kind = draw(st.sampled_from(
-        ["dense", "dense_all", "lookup32", "lookup64"] * 2 + ["dense_offset"]))
+        ["dense", "dense_all", "lookup32", "lookup64", "filter"] * 2
+        + ["dense_wide", "dense_offset"]))
     n_build = draw(st.integers(1, 30))
-    base = draw(st.integers(0, 40)) + (70_000 if kind == "dense_offset"
-                                        else 0)
+    base = draw(st.integers(0, 40)) + {"dense_offset": 70_000,
+                                        "dense_wide": 990}.get(kind, 0)
     mask = draw(st.sampled_from(["all", "none", "some"]))
     mask = {"all": np.ones(n_build, bool), "none": np.zeros(n_build, bool),
             "some": np.arange(n_build) % 3 != 1}[mask]
+    offset = draw(st.integers(0, 3))
+    if kind == "filter":
+        low = base - 20
+        return kernels.ValueFilter(_byte_offset_view(mask, offset, True),
+                                   low), n_build, low, n_build
     if kind.startswith("dense"):
         prober = kernels._DenseProber(
             base, n_build, None if kind == "dense_all" else mask, False)
-        assert (prober.key_mask is not None) == (kind == "dense")
-        offset = 0 if kind == "dense" else base
-        slots = len(prober.key_mask) if kind == "dense" else n_build
-        return prober, n_build, offset, slots
+        assert (prober.key_mask is not None) == (kind in ("dense",
+                                                          "dense_wide"))
+        if prober.key_mask is not None:
+            prober.key_mask = _byte_offset_view(prober.key_mask, offset, True)
+            return prober, n_build, 0, len(prober.key_mask)
+        return prober, n_build, base, n_build
     step = draw(st.integers(1, 3))
     build = np.random.default_rng(draw(st.integers(0, 9))).permutation(
         np.arange(base, base + step * n_build, step))
@@ -439,6 +480,8 @@ def _stage_prober(draw):
     prober = kernels._LookupProber(lookup, mask, False)
     assert prober.table.dtype == (np.int64 if kind == "lookup64"
                                   else np.int32)
+    if kind == "lookup32":
+        prober.table = _byte_offset_view(prober.table, 4 * (offset > 0), 0)
     return prober, n_build, base, prober.span
 
 
@@ -452,14 +495,14 @@ def _spoil(draw, values, bad):
 
 @st.composite
 def _chain_cases(draw):
-    """A chain of 1-4 joins out of table ``f`` (``f_rows`` rows), each
+    """A chain of 1-4 stages out of table ``f`` (``f_rows`` rows), each
     keyed by an int32 or int64 column of ``f`` or of an earlier build
     table — every slot index, negative ones in [-n, 0), and sometimes
     one out of range or a key type's extreme — entered as a range, a
     range with a mask (sometimes one that clears a run of rows: whole
     blocks of it select nothing), or tids (negative ones, sometimes one
     out of range, optionally beside a second table ``g`` of carried
-    tids)."""
+    tids).  A join adds its build table; a filter adds none."""
     f_rows = draw(st.integers(0, 100))
     rows = {"f": f_rows}
     entry = draw(st.sampled_from(["range", "mask", "tids"]))
@@ -487,8 +530,7 @@ def _chain_cases(draw):
     links = []
     for stage in range(draw(st.integers(1, 4))):
         prober, n_build, offset, slots = draw(_stage_prober())
-        source = draw(st.sampled_from(["f"] + ["b%d" % i
-                                               for i in range(stage)]))
+        source = draw(st.sampled_from(list(rows)))
         key_type = draw(st.sampled_from([np.int32, np.int64]))
         info = np.iinfo(key_type)
         keys = draw(st.lists(st.integers(offset - slots, offset + slots - 1),
@@ -496,8 +538,10 @@ def _chain_cases(draw):
         values = np.array(_spoil(draw, keys, st.one_of(
             st.integers(offset - slots - 3, offset + slots + 3),
             st.sampled_from([int(info.min), int(info.max)]))), key_type)
-        build = "b%d" % stage
-        rows[build] = n_build
+        build = None
+        if not isinstance(prober, kernels.ValueFilter):
+            build = "b%d" % stage
+            rows[build] = n_build
         links.append((prober, values, source, build))
     return links, lineage, start, stop, mask
 
@@ -505,18 +549,23 @@ def _chain_cases(draw):
 def _numpy_chain(links, lineage, start, stop, mask):
     """The reference: ``FusedPipeline.run_morsel``'s per-join loop over
     ``HashJoin.match``'s numpy branch — rows entering and after each
-    join, and the last join's aligned tids."""
+    stage, and the last stage's aligned tids; a filter keeps the rows
+    whose slot ``table.take(key - low)`` is true and adds no table."""
     if mask is not None:
         lineage = {"f": start + np.flatnonzero(mask)}
     counts = [stop - start if lineage["f"] is None else len(lineage["f"])]
     for prober, values, source, build in links:
         tids = lineage[source]
-        probe_idx, build_tids = prober.probe(
-            values[start:stop] if tids is None else values[tids])
+        keys = values[start:stop] if tids is None else values[tids]
+        if build is None:
+            probe_idx = np.flatnonzero(prober.table.take(keys - prober.low))
+        else:
+            probe_idx, build_tids = prober.probe(keys)
         lineage = {name: start + probe_idx if rows is None
                    else rows[probe_idx] for name, rows in lineage.items()}
-        lineage[build] = build_tids
-        counts.append(len(build_tids))
+        if build is not None:
+            lineage[build] = build_tids
+        counts.append(len(probe_idx))
     return counts, lineage
 
 
@@ -540,37 +589,185 @@ def _numpy_blocks(links, lineage, start, stop, mask, block):
                     for name in parts[0]}
 
 
+def _answers_as_numpy(chain, case, block):
+    """``chain``'s call over ``case`` in blocks of ``block`` rows answers
+    as :func:`_numpy_blocks`: per-block counts, each table's tids, a
+    probe booked per join and block — or, where numpy raises, raises
+    and books nothing."""
+    links, lineage, start, stop, mask = case
+    try:
+        want_counts, want = _numpy_blocks(*case, block)
+    except IndexError:
+        before = dict(kernels.stats)
+        with pytest.raises(IndexError):
+            chain.run(lineage, start, stop, mask, block)
+        assert kernels.stats == before  # nothing booked
+        return
+    before = kernels.stats["compiled_probes"]
+    counts, got = chain.run(lineage, start, stop, mask, block)
+    joins = sum(build is not None for *_, build in links)
+    assert kernels.stats["compiled_probes"] == (
+        before + joins * len(want_counts))
+    assert counts.tolist() == want_counts
+    assert list(got) == list(want)
+    for name in got:
+        assert got[name].dtype == want[name].dtype == np.int64
+        assert got[name].tobytes() == want[name].tobytes()
+
+
 class TestCompiledProbe:
-    @given(case=_chain_cases(), block=st.sampled_from([None, 1, 7, 64]))
+    @given(case=_chain_cases(),
+           block=st.sampled_from([None, 1, 7, 15, 16, 17, 64]))
     @settings(max_examples=300, deadline=None)
-    def test_the_loop_answers_as_the_numpy_probe(self, case, block):
-        """One call over a range, in blocks of 1, 7 or 64 rows (the last
-        one ragged) or one block, answers as the numpy chain block by
-        block: per-block counts, and each table's tids concatenated."""
-        _require_the_loop()
+    def test_the_loop_answers_as_the_numpy_probe(self, case, block,
+                                                 chain_builds):
+        """One call over a range, in blocks of 1, 7, 15, 16, 17 or 64
+        rows (the last one ragged; 16 is a vector's width) or one block,
+        answers as the numpy chain block by block: per-block counts, and
+        each table's tids concatenated — built with the vector stages
+        and without them."""
         links, lineage, start, stop, mask = case
-        chain = kernels.Chain(links, list(lineage))
-        if any(prober.native() is None for prober, *_ in links):
-            assert chain.kernel is None
-            assert chain.run(lineage, start, stop, mask, block) is None
-            return
-        try:
-            want_counts, want = _numpy_blocks(*case, block)
-        except IndexError:
-            before = dict(kernels.stats)
+        for build in BUILDS:
+            chain = _bound(chain_builds, build, links, list(lineage))
+            if any(prober.native() is None for prober, *_ in links):
+                assert chain.kernel is None
+                assert chain.run(lineage, start, stop, mask, block) is None
+            else:
+                _answers_as_numpy(chain, case, block)
+
+    @pytest.mark.parametrize("build", BUILDS)
+    @pytest.mark.parametrize("stage", ["first", "later"])
+    @pytest.mark.parametrize("kind", ["all", "dense", "wide", "lookup",
+                                      "filter"])
+    @pytest.mark.parametrize("row", [0, 9, 15, 16, 31, 32, 47, 70, 77])
+    def test_a_bad_key_or_tid_in_a_vector_lane_or_the_tail_raises(
+            self, row, kind, stage, build, chain_builds):
+        """Over 78 rows in one block (four vectors of 16, then a scalar
+        tail of 14) a key out of range at ``row``, or a key column that
+        ends at ``row`` (its tid there one past the end), fails the call
+        from the first stage or from a later one over the row index (the
+        rows up to ``row``, so the fault is its last row); it books
+        nothing, and the same call without the fault answers as numpy."""
+        rows = 78
+        slots = {"all": 0, "dense": 12, "wide": 1100, "lookup": 12,
+                 "filter": 12}[kind]
+        rng = np.random.default_rng(row)
+        if kind == "all":
+            prober = kernels._DenseProber(5, 40, None, False)
+            keys, bad = rng.integers(5, 45, rows), 0
+        elif kind in ("dense", "wide"):
+            prober = kernels._DenseProber(slots - 12, 12,
+                                          np.arange(12) % 3 != 1, False)
+            keys, bad = rng.integers(-slots, slots, rows), slots
+        elif kind == "lookup":
+            lookup = kernels._build_position_lookup(
+                np.arange(-40, -40 + 2 * slots, 2, dtype=np.int32))
+            prober = kernels._LookupProber(lookup, np.arange(12) % 2 == 0,
+                                           False)
+            span = len(lookup.table)
+            keys, bad = -40 + rng.integers(-span, span, rows), -40 + span
+        else:
+            prober = kernels.ValueFilter(np.arange(slots) % 4 != 0, 100)
+            keys, bad = 100 + rng.integers(-slots, slots, rows), 100 + slots
+        links = [(prober, keys.astype(np.int32), "f",
+                  None if kind == "filter" else "b")]
+        if stage == "later":  # the rows up to ``row`` survive the first
+            links.insert(0, (kernels._DenseProber(
+                0, rows, np.arange(rows) <= row, False),
+                np.arange(rows, dtype=np.int32), "f", "a"))
+        chain = _bound(chain_builds, build, links, ["f"])
+        case = links, {"f": None}, 0, rows, None
+        _answers_as_numpy(chain, case, None)
+        key_fault = [link[:1] + (link[1].copy(),) + link[2:]
+                     for link in links]
+        key_fault[-1][1][row] = bad
+        tid_fault = links[:-1] + [(prober, links[-1][1][:row], "f",
+                                   links[-1][3])]
+        with pytest.raises(IndexError):  # take's rule for the range
+            tid_fault[-1][1].take(np.arange(rows))
+        for faulty in (key_fault, tid_fault):
+            if kind == "all" and faulty is key_fault:
+                continue  # an unfiltered dense stage reads no slot
+            if faulty is key_fault:
+                with pytest.raises(IndexError):
+                    _numpy_blocks(faulty, {"f": None}, 0, rows, None, None)
+            chain = _bound(chain_builds, build, faulty, ["f"])
+            kernels.reset_stats()
             with pytest.raises(IndexError):
-                chain.run(lineage, start, stop, mask, block)
-            assert kernels.stats == before  # nothing booked
-            return
-        before = kernels.stats["compiled_probes"]
-        counts, got = chain.run(lineage, start, stop, mask, block)
-        assert kernels.stats["compiled_probes"] == (
-            before + len(links) * len(want_counts))
-        assert counts.tolist() == want_counts
-        assert list(got) == list(want)
-        for name in got:
-            assert got[name].dtype == want[name].dtype == np.int64
-            assert got[name].tobytes() == want[name].tobytes()
+                chain.run({"f": None}, 0, rows)
+            assert not any(kernels.stats.values())
+
+    @pytest.mark.parametrize("build", BUILDS)
+    @pytest.mark.parametrize("slots", [11, 1024, 1025, 2000])
+    @pytest.mark.parametrize("offset", [1, 2, 3])
+    def test_negative_keys_and_the_last_slots_of_a_byte_view(
+            self, offset, slots, build, chain_builds):
+        """Dense keys in ``[-slots, 0)`` count from the key mask's end;
+        the mask is a view 1-3 bytes into a longer array of hits, so a
+        read of its last slots that strayed past them would hit — over
+        ranges of 1-80 rows (vector lanes and tails), as numpy."""
+        mask = np.arange(slots) % 5 == 2
+        prober = kernels._DenseProber(slots - 8, 8, mask[-8:], False)
+        prober.key_mask = _byte_offset_view(mask, offset, True)
+        keys = np.concatenate([np.arange(-slots, 0),
+                               np.arange(max(slots - 40, 0), slots)])
+        keys = np.random.default_rng(slots + offset).permutation(
+            np.tile(keys, 4))
+        for stop in (1, 16, 17, 33, 80):
+            values = keys[:stop].astype(np.int32)
+            links = [(prober, values, "f", "b")]
+            chain = _bound(chain_builds, build, links, ["f"])
+            _answers_as_numpy(chain, (links, {"f": None}, 0, stop, None),
+                              None)
+
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_no_read_past_the_end_of_a_table_or_key_column(
+            self, build, chain_builds):
+        """Byte tables of 11, 1,025 and 2,000 slots and an int32 key
+        column each end where an unreadable page starts, so a read past
+        one stops the process: hits on their last slots, over ranges
+        that end at the column's end, answer as numpy, and a range past
+        its end raises, from the first stage or a later one."""
+        page = mmap.PAGESIZE
+        libc = ctypes.CDLL(None, use_errno=True)
+        libc.mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t,
+                                  ctypes.c_int)
+        guarded = []
+
+        def at_a_guard(array):
+            pages = -(-array.nbytes // page) + 1
+            region = mmap.mmap(-1, pages * page)
+            raw = np.frombuffer(region, np.uint8)
+            guard = raw.ctypes.data + (pages - 1) * page
+            assert libc.mprotect(guard, page, 0) == 0  # PROT_NONE
+            guarded.append(guard)
+            end = (pages - 1) * page
+            placed = raw[end - array.nbytes:end].view(array.dtype)
+            placed[:] = array
+            return placed
+        try:
+            for slots in (11, 1025, 2000):
+                mask = np.arange(slots) % 3 != 0
+                prober = kernels._DenseProber(slots - 8, 8, mask[-8:], False)
+                prober.key_mask = at_a_guard(mask)
+                for rows in (1, 16, 17, 47, 64):
+                    keys = at_a_guard((slots - 1 - np.arange(rows) % 4)
+                                      .astype(np.int32))
+                    links = [(prober, keys, "f", "b")]
+                    chain = _bound(chain_builds, build, links, ["f"])
+                    _answers_as_numpy(
+                        chain, (links, {"f": None}, 0, rows, None), None)
+                    with pytest.raises(IndexError):
+                        chain.run({"f": None}, 0, rows + 20)
+                    every = kernels._DenseProber(0, rows + 1, None, False)
+                    chain = _bound(chain_builds, build, [
+                        (every, np.arange(rows + 1, dtype=np.int32), "f",
+                         "a")] + links, ["f"])
+                    with pytest.raises(IndexError):
+                        chain.run({"f": None}, 0, rows + 1)
+        finally:
+            for guard in guarded:
+                libc.mprotect(guard, page, mmap.PROT_READ | mmap.PROT_WRITE)
 
     def test_a_key_out_of_range_in_a_late_block_books_nothing(self):
         """Blocks before the bad key run and write, but the call raises
